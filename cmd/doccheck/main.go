@@ -8,8 +8,10 @@
 //
 //	doccheck [-root DIR]
 //
-// It scans every *.md file under the root (skipping .git and
-// .claude) and extracts two kinds of reference:
+// It scans every *.md file under the root (skipping .git, .claude, and
+// the root ISSUE.md — the per-PR task sheet, which names files by bare
+// basename and names ones the PR is about to create or delete) and
+// extracts two kinds of reference:
 //
 //   - Markdown link targets: [text](path) with a relative, non-URL
 //     path, resolved against the Markdown file's directory.
@@ -97,7 +99,7 @@ func main() {
 			}
 			return nil
 		}
-		if strings.EqualFold(filepath.Ext(path), ".md") {
+		if strings.EqualFold(filepath.Ext(path), ".md") && path != filepath.Join(*root, "ISSUE.md") {
 			mdFiles = append(mdFiles, path)
 		}
 		return nil

@@ -11,9 +11,10 @@
 // whole point: PR 7-9 paid kernel launch and PCIe latency per query,
 // the overhead real inference servers remove first.
 //
-// BatchCap <= 1 disables batching entirely: Simulate keeps the
-// per-query paths and their output stays byte-identical to the
-// pre-batching simulator (the -serve-batch 1 acceptance gate).
+// BatchCap <= 1 disables batching entirely: every query is serviced
+// alone the moment it is admitted, no batch event is ever scheduled,
+// and the report is deep-equal to the flag-absent run's (the
+// -serve-batch 1 acceptance gate).
 
 package serve
 
@@ -28,8 +29,7 @@ import (
 const BatchGrammar = "<cap>[:<delay-ms>]"
 
 // BatchSpec configures replica-side request batching. The zero value
-// (and any Cap <= 1) disables it: every query is serviced alone on the
-// exact pre-batching path.
+// (and any Cap <= 1) disables it: every query is serviced alone.
 type BatchSpec struct {
 	// Cap is the maximum queries serviced per batch (<= 1 disables
 	// batching).

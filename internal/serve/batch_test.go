@@ -20,16 +20,16 @@ func batchTestConfig(policy Policy, batch BatchSpec) Config {
 
 // TestBatchCapOneByteIdentical pins the no-op contract: an explicit
 // cap of 1 (and the zero spec) must produce a report deep-equal to the
-// unbatched simulator's on both simulator paths — the closed-form fast
-// path and, with resilience knobs engaged, the event-driven path. This
-// is the -serve-batch 1 == flag-absent acceptance gate in test form.
+// unbatched run's, both on a plain fleet and with faults and resilience
+// knobs engaged. This is the -serve-batch 1 == flag-absent acceptance
+// gate in test form.
 func TestBatchCapOneByteIdentical(t *testing.T) {
 	shapes := []struct {
 		name string
 		mut  func(*Config)
 	}{
-		{"closed-form", func(cfg *Config) {}},
-		{"event-driven", func(cfg *Config) {
+		{"plain", func(cfg *Config) {}},
+		{"resilient", func(cfg *Config) {
 			cfg.Deadline = 20e-3
 			cfg.Retry = RetrySpec{Max: 2}
 			cfg.Faults = hw.FaultPlan{Events: []hw.FaultEvent{

@@ -24,9 +24,8 @@ func runWithPool(t *testing.T, cfg Config, workers int) *Report {
 // TestServeReportPoolDeterminism: the serving simulation's report must
 // be bit-identical whether the sharded scratchpads plan on 1 or 4 pool
 // workers — the fan-out is an execution detail, never a source of
-// nondeterminism. Both simulator paths are pinned: the closed-form
-// fast path (no faults, no batching) and the event-driven path
-// (resilience knobs and batching engaged). reflect.DeepEqual compares
+// nondeterminism. Pinned on plain fleets (no faults, no batching) under
+// both view sources and with resilience knobs and batching engaged. reflect.DeepEqual compares
 // every field, per-worker counters and latency digests included; the
 // test also runs under `make race`, where the same comparison doubles
 // as a fan-out race probe.
@@ -35,17 +34,17 @@ func TestServeReportPoolDeterminism(t *testing.T) {
 		name string
 		cfg  func() Config
 	}{
-		{"closed-form", func() Config {
+		{"plain", func() Config {
 			cfg := testConfig(PolicyHitAware, trace.High)
 			cfg.Shards = 2
 			return cfg
 		}},
-		{"closed-form-telemetry", func() Config {
+		{"plain-telemetry", func() Config {
 			cfg := testConfig(PolicyTelemetry, trace.High)
 			cfg.Shards = 2
 			return cfg
 		}},
-		{"event-driven", func() Config {
+		{"resilient-batched", func() Config {
 			cfg := testConfig(PolicyTelemetry, trace.Medium)
 			cfg.Shards = 2
 			cfg.Batch = BatchSpec{Cap: 8}

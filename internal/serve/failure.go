@@ -1,19 +1,18 @@
-// The resilient serving simulator: an event-driven twin of the fast
-// path in serve.go that adds replica failures, client retries/hedging,
-// deadlines, and admission control. Simulate switches here whenever any
-// of those knobs is engaged (Options.Resilient); with all of them off
-// the fast path runs instead and stays bit-identical to the
-// pre-resilience simulator.
+// The serving simulator: one event-driven engine plays every run, from
+// a zero-fault unbatched fleet (whose event heap simply stays empty, so
+// the loop degenerates to one arrival-ordered pass) to replica
+// failures, client retries/hedging, deadlines, admission control, and
+// request batching.
 //
 // Determinism. The virtual clock advances through a single event heap
 // ordered by (time, kind, insertion sequence): kills and heals sort
-// before retries and hedges at the same instant, and arrivals are
-// merged in at heap-top time. Attempt outcomes are resolved eagerly at
-// dispatch — a worker's outage schedule is static, so an attempt whose
-// completion lands past the worker's next kill is doomed the moment it
-// enqueues and fails when the kill event flushes the queue. No PRNG is
-// consulted anywhere outside the router and the request stream, both of
-// which draw in the same order as the fast path.
+// before batch launches, retries and hedges at the same instant, and
+// arrivals are merged in at heap-top time. Attempt outcomes are
+// resolved eagerly at dispatch — a worker's outage schedule is static,
+// so an attempt whose completion lands past the worker's next kill is
+// doomed the moment it enqueues and fails when the kill event flushes
+// the queue. No PRNG is consulted anywhere outside the router and the
+// request stream.
 //
 // Client knowledge. The frontend reacts only to what a real client
 // could observe: a delivered response, a failure notification when a
@@ -21,10 +20,19 @@
 // and hedge delays, the deadline). A retry is scheduled only when no
 // other attempt of the query is outstanding; a response that will
 // arrive in the future never suppresses a hedge or retry firing now.
+//
+// Query lifetime. Queries are pooled and streamed, not tabled: a query
+// is drawn into a recycled buffer at its arrival, and the moment
+// nothing can touch it again — no heap event, doomed list or pending
+// batch slot refers to it — its fate is final, so it is classified into
+// the report and returned to the free list. Host memory is bounded by
+// the queries in flight, not by the run length, and a settled run
+// allocates nothing per query.
 
 package serve
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/metrics"
@@ -49,6 +57,10 @@ type query struct {
 	// resolved marks queries finalized before completion: shed by
 	// admission or dropped off a full queue.
 	resolved bool
+	// refs counts what can still reach the query: heap events, workers'
+	// doomed lists and pending batch slots, and the arrival being
+	// handled. release retires the query when it reaches zero.
+	refs int
 }
 
 // evKind orders same-instant events: infrastructure first (a kill at
@@ -92,15 +104,16 @@ func eventLess(a, b event) bool {
 	return a.seq < b.seq
 }
 
-// resilientSim is the per-run state of the event-driven simulator.
+// resilientSim is the per-run state of the simulator.
 type resilientSim struct {
-	f         *Fleet
-	rep       *Report
-	lat       metrics.Series
-	degLat    metrics.Series
-	events    []event
-	seq       int64
-	queries   []*query
+	f      *Fleet
+	rep    *Report
+	lat    metrics.Series
+	degLat metrics.Series
+	events []event
+	seq    int64
+	// free holds retired queries whose buffers the next arrivals reuse.
+	free      []*query
 	totalIDs  int
 	shedDepth int
 	good      int64
@@ -113,9 +126,14 @@ type resilientSim struct {
 	batchSeen map[int64]struct{}
 }
 
+// push schedules e; an event carrying a query holds a reference to it
+// until the event has fired.
 func (s *resilientSim) push(e event) {
 	e.seq = s.seq
 	s.seq++
+	if e.q != nil {
+		e.q.refs++
+	}
 	s.events = append(s.events, e)
 	i := len(s.events) - 1
 	for i > 0 {
@@ -152,16 +170,71 @@ func (s *resilientSim) pop() event {
 	return top
 }
 
-// simulateResilient plays the arrival vector with the failure model and
-// client resilience engaged.
-func (f *Fleet) simulateResilient(arrivals []float64) (*Report, error) {
+// Simulate plays an ascending arrival-time vector through the fleet and
+// returns the report. Exposed separately from Run so tests and harnesses
+// can inject their own arrival vectors. A fleet carries one run: its
+// queues, scratchpads and counters are the run's state, so a second
+// call is an error.
+func (f *Fleet) Simulate(arrivals []float64) (*Report, error) {
+	if f.used {
+		return nil, fmt.Errorf("serve: Fleet.Simulate called twice; build a new Fleet for every run")
+	}
+	f.used = true
+	s := f.newSim(len(arrivals))
+	i := 0
+	for i < len(arrivals) || len(s.events) > 0 {
+		if len(s.events) > 0 && (i >= len(arrivals) || s.events[0].t <= arrivals[i]) {
+			e := s.pop()
+			var err error
+			switch e.kind {
+			case evKill:
+				s.kill(e.w, e.t)
+			case evHeal:
+				err = s.heal(e.w)
+			case evBatch:
+				err = s.fireBatch(e.w, e.t)
+			case evRetry:
+				err = s.fireRetry(e.q, e.t)
+			case evHedge:
+				err = s.fireHedge(e.q, e.t)
+			}
+			if err != nil {
+				return nil, err
+			}
+			if e.q != nil {
+				s.release(e.q)
+			}
+			continue
+		}
+		at := arrivals[i]
+		i++
+		q := s.acquire(at)
+		if err := s.dispatch(q, at, modeFirst); err != nil {
+			return nil, err
+		}
+		// Arm the hedge timer once the primary attempt is in flight.
+		if f.cfg.Hedge > 0 && f.cfg.Replicas > 1 && !q.resolved && len(q.tried) > 0 {
+			ht := at + f.cfg.Hedge
+			if f.cfg.Deadline == 0 || ht < at+f.cfg.Deadline {
+				s.push(event{t: ht, kind: evHedge, q: q})
+			}
+		}
+		s.release(q)
+	}
+	return s.finish(arrivals)
+}
+
+// newSim builds the run state for a vector of offered arrivals: the
+// report shell, the batch planning buffers, the admission threshold in
+// queue slots, and the outage schedule's kill and heal events.
+func (f *Fleet) newSim(offered int) *resilientSim {
 	s := &resilientSim{
 		f: f,
 		rep: &Report{
 			Router:   Policy(f.cfg.Router),
 			Replicas: f.cfg.Replicas,
 			Batch:    f.cfg.Batch.canonical(),
-			Offered:  int64(len(arrivals)),
+			Offered:  int64(offered),
 		},
 		totalIDs: f.cfg.NumTables * f.cfg.Lookups,
 	}
@@ -189,54 +262,63 @@ func (f *Fleet) simulateResilient(arrivals []float64) (*Report, error) {
 			}
 		}
 	}
-	i := 0
-	for i < len(arrivals) || len(s.events) > 0 {
-		if len(s.events) > 0 && (i >= len(arrivals) || s.events[0].t <= arrivals[i]) {
-			e := s.pop()
-			var err error
-			switch e.kind {
-			case evKill:
-				s.kill(e.w, e.t)
-			case evHeal:
-				err = s.heal(e.w)
-			case evBatch:
-				err = s.fireBatch(e.w, e.t)
-			case evRetry:
-				err = s.fireRetry(e.q, e.t)
-			case evHedge:
-				err = s.fireHedge(e.q, e.t)
-			}
-			if err != nil {
-				return nil, err
-			}
-			continue
-		}
-		at := arrivals[i]
-		i++
-		f.nextRequest()
-		q := &query{at: at, bestDone: math.Inf(1), winner: -1}
-		q.keys = append([]int64(nil), f.reqKeys...)
-		q.ids = make([][]int64, len(f.reqIDs))
-		for t := range f.reqIDs {
-			q.ids[t] = append([]int64(nil), f.reqIDs[t]...)
-		}
-		s.queries = append(s.queries, q)
-		if err := s.dispatch(q, at, modeFirst); err != nil {
-			return nil, err
-		}
-		// Arm the hedge timer once the primary attempt is in flight.
-		if f.cfg.Hedge > 0 && f.cfg.Replicas > 1 && !q.resolved && len(q.tried) > 0 {
-			ht := at + f.cfg.Hedge
-			if f.cfg.Deadline == 0 || ht < at+f.cfg.Deadline {
-				s.push(event{t: ht, kind: evHedge, q: q})
-			}
-		}
-	}
-	return s.finish(arrivals)
+	return s
 }
 
-// linkHop prices the frontend-to-worker hop (IDs up, score back) and
-// books the routing-link counters, mirroring the fast path.
+// acquire starts the lifecycle of the query arriving at time at: a
+// recycled (or, while the pool is still growing, new) query with the
+// next request of the stream drawn into its buffers, referenced once by
+// the arrival being handled.
+func (s *resilientSim) acquire(at float64) *query {
+	var q *query
+	if n := len(s.free); n > 0 {
+		q, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		q = s.f.newQuery()
+	}
+	q.at, q.bestDone, q.winner, q.winnerDeg = at, math.Inf(1), -1, false
+	q.tried, q.retries, q.resolved, q.refs = q.tried[:0], 0, false, 1
+	s.f.nextRequest(q)
+	return q
+}
+
+// release drops one reference to q. With the last one gone no attempt
+// of the query can start or fail any more, so its fate is final: it is
+// classified into the report (conservation-exact: every query retires
+// exactly once) and its buffers return to the pool. Latency samples are
+// sorted before they are digested, so the order queries retire in moves
+// no reported number.
+func (s *resilientSim) release(q *query) {
+	if q.refs--; q.refs > 0 {
+		return
+	}
+	s.free = append(s.free, q)
+	if q.resolved {
+		return // already counted as Shed or Drops
+	}
+	if math.IsInf(q.bestDone, 1) {
+		s.rep.TimedOut++
+		return
+	}
+	s.rep.Served++
+	s.f.workers[q.winner].served++
+	l := q.bestDone - q.at
+	if q.winnerDeg {
+		s.degLat.Add(l)
+	} else {
+		s.lat.Add(l)
+	}
+	if d := s.f.cfg.Deadline; d == 0 || l <= d {
+		s.good++
+	}
+	if q.bestDone > s.maxDone {
+		s.maxDone = q.bestDone
+	}
+}
+
+// linkHop prices the frontend-to-worker hop — queries routed off node 0
+// pay the crossed link both ways (IDs up, score back) — and books the
+// routing-link counters.
 func (s *resilientSim) linkHop(wk *worker) (linkUp, linkDown float64) {
 	f := s.f
 	if f.cfg.Topology != nil && wk.node != 0 {
@@ -267,6 +349,7 @@ func (s *resilientSim) settle(q *query, wk *worker, t, done, linkDown float64, d
 		}
 	} else {
 		wk.doomed = append(wk.doomed, q)
+		q.refs++
 	}
 }
 
@@ -350,20 +433,29 @@ func (s *resilientSim) dispatch(q *query, t float64, mode dispatchMode) error {
 	if dd := len(wk.comp) - wk.head; dd > wk.peakDepth {
 		wk.peakDepth = dd
 	}
+	s.bookPlan(wk, fills, evicts, coord)
+	// The router's view learns the keys only now that the replica took
+	// the query: a bounced or shed query never reached its scratchpad.
+	f.router.note(w, q.keys)
+	q.tried = append(q.tried, w)
+	s.settle(q, wk, t, done, linkDown, false)
+	return nil
+}
+
+// bookPlan adds one plan's row movements and coordination latency to
+// the report and, while wk is re-warming after a heal, to its re-warm
+// bill.
+func (s *resilientSim) bookPlan(wk *worker, fills, evicts int, coord float64) {
 	s.rep.Fills += int64(fills)
 	s.rep.Evictions += int64(evicts)
 	s.rep.CoordTime += coord
 	if wk.rewarm {
 		wk.rewarmFills += int64(fills)
-		wk.rewarmTime += f.fillDetour(fills)
+		wk.rewarmTime += s.f.fillDetour(fills)
 		if wk.residentRows() >= wk.rewarmTarget {
 			wk.rewarm = false
 		}
 	}
-	f.router.note(w, q.keys)
-	q.tried = append(q.tried, w)
-	s.settle(q, wk, t, done, linkDown, false)
-	return nil
 }
 
 // enqueueBatch parks one attempt of q in wk's batch queue: the routing
@@ -375,6 +467,7 @@ func (s *resilientSim) enqueueBatch(q *query, wk *worker, t float64) {
 	s.f.router.note(wk.id, q.keys)
 	q.tried = append(q.tried, wk.id)
 	wk.pending = append(wk.pending, pendingReq{q: q, enq: t + linkUp, linkDown: linkDown})
+	q.refs++
 	if d := len(wk.comp) - wk.head + len(wk.pending); d > wk.peakDepth {
 		wk.peakDepth = d
 	}
@@ -498,16 +591,7 @@ func (s *resilientSim) launchBatch(wk *worker, t float64) error {
 	for range members {
 		wk.comp = append(wk.comp, done)
 	}
-	s.rep.Fills += int64(fills)
-	s.rep.Evictions += int64(evicts)
-	s.rep.CoordTime += coord
-	if wk.rewarm {
-		wk.rewarmFills += int64(fills)
-		wk.rewarmTime += f.fillDetour(fills)
-		if wk.residentRows() >= wk.rewarmTarget {
-			wk.rewarm = false
-		}
-	}
+	s.bookPlan(wk, fills, evicts, coord)
 	wk.batches++
 	wk.batchedQueries += int64(n)
 	if n > wk.maxBatch {
@@ -515,6 +599,7 @@ func (s *resilientSim) launchBatch(wk *worker, t float64) error {
 	}
 	for _, p := range members {
 		s.settle(p.q, wk, t, done, p.linkDown, false)
+		s.release(p.q)
 	}
 	wk.pending = append(wk.pending[:0], wk.pending[n:]...)
 	return nil
@@ -613,21 +698,21 @@ func (s *resilientSim) kill(w int, t float64) {
 	}
 	wk.mgrs = nil
 	f.router.invalidate(w)
-	doomed := wk.doomed
-	wk.doomed = nil
-	for _, q := range doomed {
+	for _, q := range wk.doomed {
 		s.attemptFailed(q, t)
+		s.release(q)
 	}
+	wk.doomed = wk.doomed[:0]
 	// A kill mid-batch flushes the whole batch: members still waiting
 	// for a launch fail back to the client exactly like the doomed
 	// in-flight attempts above (retries and hedges re-enter the batcher
 	// on another replica).
-	pend := wk.pending
+	for _, p := range wk.pending {
+		s.attemptFailed(p.q, t)
+		s.release(p.q)
+	}
 	wk.pending = wk.pending[:0]
 	wk.batchPlanned = math.Inf(1)
-	for _, p := range pend {
-		s.attemptFailed(p.q, t)
-	}
 }
 
 // heal brings worker w back with a cold scratchpad: the rebuilt cache
@@ -643,35 +728,11 @@ func (s *resilientSim) heal(w int) error {
 	return nil
 }
 
-// finish classifies every query (conservation-exact), assembles the
-// per-worker reports, and computes the availability and goodput
-// figures.
+// finish assembles the report once every query has retired: the
+// throughput, goodput and latency digests, the per-worker breakdown, and
+// the availability figure.
 func (s *resilientSim) finish(arrivals []float64) (*Report, error) {
 	f, rep := s.f, s.rep
-	deadline := f.cfg.Deadline
-	for _, q := range s.queries {
-		if q.resolved {
-			continue // already counted as Shed or Drops
-		}
-		if math.IsInf(q.bestDone, 1) {
-			rep.TimedOut++
-			continue
-		}
-		rep.Served++
-		f.workers[q.winner].served++
-		l := q.bestDone - q.at
-		if q.winnerDeg {
-			s.degLat.Add(l)
-		} else {
-			s.lat.Add(l)
-		}
-		if deadline == 0 || l <= deadline {
-			s.good++
-		}
-		if q.bestDone > s.maxDone {
-			s.maxDone = q.bestDone
-		}
-	}
 	rep.Duration = s.maxDone
 	if rep.Duration > 0 {
 		rep.Throughput = float64(rep.Served) / rep.Duration
@@ -695,7 +756,6 @@ func (s *resilientSim) finish(arrivals []float64) (*Report, error) {
 			rep.CoordRounds += cs.Messages
 			rep.CoordWallTime += cs.WallSeconds + cs.WallHiddenSeconds
 		}
-		wk.hits, wk.misses = h, m
 		rep.Hits += h
 		rep.Misses += m
 		rep.RewarmFills += wk.rewarmFills
@@ -720,7 +780,7 @@ func (s *resilientSim) finish(arrivals []float64) (*Report, error) {
 		rep.Workers = append(rep.Workers, WorkerReport{
 			Node: wk.node, Host: wk.host,
 			Served: wk.served, Drops: wk.drops,
-			Hits: wk.hits, Misses: wk.misses,
+			Hits: h, Misses: m,
 			PeakDepth: wk.peakDepth,
 			Downtime:  down,
 			Degraded:  wk.degraded,

@@ -311,47 +311,9 @@ func TestHostKillTakesDownReplicas(t *testing.T) {
 	}
 }
 
-// TestResilientNeutralKnobsMatchFastPath: with resilience knobs engaged
-// but never exercised (retry budget on a fault-free, drop-free run) the
-// event-driven simulator must reproduce the fast path's report exactly.
-func TestResilientNeutralKnobsMatchFastPath(t *testing.T) {
-	mk := func() Config {
-		cfg := testConfig(PolicyHitAware, trace.Medium)
-		cfg.Arrival.Rate = 1000 // well under capacity: no drops either way
-		cfg.Requests = 600
-		return cfg
-	}
-	fast, err := Run(mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := mk()
-	cfg.Retry = RetrySpec{Max: 2}
-	resilient, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fast.Drops != 0 || resilient.Drops != 0 {
-		t.Fatalf("scenario not drop-free (fast %d, resilient %d): comparison void",
-			fast.Drops, resilient.Drops)
-	}
-	if resilient.Served != fast.Served || resilient.Hits != fast.Hits ||
-		resilient.Misses != fast.Misses || resilient.Fills != fast.Fills ||
-		resilient.Throughput != fast.Throughput ||
-		resilient.Latency.P50 != fast.Latency.P50 ||
-		resilient.Latency.P99 != fast.Latency.P99 ||
-		resilient.Availability != 1 || resilient.Goodput != fast.Goodput {
-		t.Errorf("neutral-knob resilient run diverged from fast path:\nfast      %+v\nresilient %+v",
-			fast, resilient)
-	}
-	if resilient.Retried != 0 || resilient.Hedged != 0 || resilient.Shed != 0 ||
-		resilient.TimedOut != 0 || resilient.Degraded != 0 {
-		t.Errorf("neutral knobs produced nonzero resilience counters: %+v", resilient)
-	}
-}
-
-// TestZeroFaultReportFields: the fast path fills the new fields with
-// their documented identities (never nil, never unset).
+// TestZeroFaultReportFields: a run with no fault or resilience knob
+// reports the failure-model fields at their documented identities
+// (never nil, never unset).
 func TestZeroFaultReportFields(t *testing.T) {
 	rep, err := Run(testConfig(PolicyLeastLoaded, trace.Medium))
 	if err != nil {

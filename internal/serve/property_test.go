@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/hw"
@@ -125,18 +126,19 @@ func randServeConfig(rng *rand.Rand) Config {
 	}
 }
 
-// shrinkServeConfig greedily minimizes a violating config: halve the
-// request count, then switch off one knob at a time (faults, batching,
-// hedging, retries, admission, deadline, extra replicas), keeping each
+// shrinkServeConfig greedily minimizes a config that violates a
+// property (violation returns "" when it holds): halve the request
+// count, then switch off one knob at a time (faults, batching, hedging,
+// retries, admission, deadline, extra replicas), keeping each
 // simplification only while the violation persists. The result is the
 // smallest configuration this ladder reaches that still breaks the
 // invariant — what the failure log shows, so a red run points at the
 // interacting knobs instead of a 500-query haystack.
-func shrinkServeConfig(cfg Config) Config {
+func shrinkServeConfig(cfg Config, violation func(Config) string) Config {
 	for cfg.Requests > 8 {
 		c := cfg
 		c.Requests = cfg.Requests / 2
-		if propViolation(c) == "" {
+		if violation(c) == "" {
 			break
 		}
 		cfg = c
@@ -153,7 +155,7 @@ func shrinkServeConfig(cfg Config) Config {
 	for _, f := range simplify {
 		c := cfg
 		f(&c)
-		if propViolation(c) != "" {
+		if violation(c) != "" {
 			cfg = c
 		}
 	}
@@ -171,9 +173,113 @@ func TestServeConservationProperty(t *testing.T) {
 	for i := 0; i < trials; i++ {
 		cfg := randServeConfig(rng)
 		if v := propViolation(cfg); v != "" {
-			small := shrinkServeConfig(cfg)
+			small := shrinkServeConfig(cfg, propViolation)
 			t.Logf("trial %d violated, shrunk reproduction: %+v", i, small.Options)
 			t.Fatalf("trial %d: %s (shrunk: %s)", i, v, propViolation(small))
+		}
+	}
+}
+
+// randClosedFormConfig draws a zero-fault, unbatched configuration —
+// the closed form's whole domain: every router, every arrival shape,
+// single-node and cluster2x2, one or two shards. Half the draws are
+// pushed over capacity against a short queue so the queue-cap bounce
+// and its per-worker attribution are compared too, and a third engage
+// the knobs that can never act without a fault (a retry budget, a
+// deadline no query can miss), which must not move the report either.
+func randClosedFormConfig(rng *rand.Rand, topo *hw.Topology) Config {
+	cfg := randServeConfig(rng)
+	cfg.Options = Options{
+		Replicas:  cfg.Replicas,
+		Router:    cfg.Router,
+		Arrival:   cfg.Arrival,
+		Requests:  cfg.Requests,
+		QueueCap:  cfg.QueueCap,
+		CacheFrac: cfg.CacheFrac,
+	}
+	if rng.Intn(2) == 0 {
+		cfg.Arrival.Rate *= 20
+		cfg.QueueCap = 1 + rng.Intn(8)
+	}
+	if rng.Intn(2) == 0 {
+		cfg.Topology = topo
+	}
+	cfg.Shards = 1 + rng.Intn(2)
+	if rng.Intn(3) == 0 {
+		cfg.Retry = RetrySpec{Max: 1 + rng.Intn(3)}
+		cfg.Deadline = 1e9
+	}
+	return cfg
+}
+
+// closedFormDiff runs cfg through the simulator and through the
+// closed-form oracle on two freshly built fleets and describes how the
+// full reports differ ("" when deep-equal), plus the queue-cap drops of
+// an agreeing run (the coverage check's input).
+func closedFormDiff(cfg Config) (diff string, drops int64) {
+	got, err := Run(cfg)
+	if err != nil {
+		return fmt.Sprintf("Run failed: %v", err), 0
+	}
+	f, err := NewFleet(cfg)
+	if err != nil {
+		return fmt.Sprintf("NewFleet failed: %v", err), 0
+	}
+	want, err := referenceSimulate(f, f.cfg.Arrival.Times(f.cfg.Requests, f.cfg.Seed+8200))
+	if err != nil {
+		return fmt.Sprintf("oracle failed: %v", err), 0
+	}
+	if !reflect.DeepEqual(got, want) {
+		return fmt.Sprintf("reports differ:\nsimulator: %+v\noracle:    %+v", got, want), 0
+	}
+	return "", got.Drops
+}
+
+// TestEventPathMatchesClosedForm is the differential property behind
+// "one serving simulator": on every zero-fault, unbatched draw the
+// event-driven simulator must reproduce the closed-form oracle's whole
+// Report — counters, floats, latency digest, per-worker breakdown —
+// exactly. A mismatch is shrunk (shrinkServeConfig) before it is
+// reported.
+func TestEventPathMatchesClosedForm(t *testing.T) {
+	topo, err := hw.ParseTopology("cluster2x2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(20220618))
+	const trials = 160
+	seen := map[string]int{}
+	for i := 0; i < trials; i++ {
+		cfg := randClosedFormConfig(rng, topo)
+		diff, drops := closedFormDiff(cfg)
+		if diff != "" {
+			differs := func(c Config) string { d, _ := closedFormDiff(c); return d }
+			small := shrinkServeConfig(cfg, differs)
+			t.Logf("trial %d diverged, shrunk reproduction: %+v shards %d topology %v",
+				i, small.Options, small.Shards, small.Topology != nil)
+			t.Fatalf("trial %d: %s (shrunk: %s)", i, diff, differs(small))
+		}
+		if drops > 0 {
+			seen["drops"]++
+		}
+		seen[string(cfg.Router)]++
+		seen[string(cfg.Arrival.Shape)]++
+		seen[fmt.Sprintf("shards%d", cfg.Shards)]++
+		if cfg.Topology != nil {
+			seen["cluster2x2"]++
+		} else {
+			seen["single"]++
+		}
+	}
+	// The draw must actually cover the space the claim is made over.
+	for _, k := range []string{
+		string(PolicyRandom), string(PolicyRoundRobin), string(PolicyLeastLoaded),
+		string(PolicyHitAware), string(PolicyTelemetry),
+		string(ShapePoisson), string(ShapeDiurnal), string(ShapeFlash),
+		"single", "cluster2x2", "shards1", "shards2", "drops",
+	} {
+		if seen[k] < 5 {
+			t.Errorf("only %d of %d trials covered %q", seen[k], trials, k)
 		}
 	}
 }

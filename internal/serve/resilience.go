@@ -4,8 +4,8 @@
 // before queues overflow. These are the -retry / -hedge / -deadline /
 // -admission flag families; the failure schedule itself (-serve-fail)
 // rides on hw.FaultPlan. Everything here is pure configuration — the
-// event-driven simulator in failure.go executes it deterministically
-// under the virtual clock.
+// simulator in failure.go executes it deterministically under the
+// virtual clock.
 
 package serve
 

@@ -42,7 +42,9 @@ const (
 	PolicyTelemetry Policy = "hitaware-telemetry"
 )
 
-// Policies lists every routing policy in escalation order.
+// Policies lists the four routing policies the serving studies compare,
+// in escalation order. PolicyTelemetry — hit-aware scoring from a
+// different view source — is parseable but not in the frontier sweep.
 var Policies = []Policy{PolicyRandom, PolicyRoundRobin, PolicyLeastLoaded, PolicyHitAware}
 
 // PolicyNames lists the parseable policies for usage errors.
@@ -93,11 +95,13 @@ const (
 const depthPenalty = 1.0
 
 // router is the routing state shared across a run: the PRNG for the
-// random policy, the round-robin cursor, and the hit-aware policy's
-// per-replica cache views.
+// random policy (and its reusable candidate list), the round-robin
+// cursor, and the hit-aware policies' per-replica views — the router's
+// own send history, or the replicas' published telemetry.
 type router struct {
 	policy Policy
 	rng    *rand.Rand
+	cand   []int
 	rr     int
 	views  []*cacheView
 	telem  []telemSnapshot
@@ -161,25 +165,15 @@ func (r *router) telemScore(w, nkeys int, now float64) float64 {
 	return sum * float64(nkeys) / float64(len(snap.rates))
 }
 
-// pick selects the replica for a request arriving at time now and
-// records the routing decision in the views. keys is the request's
-// embedding IDs in the router's composite (table, id) key space,
-// occurrence-ordered. This is the fast-path entry; the resilient
-// simulator calls choose/note separately so it can run the admission
-// decision between them.
-func (r *router) pick(keys []int64, workers []*worker, now float64) int {
-	w := r.choose(keys, workers, now, nil)
-	r.note(w, keys)
-	return w
-}
-
-// choose selects a replica without recording it: down replicas are
-// never eligible, nor is any index in excl (the workers a query already
-// tried — retries and hedges go elsewhere). Returns -1 when no replica
-// is eligible. With no replica down and no exclusions every policy
-// follows the exact pre-resilience decision sequence (same PRNG draws,
-// same depth probes), which is what keeps zero-fault runs
-// diff-identical.
+// choose selects the replica for a request at time now without
+// recording the decision (the simulator calls note once the replica has
+// admitted the query). keys is the request's embedding IDs in the
+// router's composite (table, id) key space, occurrence-ordered. Down
+// replicas are never eligible, nor is any index in excl (the workers a
+// query already tried — retries and hedges go elsewhere). Returns -1
+// when no replica is eligible. With no replica down and no exclusions
+// the random policy draws once over the whole fleet, so a fault plan
+// that never strikes leaves the PRNG sequence untouched.
 func (r *router) choose(keys []int64, workers []*worker, now float64, excl []int) int {
 	eligible := func(i int) bool {
 		if workers[i].down {
@@ -197,16 +191,16 @@ func (r *router) choose(keys []int64, workers []*worker, now float64, excl []int
 		if len(excl) == 0 && !anyDown(workers) {
 			return r.rng.Intn(len(workers))
 		}
-		var cand []int
+		r.cand = r.cand[:0]
 		for i := range workers {
 			if eligible(i) {
-				cand = append(cand, i)
+				r.cand = append(r.cand, i)
 			}
 		}
-		if len(cand) == 0 {
+		if len(r.cand) == 0 {
 			return -1
 		}
-		return cand[r.rng.Intn(len(cand))]
+		return r.cand[r.rng.Intn(len(r.cand))]
 	case PolicyRoundRobin:
 		for range workers {
 			w := r.rr
@@ -229,10 +223,13 @@ func (r *router) choose(keys []int64, workers []*worker, now float64, excl []int
 			}
 		}
 		return best
-	case PolicyHitAware:
-		// score(w) = overlap(w) - depthPenalty * |keys| * depth(w),
-		// where overlap counts the request's ID occurrences the router
-		// believes are resident in w's scratchpad.
+	case PolicyHitAware, PolicyTelemetry:
+		// score(w) = warmth(w) - depthPenalty * |keys| * depth(w), where
+		// warmth is the number of the request's ID occurrences expected
+		// resident in w's scratchpad: counted against the router's own
+		// send history (hitaware) or predicted from the hit rates the
+		// replica last published (hitaware-telemetry). Ties go to the
+		// shallower queue, then the lower index.
 		best := -1
 		bestScore := 0.0
 		bestDepth := 0
@@ -241,27 +238,13 @@ func (r *router) choose(keys []int64, workers []*worker, now float64, excl []int
 				continue
 			}
 			d := wk.depth(now)
-			score := float64(r.views[i].overlap(keys)) - depthPenalty*float64(len(keys))*float64(d)
-			if best < 0 || score > bestScore || (score == bestScore && d < bestDepth) {
-				best, bestScore, bestDepth = i, score, d
+			var warmth float64
+			if r.policy == PolicyHitAware {
+				warmth = float64(r.views[i].overlap(keys))
+			} else {
+				warmth = r.telemScore(i, len(keys), now)
 			}
-		}
-		return best
-	case PolicyTelemetry:
-		// Hit-aware scoring against the replica-published view: the
-		// same shape as PolicyHitAware (expected hit occurrences minus
-		// the depth penalty, ties to the shallower queue then the lower
-		// index), but the warmth estimate is what the replicas last
-		// reported rather than the router's own send history.
-		best := -1
-		bestScore := 0.0
-		bestDepth := 0
-		for i, wk := range workers {
-			if !eligible(i) {
-				continue
-			}
-			d := wk.depth(now)
-			score := r.telemScore(i, len(keys), now) - depthPenalty*float64(len(keys))*float64(d)
+			score := warmth - depthPenalty*float64(len(keys))*float64(d)
 			if best < 0 || score > bestScore || (score == bestScore && d < bestDepth) {
 				best, bestScore, bestDepth = i, score, d
 			}

@@ -17,22 +17,27 @@
 //     rate with optional diurnal or flash-crowd modulation
 //     (ParseArrival speaks the -arrival flag grammar). Times renders a
 //     deterministic arrival timestamp vector.
-//   - [Policy] selects the router: random, roundrobin, leastloaded, or
+//   - [Policy] selects the router: random, roundrobin, leastloaded,
 //     hitaware (score replicas by estimated cache overlap from the
 //     router's own bounded view of what it has sent where, minus a
-//     queue-depth penalty).
+//     queue-depth penalty), or hitaware-telemetry (the same score from
+//     replica-published hit rates).
 //   - [Config] -> [NewFleet] -> [Fleet]: R workers, each with one
 //     shard.Manager per table (Shards/Coord/Elastic configs carry over
 //     from training), a bounded FIFO queue, and a home topology node.
 //     Workers stripe across the topology's nodes; each worker's shards
 //     stripe across its own host's nodes, so sharded replicas pay NUMA
 //     coordination and cross-host routing pays network links.
-//   - [Fleet.Simulate] plays an arrival vector through the router and
-//     the per-worker queues: each admitted query Plans against the
-//     worker's scratchpads (hits, misses, fills), is priced by the hw
-//     Table I arithmetic (ServiceTime), and retires; queries arriving
-//     to a full queue drop. [Report] digests throughput, aggregate and
-//     per-worker hit rates, latency percentiles, and drops.
+//   - [Fleet.Simulate] (failure.go) plays an arrival vector through the
+//     router and the per-worker queues on one event-driven loop: each
+//     admitted query Plans against the worker's scratchpads (hits,
+//     misses, fills), is priced by the hw Table I arithmetic
+//     (ServiceTime), and retires; queries arriving to a full queue
+//     drop. Replica faults, client retries/hedging/deadlines, admission
+//     control (resilience.go) and request batching (batch.go) are
+//     events on the same loop, not a second simulator. [Report] digests
+//     throughput, aggregate and per-worker hit rates, latency
+//     percentiles, and drops.
 //
 // Everything is deterministic in Config.Seed: same config, same report.
 package serve
@@ -92,8 +97,8 @@ type Options struct {
 	Admission AdmissionSpec
 	// Batch enables replica-side request batching (-serve-batch): each
 	// worker services up to Batch.Cap queued queries as one
-	// deduplicated batch (batch.go). The zero spec (or Cap <= 1) keeps
-	// the per-query paths byte-identical to the pre-batching simulator.
+	// deduplicated batch (batch.go). The zero spec (or Cap <= 1)
+	// services every query alone.
 	Batch BatchSpec
 }
 
@@ -108,8 +113,9 @@ const (
 func (o Options) Active() bool { return o.Replicas > 0 }
 
 // Resilient reports whether any failure-model or client-resilience knob
-// is engaged. When false, Simulate runs the exact pre-resilience fast
-// path, so zero-fault runs stay diff-identical to it.
+// is engaged. A pure predicate: the simulator does not branch on it (a
+// run with none engaged simply schedules no events); callers use it to
+// decide whether the resilience section of a report is worth printing.
 func (o Options) Resilient() bool {
 	return o.Faults.Active() || o.Deadline > 0 || o.Retry.Active() ||
 		o.Hedge > 0 || o.Admission.Active()
@@ -285,10 +291,9 @@ type worker struct {
 	busyUntil float64
 
 	served, drops int64
-	hits, misses  int64
 	peakDepth     int
 
-	// Batching state (batched event path only; empty otherwise).
+	// Batching state (empty unless Batch.Enabled).
 	// pending holds queries routed here but not yet launched in a
 	// batch; batchPlanned is the earliest scheduled batch-launch event
 	// (+Inf when none is outstanding); the counters feed the report.
@@ -304,7 +309,7 @@ type worker struct {
 	telem   []float64
 	lastPub float64
 
-	// Failure-model state (resilient path only; all zero otherwise).
+	// Failure-model state (all zero without faults or degrade mode).
 	// downs is the merged, ascending schedule of this replica's down
 	// intervals; cpuBusyUntil models the host CPU as a second server
 	// for degraded-mode queries; doomed holds the in-flight attempts
@@ -363,9 +368,7 @@ func (w *worker) residentRows() int {
 }
 
 // depth returns the queue depth (in-service request included) at time
-// t. Queries waiting in an unlaunched batch count too — pending is
-// always empty outside the batched path, so the pre-batching paths see
-// the exact depth they always did.
+// t. Queries waiting in an unlaunched batch count too.
 func (w *worker) depth(t float64) int {
 	for w.head < len(w.comp) && w.comp[w.head] <= t {
 		w.head++
@@ -383,10 +386,10 @@ type Fleet struct {
 	workers []*worker
 	router  *router
 	reqRng  *rand.Rand
-	reqIDs  [][]int64
-	reqKeys []int64
 	slots   int
 	shards  int
+	// used latches on the first Simulate: the fleet's state is that run's.
+	used bool
 }
 
 // NewFleet builds the R workers (scratchpad managers, placements), the
@@ -413,11 +416,6 @@ func NewFleet(cfg Config) (*Fleet, error) {
 	}
 	f := &Fleet{cfg: cfg, slots: slots, shards: shards,
 		reqRng: rand.New(rand.NewSource(cfg.Seed + 8000))}
-	f.reqIDs = make([][]int64, cfg.NumTables)
-	for t := range f.reqIDs {
-		f.reqIDs[t] = make([]int64, cfg.Lookups)
-	}
-	f.reqKeys = make([]int64, 0, cfg.NumTables*cfg.Lookups)
 	for w := 0; w < cfg.Replicas; w++ {
 		wk := &worker{id: w, node: w % nodes, batchPlanned: math.Inf(1)}
 		if cfg.Topology != nil {
@@ -633,124 +631,29 @@ func Run(cfg Config) (*Report, error) {
 	return f.Simulate(times)
 }
 
-// Simulate plays an ascending arrival-time vector through the fleet and
-// returns the report. Exposed separately from Run so tests can inject
-// hand-built arrival vectors. When any failure-model or resilience knob
-// is engaged (Options.Resilient), or request batching is on (a batch
-// launch is a future event, so the closed form cannot price it), the
-// event-driven simulator in failure.go runs instead; otherwise this is
-// the exact pre-resilience hot loop, so zero-fault unbatched runs are
-// bit-identical to it.
-func (f *Fleet) Simulate(arrivals []float64) (*Report, error) {
-	if f.cfg.Resilient() || f.cfg.Batch.Enabled() {
-		return f.simulateResilient(arrivals)
+// newQuery allocates a query with request buffers sized for the model.
+func (f *Fleet) newQuery() *query {
+	n := f.cfg.NumTables * f.cfg.Lookups
+	flat := make([]int64, n)
+	q := &query{ids: make([][]int64, f.cfg.NumTables), keys: make([]int64, 0, n)}
+	for t := range q.ids {
+		lo, hi := t*f.cfg.Lookups, (t+1)*f.cfg.Lookups
+		q.ids[t] = flat[lo:hi:hi]
 	}
-	var lat metrics.Series
-	rep := &Report{
-		Router:   Policy(f.cfg.Router),
-		Replicas: f.cfg.Replicas,
-		Offered:  int64(len(arrivals)),
-	}
-	var maxDone float64
-	totalIDs := f.cfg.NumTables * f.cfg.Lookups
-	for _, at := range arrivals {
-		f.nextRequest()
-		w := f.router.pick(f.reqKeys, f.workers, at)
-		wk := f.workers[w]
-		if wk.depth(at) >= f.cfg.QueueCap {
-			wk.drops++
-			rep.Drops++
-			continue
-		}
-		// Frontend-to-worker hop: queries routed off node 0 pay the
-		// crossed link both ways (IDs up, score back).
-		var linkUp, linkDown float64
-		if f.cfg.Topology != nil && wk.node != 0 {
-			link := f.cfg.Topology.Link(0, wk.node)
-			linkUp = link.TransferTime(idBytes(totalIDs))
-			linkDown = link.TransferTime(respBytes)
-			rep.CrossNode++
-			if wk.host != f.cfg.Topology.Nodes[0].Host {
-				rep.CrossHost++
-			}
-			rep.LinkTime += linkUp + linkDown
-		}
-		fills, evicts, coord, err := wk.plan(f.reqIDs)
-		if err != nil {
-			return nil, err
-		}
-		f.maybePublish(wk, at)
-		svc := f.ServiceTime(fills, totalIDs, coord)
-		enq := at + linkUp
-		start := enq
-		if wk.busyUntil > start {
-			start = wk.busyUntil
-		}
-		done := start + svc
-		wk.busyUntil = done
-		wk.comp = append(wk.comp, done)
-		if d := len(wk.comp) - wk.head; d > wk.peakDepth {
-			wk.peakDepth = d
-		}
-		wk.served++
-		rep.Served++
-		rep.Fills += int64(fills)
-		rep.Evictions += int64(evicts)
-		rep.CoordTime += coord
-		lat.Add(done + linkDown - at)
-		if done+linkDown > maxDone {
-			maxDone = done + linkDown
-		}
-	}
-	for _, wk := range f.workers {
-		var h, m int64
-		for _, mgr := range wk.mgrs {
-			st := mgr.Stats()
-			h += st.Hits
-			m += st.Misses
-			cs := mgr.CoordStats()
-			rep.CoordRounds += cs.Messages
-			rep.CoordWallTime += cs.WallSeconds + cs.WallHiddenSeconds
-		}
-		wk.hits, wk.misses = h, m
-		rep.Hits += h
-		rep.Misses += m
-		rep.Workers = append(rep.Workers, WorkerReport{
-			Node: wk.node, Host: wk.host,
-			Served: wk.served, Drops: wk.drops,
-			Hits: wk.hits, Misses: wk.misses,
-			PeakDepth: wk.peakDepth,
-		})
-	}
-	rep.Duration = maxDone
-	if rep.Duration > 0 {
-		rep.Throughput = float64(rep.Served) / rep.Duration
-	}
-	if n := len(arrivals); n > 0 && arrivals[n-1] > 0 {
-		rep.OfferedRate = float64(rep.Offered) / arrivals[n-1]
-	}
-	rep.Latency = lat.Summarize()
-	// No failure model engaged: the fleet was fully available and every
-	// served query counts as goodput.
-	rep.Availability = 1
-	rep.Goodput = rep.Throughput
-	if err := rep.checkConservation(); err != nil {
-		return nil, err
-	}
-	return rep, nil
+	return q
 }
 
-// nextRequest draws one query's per-table ID lists into the reusable
-// request buffers and rebuilds the router's composite key list.
-func (f *Fleet) nextRequest() {
-	f.reqKeys = f.reqKeys[:0]
+// nextRequest draws the next query of the request stream into q's
+// buffers: its per-table ID lists and the router's composite key list.
+func (f *Fleet) nextRequest(q *query) {
+	q.keys = q.keys[:0]
 	nt := int64(f.cfg.NumTables)
-	for t := range f.reqIDs {
+	for t, ids := range q.ids {
 		dist := f.cfg.Dists[t]
-		for l := range f.reqIDs[t] {
+		for l := range ids {
 			id := dist.Sample(f.reqRng)
-			f.reqIDs[t][l] = id
-			f.reqKeys = append(f.reqKeys, id*nt+int64(t))
+			ids[l] = id
+			q.keys = append(q.keys, id*nt+int64(t))
 		}
 	}
 }

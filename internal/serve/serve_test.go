@@ -275,3 +275,20 @@ func TestOptionsValidation(t *testing.T) {
 		t.Error("mismatched Dists length accepted")
 	}
 }
+
+// TestSimulateRejectsReuse: a fleet's queues, scratchpads and counters
+// carry one run, so a second Simulate must fail loudly rather than
+// report on top of the first run's state.
+func TestSimulateRejectsReuse(t *testing.T) {
+	f, err := NewFleet(testConfig(PolicyHitAware, trace.Medium))
+	if err != nil {
+		t.Fatal(err)
+	}
+	arrivals := f.cfg.Arrival.Times(f.cfg.Requests, f.cfg.Seed+8200)
+	if _, err := f.Simulate(arrivals); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := f.Simulate(arrivals); err == nil {
+		t.Fatalf("second Simulate on one fleet returned a report: %+v", rep)
+	}
+}
