@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test race examples bench hotpath benchgate fmtcheck doccheck fuzzsmoke
+.PHONY: check vet build test race examples benchmodule bench hotpath benchgate fmtcheck doccheck fuzzsmoke
 
-check: vet build test race examples doccheck
+check: vet build test race examples benchmodule doccheck
 
 vet:
 	$(GO) vet ./...
@@ -20,6 +20,13 @@ build:
 # dropping out of the gate if the build patterns ever narrow).
 examples:
 	$(GO) build ./examples/...
+
+# benchmark/ is its own Go module (it imports the simulator through a
+# replace of the parent), so the root ./... patterns never compile it;
+# vet and self-test it here so API changes it depends on cannot break it
+# silently.
+benchmodule:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 test:
 	$(GO) test ./...

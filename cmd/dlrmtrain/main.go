@@ -20,6 +20,9 @@
 // training: -replicas scratchpad-holding workers answer an open-loop
 // query stream (-arrival) behind the -router policy, and the run prints
 // throughput, hit rate, and latency percentiles.
+//
+// -cpuprofile and -memprofile write runtime/pprof CPU and allocation
+// profiles of the run; the printed output is the same without them.
 package main
 
 import (
@@ -28,6 +31,7 @@ import (
 	"log"
 	"os"
 
+	"repro/internal/prof"
 	"repro/scratchpipe"
 )
 
@@ -137,6 +141,8 @@ func main() {
 	admission := flag.String("admission", "", "admission control: newest|cheapest[:<threshold>][:degrade], or bare degrade (with -serve; empty = admit all)")
 	serveBatch := flag.String("serve-batch", "", "replica-side request batching: <cap>[:<delay-ms>], e.g. 8 or 8:0.25 (with -serve; empty or 1 = no batching)")
 	seed := flag.Int64("seed", 1, "random seed")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (runtime/pprof)")
+	memProfile := flag.String("memprofile", "", "write an allocation profile of the run to this file (runtime/pprof)")
 	flag.Parse()
 
 	// Reject bad knob combinations here, with one-line errors, instead
@@ -266,6 +272,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	stopProfiles, err := prof.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fail("%v", err)
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			log.Fatal(err)
+		}
+	}()
 	model := scratchpipe.DefaultModel()
 	model.RowsPerTable = *rows
 	model.NumTables = *tables

@@ -24,6 +24,24 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// TestProfileFlags checks that -cpuprofile and -memprofile each write a
+// non-empty profile of a short training run.
+func TestProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
+	cmd := exec.Command(os.Args[0], "-functional=false", "-iters", "8", "-rows", "20000",
+		"-cpuprofile", cpu, "-memprofile", mem)
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("dlrmtrain: %v\n%s", err, out)
+	}
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: want a non-empty profile (stat: %v)", path, err)
+		}
+	}
+}
+
 // TestServeGolden pins the serving CLI baselines that refactors of
 // internal/serve must leave byte-identical: the whole command — flag
 // parsing, the simulation, the report rendering — runs in a child

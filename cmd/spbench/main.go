@@ -10,7 +10,7 @@
 //	        [-reshard SPEC] [-fail PLAN] [-ckpt-interval N]
 //	        [-serve] [-replicas R] [-router P] [-arrival SPEC]
 //	        [-serve-fail PLAN] [-deadline MS] [-retry SPEC] [-hedge MS]
-//	        [-admission SPEC]
+//	        [-admission SPEC] [-cpuprofile FILE] [-memprofile FILE]
 //	spbench -json BENCH_hotpath.json [-quick] [-workers N] [-shards S]
 //	        [-topology T] [-placement P] [-coord M] [-coord-overlap]
 //	        [-reshard SPEC] [-fail PLAN] [-ckpt-interval N] [-note TEXT]
@@ -78,6 +78,10 @@
 // sweep) instead of printing tables, appends the wall-clock and allocator
 // measurements to the given JSON history file, and prints the new entry —
 // the mechanism future PRs use to track the simulator's perf trajectory.
+//
+// -cpuprofile and -memprofile write runtime/pprof CPU and allocation
+// profiles of the run (read them with `go tool pprof -top FILE`); the
+// printed output is the same with or without them.
 package main
 
 import (
@@ -88,6 +92,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/engine"
 	"repro/internal/hw"
+	"repro/internal/prof"
 	"repro/internal/serve"
 	"repro/internal/shard"
 )
@@ -136,6 +141,8 @@ func main() {
 	serveBatch := flag.String("serve-batch", "", "replica-side request batching ("+serve.BatchGrammar+"; with -serve; empty or 1 = no batching)")
 	jsonPath := flag.String("json", "", "run the hot-path benchmark and append the measurement to this JSON history file")
 	note := flag.String("note", "", "free-form note recorded with the -json measurement")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (runtime/pprof)")
+	memProfile := flag.String("memprofile", "", "write an allocation profile of the run to this file (runtime/pprof)")
 	flag.Parse()
 
 	// Validate the knobs here, with one-line errors, rather than deep in
@@ -274,6 +281,18 @@ func main() {
 			Batch:     batchSpec,
 		}
 	}
+
+	stopProfiles, err := prof.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "spbench:", err)
+		os.Exit(2)
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintln(os.Stderr, "spbench:", err)
+			os.Exit(1)
+		}
+	}()
 
 	if *jsonPath != "" {
 		res, err := bench.HotPath(cfg, configName)

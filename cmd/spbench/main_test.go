@@ -39,6 +39,23 @@ func runSpbench(t *testing.T, args ...string) []byte {
 	return out
 }
 
+// TestProfileFlags checks that -cpuprofile and -memprofile each write a
+// non-empty profile and leave the printed output unchanged.
+func TestProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
+	plain := runSpbench(t, "-quick", "-experiment", "fig6classes")
+	profiled := runSpbench(t, "-quick", "-experiment", "fig6classes", "-cpuprofile", cpu, "-memprofile", mem)
+	if !bytes.Equal(plain, profiled) {
+		t.Errorf("profiling changed the output:\n--- with profiles\n%s--- without\n%s", profiled, plain)
+	}
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: want a non-empty profile (stat: %v)", path, err)
+		}
+	}
+}
+
 // TestQuickGolden pins the quick Figure 12b, Figure 13 and serving
 // tables byte for byte: every simulated number they print is a function
 // of the seed, so a refactor or optimisation of the simulator must leave

@@ -169,9 +169,11 @@ func pct(x float64) string { return fmt.Sprintf("%.1f%%", x*100) }
 // x2 formats a speedup factor.
 func x2(x float64) string { return fmt.Sprintf("%.2fx", x) }
 
-// newEnv builds a metadata-mode environment for one data point. Every
-// engine gets a fresh environment with the same seed so all engines see
-// the same batch stream.
+// newEnv builds the metadata-mode environment of one (config, model,
+// class) point of a sweep. The sweep runs every engine of the point on
+// its own fork of it (runEngine), so all of them see the same batch
+// stream from batch 0, generated once, and the dynamic engines reset the
+// scratchpads the previous fork retired instead of rebuilding them.
 func newEnv(cfg Config, model dlrm.Config, class trace.Class) (*engine.Env, error) {
 	return engine.NewEnv(engine.EnvConfig{
 		Model:        model,
@@ -191,17 +193,20 @@ func newEnv(cfg Config, model dlrm.Config, class trace.Class) (*engine.Env, erro
 	})
 }
 
-// runEngine runs n iterations of a freshly built engine.
-func runEngine(cfg Config, model dlrm.Config, class trace.Class, build func(*engine.Env) (engine.Engine, error)) (*engine.Report, error) {
-	env, err := newEnv(cfg, model, class)
+// runEngine runs n iterations of an engine built over a new fork of env,
+// then closes the fork. The report equals that of the same engine over a
+// fresh newEnv (TestForkedSweepMatchesFreshEnvs).
+func runEngine(env *engine.Env, n int, build func(*engine.Env) (engine.Engine, error)) (*engine.Report, error) {
+	child, err := env.Fork()
 	if err != nil {
 		return nil, err
 	}
-	eng, err := build(env)
+	defer child.Close()
+	eng, err := build(child)
 	if err != nil {
 		return nil, err
 	}
-	return eng.Run(cfg.Iters)
+	return eng.Run(n)
 }
 
 // Builders for the four cache design points of Figure 13.

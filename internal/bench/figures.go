@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"repro/internal/engine"
 	"repro/internal/trace"
 )
 
@@ -57,16 +58,28 @@ func Figure5(cfg Config) (*Table, error) {
 		{"Static cache (2%)", 0.02},
 		{"Static cache (10%)", 0.10},
 	}
-	for _, s := range systems {
-		for _, class := range trace.Classes {
+	// Run class-major (one environment per class), print system-major.
+	reps := make([][]*engine.Report, len(systems))
+	for _, class := range trace.Classes {
+		env, err := newEnv(cfg, cfg.Model, class)
+		if err != nil {
+			return nil, err
+		}
+		for i, s := range systems {
 			build := buildHybrid
 			if s.frac >= 0 {
 				build = buildStatic(s.frac)
 			}
-			rep, err := runEngine(cfg, cfg.Model, class, build)
+			rep, err := runEngine(env, cfg.Iters, build)
 			if err != nil {
 				return nil, err
 			}
+			reps[i] = append(reps[i], rep)
+		}
+	}
+	for i, s := range systems {
+		for c, class := range trace.Classes {
+			rep := reps[i][c]
 			cpu := rep.CPUEmbFwd + rep.CPUEmbBwd
 			tab.AddRow(s.label, class.String(),
 				ms(rep.CPUEmbFwd), ms(rep.CPUEmbBwd), ms(rep.GPUTime),

@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dlrm"
 	"repro/internal/energy"
+	"repro/internal/engine"
 	"repro/internal/shard"
 	"repro/internal/trace"
 )
@@ -20,6 +21,10 @@ func Figure12a(cfg Config) (*Table, error) {
 	}
 	fracs := append([]float64{0}, CacheFracs...)
 	for _, class := range trace.Classes {
+		env, err := newEnv(cfg, cfg.Model, class)
+		if err != nil {
+			return nil, err
+		}
 		for _, frac := range fracs {
 			build := buildHybrid
 			label := "0%"
@@ -27,7 +32,7 @@ func Figure12a(cfg Config) (*Table, error) {
 				build = buildStatic(frac)
 				label = fmt.Sprintf("%g%%", frac*100)
 			}
-			rep, err := runEngine(cfg, cfg.Model, class, build)
+			rep, err := runEngine(env, cfg.Iters, build)
 			if err != nil {
 				return nil, err
 			}
@@ -47,8 +52,12 @@ func Figure12b(cfg Config) (*Table, error) {
 		Columns: []string{"class", "cache", "plan", "collect", "exchange", "insert", "train", "iter(max)"},
 	}
 	for _, class := range trace.Classes {
+		env, err := newEnv(cfg, cfg.Model, class)
+		if err != nil {
+			return nil, err
+		}
 		for _, frac := range CacheFracs {
-			rep, err := runEngine(cfg, cfg.Model, class, buildScratchPipe(frac, cfg.CoordOverlap))
+			rep, err := runEngine(env, cfg.Iters, buildScratchPipe(frac, cfg.CoordOverlap))
 			if err != nil {
 				return nil, err
 			}
@@ -111,42 +120,51 @@ func (p SpeedupPoint) SpeedupVsStatic() (hybrid, strawman, scratchpipe float64) 
 func CollectFigure13(cfg Config) ([]SpeedupPoint, error) {
 	var pts []SpeedupPoint
 	for _, class := range trace.Classes {
-		hybrid, err := runEngine(cfg, cfg.Model, class, buildHybrid)
+		env, err := newEnv(cfg, cfg.Model, class)
+		if err != nil {
+			return nil, err
+		}
+		hybrid, err := runEngine(env, cfg.Iters, buildHybrid)
 		if err != nil {
 			return nil, err
 		}
 		for _, frac := range CacheFracs {
-			static, err := runEngine(cfg, cfg.Model, class, buildStatic(frac))
+			static, err := runEngine(env, cfg.Iters, buildStatic(frac))
 			if err != nil {
 				return nil, err
 			}
-			sm, err := runEngine(cfg, cfg.Model, class, buildStrawMan(frac))
+			sm, err := runEngine(env, cfg.Iters, buildStrawMan(frac))
 			if err != nil {
 				return nil, err
 			}
-			sp, err := runEngine(cfg, cfg.Model, class, buildScratchPipe(frac, cfg.CoordOverlap))
+			sp, err := runEngine(env, cfg.Iters, buildScratchPipe(frac, cfg.CoordOverlap))
 			if err != nil {
 				return nil, err
 			}
-			pt := SpeedupPoint{
-				Class: class, CacheFrac: frac,
-				Hybrid: hybrid.IterTime, Static: static.IterTime,
-				StrawMan: sm.IterTime, ScratchPipe: sp.IterTime,
-				CoordRounds:  sm.Coord.Messages + sp.Coord.Messages,
-				CoordSeconds: sm.Coord.Seconds + sp.Coord.Seconds,
-				CoordWallSeconds: sm.Coord.WallSeconds + sm.Coord.WallHiddenSeconds +
-					sp.Coord.WallSeconds + sp.Coord.WallHiddenSeconds,
-				MigrationSeconds: sm.MigrationTime + sp.MigrationTime,
-				DowntimeSeconds:  sm.Downtime + sp.Downtime,
-				RecoverySeconds:  sm.RecoveryTime + sp.RecoveryTime,
-				ScratchPipeWall:  sp.Wall,
-			}
-			pt.Overlap.Merge(sm.Overlap)
-			pt.Overlap.Merge(sp.Overlap)
-			pts = append(pts, pt)
+			pts = append(pts, speedupPoint(class, frac, hybrid, static, sm, sp))
 		}
 	}
 	return pts, nil
+}
+
+// speedupPoint assembles one Figure 13 point from its four engine runs.
+func speedupPoint(class trace.Class, frac float64, hybrid, static, sm, sp *engine.Report) SpeedupPoint {
+	pt := SpeedupPoint{
+		Class: class, CacheFrac: frac,
+		Hybrid: hybrid.IterTime, Static: static.IterTime,
+		StrawMan: sm.IterTime, ScratchPipe: sp.IterTime,
+		CoordRounds:  sm.Coord.Messages + sp.Coord.Messages,
+		CoordSeconds: sm.Coord.Seconds + sp.Coord.Seconds,
+		CoordWallSeconds: sm.Coord.WallSeconds + sm.Coord.WallHiddenSeconds +
+			sp.Coord.WallSeconds + sp.Coord.WallHiddenSeconds,
+		MigrationSeconds: sm.MigrationTime + sp.MigrationTime,
+		DowntimeSeconds:  sm.Downtime + sp.Downtime,
+		RecoverySeconds:  sm.RecoveryTime + sp.RecoveryTime,
+		ScratchPipeWall:  sp.Wall,
+	}
+	pt.Overlap.Merge(sm.Overlap)
+	pt.Overlap.Merge(sp.Overlap)
+	return pt
 }
 
 // Figure13 reproduces the end-to-end speedup plot (normalized to the
@@ -189,11 +207,15 @@ func Figure14(cfg Config) (*Table, error) {
 	}
 	pm := energy.Default()
 	for _, class := range trace.Classes {
-		st, err := runEngine(cfg, cfg.Model, class, buildStatic(0.02))
+		env, err := newEnv(cfg, cfg.Model, class)
 		if err != nil {
 			return nil, err
 		}
-		sp, err := runEngine(cfg, cfg.Model, class, buildScratchPipe(0.02, cfg.CoordOverlap))
+		st, err := runEngine(env, cfg.Iters, buildStatic(0.02))
+		if err != nil {
+			return nil, err
+		}
+		sp, err := runEngine(env, cfg.Iters, buildScratchPipe(0.02, cfg.CoordOverlap))
 		if err != nil {
 			return nil, err
 		}
@@ -245,19 +267,23 @@ func Figure15b(cfg Config) (*Table, error) {
 
 func addSweepRow(tab *Table, cfg Config, model dlrm.Config, class trace.Class, label string) error {
 	const frac = 0.02
-	hybrid, err := runEngine(cfg, model, class, buildHybrid)
+	env, err := newEnv(cfg, model, class)
 	if err != nil {
 		return err
 	}
-	static, err := runEngine(cfg, model, class, buildStatic(frac))
+	hybrid, err := runEngine(env, cfg.Iters, buildHybrid)
 	if err != nil {
 		return err
 	}
-	sm, err := runEngine(cfg, model, class, buildStrawMan(frac))
+	static, err := runEngine(env, cfg.Iters, buildStatic(frac))
 	if err != nil {
 		return err
 	}
-	sp, err := runEngine(cfg, model, class, buildScratchPipe(frac, cfg.CoordOverlap))
+	sm, err := runEngine(env, cfg.Iters, buildStrawMan(frac))
+	if err != nil {
+		return err
+	}
+	sp, err := runEngine(env, cfg.Iters, buildScratchPipe(frac, cfg.CoordOverlap))
 	if err != nil {
 		return err
 	}

@@ -18,11 +18,15 @@ func TableI(cfg Config) (*Table, error) {
 		Columns: []string{"dataset", "system", "instance", "price/hr", "iter time (ms)", "1M-iter cost", "cost ratio"},
 	}
 	for _, class := range trace.Classes {
-		sp, err := runEngine(cfg, cfg.Model, class, buildScratchPipe(0.02, cfg.CoordOverlap))
+		env, err := newEnv(cfg, cfg.Model, class)
 		if err != nil {
 			return nil, err
 		}
-		mg, err := runEngine(cfg, cfg.Model, class, buildMultiGPU)
+		sp, err := runEngine(env, cfg.Iters, buildScratchPipe(0.02, cfg.CoordOverlap))
+		if err != nil {
+			return nil, err
+		}
+		mg, err := runEngine(env, cfg.Iters, buildMultiGPU)
 		if err != nil {
 			return nil, err
 		}
@@ -52,8 +56,12 @@ func OverheadStudy(cfg Config) (*Table, error) {
 	window := 6
 	worstRows := float64(window * perBatch * model.NumTables)
 	for _, class := range trace.Classes {
+		env, err := newEnv(cfg, model, class)
+		if err != nil {
+			return nil, err
+		}
 		for _, frac := range []float64{0.02, 0.10} {
-			rep, err := runEngine(cfg, model, class, buildScratchPipe(frac, cfg.CoordOverlap))
+			rep, err := runEngine(env, cfg.Iters, buildScratchPipe(frac, cfg.CoordOverlap))
 			if err != nil {
 				return nil, err
 			}
@@ -89,7 +97,11 @@ func SensitivityExtra(cfg Config) (*Table, error) {
 			polCfg.Shards = 1
 		}
 		for _, class := range []trace.Class{trace.Low, trace.High} {
-			rep, err := runEngine(polCfg, cfg.Model, class, func(env *engine.Env) (engine.Engine, error) {
+			env, err := newEnv(polCfg, cfg.Model, class)
+			if err != nil {
+				return nil, err
+			}
+			rep, err := runEngine(env, cfg.Iters, func(env *engine.Env) (engine.Engine, error) {
 				return engine.NewScratchPipe(env, engine.ScratchPipeOptions{CacheFrac: 0.02, Policy: pol})
 			})
 			if err != nil {
@@ -102,7 +114,11 @@ func SensitivityExtra(cfg Config) (*Table, error) {
 	for _, bs := range []int{512, 2048, 8192} {
 		model := cfg.Model
 		model.BatchSize = bs
-		rep, err := runEngine(cfg, model, trace.Medium, buildScratchPipe(0.02, cfg.CoordOverlap))
+		env, err := newEnv(cfg, model, trace.Medium)
+		if err != nil {
+			return nil, err
+		}
+		rep, err := runEngine(env, cfg.Iters, buildScratchPipe(0.02, cfg.CoordOverlap))
 		if err != nil {
 			return nil, err
 		}
@@ -113,11 +129,15 @@ func SensitivityExtra(cfg Config) (*Table, error) {
 	model.TopHidden = []int{4096, 4096, 2048, 1024}
 	model.Lookups = 2
 	for _, class := range []trace.Class{trace.Low, trace.High} {
-		sp, err := runEngine(cfg, model, class, buildScratchPipe(0.02, cfg.CoordOverlap))
+		env, err := newEnv(cfg, model, class)
 		if err != nil {
 			return nil, err
 		}
-		st, err := runEngine(cfg, model, class, buildStatic(0.02))
+		sp, err := runEngine(env, cfg.Iters, buildScratchPipe(0.02, cfg.CoordOverlap))
+		if err != nil {
+			return nil, err
+		}
+		st, err := runEngine(env, cfg.Iters, buildStatic(0.02))
 		if err != nil {
 			return nil, err
 		}
@@ -136,17 +156,21 @@ func AblationWindows(cfg Config) (*Table, error) {
 		Columns: []string{"variant", "class", "iter (ms)", "reserve peak (rows)", "notes"},
 	}
 	for _, class := range []trace.Class{trace.Random, trace.High} {
-		sm, err := runEngine(cfg, cfg.Model, class, buildStrawMan(0.02))
+		env, err := newEnv(cfg, cfg.Model, class)
+		if err != nil {
+			return nil, err
+		}
+		sm, err := runEngine(env, cfg.Iters, buildStrawMan(0.02))
 		if err != nil {
 			return nil, err
 		}
 		tab.AddRow("strawman (no pipeline)", class.String(), ms(sm.IterTime), fmt.Sprintf("%d", sm.ReservePeak), "stage sum")
-		sp, err := runEngine(cfg, cfg.Model, class, buildScratchPipe(0.02, cfg.CoordOverlap))
+		sp, err := runEngine(env, cfg.Iters, buildScratchPipe(0.02, cfg.CoordOverlap))
 		if err != nil {
 			return nil, err
 		}
 		tab.AddRow("scratchpipe (3past/2future)", class.String(), ms(sp.IterTime), fmt.Sprintf("%d", sp.ReservePeak), "stage max")
-		spWide, err := runEngine(cfg, cfg.Model, class, func(env *engine.Env) (engine.Engine, error) {
+		spWide, err := runEngine(env, cfg.Iters, func(env *engine.Env) (engine.Engine, error) {
 			return engine.NewScratchPipe(env, engine.ScratchPipeOptions{CacheFrac: 0.02, FutureWindow: 4})
 		})
 		if err != nil {
@@ -155,7 +179,7 @@ func AblationWindows(cfg Config) (*Table, error) {
 		tab.AddRow("scratchpipe (future=4)", class.String(), ms(spWide.IterTime), fmt.Sprintf("%d", spWide.ReservePeak), "wider pin set")
 		for _, la := range []int{8, 16} {
 			la := la
-			spDeep, err := runEngine(cfg, cfg.Model, class, func(env *engine.Env) (engine.Engine, error) {
+			spDeep, err := runEngine(env, cfg.Iters, func(env *engine.Env) (engine.Engine, error) {
 				return engine.NewScratchPipe(env, engine.ScratchPipeOptions{CacheFrac: 0.02, EvictionLookahead: la})
 			})
 			if err != nil {
@@ -165,7 +189,7 @@ func AblationWindows(cfg Config) (*Table, error) {
 				ms(spDeep.IterTime), fmt.Sprintf("%d", spDeep.ReservePeak),
 				fmt.Sprintf("fills %d (vs %d)", spDeep.Fills, sp.Fills))
 		}
-		spCont, err := runEngine(cfg, cfg.Model, class, func(env *engine.Env) (engine.Engine, error) {
+		spCont, err := runEngine(env, cfg.Iters, func(env *engine.Env) (engine.Engine, error) {
 			return engine.NewScratchPipe(env, engine.ScratchPipeOptions{CacheFrac: 0.02, CPUContention: true})
 		})
 		if err != nil {
@@ -173,7 +197,7 @@ func AblationWindows(cfg Config) (*Table, error) {
 		}
 		tab.AddRow("scratchpipe (cpu contention)", class.String(),
 			ms(spCont.IterTime), fmt.Sprintf("%d", spCont.ReservePeak), "serialized CPU stages")
-		spMG, err := runEngine(cfg, cfg.Model, class, func(env *engine.Env) (engine.Engine, error) {
+		spMG, err := runEngine(env, cfg.Iters, func(env *engine.Env) (engine.Engine, error) {
 			return engine.NewScratchPipe(env, engine.ScratchPipeOptions{CacheFrac: 0.02, NumGPUs: 8})
 		})
 		if err != nil {

@@ -86,13 +86,26 @@ type LRUPolicy struct {
 // NewLRUPolicy returns an LRU policy over n slots, all initially in LRU
 // order 0..n-1 (slot 0 least recent).
 func NewLRUPolicy(n int) Policy {
-	p := &LRUPolicy{nodes: make([]lruNode, n+1), n: n}
+	p := &LRUPolicy{}
+	p.Reset(n)
+	return p
+}
+
+// Reset reinitialises p over n slots exactly as NewLRUPolicy(n) builds
+// it (LRU order 0..n-1, sweep disarmed), reusing the node array when its
+// capacity suffices.
+func (p *LRUPolicy) Reset(n int) {
+	if cap(p.nodes) < n+1 {
+		p.nodes = make([]lruNode, n+1)
+	}
+	p.nodes = p.nodes[:n+1]
+	p.n = n
+	p.sweep, p.armed = 0, false
 	// Circular list through sentinel n; next points toward MRU.
 	for i := 0; i <= n; i++ {
 		p.nodes[i].next = int32((i + 1) % (n + 1))
 		p.nodes[(i+1)%(n+1)].prev = int32(i)
 	}
-	return p
 }
 
 func (p *LRUPolicy) Name() string { return string(LRU) }

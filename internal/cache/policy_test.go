@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -43,6 +45,40 @@ func TestLRUOrder(t *testing.T) {
 	p.OnInsert(0)
 	if v := p.Victim(all); v != 1 {
 		t.Fatalf("victim after insert(0) = %d", v)
+	}
+}
+
+// TestLRUResetMatchesNew checks that a used, mid-sweep LRU list Reset to
+// n slots has NewLRUPolicy(n)'s order and sweep state.
+func TestLRUResetMatchesNew(t *testing.T) {
+	order := func(p *LRUPolicy) []int {
+		var out []int
+		p.BeginVictimSweep()
+		for v := p.SweepNext(); v >= 0; v = p.SweepNext() {
+			out = append(out, v)
+		}
+		return out
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{1, 7, 16, 40} {
+		used := NewLRUPolicy(16).(*LRUPolicy)
+		for i := 0; i < 50; i++ {
+			used.OnAccess(rng.Intn(16))
+		}
+		used.BeginVictimSweep()
+		used.SweepNext()
+		used.Reset(n)
+		fresh := NewLRUPolicy(n).(*LRUPolicy)
+		for _, p := range []*LRUPolicy{used, fresh} {
+			p.OnAccess(0)
+			p.OnInsert(n - 1)
+		}
+		if got, want := used.Victim(all), fresh.Victim(all); got != want {
+			t.Fatalf("n=%d: standalone victim after Reset %d, fresh %d", n, got, want)
+		}
+		if got, want := order(used), order(fresh); !reflect.DeepEqual(got, want) {
+			t.Fatalf("n=%d: order after Reset %v, fresh %v", n, got, want)
+		}
 	}
 }
 

@@ -264,37 +264,74 @@ type Scratchpad struct {
 	dedup       *intmap.Map
 	uniqScratch []int64
 	cntScratch  []int32
+	// seen is PrewarmRows' rows-wide duplicate-draw bitmap (1.25 MB per
+	// table at 10M rows), kept across Resets and cleared per use.
+	seen []uint64
 
 	stats Stats
 }
 
-// NewScratchpad builds a scratchpad manager from cfg.
+// NewScratchpad builds a scratchpad manager from cfg: Reset on a zero
+// Scratchpad.
 func NewScratchpad(cfg Config) (*Scratchpad, error) {
-	if err := cfg.Validate(); err != nil {
+	s := &Scratchpad{}
+	if err := s.Reset(cfg); err != nil {
 		return nil, err
+	}
+	return s, nil
+}
+
+// Reset reinitialises s for cfg into exactly the state NewScratchpad(cfg)
+// builds — an empty Hit-Map of the same capacity, every slot empty, the
+// policy's initial order, the free lists in their initial pop order and
+// zero statistics — so every later Plan, Stats and ForEach matches a
+// fresh scratchpad's. It keeps the capacity of every buffer and the pools
+// of recycled plans and hold sets, which is what makes a reset cheaper
+// than a rebuild. Batches still in flight are dropped (their hold sets
+// return to the pool). On error s is unchanged.
+func (s *Scratchpad) Reset(cfg Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
 	total := cfg.Slots + cfg.Reserve
-	policy, err := cache.NewPolicy(cfg.Policy, total, cfg.PolicySeed)
-	if err != nil {
-		return nil, err
+	if cfg.Policy == cache.LRU {
+		if s.lru == nil {
+			s.lru = &cache.LRUPolicy{}
+		}
+		s.lru.Reset(total)
+		s.policy = s.lru
+	} else {
+		p, err := cache.NewPolicy(cfg.Policy, total, cfg.PolicySeed)
+		if err != nil {
+			return err
+		}
+		s.policy, s.lru = p, nil
 	}
-	s := &Scratchpad{
-		cfg:    cfg,
-		policy: policy,
-		// Sized for the population the window actually reaches: the
-		// nominal slots plus half the worst-case reserve (hold
-		// pressure routinely spills into reserve, but rarely to the
-		// provisioning bound). The map grows transparently past that;
-		// growth invalidates the slot->entry reverse index, which
-		// reindex rebuilds (see allocate/Prewarm).
-		hitMap: intmap.New(cfg.Slots + cfg.Reserve/2),
-		slots:  make([]slotMeta, total),
-		// hintStamp is allocated lazily on the first hinted Plan:
-		// engines without deep look-ahead never pay for it.
+	s.cfg = cfg
+
+	if s.hitMap == nil {
+		s.hitMap = &intmap.Map{}
 	}
-	s.evictableFn = s.isEvictable
-	s.onMove = func(slot int32, newIdx int) { s.slots[slot].entryIdx = int32(newIdx) }
-	s.lru, _ = policy.(*cache.LRUPolicy)
+	// Sized for the population the window actually reaches: the nominal
+	// slots plus half the worst-case reserve (hold pressure routinely
+	// spills into reserve, but rarely to the provisioning bound). The
+	// map grows transparently past that; growth invalidates the
+	// slot->entry reverse index, which reindex rebuilds (see
+	// allocate/Prewarm).
+	s.hitMap.Reset(cfg.Slots + cfg.Reserve/2)
+	s.slots = resized(s.slots, total)
+	for i := range s.slots {
+		s.slots[i] = slotMeta{key: -1}
+	}
+	if s.evictableFn == nil {
+		s.evictableFn = s.isEvictable
+		s.onMove = func(slot int32, newIdx int) { s.slots[slot].entryIdx = int32(newIdx) }
+	}
+	// hintStamp is sized lazily on the first hinted Plan: engines
+	// without deep look-ahead never pay for it.
+	s.hintStamp = s.hintStamp[:0]
+	s.hintRelaxed = false
+
 	s.pinValid = 1
 	if cfg.FutureWindow > 1 && cfg.PastWindow >= cfg.FutureWindow {
 		s.pinValid = int64(cfg.FutureWindow)
@@ -302,18 +339,34 @@ func NewScratchpad(cfg Config) (*Scratchpad, error) {
 	// Start the epoch clock at pinValid so a zeroed pinStamp can never
 	// satisfy `stamp > epoch-pinValid`.
 	s.pinEpoch = s.pinValid
-	for i := range s.slots {
-		s.slots[i].key = -1
+	s.lastPinnedSeq, s.havePinned = 0, false
+
+	s.freePrimary = resized(s.freePrimary, cfg.Slots)
+	for i := range s.freePrimary {
+		s.freePrimary[i] = int32(cfg.Slots - 1 - i)
 	}
-	s.freePrimary = make([]int32, 0, cfg.Slots)
-	for i := cfg.Slots - 1; i >= 0; i-- {
-		s.freePrimary = append(s.freePrimary, int32(i))
+	s.freeReserve = resized(s.freeReserve, cfg.Reserve)
+	for i := range s.freeReserve {
+		s.freeReserve[i] = int32(total - 1 - i)
 	}
-	s.freeReserve = make([]int32, 0, cfg.Reserve)
-	for i := total - 1; i >= cfg.Slots; i-- {
-		s.freeReserve = append(s.freeReserve, int32(i))
+	for s.inFlight.Len() > 0 {
+		if hb := s.inFlight.Pop(); hb.Slots != nil {
+			s.heldPool = append(s.heldPool, hb.Slots)
+		}
 	}
-	return s, nil
+	s.reserveInUse = 0
+	s.sweepArmed = false
+	s.stats = Stats{}
+	return nil
+}
+
+// resized returns buf with length n, reusing its capacity when it
+// suffices; the contents are undefined (callers overwrite them).
+func resized[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // isEvictable is the victim predicate: a slot is fair game when nothing
@@ -461,8 +514,9 @@ func (s *Scratchpad) PlanUniqueWithHints(seq int, uniq []int64, counts []int32, 
 		s.lastPinnedSeq = n
 		s.havePinned = true
 	}
-	if len(hints) > 0 && s.hintStamp == nil {
-		s.hintStamp = make([]int64, s.TotalSlots())
+	if len(hints) > 0 && len(s.hintStamp) == 0 {
+		s.hintStamp = resized(s.hintStamp, s.TotalSlots())
+		clear(s.hintStamp)
 	}
 	for _, hids := range hints {
 		for _, id := range hids {
@@ -718,7 +772,9 @@ func (s *Scratchpad) PrewarmRows(rows int64, sample func() int64, onFill func(id
 	}
 	var seen []uint64
 	if rows > 0 {
-		seen = make([]uint64, (rows+63)/64)
+		s.seen = resized(s.seen, int((rows+63)/64))
+		clear(s.seen)
+		seen = s.seen
 	}
 	inserted := 0
 	limit := 8*s.cfg.Slots + 100

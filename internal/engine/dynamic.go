@@ -176,7 +176,7 @@ func newDynamicState(env *Env, cacheFrac float64, policy cache.PolicyKind, past,
 		if err != nil {
 			return nil, err
 		}
-		sp, err := shard.New(shard.Config{
+		sp, err := env.newManager(shard.Config{
 			Scratchpad:   spCfg,
 			Shards:       env.Cfg.Shards,
 			Pool:         shardPool,

@@ -21,8 +21,14 @@
 //     model shape, hardware platform, trace class, and the scale-out
 //     knobs (Workers fan-out, Shards per table, Topology + Placement for
 //     costed cross-node coordination, Coord protocol, Reshard schedule
-//     for run-time elasticity). Every engine built over the same Env
-//     sees the same batch stream.
+//     for run-time elasticity). An Env carries one position in its batch
+//     stream and, under faults, one mutable topology: a second engine
+//     built over the same Env continues where the first left off. To
+//     run several engines on the same stream, build each over
+//     [Env.Fork] — a child that replays the stream from batch 0 with
+//     its own topology copy — and [Env.Close] the child after its run,
+//     so the next fork's dynamic engines reset its scratchpads instead
+//     of rebuilding them.
 //   - The two dynamic-cache engines (StrawMan, ScratchPipe) share
 //     dynamicState: per-table shard.Manager control planes, the five
 //     stage implementations with their timing formulas, and the
@@ -38,6 +44,7 @@ package engine
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/dlrm"
@@ -164,6 +171,25 @@ type Env struct {
 	// layer-size slice appends) every cycle showed up in the hot-path
 	// profile.
 	mlpIterTime float64
+	// srcTopo is the caller's topology before NewEnv's private fault
+	// clone: each fork clones it afresh, exactly as a new NewEnv would.
+	srcTopo *hw.Topology
+	// spares pools the per-table managers that closed forks retired,
+	// shared by an env and all its forks (nil until the first Fork).
+	// Only forks draw from it and return to it, so an env that is never
+	// forked keeps nothing alive. forked marks a child built by Fork;
+	// live lists the managers its dynamic engines built, which Close
+	// retires into spares.
+	spares *managerPool
+	forked bool
+	live   []*shard.Manager
+}
+
+// managerPool is the spare list of retired per-table managers a forked
+// sweep recycles (safe for forks running on different goroutines).
+type managerPool struct {
+	mu   sync.Mutex
+	list []*shard.Manager
 }
 
 // NewEnv materializes an environment from cfg.
@@ -200,6 +226,7 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 	if err := cfg.Serve.Validate(); err != nil {
 		return nil, err
 	}
+	srcTopo := cfg.Topology
 	if cfg.Faults.Active() {
 		if err := cfg.Faults.Validate(cfg.Topology); err != nil {
 			return nil, err
@@ -221,36 +248,112 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	env := &Env{Cfg: cfg, Gen: gen, Pool: par.New(cfg.Workers)}
+	env := &Env{Cfg: cfg, Gen: gen, Pool: par.New(cfg.Workers), srcTopo: srcTopo}
 	env.Opt, err = opt.New(cfg.Optimizer, cfg.Model.LR)
 	if err != nil {
 		return nil, err
 	}
 	env.StateDim = opt.EffectiveStateDim(env.Opt, cfg.Model.EmbeddingDim)
-	if cfg.Functional {
-		for t := 0; t < cfg.Model.NumTables; t++ {
-			tbl, err := embed.NewTable(cfg.Model.RowsPerTable, cfg.Model.EmbeddingDim,
-				newSeededRand(cfg.Seed+int64(1000+t)))
-			if err != nil {
-				return nil, err
-			}
-			env.Tables = append(env.Tables, tbl)
-			if env.StateDim > 0 {
-				st, err := embed.NewZeroTable(cfg.Model.RowsPerTable, env.StateDim)
-				if err != nil {
-					return nil, err
-				}
-				env.StateTables = append(env.StateTables, st)
-			}
-		}
-		m, err := dlrm.New(cfg.Model, cfg.Seed+1)
-		if err != nil {
-			return nil, err
-		}
-		env.Model = m
+	if err := env.buildModel(); err != nil {
+		return nil, err
 	}
 	env.mlpIterTime = costModel{env: env}.computeMLPTime()
 	return env, nil
+}
+
+// buildModel materializes the functional-mode training state from the
+// seed: the CPU embedding tables, their optimizer-state shadows and the
+// dense model. Metadata mode has none.
+func (e *Env) buildModel() error {
+	cfg := e.Cfg
+	if !cfg.Functional {
+		return nil
+	}
+	for t := 0; t < cfg.Model.NumTables; t++ {
+		tbl, err := embed.NewTable(cfg.Model.RowsPerTable, cfg.Model.EmbeddingDim,
+			newSeededRand(cfg.Seed+int64(1000+t)))
+		if err != nil {
+			return err
+		}
+		e.Tables = append(e.Tables, tbl)
+		if e.StateDim > 0 {
+			st, err := embed.NewZeroTable(cfg.Model.RowsPerTable, e.StateDim)
+			if err != nil {
+				return err
+			}
+			e.StateTables = append(e.StateTables, st)
+		}
+	}
+	m, err := dlrm.New(cfg.Model, cfg.Seed+1)
+	if err != nil {
+		return err
+	}
+	e.Model = m
+	return nil
+}
+
+// Fork returns a child environment that trains exactly as a fresh
+// NewEnv(e.Cfg) would: its batch stream replays e's from batch 0 (all
+// forks of e read one recording, generated once, on demand), under
+// faults it gets its own clone of the caller's topology, and in
+// functional mode its own tables and model. The worker pool and the
+// stateless optimizer are shared. Build one engine over the child and
+// Close it once the run is done. Fork from one goroutine; the forks may
+// then run concurrently. An env that is never forked records nothing.
+func (e *Env) Fork() (*Env, error) {
+	if e.spares == nil {
+		e.spares = &managerPool{}
+	}
+	child := &Env{
+		Cfg: e.Cfg, Gen: e.Gen.Fork(), Opt: e.Opt, StateDim: e.StateDim, Pool: e.Pool,
+		mlpIterTime: e.mlpIterTime, srcTopo: e.srcTopo, spares: e.spares, forked: true,
+	}
+	if e.Cfg.Faults.Active() {
+		child.Cfg.Topology = e.srcTopo.Clone()
+	}
+	if err := child.buildModel(); err != nil {
+		return nil, err
+	}
+	return child, nil
+}
+
+// Close retires a fork: the per-table scratchpad managers its dynamic
+// engines built go to a spare list that the next fork's engines reset
+// instead of rebuilding. Neither the fork nor any engine built over it
+// may be used afterwards. On an env that is not a fork Close does
+// nothing.
+func (e *Env) Close() {
+	if !e.forked {
+		return
+	}
+	e.spares.mu.Lock()
+	e.spares.list = append(e.spares.list, e.live...)
+	e.spares.mu.Unlock()
+	e.live = nil
+}
+
+// newManager builds one table's control plane for cfg. A fork resets a
+// spare that a closed fork retired, when there is one, and remembers
+// the manager for its own Close.
+func (e *Env) newManager(cfg shard.Config) (*shard.Manager, error) {
+	if !e.forked {
+		return shard.New(cfg)
+	}
+	var m *shard.Manager
+	e.spares.mu.Lock()
+	if n := len(e.spares.list); n > 0 {
+		m = e.spares.list[n-1]
+		e.spares.list = e.spares.list[:n-1]
+	}
+	e.spares.mu.Unlock()
+	if m == nil {
+		m = &shard.Manager{}
+	}
+	e.live = append(e.live, m)
+	if err := m.Reset(cfg); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // stateTable returns table t's optimizer-state store, or nil when the

@@ -34,8 +34,9 @@ type entry struct {
 }
 
 // Map is an int64 -> int32 hash table. Keys must be non-negative. The
-// zero value is not usable; call New. Map is not safe for concurrent use,
-// matching the per-table single-writer discipline of the scratchpad.
+// zero value is not usable until Reset (New is Reset on a zero value).
+// Map is not safe for concurrent use, matching the per-table
+// single-writer discipline of the scratchpad.
 //
 // Clear is O(1): it bumps the map's epoch, making every existing entry
 // stale. A stale slot behaves exactly like an empty one — it terminates
@@ -59,8 +60,26 @@ type Map struct {
 // New returns a map pre-sized so that hint entries fit without growth.
 func New(hint int) *Map {
 	m := &Map{}
-	m.init(capacityFor(hint))
+	m.Reset(hint)
 	return m
+}
+
+// Reset empties the map and sizes it exactly as New(hint) would, so
+// every later probe sequence, entry position and ForEach order matches a
+// fresh map's. The entry array is reused when its capacity suffices
+// (the stale entries are retired by an epoch bump, as in Clear).
+func (m *Map) Reset(hint int) {
+	c := capacityFor(hint)
+	if cap(m.entries) < c {
+		m.init(c)
+		return
+	}
+	m.entries = m.entries[:c]
+	m.setShape(c)
+	m.epoch++
+	if m.epoch == 0 {
+		clear(m.entries)
+	}
 }
 
 // capacityFor returns the smallest power-of-two capacity whose 3/4 load
@@ -75,6 +94,12 @@ func capacityFor(hint int) int {
 
 func (m *Map) init(capacity int) {
 	m.entries = make([]entry, capacity)
+	m.setShape(capacity)
+}
+
+// setShape derives the probe mask, hash shift and load threshold of a
+// power-of-two capacity and empties the live count.
+func (m *Map) setShape(capacity int) {
 	m.mask = uint64(capacity - 1)
 	m.maxLoad = capacity * 3 / 4
 	shift := uint(64)

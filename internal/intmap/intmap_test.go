@@ -2,6 +2,7 @@ package intmap
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -148,6 +149,50 @@ func TestEpochReuse(t *testing.T) {
 		m.Clear()
 		if m.Len() != 0 {
 			t.Fatalf("round %d: Len %d after Clear", round, m.Len())
+		}
+	}
+}
+
+// TestResetMatchesNew checks that a used map — grown, churned, cleared —
+// Reset to a hint then behaves exactly like New(hint): the same capacity,
+// the same entry position for every insert, the same lookups and the
+// same ForEach order.
+func TestResetMatchesNew(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	used := New(0)
+	for trial := 0; trial < 60; trial++ {
+		for i, n := 0, rng.Intn(300); i < n; i++ {
+			used.Put(int64(rng.Intn(500)), int32(i))
+			if rng.Intn(5) == 0 {
+				used.Delete(int64(rng.Intn(500)))
+			}
+		}
+		if rng.Intn(3) == 0 {
+			used.Clear()
+		}
+		hint := rng.Intn(200)
+		used.Reset(hint)
+		fresh := New(hint)
+		for i := 0; i < 250; i++ {
+			k := int64(rng.Intn(500))
+			if at, want := used.PutIdx(k, int32(i)), fresh.PutIdx(k, int32(i)); at != want {
+				t.Fatalf("trial %d: PutIdx(%d) at %d, fresh map %d", trial, k, at, want)
+			}
+			if rng.Intn(4) == 0 {
+				k := int64(rng.Intn(500))
+				if got, want := used.Delete(k), fresh.Delete(k); got != want {
+					t.Fatalf("trial %d: Delete(%d) = %v, fresh map %v", trial, k, got, want)
+				}
+			}
+			if used.Len() != fresh.Len() || used.Cap() != fresh.Cap() {
+				t.Fatalf("trial %d: Len/Cap %d/%d, fresh map %d/%d", trial, used.Len(), used.Cap(), fresh.Len(), fresh.Cap())
+			}
+		}
+		var got, want [][3]int64
+		used.ForEachIdx(func(i int, k int64, v int32) { got = append(got, [3]int64{int64(i), k, int64(v)}) })
+		fresh.ForEachIdx(func(i int, k int64, v int32) { want = append(want, [3]int64{int64(i), k, int64(v)}) })
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: ForEachIdx after Reset differs from a fresh map", trial)
 		}
 	}
 }

@@ -347,10 +347,23 @@ type Manager struct {
 	stats core.Stats
 }
 
-// New builds a sharded manager from cfg.
+// New builds a sharded manager from cfg: Reset on a zero Manager.
 func New(cfg Config) (*Manager, error) {
-	if err := cfg.Validate(); err != nil {
+	m := &Manager{}
+	if err := m.Reset(cfg); err != nil {
 		return nil, err
+	}
+	return m, nil
+}
+
+// Reset reinitialises m for cfg into exactly the state New(cfg) builds,
+// so every later Plan, Stats and ForEach matches a fresh manager's. At
+// S=1 (non-elastic) it resets the delegate core.Scratchpad in place,
+// keeping its buffers and its plan and hold-set pools; every other shape
+// rebuilds the sharded state. On error m is unchanged.
+func (m *Manager) Reset(cfg Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
 	n := cfg.Shards
 	if n == 0 {
@@ -358,21 +371,31 @@ func New(cfg Config) (*Manager, error) {
 	}
 	mode, err := ParseCoordMode(string(cfg.Coord))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if n == 1 && !cfg.Elastic {
 		// The S=1 delegate has no cross-shard coordination; every mode
 		// is trivially exact. (Elastic managers skip the delegation so
 		// their state lives in the migratable generic representation.)
-		sp, err := core.NewScratchpad(cfg.Scratchpad)
-		if err != nil {
-			return nil, err
+		sp := m.single
+		if sp == nil {
+			sp = &core.Scratchpad{}
 		}
-		return &Manager{cfg: cfg.Scratchpad, nshards: 1, pool: cfg.Pool, mode: mode, quantum: 1, single: sp}, nil
+		if err := sp.Reset(cfg.Scratchpad); err != nil {
+			return err
+		}
+		*m = Manager{cfg: cfg.Scratchpad, nshards: 1, pool: cfg.Pool, mode: mode, quantum: 1, single: sp}
+		return nil
 	}
 	c := cfg.Scratchpad
+	var shadow *core.Scratchpad
+	if mode == CoordApprox {
+		if shadow, err = core.NewScratchpad(c); err != nil {
+			return err
+		}
+	}
 	total := c.Slots + c.Reserve
-	m := &Manager{
+	*m = Manager{
 		cfg:     c,
 		nshards: n,
 		pool:    cfg.Pool,
@@ -381,15 +404,14 @@ func New(cfg Config) (*Manager, error) {
 		mode:    mode,
 		quantum: 1,
 		pollK:   1,
+		shadow:  shadow,
+		elastic: cfg.Elastic,
 		shards:  make([]shardState, n),
 		meta:    make([]slotMeta, total),
 		next:    make([]int32, total),
 		prev:    make([]int32, total),
 		uniqIdx: make([][]int32, n),
 		winIdx:  make([][]int32, n),
-	}
-	if cfg.Elastic {
-		m.elastic = true
 	}
 	if cfg.LoadProbe {
 		m.loadProbe = make([]int64, LoadProbeBuckets)
@@ -399,11 +421,6 @@ func New(cfg Config) (*Manager, error) {
 		if m.quantum == 0 {
 			m.quantum = DefaultApproxQuantum
 		}
-		shadow, err := core.NewScratchpad(c)
-		if err != nil {
-			return nil, err
-		}
-		m.shadow = shadow
 	}
 	m.pinValid = 1
 	if c.FutureWindow > 1 && c.PastWindow >= c.FutureWindow {
@@ -433,7 +450,7 @@ func New(cfg Config) (*Manager, error) {
 	for s := total - 1; s >= c.Slots; s-- {
 		m.freeReserve = append(m.freeReserve, int32(s))
 	}
-	return m, nil
+	return nil
 }
 
 // Shards returns the shard count.

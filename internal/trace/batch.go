@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"repro/internal/intmap"
 )
@@ -140,6 +141,11 @@ func (c GeneratorConfig) Validate() error {
 // that the ID sequence — which all cache behaviour and therefore all
 // simulated timing depends on — is identical whether or not dense features
 // are generated (metadata vs functional mode).
+//
+// Fork hands out replaying copies of the stream: every fork starts at
+// batch 0 and reads one recording, shared by all forks of the generator
+// and generated on demand, so N consumers of the same stream pay for
+// generating it once.
 type Generator struct {
 	cfg      GeneratorConfig
 	dists    []Distribution
@@ -151,6 +157,32 @@ type Generator struct {
 	free []*Batch
 	// seen is the dedup scratch reused across batches (O(1) clear).
 	seen *intmap.Map
+	// rec is the recording forks replay: created by the first Fork of
+	// a live generator and shared with every fork (nil on a generator
+	// that was never forked, which records nothing). replay marks a
+	// fork, whose Next reads rec instead of generating.
+	rec    *recording
+	replay bool
+}
+
+// recording is the shared, append-only batch stream behind forked
+// generators. src generates it in stream order on demand; the recorded
+// batches are immutable, so forks on different goroutines may read them
+// concurrently.
+type recording struct {
+	mu      sync.Mutex
+	src     *Generator
+	batches []*Batch
+}
+
+// at returns batch seq of the stream, generating up to it if needed.
+func (r *recording) at(seq int) *Batch {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for len(r.batches) <= seq {
+		r.batches = append(r.batches, r.src.Next())
+	}
+	return r.batches[seq]
 }
 
 // NewGenerator builds a generator from cfg, materializing the per-table
@@ -175,13 +207,32 @@ func NewGenerator(cfg GeneratorConfig) (*Generator, error) {
 			return nil, fmt.Errorf("trace: generator: table %d distribution has %d rows, config says %d", t, d.Rows(), cfg.RowsPerTable)
 		}
 	}
+	return newGenerator(cfg, dists), nil
+}
+
+// newGenerator starts cfg's stream from batch 0 over validated dists.
+func newGenerator(cfg GeneratorConfig, dists []Distribution) *Generator {
 	return &Generator{
 		cfg:      cfg,
 		dists:    dists,
 		rngIDs:   rand.New(rand.NewSource(cfg.Seed)),
 		rngDense: rand.New(rand.NewSource(cfg.Seed ^ 0x5DEECE66D)),
 		seen:     intmap.New(cfg.BatchSize * cfg.Lookups),
-	}, nil
+	}
+}
+
+// Fork returns a generator that replays g's stream from batch 0,
+// whatever g has already produced: its batches are reflect.DeepEqual to
+// a fresh NewGenerator's with the same configuration. Every fork of g
+// (and every fork of a fork) reads one shared recording, generated on
+// demand, so the stream is generated once however many forks replay it.
+// Recorded batches are shared and read-only: a fork's Recycle does
+// nothing, and the recording lives as long as g or any fork does.
+func (g *Generator) Fork() *Generator {
+	if g.rec == nil {
+		g.rec = &recording{src: newGenerator(g.cfg, g.dists)}
+	}
+	return &Generator{cfg: g.cfg, dists: g.dists, rec: g.rec, replay: true}
 }
 
 // Config returns the generator's configuration.
@@ -196,6 +247,11 @@ func (g *Generator) Dists() []Distribution {
 
 // Next produces the next mini-batch in the stream.
 func (g *Generator) Next() *Batch {
+	if g.replay {
+		b := g.rec.at(g.seq)
+		g.seq++
+		return b
+	}
 	var b *Batch
 	if n := len(g.free); n > 0 {
 		b = g.free[n-1]
@@ -252,9 +308,10 @@ func (g *Generator) Next() *Batch {
 // Recycle hands a retired batch back for reuse by a future Next. The
 // caller must have dropped every reference into the batch (including
 // subslices of Tables); engines call it once a batch has fully left
-// their pipeline.
+// their pipeline. On a fork it does nothing: the batch belongs to the
+// shared recording.
 func (g *Generator) Recycle(b *Batch) {
-	if b == nil {
+	if b == nil || g.replay {
 		return
 	}
 	g.free = append(g.free, b)
