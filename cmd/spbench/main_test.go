@@ -57,15 +57,30 @@ func TestProfileFlags(t *testing.T) {
 }
 
 // TestQuickGolden pins the quick Figure 12b, Figure 13 and serving
-// tables byte for byte: every simulated number they print is a function
-// of the seed, so a refactor or optimisation of the simulator must leave
-// them untouched. A change that means to move an output re-records with
-// `go test -update` and accounts for every moved line in CHANGES.md.
+// tables byte for byte, plus Figure 13 at four shards on the two-host
+// cluster under hier coordination, with and without a mid-sweep host
+// death (the forked sweep that resets sharded managers): every
+// simulated number they print is a function of the seed, so a refactor
+// or optimisation of the simulator must leave them untouched. A change
+// that means to move an output re-records with `go test -update` and
+// accounts for every moved line in CHANGES.md.
 func TestQuickGolden(t *testing.T) {
-	for _, exp := range []string{"fig12b", "fig13", "serving"} {
-		t.Run(exp, func(t *testing.T) {
-			got := runSpbench(t, "-quick", "-experiment", exp)
-			path := filepath.Join("testdata", "quick_"+exp+".golden")
+	cases := []struct {
+		name string
+		args []string
+	}{
+		{"fig12b", []string{"-experiment", "fig12b"}},
+		{"fig13", []string{"-experiment", "fig13"}},
+		{"serving", []string{"-experiment", "serving"}},
+		{"fig13_s4_hier", []string{"-experiment", "fig13", "-shards", "4", "-topology", "cluster2x2", "-coord", "hier"}},
+		{"fig13_s4_hier_fail", []string{"-experiment", "fig13", "-shards", "4", "-topology", "cluster2x2", "-coord", "hier",
+			"-fail", "host1@5", "-ckpt-interval", "4"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			args := append([]string{"-quick"}, tc.args...)
+			got := runSpbench(t, args...)
+			path := filepath.Join("testdata", "quick_"+tc.name+".golden")
 			if *update {
 				if err := os.WriteFile(path, got, 0o644); err != nil {
 					t.Fatal(err)
@@ -77,7 +92,7 @@ func TestQuickGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want) {
-				t.Errorf("spbench -quick -experiment %s drifted from %s:\n--- got\n%s--- want\n%s", exp, path, got, want)
+				t.Errorf("spbench %s drifted from %s:\n--- got\n%s--- want\n%s", strings.Join(args, " "), path, got, want)
 			}
 		})
 	}
