@@ -319,9 +319,9 @@ func (e *Env) Fork() (*Env, error) {
 
 // Close retires a fork: the per-table scratchpad managers its dynamic
 // engines built go to a spare list that the next fork's engines reset
-// instead of rebuilding. Neither the fork nor any engine built over it
-// may be used afterwards. On an env that is not a fork Close does
-// nothing.
+// in place, at any shard count, instead of rebuilding. Neither the fork
+// nor any engine built over it may be used afterwards. On an env that
+// is not a fork Close does nothing.
 func (e *Env) Close() {
 	if !e.forked {
 		return
@@ -333,8 +333,9 @@ func (e *Env) Close() {
 }
 
 // newManager builds one table's control plane for cfg. A fork resets a
-// spare that a closed fork retired, when there is one, and remembers
-// the manager for its own Close.
+// spare that a closed fork retired, when there is one — keeping its slot
+// metadata, Hit-Maps, Plan and hold-set pools and coordination meter
+// (shard.Manager.Reset) — and remembers the manager for its own Close.
 func (e *Env) newManager(cfg shard.Config) (*shard.Manager, error) {
 	if !e.forked {
 		return shard.New(cfg)

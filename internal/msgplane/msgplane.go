@@ -33,7 +33,11 @@
 // same way the meter splits modeled seconds.
 package msgplane
 
-import "repro/internal/hw"
+import (
+	"slices"
+
+	"repro/internal/hw"
+)
 
 // Op is one recorded coordination message: a request issued by Peer
 // that must be serviced by the goroutine hosting Exec (the endpoint
@@ -82,14 +86,20 @@ type hostOut struct {
 
 // Plane executes coordination scripts over goroutine hosts. One Plane
 // serves one shard.Manager (single-threaded caller); all per-phase
-// state is preallocated and reused so the hot path allocates nothing
-// beyond the per-phase goroutines themselves.
+// state is preallocated and reused, and each node's goroutine is
+// launched through a closure built once, so Execute allocates nothing.
 type Plane struct {
 	topo  *hw.Topology
 	clock []float64 // per-node virtual time
 
+	// Per-node launch state, built once per node and kept across
+	// Resets (so it may be longer than the current topology): the
+	// persistent inboxes (never closed) and the closures that run one
+	// phase of each node's host goroutine.
+	inbox  []chan hostIn
+	hostFn []func()
+
 	// Per-phase scratch, reused across Execute calls.
-	inbox  []chan hostIn // per-node, persistent (never closed)
 	done   chan hostOut
 	dones  []float64 // per-op completion times, indexed by Op idx
 	msgbuf []msg     // counting-sorted per-exec message lists
@@ -98,26 +108,38 @@ type Plane struct {
 	active []int32   // distinct exec nodes in the phase
 }
 
-// New builds a Plane over topo. Returns nil for a nil topology —
-// co-located managers have no links to measure, mirroring the meter.
+// New builds a Plane over topo: a Reset of a zero Plane. Returns nil for
+// a nil topology — co-located managers have no links to measure,
+// mirroring the meter.
 func New(topo *hw.Topology) *Plane {
 	if topo == nil {
 		return nil
 	}
-	n := topo.NumNodes()
-	p := &Plane{
-		topo:   topo,
-		clock:  make([]float64, n),
-		inbox:  make([]chan hostIn, n),
-		done:   make(chan hostOut, n),
-		count:  make([]int32, n),
-		offset: make([]int32, n),
-		active: make([]int32, 0, n),
-	}
-	for i := range p.inbox {
-		p.inbox[i] = make(chan hostIn, 1)
-	}
+	p := &Plane{}
+	p.Reset(topo)
 	return p
+}
+
+// Reset re-targets an idle plane at topo (non-nil), leaving it in the
+// state New(topo) builds. Per-node arrays, inboxes and launch closures
+// are reused when the plane already has enough of them, so resetting
+// onto a topology of the same size allocates nothing.
+func (p *Plane) Reset(topo *hw.Topology) {
+	n := topo.NumNodes()
+	p.topo = topo
+	p.clock = slices.Grow(p.clock[:0], n)[:n]
+	p.count = slices.Grow(p.count[:0], n)[:n]
+	clear(p.count)
+	p.offset = slices.Grow(p.offset[:0], n)[:n]
+	p.active = slices.Grow(p.active[:0], n)
+	for len(p.inbox) < n {
+		e := int32(len(p.inbox))
+		p.inbox = append(p.inbox, make(chan hostIn, 1))
+		p.hostFn = append(p.hostFn, func() { p.host(e) })
+	}
+	if cap(p.done) < n {
+		p.done = make(chan hostOut, n)
+	}
 }
 
 // delay returns the virtual delivery cost of one op on its link: zero
@@ -215,11 +237,12 @@ func (p *Plane) runPhase(ops []Op, completion *float64) {
 		p.count[op.Exec]++
 		p.msgbuf[pos] = msg{issue: p.clock[op.Peer], delay: p.delay(op), idx: int32(i)}
 	}
-	// One goroutine per serving host; the batched inbox is one channel
-	// send, so even the exact protocol's millions of rounds cost a
-	// handful of channel operations per phase.
+	// One goroutine per serving host, launched through its prebuilt
+	// closure (a `go p.host(e)` would heap-allocate one per launch); the
+	// batched inbox is one channel send, so even the exact protocol's
+	// millions of rounds cost a handful of channel operations per phase.
 	for _, e := range p.active {
-		go p.host(e)
+		go p.hostFn[e]()
 		lo := p.offset[e]
 		hi := lo + p.count[e]
 		p.inbox[e] <- hostIn{msgs: p.msgbuf[lo:hi], base: p.clock[e]}

@@ -142,14 +142,7 @@ func TestNilPlane(t *testing.T) {
 func TestDeterministic(t *testing.T) {
 	topo := hw.Cluster(2, 2)
 	p := New(topo)
-	var ops []Op
-	for ph := int32(0); ph < 4; ph++ {
-		for e := int32(0); e < 4; e++ {
-			for peer := int32(0); peer < 4; peer++ {
-				ops = append(ops, round(e, peer, float64(64+8*peer), ph))
-			}
-		}
-	}
+	ops := phasedScript(4)
 	t1, o1 := p.Execute(ops[:16], ops[16:])
 	for i := 0; i < 10; i++ {
 		t2, o2 := p.Execute(ops[:16], ops[16:])
@@ -159,6 +152,47 @@ func TestDeterministic(t *testing.T) {
 	}
 	if t1 <= 0 || o1 <= 0 || o1 > t1 {
 		t.Fatalf("implausible makespan: total %g, overlapEnd %g", t1, o1)
+	}
+}
+
+// phasedScript is a 4-phase all-to-all script over the first n nodes.
+func phasedScript(n int32) []Op {
+	var ops []Op
+	for ph := int32(0); ph < 4; ph++ {
+		for e := int32(0); e < n; e++ {
+			for peer := int32(0); peer < n; peer++ {
+				ops = append(ops, round(e, peer, float64(64+8*peer), ph))
+			}
+		}
+	}
+	return ops
+}
+
+// TestExecuteZeroAllocs pins the launch path: per-phase host goroutines
+// start through closures built at construction, so a warm Execute
+// allocates nothing.
+func TestExecuteZeroAllocs(t *testing.T) {
+	p := New(hw.Cluster(2, 2))
+	ops := phasedScript(4)
+	if got := testing.AllocsPerRun(20, func() { p.Execute(ops[:16], ops[16:]) }); got != 0 {
+		t.Fatalf("Execute allocated %v times per run, want 0", got)
+	}
+}
+
+// TestResetMatchesNew checks that a plane reset onto another topology,
+// smaller or larger than the one it was built for, executes exactly
+// like a fresh plane over that topology.
+func TestResetMatchesNew(t *testing.T) {
+	used := New(hw.Cluster(4, 1))
+	used.Execute(nil, phasedScript(4))
+	for _, topo := range []*hw.Topology{hw.Cluster(2, 1), hw.Cluster(2, 2), hw.Cluster(4, 2)} {
+		used.Reset(topo)
+		ops := phasedScript(int32(topo.NumNodes()))
+		t1, o1 := used.Execute(ops[:len(ops)/4], ops[len(ops)/4:])
+		t2, o2 := New(topo).Execute(ops[:len(ops)/4], ops[len(ops)/4:])
+		if t1 != t2 || o1 != o2 {
+			t.Fatalf("%s: reset plane (%g, %g), fresh plane (%g, %g)", topo.Name, t1, o1, t2, o2)
+		}
 	}
 }
 

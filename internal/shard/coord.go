@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"slices"
+
 	"repro/internal/hw"
 	"repro/internal/msgplane"
 )
@@ -238,7 +240,6 @@ type coordMeter struct {
 	place  hw.Placement
 	mode   CoordMode
 	nodeOf []int32 // shard -> topology node
-	nnodes int
 
 	// coordNode anchors the serial coordinator: it runs on shard 0's
 	// node, so exact/batched polls and stamp syncs cross the links from
@@ -313,46 +314,78 @@ type linkUse struct {
 	a, b int32
 }
 
-// newCoordMeter builds a meter for a distributed placement; returns nil
-// when the placement cannot generate cross-node traffic.
-func newCoordMeter(p hw.Placement, shards int, mode CoordMode) *coordMeter {
+// reset builds the meter for (p, shards, mode) — empty ledgers, empty
+// scripts, zero statistics — in place of c, reusing c's per-link,
+// per-shard and per-host arrays and its message plane when they are
+// large enough. A nil c builds a fresh meter, so this is the only
+// constructor. Returns nil, dropping c, when the placement cannot
+// generate cross-node traffic.
+func (c *coordMeter) reset(p hw.Placement, shards int, mode CoordMode) *coordMeter {
 	if !p.Distributed() || shards < 2 {
 		return nil
 	}
-	m := &coordMeter{
+	if c == nil {
+		c = &coordMeter{}
+	}
+	old := *c
+	pairs := p.Topo.NumLinkPairs()
+	*c = coordMeter{
 		place:       p,
 		mode:        mode,
-		nodeOf:      make([]int32, shards),
-		nnodes:      p.Topo.NumNodes(),
-		bytes:       make([]float64, p.Topo.NumLinkPairs()),
-		rounds:      make([]int64, p.Topo.NumLinkPairs()),
-		hostIdx:     make([]int32, shards),
-		planVictims: make([]int32, shards),
-		moveCount:   make([]int64, shards*shards),
-		plane:       msgplane.New(p.Topo),
+		nodeOf:      slices.Grow(old.nodeOf[:0], shards)[:shards],
+		hostIdx:     slices.Grow(old.hostIdx[:0], shards)[:shards],
+		aggNode:     old.aggNode[:0],
+		hostShards:  old.hostShards[:0],
+		planVictims: zeroed(old.planVictims, shards),
+		moveCount:   zeroed(old.moveCount, shards*shards),
+		moveDirty:   old.moveDirty[:0],
+		bytes:       zeroed(old.bytes, pairs),
+		rounds:      zeroed(old.rounds, pairs),
+		touched:     old.touched[:0],
+		plane:       old.plane,
+		ops:         old.ops[:0],
+		specTouched: old.specTouched[:0],
+		specOps:     old.specOps[:0],
 	}
-	for j := range m.nodeOf {
-		m.nodeOf[j] = int32(p.Node[j])
+	if old.specBytes != nil {
+		c.specBytes = zeroed(old.specBytes, pairs)
+		c.specRounds = zeroed(old.specRounds, pairs)
 	}
-	m.coordNode = m.nodeOf[0]
+	if c.plane == nil {
+		c.plane = msgplane.New(p.Topo)
+	} else {
+		c.plane.Reset(p.Topo)
+	}
+	for j := range c.nodeOf {
+		c.nodeOf[j] = int32(p.Node[j])
+	}
+	c.coordNode = c.nodeOf[0]
 	// Dense host remap in ascending shard order: the first shard seen
 	// on a host makes its node the host's aggregator.
-	hostOf := make(map[int]int32)
-	for j := range m.nodeOf {
-		h := p.Topo.Nodes[m.nodeOf[j]].Host
-		idx, ok := hostOf[h]
-		if !ok {
-			idx = int32(len(m.aggNode))
-			hostOf[h] = idx
-			m.aggNode = append(m.aggNode, m.nodeOf[j])
-			m.hostShards = append(m.hostShards, 0)
+	for j, node := range c.nodeOf {
+		host := p.Topo.Nodes[node].Host
+		idx := 0
+		for idx < len(c.aggNode) && p.Topo.Nodes[c.aggNode[idx]].Host != host {
+			idx++
 		}
-		m.hostIdx[j] = idx
-		m.hostShards[idx]++
+		if idx == len(c.aggNode) {
+			c.aggNode = append(c.aggNode, node)
+			c.hostShards = append(c.hostShards, 0)
+		}
+		c.hostIdx[j] = int32(idx)
+		c.hostShards[idx]++
 	}
-	m.hostPolled = make([]bool, len(m.aggNode))
-	m.hostVictims = make([]int32, len(m.aggNode))
-	return m
+	c.hostPolled = zeroed(old.hostPolled, len(c.aggNode))
+	c.hostVictims = zeroed(old.hostVictims, len(c.aggNode))
+	return c
+}
+
+// zeroed returns buf resized to n zero elements, reusing its capacity
+// when it suffices.
+func zeroed[T any](buf []T, n int) []T {
+	buf = slices.Grow(buf[:0], n)[:n]
+	clear(buf)
+	return buf
 }
 
 // side returns the active recording ledger: the Plan's own, or the

@@ -388,7 +388,7 @@ func (m *Manager) Reshard(newS int, place hw.Placement) error {
 	return nil
 }
 
-// installPlacement swaps the placement and rebuilds the coordination
+// installPlacement swaps the placement and resets the coordination
 // meter for the (possibly new) shard count, folding the retired meter's
 // lifetime traffic into the carry-over so CoordStats stays a lifetime
 // total across reshard events.
@@ -397,7 +397,7 @@ func (m *Manager) installPlacement(place hw.Placement, shards int) {
 		m.coordBase.Merge(m.coord.stats)
 	}
 	m.place = place
-	m.coord = newCoordMeter(place, shards, m.mode)
+	m.coord = m.coord.reset(place, shards, m.mode)
 }
 
 // finishReshard prices the event and folds it into the lifetime totals.

@@ -51,6 +51,7 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -343,6 +344,11 @@ type Manager struct {
 	dedup       *intmap.Map
 	uniqScratch []int64
 	cntScratch  []int32
+	// seen is PrewarmRows' rows-wide duplicate-draw bitmap and draws
+	// approx mode's record of the prewarm draw stream (replayed into the
+	// shadow planner); both are kept across Resets and cleared per use.
+	seen  []uint64
+	draws []int64
 
 	stats core.Stats
 }
@@ -357,22 +363,25 @@ func New(cfg Config) (*Manager, error) {
 }
 
 // Reset reinitialises m for cfg into exactly the state New(cfg) builds,
-// so every later Plan, Stats and ForEach matches a fresh manager's. At
-// S=1 (non-elastic) it resets the delegate core.Scratchpad in place,
-// keeping its buffers and its plan and hold-set pools; every other shape
-// rebuilds the sharded state. On error m is unchanged.
+// so every later Plan, Stats, CoordStats and ForEach matches a fresh
+// manager's. Like core.Scratchpad.Reset it keeps the capacity of every
+// buffer, which is what makes a reset cheaper than a rebuild. At S=1
+// (non-elastic) that is the delegate core.Scratchpad's; at every other
+// shape it is the slot metadata, each shard's Hit-Map, free list and
+// hold-set pool, the Plan pool, the routing scratch, approx's shadow
+// planner, and the coordination meter with its message plane. Batches
+// still in flight are dropped (their hold sets return to the pools). On
+// error m is unchanged.
 func (m *Manager) Reset(cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	n := cfg.Shards
-	if n == 0 {
-		n = 1
-	}
+	n := max(cfg.Shards, 1)
 	mode, err := ParseCoordMode(string(cfg.Coord))
 	if err != nil {
 		return err
 	}
+	c := cfg.Scratchpad
 	if n == 1 && !cfg.Elastic {
 		// The S=1 delegate has no cross-shard coordination; every mode
 		// is trivially exact. (Elastic managers skip the delegation so
@@ -381,40 +390,67 @@ func (m *Manager) Reset(cfg Config) error {
 		if sp == nil {
 			sp = &core.Scratchpad{}
 		}
-		if err := sp.Reset(cfg.Scratchpad); err != nil {
+		if err := sp.Reset(c); err != nil {
 			return err
 		}
-		*m = Manager{cfg: cfg.Scratchpad, nshards: 1, pool: cfg.Pool, mode: mode, quantum: 1, single: sp}
+		*m = Manager{cfg: c, nshards: 1, pool: cfg.Pool, mode: mode, quantum: 1, single: sp}
 		return nil
 	}
-	c := cfg.Scratchpad
 	var shadow *core.Scratchpad
 	if mode == CoordApprox {
-		if shadow, err = core.NewScratchpad(c); err != nil {
+		if shadow = m.shadow; shadow == nil {
+			shadow = &core.Scratchpad{}
+		}
+		if err := shadow.Reset(c); err != nil {
 			return err
 		}
 	}
 	total := c.Slots + c.Reserve
+	// Carry the buffers over; every other field takes its zero value, as
+	// in a fresh manager.
+	old := *m
 	*m = Manager{
 		cfg:     c,
 		nshards: n,
 		pool:    cfg.Pool,
 		place:   cfg.Placement,
-		coord:   newCoordMeter(cfg.Placement, n, mode),
+		coord:   old.coord.reset(cfg.Placement, n, mode),
 		mode:    mode,
 		quantum: 1,
 		pollK:   1,
-		shadow:  shadow,
-		elastic: cfg.Elastic,
-		shards:  make([]shardState, n),
-		meta:    make([]slotMeta, total),
-		next:    make([]int32, total),
-		prev:    make([]int32, total),
-		uniqIdx: make([][]int32, n),
-		winIdx:  make([][]int32, n),
+		spec: specState{
+			candQ:    old.spec.candQ[:0],
+			lastCand: old.spec.lastCand[:0],
+			candDone: old.spec.candDone[:0],
+		},
+		specFlags:   old.specFlags,
+		specDirty:   old.specDirty[:0],
+		shadow:      shadow,
+		edScratch:   old.edScratch,
+		evSelf:      old.evSelf[:0],
+		evShadow:    old.evShadow[:0],
+		elastic:     cfg.Elastic,
+		shards:      slices.Grow(old.shards[:0], n)[:n],
+		meta:        slices.Grow(old.meta[:0], total)[:total],
+		next:        zeroed(old.next, total),
+		prev:        zeroed(old.prev, total),
+		hintStamp:   old.hintStamp[:0],
+		freeReserve: slices.Grow(old.freeReserve[:0], c.Reserve),
+		planPool:    old.planPool,
+		shardOf:     old.shardOf,
+		uniqIdx:     slices.Grow(old.uniqIdx[:0], n)[:n],
+		winIdx:      slices.Grow(old.winIdx[:0], n)[:n],
+		winIDs:      old.winIDs[:0],
+		missIdx:     old.missIdx[:0],
+		dedup:       old.dedup,
+		uniqScratch: old.uniqScratch[:0],
+		cntScratch:  old.cntScratch[:0],
+		seen:        old.seen,
+		draws:       old.draws[:0],
 	}
+	clear(m.specFlags)
 	if cfg.LoadProbe {
-		m.loadProbe = make([]int64, LoadProbeBuckets)
+		m.loadProbe = zeroed(old.loadProbe, LoadProbeBuckets)
 	}
 	if mode == CoordApprox {
 		m.quantum = uint64(cfg.CoordQuantum)
@@ -428,29 +464,51 @@ func (m *Manager) Reset(cfg Config) error {
 	}
 	m.pinEpoch = m.pinValid
 	for i := range m.meta {
-		m.meta[i].key = -1
+		m.meta[i] = slotMeta{key: -1}
 	}
 	// Stripe the primary slots across shards (slot s starts on shard
 	// s % n); each stack is filled descending so pops ascend, matching
 	// the unsharded free list's allocation direction.
-	for j := 0; j < n; j++ {
+	for j := range m.shards {
 		sh := &m.shards[j]
-		sh.hitMap = intmap.New((c.Slots + c.Reserve/2) / n)
-		sh.lruHead, sh.lruTail = nilSlot, nilSlot
+		sh.reset((c.Slots + c.Reserve/2) / n)
 		count := (c.Slots - j + n - 1) / n
-		sh.freePrimary = make([]int32, 0, count)
-		for s := c.Slots - 1; s >= 0; s-- {
-			if s%n == j {
-				sh.freePrimary = append(sh.freePrimary, int32(s))
-			}
+		sh.freePrimary = slices.Grow(sh.freePrimary, count)
+		for s := j + (count-1)*n; s >= 0; s -= n {
+			sh.freePrimary = append(sh.freePrimary, int32(s))
 		}
 	}
 	m.freePrimaryTotal = c.Slots
-	m.freeReserve = make([]int32, 0, c.Reserve)
 	for s := total - 1; s >= c.Slots; s-- {
 		m.freeReserve = append(m.freeReserve, int32(s))
 	}
 	return nil
+}
+
+// reset empties the shard into its freshly built state — an empty
+// Hit-Map sized for hint entries, empty recency and free lists, nothing
+// in flight or parked — keeping its buffers and returning its in-flight
+// hold sets to the pool.
+func (sh *shardState) reset(hint int) {
+	for sh.inFlight.Len() > 0 {
+		if hb := sh.inFlight.Pop(); hb.Slots != nil {
+			sh.heldPool = append(sh.heldPool, hb.Slots)
+		}
+	}
+	hitMap := sh.hitMap
+	if hitMap == nil {
+		hitMap = &intmap.Map{}
+	}
+	hitMap.Reset(hint)
+	*sh = shardState{
+		hitMap:      hitMap,
+		freePrimary: sh.freePrimary[:0],
+		inFlight:    sh.inFlight,
+		lruHead:     nilSlot,
+		lruTail:     nilSlot,
+		candQ:       sh.candQ[:0],
+		heldPool:    sh.heldPool,
+	}
 }
 
 // Shards returns the shard count.
@@ -908,8 +966,8 @@ func (m *Manager) PlanUniqueWithHints(seq int, uniq []int64, counts []int32, fut
 		m.lastPinnedSeq = n
 		m.havePinned = true
 	}
-	if len(hints) > 0 && m.hintStamp == nil {
-		m.hintStamp = make([]int64, m.TotalSlots())
+	if len(hints) > 0 && len(m.hintStamp) == 0 {
+		m.hintStamp = zeroed(m.hintStamp, m.TotalSlots())
 	}
 
 	res := m.getPlanResult()
@@ -1252,21 +1310,22 @@ func (m *Manager) PrewarmRows(rows int64, sample func() int64, onFill func(id in
 		// identical content (draw sequences and duplicate decisions are
 		// identical by the prewarm-equivalence property, so the shadow
 		// consumes exactly the recorded draws).
-		var draws []int64
+		m.draws = m.draws[:0]
 		inner := sample
 		sample = func() int64 {
 			id := inner()
-			draws = append(draws, id)
+			m.draws = append(m.draws, id)
 			return id
 		}
 		defer func() {
 			i := 0
-			m.shadow.PrewarmRows(rows, func() int64 { id := draws[i]; i++; return id }, nil)
+			m.shadow.PrewarmRows(rows, func() int64 { id := m.draws[i]; i++; return id }, nil)
 		}()
 	}
 	var seen []uint64
 	if rows > 0 {
-		seen = make([]uint64, (rows+63)/64)
+		m.seen = zeroed(m.seen, int((rows+63)/64))
+		seen = m.seen
 	}
 	inserted := 0
 	limit := 8*m.cfg.Slots + 100
