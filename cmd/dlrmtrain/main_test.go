@@ -49,12 +49,31 @@ func TestProfileFlags(t *testing.T) {
 // that means to move an output re-records with `go test -update` and
 // accounts for every moved line in CHANGES.md.
 func TestServeGolden(t *testing.T) {
-	cases := []struct{ golden, args string }{
+	testGolden(t, []struct{ golden, args string }{
 		{"serve_default.golden", "-serve"},
 		{"serve_cluster2x2.golden", "-serve -topology cluster2x2"},
 		{"serve_flash.golden", "-serve -arrival flash:20000:10 -class High"},
 		{"serve_batch1.golden", "-serve -serve-batch 1"},
-	}
+	})
+}
+
+// TestTrainGolden pins the training report the same way: a metadata run
+// on the two-host cluster under hier coordination (the coordination and
+// message-plane lines), and a functional approx run with a host death,
+// checkpoints and a reshard boundary (the loss, divergence, resharding,
+// fault and checkpoint blocks).
+func TestTrainGolden(t *testing.T) {
+	testGolden(t, []struct{ golden, args string }{
+		{"train_hier.golden", "-functional=false -shards 4 -topology cluster2x2 -coord hier -iters 12 -rows 20000"},
+		{"train_approx_fail.golden", "-iters 12 -rows 20000 -shards 4 -topology cluster2x2 -coord approx -coord-quantum 64 " +
+			"-fail host1@6 -ckpt-interval 4 -reshard 3:4"},
+	})
+}
+
+// testGolden runs dlrmtrain with each case's arguments in a child process
+// and compares its stdout with testdata/<golden> (or re-records it under
+// -update).
+func testGolden(t *testing.T, cases []struct{ golden, args string }) {
 	for _, c := range cases {
 		t.Run(c.golden, func(t *testing.T) {
 			cmd := exec.Command(os.Args[0], strings.Fields(c.args)...)
