@@ -6,19 +6,19 @@
 //
 // Usage:
 //
-//	benchgate -baseline BENCH_hotpath.json [-wall-factor 1.25]
-//	          [-alloc-factor 1.25] [-coord-factor 1.25]
-//	          [-skew-tolerance 0.75] [-runs 2]
-//	          [-workers 1] [-shards 1] [-topology single]
-//	          [-placement stripe] [-coord exact] [-coord-overlap]
-//	          [-reshard SPEC] [-fail PLAN] [-ckpt-interval N]
-//	          [-serve] [-router P] [-replicas R] [-arrival SPEC]
-//	          [-serve-fail PLAN] [-deadline MS] [-retry SPEC] [-hedge MS]
-//	          [-admission SPEC] [-serve-batch SPEC]
+//	benchgate -baseline BENCH_hotpath.json [-config quick|full]
+//	          [-wall-factor 1.25] [-alloc-factor 1.25]
+//	          [-coord-factor 1.25] [-skew-tolerance 0.75] [-runs 2]
+//	          [run flags]
 //
-// The gate measures with Workers=1 and Shards=1 by default so allocation
-// counts are deterministic and wall time does not depend on the CI
-// runner's core count; it compares against the most recent baseline entry
+// The run flags are the ones spbench and dlrmtrain share
+// (engine.EnvConfig.RegisterFlags: -workers, -shards, -topology,
+// -placement, -coord, -coord-overlap, -reshard, -fail, -ckpt-interval,
+// -serve and the serving flags), with the same defaults except
+// -workers 1. The gate measures with Workers=1 and Shards=1 by default
+// so allocation counts are deterministic and wall time does not depend
+// on the CI runner's core count; it compares against the most recent
+// baseline entry
 // with the same configuration label and the same
 // workers/shards/topology/placement/coord shape. Passing -shards with
 // -topology/-placement gates the sharded+placement entry family (the
@@ -79,10 +79,6 @@ import (
 	"os"
 
 	"repro/internal/bench"
-	"repro/internal/engine"
-	"repro/internal/hw"
-	"repro/internal/serve"
-	"repro/internal/shard"
 )
 
 func main() {
@@ -93,120 +89,21 @@ func main() {
 	coordFactor := flag.Float64("coord-factor", 1.25, "fail if coordination rounds exceed baseline by this factor (entries with recorded rounds only)")
 	skewTol := flag.Float64("skew-tolerance", 0.75, "fail if the modeled-vs-measured coordination skew exceeds this fraction (entries with a recorded coordination wall only)")
 	runs := flag.Int("runs", 2, "measurement repetitions (best wall time wins)")
-	workers := flag.Int("workers", 1, "per-table fan-out parallelism for the measurement")
-	shards := flag.Int("shards", 1, "scratchpad shards per table for the measurement")
-	topology := flag.String("topology", "single", "shard placement topology for the measurement ("+hw.TopologyNames+")")
-	placement := flag.String("placement", "stripe", "shard placement policy for the measurement (stripe|range|loadaware)")
-	coord := flag.String("coord", "exact", "cross-shard coordination protocol for the measurement ("+shard.CoordModeNames+")")
-	coordOverlap := flag.Bool("coord-overlap", false, "gate the overlapped-coordination family (speculation counters exact; sim wall strictly below the non-overlap twin entry)")
-	reshard := flag.String("reshard", "", "elastic reshard schedule for the measurement (e.g. 4:4 or load:8; empty = fixed sharding)")
-	failPlan := flag.String("fail", "", "fault schedule for the measurement ("+hw.FaultGrammar+"; empty = fault-free)")
-	ckptInterval := flag.Int("ckpt-interval", 0, "checkpoint-flush interval for the measurement (0 = disabled)")
-	serveMode := flag.Bool("serve", false, "gate the serving family (the online serving simulation) instead of the training sweep")
-	replicas := flag.Int("replicas", 4, "serving replica workers (with -serve)")
-	router := flag.String("router", "hitaware", "serving router policy: "+serve.PolicyNames+" (with -serve)")
-	arrival := flag.String("arrival", "", "serving arrival process: "+serve.ArrivalGrammar+" (with -serve; empty = poisson default)")
-	serveFail := flag.String("serve-fail", "", "serving fault schedule ("+serve.ServeFaultGrammar+"; with -serve; empty = no faults)")
-	deadline := flag.Float64("deadline", 0, "per-query serving deadline in ms (with -serve; 0 = none)")
-	retry := flag.String("retry", "", "serving client retry policy ("+serve.RetryGrammar+"; with -serve; empty = no retries)")
-	hedge := flag.Float64("hedge", 0, "serving hedged-request delay in ms (with -serve; 0 = no hedging)")
-	admission := flag.String("admission", "", "serving admission control ("+serve.AdmissionGrammar+"; with -serve; empty = admit all)")
-	serveBatch := flag.String("serve-batch", "", "replica-side request batching ("+serve.BatchGrammar+"; with -serve; empty or 1 = no batching)")
+	gateFlags := map[string]bool{}
+	flag.VisitAll(func(f *flag.Flag) { gateFlags[f.Name] = true })
+	cfg := bench.Default()
+	cfg.Workers = 1
+	finish := cfg.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
-	if *shards < 1 {
-		fmt.Fprintf(os.Stderr, "benchgate: -shards %d: shard count must be >= 1\n", *shards)
+	if *configName == "quick" {
+		q := bench.Quick()
+		cfg.Model, cfg.Iters = q.Model, q.Iters
+	}
+	if err := finish(); err != nil {
+		fmt.Fprintln(os.Stderr, "benchgate:", err)
 		os.Exit(2)
 	}
-	topo, err := hw.ParseTopology(*topology)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchgate: -topology %q: want %s\n", *topology, hw.TopologyNames)
-		os.Exit(2)
-	}
-	policy, err := hw.ParsePlacementPolicy(*placement)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchgate: -placement %q: want stripe, range, or loadaware\n", *placement)
-		os.Exit(2)
-	}
-	coordMode, err := shard.ParseCoordMode(*coord)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchgate: -coord %q: want %s\n", *coord, shard.CoordModeNames)
-		os.Exit(2)
-	}
-	reshardSpec, err := engine.ParseReshardSpec(*reshard)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchgate: -reshard %q: %v\n", *reshard, err)
-		os.Exit(2)
-	}
-	faults, err := hw.ParseFaultPlan(*failPlan)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchgate: -fail %q: %v\n", *failPlan, err)
-		os.Exit(2)
-	}
-	if *ckptInterval < 0 {
-		fmt.Fprintf(os.Stderr, "benchgate: -ckpt-interval %d: interval must be >= 0\n", *ckptInterval)
-		os.Exit(2)
-	}
-	if faults.Active() {
-		if topo.NumNodes() <= 1 {
-			fmt.Fprintf(os.Stderr, "benchgate: -fail needs a multi-host -topology (cluster<H>x<S>), got %q\n", *topology)
-			os.Exit(2)
-		}
-		if err := faults.Validate(topo); err != nil {
-			fmt.Fprintf(os.Stderr, "benchgate: -fail %q: %v\n", *failPlan, err)
-			os.Exit(2)
-		}
-	}
-
-	routerPolicy, err := serve.ParsePolicy(*router)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchgate: -router %q: want %s\n", *router, serve.PolicyNames)
-		os.Exit(2)
-	}
-	arrivalSpec, err := serve.ParseArrival(*arrival)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchgate: -arrival %q: want %s\n", *arrival, serve.ArrivalGrammar)
-		os.Exit(2)
-	}
-	if *serveMode && *replicas < 1 {
-		fmt.Fprintf(os.Stderr, "benchgate: -replicas %d: serving needs at least one replica\n", *replicas)
-		os.Exit(2)
-	}
-	serveFaults, err := hw.ParseFaultPlan(*serveFail)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchgate: -serve-fail %q: %v\n", *serveFail, err)
-		os.Exit(2)
-	}
-	retrySpec, err := serve.ParseRetry(*retry)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchgate: -retry %q: %v\n", *retry, err)
-		os.Exit(2)
-	}
-	admissionSpec, err := serve.ParseAdmission(*admission)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchgate: -admission %q: %v\n", *admission, err)
-		os.Exit(2)
-	}
-	batchSpec, err := serve.ParseBatch(*serveBatch)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchgate: -serve-batch %q: %v\n", *serveBatch, err)
-		os.Exit(2)
-	}
-	if *deadline < 0 || *hedge < 0 {
-		fmt.Fprintf(os.Stderr, "benchgate: -deadline/-hedge must be >= 0 ms\n")
-		os.Exit(2)
-	}
-	if *serveMode {
-		serveTopo := topo
-		if topo.NumNodes() <= 1 {
-			serveTopo = nil
-		}
-		if err := serveFaults.ValidateServe(*replicas, serveTopo); err != nil {
-			fmt.Fprintf(os.Stderr, "benchgate: -serve-fail %q: %v\n", *serveFail, err)
-			os.Exit(2)
-		}
-	}
-
 	data, err := os.ReadFile(*baseline)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchgate:", err)
@@ -217,97 +114,24 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchgate: %s is not a hot-path history: %v\n", *baseline, err)
 		os.Exit(2)
 	}
-	topoName := ""
-	if topo.NumNodes() > 1 {
-		topoName = topo.Name
-	}
-	// The serving-family shape the measurement will record (empty router
-	// = not a serving entry).
-	serveOpts := serve.Options{}
-	if *serveMode {
-		serveOpts = serve.Options{
-			Replicas:  *replicas,
-			Router:    routerPolicy,
-			Arrival:   arrivalSpec,
-			Faults:    serveFaults,
-			Deadline:  *deadline * 1e-3,
-			Retry:     retrySpec,
-			Hedge:     *hedge * 1e-3,
-			Admission: admissionSpec,
-			Batch:     batchSpec,
-		}
-	}
-	serveRouter, serveArrival, serveReplicas := "", "", 0
-	serveFaultsStr, serveResilience, serveBatchStr := "", "", ""
-	if *serveMode {
-		resolved := serveOpts.WithDefaults()
-		serveRouter = string(resolved.Router)
-		serveArrival = resolved.Arrival.String()
-		serveReplicas = resolved.Replicas
-		serveFaultsStr = resolved.Faults.String()
-		serveResilience = resolved.ResilienceString()
-		serveBatchStr = resolved.Batch.String()
-	}
-	base := pickBaseline(hist.History, *configName, *workers, *shards, topoName, string(policy), string(coordMode), *coordOverlap, reshardSpec.String(), faults.String(), *ckptInterval, serveRouter, serveArrival, serveReplicas, serveFaultsStr, serveResilience, serveBatchStr)
+	want := family(cfg, *configName)
+	base := pickBaseline(hist.History, want)
 	if base == nil {
-		extraArgs := ""
-		if *coordOverlap {
-			extraArgs += " -coord-overlap"
+		// spbench records the same family from the same run flags; only
+		// -workers defaults differently there.
+		record := "go run ./cmd/spbench -json " + *baseline
+		if *configName == "quick" {
+			record += " -quick"
 		}
-		if reshardSpec.Active() {
-			extraArgs += " -reshard " + reshardSpec.String()
-		}
-		if faults.Active() {
-			extraArgs += " -fail " + faults.String()
-		}
-		if *ckptInterval > 0 {
-			extraArgs += fmt.Sprintf(" -ckpt-interval %d", *ckptInterval)
-		}
-		if *serveMode {
-			extraArgs += fmt.Sprintf(" -serve -router %s -replicas %d", serveRouter, serveReplicas)
-			if *arrival != "" {
-				extraArgs += " -arrival " + *arrival
+		record += fmt.Sprintf(" -workers=%d", cfg.Workers)
+		flag.Visit(func(f *flag.Flag) {
+			if !gateFlags[f.Name] && f.Name != "workers" {
+				record += fmt.Sprintf(" -%s=%s", f.Name, f.Value)
 			}
-			if *serveFail != "" {
-				extraArgs += " -serve-fail " + serveFaultsStr
-			}
-			if *deadline > 0 {
-				extraArgs += fmt.Sprintf(" -deadline %g", *deadline)
-			}
-			if retrySpec.Active() {
-				extraArgs += " -retry " + retrySpec.String()
-			}
-			if *hedge > 0 {
-				extraArgs += fmt.Sprintf(" -hedge %g", *hedge)
-			}
-			if admissionSpec.Active() {
-				extraArgs += " -admission " + admissionSpec.String()
-			}
-			if batchSpec.Enabled() {
-				extraArgs += " -serve-batch " + batchSpec.String()
-			}
-		}
-		fmt.Fprintf(os.Stderr,
-			"benchgate: no %q entry with workers=%d shards=%d topology=%q placement=%q coord=%q reshard=%q fail=%q ckpt=%d in %s to gate against; record one with:\n  go run ./cmd/spbench -quick -json %s -workers %d -shards %d -topology %s -placement %s -coord %s%s\n",
-			*configName, *workers, *shards, *topology, *placement, *coord, reshardSpec.String(), faults.String(), *ckptInterval, *baseline, *baseline, *workers, *shards, *topology, *placement, *coord, extraArgs)
+		})
+		fmt.Fprintf(os.Stderr, "benchgate: no %q entry of this shape in %s to gate against; record one with:\n  %s\n",
+			*configName, *baseline, record)
 		os.Exit(2)
-	}
-
-	cfg := bench.Default()
-	if *configName == "quick" {
-		cfg = bench.Quick()
-	}
-	cfg.Workers = *workers
-	cfg.Shards = *shards
-	cfg.Reshard = reshardSpec
-	cfg.Faults = faults
-	cfg.CkptInterval = *ckptInterval
-	cfg.Serve = serveOpts
-	cfg.CoordOverlap = *coordOverlap
-	if topo.NumNodes() > 1 {
-		cfg.Topology = topo
-		cfg.Placement = policy
-		cfg.Coord = coordMode
 	}
 
 	var best *bench.HotPathResult
@@ -464,12 +288,12 @@ func main() {
 	// behaviour (plans would still be correct — adoptSpec re-validates —
 	// but the overlap win silently erodes, which is exactly what this
 	// gate exists to catch).
-	if *coordOverlap {
+	if cfg.CoordOverlap {
 		if best.OverlapSpeculated == 0 {
 			fmt.Printf("benchgate: FAIL overlap family never speculated\n")
 			failed = true
 		}
-		if !faults.Active() && (best.OverlapAdopted != best.OverlapSpeculated || best.OverlapRolledBack != 0) {
+		if !cfg.Faults.Active() && (best.OverlapAdopted != best.OverlapSpeculated || best.OverlapRolledBack != 0) {
 			fmt.Printf("benchgate: FAIL undisturbed overlap family must adopt every speculation (speculated %d, adopted %d, rolled back %d)\n",
 				best.OverlapSpeculated, best.OverlapAdopted, best.OverlapRolledBack)
 			failed = true
@@ -485,7 +309,8 @@ func main() {
 		}
 		// The win itself: the overlapped sweep's modeled wall must sit
 		// strictly below the matching non-overlap twin entry's.
-		twin := pickBaseline(hist.History, *configName, *workers, *shards, topoName, string(policy), string(coordMode), false, reshardSpec.String(), faults.String(), *ckptInterval, serveRouter, serveArrival, serveReplicas, serveFaultsStr, serveResilience, serveBatchStr)
+		want.CoordOverlap = false
+		twin := pickBaseline(hist.History, want)
 		switch {
 		case twin == nil || twin.SimWallSeconds <= 0:
 			fmt.Fprintf(os.Stderr, "benchgate: no non-overlap twin entry in %s to verify the overlap win against; record one with the same shape minus -coord-overlap\n", *baseline)
@@ -512,64 +337,84 @@ func main() {
 		best.WallSeconds/base.WallSeconds, float64(best.Allocs)/float64(base.Allocs), coordNote)
 }
 
-// pickBaseline returns the most recent entry matching the configuration
-// label AND the measurement's workers/shards/topology/placement/coord
-// shape (shards 0 and 1 both mean unsharded; topology ""/"single",
-// placement ""/"stripe", and coord ""/"exact" are the defaults). A
-// shape mismatch returns nil rather than silently gating against an
-// entry measured under a different fan-out — e.g. the committed S=8
+// family is the entry a measurement of cfg under the configuration label
+// records, reduced to the fields that name its family: the run shape,
+// before any result is in.
+func family(cfg bench.Config, config string) bench.HotPathResult {
+	f := bench.HotPathResult{
+		Config:       config,
+		Workers:      cfg.Workers,
+		Shards:       cfg.Shards,
+		Placement:    string(cfg.Placement),
+		CoordMode:    string(cfg.Coord),
+		CoordOverlap: cfg.CoordOverlap,
+		Reshard:      cfg.Reshard.String(),
+		Faults:       cfg.Faults.String(),
+		CkptInterval: cfg.CkptInterval,
+	}
+	if cfg.Topology != nil {
+		f.Topology = cfg.Topology.Name
+	}
+	if cfg.Serve.Active() {
+		s := cfg.Serve.WithDefaults()
+		f.Serve, f.ServeArrival, f.ServeReplicas = string(s.Router), s.Arrival.String(), s.Replicas
+		f.ServeFaults, f.ServeResilience, f.ServeBatch = s.Faults.String(), s.ResilienceString(), s.Batch.String()
+	}
+	return f
+}
+
+// familyKey reduces an entry to its family fields with the defaults
+// normalised: shards 0 and 1 both mean unsharded, and topology
+// ""/"single", placement ""/"stripe" and coord ""/"exact" are the
+// defaults. Placement is meaningless without a topology and is kept only
+// when one is set. The protocol is kept even co-located: it changes the
+// sweep machinery's allocation shape, and approx changes behaviour.
+func familyKey(e bench.HotPathResult) bench.HotPathResult {
+	k := bench.HotPathResult{
+		Config:          e.Config,
+		Workers:         e.Workers,
+		Shards:          max(e.Shards, 1),
+		CoordOverlap:    e.CoordOverlap,
+		Reshard:         e.Reshard,
+		Faults:          e.Faults,
+		CkptInterval:    e.CkptInterval,
+		Serve:           e.Serve,
+		ServeArrival:    e.ServeArrival,
+		ServeReplicas:   e.ServeReplicas,
+		ServeFaults:     e.ServeFaults,
+		ServeResilience: e.ServeResilience,
+		ServeBatch:      e.ServeBatch,
+	}
+	if e.CoordMode != "exact" {
+		k.CoordMode = e.CoordMode
+	}
+	if e.Topology != "" && e.Topology != "single" {
+		k.Topology = e.Topology
+		if e.Placement != "stripe" {
+			k.Placement = e.Placement
+		}
+	}
+	return k
+}
+
+// pickBaseline returns the most recent entry of want's family. A shape
+// mismatch returns nil rather than silently gating against an entry
+// measured under a different fan-out — e.g. the committed S=8
 // shard-scaling record is ~50% slower and 4x more allocation-heavy than
 // the S=1 baseline, and comparing against it would mask real
 // regressions; the placement-family entries additionally pay
 // coordination metering the co-located sweep never executes, and the
 // batched/hier/approx protocol entries send a fraction of the exact
 // protocol's rounds.
-func pickBaseline(hist []bench.HotPathResult, config string, workers, shards int, topology, placement, coord string, coordOverlap bool, reshard, faults string, ckptInterval int, serveRouter, serveArrival string, serveReplicas int, serveFaults, serveResilience, serveBatch string) *bench.HotPathResult {
-	norm := func(s int) int {
-		if s <= 1 {
-			return 1
-		}
-		return s
-	}
-	normTopo := func(s string) string {
-		if s == "single" {
-			return ""
-		}
-		return s
-	}
-	normPlace := func(s string) string {
-		if s == "stripe" {
-			return ""
-		}
-		return s
-	}
-	normCoord := func(s string) string {
-		if s == "exact" {
-			return ""
-		}
-		return s
-	}
-	var exact *bench.HotPathResult
+func pickBaseline(hist []bench.HotPathResult, want bench.HotPathResult) *bench.HotPathResult {
+	key := familyKey(want)
+	var match *bench.HotPathResult
 	for i := range hist {
-		e := &hist[i]
-		// The protocol must match even co-located (it changes the sweep
-		// machinery's allocation shape, and approx changes behaviour);
-		// placement is meaningless without a topology and is compared
-		// only when one is set.
-		if e.Config == config && e.Workers == workers && norm(e.Shards) == norm(shards) &&
-			normCoord(e.CoordMode) == normCoord(coord) &&
-			e.CoordOverlap == coordOverlap && e.Reshard == reshard &&
-			e.Faults == faults && e.CkptInterval == ckptInterval &&
-			e.Serve == serveRouter && e.ServeArrival == serveArrival &&
-			e.ServeReplicas == serveReplicas &&
-			e.ServeFaults == serveFaults && e.ServeResilience == serveResilience &&
-			e.ServeBatch == serveBatch &&
-			normTopo(e.Topology) == normTopo(topology) &&
-			(normTopo(e.Topology) == "" || normPlace(e.Placement) == normPlace(placement)) {
-			exact = e
+		if familyKey(hist[i]) == key {
+			match = &hist[i]
 		}
 	}
-	return exact
+	return match
 }
 
 // printDelta dumps the failing family's full baseline-vs-measured table

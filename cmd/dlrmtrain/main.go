@@ -42,7 +42,7 @@ func fail(format string, args ...any) {
 }
 
 // runServe plays the online serving simulation and prints the report.
-func runServe(cfg scratchpipe.Config, class scratchpipe.Class) {
+func runServe(cfg scratchpipe.Config) {
 	tr, err := scratchpipe.NewTrainer(cfg)
 	if err != nil {
 		log.Fatal(err)
@@ -52,7 +52,7 @@ func runServe(cfg scratchpipe.Config, class scratchpipe.Class) {
 		log.Fatal(err)
 	}
 	fmt.Printf("serving on %s locality: %d replicas behind %s router, arrival %s\n",
-		class, rep.Replicas, rep.Router, cfg.Serve.Arrival.String())
+		cfg.Class, rep.Replicas, rep.Router, cfg.Serve.Arrival.String())
 	fmt.Printf("\n%d queries offered over %.2f s (%.0f q/s realized)\n",
 		rep.Offered, rep.Duration, rep.OfferedRate)
 	fmt.Printf("  throughput:      %.0f q/s (%d served, %d dropped)\n",
@@ -108,171 +108,68 @@ func runServe(cfg scratchpipe.Config, class scratchpipe.Class) {
 }
 
 func main() {
-	engineFlag := flag.String("engine", "scratchpipe", "hybrid|static|strawman|scratchpipe|multigpu")
+	cfg := scratchpipe.Config{EnvConfig: scratchpipe.EnvConfig{
+		Model:  scratchpipe.DefaultModel(),
+		System: scratchpipe.DefaultSystem(),
+		// -arrival defaults to poisson:2000.
+		Serve: scratchpipe.ServeOptions{Arrival: scratchpipe.ArrivalSpec{Shape: "poisson", Rate: 2000}},
+	}}
+	cfg.Model.BottomHidden = []int{64, 32}
+	cfg.Model.TopHidden = []int{128, 64}
+	flag.StringVar((*string)(&cfg.Engine), "engine", "scratchpipe", "hybrid|static|strawman|scratchpipe|multigpu")
 	classFlag := flag.String("class", "Medium", "locality class: Random|Low|Medium|High")
 	iters := flag.Int("iters", 30, "training iterations")
-	rows := flag.Int64("rows", 100_000, "rows per embedding table")
-	tables := flag.Int("tables", 4, "number of embedding tables")
-	dim := flag.Int("dim", 32, "embedding dimension")
-	lookups := flag.Int("lookups", 8, "lookups per table")
-	batch := flag.Int("batch", 256, "mini-batch size")
-	cacheFrac := flag.Float64("cache", 0.05, "GPU cache fraction")
-	policy := flag.String("policy", "lru", "replacement policy: lru|lfu|random")
-	parallel := flag.Bool("parallel", false, "run pipeline stages in goroutines")
-	workers := flag.Int("workers", 0, "per-table fan-out parallelism (0 = GOMAXPROCS, 1 = serial)")
-	shards := flag.Int("shards", 1, "scratchpad shards per table (1 = unsharded; results identical at any count)")
-	topology := flag.String("topology", "single", "shard placement topology (single, numa<N>, pcie<N>, nvlink<N>, cluster<H>x<S>)")
-	placement := flag.String("placement", "stripe", "shard placement policy (stripe|range|loadaware)")
-	coord := flag.String("coord", "exact", "cross-shard coordination protocol (exact|batched|hier|approx)")
-	coordQuantum := flag.Int("coord-quantum", 0, "approx-mode recency quantum in clock ticks (0 = default; 1 = exact order)")
-	coordOverlap := flag.Bool("coord-overlap", false, "overlap distributed coordination with the pipeline (scratchpipe engine; bit-identical plans, shrinks the Plan-stage coordination share)")
-	reshard := flag.String("reshard", "", "elastic reshard schedule: iter:shards steps and/or load:<max>[:<thresh>] (e.g. 200:4,500:8 or load:8; empty = fixed sharding)")
-	failPlan := flag.String("fail", "", "fault schedule: host<H>@<I>, agg<H>@<I>, link:host<A>-host<B>@<I>[-<J>], degrade:host<A>-host<B>@<I>[-<J>][x<F>] (e.g. host1@20,link:host0-host1@10-15; empty = no faults)")
-	ckptInterval := flag.Int("ckpt-interval", 0, "priced scratchpad checkpoint flush every N iterations (0 = disabled; with -fail, host deaths restore residency from the last flush)")
-	functional := flag.Bool("functional", true, "execute real float32 training")
-	serveMode := flag.Bool("serve", false, "run the online serving simulation instead of training")
-	replicas := flag.Int("replicas", 4, "serving replica workers (with -serve)")
-	router := flag.String("router", "hitaware", "serving router policy: random|roundrobin|leastloaded|hitaware|hitaware-telemetry (with -serve)")
-	arrival := flag.String("arrival", "poisson:2000", "serving arrival process: poisson:<qps>, diurnal:<qps>[:<amp>], or flash:<qps>[:<mult>[:<at>:<dur>]] (with -serve)")
-	serveFail := flag.String("serve-fail", "", "serving fault schedule: replica<R>@<T>[-<T2>] and/or host<H>@<T>, times in virtual-clock seconds (with -serve; empty = no faults)")
-	deadline := flag.Float64("deadline", 0, "per-query deadline in ms; responses past it count as timed out (with -serve; 0 = none)")
-	retry := flag.String("retry", "", "client retry policy: <max>[:<backoff-ms>], exponential backoff to a different replica (with -serve; empty = no retries)")
-	hedge := flag.Float64("hedge", 0, "hedged-request delay in ms; a backup attempt fires on another replica if no response by then (with -serve; 0 = no hedging)")
-	admission := flag.String("admission", "", "admission control: newest|cheapest[:<threshold>][:degrade], or bare degrade (with -serve; empty = admit all)")
-	serveBatch := flag.String("serve-batch", "", "replica-side request batching: <cap>[:<delay-ms>], e.g. 8 or 8:0.25 (with -serve; empty or 1 = no batching)")
-	seed := flag.Int64("seed", 1, "random seed")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (runtime/pprof)")
-	memProfile := flag.String("memprofile", "", "write an allocation profile of the run to this file (runtime/pprof)")
+	flag.Int64Var(&cfg.Model.RowsPerTable, "rows", 100_000, "rows per embedding table")
+	flag.IntVar(&cfg.Model.NumTables, "tables", 4, "number of embedding tables")
+	flag.IntVar(&cfg.Model.EmbeddingDim, "dim", 32, "embedding dimension")
+	flag.IntVar(&cfg.Model.Lookups, "lookups", 8, "lookups per table")
+	flag.IntVar(&cfg.Model.BatchSize, "batch", 256, "mini-batch size")
+	flag.Float64Var(&cfg.CacheFrac, "cache", 0.05, "GPU cache fraction")
+	flag.StringVar((*string)(&cfg.Policy), "policy", "lru", "replacement policy: lru|lfu|random")
+	flag.BoolVar(&cfg.Parallel, "parallel", false, "run pipeline stages in goroutines")
+	flag.IntVar(&cfg.CoordQuantum, "coord-quantum", 0, "approx-mode recency quantum in clock ticks (0 = default; 1 = exact order)")
+	flag.BoolVar(&cfg.Functional, "functional", true, "execute real float32 training")
+	flag.Int64Var(&cfg.Seed, "seed", 1, "random seed")
+	finish := cfg.RegisterFlags(flag.CommandLine)
+	startProfiles := prof.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
-	// Reject bad knob combinations here, with one-line errors, instead
-	// of letting them fail (or silently misbehave) deep in the engine.
-	if *shards < 1 {
-		fail("-shards %d: shard count must be >= 1", *shards)
+	if err := finish(); err != nil {
+		fail("%v", err)
 	}
-	switch scratchpipe.PolicyKind(*policy) {
+	// The checks on dlrmtrain's own flags: the replacement policy, and
+	// the knobs that only some engines or protocols read.
+	switch cfg.Policy {
 	case scratchpipe.LRU, scratchpipe.LFU, scratchpipe.RandomPolicy:
 	default:
-		fail("-policy %q: want lru, lfu, or random", *policy)
+		fail("-policy %q: want lru, lfu, or random", cfg.Policy)
 	}
-	if *shards > 1 && scratchpipe.PolicyKind(*policy) != scratchpipe.LRU {
-		fail("-shards %d requires -policy lru (the cross-shard eviction coordinator merges LRU recency orders)", *shards)
+	if cfg.Shards > 1 && cfg.Policy != scratchpipe.LRU {
+		fail("-shards %d requires -policy lru (the cross-shard eviction coordinator merges LRU recency orders)", cfg.Shards)
 	}
-	topo, err := scratchpipe.ParseTopology(*topology)
-	if err != nil {
-		fail("-topology %q: want single, numa<N>, pcie<N>, nvlink<N>, or cluster<H>x<S>", *topology)
+	if cfg.Reshard.MaxShards() > 1 && cfg.Policy != scratchpipe.LRU {
+		fail("-reshard reaching %d shards requires -policy lru", cfg.Reshard.MaxShards())
 	}
-	place, err := scratchpipe.ParsePlacementPolicy(*placement)
-	if err != nil {
-		fail("-placement %q: want stripe, range, or loadaware", *placement)
+	if cfg.CoordQuantum > 0 && cfg.Coord != scratchpipe.CoordApprox {
+		fail("-coord-quantum only applies to -coord approx (got -coord %s)", cfg.Coord)
 	}
-	coordMode, err := scratchpipe.ParseCoordMode(*coord)
-	if err != nil {
-		fail("-coord %q: want exact, batched, hier, or approx", *coord)
+	if cfg.CoordOverlap && cfg.Engine != scratchpipe.KindScratchPipe {
+		fail("-coord-overlap applies to the scratchpipe engine, got -engine %s", cfg.Engine)
 	}
-	if *coordQuantum < 0 {
-		fail("-coord-quantum %d: quantum must be >= 0", *coordQuantum)
+	dynamic := cfg.Engine == scratchpipe.KindStrawMan || cfg.Engine == scratchpipe.KindScratchPipe
+	if cfg.Reshard.Active() && !dynamic {
+		fail("-reshard applies to the dynamic-cache engines (strawman|scratchpipe), got -engine %s", cfg.Engine)
 	}
-	if *coordQuantum > 0 && coordMode != scratchpipe.CoordApprox {
-		fail("-coord-quantum only applies to -coord approx (got -coord %s)", coordMode)
-	}
-	if *coordOverlap && scratchpipe.Kind(*engineFlag) != scratchpipe.KindScratchPipe {
-		fail("-coord-overlap applies to the scratchpipe engine, got -engine %s", *engineFlag)
-	}
-	reshardSpec, err := scratchpipe.ParseReshardSpec(*reshard)
-	if err != nil {
-		fail("-reshard %q: %v", *reshard, err)
-	}
-	if reshardSpec.MaxShards() > 1 && scratchpipe.PolicyKind(*policy) != scratchpipe.LRU {
-		fail("-reshard reaching %d shards requires -policy lru", reshardSpec.MaxShards())
-	}
-	if reshardSpec.Active() {
-		switch scratchpipe.Kind(*engineFlag) {
-		case scratchpipe.KindStrawMan, scratchpipe.KindScratchPipe:
-		default:
-			fail("-reshard applies to the dynamic-cache engines (strawman|scratchpipe), got -engine %s", *engineFlag)
-		}
-	}
-	faults, err := scratchpipe.ParseFaultPlan(*failPlan)
-	if err != nil {
-		fail("-fail %q: %v", *failPlan, err)
-	}
-	if *ckptInterval < 0 {
-		fail("-ckpt-interval %d: interval must be >= 0", *ckptInterval)
-	}
-	if faults.Active() {
-		if topo.NumNodes() <= 1 {
-			fail("-fail needs a multi-host -topology (cluster<H>x<S>), got %q", *topology)
-		}
-		if err := faults.Validate(topo); err != nil {
-			fail("-fail %q: %v", *failPlan, err)
-		}
-		switch scratchpipe.Kind(*engineFlag) {
-		case scratchpipe.KindStrawMan, scratchpipe.KindScratchPipe:
-		default:
-			fail("-fail applies to the dynamic-cache engines (strawman|scratchpipe), got -engine %s", *engineFlag)
-		}
-	}
-
-	// Serving flags: -router/-replicas/-arrival only mean something under
-	// -serve, and each gets the same early one-line rejection treatment.
-	routerPolicy, err := scratchpipe.ParseRouterPolicy(*router)
-	if err != nil {
-		fail("-router %q: want random, roundrobin, leastloaded, hitaware, or hitaware-telemetry", *router)
-	}
-	arrivalSpec, err := scratchpipe.ParseArrival(*arrival)
-	if err != nil {
-		fail("-arrival %q: want poisson:<qps>, diurnal:<qps>[:<amp>], or flash:<qps>[:<mult>[:<at>:<dur>]]", *arrival)
-	}
-	serveFaults, err := scratchpipe.ParseFaultPlan(*serveFail)
-	if err != nil {
-		fail("-serve-fail %q: %v", *serveFail, err)
-	}
-	retrySpec, err := scratchpipe.ParseRetry(*retry)
-	if err != nil {
-		fail("-retry %q: %v", *retry, err)
-	}
-	admissionSpec, err := scratchpipe.ParseAdmission(*admission)
-	if err != nil {
-		fail("-admission %q: %v", *admission, err)
-	}
-	batchSpec, err := scratchpipe.ParseBatch(*serveBatch)
-	if err != nil {
-		fail("-serve-batch %q: %v", *serveBatch, err)
-	}
-	if *deadline < 0 {
-		fail("-deadline %g: deadline must be >= 0 ms", *deadline)
-	}
-	if *hedge < 0 {
-		fail("-hedge %g: hedge delay must be >= 0 ms", *hedge)
-	}
-	if *serveMode {
-		if *replicas < 1 {
-			fail("-replicas %d: serving needs at least one replica", *replicas)
-		}
-		// Host-scoped serving faults need the multi-host placement graph;
-		// mirror the engine, which only sees a topology when it is real.
-		serveTopo := topo
-		if topo.NumNodes() <= 1 {
-			serveTopo = nil
-		}
-		if err := serveFaults.ValidateServe(*replicas, serveTopo); err != nil {
-			fail("-serve-fail %q: %v", *serveFail, err)
-		}
-	} else {
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "replicas", "router", "arrival", "serve-fail", "deadline", "retry", "hedge", "admission", "serve-batch":
-				fail("-%s only applies with -serve", f.Name)
-			}
-		})
+	if cfg.Faults.Active() && !dynamic {
+		fail("-fail applies to the dynamic-cache engines (strawman|scratchpipe), got -engine %s", cfg.Engine)
 	}
 
 	class, err := scratchpipe.ParseClass(*classFlag)
 	if err != nil {
 		log.Fatal(err)
 	}
-	stopProfiles, err := prof.Start(*cpuProfile, *memProfile)
+	cfg.Class = class
+	stopProfiles, err := startProfiles()
 	if err != nil {
 		fail("%v", err)
 	}
@@ -281,55 +178,14 @@ func main() {
 			log.Fatal(err)
 		}
 	}()
-	model := scratchpipe.DefaultModel()
-	model.RowsPerTable = *rows
-	model.NumTables = *tables
-	model.EmbeddingDim = *dim
-	model.Lookups = *lookups
-	model.BatchSize = *batch
-	model.BottomHidden = []int{64, 32}
-	model.TopHidden = []int{128, 64}
 
-	cfg := scratchpipe.Config{
-		Engine:       scratchpipe.Kind(*engineFlag),
-		Model:        model,
-		Class:        class,
-		CacheFrac:    *cacheFrac,
-		Policy:       scratchpipe.PolicyKind(*policy),
-		Parallel:     *parallel,
-		Workers:      *workers,
-		Shards:       *shards,
-		Functional:   *functional,
-		Seed:         *seed,
-		Placement:    place,
-		Coord:        coordMode,
-		CoordQuantum: *coordQuantum,
-		CoordOverlap: *coordOverlap,
-		Reshard:      reshardSpec,
-		Faults:       faults,
-		CkptInterval: *ckptInterval,
-	}
-	if topo.NumNodes() > 1 {
-		cfg.Topology = topo
-	}
-	if *serveMode {
-		cfg.Serve = scratchpipe.ServeOptions{
-			Replicas:  *replicas,
-			Router:    routerPolicy,
-			Arrival:   arrivalSpec,
-			CacheFrac: *cacheFrac,
-			Faults:    serveFaults,
-			Deadline:  *deadline * 1e-3,
-			Retry:     retrySpec,
-			Hedge:     *hedge * 1e-3,
-			Admission: admissionSpec,
-			Batch:     batchSpec,
-		}
+	if cfg.Serve.Active() {
+		cfg.Serve.CacheFrac = cfg.CacheFrac
 		// Serving is a pure simulation over ID metadata — real float32
 		// tables would only add allocation time (and at paper scale,
 		// tens of GB).
 		cfg.Functional = false
-		runServe(cfg, class)
+		runServe(cfg)
 		return
 	}
 	tr, err := scratchpipe.NewTrainer(cfg)
@@ -338,7 +194,7 @@ func main() {
 	}
 
 	fmt.Printf("training %s on %s locality: %d tables x %d rows x %d dims, batch %d\n",
-		tr.Engine(), class, *tables, *rows, *dim, *batch)
+		tr.Engine(), cfg.Class, cfg.Model.NumTables, cfg.Model.RowsPerTable, cfg.Model.EmbeddingDim, cfg.Model.BatchSize)
 	rep, err := tr.Train(*iters)
 	if err != nil {
 		log.Fatal(err)
@@ -349,7 +205,7 @@ func main() {
 
 	fmt.Printf("\n%d iterations complete\n", rep.Iters)
 	fmt.Printf("  simulated iteration time: %.3f ms (wall %.1f ms)\n", rep.IterTime*1e3, rep.Wall*1e3)
-	if *functional {
+	if cfg.Functional {
 		fmt.Printf("  mean training loss:       %.4f\n", rep.AvgLoss)
 	}
 	if rep.Hits+rep.Misses > 0 {
@@ -359,12 +215,12 @@ func main() {
 	fmt.Printf("  breakdown: cpu-emb-fwd %.3f ms, cpu-emb-bwd %.3f ms, gpu %.3f ms\n",
 		rep.CPUEmbFwd*1e3, rep.CPUEmbBwd*1e3, rep.GPUTime*1e3)
 	if rep.CoordTime > 0 {
-		finalShards := *shards
+		finalShards := cfg.Shards
 		if rep.FinalShards > 0 {
 			finalShards = rep.FinalShards
 		}
 		fmt.Printf("  shard coordination:       %.3f ms/iter (%s, %s placement, %d shards, %s protocol)\n",
-			rep.CoordTime*1e3, topo.Name, place, finalShards, rep.CoordMode)
+			rep.CoordTime*1e3, cfg.Topology.Name, cfg.Placement, finalShards, rep.CoordMode)
 		fmt.Printf("    rounds: %d total (%d polls, %d confirms, %d slot moves, %d stamp syncs, %d borrows), %.1f KB\n",
 			rep.Coord.Messages, rep.Coord.PollRounds, rep.Coord.ConfirmRounds,
 			rep.Coord.SlotMoveRounds, rep.Coord.StampSyncRounds, rep.Coord.BorrowRounds,
@@ -382,7 +238,7 @@ func main() {
 		// Resharding counters sum across tables; every boundary
 		// reshards each table's manager once.
 		fmt.Printf("  elastic resharding:       %d boundaries -> %d shards; %d resident / %d free / %d hold entries migrated\n",
-			rs.Events/int64(*tables), rep.FinalShards, rs.ResidentMoved, rs.FreeMoved, rs.HoldsMoved)
+			rs.Events/int64(cfg.Model.NumTables), rep.FinalShards, rs.ResidentMoved, rs.FreeMoved, rs.HoldsMoved)
 		fmt.Printf("    migration: %.1f KB in %d transfers, %.3f ms modeled stall\n",
 			rs.Bytes/1e3, rs.Rounds, rep.MigrationTime*1e3)
 	}
@@ -392,7 +248,7 @@ func main() {
 	}
 	// Fault-tolerance section: keyed off the flags, not the report, so
 	// fault-free runs print byte-identically to the pre-fault tree.
-	if faults.Active() || *ckptInterval > 0 {
+	if cfg.Faults.Active() || cfg.CkptInterval > 0 {
 		fmt.Printf("  fault tolerance:          downtime %.1f ms, recovery %.3f ms, availability %.4f%%\n",
 			rep.Downtime*1e3, rep.RecoveryTime*1e3, rep.Availability*100)
 		if ev := rep.Evac; ev.Events > 0 {
@@ -400,9 +256,9 @@ func main() {
 				ev.Events, ev.ShardsEvacuated, ev.LostResident, ev.RestoredResident, ev.HeldKept,
 				ev.Bytes/1e3, ev.Rounds)
 		}
-		if *ckptInterval > 0 {
+		if cfg.CkptInterval > 0 {
 			fmt.Printf("    checkpoints: every %d iters, %.3f ms flush total\n",
-				*ckptInterval, rep.CheckpointTime*1e3)
+				cfg.CkptInterval, rep.CheckpointTime*1e3)
 		}
 	}
 }

@@ -29,8 +29,11 @@
 // It additionally cross-checks documented CLI flags: any Markdown table
 // row whose first cell is a backtick span beginning with a dash
 // (| `-workers N` | ... — the README's flag-reference style) claims a
-// flag of that name, and the claim must match a flag definition
-// somewhere under cmd/ (flag.String("workers", ...) et al.). A
+// flag of that name, and the claim must match a flag definition in a
+// non-test Go source under cmd/ or internal/: flag.String("quick", ...)
+// et al. on the default flag set, or fs.IntVar(&c.Workers, "workers",
+// ...) et al. on a *flag.FlagSet named fs (the run flags the commands
+// share, internal/engine, and the profile flags, internal/prof). A
 // documented flag no command defines is the same class of rot as a
 // dangling path: the reference table outliving a renamed or deleted
 // flag.
@@ -39,6 +42,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -66,8 +70,10 @@ var pathTokenRe = regexp.MustCompile(`^\.?/?[A-Za-z0-9_][A-Za-z0-9_.\-/]*$`)
 // table style (| `-workers N` | meaning |).
 var flagRowRe = regexp.MustCompile("^\\|\\s*`-([A-Za-z0-9][A-Za-z0-9_-]*)")
 
-// flagDefRe captures flag definitions in Go sources under cmd/.
-var flagDefRe = regexp.MustCompile(`flag\.(?:Bool|Duration|Float64|Int|Int64|String|Uint|Uint64|Var)\(\s*"([^"]+)"`)
+// flagDefRe captures the name of a flag definition on the default flag
+// set (flag.X) or on a FlagSet named fs (fs.X), with or without a
+// leading destination argument (the XVar forms).
+var flagDefRe = regexp.MustCompile(`\b(?:flag|fs)\.(?:Bool|Duration|Float64|Func|Int|Int64|String|TextVar|Uint|Uint64|Var)(?:Var)?\(\s*(?:[^,"]+,\s*)?"([^"]+)"`)
 
 // checkedExts are the file extensions worth verifying when a token has
 // no directory component ("DESIGN.md", "go.mod"). Dotted Go symbol
@@ -87,8 +93,24 @@ func main() {
 	root := flag.String("root", ".", "repository root to scan")
 	flag.Parse()
 
+	files, broken, err := check(*root, os.Stdout)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "doccheck:", err)
+		os.Exit(2)
+	}
+	if broken > 0 {
+		fmt.Printf("doccheck: %d dangling reference(s)\n", broken)
+		os.Exit(1)
+	}
+	fmt.Printf("doccheck: %d Markdown files clean\n", files)
+}
+
+// check scans the Markdown files under root, writes one line to out for
+// each dangling reference, and returns how many files it scanned and how
+// many references it reported.
+func check(root string, out io.Writer) (files, broken int, err error) {
 	var mdFiles []string
-	err := filepath.WalkDir(*root, func(path string, d fs.DirEntry, err error) error {
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -99,29 +121,27 @@ func main() {
 			}
 			return nil
 		}
-		if strings.EqualFold(filepath.Ext(path), ".md") && path != filepath.Join(*root, "ISSUE.md") {
+		if strings.EqualFold(filepath.Ext(path), ".md") && path != filepath.Join(root, "ISSUE.md") {
 			mdFiles = append(mdFiles, path)
 		}
 		return nil
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "doccheck:", err)
-		os.Exit(2)
+		return 0, 0, err
 	}
 	sort.Strings(mdFiles)
 
-	cmdFlags, err := collectCmdFlags(filepath.Join(*root, "cmd"))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "doccheck:", err)
-		os.Exit(2)
+	flags := map[string]bool{}
+	for _, dir := range []string{"cmd", "internal"} {
+		if err := collectFlags(filepath.Join(root, dir), flags); err != nil {
+			return 0, 0, err
+		}
 	}
 
-	broken := 0
 	for _, md := range mdFiles {
 		data, err := os.ReadFile(md)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "doccheck:", err)
-			os.Exit(2)
+			return 0, 0, err
 		}
 		text := string(data)
 		seen := map[string]bool{}
@@ -130,7 +150,7 @@ func main() {
 				return
 			}
 			seen[ref] = true
-			fmt.Printf("doccheck: %s: dangling %s reference %q\n", md, kind, ref)
+			fmt.Fprintf(out, "doccheck: %s: dangling %s reference %q\n", md, kind, ref)
 			broken++
 		}
 
@@ -139,7 +159,7 @@ func main() {
 			if target == "" || strings.Contains(target, "://") || strings.HasPrefix(target, "mailto:") {
 				continue
 			}
-			if !exists(filepath.Join(filepath.Dir(md), target)) && !exists(filepath.Join(*root, target)) {
+			if !exists(filepath.Join(filepath.Dir(md), target)) && !exists(filepath.Join(root, target)) {
 				report(m[1], "link")
 			}
 		}
@@ -150,23 +170,19 @@ func main() {
 				if !ok {
 					continue
 				}
-				if !exists(filepath.Join(*root, ref)) && !exists(filepath.Join(filepath.Dir(md), ref)) {
+				if !exists(filepath.Join(root, ref)) && !exists(filepath.Join(filepath.Dir(md), ref)) {
 					report(tok, "path")
 				}
 			}
 		}
 
 		for _, line := range strings.Split(text, "\n") {
-			if m := flagRowRe.FindStringSubmatch(line); m != nil && !cmdFlags[m[1]] {
+			if m := flagRowRe.FindStringSubmatch(line); m != nil && !flags[m[1]] {
 				report("-"+m[1], "flag")
 			}
 		}
 	}
-	if broken > 0 {
-		fmt.Printf("doccheck: %d dangling reference(s)\n", broken)
-		os.Exit(1)
-	}
-	fmt.Printf("doccheck: %d Markdown files clean\n", len(mdFiles))
+	return len(mdFiles), broken, nil
 }
 
 // pathClaim decides whether a code-span token claims to be a repo path
@@ -209,17 +225,16 @@ func pathClaim(tok string) (string, bool) {
 	return "", false
 }
 
-// collectCmdFlags gathers every flag name defined by a Go source file
-// under cmdDir. A missing cmd directory yields an empty set (the flag
-// check then reports every documented flag, which is the honest answer
-// for a tree without commands).
-func collectCmdFlags(cmdDir string) (map[string]bool, error) {
-	flags := map[string]bool{}
-	err := filepath.WalkDir(cmdDir, func(path string, d fs.DirEntry, err error) error {
+// collectFlags adds to flags every flag name defined by a non-test Go
+// source under dir. A missing dir adds nothing (the flag check then
+// reports every documented flag, which is the honest answer for a tree
+// without commands).
+func collectFlags(dir string, flags map[string]bool) error {
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
-		if d.IsDir() || !strings.HasSuffix(path, ".go") {
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
 		data, err := os.ReadFile(path)
@@ -232,9 +247,9 @@ func collectCmdFlags(cmdDir string) (map[string]bool, error) {
 		return nil
 	})
 	if os.IsNotExist(err) {
-		return flags, nil
+		return nil
 	}
-	return flags, err
+	return err
 }
 
 func exists(path string) bool {

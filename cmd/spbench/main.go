@@ -90,11 +90,7 @@ import (
 	"os"
 
 	"repro/internal/bench"
-	"repro/internal/engine"
-	"repro/internal/hw"
 	"repro/internal/prof"
-	"repro/internal/serve"
-	"repro/internal/shard"
 )
 
 var experiments = map[string]func(bench.Config) (*bench.Table, error){
@@ -116,173 +112,31 @@ var experiments = map[string]func(bench.Config) (*bench.Table, error){
 }
 
 func main() {
+	cfg := bench.Default()
 	exp := flag.String("experiment", "all", "experiment to run (all or one of fig3..ablation)")
 	iters := flag.Int("iters", 0, "measured iterations per data point (0 = default)")
 	quick := flag.Bool("quick", false, "use the 50x scaled-down configuration")
-	seed := flag.Int64("seed", 42, "random seed")
-	workers := flag.Int("workers", 0, "per-table fan-out parallelism (0 = GOMAXPROCS, 1 = serial)")
-	shards := flag.Int("shards", 1, "scratchpad shards per table (1 = unsharded; results identical at any count; non-LRU policy studies always run unsharded)")
-	topology := flag.String("topology", "single", "shard placement topology ("+hw.TopologyNames+")")
-	placement := flag.String("placement", "stripe", "shard placement policy (stripe|range|loadaware)")
-	coord := flag.String("coord", "exact", "cross-shard coordination protocol ("+shard.CoordModeNames+")")
-	coordOverlap := flag.Bool("coord-overlap", false, "overlap ScratchPipe's distributed coordination with the pipeline (bit-identical plans; shrinks the Plan-stage coordination share)")
-	reshard := flag.String("reshard", "", "elastic reshard schedule (e.g. 200:4,500:8 or load:8; empty = fixed sharding)")
-	failPlan := flag.String("fail", "", "fault schedule for the dynamic-cache engines ("+hw.FaultGrammar+"; empty = no faults)")
-	ckptInterval := flag.Int("ckpt-interval", 0, "priced scratchpad checkpoint flush every N iterations (0 = disabled)")
-	serveMode := flag.Bool("serve", false, "configure the online serving simulation (the serving experiment and the -json serving family)")
-	replicas := flag.Int("replicas", 4, "serving replica workers (with -serve)")
-	router := flag.String("router", "hitaware", "serving router policy: "+serve.PolicyNames+" (with -serve)")
-	arrival := flag.String("arrival", "", "serving arrival process: "+serve.ArrivalGrammar+" (with -serve; empty = poisson default)")
-	serveFail := flag.String("serve-fail", "", "serving fault schedule ("+serve.ServeFaultGrammar+"; with -serve; empty = no faults)")
-	deadline := flag.Float64("deadline", 0, "per-query serving deadline in ms (with -serve; 0 = none)")
-	retry := flag.String("retry", "", "serving client retry policy ("+serve.RetryGrammar+"; with -serve; empty = no retries)")
-	hedge := flag.Float64("hedge", 0, "serving hedged-request delay in ms (with -serve; 0 = no hedging)")
-	admission := flag.String("admission", "", "serving admission control ("+serve.AdmissionGrammar+"; with -serve; empty = admit all)")
-	serveBatch := flag.String("serve-batch", "", "replica-side request batching ("+serve.BatchGrammar+"; with -serve; empty or 1 = no batching)")
+	flag.Int64Var(&cfg.Seed, "seed", cfg.Seed, "random seed")
 	jsonPath := flag.String("json", "", "run the hot-path benchmark and append the measurement to this JSON history file")
 	note := flag.String("note", "", "free-form note recorded with the -json measurement")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (runtime/pprof)")
-	memProfile := flag.String("memprofile", "", "write an allocation profile of the run to this file (runtime/pprof)")
+	finish := cfg.RegisterFlags(flag.CommandLine)
+	startProfiles := prof.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
-	// Validate the knobs here, with one-line errors, rather than deep in
-	// the engine.
-	if *shards < 1 {
-		fmt.Fprintf(os.Stderr, "spbench: -shards %d: shard count must be >= 1\n", *shards)
-		os.Exit(2)
-	}
-	topo, err := hw.ParseTopology(*topology)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "spbench: -topology %q: want %s\n", *topology, hw.TopologyNames)
-		os.Exit(2)
-	}
-	policy, err := hw.ParsePlacementPolicy(*placement)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "spbench: -placement %q: want stripe, range, or loadaware\n", *placement)
-		os.Exit(2)
-	}
-	coordMode, err := shard.ParseCoordMode(*coord)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "spbench: -coord %q: want %s\n", *coord, shard.CoordModeNames)
-		os.Exit(2)
-	}
-	reshardSpec, err := engine.ParseReshardSpec(*reshard)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "spbench: -reshard %q: %v\n", *reshard, err)
-		os.Exit(2)
-	}
-	faults, err := hw.ParseFaultPlan(*failPlan)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "spbench: -fail %q: %v\n", *failPlan, err)
-		os.Exit(2)
-	}
-	if *ckptInterval < 0 {
-		fmt.Fprintf(os.Stderr, "spbench: -ckpt-interval %d: interval must be >= 0\n", *ckptInterval)
-		os.Exit(2)
-	}
-	if faults.Active() {
-		if topo.NumNodes() <= 1 {
-			fmt.Fprintf(os.Stderr, "spbench: -fail needs a multi-host -topology (cluster<H>x<S>), got %q\n", *topology)
-			os.Exit(2)
-		}
-		if err := faults.Validate(topo); err != nil {
-			fmt.Fprintf(os.Stderr, "spbench: -fail %q: %v\n", *failPlan, err)
-			os.Exit(2)
-		}
-	}
-	routerPolicy, err := serve.ParsePolicy(*router)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "spbench: -router %q: want %s\n", *router, serve.PolicyNames)
-		os.Exit(2)
-	}
-	arrivalSpec, err := serve.ParseArrival(*arrival)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "spbench: -arrival %q: want %s\n", *arrival, serve.ArrivalGrammar)
-		os.Exit(2)
-	}
-	if *serveMode && *replicas < 1 {
-		fmt.Fprintf(os.Stderr, "spbench: -replicas %d: serving needs at least one replica\n", *replicas)
-		os.Exit(2)
-	}
-	serveFaults, err := hw.ParseFaultPlan(*serveFail)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "spbench: -serve-fail %q: %v\n", *serveFail, err)
-		os.Exit(2)
-	}
-	retrySpec, err := serve.ParseRetry(*retry)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "spbench: -retry %q: %v\n", *retry, err)
-		os.Exit(2)
-	}
-	admissionSpec, err := serve.ParseAdmission(*admission)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "spbench: -admission %q: %v\n", *admission, err)
-		os.Exit(2)
-	}
-	batchSpec, err := serve.ParseBatch(*serveBatch)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "spbench: -serve-batch %q: %v\n", *serveBatch, err)
-		os.Exit(2)
-	}
-	if *deadline < 0 || *hedge < 0 {
-		fmt.Fprintf(os.Stderr, "spbench: -deadline/-hedge must be >= 0 ms\n")
-		os.Exit(2)
-	}
-	if !*serveMode && (serveFaults.Active() || retrySpec.Active() || admissionSpec.Active() || *deadline > 0 || *hedge > 0 || batchSpec.Enabled()) {
-		fmt.Fprintf(os.Stderr, "spbench: -serve-fail/-deadline/-retry/-hedge/-admission/-serve-batch only apply with -serve\n")
-		os.Exit(2)
-	}
-	if *serveMode {
-		serveTopo := topo
-		if topo.NumNodes() <= 1 {
-			serveTopo = nil
-		}
-		if err := serveFaults.ValidateServe(*replicas, serveTopo); err != nil {
-			fmt.Fprintf(os.Stderr, "spbench: -serve-fail %q: %v\n", *serveFail, err)
-			os.Exit(2)
-		}
-	}
-
-	cfg := bench.Default()
 	configName := "full"
 	if *quick {
-		cfg = bench.Quick()
-		configName = "quick"
+		q := bench.Quick()
+		cfg.Model, cfg.Iters, configName = q.Model, q.Iters, "quick"
 	}
 	if *iters > 0 {
 		cfg.Iters = *iters
 	}
-	cfg.Seed = *seed
-	cfg.Workers = *workers
-	cfg.Shards = *shards
-	// The coordination protocol applies even co-located (batched/hier
-	// exercise the candidate-batch machinery at zero modeled cost, which
-	// is how their figures are diff-verified bit-identical to exact;
-	// approx changes eviction order regardless of placement).
-	cfg.Coord = coordMode
-	cfg.CoordOverlap = *coordOverlap
-	cfg.Reshard = reshardSpec
-	cfg.Faults = faults
-	cfg.CkptInterval = *ckptInterval
-	if topo.NumNodes() > 1 {
-		cfg.Topology = topo
-		cfg.Placement = policy
-	}
-	if *serveMode {
-		cfg.Serve = serve.Options{
-			Replicas:  *replicas,
-			Router:    routerPolicy,
-			Arrival:   arrivalSpec,
-			Faults:    serveFaults,
-			Deadline:  *deadline * 1e-3,
-			Retry:     retrySpec,
-			Hedge:     *hedge * 1e-3,
-			Admission: admissionSpec,
-			Batch:     batchSpec,
-		}
+	if err := finish(); err != nil {
+		fmt.Fprintln(os.Stderr, "spbench:", err)
+		os.Exit(2)
 	}
 
-	stopProfiles, err := prof.Start(*cpuProfile, *memProfile)
+	stopProfiles, err := startProfiles()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "spbench:", err)
 		os.Exit(2)
@@ -324,7 +178,7 @@ func main() {
 		}
 		shape := ""
 		if res.Topology != "" {
-			shape = fmt.Sprintf(", topology=%s, placement=%s, coord=%s", res.Topology, res.Placement, coordMode)
+			shape = fmt.Sprintf(", topology=%s, placement=%s, coord=%s", res.Topology, res.Placement, cfg.Coord)
 		}
 		coordLine := ""
 		if res.CoordRounds > 0 {

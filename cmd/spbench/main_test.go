@@ -97,3 +97,35 @@ func TestQuickGolden(t *testing.T) {
 		})
 	}
 }
+
+// TestBadInput checks that bad run flags exit with status 2 and a
+// one-line error naming the flag, never a panic or a run.
+func TestBadInput(t *testing.T) {
+	for _, c := range []struct{ flag, args string }{
+		{"shards", "-shards -1"},
+		{"topology", "-topology bogus"},
+		{"fail", "-fail host1@5"},
+		{"deadline", "-deadline -1"},
+		{"serve-fail", "-serve -serve-fail replica9@0.1"},
+		{"router", "-router random"},
+	} {
+		t.Run(c.flag, func(t *testing.T) {
+			args := append([]string{"-quick", "-experiment", "fig6classes"}, strings.Fields(c.args)...)
+			cmd := exec.Command(os.Args[0], args...)
+			cmd.Env = append(os.Environ(), runMainEnv+"=1")
+			var stderr bytes.Buffer
+			cmd.Stderr = &stderr
+			err := cmd.Run()
+			if code := cmd.ProcessState.ExitCode(); code != 2 {
+				t.Fatalf("spbench %s: exit %d (%v), want 2\n%s", c.args, code, err, stderr.Bytes())
+			}
+			first, _, _ := strings.Cut(stderr.String(), "\n")
+			if !strings.Contains(first, "-"+c.flag) {
+				t.Errorf("spbench %s: first stderr line %q does not name -%s", c.args, first, c.flag)
+			}
+			if s := stderr.String(); strings.Contains(s, "panic") || strings.Contains(s, "goroutine") {
+				t.Errorf("spbench %s: stderr has a panic:\n%s", c.args, s)
+			}
+		})
+	}
+}

@@ -24,13 +24,15 @@ func main() {
 	model.TopHidden = []int{64, 32}
 
 	cfg := scratchpipe.Config{
-		Engine:     scratchpipe.KindScratchPipe,
-		Model:      model,
-		Class:      scratchpipe.High,
-		CacheFrac:  0.05,
-		Optimizer:  scratchpipe.OptAdagrad,
-		Functional: true,
-		Seed:       4,
+		EnvConfig: scratchpipe.EnvConfig{
+			Model:      model,
+			Class:      scratchpipe.High,
+			Optimizer:  scratchpipe.OptAdagrad,
+			Functional: true,
+			Seed:       4,
+		},
+		Engine:    scratchpipe.KindScratchPipe,
+		CacheFrac: 0.05,
 	}
 
 	tr, err := scratchpipe.NewTrainer(cfg)

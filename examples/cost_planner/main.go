@@ -31,10 +31,9 @@ func main() {
 
 	for _, kind := range scratchpipe.Kinds {
 		tr, err := scratchpipe.NewTrainer(scratchpipe.Config{
+			EnvConfig: scratchpipe.EnvConfig{Class: class, Seed: 7},
 			Engine:    kind,
-			Class:     class,
 			CacheFrac: *cacheFrac,
-			Seed:      7,
 		})
 		if err != nil {
 			log.Fatalf("%s: %v", kind, err)

@@ -78,17 +78,19 @@ func main() {
 		for _, coord := range coords {
 			for _, ckpt := range ckptIntervals {
 				tr, err := scratchpipe.NewTrainer(scratchpipe.Config{
-					Engine:       scratchpipe.KindScratchPipe,
-					Model:        model,
-					Class:        class,
-					CacheFrac:    *cacheFrac,
-					Functional:   false,
-					Seed:         7,
-					Shards:       4,
-					Topology:     topo,
-					Coord:        coord,
-					Faults:       plan,
-					CkptInterval: ckpt,
+					EnvConfig: scratchpipe.EnvConfig{
+						Model:        model,
+						Class:        class,
+						Functional:   false,
+						Seed:         7,
+						Shards:       4,
+						Topology:     topo,
+						Coord:        coord,
+						Faults:       plan,
+						CkptInterval: ckpt,
+					},
+					Engine:    scratchpipe.KindScratchPipe,
+					CacheFrac: *cacheFrac,
 				})
 				if err != nil {
 					log.Fatalf("%s/%s/ckpt=%d: %v", fp.name, coord, ckpt, err)

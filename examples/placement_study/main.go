@@ -52,15 +52,17 @@ func main() {
 			}
 		}
 		tr, err := scratchpipe.NewTrainer(scratchpipe.Config{
+			EnvConfig: scratchpipe.EnvConfig{
+				Model:     model,
+				Class:     class,
+				Shards:    shards,
+				Topology:  topo,
+				Placement: policy,
+				Coord:     mode,
+				Seed:      42,
+			},
 			Engine:    scratchpipe.KindScratchPipe,
-			Model:     model,
-			Class:     class,
 			CacheFrac: 0.02,
-			Shards:    shards,
-			Topology:  topo,
-			Placement: policy,
-			Coord:     mode,
-			Seed:      42,
 		})
 		if err != nil {
 			log.Fatalf("%s/%s/%s/S=%d: %v", topoName, policy, mode, shards, err)

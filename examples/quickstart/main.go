@@ -25,12 +25,9 @@ func main() {
 
 	run := func(kind scratchpipe.Kind) *scratchpipe.Report {
 		tr, err := scratchpipe.NewTrainer(scratchpipe.Config{
-			Engine:     kind,
-			Model:      model,
-			Class:      scratchpipe.Medium,
-			CacheFrac:  0.05,
-			Functional: true,
-			Seed:       1,
+			EnvConfig: scratchpipe.EnvConfig{Model: model, Class: scratchpipe.Medium, Functional: true, Seed: 1},
+			Engine:    kind,
+			CacheFrac: 0.05,
 		})
 		if err != nil {
 			log.Fatalf("%s: %v", kind, err)

@@ -59,19 +59,21 @@ func main() {
 			log.Fatal(err)
 		}
 		tr, err := scratchpipe.NewTrainer(scratchpipe.Config{
-			Engine:    scratchpipe.KindScratchPipe,
-			Model:     model,
-			Class:     class,
-			CacheFrac: 0.02,
-			Topology:  topo,
-			Seed:      42,
-			Serve: scratchpipe.ServeOptions{
-				Replicas: replicas,
-				Router:   scratchpipe.RouterTelemetry,
-				Arrival:  spec,
-				Requests: *requests,
-				Batch:    batch,
+			EnvConfig: scratchpipe.EnvConfig{
+				Model:    model,
+				Class:    class,
+				Topology: topo,
+				Seed:     42,
+				Serve: scratchpipe.ServeOptions{
+					Replicas: replicas,
+					Router:   scratchpipe.RouterTelemetry,
+					Arrival:  spec,
+					Requests: *requests,
+					Batch:    batch,
+				},
 			},
+			Engine:    scratchpipe.KindScratchPipe,
+			CacheFrac: 0.02,
 		})
 		if err != nil {
 			log.Fatalf("%s/batch=%v: %v", arrival, batch, err)

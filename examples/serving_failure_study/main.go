@@ -88,13 +88,9 @@ func main() {
 			opts(&serve)
 		}
 		tr, err := scratchpipe.NewTrainer(scratchpipe.Config{
+			EnvConfig: scratchpipe.EnvConfig{Model: model, Class: class, Topology: topo, Seed: 42, Serve: serve},
 			Engine:    scratchpipe.KindScratchPipe,
-			Model:     model,
-			Class:     class,
 			CacheFrac: 0.02,
-			Topology:  topo,
-			Seed:      42,
-			Serve:     serve,
 		})
 		if err != nil {
 			log.Fatalf("faults %q: %v", faultPlan, err)

@@ -58,18 +58,20 @@ func main() {
 			log.Fatal(err)
 		}
 		tr, err := scratchpipe.NewTrainer(scratchpipe.Config{
-			Engine:    scratchpipe.KindScratchPipe,
-			Model:     model,
-			Class:     class,
-			CacheFrac: 0.02,
-			Topology:  topo,
-			Seed:      42,
-			Serve: scratchpipe.ServeOptions{
-				Replicas: replicas,
-				Router:   router,
-				Arrival:  spec,
-				Requests: *requests,
+			EnvConfig: scratchpipe.EnvConfig{
+				Model:    model,
+				Class:    class,
+				Topology: topo,
+				Seed:     42,
+				Serve: scratchpipe.ServeOptions{
+					Replicas: replicas,
+					Router:   router,
+					Arrival:  spec,
+					Requests: *requests,
+				},
 			},
+			Engine:    scratchpipe.KindScratchPipe,
+			CacheFrac: 0.02,
 		})
 		if err != nil {
 			log.Fatalf("%s/%s/R=%d: %v", topoName, router, replicas, err)

@@ -17,73 +17,22 @@ import (
 	"repro/internal/dlrm"
 	"repro/internal/engine"
 	"repro/internal/hw"
-	"repro/internal/serve"
-	"repro/internal/shard"
 	"repro/internal/trace"
 )
 
-// Config parameterizes a benchmark run.
+// Config parameterizes a benchmark run: the run spec every data point's
+// environment starts from, and the iteration count. Model is the RecSys
+// configuration every experiment starts from; each data point sets its
+// own Model, Class and Functional (metadata mode). Every other knob
+// applies to every data point: the scale-out knobs (Workers, Shards,
+// Topology, Placement, Coord, CoordOverlap, Reshard, Faults,
+// CkptInterval) to each dynamic-cache run, and Serve to the
+// ServingFrontier experiment and the hotpath serving family.
 type Config struct {
-	// Model is the RecSys configuration every experiment starts from.
-	Model dlrm.Config
-	// System is the hardware model.
-	System hw.System
+	engine.EnvConfig
 	// Iters is the number of measured training iterations per data
 	// point (pipeline fill cycles are excluded automatically).
 	Iters int
-	// Seed drives all randomness.
-	Seed int64
-	// Workers bounds the per-table fan-out parallelism of every engine
-	// (0 = GOMAXPROCS, 1 = serial). Simulated results are bit-identical
-	// at any worker count.
-	Workers int
-	// Shards partitions every table's scratchpad control plane across
-	// socket shards (0/1 = unsharded; see internal/shard). Simulated
-	// results are identical at any shard count.
-	Shards int
-	// Topology places the shards on a platform graph and Placement
-	// picks the shard-to-node policy (stripe/range/loadaware): the
-	// shard coordinator's traffic is then priced on the crossed links.
-	// nil topology co-locates everything at zero cost, keeping every
-	// figure bit-identical to the unplaced tree.
-	Topology  *hw.Topology
-	Placement hw.PlacementPolicy
-	// Coord selects the cross-shard coordination protocol
-	// (exact|batched|hier|approx; see internal/shard). Exact, batched,
-	// and hier produce identical simulated tables; approx may diverge
-	// and the reports carry the measured divergence.
-	Coord shard.CoordMode
-	// CoordOverlap overlaps each ScratchPipe run's distributed
-	// coordination with the pipeline (engine.ScratchPipeOptions
-	// .CoordOverlap): plans and cache statistics are unchanged, the
-	// critical coordination share charged to [Plan] shrinks. A no-op
-	// for every other engine and under co-located placement.
-	CoordOverlap bool
-	// Reshard schedules run-time shard-count transitions for the
-	// dynamic-cache engines mid-run (engine.ReshardSpec): every data
-	// point's strawman and ScratchPipe runs then migrate their live
-	// scratchpad state per the schedule, with the migrated bytes priced
-	// on Topology. Plans and cache statistics are preserved exactly (a
-	// same-S schedule leaves every table bit-identical); timing columns
-	// shift only as far as the new shard count's cross-node
-	// coordination does, exactly as a static Shards change would.
-	Reshard engine.ReshardSpec
-	// Faults schedules deterministic fault injection for every data
-	// point's dynamic-cache runs (hw.FaultPlan, the -fail grammar):
-	// host deaths evacuate shards mid-sweep, link faults degrade
-	// coordination, aggregator losses re-elect — all priced into the
-	// reports' Downtime/RecoveryTime/Availability. The zero plan
-	// changes nothing.
-	Faults hw.FaultPlan
-	// CkptInterval prices a periodic scratchpad checkpoint flush every
-	// this many iterations (0 disables); with faults it buys
-	// checkpoint-restored residency at the flush cost.
-	CkptInterval int
-	// Serve configures the online serving simulation (internal/serve):
-	// replicas, router policy, arrival process. The zero value keeps
-	// serving off; active options power the ServingFrontier experiment
-	// and the hotpath serving family.
-	Serve serve.Options
 }
 
 // Default returns the paper's §V methodology configuration. Iters must
@@ -91,10 +40,8 @@ type Config struct {
 // caches are prewarmed so a modest window suffices.
 func Default() Config {
 	return Config{
-		Model:  dlrm.DefaultConfig(),
-		System: hw.DefaultSystem(),
-		Iters:  16,
-		Seed:   42,
+		EnvConfig: engine.EnvConfig{Model: dlrm.DefaultConfig(), System: hw.DefaultSystem(), Seed: 42},
+		Iters:     16,
 	}
 }
 
@@ -175,22 +122,9 @@ func x2(x float64) string { return fmt.Sprintf("%.2fx", x) }
 // stream from batch 0, generated once, and the dynamic engines reset the
 // scratchpads the previous fork retired instead of rebuilding them.
 func newEnv(cfg Config, model dlrm.Config, class trace.Class) (*engine.Env, error) {
-	return engine.NewEnv(engine.EnvConfig{
-		Model:        model,
-		System:       cfg.System,
-		Class:        class,
-		Seed:         cfg.Seed,
-		Functional:   false,
-		Workers:      cfg.Workers,
-		Shards:       cfg.Shards,
-		Topology:     cfg.Topology,
-		Placement:    cfg.Placement,
-		Coord:        cfg.Coord,
-		Reshard:      cfg.Reshard,
-		Faults:       cfg.Faults,
-		CkptInterval: cfg.CkptInterval,
-		Serve:        cfg.Serve,
-	})
+	env := cfg.EnvConfig
+	env.Model, env.Class, env.Functional = model, class, false
+	return engine.NewEnv(env)
 }
 
 // runEngine runs n iterations of an engine built over a new fork of env,
@@ -220,9 +154,9 @@ func buildStrawMan(frac float64) func(*engine.Env) (engine.Engine, error) {
 	return func(env *engine.Env) (engine.Engine, error) { return engine.NewStrawMan(env, frac, "lru") }
 }
 
-func buildScratchPipe(frac float64, overlap bool) func(*engine.Env) (engine.Engine, error) {
+func buildScratchPipe(frac float64) func(*engine.Env) (engine.Engine, error) {
 	return func(env *engine.Env) (engine.Engine, error) {
-		return engine.NewScratchPipe(env, engine.ScratchPipeOptions{CacheFrac: frac, CoordOverlap: overlap})
+		return engine.NewScratchPipe(env, engine.ScratchPipeOptions{CacheFrac: frac})
 	}
 }
 

@@ -39,7 +39,7 @@ func freshFigure13(cfg Config) ([]SpeedupPoint, error) {
 			if err != nil {
 				return nil, err
 			}
-			sp, err := run(class, buildScratchPipe(frac, cfg.CoordOverlap))
+			sp, err := run(class, buildScratchPipe(frac))
 			if err != nil {
 				return nil, err
 			}

@@ -57,7 +57,7 @@ func Figure12b(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		for _, frac := range CacheFracs {
-			rep, err := runEngine(env, cfg.Iters, buildScratchPipe(frac, cfg.CoordOverlap))
+			rep, err := runEngine(env, cfg.Iters, buildScratchPipe(frac))
 			if err != nil {
 				return nil, err
 			}
@@ -137,7 +137,7 @@ func CollectFigure13(cfg Config) ([]SpeedupPoint, error) {
 			if err != nil {
 				return nil, err
 			}
-			sp, err := runEngine(env, cfg.Iters, buildScratchPipe(frac, cfg.CoordOverlap))
+			sp, err := runEngine(env, cfg.Iters, buildScratchPipe(frac))
 			if err != nil {
 				return nil, err
 			}
@@ -215,7 +215,7 @@ func Figure14(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		sp, err := runEngine(env, cfg.Iters, buildScratchPipe(0.02, cfg.CoordOverlap))
+		sp, err := runEngine(env, cfg.Iters, buildScratchPipe(0.02))
 		if err != nil {
 			return nil, err
 		}
@@ -283,7 +283,7 @@ func addSweepRow(tab *Table, cfg Config, model dlrm.Config, class trace.Class, l
 	if err != nil {
 		return err
 	}
-	sp, err := runEngine(env, cfg.Iters, buildScratchPipe(frac, cfg.CoordOverlap))
+	sp, err := runEngine(env, cfg.Iters, buildScratchPipe(frac))
 	if err != nil {
 		return err
 	}

@@ -22,7 +22,7 @@ func TableI(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		sp, err := runEngine(env, cfg.Iters, buildScratchPipe(0.02, cfg.CoordOverlap))
+		sp, err := runEngine(env, cfg.Iters, buildScratchPipe(0.02))
 		if err != nil {
 			return nil, err
 		}
@@ -61,7 +61,7 @@ func OverheadStudy(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		for _, frac := range []float64{0.02, 0.10} {
-			rep, err := runEngine(env, cfg.Iters, buildScratchPipe(frac, cfg.CoordOverlap))
+			rep, err := runEngine(env, cfg.Iters, buildScratchPipe(frac))
 			if err != nil {
 				return nil, err
 			}
@@ -118,7 +118,7 @@ func SensitivityExtra(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep, err := runEngine(env, cfg.Iters, buildScratchPipe(0.02, cfg.CoordOverlap))
+		rep, err := runEngine(env, cfg.Iters, buildScratchPipe(0.02))
 		if err != nil {
 			return nil, err
 		}
@@ -133,7 +133,7 @@ func SensitivityExtra(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		sp, err := runEngine(env, cfg.Iters, buildScratchPipe(0.02, cfg.CoordOverlap))
+		sp, err := runEngine(env, cfg.Iters, buildScratchPipe(0.02))
 		if err != nil {
 			return nil, err
 		}
@@ -165,7 +165,7 @@ func AblationWindows(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		tab.AddRow("strawman (no pipeline)", class.String(), ms(sm.IterTime), fmt.Sprintf("%d", sm.ReservePeak), "stage sum")
-		sp, err := runEngine(env, cfg.Iters, buildScratchPipe(0.02, cfg.CoordOverlap))
+		sp, err := runEngine(env, cfg.Iters, buildScratchPipe(0.02))
 		if err != nil {
 			return nil, err
 		}

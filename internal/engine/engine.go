@@ -28,7 +28,10 @@
 //     [Env.Fork] — a child that replays the stream from batch 0 with
 //     its own topology copy — and [Env.Close] the child after its run,
 //     so the next fork's dynamic engines reset its scratchpads instead
-//     of rebuilding them.
+//     of rebuilding them. EnvConfig is also the commands' run spec:
+//     [EnvConfig.RegisterFlags] declares the flags spbench, dlrmtrain
+//     and benchgate share, and [EnvConfig.Validate] is the one check
+//     behind both NewEnv and those flags.
 //   - The two dynamic-cache engines (StrawMan, ScratchPipe) share
 //     dynamicState: per-table shard.Manager control planes, the five
 //     stage implementations with their timing formulas, and the
@@ -113,6 +116,19 @@ type EnvConfig struct {
 	// CoordQuantum is approx mode's recency quantum in clock ticks
 	// (0 selects the shard package default; 1 makes approx exact).
 	CoordQuantum int
+	// CoordOverlap pipelines ScratchPipe's distributed coordination with
+	// the cycle: after each cycle retires, every table's shard manager
+	// speculatively resolves the NEXT Plan's eviction candidates against
+	// a snapshot of its stamp clock (shard.Manager.SpeculatePlan), so
+	// when that Plan runs it only waits for the non-speculable
+	// confirm/transfer rounds. A snapshot invalidated by resharding,
+	// faults, or a mis-projected release rolls back and the Plan replays
+	// the sweep from scratch — plans, traffic counters, and total
+	// coordination Seconds are bit-identical either way; only the
+	// critical share charged to the [Plan] stage shrinks (DESIGN.md §12).
+	// Only the ScratchPipe engine reads it, and it has no effect under
+	// co-located placement or Shards == 1.
+	CoordOverlap bool
 	// Reshard schedules run-time shard-count transitions for the
 	// dynamic-cache engines (strawman/ScratchPipe; the static and
 	// hybrid engines have no dynamic scratchpad and ignore it): static
@@ -192,45 +208,14 @@ type managerPool struct {
 	list []*shard.Manager
 }
 
-// NewEnv materializes an environment from cfg.
+// NewEnv materializes an environment from cfg, which must pass
+// [EnvConfig.Validate].
 func NewEnv(cfg EnvConfig) (*Env, error) {
-	if err := cfg.Model.Validate(); err != nil {
-		return nil, err
-	}
-	if err := cfg.System.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("engine: Shards %d < 0", cfg.Shards)
-	}
-	if _, err := hw.ParsePlacementPolicy(string(cfg.Placement)); err != nil {
-		return nil, err
-	}
-	if _, err := shard.ParseCoordMode(string(cfg.Coord)); err != nil {
-		return nil, err
-	}
-	if cfg.CoordQuantum < 0 {
-		return nil, fmt.Errorf("engine: CoordQuantum %d < 0", cfg.CoordQuantum)
-	}
-	if err := cfg.Reshard.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Topology != nil {
-		if err := cfg.Topology.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.CkptInterval < 0 {
-		return nil, fmt.Errorf("engine: CkptInterval %d < 0", cfg.CkptInterval)
-	}
-	if err := cfg.Serve.Validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	srcTopo := cfg.Topology
 	if cfg.Faults.Active() {
-		if err := cfg.Faults.Validate(cfg.Topology); err != nil {
-			return nil, err
-		}
 		// The engines mutate the topology while applying fault events;
 		// a private clone keeps the caller's graph pristine.
 		cfg.Topology = cfg.Topology.Clone()

@@ -12,11 +12,12 @@ import (
 	"repro/internal/trace"
 )
 
-// runOverlapSP builds and runs a ScratchPipe over env with the given
-// options.
-func runOverlapSP(t *testing.T, env *Env, opts ScratchPipeOptions, iters int) *Report {
+// runOverlapSP builds and runs a 2% ScratchPipe over env, with env's
+// CoordOverlap knob set to overlap.
+func runOverlapSP(t *testing.T, env *Env, overlap bool, iters int) *Report {
 	t.Helper()
-	eng, err := NewScratchPipe(env, opts)
+	env.Cfg.CoordOverlap = overlap
+	eng, err := NewScratchPipe(env, ScratchPipeOptions{CacheFrac: 0.02})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,9 +47,9 @@ func TestOverlapReportEquivalence(t *testing.T) {
 		mode := mode
 		t.Run(string(mode), func(t *testing.T) {
 			base := runOverlapSP(t, coordEnv(t, model, shards, mode, 0),
-				ScratchPipeOptions{CacheFrac: 0.02}, iters)
+				false, iters)
 			over := runOverlapSP(t, coordEnv(t, model, shards, mode, 0),
-				ScratchPipeOptions{CacheFrac: 0.02, CoordOverlap: true}, iters)
+				true, iters)
 
 			if over.Hits != base.Hits || over.Misses != base.Misses ||
 				over.Fills != base.Fills || over.Evictions != base.Evictions ||
@@ -133,9 +134,9 @@ func TestOverlapColocatedIdentical(t *testing.T) {
 	model.BatchSize = 128
 
 	base := runOverlapSP(t, metaEnv(t, model, trace.Medium, 4),
-		ScratchPipeOptions{CacheFrac: 0.02}, 20)
+		false, 20)
 	over := runOverlapSP(t, metaEnv(t, model, trace.Medium, 4),
-		ScratchPipeOptions{CacheFrac: 0.02, CoordOverlap: true}, 20)
+		true, 20)
 	if over.Overlap != (shard.OverlapStats{}) {
 		t.Fatalf("co-located run attempted speculation: %+v", over.Overlap)
 	}
@@ -175,7 +176,7 @@ func TestOverlapWithFaultsStaysEquivalent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return runOverlapSP(t, env, ScratchPipeOptions{CacheFrac: 0.02, CoordOverlap: overlap}, iters)
+		return runOverlapSP(t, env, overlap, iters)
 	}
 
 	base := mk(false)

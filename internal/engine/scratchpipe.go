@@ -61,18 +61,6 @@ type ScratchPipeOptions struct {
 	// (table-wise parallelism reorders no float operation). Zero
 	// selects the paper's single-GPU design.
 	NumGPUs int
-	// CoordOverlap pipelines distributed coordination with the cycle:
-	// after each cycle retires, every table's shard manager speculatively
-	// resolves the NEXT Plan's eviction candidates against a snapshot of
-	// its stamp clock (shard.Manager.SpeculatePlan), so when that Plan
-	// runs it only waits for the non-speculable confirm/transfer rounds.
-	// A snapshot invalidated by resharding, faults, or a mis-projected
-	// release rolls back and the Plan replays the sweep from scratch —
-	// plans, traffic counters, and total coordination Seconds are
-	// bit-identical either way; only the critical share charged to the
-	// [Plan] stage shrinks (DESIGN.md §12). No effect under co-located
-	// placement or Shards == 1.
-	CoordOverlap bool
 }
 
 func (o *ScratchPipeOptions) applyDefaults() {
@@ -315,7 +303,7 @@ func (s *ScratchPipe) Run(n int) (*Report, error) {
 // goroutine only reads the job plus each manager's own state, which
 // nothing else touches until joinSpec.
 func (s *ScratchPipe) maybeSpeculate(job *spJob) {
-	if !s.opts.CoordOverlap || job == nil {
+	if !s.env.Cfg.CoordOverlap || job == nil {
 		return
 	}
 	d := s.dyn

@@ -7,11 +7,21 @@
 package prof
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
 )
+
+// RegisterFlags registers -cpuprofile and -memprofile on fs. Call the
+// returned start after fs.Parse, where the work to profile begins; it
+// is Start over the two flags' paths.
+func RegisterFlags(fs *flag.FlagSet) (start func() (stop func() error, err error)) {
+	cpu := fs.String("cpuprofile", "", "write a CPU profile of the run to this file (runtime/pprof)")
+	mem := fs.String("memprofile", "", "write an allocation profile of the run to this file (runtime/pprof)")
+	return func() (func() error, error) { return Start(*cpu, *mem) }
+}
 
 // Start creates the profile files named by the non-empty paths and
 // starts the CPU profile. The returned stop ends the CPU profile and

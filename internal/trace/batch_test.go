@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"testing"
 )
 
@@ -160,61 +159,6 @@ func TestLoaderPeekBounds(t *testing.T) {
 		}
 	}()
 	l.Peek(2)
-}
-
-func TestTraceRoundTrip(t *testing.T) {
-	g, err := NewGenerator(testGenConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var batches []*Batch
-	for i := 0; i < 4; i++ {
-		batches = append(batches, g.Next())
-	}
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, 5000, batches); err != nil {
-		t.Fatal(err)
-	}
-	h, got, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.NumTables != 3 || h.NumBatches != 4 || h.RowsPerTable != 5000 {
-		t.Fatalf("header %+v", h)
-	}
-	for i := range batches {
-		for tt := range batches[i].Tables {
-			for j := range batches[i].Tables[tt] {
-				if batches[i].Tables[tt][j] != got[i].Tables[tt][j] {
-					t.Fatalf("batch %d table %d id %d differs after round trip", i, tt, j)
-				}
-			}
-		}
-	}
-	// Cycling source replays with fresh sequence numbers.
-	src, err := NewSliceSource(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		b := src.Next()
-		if b.Seq != i {
-			t.Fatalf("replay seq %d, want %d", b.Seq, i)
-		}
-		orig := batches[i%4]
-		if b.Tables[0][0] != orig.Tables[0][0] {
-			t.Fatalf("replay %d does not match original", i)
-		}
-	}
-}
-
-func TestReadTraceCorrupt(t *testing.T) {
-	if _, _, err := ReadTrace(bytes.NewReader([]byte("NOTATRACE"))); err == nil {
-		t.Error("bad magic accepted")
-	}
-	if _, _, err := ReadTrace(bytes.NewReader(nil)); err == nil {
-		t.Error("empty input accepted")
-	}
 }
 
 func TestDatasetsAndHistogram(t *testing.T) {

@@ -4,7 +4,7 @@
 //
 // Quick start:
 //
-//	cfg := scratchpipe.Config{Class: scratchpipe.High, Functional: true}
+//	cfg := scratchpipe.Config{EnvConfig: scratchpipe.EnvConfig{Class: scratchpipe.High, Functional: true}}
 //	tr, err := scratchpipe.NewTrainer(cfg)
 //	...
 //	rep, err := tr.Train(100)
@@ -281,99 +281,26 @@ const (
 // Report summarizes a training run (see engine.Report for field docs).
 type Report = engine.Report
 
-// Config assembles one training setup.
+// EnvConfig is the run spec: model, platform, trace class, seed and the
+// scale-out, fault and serving knobs (see engine.EnvConfig for field
+// docs). Its zero Model and System select DefaultModel() and
+// DefaultSystem() when a Trainer is built.
+type EnvConfig = engine.EnvConfig
+
+// Config assembles one training setup: the run spec plus the choice of
+// engine and its cache.
 type Config struct {
+	EnvConfig
 	// Engine picks the design point; empty selects KindScratchPipe.
 	Engine Kind
-	// Model is the DLRM configuration; the zero value selects
-	// DefaultModel().
-	Model ModelConfig
-	// System is the hardware model; the zero value selects
-	// DefaultSystem().
-	System SystemConfig
-	// Class is the trace locality class (default Random).
-	Class Class
 	// CacheFrac sizes the GPU embedding cache as a fraction of each CPU
 	// table for the cached engines; 0 selects the paper's headline 2%.
 	CacheFrac float64
 	// Policy is the dynamic-cache replacement policy (default LRU).
+	// Shards > 1 requires LRU.
 	Policy PolicyKind
 	// Parallel runs ScratchPipe's pipeline stages in goroutines.
 	Parallel bool
-	// Functional executes real float32 training (needed for losses and
-	// model state); metadata-only simulation otherwise.
-	Functional bool
-	// Optimizer selects the embedding optimizer (default SGD, the
-	// paper's choice; Adagrad adds per-row state that the scratchpad
-	// keeps coherent through the same prefetch/write-back pipeline).
-	Optimizer OptimizerKind
-	// Seed drives all randomness (traces, init, policies).
-	Seed int64
-	// Workers bounds the host-side per-table fan-out parallelism of the
-	// simulator (tables are independent): 0 selects GOMAXPROCS, 1 the
-	// serial path. Simulated stats and functional results are
-	// bit-identical at any worker count.
-	Workers int
-	// Shards partitions each table's scratchpad control plane across
-	// socket shards (hash-partitioned ID space with cross-shard
-	// eviction-budget coordination; see internal/shard). 0 and 1 select
-	// the unsharded planner; simulated stats and functional results are
-	// identical at any shard count. Shards > 1 requires the LRU policy.
-	Shards int
-	// Topology places the shards on a platform graph (hw.ParseTopology
-	// names one: "numa2", "pcie4", "cluster2x2", ...); the shard
-	// coordinator's victim-merge, touch-stamp, and borrow traffic is
-	// then charged to the links the placement crosses and surfaces as
-	// Report.CoordTime. nil co-locates all shards at zero cost.
-	Topology *Topology
-	// Placement selects the shard-to-node policy: stripe (default),
-	// range, or loadaware. Placement affects only modeled coordination
-	// latency, never plans, statistics, or training results.
-	Placement PlacementPolicy
-	// Coord selects the cross-shard coordination protocol: exact
-	// (default), batched, hier, or approx. Exact, batched, and hier
-	// produce identical plans, statistics, and training results —
-	// batching and the host tier only cut coordination rounds; approx
-	// may change eviction behaviour and reports the measured divergence
-	// in Report.CoordDivergence.
-	Coord CoordMode
-	// CoordQuantum is approx mode's recency quantum in clock ticks
-	// (0 = the shard package default; 1 makes approx exact).
-	CoordQuantum int
-	// CoordOverlap overlaps distributed coordination with the pipeline
-	// (ScratchPipe engine only): the coordinator speculatively resolves
-	// the next Plan's eviction candidates against a stamp-clock snapshot
-	// while the current cycle runs, rolling back and replaying on any
-	// mismatch. Plans, statistics, and training results are bit-identical
-	// with the flag off; only the critical coordination share charged to
-	// the Plan stage shrinks. A no-op co-located or unsharded.
-	CoordOverlap bool
-	// Reshard schedules run-time shard-count transitions for the
-	// dynamic-cache engines (strawman/scratchpipe): the live scratchpad
-	// state migrates between Plans — plans, statistics, and functional
-	// training results are preserved exactly — and the migrated bytes
-	// are priced on Topology, surfacing as Report.MigrationTime. The
-	// zero spec disables elasticity; schedules reaching more than one
-	// shard require the LRU policy.
-	Reshard ReshardSpec
-	// Faults schedules deterministic fault injection for the
-	// dynamic-cache engines (ParseFaultPlan's -fail grammar): host
-	// deaths evacuate their shards to surviving hosts, link partitions
-	// degrade coordination to the approx protocol until heal, and
-	// aggregator losses trigger priced re-elections. The recovery bill
-	// surfaces as Report.Downtime / RecoveryTime / LostResidency /
-	// Availability. An active plan requires a multi-host Topology; the
-	// zero plan changes nothing.
-	Faults FaultPlan
-	// CkptInterval prices a periodic scratchpad checkpoint flush every
-	// this many iterations (0 disables): a host death then restores
-	// residency from the last flush (Report.CheckpointTime carries the
-	// flush cost) instead of dropping it cold.
-	CkptInterval int
-	// Serve configures the online serving simulation (Trainer.Serve):
-	// replicas, router, arrival process. The zero value keeps serving
-	// off and never perturbs training.
-	Serve ServeOptions
 }
 
 func (c *Config) applyDefaults() {
@@ -404,24 +331,7 @@ type Trainer struct {
 // NewTrainer builds a training setup from cfg.
 func NewTrainer(cfg Config) (*Trainer, error) {
 	cfg.applyDefaults()
-	env, err := engine.NewEnv(engine.EnvConfig{
-		Model:        cfg.Model,
-		System:       cfg.System,
-		Class:        cfg.Class,
-		Seed:         cfg.Seed,
-		Functional:   cfg.Functional,
-		Optimizer:    cfg.Optimizer,
-		Workers:      cfg.Workers,
-		Shards:       cfg.Shards,
-		Topology:     cfg.Topology,
-		Placement:    cfg.Placement,
-		Coord:        cfg.Coord,
-		CoordQuantum: cfg.CoordQuantum,
-		Reshard:      cfg.Reshard,
-		Faults:       cfg.Faults,
-		CkptInterval: cfg.CkptInterval,
-		Serve:        cfg.Serve,
-	})
+	env, err := engine.NewEnv(cfg.EnvConfig)
 	if err != nil {
 		return nil, err
 	}
@@ -435,10 +345,9 @@ func NewTrainer(cfg Config) (*Trainer, error) {
 		eng, err = engine.NewStrawMan(env, cfg.CacheFrac, cfg.Policy)
 	case KindScratchPipe:
 		eng, err = engine.NewScratchPipe(env, engine.ScratchPipeOptions{
-			CacheFrac:    cfg.CacheFrac,
-			Policy:       cfg.Policy,
-			Parallel:     cfg.Parallel,
-			CoordOverlap: cfg.CoordOverlap,
+			CacheFrac: cfg.CacheFrac,
+			Policy:    cfg.Policy,
+			Parallel:  cfg.Parallel,
 		})
 	case KindMultiGPU:
 		eng, err = engine.NewMultiGPU(env)

@@ -17,7 +17,7 @@ func smallModel() ModelConfig {
 }
 
 func TestNewTrainerDefaults(t *testing.T) {
-	tr, err := NewTrainer(Config{Model: smallModel()})
+	tr, err := NewTrainer(Config{EnvConfig: EnvConfig{Model: smallModel()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,12 +33,9 @@ func TestNewTrainerDefaults(t *testing.T) {
 func TestAllKindsTrain(t *testing.T) {
 	for _, kind := range Kinds {
 		tr, err := NewTrainer(Config{
-			Engine:     kind,
-			Model:      smallModel(),
-			Class:      Medium,
-			CacheFrac:  0.05,
-			Functional: true,
-			Seed:       3,
+			EnvConfig: EnvConfig{Model: smallModel(), Class: Medium, Functional: true, Seed: 3},
+			Engine:    kind,
+			CacheFrac: 0.05,
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
@@ -57,13 +54,13 @@ func TestAllKindsTrain(t *testing.T) {
 }
 
 func TestUnknownKindRejected(t *testing.T) {
-	if _, err := NewTrainer(Config{Engine: "bogus", Model: smallModel()}); err == nil {
+	if _, err := NewTrainer(Config{EnvConfig: EnvConfig{Model: smallModel()}, Engine: "bogus"}); err == nil {
 		t.Fatal("unknown engine accepted")
 	}
 }
 
 func TestIterationEnergyPositive(t *testing.T) {
-	tr, err := NewTrainer(Config{Model: smallModel(), Class: High})
+	tr, err := NewTrainer(Config{EnvConfig: EnvConfig{Model: smallModel(), Class: High}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,12 +108,9 @@ func TestTraceUtilities(t *testing.T) {
 func TestParallelFunctionalEquivalenceViaFacade(t *testing.T) {
 	runOnce := func(parallel bool) *Report {
 		tr, err := NewTrainer(Config{
-			Model:      smallModel(),
-			Class:      Low,
-			CacheFrac:  0.05,
-			Parallel:   parallel,
-			Functional: true,
-			Seed:       9,
+			EnvConfig: EnvConfig{Model: smallModel(), Class: Low, Functional: true, Seed: 9},
+			CacheFrac: 0.05,
+			Parallel:  parallel,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -142,12 +136,12 @@ func TestTopologyPlacementViaFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := NewTrainer(Config{Model: smallModel(), Class: Medium, Shards: 4, Seed: 3})
+	base, err := NewTrainer(Config{EnvConfig: EnvConfig{Model: smallModel(), Class: Medium, Shards: 4, Seed: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	placed, err := NewTrainer(Config{Model: smallModel(), Class: Medium, Shards: 4, Seed: 3,
-		Topology: topo, Placement: PlaceLoadAware})
+	placed, err := NewTrainer(Config{EnvConfig: EnvConfig{Model: smallModel(), Class: Medium, Shards: 4, Seed: 3,
+		Topology: topo, Placement: PlaceLoadAware}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +166,7 @@ func TestTopologyPlacementViaFacade(t *testing.T) {
 	if repBase.AvgLoss != repPlaced.AvgLoss {
 		t.Fatalf("placement changed training: loss %v vs %v", repBase.AvgLoss, repPlaced.AvgLoss)
 	}
-	if _, err := NewTrainer(Config{Model: smallModel(), Placement: "bogus"}); err == nil {
+	if _, err := NewTrainer(Config{EnvConfig: EnvConfig{Model: smallModel(), Placement: "bogus"}}); err == nil {
 		t.Fatal("unknown placement policy accepted by the facade")
 	}
 }
@@ -189,12 +183,12 @@ func TestReshardViaFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := NewTrainer(Config{Model: smallModel(), Class: Medium, Seed: 3, Functional: true})
+	base, err := NewTrainer(Config{EnvConfig: EnvConfig{Model: smallModel(), Class: Medium, Seed: 3, Functional: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	elastic, err := NewTrainer(Config{Model: smallModel(), Class: Medium, Seed: 3, Functional: true,
-		Topology: topo, Reshard: spec})
+	elastic, err := NewTrainer(Config{EnvConfig: EnvConfig{Model: smallModel(), Class: Medium, Seed: 3, Functional: true,
+		Topology: topo, Reshard: spec}})
 	if err != nil {
 		t.Fatal(err)
 	}
