@@ -67,9 +67,11 @@ fuzzsmoke:
 # Fails on dangling intra-repo documentation references: any *.md that
 # names a file, directory, or package path that no longer exists (see
 # cmd/doccheck). Keeps DESIGN.md/EXPERIMENTS.md/README.md honest as the
-# tree moves.
+# tree moves. DOCCHECK_SKIP lists Markdown files (comma-separated,
+# relative to the repo root) to leave unscanned.
+DOCCHECK_SKIP ?=
 doccheck:
-	$(GO) run ./cmd/doccheck
+	$(GO) run ./cmd/doccheck -skip "$(DOCCHECK_SKIP)"
 
 # Fails if any file is not gofmt-clean (CI runs this before make check).
 fmtcheck:

@@ -6,12 +6,13 @@
 //
 // Usage:
 //
-//	doccheck [-root DIR]
+//	doccheck [-root DIR] [-skip FILE,FILE...]
 //
-// It scans every *.md file under the root (skipping .git, .claude, and
-// the root ISSUE.md — the per-PR task sheet, which names files by bare
-// basename and names ones the PR is about to create or delete) and
-// extracts two kinds of reference:
+// It scans every *.md file under the root (skipping .git and other
+// tool-state directories, and the files -skip names relative to the
+// root — e.g. a planning sheet that names files by bare basename or
+// names ones about to be created or deleted) and extracts two kinds of
+// reference:
 //
 //   - Markdown link targets: [text](path) with a relative, non-URL
 //     path, resolved against the Markdown file's directory.
@@ -91,9 +92,10 @@ var topPrefixes = []string{
 
 func main() {
 	root := flag.String("root", ".", "repository root to scan")
+	skip := flag.String("skip", "", "comma-separated Markdown files, relative to -root, to leave unscanned")
 	flag.Parse()
 
-	files, broken, err := check(*root, os.Stdout)
+	files, broken, err := check(*root, strings.Split(*skip, ","), os.Stdout)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "doccheck:", err)
 		os.Exit(2)
@@ -105,10 +107,17 @@ func main() {
 	fmt.Printf("doccheck: %d Markdown files clean\n", files)
 }
 
-// check scans the Markdown files under root, writes one line to out for
-// each dangling reference, and returns how many files it scanned and how
-// many references it reported.
-func check(root string, out io.Writer) (files, broken int, err error) {
+// check scans the Markdown files under root, except those skip names
+// relative to root, writes one line to out for each dangling reference,
+// and returns how many files it scanned and how many references it
+// reported.
+func check(root string, skip []string, out io.Writer) (files, broken int, err error) {
+	skipped := map[string]bool{}
+	for _, s := range skip {
+		if s = strings.TrimSpace(s); s != "" {
+			skipped[filepath.Join(root, s)] = true
+		}
+	}
 	var mdFiles []string
 	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -121,7 +130,7 @@ func check(root string, out io.Writer) (files, broken int, err error) {
 			}
 			return nil
 		}
-		if strings.EqualFold(filepath.Ext(path), ".md") && path != filepath.Join(root, "ISSUE.md") {
+		if strings.EqualFold(filepath.Ext(path), ".md") && !skipped[path] {
 			mdFiles = append(mdFiles, path)
 		}
 		return nil

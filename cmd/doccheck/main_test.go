@@ -50,7 +50,7 @@ func TestCheck(t *testing.T) {
 			}
 			root := writeTree(t, files)
 			var out strings.Builder
-			n, broken, err := check(root, &out)
+			n, broken, err := check(root, nil, &out)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -58,5 +58,22 @@ func TestCheck(t *testing.T) {
 				t.Errorf("check = %d files, %d broken, output %q; want 1 file, %d broken naming %s", n, broken, out.String(), c.broken, c.ref)
 			}
 		})
+	}
+}
+
+// TestCheckSkip: files named by skip are not scanned.
+func TestCheckSkip(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"README.md":     "see `internal/gone.go`\n",
+		"docs/PLAN.md":  "see `internal/gone.go`\n",
+		"docs/NOTES.md": "clean\n",
+	})
+	var out strings.Builder
+	n, broken, err := check(root, []string{"README.md", " docs/PLAN.md", ""}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 1 || broken != 0 {
+		t.Errorf("check = %d files, %d broken, output %q; want 1 file, 0 broken", n, broken, out.String())
 	}
 }
