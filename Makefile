@@ -67,11 +67,9 @@ fuzzsmoke:
 # Fails on dangling intra-repo documentation references: any *.md that
 # names a file, directory, or package path that no longer exists (see
 # cmd/doccheck). Keeps DESIGN.md/EXPERIMENTS.md/README.md honest as the
-# tree moves. DOCCHECK_SKIP lists Markdown files (comma-separated,
-# relative to the repo root) to leave unscanned.
-DOCCHECK_SKIP ?=
+# tree moves.
 doccheck:
-	$(GO) run ./cmd/doccheck -skip "$(DOCCHECK_SKIP)"
+	$(GO) run ./cmd/doccheck
 
 # Fails if any file is not gofmt-clean (CI runs this before make check).
 fmtcheck:

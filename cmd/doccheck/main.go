@@ -6,13 +6,12 @@
 //
 // Usage:
 //
-//	doccheck [-root DIR] [-skip FILE,FILE...]
+//	doccheck [-root DIR]
 //
-// It scans every *.md file under the root (skipping .git and other
-// tool-state directories, and the files -skip names relative to the
-// root — e.g. a planning sheet that names files by bare basename or
-// names ones about to be created or deleted) and extracts two kinds of
-// reference:
+// It scans every *.md file under the root (skipping .git, .claude, and
+// the root ISSUE.md — the per-PR task sheet, which names files by bare
+// basename and names ones the PR is about to create or delete) and
+// extracts two kinds of reference:
 //
 //   - Markdown link targets: [text](path) with a relative, non-URL
 //     path, resolved against the Markdown file's directory.
@@ -33,7 +32,7 @@
 // flag of that name, and the claim must match a flag definition in a
 // non-test Go source under cmd/ or internal/: flag.String("quick", ...)
 // et al. on the default flag set, or fs.IntVar(&c.Workers, "workers",
-// ...) et al. on a *flag.FlagSet named fs (the run flags the commands
+// ...) et al. on a *flag.FlagSet of any name (the run flags the commands
 // share, internal/engine, and the profile flags, internal/prof). A
 // documented flag no command defines is the same class of rot as a
 // dangling path: the reference table outliving a renamed or deleted
@@ -72,9 +71,9 @@ var pathTokenRe = regexp.MustCompile(`^\.?/?[A-Za-z0-9_][A-Za-z0-9_.\-/]*$`)
 var flagRowRe = regexp.MustCompile("^\\|\\s*`-([A-Za-z0-9][A-Za-z0-9_-]*)")
 
 // flagDefRe captures the name of a flag definition on the default flag
-// set (flag.X) or on a FlagSet named fs (fs.X), with or without a
-// leading destination argument (the XVar forms).
-var flagDefRe = regexp.MustCompile(`\b(?:flag|fs)\.(?:Bool|Duration|Float64|Func|Int|Int64|String|TextVar|Uint|Uint64|Var)(?:Var)?\(\s*(?:[^,"]+,\s*)?"([^"]+)"`)
+// set (flag.X) or on a FlagSet under any variable name (fs.X), with or
+// without a leading destination argument (the XVar forms).
+var flagDefRe = regexp.MustCompile(`\b[A-Za-z_]\w*\.(?:Bool|Duration|Float64|Func|Int|Int64|String|TextVar|Uint|Uint64|Var)(?:Var)?\(\s*(?:[^,"]+,\s*)?"([^"]+)"`)
 
 // checkedExts are the file extensions worth verifying when a token has
 // no directory component ("DESIGN.md", "go.mod"). Dotted Go symbol
@@ -92,10 +91,9 @@ var topPrefixes = []string{
 
 func main() {
 	root := flag.String("root", ".", "repository root to scan")
-	skip := flag.String("skip", "", "comma-separated Markdown files, relative to -root, to leave unscanned")
 	flag.Parse()
 
-	files, broken, err := check(*root, strings.Split(*skip, ","), os.Stdout)
+	files, broken, err := check(*root, os.Stdout)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "doccheck:", err)
 		os.Exit(2)
@@ -107,17 +105,10 @@ func main() {
 	fmt.Printf("doccheck: %d Markdown files clean\n", files)
 }
 
-// check scans the Markdown files under root, except those skip names
-// relative to root, writes one line to out for each dangling reference,
-// and returns how many files it scanned and how many references it
-// reported.
-func check(root string, skip []string, out io.Writer) (files, broken int, err error) {
-	skipped := map[string]bool{}
-	for _, s := range skip {
-		if s = strings.TrimSpace(s); s != "" {
-			skipped[filepath.Join(root, s)] = true
-		}
-	}
+// check scans the Markdown files under root, writes one line to out for
+// each dangling reference, and returns how many files it scanned and how
+// many references it reported.
+func check(root string, out io.Writer) (files, broken int, err error) {
 	var mdFiles []string
 	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -130,7 +121,7 @@ func check(root string, skip []string, out io.Writer) (files, broken int, err er
 			}
 			return nil
 		}
-		if strings.EqualFold(filepath.Ext(path), ".md") && !skipped[path] {
+		if strings.EqualFold(filepath.Ext(path), ".md") && path != filepath.Join(root, "ISSUE.md") {
 			mdFiles = append(mdFiles, path)
 		}
 		return nil

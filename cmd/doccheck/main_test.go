@@ -25,19 +25,21 @@ func writeTree(t *testing.T, files map[string]string) string {
 
 // TestCheck: documented flags must be defined on the default flag set
 // under cmd/ or on a FlagSet under internal/ (test files do not count),
-// and code-span paths must exist.
+// and code-span paths must exist. The root ISSUE.md is not scanned.
 func TestCheck(t *testing.T) {
 	sources := map[string]string{
+		"ISSUE.md":              "deletes `internal/run/old.go`\n",
 		"cmd/tool/main.go":      `var quick = flag.Bool("quick", false, "")` + "\n" + `var _ = flag.StringVar((*string)(&kind), "engine", "", "")`,
 		"cmd/tool/main_test.go": `var update = flag.Bool("update", false, "")`,
 		"internal/run/flags.go": `func reg(fs *flag.FlagSet) { fs.IntVar(&c.Workers, "workers", c.Workers, ""); fs.String("topology", name, "") }`,
+		"internal/run/prof.go":  `func reg(set *flag.FlagSet) { set.String("cpuprofile", "", "") }`,
 	}
 	for _, c := range []struct {
 		name, readme string
 		broken       int
 		ref          string
 	}{
-		{"defined flags", "| `-quick` | q |\n| `-engine K` | e |\n| `-workers N` | w |\n| `-topology T` | t |\n", 0, ""},
+		{"defined flags", "| `-quick` | q |\n| `-engine K` | e |\n| `-workers N` | w |\n| `-topology T` | t |\n| `-cpuprofile F` | c |\n", 0, ""},
 		{"undefined flag", "| `-workers N` | w |\n| `-bogus X` | b |\n", 1, `"-bogus"`},
 		{"test-only flag", "| `-update` | u |\n", 1, `"-update"`},
 		{"existing path", "see `internal/run/flags.go` and `cmd/tool`\n", 0, ""},
@@ -50,7 +52,7 @@ func TestCheck(t *testing.T) {
 			}
 			root := writeTree(t, files)
 			var out strings.Builder
-			n, broken, err := check(root, nil, &out)
+			n, broken, err := check(root, &out)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -58,22 +60,5 @@ func TestCheck(t *testing.T) {
 				t.Errorf("check = %d files, %d broken, output %q; want 1 file, %d broken naming %s", n, broken, out.String(), c.broken, c.ref)
 			}
 		})
-	}
-}
-
-// TestCheckSkip: files named by skip are not scanned.
-func TestCheckSkip(t *testing.T) {
-	root := writeTree(t, map[string]string{
-		"README.md":     "see `internal/gone.go`\n",
-		"docs/PLAN.md":  "see `internal/gone.go`\n",
-		"docs/NOTES.md": "clean\n",
-	})
-	var out strings.Builder
-	n, broken, err := check(root, []string{"README.md", " docs/PLAN.md", ""}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 || broken != 0 {
-		t.Errorf("check = %d files, %d broken, output %q; want 1 file, 0 broken", n, broken, out.String())
 	}
 }

@@ -13,8 +13,10 @@ import (
 
 // Validate reports the first unusable knob of c, or nil. It is the one
 // check of a run spec: NewEnv calls it, and so does the finish step of
-// RegisterFlags. Its errors name the command-line flag that sets the
-// offending field.
+// RegisterFlags. An error on a field that a RegisterFlags flag sets names
+// that flag; errors from Model.Validate, System.Validate and
+// Serve.Validate pass through unchanged, since those fields are set in
+// code or by a command's own flags (dlrmtrain's -rows, -batch, ...).
 func (c EnvConfig) Validate() error {
 	if err := c.Model.Validate(); err != nil {
 		return err
@@ -76,7 +78,7 @@ var servingFlags = []string{"replicas", "router", "arrival", "serve-fail", "dead
 // Topology and Placement are kept only on a multi-node graph; the serving
 // options apply only under -serve, and setting a serving flag without
 // -serve is an error; -deadline and -hedge convert from milliseconds.
-// Then it returns c.Validate(). Every error names its flag.
+// Then it returns c.Validate(). Every error on one of these flags names it.
 func (c *EnvConfig) RegisterFlags(fs *flag.FlagSet) (finish func() error) {
 	topoName := "single"
 	if c.Topology != nil {
