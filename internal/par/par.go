@@ -8,6 +8,13 @@
 // preallocated slots and reduce serially in index order afterward, so a
 // parallel run produces bit-identical output to Workers=1 (the
 // equivalence tests rely on this).
+//
+// Hot-path contract: a fan-out that runs on every Plan or pipeline beat
+// passes its state as [Each]'s argument and a body that captures
+// nothing — a method expression such as (*T).step or a func literal that
+// names no outer variable. Never capture the state in the body: a
+// capturing closure escapes (the parallel path hands it to goroutines),
+// so it costs a heap allocation on every call, even on a serial pool.
 package par
 
 import (
@@ -47,27 +54,36 @@ func (p *Pool) Workers() int {
 // goroutines (the caller participates). It returns when all calls have
 // completed.
 func (p *Pool) ForEach(n int, fn func(i int)) {
-	_ = p.ForEachErr(n, func(i int) error {
+	_ = Each(p, n, fn, func(fn func(int), i int) error {
 		fn(i)
 		return nil
 	})
 }
 
-// ForEachErr is ForEach over a fallible body. Every index runs even when
-// some fail; the returned error is the failing call with the lowest
-// index, which keeps error reporting deterministic under parallelism.
+// ForEachErr is ForEach over a fallible body (see Each for the error
+// and panic rules).
 func (p *Pool) ForEachErr(n int, fn func(i int) error) error {
+	return Each(p, n, fn, func(fn func(int) error, i int) error { return fn(i) })
+}
+
+// Each runs fn(arg, i) for every i in [0, n) on up to p.Workers()
+// goroutines (the caller participates) and returns when all calls have
+// completed. A serial pool calls fn directly, so a non-capturing fn
+// makes the whole fan-out allocation-free there. Every index runs even
+// when some fail; the returned error is the failing call with the lowest
+// index, which keeps error reporting deterministic under parallelism. A
+// panicking call stops the hand-out of further indices, and once every
+// worker has drained, the panic of the lowest panicking index is
+// rethrown on the caller's goroutine.
+func Each[T any](p *Pool, n int, arg T, fn func(T, int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	w := p.Workers()
-	if w > n {
-		w = n
-	}
+	w := min(p.Workers(), n)
 	if w <= 1 {
 		var first error
 		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil && first == nil {
+			if err := fn(arg, i); err != nil && first == nil {
 				first = err
 			}
 		}
@@ -86,7 +102,7 @@ func (p *Pool) ForEachErr(n int, fn func(i int) error) error {
 			if i >= n {
 				return
 			}
-			err, pv, panicked := protect(fn, i)
+			err, pv, panicked := protect(fn, arg, i)
 			if panicked {
 				// A panic must not unwind through the fan-out: if it
 				// escaped the caller's inline body here, wg.Wait()
@@ -130,16 +146,16 @@ func (p *Pool) ForEachErr(n int, fn func(i int) error) error {
 	return firstErr
 }
 
-// protect runs fn(i), converting a panic into a value instead of
+// protect runs fn(arg, i), converting a panic into a value instead of
 // letting it unwind (panicked distinguishes panic(nil) from no panic).
-func protect(fn func(i int) error, i int) (err error, pv any, panicked bool) {
+func protect[T any](fn func(T, int) error, arg T, i int) (err error, pv any, panicked bool) {
 	defer func() {
 		if panicked {
 			pv = recover()
 		}
 	}()
 	panicked = true
-	err = fn(i)
+	err = fn(arg, i)
 	panicked = false
 	return
 }

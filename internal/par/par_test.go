@@ -143,6 +143,63 @@ func TestPanicLowestIndexWins(t *testing.T) {
 	}
 }
 
+// sink gives the zero-alloc bodies a side effect without capturing.
+var sink atomic.Int64
+
+// TestSerialZeroAllocs pins the hot-path contract on a serial pool: with
+// a non-capturing body, ForEach, ForEachErr and Each call it directly
+// and allocate nothing.
+func TestSerialZeroAllocs(t *testing.T) {
+	for _, p := range []*Pool{nil, New(1)} {
+		cases := map[string]func(){
+			"ForEach":    func() { p.ForEach(8, func(i int) { sink.Add(int64(i)) }) },
+			"ForEachErr": func() { _ = p.ForEachErr(8, func(i int) error { sink.Add(int64(i)); return nil }) },
+			"Each": func() {
+				_ = Each(p, 8, &sink, func(s *atomic.Int64, i int) error { s.Add(int64(i)); return nil })
+			},
+		}
+		for name, run := range cases {
+			if got := testing.AllocsPerRun(100, run); got != 0 {
+				t.Errorf("workers=%d %s: %.1f allocs per call, want 0", p.Workers(), name, got)
+			}
+		}
+	}
+}
+
+// TestEachContract checks Each's argument passing and its error and
+// panic rules at Workers=4: every index runs with the argument it was
+// given, the lowest failing index's error is returned, and the lowest
+// panicking index's value is rethrown.
+func TestEachContract(t *testing.T) {
+	p := New(4)
+	ran := make([]atomic.Int32, 50)
+	err := Each(p, len(ran), ran, func(ran []atomic.Int32, i int) error {
+		ran[i].Add(1)
+		if i%10 == 7 { // fails at 7, 17, 27, ...
+			return fmt.Errorf("index %d", i)
+		}
+		return nil
+	})
+	if err == nil || err.Error() != "index 7" {
+		t.Fatalf("err = %v, want index 7", err)
+	}
+	for i := range ran {
+		if got := ran[i].Load(); got != 1 {
+			t.Fatalf("index %d ran %d times", i, got)
+		}
+	}
+	func() {
+		defer func() {
+			if r := recover(); r != "panic 0" {
+				t.Fatalf("rethrow = %v, want panic 0", r)
+			}
+		}()
+		_ = Each(p, 32, "panic", func(prefix string, i int) error {
+			panic(fmt.Sprintf("%s %d", prefix, i))
+		})
+	}()
+}
+
 // TestConcurrentForEach exercises two simultaneous fan-outs on one pool
 // (the parallel pipeline runs several stages' ForEach concurrently).
 func TestConcurrentForEach(t *testing.T) {

@@ -104,8 +104,7 @@ type Config struct {
 	// run the generic sharded machinery instead of delegating to a
 	// single core.Scratchpad — plans, victims, and statistics stay
 	// identical (TestElasticSingleShardBitIdentical proves slot-level
-	// identity), but the S=1 fast path's zero-allocation guarantee is
-	// traded for the ability to migrate.
+	// identity), and a warm Plan cycle still allocates nothing.
 	Elastic bool
 	// LoadProbe additionally maintains the fixed-granularity query-mass
 	// histogram behind [Manager.LoadProbe] that load-triggered reshard
@@ -344,6 +343,8 @@ type Manager struct {
 	dedup       *intmap.Map
 	uniqScratch []int64
 	cntScratch  []int32
+	// in holds the inputs of the shard fan-out in progress (see fanIn).
+	in fanIn
 	// seen is PrewarmRows' rows-wide duplicate-draw bitmap and draws
 	// approx mode's record of the prewarm draw stream (replayed into the
 	// shadow planner); both are kept across Resets and cleared per use.
@@ -351,6 +352,24 @@ type Manager struct {
 	draws []int64
 
 	stats core.Stats
+}
+
+// fanIn carries one call's inputs to the shard fan-out bodies, the
+// planShard and releaseShard methods. The caller fills it before
+// par.Each runs the body on every shard, and the shards only read it, so
+// the fan-out builds no closure and a warm Plan/Release cycle allocates
+// nothing.
+type fanIn struct {
+	// The Plan pass: the batch, its occurrence counts (nil: one each),
+	// the result being filled, where hints start in winIDs, and the
+	// stamp clock before the batch's touches.
+	uniq      []int64
+	counts    []int32
+	res       *core.PlanResult
+	hintOff   int
+	stampBase uint64
+	// relSeq is the batch the Release pass retires.
+	relSeq int
 }
 
 // New builds a sharded manager from cfg: Reset on a zero Manager.
@@ -730,7 +749,8 @@ func (m *Manager) shardCand(j int) int32 {
 	if sh.candDone {
 		return nilSlot
 	}
-	sh.candQ = sh.candQ[:0]
+	// A poll parks at most pollK candidates.
+	sh.candQ = slices.Grow(sh.candQ[:0], m.pollK)
 	sh.candHead = 0
 	cur := sh.sweepCur
 	for cur != nilSlot && len(sh.candQ) < m.pollK {
@@ -898,15 +918,17 @@ func (m *Manager) Recycle(res *core.PlanResult) {
 	m.planPool = append(m.planPool, res)
 }
 
-// getHeld pops a recycled hold-set buffer for shard j.
-func (sh *shardState) getHeld() []int32 {
-	if n := len(sh.heldPool); n > 0 {
-		buf := sh.heldPool[n-1]
-		sh.heldPool[n-1] = nil
-		sh.heldPool = sh.heldPool[:n-1]
-		return buf[:0]
+// getHeld pops a recycled hold-set buffer with room for n slots,
+// growing it (or building one when the pool is empty) only when it is
+// smaller.
+func (sh *shardState) getHeld(n int) []int32 {
+	var buf []int32
+	if k := len(sh.heldPool); k > 0 {
+		buf = sh.heldPool[k-1]
+		sh.heldPool[k-1] = nil
+		sh.heldPool = sh.heldPool[:k-1]
 	}
-	return nil
+	return slices.Grow(buf[:0], n)
 }
 
 // Plan runs the [Plan] stage for one mini-batch (see core.Scratchpad.Plan).
@@ -989,9 +1011,19 @@ func (m *Manager) PlanUniqueWithHints(seq int, uniq []int64, counts []int32, fut
 		m.shardOf = make([]uint16, len(uniq))
 	}
 	shardOf := m.shardOf[:len(uniq)]
+	fut := future[futStart:]
+	nwin := 0
+	for _, ids := range fut {
+		nwin += len(ids)
+	}
+	for _, ids := range hints {
+		nwin += len(ids)
+	}
+	// Any one shard may own the whole batch and window, so each bucket
+	// grows once to those sizes and routing never reallocates.
 	for j := range m.uniqIdx {
-		m.uniqIdx[j] = m.uniqIdx[j][:0]
-		m.winIdx[j] = m.winIdx[j][:0]
+		m.uniqIdx[j] = slices.Grow(m.uniqIdx[j][:0], len(uniq))
+		m.winIdx[j] = slices.Grow(m.winIdx[j][:0], nwin)
 	}
 	for i, id := range uniq {
 		j := m.shardFor(id)
@@ -1008,8 +1040,7 @@ func (m *Manager) PlanUniqueWithHints(seq int, uniq []int64, counts []int32, fut
 			m.loadProbe[ShardOf(id, LoadProbeBuckets)] += c
 		}
 	}
-	fut := future[futStart:]
-	winIDs := m.winIDs[:0]
+	winIDs := slices.Grow(m.winIDs[:0], nwin)
 	for _, fids := range fut {
 		for _, id := range fids {
 			j := m.shardFor(id)
@@ -1027,51 +1058,12 @@ func (m *Manager) PlanUniqueWithHints(seq int, uniq []int64, counts []int32, fut
 	}
 	m.winIDs = winIDs
 
-	// Shard-parallel pass: every shard pins its own future IDs, stamps
-	// its own hints, and classifies its own partition of the batch.
-	// Touch stamps are assigned by batch position (stampBase + i), so
-	// the shard-parallel pass reproduces the exact recency order the
-	// serial planner would produce; all writes go through slots owned
-	// by the executing shard, so the fan-out is race-free and
-	// bit-identical at any worker count.
+	// Shard-parallel pass (planShard, which cannot fail); m.in holds no
+	// reference to the caller's batch once it returns.
 	stampBase := m.stampClock
-	m.pool.ForEach(m.nshards, func(j int) {
-		sh := &m.shards[j]
-		for _, w := range m.winIdx[j] {
-			if slot, ok := sh.hitMap.Get(winIDs[w]); ok {
-				if int(w) < hintOff {
-					m.meta[slot].pinStamp = m.pinEpoch
-				} else {
-					m.hintStamp[slot] = m.pinEpoch
-				}
-			}
-		}
-		held := sh.getHeld()
-		occHits, occMisses := 0, 0
-		for _, iPos := range m.uniqIdx[j] {
-			i := int(iPos)
-			id := uniq[i]
-			c := 1
-			if counts != nil {
-				c = int(counts[i])
-			}
-			if slot, ok := sh.hitMap.Get(id); ok {
-				occHits += c
-				res.Slots[i] = slot
-				m.touch(j, slot, stampBase+uint64(i)+1)
-				m.meta[slot].holds++
-				held = append(held, slot)
-				continue
-			}
-			occMisses++
-			occHits += c - 1
-			res.Slots[i] = -1
-		}
-		sh.held = held
-		sh.occHits, sh.occMisses = occHits, occMisses
-		sh.queries += int64(occHits + occMisses)
-		sh.hits += int64(occHits)
-	})
+	m.in = fanIn{uniq: uniq, counts: counts, res: res, hintOff: hintOff, stampBase: stampBase}
+	_ = par.Each(m.pool, m.nshards, m, (*Manager).planShard)
+	m.in = fanIn{}
 	m.stampClock = stampBase + uint64(len(uniq))
 	for j := range m.shards {
 		sh := &m.shards[j]
@@ -1245,33 +1237,65 @@ func (m *Manager) PlanUniqueWithHints(seq int, uniq []int64, counts []int32, fut
 	return res, nil
 }
 
+// planShard is the Plan's shard-parallel pass for shard j, run by
+// par.Each over the inputs in m.in: the shard pins its own future IDs,
+// stamps its own hints, and classifies its own partition of the batch.
+// Touch stamps are assigned by batch position (stampBase + i), so the
+// shard-parallel pass reproduces the exact recency order the serial
+// planner would produce; all writes go through slots owned by the
+// executing shard, so the fan-out is race-free and bit-identical at any
+// worker count.
+func (m *Manager) planShard(j int) error {
+	in := &m.in
+	sh := &m.shards[j]
+	for _, w := range m.winIdx[j] {
+		if slot, ok := sh.hitMap.Get(m.winIDs[w]); ok {
+			if int(w) < in.hintOff {
+				m.meta[slot].pinStamp = m.pinEpoch
+			} else {
+				m.hintStamp[slot] = m.pinEpoch
+			}
+		}
+	}
+	// A hold set is the shard's own hits plus the misses it owns, so
+	// its share of the batch bounds it: the coordinator's inserts never
+	// grow it.
+	held := sh.getHeld(len(m.uniqIdx[j]))
+	occHits, occMisses := 0, 0
+	for _, iPos := range m.uniqIdx[j] {
+		i := int(iPos)
+		id := in.uniq[i]
+		c := 1
+		if in.counts != nil {
+			c = int(in.counts[i])
+		}
+		if slot, ok := sh.hitMap.Get(id); ok {
+			occHits += c
+			in.res.Slots[i] = slot
+			m.touch(j, slot, in.stampBase+uint64(i)+1)
+			m.meta[slot].holds++
+			held = append(held, slot)
+			continue
+		}
+		occMisses++
+		occHits += c - 1
+		in.res.Slots[i] = -1
+	}
+	sh.held = held
+	sh.occHits, sh.occMisses = occHits, occMisses
+	sh.queries += int64(occHits + occMisses)
+	sh.hits += int64(occHits)
+	return nil
+}
+
 // Release drops the oldest in-flight batch's holds on every shard (see
-// core.Scratchpad.Release); shards release in parallel.
+// core.Scratchpad.Release); shards release in parallel (releaseShard).
 func (m *Manager) Release(seq int) error {
 	if m.single != nil {
 		return m.single.Release(seq)
 	}
-	err := m.pool.ForEachErr(m.nshards, func(j int) error {
-		sh := &m.shards[j]
-		if sh.inFlight.Len() == 0 {
-			return fmt.Errorf("shard: release %d: no in-flight batches", seq)
-		}
-		if got := sh.inFlight.Front().Seq; got != seq {
-			return fmt.Errorf("shard: release %d: oldest in-flight batch is %d (releases must be FIFO)", seq, got)
-		}
-		hb := sh.inFlight.Pop()
-		for _, slot := range hb.Slots {
-			if m.meta[slot].holds <= 0 {
-				return fmt.Errorf("shard: release %d: slot %d hold underflow", seq, slot)
-			}
-			m.meta[slot].holds--
-		}
-		if hb.Slots != nil {
-			sh.heldPool = append(sh.heldPool, hb.Slots)
-		}
-		return nil
-	})
-	if err != nil {
+	m.in.relSeq = seq
+	if err := par.Each(m.pool, m.nshards, m, (*Manager).releaseShard); err != nil {
 		return err
 	}
 	if m.shadow != nil {
@@ -1280,6 +1304,30 @@ func (m *Manager) Release(seq int) error {
 		}
 	}
 	m.stats.Released++
+	return nil
+}
+
+// releaseShard is Release's pass for shard j, run by par.Each: it
+// retires the shard's oldest hold set, which must be batch m.in.relSeq.
+func (m *Manager) releaseShard(j int) error {
+	seq := m.in.relSeq
+	sh := &m.shards[j]
+	if sh.inFlight.Len() == 0 {
+		return fmt.Errorf("shard: release %d: no in-flight batches", seq)
+	}
+	if got := sh.inFlight.Front().Seq; got != seq {
+		return fmt.Errorf("shard: release %d: oldest in-flight batch is %d (releases must be FIFO)", seq, got)
+	}
+	hb := sh.inFlight.Pop()
+	for _, slot := range hb.Slots {
+		if m.meta[slot].holds <= 0 {
+			return fmt.Errorf("shard: release %d: slot %d hold underflow", seq, slot)
+		}
+		m.meta[slot].holds--
+	}
+	if hb.Slots != nil {
+		sh.heldPool = append(sh.heldPool, hb.Slots)
+	}
 	return nil
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/hw"
 	"repro/internal/par"
 )
 
@@ -418,6 +419,60 @@ func TestShardBalance(t *testing.T) {
 		if ss.Queries < total/16 {
 			t.Fatalf("shard %d saw %d of %d queries: hash partition badly skewed", j, ss.Queries, total)
 		}
+	}
+}
+
+// TestPlanWarmZeroAllocs is the sharded twin of core's hot-path guard:
+// once its pools and buffers have warmed up, a full Plan/Release/Recycle
+// cycle of an S=4 manager striped over cluster2x2, with a future window,
+// must not allocate under any coordination protocol, nor as an elastic
+// single shard with the load probe (the generic machinery at S=1). The
+// pool is serial (nil), so every allocation counted is the planner's own;
+// a capturing closure handed to the shard fan-out would show up here as
+// one per call.
+func TestPlanWarmZeroAllocs(t *testing.T) {
+	const slots, batchLen, depth = 2048, 512, 3
+	pl, err := hw.NewPlacement(hw.PlaceStripe, hw.Cluster(2, 2), 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string]Config{"elastic-S1": {Shards: 1, Elastic: true, LoadProbe: true}}
+	for _, mode := range []CoordMode{CoordExact, CoordBatched, CoordHier, CoordApprox} {
+		cases[string(mode)] = Config{Shards: 4, Placement: pl, Coord: mode}
+	}
+	for name, cfg := range cases {
+		t.Run(name, func(t *testing.T) {
+			cfg.Scratchpad = testConfig(slots, batchLen)
+			m, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := newStream(99, 64, batchLen, 4*slots)
+			pending := make([]*core.PlanResult, 0, depth)
+			seq := 0
+			step := func() {
+				future, _ := st.window(seq, 2, 0)
+				res, err := m.Plan(seq, st.at(seq), future)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pending = append(pending, res)
+				if len(pending) == depth {
+					if err := m.Release(seq - depth + 1); err != nil {
+						t.Fatal(err)
+					}
+					m.Recycle(pending[0])
+					pending = append(pending[:0], pending[1:]...)
+				}
+				seq++
+			}
+			for i := 0; i < 200; i++ { // warm every pool and slice capacity
+				step()
+			}
+			if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+				t.Fatalf("warm sharded Plan cycle allocates %.1f times, want 0", allocs)
+			}
+		})
 	}
 }
 

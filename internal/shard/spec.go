@@ -37,6 +37,8 @@
 // undisturbed run every speculation adopts.
 package shard
 
+import "slices"
+
 // OverlapStats counts speculative-coordination outcomes over a
 // Manager's lifetime.
 type OverlapStats struct {
@@ -245,6 +247,7 @@ func (m *Manager) SpeculatePlan(seq int, uniq []int64, future, hints [][]int64, 
 		if n := len(sp.candQ); n < cap(sp.candQ) {
 			q = sp.candQ[:n+1][n][:0]
 		}
+		q = slices.Grow(q, sp.pollK)
 		cur := m.shards[j].lruHead
 		for cur != nilSlot && len(q) < sp.pollK {
 			nxt := m.next[cur]
