@@ -61,12 +61,15 @@ func TestServeGolden(t *testing.T) {
 // on the two-host cluster under hier coordination (the coordination and
 // message-plane lines), and a functional approx run with a host death,
 // checkpoints and a reshard boundary (the loss, divergence, resharding,
-// fault and checkpoint blocks).
+// fault and checkpoint blocks), and a metadata hier run with overlapped
+// coordination and a host death (the overlap outcome line under faults).
 func TestTrainGolden(t *testing.T) {
 	testGolden(t, []struct{ golden, args string }{
 		{"train_hier.golden", "-functional=false -shards 4 -topology cluster2x2 -coord hier -iters 12 -rows 20000"},
 		{"train_approx_fail.golden", "-iters 12 -rows 20000 -shards 4 -topology cluster2x2 -coord approx -coord-quantum 64 " +
 			"-fail host1@6 -ckpt-interval 4 -reshard 3:4"},
+		{"train_hier_overlap_fail.golden", "-functional=false -shards 4 -topology cluster2x2 -coord hier -coord-overlap " +
+			"-fail host1@5 -ckpt-interval 4"},
 	})
 }
 

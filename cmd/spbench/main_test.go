@@ -59,9 +59,12 @@ func TestProfileFlags(t *testing.T) {
 // TestQuickGolden pins the quick Figure 12b, Figure 13 and serving
 // tables byte for byte, plus Figure 13 at four shards on the two-host
 // cluster under hier coordination, with and without a mid-sweep host
-// death (the forked sweep that resets sharded managers): every
-// simulated number they print is a function of the seed, so a refactor
-// or optimisation of the simulator must leave them untouched. A change
+// death (the forked sweep that resets sharded managers), and Figure
+// 12b's per-stage table in that configuration with overlapped
+// coordination (whose plan column is the critical share), with and
+// without the host death: every simulated number they print is a
+// function of the seed, so a refactor or optimisation of the simulator
+// must leave them untouched. A change
 // that means to move an output re-records with `go test -update` and
 // accounts for every moved line in CHANGES.md.
 func TestQuickGolden(t *testing.T) {
@@ -75,6 +78,10 @@ func TestQuickGolden(t *testing.T) {
 		{"fig13_s4_hier", []string{"-experiment", "fig13", "-shards", "4", "-topology", "cluster2x2", "-coord", "hier"}},
 		{"fig13_s4_hier_fail", []string{"-experiment", "fig13", "-shards", "4", "-topology", "cluster2x2", "-coord", "hier",
 			"-fail", "host1@5", "-ckpt-interval", "4"}},
+		{"fig12b_s4_hier_overlap", []string{"-experiment", "fig12b", "-shards", "4", "-topology", "cluster2x2", "-coord", "hier",
+			"-coord-overlap"}},
+		{"fig12b_s4_hier_overlap_fail", []string{"-experiment", "fig12b", "-shards", "4", "-topology", "cluster2x2", "-coord", "hier",
+			"-coord-overlap", "-fail", "host1@5", "-ckpt-interval", "4"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
