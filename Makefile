@@ -42,10 +42,8 @@ test:
 # fault-orchestration tests already inside the shard/engine runs. The
 # serving fleet (serve) drives the sharded planner per replica and
 # inherits its fan-out machinery. The message plane (msgplane) runs
-# every host as a goroutine and the overlapped-coordination path races
-# a speculation goroutine against the pipeline, so both ride along. Any
-# hold-discipline, shard-partition, or fan-out bug must surface as a
-# race here.
+# every host as a goroutine, so it rides along. Any hold-discipline,
+# shard-partition, or fan-out bug must surface as a race here.
 race:
 	$(GO) test -race ./internal/par/ ./internal/core/ ./internal/shard/ \
 		./internal/engine/ ./internal/trace/ ./internal/bench/ \

@@ -57,12 +57,13 @@
 // coord_seconds against -skew-tolerance (DESIGN.md §12 documents why
 // the plane legitimately undershoots the serial pricing model).
 // Passing -coord-overlap gates the overlapped-coordination family: the
-// speculation counters must match the baseline exactly (they are
-// deterministic — a guard regression that silently stops adopting is a
+// overlap counters must match the baseline exactly (they are
+// deterministic — a regression that silently stops hiding rounds is a
 // failure even though plans stay correct), an undisturbed family must
-// adopt every speculation, and the deterministic modeled sweep wall
-// (sim_wall_seconds) must sit strictly below the matching non-overlap
-// twin entry's — the gated "overlap measurably wins" criterion.
+// hide a round in every marked Plan, and the deterministic modeled
+// sweep wall (sim_wall_seconds) must sit strictly below the matching
+// non-overlap twin entry's — the gated "overlap measurably wins"
+// criterion.
 //
 // Wall time is the minimum of -runs sweeps, which damps scheduler
 // noise on shared runners. On any regression the gate prints the
@@ -283,25 +284,25 @@ func main() {
 			failed = true
 		}
 	}
-	// The overlap family's speculation counters are deterministic:
-	// any drift from the baseline means the adoption guards changed
-	// behaviour (plans would still be correct — adoptSpec re-validates —
-	// but the overlap win silently erodes, which is exactly what this
-	// gate exists to catch).
+	// The overlap family's outcome counters are deterministic: any
+	// drift from the baseline means the look-ahead check or its
+	// invalidation changed behaviour (plans would still be correct, but
+	// the overlap win silently erodes, which is exactly what this gate
+	// exists to catch).
 	if cfg.CoordOverlap {
 		if best.OverlapSpeculated == 0 {
-			fmt.Printf("benchgate: FAIL overlap family never speculated\n")
+			fmt.Printf("benchgate: FAIL overlap family never marked a Plan overlapped\n")
 			failed = true
 		}
 		if !cfg.Faults.Active() && (best.OverlapAdopted != best.OverlapSpeculated || best.OverlapRolledBack != 0) {
-			fmt.Printf("benchgate: FAIL undisturbed overlap family must adopt every speculation (speculated %d, adopted %d, rolled back %d)\n",
+			fmt.Printf("benchgate: FAIL undisturbed overlap family must hide a round in every marked Plan (speculated %d, adopted %d, rolled back %d)\n",
 				best.OverlapSpeculated, best.OverlapAdopted, best.OverlapRolledBack)
 			failed = true
 		}
 		if best.OverlapSpeculated != base.OverlapSpeculated ||
 			best.OverlapAdopted != base.OverlapAdopted ||
 			best.OverlapRolledBack != base.OverlapRolledBack {
-			fmt.Printf("benchgate: FAIL speculation counters moved: speculated %d->%d, adopted %d->%d, rolled back %d->%d (deterministic; gate is exact)\n",
+			fmt.Printf("benchgate: FAIL overlap counters moved: speculated %d->%d, adopted %d->%d, rolled back %d->%d (deterministic; gate is exact)\n",
 				base.OverlapSpeculated, best.OverlapSpeculated,
 				base.OverlapAdopted, best.OverlapAdopted,
 				base.OverlapRolledBack, best.OverlapRolledBack)

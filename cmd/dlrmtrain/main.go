@@ -8,7 +8,7 @@
 //	dlrmtrain -shards 4 -topology cluster2x2 -placement loadaware
 //	dlrmtrain -shards 4 -topology cluster2x2 -coord hier   # batched host-tier coordination
 //	dlrmtrain -shards 4 -topology cluster2x2 -coord approx -coord-quantum 64
-//	dlrmtrain -shards 4 -topology cluster2x2 -coord hier -coord-overlap  # speculative coordination overlap
+//	dlrmtrain -shards 4 -topology cluster2x2 -coord hier -coord-overlap  # hide each Plan's first poll round
 //	dlrmtrain -shards 1 -topology cluster2x2 -reshard 20:4 -coord hier  # elastic scale-out mid-run
 //	dlrmtrain -topology numa4 -reshard load:4 -class High   # load-triggered growth
 //	dlrmtrain -serve -replicas 4 -router hitaware -arrival poisson:2000 -class High

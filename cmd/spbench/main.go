@@ -35,12 +35,13 @@
 // produce identical tables (batching only cuts coordination rounds);
 // approx trades measured eviction divergence for zero stamp-sync
 // traffic. -coord-overlap overlaps each ScratchPipe run's distributed
-// coordination with the pipeline (speculative candidate resolution with
-// rollback-and-replay; DESIGN.md §12): plans and cache statistics stay
-// bit-identical, only the critical coordination share charged to the
-// Plan stage — and with it the modeled wall — shrinks. With -json the
-// entry additionally records coord_wall_seconds (the measured message-
-// plane makespan) and the overlap_* speculation counters.
+// coordination with the pipeline: a Plan known a cycle early to sweep
+// prices its first poll round as hidden under the previous Collect
+// (DESIGN.md §12). Plans and cache statistics stay bit-identical; only
+// the critical coordination share charged to the Plan stage — and with
+// it the modeled wall — shrinks. With -json the entry additionally
+// records coord_wall_seconds (the measured message-plane makespan) and
+// the overlap_* outcome counters.
 //
 // -reshard schedules elastic shard-count transitions mid-run for the
 // dynamic-cache engines ("200:4,500:8" = step to 4 shards at iteration

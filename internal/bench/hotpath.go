@@ -55,9 +55,10 @@ type HotPathResult struct {
 	// coordination (-coord-overlap): overlap entries are their own
 	// family — same traffic, different wall shape.
 	CoordOverlap bool `json:"coord_overlap,omitempty"`
-	// OverlapSpeculated/Adopted/RolledBack total the sweep's speculation
-	// outcomes (deterministic; benchgate gates them exactly so a guard
-	// regression that silently stops adopting is caught).
+	// OverlapSpeculated/Adopted/RolledBack total the sweep's overlap
+	// outcomes (shard.OverlapStats; deterministic, so benchgate gates
+	// them exactly and a regression that silently stops hiding rounds is
+	// caught).
 	OverlapSpeculated int64 `json:"overlap_speculated,omitempty"`
 	OverlapAdopted    int64 `json:"overlap_adopted,omitempty"`
 	OverlapRolledBack int64 `json:"overlap_rolled_back,omitempty"`

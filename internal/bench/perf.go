@@ -89,7 +89,7 @@ type SpeedupPoint struct {
 	// than the meter's serialized arithmetic; the modeled-vs-measured
 	// skew is defined over the two (DESIGN.md §12).
 	CoordWallSeconds float64
-	// Overlap totals the ScratchPipe run's speculative-coordination
+	// Overlap totals the ScratchPipe run's overlapped-coordination
 	// outcomes at this point (all zero unless cfg.CoordOverlap).
 	Overlap shard.OverlapStats
 	// ScratchPipeWall is the ScratchPipe run's total modeled wall at

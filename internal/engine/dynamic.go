@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -50,11 +49,6 @@ type dynamicState struct {
 	// do NOT — the single socket's DRAM is shared, which is exactly why
 	// the paper expects multi-GPU ScratchPipe to underutilize GPUs.
 	gpus int
-
-	// Overlapped-coordination state (scratchpipe.go maybeSpeculate):
-	// specWG joins the speculation goroutine running behind the cycle
-	// before anything else touches the shard managers.
-	specWG sync.WaitGroup
 
 	// Elastic-resharding state (reshard.go): reshardNext cursors the
 	// static schedule, loadSnap is the load policy's last probe
@@ -111,9 +105,9 @@ type spJob struct {
 	// latency for the Plan just executed; coord accumulates the batch's
 	// total (zero under co-located placement). tCoordCrit/tCoordWall
 	// are its overlapped-coordination companions: the critical share
-	// the Plan actually waited for (== tCoord unless a speculation was
-	// adopted) and the message plane's measured wall twin. coordHidden
-	// is the batch's speculation-hidden share (coord - critical): it
+	// the Plan actually waited for (== tCoord unless the Plan hid its
+	// first poll round) and the message plane's measured wall twin.
+	// coordHidden is the batch's hidden share (coord - critical): it
 	// occupies the coordinator concurrently with the cycle's other
 	// stages, so the cycle wall floors on it.
 	tCoord      []float64
@@ -338,9 +332,9 @@ func (d *dynamicState) stagePlan(job *spJob) error {
 		job.tGPU[t] = d.env.Cfg.System.GPU.RandomTime(float64(len(job.batch.Tables[t])) * 16)
 		// Cross-node coordination latency this table's placement just
 		// paid (zero when its shards are co-located). The critical
-		// share is what this Plan actually waited for — the rest was
-		// hidden by speculation under the previous cycle; the wall
-		// figure is the message plane's measured twin.
+		// share is what this Plan actually waited for — the rest (its
+		// first poll round, under overlap) was hidden under the previous
+		// cycle; the wall figure is the message plane's measured twin.
 		job.tCoord[t] = d.sps[t].LastPlanCoord()
 		job.tCoordCrit[t] = d.sps[t].LastPlanCoordCritical()
 		job.tCoordWall[t] = d.sps[t].LastPlanCoordWall()
@@ -361,8 +355,8 @@ func (d *dynamicState) stagePlan(job *spJob) error {
 	// The per-table coordinators contend for the same inter-node links,
 	// so their communication serializes (sum, not max) on top of the
 	// local Plan work. Only the critical share blocks the stage; the
-	// speculation-hidden remainder runs concurrently with the cycle and
-	// is floored into the cycle wall by the run loop.
+	// hidden remainder runs concurrently with the cycle and is floored
+	// into the cycle wall by the run loop.
 	tTime := d.cost.pcie(idBytes(totalIDs))/d.links() + gpuProbe/float64(d.gpus) + coordCrit
 	job.stageTime[core.StagePlan] = tTime
 	job.coord += coord

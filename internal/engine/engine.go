@@ -116,18 +116,18 @@ type EnvConfig struct {
 	// CoordQuantum is approx mode's recency quantum in clock ticks
 	// (0 selects the shard package default; 1 makes approx exact).
 	CoordQuantum int
-	// CoordOverlap pipelines ScratchPipe's distributed coordination with
-	// the cycle: after each cycle retires, every table's shard manager
-	// speculatively resolves the NEXT Plan's eviction candidates against
-	// a snapshot of its stamp clock (shard.Manager.SpeculatePlan), so
-	// when that Plan runs it only waits for the non-speculable
-	// confirm/transfer rounds. A snapshot invalidated by resharding,
-	// faults, or a mis-projected release rolls back and the Plan replays
-	// the sweep from scratch — plans, traffic counters, and total
-	// coordination Seconds are bit-identical either way; only the
-	// critical share charged to the [Plan] stage shrinks (DESIGN.md §12).
-	// Only the ScratchPipe engine reads it, and it has no effect under
-	// co-located placement or Shards == 1.
+	// CoordOverlap prices ScratchPipe's distributed coordination against
+	// the pipeline's one-cycle look-ahead: after each cycle, every
+	// table's shard manager checks whether the NEXT Plan will sweep for
+	// victims (shard.Manager.OverlapNextPlan). If so, that sweep's first
+	// poll round asks for candidates already known a cycle early, so the
+	// Plan prices it as hidden under the previous Collect and waits only
+	// for the later rounds. Resharding and fault events clear the mark,
+	// and the Plan prices every round critically. Plans, traffic
+	// counters, and total coordination Seconds are bit-identical either
+	// way; only the critical share charged to the [Plan] stage shrinks
+	// (DESIGN.md §12). Only the ScratchPipe engine reads it, and it has
+	// no effect under co-located placement or Shards == 1.
 	CoordOverlap bool
 	// Reshard schedules run-time shard-count transitions for the
 	// dynamic-cache engines (strawman/ScratchPipe; the static and
@@ -382,12 +382,12 @@ type Report struct {
 	// CoordWallTime is CoordTime's measured twin: the average
 	// per-iteration wall-clock makespan of the same coordination
 	// messages replayed through internal/msgplane's goroutine hosts
-	// (critical and speculation-hidden shares together). It differs
+	// (critical and hidden shares together). It differs
 	// from the modeled CoordTime exactly where the serial pricing model
 	// ignores cross-host parallelism; benchgate gates the skew
 	// (DESIGN.md §12). Zero under co-located placements.
 	CoordWallTime float64
-	// Overlap counts speculative-coordination outcomes across tables
+	// Overlap counts overlapped-coordination outcomes across tables
 	// (shard.OverlapStats); the zero value unless the run enabled
 	// overlapped coordination against a distributed placement.
 	Overlap shard.OverlapStats

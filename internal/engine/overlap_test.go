@@ -77,15 +77,15 @@ func TestOverlapReportEquivalence(t *testing.T) {
 				t.Fatalf("Report.CoordTime moved by %g (off %g, on %g)", rel, base.CoordTime, over.CoordTime)
 			}
 
-			// Speculation outcomes: the baseline never speculates; the
-			// overlapped run speculates every cycle and — undisturbed by
-			// faults or resharding — adopts every speculation.
+			// Overlap outcomes: the baseline marks no Plan; the
+			// overlapped run marks every Plan that will sweep and —
+			// undisturbed by faults or resharding — hides a round in each.
 			if base.Overlap != (shard.OverlapStats{}) {
-				t.Fatalf("baseline reports speculation: %+v", base.Overlap)
+				t.Fatalf("baseline reports overlap outcomes: %+v", base.Overlap)
 			}
 			ov := over.Overlap
 			if ov.Speculated == 0 || ov.Adopted != ov.Speculated || ov.RolledBack != 0 {
-				t.Fatalf("undisturbed overlap run should adopt every speculation: %+v", ov)
+				t.Fatalf("undisturbed overlap run should hide a round in every marked Plan: %+v", ov)
 			}
 			if over.Coord.OverlapSeconds <= 0 || over.Coord.OverlapSeconds >= over.Coord.Seconds {
 				t.Fatalf("hidden share %g not a strict share of total %g",
@@ -109,7 +109,7 @@ func TestOverlapReportEquivalence(t *testing.T) {
 			}
 
 			// Measured wall twin: present in both runs (the plane runs
-			// whether or not speculation is on) and within the documented
+			// whether or not overlap is on) and within the documented
 			// skew tolerance of the modeled total (DESIGN.md §12).
 			for name, rep := range map[string]*Report{"off": base, "on": over} {
 				if rep.CoordWallTime <= 0 {
@@ -127,7 +127,7 @@ func TestOverlapReportEquivalence(t *testing.T) {
 
 // TestOverlapColocatedIdentical: under co-located placement there is no
 // coordinator, so -coord-overlap must be a perfect no-op — the report is
-// bit-identical and no speculation is ever attempted.
+// bit-identical and no Plan is ever marked overlapped.
 func TestOverlapColocatedIdentical(t *testing.T) {
 	model := dlrm.DefaultConfig()
 	model.RowsPerTable = 50_000
@@ -138,7 +138,7 @@ func TestOverlapColocatedIdentical(t *testing.T) {
 	over := runOverlapSP(t, metaEnv(t, model, trace.Medium, 4),
 		true, 20)
 	if over.Overlap != (shard.OverlapStats{}) {
-		t.Fatalf("co-located run attempted speculation: %+v", over.Overlap)
+		t.Fatalf("co-located run marked Plans overlapped: %+v", over.Overlap)
 	}
 	if !reflect.DeepEqual(base, over) {
 		t.Fatalf("co-located overlap not a no-op:\noff %+v\non  %+v", base, over)
@@ -147,9 +147,9 @@ func TestOverlapColocatedIdentical(t *testing.T) {
 
 // TestOverlapWithFaultsStaysEquivalent drives the overlapped engine
 // through the fault schedule used by the recovery tests: every fault
-// event invalidates in-flight speculation, so some snapshots roll back,
-// yet cache statistics and coordination traffic match the non-overlapped
-// run exactly.
+// event clears the managers' overlap marks, so some marked Plans hide
+// nothing, yet cache statistics and coordination traffic match the
+// non-overlapped run exactly.
 func TestOverlapWithFaultsStaysEquivalent(t *testing.T) {
 	model := dlrm.DefaultConfig()
 	model.RowsPerTable = 50_000
@@ -197,6 +197,6 @@ func TestOverlapWithFaultsStaysEquivalent(t *testing.T) {
 		t.Fatalf("faulted overlap run never adopted: %+v", over.Overlap)
 	}
 	if over.Overlap.RolledBack == 0 {
-		t.Fatalf("fault events should have invalidated at least one speculation: %+v", over.Overlap)
+		t.Fatalf("fault events should have cleared at least one overlap mark: %+v", over.Overlap)
 	}
 }

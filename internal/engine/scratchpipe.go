@@ -168,10 +168,6 @@ func (s *ScratchPipe) Run(n int) (*Report, error) {
 	var cycleSeries metrics.Series
 
 	runCycle := func(job *spJob) error {
-		// Any in-flight speculation must land before the cycle touches
-		// the managers (release, Plan) — this is the join point of the
-		// overlap window.
-		s.dyn.joinSpec()
 		// The job about to enter [Train] stops holding its slots:
 		// from this cycle's [Plan] onward they are fair eviction
 		// game, exactly the paper's past-window arithmetic. (Fault
@@ -210,10 +206,10 @@ func (s *ScratchPipe) Run(n int) (*Report, error) {
 		if s.opts.CPUContention && cpuSum > cycleWall {
 			cycleWall = cpuSum
 		}
-		// The coordination share hidden by speculation ran on the
-		// inter-node links concurrently with this cycle's stages; the
-		// cycle cannot retire before those rounds complete, so it floors
-		// the wall (this is what keeps overlap honest rather than free).
+		// The Plan's hidden coordination share runs on the inter-node
+		// links concurrently with this cycle's stages; the cycle cannot
+		// retire before those rounds complete, so it floors the wall
+		// (this is what keeps overlap honest rather than free).
 		if pj := exec[core.StagePlan]; pj != nil {
 			if h := pj.(*spJob).coordHidden; h > cycleWall {
 				cycleWall = h
@@ -248,10 +244,8 @@ func (s *ScratchPipe) Run(n int) (*Report, error) {
 		// Elastic resharding fires between Plans: in-flight batches'
 		// hold state migrates with everything else, so the pipeline
 		// does not drain and plans stay identical across the boundary.
-		// Reshard/fault events mutate the managers, so the speculation
-		// goroutine (if any) is joined first; the events then invalidate
-		// its snapshot and the next Plan replays non-speculatively.
-		s.dyn.joinSpec()
+		// Reshard/fault events clear the managers' overlap marks, so the
+		// next Plan prices every round critically.
 		if err := s.dyn.maybeReshard(it); err != nil {
 			return nil, err
 		}
@@ -264,7 +258,7 @@ func (s *ScratchPipe) Run(n int) (*Report, error) {
 		if err := runCycle(job); err != nil {
 			return nil, err
 		}
-		s.maybeSpeculate(job)
+		s.markOverlap(job)
 	}
 	for s.pipe.InFlight() > 0 {
 		if err := runCycle(nil); err != nil {
@@ -295,43 +289,21 @@ func (s *ScratchPipe) Run(n int) (*Report, error) {
 	return rep, nil
 }
 
-// maybeSpeculate launches the overlap window after a cycle that injected
-// job: the job sits at [Load] and executes its Plan NEXT cycle, so a
-// goroutine runs every table's SpeculatePlan against the job's own batch
-// and look-ahead windows (captured by newJob, immutable from here on),
-// projecting across the release the next cycle will perform first. The
-// goroutine only reads the job plus each manager's own state, which
-// nothing else touches until joinSpec.
-func (s *ScratchPipe) maybeSpeculate(job *spJob) {
-	if !s.env.Cfg.CoordOverlap || job == nil {
+// markOverlap runs the look-ahead check after the cycle that injected
+// job: the job sits at [Load] and executes its Plan next cycle, so each
+// table's manager learns now whether that Plan will sweep and can hide
+// its first poll round (shard.Manager.OverlapNextPlan).
+func (s *ScratchPipe) markOverlap(job *spJob) {
+	if !s.env.Cfg.CoordOverlap {
 		return
 	}
-	d := s.dyn
-	nt := d.env.Cfg.Model.NumTables
-	// The next cycle releases the job currently parked at the stage
-	// before the release stage (it executed that stage this cycle);
-	// the projection must account for those holds dropping.
-	rel := -1
-	if entering := s.pipe.AtStage(s.opts.UnsafeReleaseAt - 1); entering != nil {
-		rel = entering.(*spJob).batch.Seq
+	for t, sp := range s.dyn.sps {
+		uniq, _ := job.batch.UniqueWithCounts(t)
+		sp.OverlapNextPlan(uniq)
 	}
-	d.specWG.Add(1)
-	go func() {
-		defer d.specWG.Done()
-		for t := 0; t < nt; t++ {
-			uniq, _ := job.batch.UniqueWithCounts(t)
-			d.sps[t].SpeculatePlan(job.batch.Seq, uniq, job.futT[t], job.hintT[t], rel)
-		}
-	}()
 }
-
-// joinSpec waits for the in-flight speculation goroutine, if any. Every
-// path that mutates the shard managers (release, Plan, reshard, fault
-// injection, flush) joins first.
-func (d *dynamicState) joinSpec() { d.specWG.Wait() }
 
 // Flush implements FlushTables.
 func (s *ScratchPipe) Flush() error {
-	s.dyn.joinSpec()
 	return s.dyn.flush()
 }

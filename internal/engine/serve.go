@@ -48,7 +48,6 @@ func RunServe(env *Env) (*serve.Report, error) {
 		Shards:       cfg.Shards,
 		Coord:        cfg.Coord,
 		CoordQuantum: cfg.CoordQuantum,
-		Elastic:      cfg.Reshard.Active(),
 		DenseTime:    inferenceDenseTime(env),
 		DenseBatch:   func(n int) float64 { return inferenceDenseBatchTime(env, n) },
 		Pool:         env.Pool,

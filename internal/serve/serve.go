@@ -23,8 +23,8 @@
 //     queue-depth penalty), or hitaware-telemetry (the same score from
 //     replica-published hit rates).
 //   - [Config] -> [NewFleet] -> [Fleet]: R workers, each with one
-//     shard.Manager per table (Shards/Coord/Elastic configs carry over
-//     from training), a bounded FIFO queue, and a home topology node.
+//     shard.Manager per table (Shards/Coord configs carry over from
+//     training), a bounded FIFO queue, and a home topology node.
 //     Workers stripe across the topology's nodes; each worker's shards
 //     stripe across its own host's nodes, so sharded replicas pay NUMA
 //     coordination and cross-host routing pays network links.
@@ -223,9 +223,6 @@ type Config struct {
 	// Coord/CoordQuantum select the cross-shard coordination protocol.
 	Coord        shard.CoordMode
 	CoordQuantum int
-	// Elastic builds the managers in their elastic representation (the
-	// generic re-shardable form used by training's live resharding).
-	Elastic bool
 	// DenseTime is the per-query dense-model forward latency in
 	// seconds (the MLP inference pass; engine.RunServe derives it from
 	// the model configuration).
@@ -470,7 +467,6 @@ func (f *Fleet) buildScratchpads(wk *worker) error {
 			Placement:    place,
 			Coord:        cfg.Coord,
 			CoordQuantum: cfg.CoordQuantum,
-			Elastic:      cfg.Elastic,
 		})
 		if err != nil {
 			return err

@@ -215,9 +215,9 @@ func TestCrossHostRouting(t *testing.T) {
 	}
 }
 
-// TestShardedElasticWorkers: sharded and elastic scratchpad configs must
-// carry over to serving replicas, with NUMA coordination priced in.
-func TestShardedElasticWorkers(t *testing.T) {
+// TestShardedWorkers: sharded scratchpad configs must carry over to
+// serving replicas, with NUMA coordination priced in.
+func TestShardedWorkers(t *testing.T) {
 	cfg := testConfig(PolicyHitAware, trace.High)
 	topo, err := hw.ParseTopology("cluster2x2")
 	if err != nil {
@@ -225,7 +225,6 @@ func TestShardedElasticWorkers(t *testing.T) {
 	}
 	cfg.Topology = topo
 	cfg.Shards = 2
-	cfg.Elastic = true
 	cfg.Requests = 400
 	rep, err := Run(cfg)
 	if err != nil {

@@ -50,13 +50,13 @@ import (
 //     WallHiddenSeconds) of the modeled Seconds. The script's phase
 //     boundaries mark the protocol's real barriers: stamp sync before
 //     the sweep, the sweep before the Plan-end flush.
-//   - Speculative coordination (spec.go) stages its rounds on a side
-//     ledger (staging == true): the same addRound paths write into the
-//     spec arrays/script instead of the Plan's. On adoption the staged
-//     traffic is priced separately as OverlapSeconds (hidden under the
-//     previous Collect) and its counters merge into the lifetime stats;
-//     on rollback the ledger is discarded wholesale, leaving the
-//     lifetime stats bit-identical to a run that never speculated.
+//   - An overlapped Plan (spec.go) records its first poll round on a
+//     second ledger (hidden == true): the same addRound paths write into
+//     that ledger's arrays and script instead of the critical ones, the
+//     finished Plan prices it separately as OverlapSeconds (hidden under
+//     the previous Collect), and the message plane replays it as the
+//     overlapped script. The lifetime counters are shared, so traffic
+//     is identical with overlap on or off.
 const (
 	// stampSyncBytes is one touch-stamp round trip: stamp base out,
 	// touch count back.
@@ -88,29 +88,6 @@ const (
 func pollPayload(got int) float64 {
 	return batchHeaderBytes + candEntryBytes*float64(got)
 }
-
-// byteBucket / roundBucket name the CoordStats field a message tallies
-// into; addRound resolves them against the live or staging stats, so
-// the speculative path reuses the exact recording code.
-type byteBucket uint8
-
-const (
-	bktVictim byteBucket = iota
-	bktStamp
-	bktBorrow
-	bktReelect
-)
-
-type roundBucket uint8
-
-const (
-	rndPoll roundBucket = iota
-	rndConfirm
-	rndSlotMove
-	rndStampSync
-	rndBorrow
-	rndReelect
-)
 
 // CoordStats aggregates the coordinator's cross-node communication over
 // a Manager's lifetime. All byte counts are control-message payloads
@@ -144,9 +121,9 @@ type CoordStats struct {
 	// critical and overlapped shares together, so its semantics do not
 	// change when overlapped coordination is enabled.
 	Seconds float64
-	// OverlapSeconds is the share of Seconds that speculation hid under
-	// the previous Collect (zero when overlap is off or nothing was
-	// adopted). The critical share a Plan actually waited for is
+	// OverlapSeconds is the share of Seconds overlapped Plans hid under
+	// the previous Collect: their first poll rounds (zero when overlap
+	// is off). The critical share Plans actually waited for is
 	// Seconds - OverlapSeconds.
 	OverlapSeconds float64
 	// WallSeconds / WallHiddenSeconds are the measured twins: the
@@ -181,55 +158,6 @@ func (s *CoordStats) Merge(o CoordStats) {
 	s.OverlapSeconds += o.OverlapSeconds
 	s.WallSeconds += o.WallSeconds
 	s.WallHiddenSeconds += o.WallHiddenSeconds
-}
-
-// bytesBucket returns the payload accumulator a byteBucket names.
-func (s *CoordStats) bytesBucket(b byteBucket) *float64 {
-	switch b {
-	case bktVictim:
-		return &s.VictimMergeBytes
-	case bktStamp:
-		return &s.TouchStampBytes
-	case bktBorrow:
-		return &s.BorrowBytes
-	default:
-		return &s.ReelectBytes
-	}
-}
-
-// roundsBucket returns the round counter a roundBucket names.
-func (s *CoordStats) roundsBucket(r roundBucket) *int64 {
-	switch r {
-	case rndPoll:
-		return &s.PollRounds
-	case rndConfirm:
-		return &s.ConfirmRounds
-	case rndSlotMove:
-		return &s.SlotMoveRounds
-	case rndStampSync:
-		return &s.StampSyncRounds
-	case rndBorrow:
-		return &s.BorrowRounds
-	default:
-		return &s.ReelectRounds
-	}
-}
-
-// mergeCounters folds another ledger's message counts and payload bytes
-// into s without touching the priced-seconds fields (the caller prices
-// the adopted staging itself).
-func (s *CoordStats) mergeCounters(o CoordStats) {
-	s.VictimMergeBytes += o.VictimMergeBytes
-	s.TouchStampBytes += o.TouchStampBytes
-	s.BorrowBytes += o.BorrowBytes
-	s.ReelectBytes += o.ReelectBytes
-	s.PollRounds += o.PollRounds
-	s.ConfirmRounds += o.ConfirmRounds
-	s.SlotMoveRounds += o.SlotMoveRounds
-	s.StampSyncRounds += o.StampSyncRounds
-	s.BorrowRounds += o.BorrowRounds
-	s.ReelectRounds += o.ReelectRounds
-	s.Messages += o.Messages
 }
 
 // coordMeter accumulates one Plan's coordination traffic per link pair
@@ -267,43 +195,37 @@ type coordMeter struct {
 	moveCount   []int64
 	moveDirty   []int32
 
-	// bytes/rounds are the current Plan's per-link-pair traffic,
-	// indexed by hw.Topology.PairIndex (the link matrix's own layout);
-	// touched lists the dirty node pairs so the per-Plan reset and
-	// pricing walk is proportional to traffic, not topology size.
+	// plane replays the recorded message scripts on goroutine hosts at
+	// Plan end. crit is the Plan's critical ledger, phase its current
+	// barrier index: incrementing it closes a barrier, so later ops may
+	// not start on the plane before every earlier op completed. over is
+	// the overlapped ledger: while hidden is set (an overlapped Plan's
+	// first poll round, spec.go) rounds record there, all in phase 0.
+	plane  *msgplane.Plane
+	crit   ledger
+	over   ledger
+	phase  int32
+	hidden bool
+
+	// Most recent finishPlan split, read back by the Manager: lastCrit
+	// is the modeled critical share, lastWall the measured makespan of
+	// both scripts.
+	lastCrit float64
+	lastWall float64
+
+	stats CoordStats
+}
+
+// ledger is one message script's traffic within a Plan: payload bytes
+// and rounds per link pair, indexed by hw.Topology.PairIndex (the link
+// matrix's own layout), the dirty pairs (so the per-Plan reset and
+// pricing walk is proportional to traffic, not topology size), and the
+// script itself.
+type ledger struct {
 	bytes   []float64
 	rounds  []int64
 	touched []linkUse
-
-	// plane replays the recorded message script on goroutine hosts at
-	// Plan end; ops is the Plan's critical script, phase its current
-	// barrier index (see nextPhase).
-	plane *msgplane.Plane
-	ops   []msgplane.Op
-	phase int32
-
-	// Speculation side ledger (spec.go): while staging is set, addRound
-	// and addPayload record into the spec arrays, script, and stats
-	// instead of the Plan's. specAdopted marks the staged traffic
-	// consumed by the current Plan: finishPlan then prices it as
-	// OverlapSeconds and merges its counters; otherwise the ledger is
-	// simply cleared.
-	staging     bool
-	specAdopted bool
-	specBytes   []float64
-	specRounds  []int64
-	specTouched []linkUse
-	specOps     []msgplane.Op
-	specStats   CoordStats
-
-	// Most recent finishPlan split, read back by the Manager:
-	// lastCrit is the modeled critical share, lastWallCrit/lastWallFull
-	// the measured critical share and full makespan.
-	lastCrit     float64
-	lastWallCrit float64
-	lastWallFull float64
-
-	stats CoordStats
+	ops     []msgplane.Op
 }
 
 // linkUse records one dirty link of the current Plan: the flattened
@@ -312,6 +234,22 @@ type coordMeter struct {
 type linkUse struct {
 	idx  int32
 	a, b int32
+}
+
+// reuse returns l emptied for a topology with pairs link pairs, keeping
+// its buffers.
+func (l ledger) reuse(pairs int) ledger {
+	return ledger{bytes: zeroed(l.bytes, pairs), rounds: zeroed(l.rounds, pairs), touched: l.touched[:0], ops: l.ops[:0]}
+}
+
+// dirty returns the flattened pair index for (a, b), registering the
+// pair in the touched list on first use.
+func (l *ledger) dirty(topo *hw.Topology, a, b int32) int32 {
+	idx := int32(topo.PairIndex(int(a), int(b)))
+	if l.rounds[idx] == 0 && l.bytes[idx] == 0 {
+		l.touched = append(l.touched, linkUse{idx: idx, a: a, b: b})
+	}
+	return idx
 }
 
 // reset builds the meter for (p, shards, mode) — empty ledgers, empty
@@ -339,17 +277,9 @@ func (c *coordMeter) reset(p hw.Placement, shards int, mode CoordMode) *coordMet
 		planVictims: zeroed(old.planVictims, shards),
 		moveCount:   zeroed(old.moveCount, shards*shards),
 		moveDirty:   old.moveDirty[:0],
-		bytes:       zeroed(old.bytes, pairs),
-		rounds:      zeroed(old.rounds, pairs),
-		touched:     old.touched[:0],
 		plane:       old.plane,
-		ops:         old.ops[:0],
-		specTouched: old.specTouched[:0],
-		specOps:     old.specOps[:0],
-	}
-	if old.specBytes != nil {
-		c.specBytes = zeroed(old.specBytes, pairs)
-		c.specRounds = zeroed(old.specRounds, pairs)
+		crit:        old.crit.reuse(pairs),
+		over:        old.over.reuse(pairs),
 	}
 	if c.plane == nil {
 		c.plane = msgplane.New(p.Topo)
@@ -388,132 +318,59 @@ func zeroed[T any](buf []T, n int) []T {
 	return buf
 }
 
-// side returns the active recording ledger: the Plan's own, or the
-// speculation staging while it is open.
-func (c *coordMeter) side() (st *CoordStats, bytes []float64, rounds []int64) {
-	if c.staging {
-		return &c.specStats, c.specBytes, c.specRounds
+// active returns the ledger rounds record on and their phase: the
+// overlapped ledger during a hidden round, the critical one otherwise.
+func (c *coordMeter) active() (*ledger, int32) {
+	if c.hidden {
+		return &c.over, 0
 	}
-	return &c.stats, c.bytes, c.rounds
+	return &c.crit, c.phase
 }
 
 // addRound records one message round of the given payload between two
-// nodes, tallying the payload and round into the named buckets and
-// appending the round to the active message script; same-node traffic
-// is free.
-func (c *coordMeter) addRound(a, b int32, payload float64, bb byteBucket, rb roundBucket) {
+// nodes, adding the payload to *bytes and the round to *rounds (fields
+// of c.stats) and appending the round to the active script; same-node
+// traffic is free.
+func (c *coordMeter) addRound(a, b int32, payload float64, bytes *float64, rounds *int64) {
 	if a == b {
 		return
 	}
-	st, bytes, rounds := c.side()
-	idx := c.dirty(a, b, bytes, rounds)
-	bytes[idx] += payload
-	rounds[idx]++
-	st.Messages++
-	*st.roundsBucket(rb)++
-	*st.bytesBucket(bb) += payload
-	c.record(msgplane.Op{Exec: a, Peer: b, Bytes: payload, Latency: true, Phase: c.opPhase()})
+	l, phase := c.active()
+	idx := l.dirty(c.place.Topo, a, b)
+	l.bytes[idx] += payload
+	l.rounds[idx]++
+	c.stats.Messages++
+	*rounds++
+	*bytes += payload
+	l.ops = append(l.ops, msgplane.Op{Exec: a, Peer: b, Bytes: payload, Latency: true, Phase: phase})
 }
 
 // addPayload merges extra payload onto the link between two nodes
 // without a new round (the bytes ride an already-counted batched
 // message); same-node traffic is free.
-func (c *coordMeter) addPayload(a, b int32, payload float64, bb byteBucket) {
+func (c *coordMeter) addPayload(a, b int32, payload float64, bytes *float64) {
 	if a == b {
 		return
 	}
-	st, bytes, rounds := c.side()
-	idx := c.dirty(a, b, bytes, rounds)
-	bytes[idx] += payload
-	*st.bytesBucket(bb) += payload
-	c.record(msgplane.Op{Exec: a, Peer: b, Bytes: payload, Latency: false, Phase: c.opPhase()})
-}
-
-// record appends one op to the active message script.
-func (c *coordMeter) record(op msgplane.Op) {
-	if c.staging {
-		c.specOps = append(c.specOps, op)
-	} else {
-		c.ops = append(c.ops, op)
-	}
-}
-
-// opPhase returns the active script's barrier index: the staged
-// speculative script is a single phase (its polls are independent), the
-// Plan script advances through nextPhase.
-func (c *coordMeter) opPhase() int32 {
-	if c.staging {
-		return 0
-	}
-	return c.phase
-}
-
-// nextPhase closes the Plan script's current barrier: subsequent ops
-// may not start on the plane before every earlier op completed.
-func (c *coordMeter) nextPhase() {
-	if !c.staging {
-		c.phase++
-	}
-}
-
-// dirty returns the flattened pair index for (a, b), registering the
-// pair in the active ledger's touched list on first use.
-func (c *coordMeter) dirty(a, b int32, bytes []float64, rounds []int64) int32 {
-	idx := int32(c.place.Topo.PairIndex(int(a), int(b)))
-	if rounds[idx] == 0 && bytes[idx] == 0 {
-		if c.staging {
-			c.specTouched = append(c.specTouched, linkUse{idx: idx, a: a, b: b})
-		} else {
-			c.touched = append(c.touched, linkUse{idx: idx, a: a, b: b})
-		}
-	}
-	return idx
-}
-
-// beginStaging opens the speculation side ledger: subsequent addRound /
-// addPayload calls record into it. The per-sweep host-batch state is
-// reset because the staged polls open the next Plan's sweep.
-func (c *coordMeter) beginStaging() {
-	if c.specBytes == nil {
-		c.specBytes = make([]float64, c.place.Topo.NumLinkPairs())
-		c.specRounds = make([]int64, c.place.Topo.NumLinkPairs())
-	}
-	c.staging = true
-	c.beginSweep()
-}
-
-// endStaging closes the side ledger (the staged traffic stays parked
-// until adoptStaging or discardStaging).
-func (c *coordMeter) endStaging() { c.staging = false }
-
-// adoptStaging marks the staged traffic consumed by the current Plan:
-// finishPlan will price it as the Plan's overlapped share. The per-sweep
-// hostPolled state staged by the speculative polls stays live, so later
-// refills on an already-polled host keep merging into its batch.
-func (c *coordMeter) adoptStaging() { c.specAdopted = true }
-
-// discardStaging drops the staged traffic without pricing it (rollback:
-// the re-polls are metered critically by the Plan, so lifetime stats
-// match a run that never speculated).
-func (c *coordMeter) discardStaging() {
-	for _, u := range c.specTouched {
-		c.specBytes[u.idx] = 0
-		c.specRounds[u.idx] = 0
-	}
-	c.specTouched = c.specTouched[:0]
-	c.specOps = c.specOps[:0]
-	c.specStats = CoordStats{}
-	c.specAdopted = false
-	c.staging = false
+	l, phase := c.active()
+	idx := l.dirty(c.place.Topo, a, b)
+	l.bytes[idx] += payload
+	*bytes += payload
+	l.ops = append(l.ops, msgplane.Op{Exec: a, Peer: b, Bytes: payload, Latency: false, Phase: phase})
 }
 
 // beginSweep resets the per-sweep host-batch state; the Manager calls it
-// whenever the victim sweep (re-)arms.
-func (c *coordMeter) beginSweep() {
-	for i := range c.hostPolled {
-		c.hostPolled[i] = false
+// whenever the victim sweep (re-)arms. A critical arm closes the
+// script's barrier. A hidden arm opens an overlapped Plan's first poll
+// round on the overlapped ledger and leaves the critical phase where it
+// is, as if the round had run before the Plan (spec.go); the Manager
+// clears hidden once the round's polls are made.
+func (c *coordMeter) beginSweep(hide bool) {
+	clear(c.hostPolled)
+	c.hidden = hide
+	if !hide {
+		c.phase++
 	}
-	c.nextPhase()
 }
 
 // meterPoll records one candidate-poll refill for shard j that returned
@@ -521,13 +378,13 @@ func (c *coordMeter) beginSweep() {
 func (c *coordMeter) meterPoll(j, got int) {
 	switch c.mode {
 	case CoordExact:
-		c.addRound(c.coordNode, c.nodeOf[j], victimPollBytes, bktVictim, rndPoll)
+		c.addRound(c.coordNode, c.nodeOf[j], victimPollBytes, &c.stats.VictimMergeBytes, &c.stats.PollRounds)
 	case CoordBatched:
-		c.addRound(c.coordNode, c.nodeOf[j], pollPayload(got), bktVictim, rndPoll)
+		c.addRound(c.coordNode, c.nodeOf[j], pollPayload(got), &c.stats.VictimMergeBytes, &c.stats.PollRounds)
 	default: // CoordHier, CoordApprox
 		h := c.hostIdx[j]
 		agg := c.aggNode[h]
-		c.addRound(agg, c.nodeOf[j], pollPayload(got), bktVictim, rndPoll)
+		c.addRound(agg, c.nodeOf[j], pollPayload(got), &c.stats.VictimMergeBytes, &c.stats.PollRounds)
 		if agg == c.coordNode {
 			return
 		}
@@ -536,11 +393,11 @@ func (c *coordMeter) meterPoll(j, got int) {
 			// forwards the host-level winner batch in one cross-host
 			// round.
 			c.hostPolled[h] = true
-			c.addRound(c.coordNode, agg, pollPayload(got), bktVictim, rndPoll)
+			c.addRound(c.coordNode, agg, pollPayload(got), &c.stats.VictimMergeBytes, &c.stats.PollRounds)
 		} else {
 			// Later refills merge into the host batch already in
 			// flight: extra candidates cost bytes, not rounds.
-			c.addPayload(c.coordNode, agg, candEntryBytes*float64(got), bktVictim)
+			c.addPayload(c.coordNode, agg, candEntryBytes*float64(got), &c.stats.VictimMergeBytes)
 		}
 	}
 }
@@ -550,7 +407,7 @@ func (c *coordMeter) meterPoll(j, got int) {
 // confirm otherwise.
 func (c *coordMeter) meterConfirm(j int) {
 	if c.mode == CoordExact {
-		c.addRound(c.coordNode, c.nodeOf[j], victimConfirmBytes, bktVictim, rndConfirm)
+		c.addRound(c.coordNode, c.nodeOf[j], victimConfirmBytes, &c.stats.VictimMergeBytes, &c.stats.ConfirmRounds)
 		return
 	}
 	c.planVictims[j]++
@@ -561,7 +418,7 @@ func (c *coordMeter) meterConfirm(j int) {
 // aggregated per-pair transfer otherwise.
 func (c *coordMeter) meterSlotMove(from, to int) {
 	if c.mode == CoordExact {
-		c.addRound(c.nodeOf[from], c.nodeOf[to], slotMoveBytes, bktVictim, rndSlotMove)
+		c.addRound(c.nodeOf[from], c.nodeOf[to], slotMoveBytes, &c.stats.VictimMergeBytes, &c.stats.SlotMoveRounds)
 		return
 	}
 	idx := int32(from*len(c.planVictims) + to)
@@ -574,7 +431,7 @@ func (c *coordMeter) meterSlotMove(from, to int) {
 // meterBorrow records a free-slot borrow round between two shards
 // (identical in every mode: the starved shard blocks on the grant).
 func (c *coordMeter) meterBorrow(from, to int) {
-	c.addRound(c.nodeOf[from], c.nodeOf[to], borrowBytes, bktBorrow, rndBorrow)
+	c.addRound(c.nodeOf[from], c.nodeOf[to], borrowBytes, &c.stats.BorrowBytes, &c.stats.BorrowRounds)
 }
 
 // meterStampSync records one Plan's touch-stamp synchronization: per
@@ -586,22 +443,22 @@ func (c *coordMeter) meterStampSync() {
 	case CoordApprox:
 		return
 	case CoordExact, CoordBatched:
-		c.nextPhase()
+		c.phase++
 		for j := range c.nodeOf {
-			c.addRound(c.coordNode, c.nodeOf[j], stampSyncBytes, bktStamp, rndStampSync)
+			c.addRound(c.coordNode, c.nodeOf[j], stampSyncBytes, &c.stats.TouchStampBytes, &c.stats.StampSyncRounds)
 		}
 	default: // CoordHier
-		c.nextPhase()
+		c.phase++
 		for j := range c.nodeOf {
-			c.addRound(c.aggNode[c.hostIdx[j]], c.nodeOf[j], stampSyncBytes, bktStamp, rndStampSync)
+			c.addRound(c.aggNode[c.hostIdx[j]], c.nodeOf[j], stampSyncBytes, &c.stats.TouchStampBytes, &c.stats.StampSyncRounds)
 		}
 		// Host-level uploads depend on the shard-level collections: a
 		// plane barrier separates the two tiers.
-		c.nextPhase()
+		c.phase++
 		for h := range c.aggNode {
 			c.addRound(c.coordNode, c.aggNode[h],
 				batchHeaderBytes+stampCountBytes*float64(c.hostShards[h]),
-				bktStamp, rndStampSync)
+				&c.stats.TouchStampBytes, &c.stats.StampSyncRounds)
 		}
 	}
 }
@@ -611,7 +468,7 @@ func (c *coordMeter) meterStampSync() {
 // coordinator -> host aggregator -> shard in hier/approx) and one slot
 // transfer round per dirty ordered shard pair.
 func (c *coordMeter) flushBatched() {
-	c.nextPhase()
+	c.phase++
 	if c.mode == CoordHier || c.mode == CoordApprox {
 		for j, v := range c.planVictims {
 			if v > 0 {
@@ -622,17 +479,17 @@ func (c *coordMeter) flushBatched() {
 			if v > 0 {
 				c.addRound(c.coordNode, c.aggNode[h],
 					batchHeaderBytes+confirmSlotBytes*float64(v),
-					bktVictim, rndConfirm)
+					&c.stats.VictimMergeBytes, &c.stats.ConfirmRounds)
 				c.hostVictims[h] = 0
 			}
 		}
 		// Shard-level fan-out waits for the host-level batch: barrier.
-		c.nextPhase()
+		c.phase++
 		for j, v := range c.planVictims {
 			if v > 0 {
 				c.addRound(c.aggNode[c.hostIdx[j]], c.nodeOf[j],
 					batchHeaderBytes+confirmSlotBytes*float64(v),
-					bktVictim, rndConfirm)
+					&c.stats.VictimMergeBytes, &c.stats.ConfirmRounds)
 				c.planVictims[j] = 0
 			}
 		}
@@ -641,7 +498,7 @@ func (c *coordMeter) flushBatched() {
 			if v > 0 {
 				c.addRound(c.coordNode, c.nodeOf[j],
 					batchHeaderBytes+confirmSlotBytes*float64(v),
-					bktVictim, rndConfirm)
+					&c.stats.VictimMergeBytes, &c.stats.ConfirmRounds)
 				c.planVictims[j] = 0
 			}
 		}
@@ -651,65 +508,55 @@ func (c *coordMeter) flushBatched() {
 		from, to := int(idx)/n, int(idx)%n
 		c.addRound(c.nodeOf[from], c.nodeOf[to],
 			slotMoveBytes*float64(c.moveCount[idx]),
-			bktVictim, rndSlotMove)
+			&c.stats.VictimMergeBytes, &c.stats.SlotMoveRounds)
 		c.moveCount[idx] = 0
 	}
 	c.moveDirty = c.moveDirty[:0]
 }
 
-// price sums the ledger's link times and zeroes its per-pair arrays;
-// the caller truncates the touched list. The coordinator pass is
-// serial, so the per-link times add.
-func (c *coordMeter) price(touched []linkUse, bytes []float64, rounds []int64) float64 {
+// price sums a ledger's link times and empties its per-pair arrays and
+// touched list (not its script). The coordinator pass is serial, so the
+// per-link times add.
+func (c *coordMeter) price(l *ledger) float64 {
 	var t float64
-	for _, u := range touched {
-		l := c.place.Topo.Link(int(u.a), int(u.b))
+	for _, u := range l.touched {
+		lk := c.place.Topo.Link(int(u.a), int(u.b))
 		// A down link prices at zero like a local one: no message
 		// crosses a partition — the rounds stay counted (the protocol
 		// sent them; they queue), and the stale state they failed to
 		// deliver is what degraded-mode divergence measures.
-		if l.Tier != hw.TierLocal && !l.Down {
-			t += float64(rounds[u.idx])*l.Latency + bytes[u.idx]/l.Bandwidth
+		if lk.Tier != hw.TierLocal && !lk.Down {
+			t += float64(l.rounds[u.idx])*lk.Latency + l.bytes[u.idx]/lk.Bandwidth
 		}
-		bytes[u.idx] = 0
-		rounds[u.idx] = 0
+		l.bytes[u.idx] = 0
+		l.rounds[u.idx] = 0
 	}
+	l.touched = l.touched[:0]
 	return t
 }
 
-// finishPlan prices the Plan's accumulated traffic, replays its message
-// script on the plane, folds everything into the lifetime stats, resets
-// the per-Plan state, and returns the Plan's total coordination latency
-// in seconds (critical + adopted overlapped share — the same quantity
-// the pre-overlap meter returned, so reported CoordTime semantics are
-// unchanged). The critical/overlapped split and the measured wall twins
-// are parked in lastCrit / lastWallCrit / lastWallFull for the Manager.
+// finishPlan prices the Plan's two ledgers, replays their scripts on the
+// plane, folds everything into the lifetime stats, resets the per-Plan
+// state, and returns the Plan's total coordination latency in seconds
+// (critical + overlapped share — the same quantity the pre-overlap meter
+// returned, so reported CoordTime semantics are unchanged). The critical
+// share and the measured makespan are parked in lastCrit / lastWall for
+// the Manager.
 func (c *coordMeter) finishPlan() float64 {
 	if c.mode != CoordExact {
 		c.flushBatched()
 	}
-	tCrit := c.price(c.touched, c.bytes, c.rounds)
-	c.touched = c.touched[:0]
-	var tOver float64
-	var specScript []msgplane.Op
-	if c.specAdopted {
-		tOver = c.price(c.specTouched, c.specBytes, c.specRounds)
-		c.specTouched = c.specTouched[:0]
-		c.stats.mergeCounters(c.specStats)
-		specScript = c.specOps
-	}
-	total, oend := c.plane.Execute(specScript, c.ops)
+	tCrit := c.price(&c.crit)
+	tOver := c.price(&c.over)
+	total, oend := c.plane.Execute(c.over.ops, c.crit.ops)
 	c.lastCrit = tCrit
-	c.lastWallCrit = total - oend
-	c.lastWallFull = total
+	c.lastWall = total
 	c.stats.Seconds += tCrit + tOver
 	c.stats.OverlapSeconds += tOver
 	c.stats.WallSeconds += total - oend
 	c.stats.WallHiddenSeconds += oend
-	c.ops = c.ops[:0]
+	c.crit.ops = c.crit.ops[:0]
+	c.over.ops = c.over.ops[:0]
 	c.phase = 0
-	if c.specAdopted {
-		c.discardStaging()
-	}
 	return tCrit + tOver
 }

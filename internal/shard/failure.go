@@ -133,9 +133,9 @@ func (m *Manager) Evacuate(place hw.Placement, hostDead func(host int) bool, res
 	if m.single != nil || !m.elastic {
 		return st, fmt.Errorf("shard: Evacuate on a non-elastic manager (build with Config.Elastic)")
 	}
-	// A death invalidates any speculative coordination in flight: the
-	// re-homed shards' state no longer matches the snapshot.
-	m.invalidateSpec()
+	// A death invalidates an overlap mark: the re-homed shards' state no
+	// longer matches the look-ahead check.
+	m.dropOverlap()
 	if err := place.Validate(m.nshards); err != nil {
 		return st, err
 	}
@@ -230,7 +230,7 @@ func (m *Manager) Degrade() {
 	if m.single != nil || m.degraded || m.mode == CoordApprox {
 		return
 	}
-	m.invalidateSpec()
+	m.dropOverlap()
 	m.degraded = true
 	m.preMode, m.preQuantum = m.mode, m.quantum
 	m.mode = CoordApprox
@@ -249,7 +249,7 @@ func (m *Manager) Heal() float64 {
 	if !m.degraded {
 		return 0
 	}
-	m.invalidateSpec()
+	m.dropOverlap()
 	m.degraded = false
 	m.mode, m.quantum = m.preMode, m.preQuantum
 	if m.coord == nil {
@@ -272,9 +272,9 @@ func (m *Manager) ReelectAggregator(host int) float64 {
 	if m.coord == nil || (m.mode != CoordHier && m.mode != CoordApprox) {
 		return 0
 	}
-	// The election re-routes the host tier, so staged speculative polls
-	// against the old aggregator would price (and route) wrong.
-	m.invalidateSpec()
+	// The election re-routes the host tier the hidden round's polls
+	// would take.
+	m.dropOverlap()
 	return m.coord.reelect(host)
 }
 
@@ -315,10 +315,10 @@ func (c *coordMeter) reelect(topoHost int) float64 {
 	newAgg := c.nodeOf[next]
 	for j := range c.hostIdx {
 		if c.hostIdx[j] == int32(h) {
-			c.addRound(c.nodeOf[j], newAgg, electVoteBytes, bktReelect, rndReelect)
+			c.addRound(c.nodeOf[j], newAgg, electVoteBytes, &c.stats.ReelectBytes, &c.stats.ReelectRounds)
 		}
 	}
-	c.addRound(newAgg, c.coordNode, electAnnounceBytes, bktReelect, rndReelect)
+	c.addRound(newAgg, c.coordNode, electAnnounceBytes, &c.stats.ReelectBytes, &c.stats.ReelectRounds)
 	c.aggNode[h] = newAgg
 	return c.finishPlan()
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/hw"
+	"repro/internal/intmap"
 	"repro/internal/par"
 )
 
@@ -27,16 +28,16 @@ type resetShape struct {
 
 // TestResetMatchesNew is the manager-level differential check behind
 // scratchpad reuse: a manager that ran one shape (batches left in
-// flight, hinted Plans, possibly a parked speculation) and was then
-// Reset to a second shape must behave exactly like New of the second —
-// every plan including slot numbers, then every statistic the manager
-// reports and the ForEach order. The first cases reset a manager of a
-// random shape to S=1 under each policy and to S=4 on cluster2x2; the
-// rest reset S=4 in place: growing and shrinking capacity, approx with
-// its shadow planner, elastic with the load probe, a move from
-// cluster2x2 to numa4, and a reset with a speculation parked. A reset
-// onto a same-size placement must keep its meter and message plane, and
-// an approx reset its shadow planner.
+// flight, hinted Plans, possibly the next Plan marked overlapped) and
+// was then Reset to a second shape must behave exactly like New of the
+// second — every plan including slot numbers, then every statistic the
+// manager reports and the ForEach order. The first cases reset a
+// manager of a random shape to S=1 under each policy and to S=4 on
+// cluster2x2; the rest reset S=4 in place: growing and shrinking
+// capacity, approx with its shadow planner, elastic with the load
+// probe, a move from cluster2x2 to numa4, and a reset with an overlap
+// mark set. A reset onto a same-size placement must keep its meter and
+// message plane, and an approx reset its shadow planner.
 func TestResetMatchesNew(t *testing.T) {
 	const batchLen, idSpace = 48, 1024
 	cluster, numa := hw.Cluster(2, 2), hw.MultiSocket(4)
@@ -64,10 +65,10 @@ func TestResetMatchesNew(t *testing.T) {
 	probe := s4(CoordHier, cluster, 16, 112)
 	probe.elastic, probe.loadProbe = true, true
 	cases := []struct {
-		name      string
-		from      func() resetShape
-		to        resetShape
-		speculate bool
+		name    string
+		from    func() resetShape
+		to      resetShape
+		overlap bool
 	}{
 		{"S1-lru-exact", randomShape, resetShape{shards: 1, policy: cache.LRU, mode: CoordExact, minSlots: 16, maxSlots: 112}, false},
 		{"S1-lfu-exact", randomShape, resetShape{shards: 1, policy: cache.LFU, mode: CoordExact, minSlots: 16, maxSlots: 112}, false},
@@ -103,12 +104,11 @@ func TestResetMatchesNew(t *testing.T) {
 						}
 					}
 				}
-				if tc.speculate {
-					var d specDriver
-					future, hints := st.window(seq, 2, 4)
-					d.speculate(used, seq, st.at(seq), future, hints, -1)
-					if !used.spec.valid {
-						t.Fatalf("trial %d: no speculation parked before the Reset", trial)
+				if tc.overlap {
+					uniq, _ := intmap.Dedup(st.at(seq), intmap.New(batchLen), nil, nil)
+					used.OverlapNextPlan(uniq)
+					if !used.overlapNext {
+						t.Fatalf("trial %d: no Plan marked overlapped before the Reset", trial)
 					}
 				}
 				coord, shadow := used.coord, used.shadow

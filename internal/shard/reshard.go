@@ -253,8 +253,8 @@ func (m *Manager) Reshard(newS int, place hw.Placement) error {
 	if err := place.Validate(newS); err != nil {
 		return err
 	}
-	// Migration re-partitions every list the speculation snapshot walked.
-	m.invalidateSpec()
+	// Migration re-partitions every list the look-ahead check read.
+	m.dropOverlap()
 	oldPlace := m.place
 	if oldPlace.Topo != nil && place.Topo != nil && oldPlace.Topo != place.Topo {
 		return fmt.Errorf("shard: Reshard: old and new placements use different topologies (%q vs %q)",

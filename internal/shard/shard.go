@@ -234,20 +234,18 @@ type Manager struct {
 	// (setup-time slot shuffling is not per-iteration traffic).
 	prewarming bool
 
-	// Overlapped coordination (see spec.go): spec parks one speculative
-	// sweep between SpeculatePlan and the Plan that adopts or rolls it
-	// back; specFlags/specDirty are the sparse projection overlay;
-	// specEntryClock snapshots the stamp clock at Plan entry for the
-	// adoption guard; overlap counts lifetime outcomes. lastCoordCrit /
-	// lastCoordWall are the most recent Plan's critical modeled share
-	// and measured wall twin (see LastPlanCoordCritical).
-	spec           specState
-	specFlags      []uint8
-	specDirty      []int32
-	specEntryClock uint64
-	overlap        OverlapStats
-	lastCoordCrit  float64
-	lastCoordWall  float64
+	// Overlapped coordination (see spec.go): overlapNext marks the next
+	// Plan overlapped (set by OverlapNextPlan, cleared by the Plan or an
+	// invalidating event); overlap counts lifetime outcomes;
+	// onHiddenRound, when set (tests only), observes each hidden poll
+	// round's candidate batches. lastCoordCrit / lastCoordWall are the
+	// most recent Plan's critical modeled share and measured wall twin
+	// (see LastPlanCoordCritical).
+	overlapNext   bool
+	overlap       OverlapStats
+	onHiddenRound func()
+	lastCoordCrit float64
+	lastCoordWall float64
 
 	// mode is the coordination protocol; quantum is the approx-mode
 	// recency quantum in clock ticks (1 outside approx mode, so the
@@ -429,21 +427,14 @@ func (m *Manager) Reset(cfg Config) error {
 	// in a fresh manager.
 	old := *m
 	*m = Manager{
-		cfg:     c,
-		nshards: n,
-		pool:    cfg.Pool,
-		place:   cfg.Placement,
-		coord:   old.coord.reset(cfg.Placement, n, mode),
-		mode:    mode,
-		quantum: 1,
-		pollK:   1,
-		spec: specState{
-			candQ:    old.spec.candQ[:0],
-			lastCand: old.spec.lastCand[:0],
-			candDone: old.spec.candDone[:0],
-		},
-		specFlags:   old.specFlags,
-		specDirty:   old.specDirty[:0],
+		cfg:         c,
+		nshards:     n,
+		pool:        cfg.Pool,
+		place:       cfg.Placement,
+		coord:       old.coord.reset(cfg.Placement, n, mode),
+		mode:        mode,
+		quantum:     1,
+		pollK:       1,
 		shadow:      shadow,
 		edScratch:   old.edScratch,
 		evSelf:      old.evSelf[:0],
@@ -467,7 +458,6 @@ func (m *Manager) Reset(cfg Config) error {
 		seen:        old.seen,
 		draws:       old.draws[:0],
 	}
-	clear(m.specFlags)
 	if cfg.LoadProbe {
 		m.loadProbe = zeroed(old.loadProbe, LoadProbeBuckets)
 	}
@@ -719,8 +709,9 @@ func (m *Manager) isEvictable(slot int32) bool {
 // evictability predicate, so gathered candidates are stale and the next
 // consultation re-polls). Mirrors BeginVictimSweep: within one Plan no
 // slot can *become* evictable, so skipped slots are never revisited
-// until a re-arm.
-func (m *Manager) armSweep() {
+// until a re-arm. hide makes the sweep's first poll round hidden (see
+// armFirstSweep).
+func (m *Manager) armSweep(hide bool) {
 	for j := range m.shards {
 		sh := &m.shards[j]
 		sh.sweepCur = sh.lruHead
@@ -729,7 +720,7 @@ func (m *Manager) armSweep() {
 		sh.candDone = false
 	}
 	if m.coord != nil {
-		m.coord.beginSweep()
+		m.coord.beginSweep(hide)
 	}
 }
 
@@ -808,6 +799,14 @@ func (m *Manager) victim() (int32, int) {
 		}
 		if m.degraded && (rawBest < 0 || m.meta[c].stamp < m.meta[rawBest].stamp) {
 			rawBest = c
+		}
+	}
+	if m.coord != nil && m.coord.hidden {
+		// A hidden round is exactly these polls, one per shard; the
+		// confirm below and every later poll are critical.
+		m.coord.hidden = false
+		if m.onHiddenRound != nil {
+			m.onHiddenRound()
 		}
 	}
 	if m.degraded && best >= 0 && best != rawBest {
@@ -969,10 +968,6 @@ func (m *Manager) PlanUniqueWithHints(seq int, uniq []int64, counts []int32, fut
 		return nil, fmt.Errorf("shard: plan %d: %d future batches exceeds future window %d", seq, got, m.cfg.FutureWindow)
 	}
 
-	// Snapshot the stamp clock before anything moves: the speculative
-	// sweep (if one is parked) was taken against exactly this value.
-	m.specEntryClock = m.stampClock
-
 	// Pin-epoch bookkeeping (identical to the unsharded planner; see
 	// core.Scratchpad for the multi-epoch stamp argument).
 	m.pinEpoch++
@@ -1119,12 +1114,7 @@ func (m *Manager) PlanUniqueWithHints(seq int, uniq []int64, counts []int32, fut
 		slot := m.borrowPrimary(j)
 		if slot < 0 {
 			if !m.sweepArmed {
-				// Adoption point: a valid speculation installs the
-				// sweep pre-answered (its polls become the Plan's
-				// hidden coordination share); otherwise arm critically.
-				if !m.adoptSpec(seq, len(uniq), len(missIdx)) {
-					m.armSweep()
-				}
+				m.armFirstSweep()
 				m.sweepArmed = true
 			}
 			v, vsh := m.victim()
@@ -1132,7 +1122,7 @@ func (m *Manager) PlanUniqueWithHints(seq int, uniq []int64, counts []int32, fut
 				// Every unprotected slot is merely hinted: relax
 				// the preference and sweep once more.
 				m.hintRelaxed = true
-				m.armSweep()
+				m.armSweep(false)
 				v, vsh = m.victim()
 			}
 			if v >= 0 {
@@ -1177,13 +1167,12 @@ func (m *Manager) PlanUniqueWithHints(seq int, uniq []int64, counts []int32, fut
 		sh.held = nil
 	}
 
-	// Retire a speculation this Plan never consumed (no sweep armed)
-	// before pricing, so its staged ledger cannot leak into the bill.
-	m.endSpecPlan(seq)
+	// An overlapped Plan that never swept had no round to hide.
+	m.dropOverlap()
 	if m.coord != nil {
 		m.lastCoord = m.coord.finishPlan()
 		m.lastCoordCrit = m.coord.lastCrit
-		m.lastCoordWall = m.coord.lastWallFull
+		m.lastCoordWall = m.coord.lastWall
 	} else {
 		m.lastCoordCrit, m.lastCoordWall = 0, 0
 	}
@@ -1348,9 +1337,9 @@ func (m *Manager) PrewarmRows(rows int64, sample func() int64, onFill func(id in
 	if m.InFlight() != 0 {
 		panic("shard: Prewarm with batches in flight")
 	}
-	// Prewarm inserts move recency lists and the stamp clock: any parked
-	// speculation is stale.
-	m.invalidateSpec()
+	// Prewarm inserts move recency lists and the stamp clock: an overlap
+	// mark no longer describes the next Plan.
+	m.dropOverlap()
 	m.prewarming = true
 	defer func() { m.prewarming = false }()
 	if m.shadow != nil {

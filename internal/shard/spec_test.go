@@ -2,6 +2,7 @@ package shard
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -9,31 +10,129 @@ import (
 	"repro/internal/intmap"
 )
 
-// specDriver runs the engine's overlap choreography against a manager:
-// after each Plan, speculate the next Plan's sweep (projecting the
-// Release the driver will issue before it), then release and go around.
-// mis != nil perturbs the speculation inputs to force rollbacks.
-type specDriver struct {
-	dedup *intmap.Map
-	uniq  []int64
-	cnt   []int32
-}
+// Projection marks of the look-forward oracle, one byte per slot.
+const (
+	projReleased uint8 = 1 << iota // holds will drop by one (the Release)
+	projHeld                       // the next Plan's batch hits it (holds will rise)
+	projPinned                     // the next Plan's window pass will pin it
+	projHinted                     // the next Plan's hint pass will stamp it
+)
 
-func (d *specDriver) speculate(m *Manager, seq int, ids []int64, future, hints [][]int64, releaseSeq int) {
-	if d.dedup == nil {
-		d.dedup = intmap.New(len(ids))
+// projectFirstRound is the look-forward oracle behind overlapped
+// coordination. Called after Plan seq-1 and before the Release of batch
+// releaseSeq (-1: none) and Plan seq(uniq, future, hints), it projects
+// the manager's state across both and walks every shard's recency list
+// the way that Plan's first armed sweep will: the candidates each shard's
+// first poll returns, in poll order. nil when there is no round to hide:
+// no coordination meter, degraded mode, or misses that fit the free
+// budget (no sweep).
+func projectFirstRound(t *testing.T, m *Manager, seq int, uniq []int64, future, hints [][]int64, releaseSeq int) [][]int32 {
+	t.Helper()
+	if m.single != nil || m.coord == nil || m.degraded {
+		return nil
 	}
-	d.uniq, d.cnt = intmap.Dedup(ids, d.dedup, d.uniq[:0], d.cnt[:0])
-	m.SpeculatePlan(seq, d.uniq, future, hints, releaseSeq)
+	marks := make([]uint8, m.TotalSlots())
+	// The Release drops the front hold set of every shard.
+	if releaseSeq >= 0 {
+		for j := range m.shards {
+			sh := &m.shards[j]
+			if sh.inFlight.Len() == 0 || sh.inFlight.Front().Seq != releaseSeq {
+				t.Fatalf("oracle: shard %d's oldest batch is not %d", j, releaseSeq)
+			}
+			for _, slot := range sh.inFlight.Front().Slots {
+				if m.meta[slot].holds == 1 {
+					marks[slot] |= projReleased
+				}
+			}
+		}
+	}
+	// The Plan's passes: batch hits hold, window hits pin, hint hits
+	// stamp. Residency cannot change before the Plan, so misses are the
+	// batch IDs without a slot now.
+	misses := 0
+	for _, id := range uniq {
+		if slot, ok := m.shards[m.shardFor(id)].hitMap.Get(id); ok {
+			marks[slot] |= projHeld
+		} else {
+			misses++
+		}
+	}
+	if misses <= m.freePrimaryTotal {
+		return nil
+	}
+	// The Plan's pin-window trim: the prefix earlier Plans' deeper
+	// look-ahead already pinned.
+	futStart := 0
+	if m.pinValid > 1 && m.havePinned {
+		futStart = min(max(m.lastPinnedSeq-seq, 0), len(future))
+	}
+	for _, fids := range future[futStart:] {
+		for _, id := range fids {
+			if slot, ok := m.shards[m.shardFor(id)].hitMap.Get(id); ok {
+				marks[slot] |= projPinned
+			}
+		}
+	}
+	hintRelaxed := len(hints) == 0
+	for _, hids := range hints {
+		for _, id := range hids {
+			if slot, ok := m.shards[m.shardFor(id)].hitMap.Get(id); ok {
+				marks[slot] |= projHinted
+			}
+		}
+	}
+	// isEvictable at the Plan's pin epoch (pinEpoch+1), where a window
+	// pin always protects.
+	evictable := func(slot int32) bool {
+		sm, f := &m.meta[slot], marks[slot]
+		h := sm.holds
+		if f&projReleased != 0 {
+			h--
+		}
+		switch {
+		case f&(projHeld|projPinned) != 0, h != 0, sm.key < 0, sm.pinStamp > m.pinEpoch+1-m.pinValid:
+			return false
+		}
+		return hintRelaxed || f&projHinted == 0
+	}
+	pollK := 1
+	if m.mode != CoordExact && misses > 1 {
+		pollK = misses
+	}
+	round := make([][]int32, len(m.shards))
+	for j := range m.shards {
+		for cur := m.shards[j].lruHead; cur != nilSlot && len(round[j]) < pollK; cur = m.next[cur] {
+			if evictable(cur) {
+				round[j] = append(round[j], cur)
+			}
+		}
+	}
+	return round
 }
 
-// driveOverlap is driveLockstep with manager b running the speculation
-// choreography; wrongRelease mis-projects every Release (the adversarial
-// all-rollback mode).
-func driveOverlap(t *testing.T, label string, a, b *Manager, st *stream, iters, futureWin, lookahead int, wrongRelease bool) {
+// driveOverlap is driveLockstep with manager b running the engine's
+// overlap choreography: after each Plan, mark the next Plan
+// (OverlapNextPlan), then release and go around. Before the mark, the
+// look-forward oracle projects the next Plan's first poll round, and
+// every round b hides must poll exactly those candidates. disturb, when
+// non-nil, runs on both managers between the mark and the Release (an
+// invalidating event); without it, every Plan the oracle sees sweeping
+// must hide its first round.
+func driveOverlap(t *testing.T, label string, a, b *Manager, st *stream, iters, futureWin, lookahead int, disturb func(seq int, m *Manager)) {
 	t.Helper()
 	const depth = 4
-	var d specDriver
+	dedup := intmap.New(64)
+	var uniq []int64
+	var cnt []int32
+	var want, got [][]int32
+	hidden := false
+	b.onHiddenRound = func() {
+		hidden = true
+		got = got[:0]
+		for j := range b.shards {
+			got = append(got, slices.Clone(b.shards[j].candQ))
+		}
+	}
 	var pendA, pendB []*core.PlanResult
 	for seq := 0; seq < iters; seq++ {
 		future, hints := st.window(seq, futureWin, lookahead)
@@ -41,6 +140,7 @@ func driveOverlap(t *testing.T, label string, a, b *Manager, st *stream, iters, 
 		if err != nil {
 			t.Fatalf("%s seq %d: baseline Plan: %v", label, seq, err)
 		}
+		hidden = false
 		rb, err := b.PlanWithHints(seq, st.at(seq), future, hints)
 		if err != nil {
 			t.Fatalf("%s seq %d: overlapped Plan: %v", label, seq, err)
@@ -48,24 +148,36 @@ func driveOverlap(t *testing.T, label string, a, b *Manager, st *stream, iters, 
 		samePlan(t, label, seq, ra, rb)
 		for k := range ra.Slots {
 			if ra.Slots[k] != rb.Slots[k] {
-				t.Fatalf("%s seq %d: slot %d differs (%d vs %d): speculation changed planning",
+				t.Fatalf("%s seq %d: slot %d differs (%d vs %d): overlap changed planning",
 					label, seq, k, ra.Slots[k], rb.Slots[k])
 			}
 		}
+		switch {
+		case hidden && want == nil:
+			t.Fatalf("%s seq %d: hid a round the oracle saw no sweep for", label, seq)
+		case hidden && !slices.EqualFunc(want, got, slices.Equal):
+			t.Fatalf("%s seq %d: hidden round polled %v, the look-forward walk projected %v", label, seq, got, want)
+		case !hidden && want != nil && disturb == nil:
+			t.Fatalf("%s seq %d: the oracle projected a sweep but no round was hidden", label, seq)
+		}
 		pendA, pendB = append(pendA, ra), append(pendB, rb)
 
-		// The engine's overlap window: speculate the next Plan against
-		// the current state, projecting the Release that will precede it.
+		// The engine's overlap window: look at the next Plan against the
+		// current state, before the Release that will precede it.
+		want = nil
 		if seq+1 < iters {
 			rel := -1
 			if len(pendA) >= depth {
 				rel = seq - depth + 1
 			}
-			if wrongRelease {
-				rel = -1 // project "no release", then release anyway
-			}
+			uniq, cnt = intmap.Dedup(st.at(seq+1), dedup, uniq[:0], cnt[:0])
 			nf, nh := st.window(seq+1, futureWin, lookahead)
-			d.speculate(b, seq+1, st.at(seq+1), nf, nh, rel)
+			want = projectFirstRound(t, b, seq+1, uniq, nf, nh, rel)
+			b.OverlapNextPlan(uniq)
+		}
+		if disturb != nil {
+			disturb(seq, a)
+			disturb(seq, b)
 		}
 
 		if len(pendA) >= depth {
@@ -82,7 +194,7 @@ func driveOverlap(t *testing.T, label string, a, b *Manager, st *stream, iters, 
 		}
 	}
 	if a.Stats() != b.Stats() {
-		t.Fatalf("%s: stats diverged:\nbase %+v\nspec %+v", label, a.Stats(), b.Stats())
+		t.Fatalf("%s: stats diverged:\nbase %+v\noverlap %+v", label, a.Stats(), b.Stats())
 	}
 }
 
@@ -99,53 +211,54 @@ func sameTraffic(t *testing.T, label string, a, b CoordStats, tol float64) {
 	ca.WallSeconds, cb.WallSeconds = 0, 0
 	ca.WallHiddenSeconds, cb.WallHiddenSeconds = 0, 0
 	if ca != cb {
-		t.Fatalf("%s: coordination counters diverged:\nbase %+v\nspec %+v", label, ca, cb)
+		t.Fatalf("%s: coordination counters diverged:\nbase %+v\noverlap %+v", label, ca, cb)
 	}
 	if d := math.Abs(a.Seconds - b.Seconds); d > tol*math.Max(a.Seconds, 1e-30) {
 		t.Fatalf("%s: coordination seconds diverged beyond %g: %g vs %g", label, tol, a.Seconds, b.Seconds)
 	}
 }
 
-// TestOverlapEquivalence is the tentpole acceptance property at the
-// shard layer: with speculation running the engine's choreography,
-// plans, victims, physical slots, statistics, and coordination traffic
-// are identical to a run that never speculated — the hidden share just
-// moves from critical to overlapped — across every protocol and shard
+// overlapManager builds an S-shard stripe manager on cluster2x2 under
+// mode.
+func overlapManager(t *testing.T, cfg core.Config, shards int, mode CoordMode) *Manager {
+	t.Helper()
+	pl, err := hw.NewPlacement(hw.PlaceStripe, hw.Cluster(2, 2), shards, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := New(Config{Scratchpad: cfg, Shards: shards, Pool: nil, Placement: pl, Coord: mode})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestOverlapEquivalence is the overlap property at the shard layer:
+// with the engine's choreography, plans, victims, physical slots,
+// statistics, and coordination traffic are identical to a run without
+// overlap — the hidden share just moves from critical to overlapped —
+// and every hidden round polls exactly the candidates the look-forward
+// oracle projected a cycle earlier, across every protocol and shard
 // count the fig12b/fig13 suites sweep.
 func TestOverlapEquivalence(t *testing.T) {
-	topo := hw.Cluster(2, 2)
 	for _, mode := range []CoordMode{CoordExact, CoordBatched, CoordHier, CoordApprox} {
 		for _, shards := range []int{2, 4} {
 			label := string(mode) + "/S=" + string(rune('0'+shards))
 			cfg := testConfig(512, 96)
-			mk := func() *Manager {
-				pl, err := hw.NewPlacement(hw.PlaceStripe, topo, shards, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				m, err := New(Config{Scratchpad: cfg, Shards: shards, Pool: nil, Placement: pl, Coord: mode})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return m
-			}
-			base, spec := mk(), mk()
+			base, over := overlapManager(t, cfg, shards, mode), overlapManager(t, cfg, shards, mode)
 			st := newStream(77, 96, 96, int64(512*4))
-			driveOverlap(t, label, base, spec, st, 150, 2, 6, false)
+			driveOverlap(t, label, base, over, st, 150, 2, 6, nil)
 
 			if os := base.OverlapStats(); os != (OverlapStats{}) {
-				t.Fatalf("%s: baseline speculated: %+v", label, os)
+				t.Fatalf("%s: baseline marked Plans overlapped: %+v", label, os)
 			}
-			os := spec.OverlapStats()
-			if os.Speculated == 0 || os.Adopted == 0 {
-				t.Fatalf("%s: speculation never adopted: %+v", label, os)
+			os := over.OverlapStats()
+			if os.Speculated == 0 || os.Adopted != os.Speculated || os.RolledBack != 0 {
+				t.Fatalf("%s: undisturbed run must hide a round in every marked Plan: %+v", label, os)
 			}
-			if os.Adopted != os.Speculated {
-				t.Fatalf("%s: undisturbed run rolled back (%d of %d): the projection is not exact", label, os.RolledBack, os.Speculated)
-			}
-			sameTraffic(t, label, base.CoordStats(), spec.CoordStats(), 1e-9)
+			sameTraffic(t, label, base.CoordStats(), over.CoordStats(), 1e-9)
 
-			cs := spec.CoordStats()
+			cs := over.CoordStats()
 			if cs.OverlapSeconds <= 0 {
 				t.Fatalf("%s: nothing hidden: %+v", label, cs)
 			}
@@ -156,7 +269,7 @@ func TestOverlapEquivalence(t *testing.T) {
 				t.Fatalf("%s: baseline priced an overlapped share", label)
 			}
 			// The measured twin must cover both scripts: hidden wall only
-			// on the speculating run, critical wall on both.
+			// on the overlapped run, critical wall on both.
 			if cs.WallHiddenSeconds <= 0 || cs.WallSeconds <= 0 {
 				t.Fatalf("%s: measured wall missing a share: %+v", label, cs)
 			}
@@ -167,56 +280,8 @@ func TestOverlapEquivalence(t *testing.T) {
 	}
 }
 
-// TestOverlapAdversarialAllMiss forces every speculation to miss (each
-// one projects "no Release" and a Release then happens), asserting the
-// rollback path's two guarantees: bit-identical plans and statistics,
-// and bounded replay cost — the discarded speculation contributes zero
-// modeled seconds, zero rounds, zero bytes, and zero hidden wall; the
-// only cost is the wasted background walk.
-func TestOverlapAdversarialAllMiss(t *testing.T) {
-	topo := hw.Cluster(2, 2)
-	for _, mode := range []CoordMode{CoordExact, CoordHier} {
-		label := "allmiss/" + string(mode)
-		cfg := testConfig(512, 96)
-		mk := func() *Manager {
-			pl, err := hw.NewPlacement(hw.PlaceStripe, topo, 4, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m, err := New(Config{Scratchpad: cfg, Shards: 4, Pool: nil, Placement: pl, Coord: mode})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return m
-		}
-		base, spec := mk(), mk()
-		st := newStream(77, 96, 96, int64(512*4))
-		driveOverlap(t, label, base, spec, st, 150, 2, 6, true)
-
-		os := spec.OverlapStats()
-		if os.Speculated == 0 {
-			t.Fatalf("%s: adversary never speculated: %+v", label, os)
-		}
-		if os.Adopted != 0 {
-			t.Fatalf("%s: a mis-projected Release was adopted: %+v", label, os)
-		}
-		if os.RolledBack < os.Speculated {
-			t.Fatalf("%s: %d speculations unaccounted: %+v", label, os.Speculated-os.RolledBack, os)
-		}
-		// Bounded replay: the rolled-back ledgers must leave no trace —
-		// traffic totals match the baseline bit for bit (integer-valued
-		// sums in identical order), and nothing was priced as hidden.
-		if base.CoordStats() != spec.CoordStats() {
-			t.Fatalf("%s: rollback left residue:\nbase %+v\nspec %+v", label, base.CoordStats(), spec.CoordStats())
-		}
-		if cs := spec.CoordStats(); cs.OverlapSeconds != 0 || cs.WallHiddenSeconds != 0 {
-			t.Fatalf("%s: rolled-back speculation priced time: %+v", label, cs)
-		}
-	}
-}
-
 // TestOverlapColocatedNoOp: without a coordination meter there is
-// nothing to hide; SpeculatePlan must be a free no-op so engines can
+// nothing to hide; OverlapNextPlan must be a free no-op so engines can
 // call it unconditionally.
 func TestOverlapColocatedNoOp(t *testing.T) {
 	cfg := testConfig(256, 64)
@@ -227,87 +292,35 @@ func TestOverlapColocatedNoOp(t *testing.T) {
 		}
 		return m
 	}
-	base, spec := mk(), mk()
+	base, over := mk(), mk()
 	st := newStream(31, 64, 64, int64(256*4))
-	driveOverlap(t, "colocated", base, spec, st, 100, 2, 0, false)
-	if os := spec.OverlapStats(); os != (OverlapStats{}) {
-		t.Fatalf("co-located manager speculated: %+v", os)
+	driveOverlap(t, "colocated", base, over, st, 100, 2, 0, nil)
+	if os := over.OverlapStats(); os != (OverlapStats{}) {
+		t.Fatalf("co-located manager marked Plans overlapped: %+v", os)
 	}
-	if cs := spec.CoordStats(); cs != (CoordStats{}) {
+	if cs := over.CoordStats(); cs != (CoordStats{}) {
 		t.Fatalf("co-located manager metered coordination: %+v", cs)
 	}
 }
 
-// TestOverlapInvalidatedByFaults: the invalidation hooks must retire a
-// parked speculation on every state mutation outside the projected
-// closed set, and the following Plan must replan critically and stay
-// correct.
+// TestOverlapInvalidatedByFaults: an event outside the projected closed
+// set must clear the overlap mark, and the following Plan must price
+// every round critically and stay correct. Every round that is hidden
+// still matches the oracle.
 func TestOverlapInvalidatedByFaults(t *testing.T) {
-	topo := hw.Cluster(2, 2)
 	cfg := testConfig(512, 96)
-	mk := func() *Manager {
-		pl, err := hw.NewPlacement(hw.PlaceStripe, topo, 4, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := New(Config{Scratchpad: cfg, Shards: 4, Pool: nil, Placement: pl, Coord: CoordHier})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	base, spec := mk(), mk()
+	base, over := overlapManager(t, cfg, 4, CoordHier), overlapManager(t, cfg, 4, CoordHier)
 	st := newStream(77, 96, 96, int64(512*4))
-	var d specDriver
-	const depth = 4
-	var pendA, pendB []*core.PlanResult
-	for seq := 0; seq < 120; seq++ {
-		future, hints := st.window(seq, 2, 6)
-		ra, err := base.PlanWithHints(seq, st.at(seq), future, hints)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rb, err := spec.PlanWithHints(seq, st.at(seq), future, hints)
-		if err != nil {
-			t.Fatal(err)
-		}
-		samePlan(t, "faulted", seq, ra, rb)
-		pendA, pendB = append(pendA, ra), append(pendB, rb)
-		if seq+1 < 120 {
-			rel := -1
-			if len(pendA) >= depth {
-				rel = seq - depth + 1
-			}
-			nf, nh := st.window(seq+1, 2, 6)
-			d.speculate(spec, seq+1, st.at(seq+1), nf, nh, rel)
-		}
+	driveOverlap(t, "faulted", base, over, st, 120, 2, 6, func(seq int, m *Manager) {
 		if seq%10 == 5 {
-			// A degrade/heal cycle between speculation and Plan: both
-			// managers take it, only spec has a parked sweep to lose.
-			base.Degrade()
-			base.Heal()
-			spec.Degrade()
-			spec.Heal()
+			// A degrade/heal cycle between the mark and the Plan.
+			m.Degrade()
+			m.Heal()
 		}
-		if len(pendA) >= depth {
-			old := seq - depth + 1
-			if err := base.Release(old); err != nil {
-				t.Fatal(err)
-			}
-			if err := spec.Release(old); err != nil {
-				t.Fatal(err)
-			}
-			base.Recycle(pendA[0])
-			spec.Recycle(pendB[0])
-			pendA, pendB = pendA[1:], pendB[1:]
-		}
-	}
-	os := spec.OverlapStats()
+	})
+	os := over.OverlapStats()
 	if os.RolledBack == 0 || os.Adopted == 0 {
 		t.Fatalf("fault schedule produced no mix of outcomes: %+v", os)
 	}
-	if base.Stats() != spec.Stats() {
-		t.Fatalf("stats diverged across faults:\nbase %+v\nspec %+v", base.Stats(), spec.Stats())
-	}
-	sameTraffic(t, "faulted", base.CoordStats(), spec.CoordStats(), 1e-9)
+	sameTraffic(t, "faulted", base.CoordStats(), over.CoordStats(), 1e-9)
 }

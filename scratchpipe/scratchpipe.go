@@ -130,7 +130,7 @@ type CoordStats = shard.CoordStats
 // exact shadow planner (see shard.Divergence).
 type CoordDivergence = shard.Divergence
 
-// OverlapStats counts speculative-coordination outcomes under
+// OverlapStats counts overlapped-coordination outcomes under
 // Config.CoordOverlap (see shard.OverlapStats); Report.Overlap carries
 // the run's totals.
 type OverlapStats = shard.OverlapStats
