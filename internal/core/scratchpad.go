@@ -13,6 +13,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/intmap"
@@ -532,17 +533,13 @@ func (s *Scratchpad) PlanUniqueWithHints(seq int, uniq []int64, counts []int32, 
 
 	// Presize every per-batch buffer up front: one reallocation on the
 	// first batch instead of a doubling cascade on every growth step.
-	if cap(res.UniqueIDs) < len(uniq) {
-		res.UniqueIDs = make([]int64, 0, len(uniq))
-		res.Slots = make([]int32, 0, len(uniq))
-	}
-	held := s.getHeldSlots()
-	if cap(held) < len(uniq) {
-		held = make([]int32, 0, len(uniq))
-	}
-	if cap(s.missIdx) < len(uniq) {
-		s.missIdx = make([]int, 0, len(uniq))
-	}
+	// A batch with more distinct IDs than any before regrows on
+	// append's amortized schedule, leaving headroom, so the warm Plan
+	// stops allocating once the batch sizes have been sampled.
+	res.UniqueIDs = slices.Grow(res.UniqueIDs, len(uniq))
+	res.Slots = slices.Grow(res.Slots, len(uniq))
+	held := slices.Grow(s.getHeldSlots(), len(uniq))
+	s.missIdx = slices.Grow(s.missIdx[:0], len(uniq))
 
 	// Pass 1: classify every distinct ID against the Hit-Map, register
 	// hits (hold + recency touch), and record misses in first-appearance
@@ -580,12 +577,8 @@ func (s *Scratchpad) PlanUniqueWithHints(seq int, uniq []int64, counts []int32, 
 	// Pass 2: allocate slots for the misses. Hits are already touched,
 	// so the policies' victim sweeps (armed lazily once the free list
 	// runs dry) walk the eviction order exactly once per Plan.
-	if cap(res.Fills) < len(missIdx) {
-		res.Fills = make([]Fill, 0, len(missIdx))
-	}
-	if cap(res.Evictions) < len(missIdx) {
-		res.Evictions = make([]Eviction, 0, len(missIdx))
-	}
+	res.Fills = slices.Grow(res.Fills, len(missIdx))
+	res.Evictions = slices.Grow(res.Evictions, len(missIdx))
 	s.sweepArmed = false
 	for _, k := range missIdx {
 		id := res.UniqueIDs[k]

@@ -40,7 +40,8 @@ type dynamicState struct {
 	hazard       *core.HazardChecker
 	// jobPool recycles spJobs (and, through Scratchpad.Recycle, their
 	// plans) once batches retire, keeping the steady-state cycle free
-	// of per-batch allocations.
+	// of per-batch allocations. It is sized for a full pipeline (at
+	// most one job per stage is ever outstanding), so it never grows.
 	jobPool []*spJob
 	// gpus > 1 models the §VI-G multi-GPU extension: tables are
 	// partitioned table-wise across gpus GPUs, each running its own
@@ -77,42 +78,26 @@ type dynamicState struct {
 	lastCkpt     int
 }
 
-// spJob is the per-mini-batch pipeline state (core.Job).
+// spJob is the per-mini-batch pipeline state (core.Job). Everything a
+// job holds per table lives in one block, tabs, so a job is built from
+// at most three allocations (the job, tabs, and the backing array of its
+// look-ahead windows) and recycled whole once its batch retires.
+//
+// The per-table stage bodies are spJob methods run through par.Each
+// with the job as the argument: they reach the engine state through the
+// back-pointer d and capture nothing, so a warm cycle allocates nothing.
+// The job, not the dynamicState, carries each stage's inputs because the
+// pipeline runs different jobs' stages concurrently.
 type spJob struct {
+	d     *dynamicState
 	batch *trace.Batch
-	// futT[t][k] is table t's ID list of the batch k+1 positions ahead
-	// (the hazard window), captured at Load time from the dataset
-	// look-ahead; hintT carries batches beyond the hazard window for
-	// eviction-preference hints. Stored per table so each table's Plan
-	// reads its own column without per-call projection buffers.
-	futT  [][][]int64
-	hintT [][][]int64
-	plans []*core.PlanResult
-	// fillVals/evictVals stage the embedding payloads between Collect
-	// and Insert (the data "crossing PCIe" at Exchange). Indexed per
-	// table, concatenated row-major. fillState/evictState carry the
-	// optimizer-state rows of the same schedule.
-	fillVals   [][]float32
-	evictVals  [][]float32
-	fillState  [][]float32
-	evictState [][]float32
-	// tCPU/tGPU are per-table scratch accumulators for the parallel
-	// fan-outs. Stage bodies write tCPU[t]/tGPU[t]; the reduction runs
-	// serially in table order afterward, so a parallel run sums floats
-	// in exactly the order Workers=1 does (bit-identical timing).
-	tCPU, tGPU []float64
-	// tCoord collects each table's cross-node shard-coordination
-	// latency for the Plan just executed; coord accumulates the batch's
-	// total (zero under co-located placement). tCoordCrit/tCoordWall
-	// are its overlapped-coordination companions: the critical share
-	// the Plan actually waited for (== tCoord unless the Plan hid its
-	// first poll round) and the message plane's measured wall twin.
-	// coordHidden is the batch's hidden share (coord - critical): it
-	// occupies the coordinator concurrently with the cycle's other
-	// stages, so the cycle wall floors on it.
-	tCoord      []float64
-	tCoordCrit  []float64
-	tCoordWall  []float64
+	tabs  []jobTable
+	// coord accumulates the batch's cross-node shard-coordination
+	// latency (zero under co-located placement) and coordWall the
+	// message plane's measured wall twin. coordHidden is the batch's
+	// hidden share (coord minus the critical share its Plan waited
+	// for): it occupies the coordinator concurrently with the cycle's
+	// other stages, so the cycle wall floors on it.
 	coord       float64
 	coordWall   float64
 	coordHidden float64
@@ -124,6 +109,35 @@ type spJob struct {
 	cpuBusy  float64
 	gpuBusy  float64
 	loss     float32
+}
+
+// jobTable is one table's share of a job.
+type jobTable struct {
+	// fut[k] is the table's distinct-ID list of the batch k+1 positions
+	// ahead (the hazard window), captured at Load time from the dataset
+	// look-ahead; hint carries batches beyond the hazard window for
+	// eviction-preference hints. Both are fixed-capacity windows into
+	// the job's one backing array, so newJob's appends never grow them.
+	fut, hint [][]int64
+	plan      *core.PlanResult
+	// fillVals/evictVals stage the embedding payloads between Collect
+	// and Insert (the data "crossing PCIe" at Exchange), concatenated
+	// row-major. fillState/evictState carry the optimizer-state rows of
+	// the same schedule.
+	fillVals   []float32
+	evictVals  []float32
+	fillState  []float32
+	evictState []float32
+	// cpu/gpu are scratch accumulators for the parallel fan-outs. Stage
+	// bodies write them; the reduction runs serially in table order
+	// afterward, so a parallel run sums floats in exactly the order
+	// Workers=1 does (bit-identical timing).
+	cpu, gpu float64
+	// coord is the cross-node coordination latency of the Plan just
+	// executed; coordCrit is the critical share the Plan actually
+	// waited for (== coord unless the Plan hid its first poll round)
+	// and coordWall the message plane's measured wall twin.
+	coord, coordCrit, coordWall float64
 }
 
 // Seq implements core.Job.
@@ -138,7 +152,10 @@ func newDynamicState(env *Env, cacheFrac float64, policy cache.PolicyKind, past,
 	if slots < 1 {
 		slots = 1
 	}
-	d := &dynamicState{env: env, cost: costModel{env: env}, pool: env.Pool, hazard: hazard, gpus: 1, lastCkpt: -1}
+	d := &dynamicState{
+		env: env, cost: costModel{env: env}, pool: env.Pool, hazard: hazard, gpus: 1, lastCkpt: -1,
+		jobPool: make([]*spJob, 0, core.NumStages),
+	}
 	if env.Cfg.Faults.Active() {
 		d.pristineTopo = env.Cfg.Topology.Clone()
 		d.deadHosts = make(map[int]bool)
@@ -226,30 +243,25 @@ func (d *dynamicState) prewarm() {
 	})
 }
 
-// getJob pops a recycled job or builds one with every per-table buffer
-// preallocated.
-func (d *dynamicState) getJob() *spJob {
+// getJob pops a recycled job or builds one whose look-ahead windows hold
+// future hazard-window and hints hint batches per table.
+func (d *dynamicState) getJob(future, hints int) *spJob {
 	if n := len(d.jobPool); n > 0 {
 		job := d.jobPool[n-1]
 		d.jobPool[n-1] = nil
 		d.jobPool = d.jobPool[:n-1]
 		return job
 	}
-	nt := d.env.Cfg.Model.NumTables
-	return &spJob{
-		futT:       make([][][]int64, nt),
-		hintT:      make([][][]int64, nt),
-		plans:      make([]*core.PlanResult, nt),
-		fillVals:   make([][]float32, nt),
-		evictVals:  make([][]float32, nt),
-		fillState:  make([][]float32, nt),
-		evictState: make([][]float32, nt),
-		tCPU:       make([]float64, nt),
-		tGPU:       make([]float64, nt),
-		tCoord:     make([]float64, nt),
-		tCoordCrit: make([]float64, nt),
-		tCoordWall: make([]float64, nt),
+	job := &spJob{d: d, tabs: make([]jobTable, d.env.Cfg.Model.NumTables)}
+	if w := future + hints; w > 0 {
+		win := make([][]int64, len(job.tabs)*w)
+		for t := range job.tabs {
+			lo := t * w
+			job.tabs[t].fut = win[lo : lo : lo+future]
+			job.tabs[t].hint = win[lo+future : lo+future : lo+w]
+		}
 	}
+	return job
 }
 
 // recycleJob returns a fully retired job to the pool, handing its plans
@@ -259,17 +271,14 @@ func (d *dynamicState) recycleJob(job *spJob) {
 	if job == nil {
 		return
 	}
-	for t, plan := range job.plans {
-		if plan != nil {
-			d.sps[t].Recycle(plan)
-			job.plans[t] = nil
+	for t := range job.tabs {
+		tb := &job.tabs[t]
+		if tb.plan != nil {
+			d.sps[t].Recycle(tb.plan)
+			tb.plan = nil
 		}
-	}
-	for t := range job.futT {
-		job.futT[t] = job.futT[t][:0]
-	}
-	for t := range job.hintT {
-		job.hintT[t] = job.hintT[t][:0]
+		tb.fut = tb.fut[:0]
+		tb.hint = tb.hint[:0]
 	}
 	// The batch has left the loader window and every job that looked
 	// ahead at it retired earlier (jobs retire in FIFO order), so no
@@ -290,21 +299,20 @@ func (d *dynamicState) recycleJob(job *spJob) {
 // are immutable after generation, so sharing the references across
 // concurrently executing stages is race-free.
 func (d *dynamicState) newJob(loader *trace.Loader, future, lookahead int) *spJob {
-	job := d.getJob()
-	nt := d.env.Cfg.Model.NumTables
+	job := d.getJob(future, lookahead-future)
 	// Look-ahead carries the distinct-ID lists: pinning is idempotent,
 	// so probing each future ID once is equivalent to (and much cheaper
 	// than) walking its occurrence stream.
 	for k := 1; k <= future; k++ {
 		b := loader.Peek(k)
-		for t := 0; t < nt; t++ {
-			job.futT[t] = append(job.futT[t], b.UniqueIDs(t))
+		for t := range job.tabs {
+			job.tabs[t].fut = append(job.tabs[t].fut, b.UniqueIDs(t))
 		}
 	}
 	for k := future + 1; k <= lookahead; k++ {
 		b := loader.Peek(k)
-		for t := 0; t < nt; t++ {
-			job.hintT[t] = append(job.hintT[t], b.UniqueIDs(t))
+		for t := range job.tabs {
+			job.tabs[t].hint = append(job.tabs[t].hint, b.UniqueIDs(t))
 		}
 	}
 	job.batch = loader.Advance()
@@ -319,38 +327,18 @@ func (d *dynamicState) newJob(loader *trace.Loader, future, lookahead int) *spJo
 // hold registration. Simulated cost: the sparse IDs cross PCIe and the GPU
 // probes its Hit-Map structures.
 func (d *dynamicState) stagePlan(job *spJob) error {
-	cfg := d.env.Cfg.Model
-	err := d.pool.ForEachErr(cfg.NumTables, func(t int) error {
-		uniq, cnt := job.batch.UniqueWithCounts(t)
-		plan, err := d.sps[t].PlanUniqueWithHints(job.batch.Seq, uniq, cnt, job.futT[t], job.hintT[t])
-		if err != nil {
-			return err
-		}
-		job.plans[t] = plan
-		// Hash-probe traffic: key+value per ID occurrence (the GPU
-		// probes its Hit-Map once per lookup).
-		job.tGPU[t] = d.env.Cfg.System.GPU.RandomTime(float64(len(job.batch.Tables[t])) * 16)
-		// Cross-node coordination latency this table's placement just
-		// paid (zero when its shards are co-located). The critical
-		// share is what this Plan actually waited for — the rest (its
-		// first poll round, under overlap) was hidden under the previous
-		// cycle; the wall figure is the message plane's measured twin.
-		job.tCoord[t] = d.sps[t].LastPlanCoord()
-		job.tCoordCrit[t] = d.sps[t].LastPlanCoordCritical()
-		job.tCoordWall[t] = d.sps[t].LastPlanCoordWall()
-		return nil
-	})
-	if err != nil {
+	if err := par.Each(d.pool, len(job.tabs), job, (*spJob).planTable); err != nil {
 		return err
 	}
 	totalIDs := 0
 	var gpuProbe, coord, coordCrit, coordWall float64
-	for t := 0; t < cfg.NumTables; t++ {
+	for t := range job.tabs {
+		tb := &job.tabs[t]
 		totalIDs += len(job.batch.Tables[t])
-		gpuProbe += job.tGPU[t]
-		coord += job.tCoord[t]
-		coordCrit += job.tCoordCrit[t]
-		coordWall += job.tCoordWall[t]
+		gpuProbe += tb.gpu
+		coord += tb.coord
+		coordCrit += tb.coordCrit
+		coordWall += tb.coordWall
 	}
 	// The per-table coordinators contend for the same inter-node links,
 	// so their communication serializes (sum, not max) on top of the
@@ -366,6 +354,29 @@ func (d *dynamicState) stagePlan(job *spJob) error {
 	return nil
 }
 
+// planTable is stagePlan's body for table t.
+func (j *spJob) planTable(t int) error {
+	d, tb, sp := j.d, &j.tabs[t], j.d.sps[t]
+	uniq, cnt := j.batch.UniqueWithCounts(t)
+	plan, err := sp.PlanUniqueWithHints(j.batch.Seq, uniq, cnt, tb.fut, tb.hint)
+	if err != nil {
+		return err
+	}
+	tb.plan = plan
+	// Hash-probe traffic: key+value per ID occurrence (the GPU probes
+	// its Hit-Map once per lookup).
+	tb.gpu = d.env.Cfg.System.GPU.RandomTime(float64(len(j.batch.Tables[t])) * 16)
+	// Cross-node coordination latency this table's placement just paid
+	// (zero when its shards are co-located). The critical share is what
+	// this Plan actually waited for — the rest (its first poll round,
+	// under overlap) was hidden under the previous cycle; the wall
+	// figure is the message plane's measured twin.
+	tb.coord = sp.LastPlanCoord()
+	tb.coordCrit = sp.LastPlanCoordCritical()
+	tb.coordWall = sp.LastPlanCoordWall()
+	return nil
+}
+
 // links returns the number of independent CPU-GPU PCIe links available
 // (one per GPU pair on p3-class hosts).
 func (d *dynamicState) links() float64 {
@@ -378,58 +389,69 @@ func (d *dynamicState) links() float64 {
 // stageCollect gathers the missed rows from the CPU tables and the victim
 // rows from the GPU scratchpad into staging buffers.
 func (d *dynamicState) stageCollect(job *spJob) error {
-	cfg := d.env.Cfg.Model
-	dim := cfg.EmbeddingDim
-	sdim := d.env.StateDim
-	d.pool.ForEach(cfg.NumTables, func(t int) {
-		plan := job.plans[t]
-		job.tCPU[t] = d.cost.gatherCPU(len(plan.Fills)) +
-			d.cost.stateMoveCPU(len(plan.Fills))
-		job.tGPU[t] = d.cost.gatherGPU(len(plan.Evictions)) +
-			d.cost.stateMoveGPU(len(plan.Evictions))
-		if d.hazard != nil {
-			for _, f := range plan.Fills {
-				d.hazard.Access(core.StageCollect, core.ResCPURow, t, f.ID, false, job.batch.Seq)
-			}
-			for _, e := range plan.Evictions {
-				d.hazard.Access(core.StageCollect, core.ResGPUSlot, t, int64(e.Slot), false, job.batch.Seq)
-			}
-		}
-		if d.env.Cfg.Functional {
-			fv := resizeF32(job.fillVals[t], len(plan.Fills)*dim)
-			for i, f := range plan.Fills {
-				copy(fv[i*dim:(i+1)*dim], d.env.Tables[t].Row(f.ID))
-			}
-			job.fillVals[t] = fv
-			ev := resizeF32(job.evictVals[t], len(plan.Evictions)*dim)
-			for i, e := range plan.Evictions {
-				copy(ev[i*dim:(i+1)*dim], d.storage[t].Row(int(e.Slot)))
-			}
-			job.evictVals[t] = ev
-			if d.stateStorage != nil {
-				fs := resizeF32(job.fillState[t], len(plan.Fills)*sdim)
-				for i, f := range plan.Fills {
-					copy(fs[i*sdim:(i+1)*sdim], d.env.StateTables[t].Row(f.ID))
-				}
-				job.fillState[t] = fs
-				es := resizeF32(job.evictState[t], len(plan.Evictions)*sdim)
-				for i, e := range plan.Evictions {
-					copy(es[i*sdim:(i+1)*sdim], d.stateStorage[t].Row(int(e.Slot)))
-				}
-				job.evictState[t] = es
-			}
-		}
-	})
-	var cpuT, gpuT float64
-	for t := 0; t < cfg.NumTables; t++ {
-		cpuT += job.tCPU[t]
-		gpuT += job.tGPU[t]
-	}
-	job.stageTime[core.StageCollect] = maxf(cpuT, gpuT/float64(d.gpus))
-	job.stageCPU[core.StageCollect] = cpuT
-	job.cpuBusy += cpuT
-	job.gpuBusy += gpuT
+	_ = par.Each(d.pool, len(job.tabs), job, (*spJob).collectTable) // collectTable cannot fail
+	job.closeCopyStage(core.StageCollect)
 	return nil
+}
+
+// collectTable is stageCollect's body for table t.
+func (j *spJob) collectTable(t int) error {
+	d, tb := j.d, &j.tabs[t]
+	plan := tb.plan
+	tb.cpu = d.cost.gatherCPU(len(plan.Fills)) +
+		d.cost.stateMoveCPU(len(plan.Fills))
+	tb.gpu = d.cost.gatherGPU(len(plan.Evictions)) +
+		d.cost.stateMoveGPU(len(plan.Evictions))
+	if d.hazard != nil {
+		for _, f := range plan.Fills {
+			d.hazard.Access(core.StageCollect, core.ResCPURow, t, f.ID, false, j.batch.Seq)
+		}
+		for _, e := range plan.Evictions {
+			d.hazard.Access(core.StageCollect, core.ResGPUSlot, t, int64(e.Slot), false, j.batch.Seq)
+		}
+	}
+	if !d.env.Cfg.Functional {
+		return nil
+	}
+	dim, sdim := d.env.Cfg.Model.EmbeddingDim, d.env.StateDim
+	fv := resizeF32(tb.fillVals, len(plan.Fills)*dim)
+	for i, f := range plan.Fills {
+		copy(fv[i*dim:(i+1)*dim], d.env.Tables[t].Row(f.ID))
+	}
+	tb.fillVals = fv
+	ev := resizeF32(tb.evictVals, len(plan.Evictions)*dim)
+	for i, e := range plan.Evictions {
+		copy(ev[i*dim:(i+1)*dim], d.storage[t].Row(int(e.Slot)))
+	}
+	tb.evictVals = ev
+	if d.stateStorage != nil {
+		fs := resizeF32(tb.fillState, len(plan.Fills)*sdim)
+		for i, f := range plan.Fills {
+			copy(fs[i*sdim:(i+1)*sdim], d.env.StateTables[t].Row(f.ID))
+		}
+		tb.fillState = fs
+		es := resizeF32(tb.evictState, len(plan.Evictions)*sdim)
+		for i, e := range plan.Evictions {
+			copy(es[i*sdim:(i+1)*sdim], d.stateStorage[t].Row(int(e.Slot)))
+		}
+		tb.evictState = es
+	}
+	return nil
+}
+
+// closeCopyStage reduces the per-table cpu/gpu accumulators of a
+// Collect or Insert pass in table order and books the stage: the CPU
+// and GPU sides copy concurrently, so the slower one sets its time.
+func (j *spJob) closeCopyStage(st core.Stage) {
+	var cpuT, gpuT float64
+	for t := range j.tabs {
+		cpuT += j.tabs[t].cpu
+		gpuT += j.tabs[t].gpu
+	}
+	j.stageTime[st] = maxf(cpuT, gpuT/float64(j.d.gpus))
+	j.stageCPU[st] = cpuT
+	j.cpuBusy += cpuT
+	j.gpuBusy += gpuT
 }
 
 // resizeF32 returns buf with exactly n elements, reusing its capacity;
@@ -445,7 +467,8 @@ func resizeF32(buf []float32, n int) []float32 {
 // with eviction write-backs GPU->CPU (full duplex).
 func (d *dynamicState) stageExchange(job *spJob) error {
 	var up, down int
-	for _, plan := range job.plans {
+	for t := range job.tabs {
+		plan := job.tabs[t].plan
 		up += len(plan.Fills)
 		down += len(plan.Evictions)
 	}
@@ -459,53 +482,45 @@ func (d *dynamicState) stageExchange(job *spJob) error {
 // stageInsert fills missed rows into the scratchpad and writes evicted
 // rows back into the CPU tables.
 func (d *dynamicState) stageInsert(job *spJob) error {
-	cfg := d.env.Cfg.Model
-	dim := cfg.EmbeddingDim
-	sdim := d.env.StateDim
-	d.pool.ForEach(cfg.NumTables, func(t int) {
-		plan := job.plans[t]
-		job.tGPU[t] = d.cost.scatterWriteGPU(len(plan.Fills)) +
-			d.cost.stateMoveGPU(len(plan.Fills))
-		job.tCPU[t] = d.cost.scatterWriteCPU(len(plan.Evictions)) +
-			d.cost.stateMoveCPU(len(plan.Evictions))
-		if d.hazard != nil {
-			for _, f := range plan.Fills {
-				d.hazard.Access(core.StageInsert, core.ResGPUSlot, t, int64(f.Slot), true, job.batch.Seq)
-			}
-			for _, e := range plan.Evictions {
-				d.hazard.Access(core.StageInsert, core.ResCPURow, t, e.OldID, true, job.batch.Seq)
-			}
+	_ = par.Each(d.pool, len(job.tabs), job, (*spJob).insertTable) // insertTable cannot fail
+	job.closeCopyStage(core.StageInsert)
+	return nil
+}
+
+// insertTable is stageInsert's body for table t.
+func (j *spJob) insertTable(t int) error {
+	d, tb := j.d, &j.tabs[t]
+	plan := tb.plan
+	tb.gpu = d.cost.scatterWriteGPU(len(plan.Fills)) +
+		d.cost.stateMoveGPU(len(plan.Fills))
+	tb.cpu = d.cost.scatterWriteCPU(len(plan.Evictions)) +
+		d.cost.stateMoveCPU(len(plan.Evictions))
+	if d.hazard != nil {
+		for _, f := range plan.Fills {
+			d.hazard.Access(core.StageInsert, core.ResGPUSlot, t, int64(f.Slot), true, j.batch.Seq)
 		}
-		if d.env.Cfg.Functional {
-			fv := job.fillVals[t]
-			for i, f := range plan.Fills {
-				copy(d.storage[t].Row(int(f.Slot)), fv[i*dim:(i+1)*dim])
-			}
-			ev := job.evictVals[t]
-			for i, e := range plan.Evictions {
-				copy(d.env.Tables[t].Row(e.OldID), ev[i*dim:(i+1)*dim])
-			}
-			if d.stateStorage != nil {
-				fs := job.fillState[t]
-				for i, f := range plan.Fills {
-					copy(d.stateStorage[t].Row(int(f.Slot)), fs[i*sdim:(i+1)*sdim])
-				}
-				es := job.evictState[t]
-				for i, e := range plan.Evictions {
-					copy(d.env.StateTables[t].Row(e.OldID), es[i*sdim:(i+1)*sdim])
-				}
-			}
+		for _, e := range plan.Evictions {
+			d.hazard.Access(core.StageInsert, core.ResCPURow, t, e.OldID, true, j.batch.Seq)
 		}
-	})
-	var cpuT, gpuT float64
-	for t := 0; t < cfg.NumTables; t++ {
-		cpuT += job.tCPU[t]
-		gpuT += job.tGPU[t]
 	}
-	job.stageTime[core.StageInsert] = maxf(cpuT, gpuT/float64(d.gpus))
-	job.stageCPU[core.StageInsert] = cpuT
-	job.cpuBusy += cpuT
-	job.gpuBusy += gpuT
+	if !d.env.Cfg.Functional {
+		return nil
+	}
+	dim, sdim := d.env.Cfg.Model.EmbeddingDim, d.env.StateDim
+	for i, f := range plan.Fills {
+		copy(d.storage[t].Row(int(f.Slot)), tb.fillVals[i*dim:(i+1)*dim])
+	}
+	for i, e := range plan.Evictions {
+		copy(d.env.Tables[t].Row(e.OldID), tb.evictVals[i*dim:(i+1)*dim])
+	}
+	if d.stateStorage != nil {
+		for i, f := range plan.Fills {
+			copy(d.stateStorage[t].Row(int(f.Slot)), tb.fillState[i*sdim:(i+1)*sdim])
+		}
+		for i, e := range plan.Evictions {
+			copy(d.env.StateTables[t].Row(e.OldID), tb.evictState[i*sdim:(i+1)*sdim])
+		}
+	}
 	return nil
 }
 
@@ -530,23 +545,10 @@ func (v cacheView) Row(id int64) []float32 {
 // cache "always hits" by construction.
 func (d *dynamicState) stageTrain(job *spJob) error {
 	cfg := d.env.Cfg.Model
-	d.pool.ForEach(cfg.NumTables, func(t int) {
-		plan := job.plans[t]
-		uniq := len(plan.UniqueIDs)
-		job.tGPU[t] = d.cost.gatherGPU(job.batch.TotalIDs()) +
-			d.cost.reduceGPU(job.batch.TotalIDs(), cfg.BatchSize) +
-			d.cost.dupCoalesceGPU(cfg.BatchSize, job.batch.TotalIDs(), uniq) +
-			d.cost.scatterUpdateGPU(uniq) +
-			d.cost.stateUpdateGPU(uniq)
-		if d.hazard != nil {
-			for _, slot := range plan.Slots {
-				d.hazard.Access(core.StageTrain, core.ResGPUSlot, t, int64(slot), true, job.batch.Seq)
-			}
-		}
-	})
+	_ = par.Each(d.pool, len(job.tabs), job, (*spJob).trainTable) // trainTable cannot fail
 	var embT float64
-	for t := 0; t < cfg.NumTables; t++ {
-		embT += job.tGPU[t]
+	for t := range job.tabs {
+		embT += job.tabs[t].gpu
 	}
 	var gpuT float64
 	if d.gpus > 1 {
@@ -574,7 +576,7 @@ func (d *dynamicState) stageTrain(job *spJob) error {
 		pooled := make([]*tensor.Matrix, cfg.NumTables)
 		views := make([]cacheView, cfg.NumTables)
 		d.pool.ForEach(cfg.NumTables, func(t int) {
-			views[t] = cacheView{dim: cfg.EmbeddingDim, storage: d.storage[t], plan: job.plans[t]}
+			views[t] = cacheView{dim: cfg.EmbeddingDim, storage: d.storage[t], plan: job.tabs[t].plan}
 			pooled[t] = embed.ForwardPooled(views[t], b.Tables[t], b.BatchSize, b.Lookups)
 		})
 		res := d.env.Model.TrainStep(d.env.DenseMatrix(b), pooled, b.Labels)
@@ -582,7 +584,7 @@ func (d *dynamicState) stageTrain(job *spJob) error {
 			g := embed.DuplicateCoalesce(b.Tables[t], res.PooledGrads[t], b.Lookups)
 			var state embed.RowStore
 			if d.stateStorage != nil {
-				state = cacheView{dim: d.env.StateDim, storage: d.stateStorage[t], plan: job.plans[t]}
+				state = cacheView{dim: d.env.StateDim, storage: d.stateStorage[t], plan: job.tabs[t].plan}
 			}
 			d.env.Opt.Apply(views[t], state, g)
 		})
@@ -591,12 +593,34 @@ func (d *dynamicState) stageTrain(job *spJob) error {
 	return nil
 }
 
+// trainTable is the timing (and hazard) body of stageTrain for table t.
+func (j *spJob) trainTable(t int) error {
+	d, tb := j.d, &j.tabs[t]
+	cfg := d.env.Cfg.Model
+	uniq := len(tb.plan.UniqueIDs)
+	ids := j.batch.TotalIDs()
+	tb.gpu = d.cost.gatherGPU(ids) +
+		d.cost.reduceGPU(ids, cfg.BatchSize) +
+		d.cost.dupCoalesceGPU(cfg.BatchSize, ids, uniq) +
+		d.cost.scatterUpdateGPU(uniq) +
+		d.cost.stateUpdateGPU(uniq)
+	if d.hazard != nil {
+		for _, slot := range tb.plan.Slots {
+			d.hazard.Access(core.StageTrain, core.ResGPUSlot, t, int64(slot), true, j.batch.Seq)
+		}
+	}
+	return nil
+}
+
 // release drops the job's hold protection on every table; the engine calls
 // it exactly when the job enters [Train] (see Scratchpad.Release).
 func (d *dynamicState) release(job *spJob) error {
-	return d.pool.ForEachErr(len(d.sps), func(t int) error {
-		return d.sps[t].Release(job.batch.Seq)
-	})
+	return par.Each(d.pool, len(d.sps), job, (*spJob).releaseTable)
+}
+
+// releaseTable is release's body for table t.
+func (j *spJob) releaseTable(t int) error {
+	return j.d.sps[t].Release(j.batch.Seq)
 }
 
 // flush writes every dirty cached row (and its optimizer state) back to

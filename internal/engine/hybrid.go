@@ -35,18 +35,19 @@ func (h *Hybrid) Run(n int) (*Report, error) {
 	var lossSum float64
 	for it := 0; it < n; it++ {
 		b := h.env.Gen.Next()
-		shape := shapeOf(b)
+		ids := b.TotalIDs()
 
 		// --- timing ---
 		var fwd, bwd float64
 		for t := 0; t < cfg.NumTables; t++ {
-			fwd += h.cost.gatherCPU(shape.totalIDs)
-			fwd += h.cost.reduceCPU(shape.totalIDs, cfg.BatchSize)
-			bwd += h.cost.dupCoalesceCPU(cfg.BatchSize, shape.totalIDs, shape.unique[t])
-			bwd += h.cost.scatterUpdateCPU(shape.unique[t])
+			uniq := len(b.UniqueIDs(t))
+			fwd += h.cost.gatherCPU(ids)
+			fwd += h.cost.reduceCPU(ids, cfg.BatchSize)
+			bwd += h.cost.dupCoalesceCPU(cfg.BatchSize, ids, uniq)
+			bwd += h.cost.scatterUpdateCPU(uniq)
 			// Stateful optimizers read-modify-write their per-row
 			// accumulators alongside the embedding rows.
-			bwd += h.cost.stateUpdateCPU(shape.unique[t])
+			bwd += h.cost.stateUpdateCPU(uniq)
 		}
 		// Ship pooled outputs + dense inputs up, pooled gradients down.
 		upBytes := float64(cfg.NumTables)*h.cost.pooledBytes() + h.cost.denseInputBytes()
@@ -60,7 +61,7 @@ func (h *Hybrid) Run(n int) (*Report, error) {
 		rep.Wall += fwd + gpu + bwd
 		rep.CPUBusy += fwd + bwd
 		rep.GPUBusy += gpu
-		rep.Misses += int64(cfg.NumTables * shape.totalIDs)
+		rep.Misses += int64(cfg.NumTables * ids)
 
 		// --- functional training ---
 		if h.env.Cfg.Functional {

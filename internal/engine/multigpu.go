@@ -52,16 +52,16 @@ func (m *MultiGPU) Run(n int) (*Report, error) {
 	var lossSum float64
 	for it := 0; it < n; it++ {
 		b := m.env.Gen.Next()
-		shape := shapeOf(b)
+		ids := b.TotalIDs()
 
 		// Model-parallel embedding forward: each GPU gathers and
 		// reduces its local tables for the full global batch.
 		var localFwd, localBwd float64
 		for t := 0; t < tablesPerGPU; t++ {
-			localFwd += m.cost.gatherGPU(shape.totalIDs)
-			localFwd += m.cost.reduceGPU(shape.totalIDs, cfg.BatchSize)
-			uniq := shape.unique[t%cfg.NumTables]
-			localBwd += m.cost.dupCoalesceGPU(cfg.BatchSize, shape.totalIDs, uniq)
+			localFwd += m.cost.gatherGPU(ids)
+			localFwd += m.cost.reduceGPU(ids, cfg.BatchSize)
+			uniq := len(b.UniqueIDs(t % cfg.NumTables))
+			localBwd += m.cost.dupCoalesceGPU(cfg.BatchSize, ids, uniq)
 			localBwd += m.cost.scatterUpdateGPU(uniq)
 			localBwd += m.cost.stateUpdateGPU(uniq)
 		}
@@ -80,7 +80,7 @@ func (m *MultiGPU) Run(n int) (*Report, error) {
 		rep.Wall += iter
 		rep.GPUTime += iter
 		rep.GPUBusy += iter * float64(g)
-		rep.Hits += int64(cfg.NumTables * shape.totalIDs) // all HBM-resident
+		rep.Hits += int64(cfg.NumTables * ids) // all HBM-resident
 
 		if m.env.Cfg.Functional {
 			lossSum += float64(m.trainStep(b))

@@ -165,7 +165,10 @@ func (s *ScratchPipe) Run(n int) (*Report, error) {
 	var lossSum float64
 	var steadyTime float64
 	var steadyCycles int
+	// At most one steady cycle per iteration: sized up front, the
+	// series never grows mid-run.
 	var cycleSeries metrics.Series
+	cycleSeries.Grow(n)
 
 	runCycle := func(job *spJob) error {
 		// The job about to enter [Train] stops holding its slots:

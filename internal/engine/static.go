@@ -25,25 +25,32 @@ type StaticCache struct {
 	// stateCaches shadow caches for per-row optimizer state (nil for
 	// stateless optimizers): hot-row state lives in GPU memory too.
 	stateCaches []*cache.Static
-	// acc is per-table scratch for the parallel fan-out; reduced
+	// tabs is per-table scratch for the parallel fan-out; reduced
 	// serially in table order each iteration.
-	acc []staticAcc
-	// shards > 1 routes each table's hit/miss classification through
-	// the sharded control plane: the distinct-ID list splits into
-	// shards ranges classified concurrently (the static cache's hit
-	// predicate is a pure function of the ID, so no hash routing is
-	// needed), with per-shard counters reduced serially — identical
-	// totals at any shard count. shardPool carries the per-table share
-	// of the Workers budget, like the dynamic engines' shard fan-out.
+	tabs []staticTable
+	// cur is the batch of the iteration in progress, read by the
+	// per-table fan-out (iterations run one at a time).
+	cur *trace.Batch
+	// Each table's hit/miss classification splits the distinct-ID list
+	// into shards ranges classified concurrently (one range at S=1; the
+	// static cache's hit predicate is a pure function of the ID, so no
+	// hash routing is needed), with per-range counters reduced serially
+	// — identical totals at any shard count. shardPool carries the
+	// per-table share of the Workers budget, like the dynamic engines'
+	// shard fan-out (nil, so serial, at S=1).
 	shards    int
 	shardPool *par.Pool
-	chunks    [][]staticChunk
 }
 
-// staticAcc collects one table's contribution to an iteration.
-type staticAcc struct {
+// staticTable collects one table's contribution to an iteration. The
+// fan-out bodies are its methods and StaticCache's, run through par.Each
+// with the state as the argument, so a warm iteration allocates nothing.
+type staticTable struct {
+	s                   *StaticCache
+	t                   int
 	cpuFwd, cpuBwd, gpu float64
 	hitOcc, missOcc     int
+	chunks              []staticChunk
 }
 
 // staticChunk collects one shard range's classification counts.
@@ -82,17 +89,14 @@ func NewStaticCache(env *Env, topFrac float64) (*StaticCache, error) {
 			s.stateCaches = append(s.stateCaches, sc)
 		}
 	}
-	s.acc = make([]staticAcc, cfg.NumTables)
-	s.shards = env.Cfg.Shards
-	if s.shards < 1 {
-		s.shards = 1
-	}
+	s.shards = max(env.Cfg.Shards, 1)
 	if s.shards > 1 {
 		s.shardPool = par.New((env.Pool.Workers() + cfg.NumTables - 1) / cfg.NumTables)
-		s.chunks = make([][]staticChunk, cfg.NumTables)
-		for t := range s.chunks {
-			s.chunks[t] = make([]staticChunk, s.shards)
-		}
+	}
+	s.tabs = make([]staticTable, cfg.NumTables)
+	chunks := make([]staticChunk, cfg.NumTables*s.shards)
+	for t := range s.tabs {
+		s.tabs[t] = staticTable{s: s, t: t, chunks: chunks[t*s.shards : (t+1)*s.shards]}
 	}
 	return s, nil
 }
@@ -124,71 +128,14 @@ func (s *StaticCache) Run(n int) (*Report, error) {
 		cpuFwd += s.cost.pcie(idBytes(totalIDsAll) + s.cost.denseInputBytes())
 
 		// Per-table fan-out: each table touches only its own cache and
-		// its scratch accumulator slot; the reduction below runs in
-		// table order for deterministic float summation.
-		s.env.Pool.ForEach(cfg.NumTables, func(t int) {
-			a := &s.acc[t]
-			uniq, cnt := b.UniqueWithCounts(t)
-			var hitOcc, missOcc, uniqHit, uniqMiss int
-			if s.shards > 1 {
-				chunks := s.chunks[t]
-				s.shardPool.ForEach(s.shards, func(c int) {
-					lo := c * len(uniq) / s.shards
-					hi := (c + 1) * len(uniq) / s.shards
-					var ch staticChunk
-					for i := lo; i < hi; i++ {
-						if s.caches[t].Hit(uniq[i]) {
-							ch.uniqHit++
-							ch.hitOcc += int(cnt[i])
-						} else {
-							ch.uniqMiss++
-							ch.missOcc += int(cnt[i])
-						}
-					}
-					chunks[c] = ch
-				})
-				for _, ch := range chunks {
-					hitOcc += ch.hitOcc
-					missOcc += ch.missOcc
-					uniqHit += ch.uniqHit
-					uniqMiss += ch.uniqMiss
-				}
-			} else {
-				for i, id := range uniq {
-					if s.caches[t].Hit(id) {
-						uniqHit++
-						hitOcc += int(cnt[i])
-					} else {
-						uniqMiss++
-						missOcc += int(cnt[i])
-					}
-				}
-			}
-			s.caches[t].RecordQuery(hitOcc, missOcc)
-
-			// Forward: GPU gathers hits; CPU gathers misses and
-			// partially reduces them; partial sums cross PCIe.
-			a.gpu = s.cost.gatherGPU(hitOcc) +
-				s.cost.reduceGPU(hitOcc+cfg.BatchSize, cfg.BatchSize)
-			a.cpuFwd = s.cost.gatherCPU(missOcc) +
-				s.cost.reduceCPU(missOcc, cfg.BatchSize) +
-				s.cost.pcie(s.cost.pooledBytes())
-
-			// Backward: the pooled gradient crosses to the CPU for
-			// the missed IDs; both sides duplicate/coalesce and
-			// scatter their share.
-			a.gpu += s.cost.dupCoalesceGPU(cfg.BatchSize, hitOcc, uniqHit) +
-				s.cost.scatterUpdateGPU(uniqHit) +
-				s.cost.stateUpdateGPU(uniqHit)
-			a.cpuBwd = s.cost.pcie(s.cost.pooledBytes()) +
-				s.cost.dupCoalesceCPU(cfg.BatchSize, missOcc, uniqMiss) +
-				s.cost.scatterUpdateCPU(uniqMiss) +
-				s.cost.stateUpdateCPU(uniqMiss)
-			a.hitOcc, a.missOcc = hitOcc, missOcc
-		})
+		// its scratch slot; the reduction below runs in table order for
+		// deterministic float summation.
+		s.cur = b
+		_ = par.Each(s.env.Pool, cfg.NumTables, s, (*StaticCache).runTable) // runTable cannot fail
+		s.cur = nil
 		var missedBack int
-		for t := 0; t < cfg.NumTables; t++ {
-			a := &s.acc[t]
+		for t := range s.tabs {
+			a := &s.tabs[t]
 			rep.Hits += int64(a.hitOcc)
 			rep.Misses += int64(a.missOcc)
 			missedBack += a.missOcc
@@ -213,6 +160,64 @@ func (s *StaticCache) Run(n int) (*Report, error) {
 	}
 	finalizeAverages(rep, n, lossSum)
 	return rep, nil
+}
+
+// runTable is Run's per-table body: classify the batch's distinct IDs
+// against table t's cache and price the table's forward and backward
+// work.
+func (s *StaticCache) runTable(t int) error {
+	cfg := s.env.Cfg.Model
+	a := &s.tabs[t]
+	_ = par.Each(s.shardPool, s.shards, a, (*staticTable).classifyChunk) // classifyChunk cannot fail
+	var hitOcc, missOcc, uniqHit, uniqMiss int
+	for _, ch := range a.chunks {
+		hitOcc += ch.hitOcc
+		missOcc += ch.missOcc
+		uniqHit += ch.uniqHit
+		uniqMiss += ch.uniqMiss
+	}
+	s.caches[t].RecordQuery(hitOcc, missOcc)
+
+	// Forward: GPU gathers hits; CPU gathers misses and partially
+	// reduces them; partial sums cross PCIe.
+	a.gpu = s.cost.gatherGPU(hitOcc) +
+		s.cost.reduceGPU(hitOcc+cfg.BatchSize, cfg.BatchSize)
+	a.cpuFwd = s.cost.gatherCPU(missOcc) +
+		s.cost.reduceCPU(missOcc, cfg.BatchSize) +
+		s.cost.pcie(s.cost.pooledBytes())
+
+	// Backward: the pooled gradient crosses to the CPU for the missed
+	// IDs; both sides duplicate/coalesce and scatter their share.
+	a.gpu += s.cost.dupCoalesceGPU(cfg.BatchSize, hitOcc, uniqHit) +
+		s.cost.scatterUpdateGPU(uniqHit) +
+		s.cost.stateUpdateGPU(uniqHit)
+	a.cpuBwd = s.cost.pcie(s.cost.pooledBytes()) +
+		s.cost.dupCoalesceCPU(cfg.BatchSize, missOcc, uniqMiss) +
+		s.cost.scatterUpdateCPU(uniqMiss) +
+		s.cost.stateUpdateCPU(uniqMiss)
+	a.hitOcc, a.missOcc = hitOcc, missOcc
+	return nil
+}
+
+// classifyChunk counts the hits and misses of shard range c of the
+// table's distinct IDs.
+func (a *staticTable) classifyChunk(c int) error {
+	uniq, cnt := a.s.cur.UniqueWithCounts(a.t)
+	lo := c * len(uniq) / a.s.shards
+	hi := (c + 1) * len(uniq) / a.s.shards
+	hot := a.s.caches[a.t]
+	var ch staticChunk
+	for i := lo; i < hi; i++ {
+		if hot.Hit(uniq[i]) {
+			ch.uniqHit++
+			ch.hitOcc += int(cnt[i])
+		} else {
+			ch.uniqMiss++
+			ch.missOcc += int(cnt[i])
+		}
+	}
+	a.chunks[c] = ch
+	return nil
 }
 
 // trainStep runs the real math. The static cache is an embed.RowStore that

@@ -14,21 +14,6 @@ func newSeededRand(seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed))
 }
 
-// batchShape caches the per-table ID structure of one batch that the
-// timing model needs: total occurrences and distinct rows.
-type batchShape struct {
-	totalIDs int   // per table (BatchSize * Lookups)
-	unique   []int // per table distinct rows
-}
-
-func shapeOf(b *trace.Batch) batchShape {
-	s := batchShape{totalIDs: b.TotalIDs(), unique: make([]int, b.NumTables())}
-	for t := range s.unique {
-		s.unique[t] = len(b.UniqueIDs(t))
-	}
-	return s
-}
-
 // mlpFlopsPerIteration computes the dense FLOPs of one training iteration
 // (forward + backward ~ 3x forward) from the configuration alone, so
 // metadata-mode engines need not instantiate a model.

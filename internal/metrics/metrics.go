@@ -8,6 +8,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -22,6 +23,10 @@ func (s *Series) Add(v float64) {
 	s.samples = append(s.samples, v)
 	s.sorted = false
 }
+
+// Grow reserves room for n more samples, so the next n Adds do not
+// reallocate.
+func (s *Series) Grow(n int) { s.samples = slices.Grow(s.samples, n) }
 
 // Len returns the number of samples.
 func (s *Series) Len() int { return len(s.samples) }

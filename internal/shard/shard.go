@@ -991,20 +991,17 @@ func (m *Manager) PlanUniqueWithHints(seq int, uniq []int64, counts []int32, fut
 	res.Seq = seq
 	m.hintRelaxed = len(hints) == 0
 
-	if cap(res.UniqueIDs) < len(uniq) {
-		res.UniqueIDs = make([]int64, 0, len(uniq))
-		res.Slots = make([]int32, 0, len(uniq))
-	}
-	res.UniqueIDs = append(res.UniqueIDs, uniq...)
-	res.Slots = res.Slots[:len(uniq)]
+	// Per-batch buffers regrow on append's amortized schedule (see
+	// core.Scratchpad.PlanUniqueWithHints), so the warm Plan stops
+	// allocating once the batch sizes have been sampled.
+	res.UniqueIDs = append(slices.Grow(res.UniqueIDs, len(uniq)), uniq...)
+	res.Slots = slices.Grow(res.Slots, len(uniq))[:len(uniq)]
 	// Route the batch and the look-ahead window once, bucketing
 	// positions per owning shard: the parallel pass below then walks
 	// only each shard's own share (total routing work O(batch+window),
 	// not S skip-scans). shardOf keeps the per-position owner for the
 	// serial coordinator pass.
-	if cap(m.shardOf) < len(uniq) {
-		m.shardOf = make([]uint16, len(uniq))
-	}
+	m.shardOf = slices.Grow(m.shardOf[:0], len(uniq))
 	shardOf := m.shardOf[:len(uniq)]
 	fut := future[futStart:]
 	nwin := 0
@@ -1077,10 +1074,7 @@ func (m *Manager) PlanUniqueWithHints(seq int, uniq []int64, counts []int32, fut
 
 	// Collect the misses in first-appearance order (the order the
 	// coordinator must allocate them in to match the serial planner).
-	missIdx := m.missIdx[:0]
-	if cap(missIdx) < len(uniq) {
-		missIdx = make([]int32, 0, len(uniq))
-	}
+	missIdx := slices.Grow(m.missIdx[:0], len(uniq))
 	for i := range res.Slots {
 		if res.Slots[i] < 0 {
 			missIdx = append(missIdx, int32(i))
@@ -1096,12 +1090,8 @@ func (m *Manager) PlanUniqueWithHints(seq int, uniq []int64, counts []int32, fut
 		m.pollK = len(missIdx)
 	}
 
-	if cap(res.Fills) < len(missIdx) {
-		res.Fills = make([]core.Fill, 0, len(missIdx))
-	}
-	if cap(res.Evictions) < len(missIdx) {
-		res.Evictions = make([]core.Eviction, 0, len(missIdx))
-	}
+	res.Fills = slices.Grow(res.Fills, len(missIdx))
+	res.Evictions = slices.Grow(res.Evictions, len(missIdx))
 
 	// Serial coordinator pass: allocate the misses. Free primary
 	// capacity (own stripe, then borrowed) precedes eviction; the
