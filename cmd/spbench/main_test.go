@@ -62,7 +62,9 @@ func TestProfileFlags(t *testing.T) {
 // death (the forked sweep that resets sharded managers), and Figure
 // 12b's per-stage table in that configuration with overlapped
 // coordination (whose plan column is the critical share), with and
-// without the host death: every simulated number they print is a
+// without the host death, and Figure 12b at that shape under approx
+// coordination and under hier with a host-link partition (the
+// degraded protocol): every simulated number they print is a
 // function of the seed, so a refactor or optimisation of the simulator
 // must leave them untouched. A change
 // that means to move an output re-records with `go test -update` and
@@ -82,6 +84,9 @@ func TestQuickGolden(t *testing.T) {
 			"-coord-overlap"}},
 		{"fig12b_s4_hier_overlap_fail", []string{"-experiment", "fig12b", "-shards", "4", "-topology", "cluster2x2", "-coord", "hier",
 			"-coord-overlap", "-fail", "host1@5", "-ckpt-interval", "4"}},
+		{"fig12b_s4_approx", []string{"-experiment", "fig12b", "-shards", "4", "-topology", "cluster2x2", "-coord", "approx"}},
+		{"fig12b_s4_hier_partition", []string{"-experiment", "fig12b", "-shards", "4", "-topology", "cluster2x2", "-coord", "hier",
+			"-fail", "link:host0-host1@3-6"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
