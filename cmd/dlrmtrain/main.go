@@ -242,10 +242,6 @@ func main() {
 		fmt.Printf("    migration: %.1f KB in %d transfers, %.3f ms modeled stall\n",
 			rs.Bytes/1e3, rs.Rounds, rep.MigrationTime*1e3)
 	}
-	if div := rep.CoordDivergence; div.Plans > 0 {
-		fmt.Printf("  approx-LRU divergence:    edit rate %.4f (distance %d over %d exact / %d approx evictions), hit-rate delta %+.4f%%\n",
-			div.EditRate(), div.EditDistance, div.ExactEvictions, div.ApproxEvictions, div.HitRateDelta()*100)
-	}
 	// Fault-tolerance section: keyed off the flags, not the report, so
 	// fault-free runs print byte-identically to the pre-fault tree.
 	if cfg.Faults.Active() || cfg.CkptInterval > 0 {

@@ -33,7 +33,7 @@
 // bit-identical to the unplaced tree. -coord selects the coordination
 // protocol (exact|batched|hier|approx): exact, batched, and hier
 // produce identical tables (batching only cuts coordination rounds);
-// approx trades measured eviction divergence for zero stamp-sync
+// approx trades some eviction divergence for zero stamp-sync
 // traffic. -coord-overlap overlaps each ScratchPipe run's distributed
 // coordination with the pipeline: a Plan known a cycle early to sweep
 // prices its first poll round as hidden under the previous Collect

@@ -650,8 +650,8 @@ func (d *dynamicState) flush() error {
 }
 
 // aggregateCacheStats folds per-table scratchpad statistics — cache
-// counters, cross-node coordination traffic, and approx-mode divergence
-// — into a report.
+// counters, cross-node coordination traffic, overlap, resharding and
+// evacuation totals — into a report.
 func (d *dynamicState) aggregateCacheStats(rep *Report) {
 	for _, sp := range d.sps {
 		st := sp.Stats()
@@ -662,7 +662,6 @@ func (d *dynamicState) aggregateCacheStats(rep *Report) {
 		rep.ReservePeak += st.ReservePeak
 		rep.Coord.Merge(sp.CoordStats())
 		rep.Overlap.Merge(sp.OverlapStats())
-		rep.CoordDivergence.Merge(sp.Divergence())
 		rep.Resharding.Merge(sp.ReshardStats())
 		rep.Evac.Merge(sp.EvacStats())
 	}

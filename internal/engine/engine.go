@@ -39,7 +39,7 @@
 //     core.Pipeline; the straw-man runs them back-to-back.
 //   - [Report] is the output contract: simulated times (Wall, IterTime,
 //     per-stage averages, CoordTime, MigrationTime), cache statistics,
-//     coordination traffic (Coord, CoordDivergence), and resharding
+//     coordination traffic (Coord, Overlap), and resharding
 //     totals (Resharding, FinalShards). The bench package renders the
 //     paper's tables from Reports; EXPERIMENTS.md says how to reproduce
 //     each one.
@@ -109,9 +109,9 @@ type EnvConfig struct {
 	// internal/shard): exact (default, per-eviction rounds), batched
 	// (one candidate batch per shard per Plan), hier (batched plus a
 	// per-host aggregation tier), or approx (epoch-quantized recency
-	// with zero stamp-sync traffic and a measured divergence). Exact,
-	// batched, and hier produce identical plans and statistics; approx
-	// may diverge and Report.CoordDivergence says by how much.
+	// with zero stamp-sync traffic). Exact, batched, and hier produce
+	// identical plans and statistics; approx may diverge, and a
+	// same-seed hier run's Hits and Fills say by how much.
 	Coord shard.CoordMode
 	// CoordQuantum is approx mode's recency quantum in clock ticks
 	// (0 selects the shard package default; 1 makes approx exact).
@@ -399,10 +399,6 @@ type Report struct {
 	// bytes (lifetime sums, not per-iteration averages — divide by
 	// Iters for a per-Plan rate). Zero under co-located placements.
 	Coord shard.CoordStats
-	// CoordDivergence measures approx-mode eviction divergence against
-	// the shadow exact planner, summed across tables; the zero value in
-	// every exact-order mode.
-	CoordDivergence shard.Divergence
 	// MigrationTime is the total modeled elastic-resharding migration
 	// latency of the run (seconds), summed across tables. Unlike
 	// CoordTime it is episodic, not per-iteration: it adds to Wall but

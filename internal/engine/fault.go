@@ -83,8 +83,7 @@ func (d *dynamicState) strike(e hw.FaultEvent, it int, wall float64) error {
 		if d.partitions == 1 {
 			// The coordinator cannot sync stamps across the cut, so
 			// every manager runs the partition-mode approx protocol
-			// until the last partition heals; the stale view's damage
-			// is measured as Report.CoordDivergence.
+			// until the last partition heals.
 			for _, sp := range d.sps {
 				sp.Degrade()
 			}

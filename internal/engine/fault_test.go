@@ -239,8 +239,9 @@ func TestFaultCheckpointRestore(t *testing.T) {
 }
 
 // TestFaultLinkPartitionDegrades: while hosts are partitioned the
-// coordinator degrades to approx with divergence measured, then heals
-// with a priced stamp re-sync; a degrade event only reprices links.
+// coordinator degrades to approx and sends no stamp-sync rounds, then
+// heals with a priced stamp re-sync; a degrade event only reprices
+// links.
 func TestFaultLinkPartitionDegrades(t *testing.T) {
 	model := smallFaultModel()
 	topo := hw.Cluster(2, 2)
@@ -254,11 +255,12 @@ func TestFaultLinkPartitionDegrades(t *testing.T) {
 	if cut.Downtime <= 0 {
 		t.Fatal("partition not detected")
 	}
-	// 8 degraded Plans per table (iterations 7..14, struck at the
-	// boundary before iteration 8 and healed before 16).
-	if cut.CoordDivergence.Plans != int64(8*model.NumTables) {
-		t.Fatalf("degraded-mode divergence compared %d plans, want %d",
-			cut.CoordDivergence.Plans, 8*model.NumTables)
+	// The degraded Plans (struck at the boundary before iteration 8 and
+	// healed before 16) sync no stamps across the cut; one re-sync at
+	// Heal does not make up for them.
+	if cut.Coord.StampSyncRounds >= base.Coord.StampSyncRounds {
+		t.Fatalf("partitioned run sent %d stamp-sync rounds, want fewer than the healthy run's %d",
+			cut.Coord.StampSyncRounds, base.Coord.StampSyncRounds)
 	}
 	// Heal prices the stamp re-sync into recovery.
 	if cut.RecoveryTime <= 0 {
@@ -275,8 +277,9 @@ func TestFaultLinkPartitionDegrades(t *testing.T) {
 	if slow.Downtime != 0 || slow.RecoveryTime != 0 {
 		t.Fatalf("degrade billed downtime %g / recovery %g", slow.Downtime, slow.RecoveryTime)
 	}
-	if slow.CoordDivergence.Plans != 0 {
-		t.Fatal("degrade switched protocols")
+	if slow.Coord.StampSyncRounds != base.Coord.StampSyncRounds {
+		t.Fatalf("degrade switched protocols: %d stamp-sync rounds, want %d",
+			slow.Coord.StampSyncRounds, base.Coord.StampSyncRounds)
 	}
 	if slow.CoordTime <= base.CoordTime {
 		t.Fatalf("degraded links did not raise coordination: %g vs %g", slow.CoordTime, base.CoordTime)

@@ -280,9 +280,6 @@ func TestCoordModeReportEquivalence(t *testing.T) {
 			rep.ReservePeak != exact.ReservePeak {
 			t.Fatalf("%s changed cache behaviour:\nexact %+v\nmode  %+v", name, exact, rep)
 		}
-		if rep.CoordDivergence != (shard.Divergence{}) {
-			t.Fatalf("%s reports divergence despite exact ordering: %+v", name, rep.CoordDivergence)
-		}
 	}
 	if exact.Coord.Messages < 5*batched.Coord.Messages {
 		t.Fatalf("batched rounds %d not >=5x below exact's %d", batched.Coord.Messages, exact.Coord.Messages)
@@ -297,9 +294,6 @@ func TestCoordModeReportEquivalence(t *testing.T) {
 	if approx.Coord.Bytes() >= hier.Coord.Bytes() {
 		t.Fatalf("approx traffic %g B not strictly below hier's %g B",
 			approx.Coord.Bytes(), hier.Coord.Bytes())
-	}
-	if approx.CoordDivergence.Plans == 0 {
-		t.Fatal("approx mode measured no divergence plans")
 	}
 	if got, want := exact.CoordMode, string(shard.CoordExact); got != want {
 		t.Fatalf("exact run labeled %q, want %q", got, want)

@@ -524,7 +524,7 @@ func (c *coordMeter) price(l *ledger) float64 {
 		// A down link prices at zero like a local one: no message
 		// crosses a partition — the rounds stay counted (the protocol
 		// sent them; they queue), and the stale state they failed to
-		// deliver is what degraded-mode divergence measures.
+		// deliver is why the degraded protocol runs approx.
 		if lk.Tier != hw.TierLocal && !lk.Down {
 			t += float64(l.rounds[u.idx])*lk.Latency + l.bytes[u.idx]/lk.Bandwidth
 		}

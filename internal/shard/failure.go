@@ -17,10 +17,8 @@
 //   - Degrade/Heal bracket a link partition: while partitioned the
 //     coordinator cannot sync stamps across the cut, so the manager
 //     runs the approx protocol (epoch-quantized recency, no stamp
-//     traffic) and measures its divergence inline — each victim merge
-//     compares the quantized winner against the raw-stamp winner it
-//     would have picked with full information. Heal restores the
-//     original protocol and prices one full stamp re-synchronization.
+//     traffic). Heal restores the original protocol and prices one full
+//     stamp re-synchronization.
 //   - ReelectAggregator replaces a lost per-host aggregator (hier and
 //     approx modes): the host's shards vote the next shard's node into
 //     the role and announce it to the global coordinator, all priced
@@ -220,12 +218,9 @@ func pricedEvac(acc *migAccum) (secs float64, rounds int64, bytes float64) {
 
 // Degrade switches a live manager to the partition-mode approx
 // protocol: epoch-quantized recency (DefaultApproxQuantum) and no
-// stamp-sync traffic, because none can cross the cut. The divergence
-// the stale view introduces is measured inline — every victim merge
-// compares its quantized pick against the raw-stamp pick — and
-// reported through Divergence. No-op for the S=1 delegate, a manager
-// already degraded, and native approx mode (which measures divergence
-// against its shadow planner already).
+// stamp-sync traffic, because none can cross the cut. No-op for the S=1
+// delegate, a manager already degraded, and native approx mode (which
+// runs that protocol already).
 func (m *Manager) Degrade() {
 	if m.single != nil || m.degraded || m.mode == CoordApprox {
 		return

@@ -182,8 +182,8 @@ func TestEvacuateCheckpointRestore(t *testing.T) {
 }
 
 // TestDegradeHealCycle: a partition degrades the protocol to approx
-// (divergence measured inline), heal restores it and prices the stamp
-// re-sync.
+// (no stamp-sync rounds while degraded), heal restores it and prices
+// the stamp re-sync.
 func TestDegradeHealCycle(t *testing.T) {
 	cfg := testConfig(128, 32)
 	topo := hw.Cluster(2, 2)
@@ -202,10 +202,10 @@ func TestDegradeHealCycle(t *testing.T) {
 		t.Fatal("Degrade did not take")
 	}
 	m.Degrade() // idempotent
+	syncs := m.CoordStats().StampSyncRounds
 	drive(t, m, st, 16, 32)
-	div := m.Divergence()
-	if div.Plans != 16 {
-		t.Fatalf("degraded-mode divergence compared %d plans, want 16", div.Plans)
+	if got := m.CoordStats().StampSyncRounds; got != syncs {
+		t.Fatalf("degraded manager sent %d stamp-sync rounds across the cut", got-syncs)
 	}
 	resync := m.Heal()
 	if m.Degraded() {
@@ -214,13 +214,13 @@ func TestDegradeHealCycle(t *testing.T) {
 	if resync <= 0 {
 		t.Fatal("cross-host stamp re-sync not priced")
 	}
-	drive(t, m, st, 32, 48)
-	if got := m.Divergence().Plans; got != div.Plans {
-		t.Fatalf("healed manager kept measuring divergence: %d plans", got)
+	if got := m.CoordStats().StampSyncRounds; got <= syncs {
+		t.Fatalf("Heal metered no stamp re-sync rounds (%d before, %d after)", syncs, got)
 	}
+	drive(t, m, st, 32, 48)
 
-	// Native approx already measures divergence against its shadow;
-	// Degrade must leave it alone.
+	// Native approx already runs the degraded protocol; Degrade must
+	// leave it alone.
 	ma := failureManager(t, testConfig(64, 16), 2, topo, CoordApprox)
 	ma.Degrade()
 	if ma.Degraded() {

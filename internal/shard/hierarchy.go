@@ -37,11 +37,12 @@
 //     which each shard derives locally from the batch stream, so no
 //     per-Plan stamp round trips exist at any tier. Stamps within one
 //     epoch tie and resolve toward the lower shard index, so the
-//     eviction sequence may diverge from exact LRU — the divergence is
-//     measured, not assumed: a shadow exact planner runs alongside and
-//     [Divergence] reports the eviction-sequence edit distance and the
-//     hit-rate delta. With quantum 1 the quantized order equals the
-//     exact order and every divergence metric is zero.
+//     eviction sequence may diverge from exact LRU. What that costs is
+//     read from a same-seed run under an exact-order mode: the
+//     difference in the two runs' hit and fill counters is its whole
+//     cache-level cost.
+//     With quantum 1 the quantized order equals the exact order and the
+//     two runs plan identically.
 //
 // The protocol changes only message accounting (and, for approx, the
 // merge key); batched and hierarchical plans, victims, and statistics
@@ -69,7 +70,7 @@ const (
 	CoordHier CoordMode = "hier"
 	// CoordApprox is CoordHier with epoch-quantized touch stamps and no
 	// stamp-sync traffic at all; eviction order may diverge from exact
-	// LRU and the divergence is measured (see Divergence).
+	// LRU.
 	CoordApprox CoordMode = "approx"
 )
 
@@ -82,8 +83,8 @@ const CoordModeNames = "exact, batched, hier, approx"
 
 // DefaultApproxQuantum is the approx-mode stamp quantum (global clock
 // ticks per recency epoch) when Config.CoordQuantum is unset: coarse
-// enough to measure real divergence, fine enough (well under typical
-// scratchpad populations) to keep it bounded.
+// enough that quantization shows in the victim order, fine enough (well
+// under typical scratchpad populations) to keep the divergence bounded.
 const DefaultApproxQuantum = 64
 
 // ParseCoordMode resolves a coordination protocol name ("" selects
@@ -100,105 +101,4 @@ func ParseCoordMode(s string) (CoordMode, error) {
 		return CoordApprox, nil
 	}
 	return "", fmt.Errorf("shard: unknown coordination mode %q (want %s)", s, CoordModeNames)
-}
-
-// Divergence quantifies how far approx-mode eviction behaviour drifted
-// from the exact global LRU, measured against a shadow exact planner
-// that consumes the identical Plan stream. The zero value means "no
-// divergence" — guaranteed when the quantum is 1, reported otherwise.
-type Divergence struct {
-	// Plans counts compared Plans.
-	Plans int64
-	// EditDistance sums the per-Plan Levenshtein distance between the
-	// approx and exact eviction-victim ID sequences.
-	EditDistance int64
-	// ApproxEvictions/ExactEvictions total both planners' evictions
-	// (the edit distance's normalizer).
-	ApproxEvictions int64
-	ExactEvictions  int64
-	// ApproxHits/ApproxQueries and ExactHits/ExactQueries are both
-	// planners' occurrence-level counters (the hit-rate delta's inputs).
-	ApproxHits, ApproxQueries int64
-	ExactHits, ExactQueries   int64
-}
-
-// EditRate normalizes the eviction-sequence edit distance by the larger
-// eviction total: 0 means identical sequences, 1 means entirely
-// rewritten. Levenshtein distance is at most max(len(a), len(b)), so the
-// rate is bounded in [0, 1].
-func (d Divergence) EditRate() float64 {
-	n := d.ExactEvictions
-	if d.ApproxEvictions > n {
-		n = d.ApproxEvictions
-	}
-	if n == 0 {
-		return 0
-	}
-	return float64(d.EditDistance) / float64(n)
-}
-
-// HitRateDelta returns approx hit rate minus exact hit rate (negative
-// when quantization costs hits).
-func (d Divergence) HitRateDelta() float64 {
-	var a, e float64
-	if d.ApproxQueries > 0 {
-		a = float64(d.ApproxHits) / float64(d.ApproxQueries)
-	}
-	if d.ExactQueries > 0 {
-		e = float64(d.ExactHits) / float64(d.ExactQueries)
-	}
-	return a - e
-}
-
-// Merge folds another table's divergence into d (counters add; the
-// derived rates recompute from the merged counters).
-func (d *Divergence) Merge(o Divergence) {
-	d.Plans += o.Plans
-	d.EditDistance += o.EditDistance
-	d.ApproxEvictions += o.ApproxEvictions
-	d.ExactEvictions += o.ExactEvictions
-	d.ApproxHits += o.ApproxHits
-	d.ApproxQueries += o.ApproxQueries
-	d.ExactHits += o.ExactHits
-	d.ExactQueries += o.ExactQueries
-}
-
-// editDistance returns the Levenshtein distance between two ID
-// sequences (insertions, deletions, substitutions all cost 1) plus the
-// possibly-regrown scratch buffer, reused across calls to keep the
-// per-Plan comparison allocation-free at steady state.
-func editDistance(a, b []int64, scratch []int32) (int, []int32) {
-	if len(a) == 0 {
-		return len(b), scratch
-	}
-	if len(b) == 0 {
-		return len(a), scratch
-	}
-	w := len(b) + 1
-	if cap(scratch) < 2*w {
-		scratch = make([]int32, 2*w)
-	}
-	prev, cur := scratch[:w], scratch[w:2*w]
-	for j := 0; j <= len(b); j++ {
-		prev[j] = int32(j)
-	}
-	for i := 1; i <= len(a); i++ {
-		cur[0] = int32(i)
-		for j := 1; j <= len(b); j++ {
-			cost := int32(1)
-			if a[i-1] == b[j-1] {
-				cost = 0
-			}
-			best := prev[j-1] + cost        // substitute (or match)
-			if d := prev[j] + 1; d < best { // delete
-				best = d
-			}
-			if d := cur[j-1] + 1; d < best { // insert
-				best = d
-			}
-			cur[j] = best
-		}
-		prev, cur = cur, prev
-	}
-	return int(prev[len(b)]), scratch
 }

@@ -34,10 +34,9 @@ type resetShape struct {
 // manager reports and the ForEach order. The first cases reset a
 // manager of a random shape to S=1 under each policy and to S=4 on
 // cluster2x2; the rest reset S=4 in place: growing and shrinking
-// capacity, approx with its shadow planner, elastic with the load
-// probe, a move from cluster2x2 to numa4, and a reset with an overlap
-// mark set. A reset onto a same-size placement must keep its meter and
-// message plane, and an approx reset its shadow planner.
+// capacity, approx, elastic with the load probe, a move from cluster2x2
+// to numa4, and a reset with an overlap mark set. A reset onto a
+// same-size placement must keep its meter and message plane.
 func TestResetMatchesNew(t *testing.T) {
 	const batchLen, idSpace = 48, 1024
 	cluster, numa := hw.Cluster(2, 2), hw.MultiSocket(4)
@@ -111,7 +110,7 @@ func TestResetMatchesNew(t *testing.T) {
 						t.Fatalf("trial %d: no Plan marked overlapped before the Reset", trial)
 					}
 				}
-				coord, shadow := used.coord, used.shadow
+				coord := used.coord
 
 				cfg := newCfg(t, tc.to)
 				if err := used.Reset(cfg); err != nil {
@@ -120,9 +119,6 @@ func TestResetMatchesNew(t *testing.T) {
 				if coord != nil && tc.to.shards > 1 && from.topo.NumNodes() == tc.to.topo.NumNodes() &&
 					(used.coord != coord || used.coord.plane != coord.plane) {
 					t.Fatalf("trial %d: Reset onto a same-size placement rebuilt the coordination meter", trial)
-				}
-				if tc.to.mode == CoordApprox && used.shadow != shadow {
-					t.Fatalf("trial %d: approx Reset rebuilt the shadow planner", trial)
 				}
 				fresh, err := New(cfg)
 				if err != nil {
@@ -148,14 +144,13 @@ type managerView struct {
 	Stats     core.Stats
 	Coord     CoordStats
 	Overlap   OverlapStats
-	Div       Divergence
 	Shards    []ShardStats
 	LoadProbe []int64
 	Walk      [][2]int64
 }
 
 func observe(m *Manager) managerView {
-	return managerView{m.Stats(), m.CoordStats(), m.OverlapStats(), m.Divergence(), m.ShardStats(), m.LoadProbe(), walk(m)}
+	return managerView{m.Stats(), m.CoordStats(), m.OverlapStats(), m.ShardStats(), m.LoadProbe(), walk(m)}
 }
 
 // walk lists a manager's resident (ID, slot) pairs in ForEach order.

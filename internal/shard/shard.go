@@ -38,8 +38,7 @@
 // coordination latency — never plans, victims, or statistics. How the
 // coordinator talks over those links is selected by Config.Coord
 // (hierarchy.go): exact per-eviction rounds, batched candidate polls,
-// a per-host aggregation tier, or approximate epoch-quantized LRU whose
-// divergence from exact is measured by a shadow planner.
+// a per-host aggregation tier, or approximate epoch-quantized LRU.
 //
 // Nothing above requires the partitioning to be static: an elastic
 // manager (Config.Elastic) can change its shard count between Plans via
@@ -89,14 +88,14 @@ type Config struct {
 	// exact (default, per-eviction rounds), batched (one candidate
 	// batch per shard per sweep, Plan-end aggregated confirms), hier
 	// (batched plus a per-host aggregation tier), or approx (hier minus
-	// stamp sync, with epoch-quantized recency and a measured
-	// divergence). Exact, batched, and hier produce identical plans,
-	// victims, and statistics; approx may diverge and reports how much.
+	// stamp sync, with epoch-quantized recency). Exact, batched, and
+	// hier produce identical plans, victims, and statistics; approx may
+	// diverge.
 	Coord CoordMode
 	// CoordQuantum is approx mode's recency quantum in global clock
 	// ticks (touches per epoch); 0 selects DefaultApproxQuantum. A
-	// quantum of 1 makes approx bit-identical to exact (and its
-	// divergence metrics provably zero). Ignored outside approx mode.
+	// quantum of 1 makes approx bit-identical to exact. Ignored outside
+	// approx mode.
 	CoordQuantum int
 	// Elastic builds a manager whose shard count can change at run time
 	// via [Manager.Reshard] (see reshard.go). It requires the LRU policy
@@ -256,16 +255,6 @@ type Manager struct {
 	quantum uint64
 	pollK   int
 
-	// shadow is approx mode's exact reference planner: it consumes the
-	// identical Plan stream so the divergence the quantized recency
-	// introduces is measured, not assumed. div accumulates the
-	// comparison; edScratch/evSelf/evShadow back it allocation-free.
-	shadow    *core.Scratchpad
-	div       Divergence
-	edScratch []int32
-	evSelf    []int64
-	evShadow  []int64
-
 	// single is the unsharded fast path (Shards == 1): full delegation,
 	// bit-identical to the pre-sharding tree.
 	single *core.Scratchpad
@@ -343,11 +332,9 @@ type Manager struct {
 	cntScratch  []int32
 	// in holds the inputs of the shard fan-out in progress (see fanIn).
 	in fanIn
-	// seen is PrewarmRows' rows-wide duplicate-draw bitmap and draws
-	// approx mode's record of the prewarm draw stream (replayed into the
-	// shadow planner); both are kept across Resets and cleared per use.
-	seen  []uint64
-	draws []int64
+	// seen is PrewarmRows' rows-wide duplicate-draw bitmap, kept across
+	// Resets and cleared per use.
+	seen []uint64
 
 	stats core.Stats
 }
@@ -385,8 +372,8 @@ func New(cfg Config) (*Manager, error) {
 // buffer, which is what makes a reset cheaper than a rebuild. At S=1
 // (non-elastic) that is the delegate core.Scratchpad's; at every other
 // shape it is the slot metadata, each shard's Hit-Map, free list and
-// hold-set pool, the Plan pool, the routing scratch, approx's shadow
-// planner, and the coordination meter with its message plane. Batches
+// hold-set pool, the Plan pool, the routing scratch, and the
+// coordination meter with its message plane. Batches
 // still in flight are dropped (their hold sets return to the pools). On
 // error m is unchanged.
 func (m *Manager) Reset(cfg Config) error {
@@ -413,15 +400,6 @@ func (m *Manager) Reset(cfg Config) error {
 		*m = Manager{cfg: c, nshards: 1, pool: cfg.Pool, mode: mode, quantum: 1, single: sp}
 		return nil
 	}
-	var shadow *core.Scratchpad
-	if mode == CoordApprox {
-		if shadow = m.shadow; shadow == nil {
-			shadow = &core.Scratchpad{}
-		}
-		if err := shadow.Reset(c); err != nil {
-			return err
-		}
-	}
 	total := c.Slots + c.Reserve
 	// Carry the buffers over; every other field takes its zero value, as
 	// in a fresh manager.
@@ -435,10 +413,6 @@ func (m *Manager) Reset(cfg Config) error {
 		mode:        mode,
 		quantum:     1,
 		pollK:       1,
-		shadow:      shadow,
-		edScratch:   old.edScratch,
-		evSelf:      old.evSelf[:0],
-		evShadow:    old.evShadow[:0],
 		elastic:     cfg.Elastic,
 		shards:      slices.Grow(old.shards[:0], n)[:n],
 		meta:        slices.Grow(old.meta[:0], total)[:total],
@@ -456,7 +430,6 @@ func (m *Manager) Reset(cfg Config) error {
 		uniqScratch: old.uniqScratch[:0],
 		cntScratch:  old.cntScratch[:0],
 		seen:        old.seen,
-		draws:       old.draws[:0],
 	}
 	if cfg.LoadProbe {
 		m.loadProbe = zeroed(old.loadProbe, LoadProbeBuckets)
@@ -549,22 +522,6 @@ func (m *Manager) CoordMode() CoordMode { return m.mode }
 // CoordQuantum returns approx mode's recency quantum in clock ticks
 // (1 in every exact-order mode).
 func (m *Manager) CoordQuantum() int { return int(m.quantum) }
-
-// Divergence reports how far approximate eviction behaviour drifted
-// from the exact global LRU: measured against the shadow planner in
-// native approx mode, and inline (quantized victim pick vs raw-stamp
-// pick) while a partition has the manager degraded (see failure.go).
-// The zero value outside both (exact-order modes cannot diverge).
-func (m *Manager) Divergence() Divergence {
-	if m.shadow == nil {
-		return m.div
-	}
-	d := m.div
-	st, ss := m.stats, m.shadow.Stats()
-	d.ApproxHits, d.ApproxQueries = st.Hits, st.Queries
-	d.ExactHits, d.ExactQueries = ss.Hits, ss.Queries
-	return d
-}
 
 // Capacity returns the nominal slot count (excluding reserve).
 func (m *Manager) Capacity() int { return m.cfg.Slots }
@@ -773,7 +730,7 @@ func (m *Manager) shardCand(j int) int32 {
 // k-way merge reproduces the serial LRU sequence bit for bit. Approx
 // mode compares epoch-quantized stamps: candidates inside one quantum
 // tie and resolve toward the lower shard index (the merge loop's scan
-// order), which is exactly where its measured divergence comes from.
+// order), which is exactly where its divergence from exact comes from.
 func (m *Manager) olderStamp(a, b int32) bool {
 	if m.quantum > 1 {
 		return m.meta[a].stamp/m.quantum < m.meta[b].stamp/m.quantum
@@ -788,7 +745,6 @@ func (m *Manager) olderStamp(a, b int32) bool {
 // or (-1, -1) when every shard is exhausted.
 func (m *Manager) victim() (int32, int) {
 	best, bestShard := nilSlot, -1
-	rawBest := nilSlot
 	for j := 0; j < m.nshards; j++ {
 		c := m.shardCand(j)
 		if c < 0 {
@@ -796,9 +752,6 @@ func (m *Manager) victim() (int32, int) {
 		}
 		if best < 0 || m.olderStamp(c, best) {
 			best, bestShard = c, j
-		}
-		if m.degraded && (rawBest < 0 || m.meta[c].stamp < m.meta[rawBest].stamp) {
-			rawBest = c
 		}
 	}
 	if m.coord != nil && m.coord.hidden {
@@ -808,12 +761,6 @@ func (m *Manager) victim() (int32, int) {
 		if m.onHiddenRound != nil {
 			m.onHiddenRound()
 		}
-	}
-	if m.degraded && best >= 0 && best != rawBest {
-		// Inline divergence metering for partition-mode approx: the
-		// quantized merge picked a different victim than the raw-stamp
-		// merge would have — one substitution in the eviction sequence.
-		m.div.EditDistance++
 	}
 	if best >= 0 {
 		m.shards[bestShard].candHead++
@@ -1167,42 +1114,6 @@ func (m *Manager) PlanUniqueWithHints(seq int, uniq []int64, counts []int32, fut
 		m.lastCoordCrit, m.lastCoordWall = 0, 0
 	}
 
-	if m.shadow != nil {
-		// Approx mode: the shadow exact planner consumes the identical
-		// Plan, and the victim sequences are compared so the
-		// quantization's divergence is measured per Plan. The shadow's
-		// result buffers recycle immediately (its hold state lives in
-		// the planner, not the result).
-		sres, err := m.shadow.PlanUniqueWithHints(seq, uniq, counts, future, hints)
-		if err != nil {
-			return nil, fmt.Errorf("shard: plan %d: approx shadow planner: %w", seq, err)
-		}
-		m.evSelf = m.evSelf[:0]
-		for _, e := range res.Evictions {
-			m.evSelf = append(m.evSelf, e.OldID)
-		}
-		m.evShadow = m.evShadow[:0]
-		for _, e := range sres.Evictions {
-			m.evShadow = append(m.evShadow, e.OldID)
-		}
-		var dist int
-		dist, m.edScratch = editDistance(m.evSelf, m.evShadow, m.edScratch)
-		m.div.Plans++
-		m.div.EditDistance += int64(dist)
-		m.div.ApproxEvictions += int64(len(res.Evictions))
-		m.div.ExactEvictions += int64(len(sres.Evictions))
-		m.shadow.Recycle(sres)
-	}
-
-	if m.degraded {
-		// Partition-mode divergence accounting (both planners see the
-		// same Plan, so the eviction counts agree; the edit distance
-		// accumulated per differing victim pick in the merge).
-		m.div.Plans++
-		m.div.ApproxEvictions += int64(len(res.Evictions))
-		m.div.ExactEvictions += int64(len(res.Evictions))
-	}
-
 	m.stats.Planned++
 	m.stats.Queries += int64(res.OccHits + res.OccMisses)
 	m.stats.Hits += int64(res.OccHits)
@@ -1277,11 +1188,6 @@ func (m *Manager) Release(seq int) error {
 	if err := par.Each(m.pool, m.nshards, m, (*Manager).releaseShard); err != nil {
 		return err
 	}
-	if m.shadow != nil {
-		if err := m.shadow.Release(seq); err != nil {
-			return fmt.Errorf("shard: approx shadow planner: %w", err)
-		}
-	}
 	m.stats.Released++
 	return nil
 }
@@ -1332,23 +1238,6 @@ func (m *Manager) PrewarmRows(rows int64, sample func() int64, onFill func(id in
 	m.dropOverlap()
 	m.prewarming = true
 	defer func() { m.prewarming = false }()
-	if m.shadow != nil {
-		// Tee the draw stream so the shadow exact planner warms to the
-		// identical content (draw sequences and duplicate decisions are
-		// identical by the prewarm-equivalence property, so the shadow
-		// consumes exactly the recorded draws).
-		m.draws = m.draws[:0]
-		inner := sample
-		sample = func() int64 {
-			id := inner()
-			m.draws = append(m.draws, id)
-			return id
-		}
-		defer func() {
-			i := 0
-			m.shadow.PrewarmRows(rows, func() int64 { id := m.draws[i]; i++; return id }, nil)
-		}()
-	}
 	var seen []uint64
 	if rows > 0 {
 		m.seen = zeroed(m.seen, int((rows+63)/64))

@@ -109,8 +109,8 @@ type CoordMode = shard.CoordMode
 // round per eviction event; batched gathers each shard's candidates in
 // one round per Plan; hier adds a per-host aggregation tier so hosts
 // exchange only host-level winners; approx quantizes recency epochs and
-// sends no stamp-sync traffic at all, reporting its measured divergence
-// from exact in Report.CoordDivergence.
+// sends no stamp-sync traffic at all, so its plans may diverge from
+// exact.
 const (
 	CoordExact   = shard.CoordExact
 	CoordBatched = shard.CoordBatched
@@ -125,10 +125,6 @@ func ParseCoordMode(s string) (CoordMode, error) { return shard.ParseCoordMode(s
 // shard.CoordStats for field docs); Report.Coord carries the run's
 // totals.
 type CoordStats = shard.CoordStats
-
-// CoordDivergence measures approx-mode eviction divergence against an
-// exact shadow planner (see shard.Divergence).
-type CoordDivergence = shard.Divergence
 
 // OverlapStats counts overlapped-coordination outcomes under
 // Config.CoordOverlap (see shard.OverlapStats); Report.Overlap carries
