@@ -57,14 +57,16 @@ func TestServeGolden(t *testing.T) {
 	})
 }
 
-// TestTrainGolden pins the training report the same way: a metadata run
-// on the two-host cluster under hier coordination (the coordination and
-// message-plane lines), and a functional approx run with a host death,
-// checkpoints and a reshard boundary (the loss, divergence, resharding,
-// fault and checkpoint blocks), and a metadata hier run with overlapped
-// coordination and a host death (the overlap outcome line under faults).
+// TestTrainGolden pins the training report the same way: metadata runs
+// on the two-host cluster under exact and hier coordination (the
+// coordination and message-plane lines of each), a functional approx run
+// with a host death, checkpoints and a reshard boundary (the loss,
+// resharding, fault and checkpoint blocks), and a metadata hier run with
+// overlapped coordination and a host death (the overlap outcome line
+// under faults).
 func TestTrainGolden(t *testing.T) {
 	testGolden(t, []struct{ golden, args string }{
+		{"train_exact.golden", "-functional=false -shards 4 -topology cluster2x2 -coord exact -iters 12 -rows 20000"},
 		{"train_hier.golden", "-functional=false -shards 4 -topology cluster2x2 -coord hier -iters 12 -rows 20000"},
 		{"train_approx_fail.golden", "-iters 12 -rows 20000 -shards 4 -topology cluster2x2 -coord approx -coord-quantum 64 " +
 			"-fail host1@6 -ckpt-interval 4 -reshard 3:4"},
