@@ -405,8 +405,8 @@ func familyKey(e bench.HotPathResult) bench.HotPathResult {
 // the S=1 baseline, and comparing against it would mask real
 // regressions; the placement-family entries additionally pay
 // coordination metering the co-located sweep never executes, and the
-// batched/hier/approx protocol entries send a fraction of the exact
-// protocol's rounds.
+// hier/approx protocol entries send a fraction of the exact protocol's
+// rounds.
 func pickBaseline(hist []bench.HotPathResult, want bench.HotPathResult) *bench.HotPathResult {
 	key := familyKey(want)
 	var match *bench.HotPathResult

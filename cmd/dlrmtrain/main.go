@@ -7,7 +7,7 @@
 //	dlrmtrain -engine hybrid -functional=false -iters 20   # timing only
 //	dlrmtrain -shards 4 -topology cluster2x2 -placement loadaware
 //	dlrmtrain -shards 4 -topology cluster2x2 -coord hier   # batched host-tier coordination
-//	dlrmtrain -shards 4 -topology cluster2x2 -coord approx -coord-quantum 64
+//	dlrmtrain -shards 4 -topology cluster2x2 -coord approx  # quantized recency, no stamp sync
 //	dlrmtrain -shards 4 -topology cluster2x2 -coord hier -coord-overlap  # hide each Plan's first poll round
 //	dlrmtrain -shards 1 -topology cluster2x2 -reshard 20:4 -coord hier  # elastic scale-out mid-run
 //	dlrmtrain -topology numa4 -reshard load:4 -class High   # load-triggered growth
@@ -127,7 +127,6 @@ func main() {
 	flag.Float64Var(&cfg.CacheFrac, "cache", 0.05, "GPU cache fraction")
 	flag.StringVar((*string)(&cfg.Policy), "policy", "lru", "replacement policy: lru|lfu|random")
 	flag.BoolVar(&cfg.Parallel, "parallel", false, "run pipeline stages in goroutines")
-	flag.IntVar(&cfg.CoordQuantum, "coord-quantum", 0, "approx-mode recency quantum in clock ticks (0 = default; 1 = exact order)")
 	flag.BoolVar(&cfg.Functional, "functional", true, "execute real float32 training")
 	flag.Int64Var(&cfg.Seed, "seed", 1, "random seed")
 	finish := cfg.RegisterFlags(flag.CommandLine)
@@ -138,7 +137,7 @@ func main() {
 		fail("%v", err)
 	}
 	// The checks on dlrmtrain's own flags: the replacement policy, and
-	// the knobs that only some engines or protocols read.
+	// the knobs that only some engines read.
 	switch cfg.Policy {
 	case scratchpipe.LRU, scratchpipe.LFU, scratchpipe.RandomPolicy:
 	default:
@@ -149,9 +148,6 @@ func main() {
 	}
 	if cfg.Reshard.MaxShards() > 1 && cfg.Policy != scratchpipe.LRU {
 		fail("-reshard reaching %d shards requires -policy lru", cfg.Reshard.MaxShards())
-	}
-	if cfg.CoordQuantum > 0 && cfg.Coord != scratchpipe.CoordApprox {
-		fail("-coord-quantum only applies to -coord approx (got -coord %s)", cfg.Coord)
 	}
 	if cfg.CoordOverlap && cfg.Engine != scratchpipe.KindScratchPipe {
 		fail("-coord-overlap applies to the scratchpipe engine, got -engine %s", cfg.Engine)

@@ -68,7 +68,7 @@ func TestTrainGolden(t *testing.T) {
 	testGolden(t, []struct{ golden, args string }{
 		{"train_exact.golden", "-functional=false -shards 4 -topology cluster2x2 -coord exact -iters 12 -rows 20000"},
 		{"train_hier.golden", "-functional=false -shards 4 -topology cluster2x2 -coord hier -iters 12 -rows 20000"},
-		{"train_approx_fail.golden", "-iters 12 -rows 20000 -shards 4 -topology cluster2x2 -coord approx -coord-quantum 64 " +
+		{"train_approx_fail.golden", "-iters 12 -rows 20000 -shards 4 -topology cluster2x2 -coord approx " +
 			"-fail host1@6 -ckpt-interval 4 -reshard 3:4"},
 		{"train_hier_overlap_fail.golden", "-functional=false -shards 4 -topology cluster2x2 -coord hier -coord-overlap " +
 			"-fail host1@5 -ckpt-interval 4"},
@@ -117,6 +117,7 @@ func TestBadInput(t *testing.T) {
 		{"deadline", "-deadline -1"},
 		{"serve-fail", "-serve -serve-fail replica9@0.1"},
 		{"router", "-router random"},
+		{"coord", "-coord batched"},
 	} {
 		t.Run(c.flag, func(t *testing.T) {
 			args := append([]string{"-functional=false", "-iters", "8", "-rows", "20000"}, strings.Fields(c.args)...)

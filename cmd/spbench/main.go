@@ -18,9 +18,11 @@
 //	        [-serve-fail PLAN] [-deadline MS] [-retry SPEC] [-hedge MS]
 //	        [-admission SPEC]
 //
-// With -quick the paper-scale tables (10M rows) shrink 50x, which changes
-// absolute hit rates slightly but preserves every qualitative shape; use it
-// for smoke runs. -workers bounds the simulator's per-table parallelism
+// With -quick the paper-scale tables (10M rows) shrink 50x for smoke
+// runs. That is not a faithful miniature: ScratchPipe's speedup factors
+// are smaller than at paper scale, and the trend across locality classes
+// runs the other way (ROADMAP.md, direction 11), so quote paper-scale
+// runs for the paper's claims. -workers bounds the simulator's per-table parallelism
 // (0 = GOMAXPROCS); -shards partitions each table's scratchpad control
 // plane across socket shards (internal/shard); simulated results are
 // identical at any worker and shard count.
@@ -31,10 +33,9 @@
 // is then priced on the links the placement crosses. The default single
 // topology co-locates everything at zero cost, so every table stays
 // bit-identical to the unplaced tree. -coord selects the coordination
-// protocol (exact|batched|hier|approx): exact, batched, and hier
-// produce identical tables (batching only cuts coordination rounds);
-// approx trades some eviction divergence for zero stamp-sync
-// traffic. -coord-overlap overlaps each ScratchPipe run's distributed
+// protocol (exact|hier|approx): exact and hier produce identical tables
+// (hier's batched, host-tiered polls only cut coordination rounds);
+// approx trades some eviction divergence for zero stamp-sync traffic. -coord-overlap overlaps each ScratchPipe run's distributed
 // coordination with the pipeline: a Plan known a cycle early to sweep
 // prices its first poll round as hidden under the previous Collect
 // (DESIGN.md §12). Plans and cache statistics stay bit-identical; only

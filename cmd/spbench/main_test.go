@@ -120,6 +120,7 @@ func TestBadInput(t *testing.T) {
 		{"deadline", "-deadline -1"},
 		{"serve-fail", "-serve -serve-fail replica9@0.1"},
 		{"router", "-router random"},
+		{"coord", "-coord batched"},
 	} {
 		t.Run(c.flag, func(t *testing.T) {
 			args := append([]string{"-quick", "-experiment", "fig6classes"}, strings.Fields(c.args)...)

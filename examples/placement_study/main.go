@@ -10,13 +10,12 @@
 // instance per host the placement spans).
 //
 // Parts 3 and 4 then sweep the coordination protocols of internal/shard
-// (-coord on the CLIs): batched candidate polls, the per-host
-// coordinator tier, and approximate epoch-quantized LRU. Batched and
-// hier are exact — identical plans, victims, and hit rates, verified in
-// place — so the wall's retreat is pure protocol; approx additionally
-// trades some eviction divergence for the last of the stamp-sync
-// traffic, priced as its hit-rate and fill difference against the
-// exact row.
+// (-coord on the CLIs): batched candidate polls through a per-host
+// coordinator tier, and approximate epoch-quantized LRU. Hier is exact
+// — identical plans, victims, and hit rates, verified in place — so the
+// wall's retreat is pure protocol; approx additionally trades some
+// eviction divergence for the last of the stamp-sync traffic, priced as
+// its hit-rate and fill difference against the exact row.
 package main
 
 import (
@@ -142,16 +141,15 @@ func main() {
 
 	// Part 3: the coordination-protocol frontier on the two-host
 	// cluster. Same placement, same shard count — only the protocol
-	// changes. Batched and hier must leave cache behaviour untouched
-	// (verified in place); every successive protocol must shed rounds.
+	// changes. Hier must leave cache behaviour untouched (verified in
+	// place); every successive protocol must shed rounds.
 	fmt.Println()
 	fmt.Println("Coordination protocols on cluster2x2 (4 shards, stripe): the wall, renegotiated")
 	fmt.Printf("%-10s %12s %14s %12s %12s %22s\n",
 		"coord", "iter (ms)", "coord (ms)", "rounds/iter", "KB/iter", "divergence")
+	modes := []scratchpipe.CoordMode{scratchpipe.CoordExact, scratchpipe.CoordHier, scratchpipe.CoordApprox}
 	exact := runCoord(4, "cluster2x2", scratchpipe.PlaceStripe, scratchpipe.CoordExact)
-	for _, mode := range []scratchpipe.CoordMode{
-		scratchpipe.CoordExact, scratchpipe.CoordBatched, scratchpipe.CoordHier, scratchpipe.CoordApprox,
-	} {
+	for _, mode := range modes {
 		rep := exact
 		if mode != scratchpipe.CoordExact {
 			rep = runCoord(4, "cluster2x2", scratchpipe.PlaceStripe, mode)
@@ -174,9 +172,6 @@ func main() {
 	fmt.Println()
 	fmt.Println("Wall retreat: coordination ms/iter across the tier ladder, per protocol")
 	fmt.Printf("%-12s %-8s", "topology", "tier")
-	modes := []scratchpipe.CoordMode{
-		scratchpipe.CoordExact, scratchpipe.CoordBatched, scratchpipe.CoordHier, scratchpipe.CoordApprox,
-	}
 	for _, mode := range modes {
 		fmt.Printf(" %18s", mode)
 	}
@@ -213,15 +208,15 @@ func main() {
 
 	fmt.Println()
 	fmt.Println(strings.TrimSpace(`
-Reading: plans, evictions, and hit rates are identical in every exact,
-batched, and hier row — placement prices the coordination the
-shared-memory planner got for free, and the batched/hierarchical
-protocols renegotiate that price without changing a single eviction.
+Reading: plans, evictions, and hit rates are identical in every exact
+and hier row — placement prices the coordination the shared-memory
+planner got for free, and the hierarchical protocol renegotiates that
+price without changing a single eviction.
 Exact coordination pays one cross-node round per eviction event, so
 PCIe- and network-tier placements put the global-LRU merge on the
-critical path (the Acun et al. scaling wall). Batching candidate polls
-collapses O(evictions) rounds into O(shards) per Plan; the host tier
-then moves most of those onto intra-host links, leaving O(hosts)
+critical path (the Acun et al. scaling wall). Hier's batched candidate
+polls collapse O(evictions) rounds into O(shards) per Plan; its host
+tier then moves most of those onto intra-host links, leaving O(hosts)
 cross-network rounds — the wall retreats past PCIe and only reappears
 where network latency x remaining rounds still bites. Approx LRU drops
 the last per-Plan stamp-sync traffic by quantizing recency epochs; its

@@ -188,8 +188,8 @@ func HotPath(cfg Config, configName string) (*HotPathResult, error) {
 	if cfg.Topology != nil {
 		topoName = cfg.Topology.Name
 	}
-	// The protocol is recorded even for co-located sweeps: batched/hier
-	// exercise the candidate-batch machinery (different allocation
+	// The protocol is recorded even for co-located sweeps: hier
+	// exercises the candidate-batch machinery (different allocation
 	// shape) and approx changes eviction order regardless of placement,
 	// so their entries must not masquerade as exact baselines.
 	coordMode := ""

@@ -38,9 +38,6 @@ func (c EnvConfig) Validate() error {
 	if _, err := shard.ParseCoordMode(string(c.Coord)); err != nil {
 		return fmt.Errorf("-coord %q: %w", c.Coord, err)
 	}
-	if c.CoordQuantum < 0 {
-		return fmt.Errorf("-coord-quantum %d: quantum must be >= 0", c.CoordQuantum)
-	}
 	if err := c.Reshard.Validate(); err != nil {
 		return fmt.Errorf("-reshard %q: %w", c.Reshard, err)
 	}

@@ -188,14 +188,13 @@ func newDynamicState(env *Env, cacheFrac float64, policy cache.PolicyKind, past,
 			return nil, err
 		}
 		sp, err := env.newManager(shard.Config{
-			Scratchpad:   spCfg,
-			Shards:       env.Cfg.Shards,
-			Pool:         shardPool,
-			Placement:    place,
-			Coord:        env.Cfg.Coord,
-			CoordQuantum: env.Cfg.CoordQuantum,
-			Elastic:      elastic,
-			LoadProbe:    env.Cfg.Reshard.LoadMax > 1,
+			Scratchpad: spCfg,
+			Shards:     env.Cfg.Shards,
+			Pool:       shardPool,
+			Placement:  place,
+			Coord:      env.Cfg.Coord,
+			Elastic:    elastic,
+			LoadProbe:  env.Cfg.Reshard.LoadMax > 1,
 		})
 		if err != nil {
 			return nil, err

@@ -106,16 +106,13 @@ type EnvConfig struct {
 	// coordination latency, never plans or statistics.
 	Placement hw.PlacementPolicy
 	// Coord selects the cross-shard coordination protocol (see
-	// internal/shard): exact (default, per-eviction rounds), batched
-	// (one candidate batch per shard per Plan), hier (batched plus a
-	// per-host aggregation tier), or approx (epoch-quantized recency
-	// with zero stamp-sync traffic). Exact, batched, and hier produce
-	// identical plans and statistics; approx may diverge, and a
-	// same-seed hier run's Hits and Fills say by how much.
+	// internal/shard): exact (default, per-eviction rounds), hier (one
+	// candidate batch per shard per Plan through a per-host aggregation
+	// tier), or approx (epoch-quantized recency with zero stamp-sync
+	// traffic). Exact and hier produce identical plans and statistics;
+	// approx may diverge, and a same-seed hier run's Hits and Fills say
+	// by how much.
 	Coord shard.CoordMode
-	// CoordQuantum is approx mode's recency quantum in clock ticks
-	// (0 selects the shard package default; 1 makes approx exact).
-	CoordQuantum int
 	// CoordOverlap prices ScratchPipe's distributed coordination against
 	// the pipeline's one-cycle look-ahead: after each cycle, every
 	// table's shard manager checks whether the NEXT Plan will sweep for

@@ -102,13 +102,13 @@ func TestEmptyFaultPlanBitIdentical(t *testing.T) {
 	model := smallFaultModel()
 	topo := hw.Cluster(2, 2)
 	for _, shards := range []int{1, 2, 4} {
-		for _, coord := range []shard.CoordMode{shard.CoordExact, shard.CoordBatched, shard.CoordHier, shard.CoordApprox} {
+		for _, coord := range shard.CoordModes {
 			base := runSP(t, reshardEnv(t, model, shards, topo, ReshardSpec{}))
 			withPlan := runSP(t, faultEnv(t, model, shards, topo, coord, hw.FaultPlan{}, 0))
 			// Reshard/fault knobs aside, reshardEnv defaults to exact
 			// coordination: compare full reports only there, cache
 			// statistics everywhere (approx may evict differently by
-			// design, exact/batched/hier may not).
+			// design, exact/hier may not).
 			if coord == shard.CoordExact && !reflect.DeepEqual(base, withPlan) {
 				t.Fatalf("S=%d %s: empty fault plan changed the report:\nbase  %+v\nfault %+v",
 					shards, coord, base, withPlan)

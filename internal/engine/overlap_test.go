@@ -43,12 +43,12 @@ func TestOverlapReportEquivalence(t *testing.T) {
 	const shards = 4
 	const iters = 40
 
-	for _, mode := range []shard.CoordMode{shard.CoordExact, shard.CoordBatched, shard.CoordHier, shard.CoordApprox} {
+	for _, mode := range shard.CoordModes {
 		mode := mode
 		t.Run(string(mode), func(t *testing.T) {
-			base := runOverlapSP(t, coordEnv(t, model, shards, mode, 0),
+			base := runOverlapSP(t, coordEnv(t, model, shards, mode),
 				false, iters)
-			over := runOverlapSP(t, coordEnv(t, model, shards, mode, 0),
+			over := runOverlapSP(t, coordEnv(t, model, shards, mode),
 				true, iters)
 
 			if over.Hits != base.Hits || over.Misses != base.Misses ||

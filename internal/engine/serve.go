@@ -47,7 +47,6 @@ func RunServe(env *Env) (*serve.Report, error) {
 		Topology:     cfg.Topology,
 		Shards:       cfg.Shards,
 		Coord:        cfg.Coord,
-		CoordQuantum: cfg.CoordQuantum,
 		DenseTime:    inferenceDenseTime(env),
 		DenseBatch:   func(n int) float64 { return inferenceDenseBatchTime(env, n) },
 		Pool:         env.Pool,

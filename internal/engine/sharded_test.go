@@ -224,19 +224,18 @@ func TestShardsValidation(t *testing.T) {
 
 // coordEnv builds a metadata-mode environment with a cluster placement
 // and the given coordination protocol.
-func coordEnv(t *testing.T, model dlrm.Config, shards int, mode shard.CoordMode, quantum int) *Env {
+func coordEnv(t *testing.T, model dlrm.Config, shards int, mode shard.CoordMode) *Env {
 	t.Helper()
 	env, err := NewEnv(EnvConfig{
-		Model:        model,
-		System:       hw.DefaultSystem(),
-		Class:        trace.Medium,
-		Seed:         42,
-		Workers:      2,
-		Shards:       shards,
-		Topology:     hw.Cluster(2, 2),
-		Placement:    hw.PlaceStripe,
-		Coord:        mode,
-		CoordQuantum: quantum,
+		Model:     model,
+		System:    hw.DefaultSystem(),
+		Class:     trace.Medium,
+		Seed:      42,
+		Workers:   2,
+		Shards:    shards,
+		Topology:  hw.Cluster(2, 2),
+		Placement: hw.PlaceStripe,
+		Coord:     mode,
 	})
 	if err != nil {
 		t.Fatalf("NewEnv(coord=%s): %v", mode, err)
@@ -245,11 +244,9 @@ func coordEnv(t *testing.T, model dlrm.Config, shards int, mode shard.CoordMode,
 }
 
 // TestCoordModeReportEquivalence is the engine half of the coordination
-// tentpole: batched and hierarchical protocols leave every cache
-// statistic identical to exact while strictly reducing both
-// coordination rounds and modeled coordination latency (exact > batched
-// > hier); approx drops traffic further still and reports a measured
-// divergence.
+// tentpole: the hierarchical protocol leaves every cache statistic
+// identical to exact while strictly reducing both coordination rounds
+// and modeled coordination latency; approx drops traffic further still.
 func TestCoordModeReportEquivalence(t *testing.T) {
 	model := dlrm.DefaultConfig()
 	model.RowsPerTable = 50_000
@@ -269,27 +266,21 @@ func TestCoordModeReportEquivalence(t *testing.T) {
 		return rep
 	}
 
-	exact := run(t, coordEnv(t, model, shards, shard.CoordExact, 0))
-	batched := run(t, coordEnv(t, model, shards, shard.CoordBatched, 0))
-	hier := run(t, coordEnv(t, model, shards, shard.CoordHier, 0))
-	approx := run(t, coordEnv(t, model, shards, shard.CoordApprox, 0))
+	exact := run(t, coordEnv(t, model, shards, shard.CoordExact))
+	hier := run(t, coordEnv(t, model, shards, shard.CoordHier))
+	approx := run(t, coordEnv(t, model, shards, shard.CoordApprox))
 
-	for name, rep := range map[string]*Report{"batched": batched, "hier": hier} {
-		if rep.Hits != exact.Hits || rep.Misses != exact.Misses ||
-			rep.Fills != exact.Fills || rep.Evictions != exact.Evictions ||
-			rep.ReservePeak != exact.ReservePeak {
-			t.Fatalf("%s changed cache behaviour:\nexact %+v\nmode  %+v", name, exact, rep)
-		}
-	}
-	if exact.Coord.Messages < 5*batched.Coord.Messages {
-		t.Fatalf("batched rounds %d not >=5x below exact's %d", batched.Coord.Messages, exact.Coord.Messages)
+	if hier.Hits != exact.Hits || hier.Misses != exact.Misses ||
+		hier.Fills != exact.Fills || hier.Evictions != exact.Evictions ||
+		hier.ReservePeak != exact.ReservePeak {
+		t.Fatalf("hier changed cache behaviour:\nexact %+v\nhier  %+v", exact, hier)
 	}
 	if exact.Coord.Messages < 5*hier.Coord.Messages {
 		t.Fatalf("hier rounds %d not >=5x below exact's %d", hier.Coord.Messages, exact.Coord.Messages)
 	}
-	if !(exact.CoordTime > batched.CoordTime && batched.CoordTime > hier.CoordTime && hier.CoordTime > 0) {
-		t.Fatalf("coordination latency not strictly decreasing: exact %g, batched %g, hier %g",
-			exact.CoordTime, batched.CoordTime, hier.CoordTime)
+	if !(exact.CoordTime > hier.CoordTime && hier.CoordTime > 0) {
+		t.Fatalf("coordination latency not strictly decreasing: exact %g, hier %g",
+			exact.CoordTime, hier.CoordTime)
 	}
 	if approx.Coord.Bytes() >= hier.Coord.Bytes() {
 		t.Fatalf("approx traffic %g B not strictly below hier's %g B",
@@ -303,8 +294,8 @@ func TestCoordModeReportEquivalence(t *testing.T) {
 	}
 }
 
-// TestCoordValidationEngine: unknown coordination modes and negative
-// quantums are rejected at environment construction.
+// TestCoordValidationEngine: unknown coordination modes are rejected
+// at environment construction.
 func TestCoordValidationEngine(t *testing.T) {
 	if _, err := NewEnv(EnvConfig{
 		Model:  smallModel(),
@@ -312,12 +303,5 @@ func TestCoordValidationEngine(t *testing.T) {
 		Coord:  "gossip",
 	}); err == nil {
 		t.Fatal("unknown coordination mode accepted by NewEnv")
-	}
-	if _, err := NewEnv(EnvConfig{
-		Model:        smallModel(),
-		System:       hw.DefaultSystem(),
-		CoordQuantum: -3,
-	}); err == nil {
-		t.Fatal("negative coordination quantum accepted by NewEnv")
 	}
 }

@@ -220,9 +220,8 @@ type Config struct {
 	// host's nodes, so S > 1 on a multi-socket host prices NUMA
 	// coordination into each query's Plan.
 	Shards int
-	// Coord/CoordQuantum select the cross-shard coordination protocol.
-	Coord        shard.CoordMode
-	CoordQuantum int
+	// Coord selects the cross-shard coordination protocol.
+	Coord shard.CoordMode
 	// DenseTime is the per-query dense-model forward latency in
 	// seconds (the MLP inference pass; engine.RunServe derives it from
 	// the model configuration).
@@ -461,12 +460,11 @@ func (f *Fleet) buildScratchpads(wk *worker) error {
 		}
 		spCfg.Reserve = core.WorstCaseReserve(spCfg, maxPlanIDs)
 		mgr, err := shard.New(shard.Config{
-			Scratchpad:   spCfg,
-			Shards:       f.shards,
-			Pool:         cfg.Pool,
-			Placement:    place,
-			Coord:        cfg.Coord,
-			CoordQuantum: cfg.CoordQuantum,
+			Scratchpad: spCfg,
+			Shards:     f.shards,
+			Pool:       cfg.Pool,
+			Placement:  place,
+			Coord:      cfg.Coord,
 		})
 		if err != nil {
 			return err

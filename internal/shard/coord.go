@@ -20,10 +20,10 @@ import (
 //     locally from the batch stream).
 //   - victim merge: the k-way LRU merge polls a shard for its next
 //     evictable candidates (one candidate per round in exact mode, the
-//     Plan's whole miss budget per round in batched/hier/approx),
-//     confirms chosen victims to their owners (per victim in exact
-//     mode, one aggregated round per shard — routed through the host
-//     tier in hier/approx — at Plan end otherwise), and transfers slot
+//     Plan's whole miss budget per round in hier/approx), confirms
+//     chosen victims to their owners (per victim in exact mode, one
+//     aggregated round per shard routed through the host tier at Plan
+//     end otherwise), and transfers slot
 //     ownership when the victim's shard is not the missing ID's shard
 //     (per event in exact mode, one aggregated round per shard pair at
 //     Plan end otherwise).
@@ -73,7 +73,7 @@ const (
 	// borrowBytes is one free-slot borrow: request out, slot grant back.
 	borrowBytes = 16
 
-	// Batched-protocol sizing (CoordBatched/CoordHier/CoordApprox): a
+	// Batched-protocol sizing (CoordHier/CoordApprox): a
 	// batched message is one header plus per-entry payload — candidate
 	// entries on polls (slot + stamp), victim slots on aggregated
 	// confirms, per-shard touch counts on hier stamp syncs.
@@ -170,8 +170,8 @@ type coordMeter struct {
 	nodeOf []int32 // shard -> topology node
 
 	// coordNode anchors the serial coordinator: it runs on shard 0's
-	// node, so exact/batched polls and stamp syncs cross the links from
-	// that node.
+	// node, so exact polls and stamp syncs cross the links from that
+	// node.
 	coordNode int32
 
 	// The hier/approx host tier: hostIdx maps each shard to a dense
@@ -376,29 +376,25 @@ func (c *coordMeter) beginSweep(hide bool) {
 // meterPoll records one candidate-poll refill for shard j that returned
 // got candidates.
 func (c *coordMeter) meterPoll(j, got int) {
-	switch c.mode {
-	case CoordExact:
+	if c.mode == CoordExact {
 		c.addRound(c.coordNode, c.nodeOf[j], victimPollBytes, &c.stats.VictimMergeBytes, &c.stats.PollRounds)
-	case CoordBatched:
-		c.addRound(c.coordNode, c.nodeOf[j], pollPayload(got), &c.stats.VictimMergeBytes, &c.stats.PollRounds)
-	default: // CoordHier, CoordApprox
-		h := c.hostIdx[j]
-		agg := c.aggNode[h]
-		c.addRound(agg, c.nodeOf[j], pollPayload(got), &c.stats.VictimMergeBytes, &c.stats.PollRounds)
-		if agg == c.coordNode {
-			return
-		}
-		if !c.hostPolled[h] {
-			// First refill from this host this sweep: the aggregator
-			// forwards the host-level winner batch in one cross-host
-			// round.
-			c.hostPolled[h] = true
-			c.addRound(c.coordNode, agg, pollPayload(got), &c.stats.VictimMergeBytes, &c.stats.PollRounds)
-		} else {
-			// Later refills merge into the host batch already in
-			// flight: extra candidates cost bytes, not rounds.
-			c.addPayload(c.coordNode, agg, candEntryBytes*float64(got), &c.stats.VictimMergeBytes)
-		}
+		return
+	}
+	h := c.hostIdx[j]
+	agg := c.aggNode[h]
+	c.addRound(agg, c.nodeOf[j], pollPayload(got), &c.stats.VictimMergeBytes, &c.stats.PollRounds)
+	if agg == c.coordNode {
+		return
+	}
+	if !c.hostPolled[h] {
+		// First refill from this host this sweep: the aggregator
+		// forwards the host-level winner batch in one cross-host round.
+		c.hostPolled[h] = true
+		c.addRound(c.coordNode, agg, pollPayload(got), &c.stats.VictimMergeBytes, &c.stats.PollRounds)
+	} else {
+		// Later refills merge into the host batch already in flight:
+		// extra candidates cost bytes, not rounds.
+		c.addPayload(c.coordNode, agg, candEntryBytes*float64(got), &c.stats.VictimMergeBytes)
 	}
 }
 
@@ -435,14 +431,14 @@ func (c *coordMeter) meterBorrow(from, to int) {
 }
 
 // meterStampSync records one Plan's touch-stamp synchronization: per
-// remote shard in exact/batched, aggregated through the host tier in
-// hier, and nothing at all in approx (quantized epochs are derived
-// locally from the batch stream every shard already receives).
+// remote shard in exact, aggregated through the host tier in hier, and
+// nothing at all in approx (quantized epochs are derived locally from
+// the batch stream every shard already receives).
 func (c *coordMeter) meterStampSync() {
 	switch c.mode {
 	case CoordApprox:
 		return
-	case CoordExact, CoordBatched:
+	case CoordExact:
 		c.phase++
 		for j := range c.nodeOf {
 			c.addRound(c.coordNode, c.nodeOf[j], stampSyncBytes, &c.stats.TouchStampBytes, &c.stats.StampSyncRounds)
@@ -463,44 +459,33 @@ func (c *coordMeter) meterStampSync() {
 	}
 }
 
-// flushBatched emits the Plan-end aggregated rounds of the batched
-// protocols: one confirm round per shard that supplied victims (routed
-// coordinator -> host aggregator -> shard in hier/approx) and one slot
-// transfer round per dirty ordered shard pair.
+// flushBatched emits the Plan-end aggregated rounds of hier and approx:
+// one confirm round per host and one per shard that supplied victims
+// (coordinator -> host aggregator -> shard), and one slot transfer round
+// per dirty ordered shard pair.
 func (c *coordMeter) flushBatched() {
 	c.phase++
-	if c.mode == CoordHier || c.mode == CoordApprox {
-		for j, v := range c.planVictims {
-			if v > 0 {
-				c.hostVictims[c.hostIdx[j]] += v
-			}
+	for j, v := range c.planVictims {
+		if v > 0 {
+			c.hostVictims[c.hostIdx[j]] += v
 		}
-		for h, v := range c.hostVictims {
-			if v > 0 {
-				c.addRound(c.coordNode, c.aggNode[h],
-					batchHeaderBytes+confirmSlotBytes*float64(v),
-					&c.stats.VictimMergeBytes, &c.stats.ConfirmRounds)
-				c.hostVictims[h] = 0
-			}
+	}
+	for h, v := range c.hostVictims {
+		if v > 0 {
+			c.addRound(c.coordNode, c.aggNode[h],
+				batchHeaderBytes+confirmSlotBytes*float64(v),
+				&c.stats.VictimMergeBytes, &c.stats.ConfirmRounds)
+			c.hostVictims[h] = 0
 		}
-		// Shard-level fan-out waits for the host-level batch: barrier.
-		c.phase++
-		for j, v := range c.planVictims {
-			if v > 0 {
-				c.addRound(c.aggNode[c.hostIdx[j]], c.nodeOf[j],
-					batchHeaderBytes+confirmSlotBytes*float64(v),
-					&c.stats.VictimMergeBytes, &c.stats.ConfirmRounds)
-				c.planVictims[j] = 0
-			}
-		}
-	} else {
-		for j, v := range c.planVictims {
-			if v > 0 {
-				c.addRound(c.coordNode, c.nodeOf[j],
-					batchHeaderBytes+confirmSlotBytes*float64(v),
-					&c.stats.VictimMergeBytes, &c.stats.ConfirmRounds)
-				c.planVictims[j] = 0
-			}
+	}
+	// Shard-level fan-out waits for the host-level batch: barrier.
+	c.phase++
+	for j, v := range c.planVictims {
+		if v > 0 {
+			c.addRound(c.aggNode[c.hostIdx[j]], c.nodeOf[j],
+				batchHeaderBytes+confirmSlotBytes*float64(v),
+				&c.stats.VictimMergeBytes, &c.stats.ConfirmRounds)
+			c.planVictims[j] = 0
 		}
 	}
 	n := len(c.planVictims)

@@ -217,26 +217,24 @@ func pricedEvac(acc *migAccum) (secs float64, rounds int64, bytes float64) {
 }
 
 // Degrade switches a live manager to the partition-mode approx
-// protocol: epoch-quantized recency (DefaultApproxQuantum) and no
-// stamp-sync traffic, because none can cross the cut. No-op for the S=1
-// delegate, a manager already degraded, and native approx mode (which
-// runs that protocol already).
+// protocol: epoch-quantized recency and no stamp-sync traffic, because
+// none can cross the cut. No-op for the S=1 delegate, a manager already
+// degraded, and native approx mode (which runs that protocol already).
 func (m *Manager) Degrade() {
 	if m.single != nil || m.degraded || m.mode == CoordApprox {
 		return
 	}
 	m.dropOverlap()
 	m.degraded = true
-	m.preMode, m.preQuantum = m.mode, m.quantum
-	m.mode = CoordApprox
-	m.quantum = DefaultApproxQuantum
+	m.preMode = m.mode
+	m.mode, m.quantum = CoordApprox, approxQuantum
 	if m.coord != nil {
 		m.coord.mode = CoordApprox
 	}
 }
 
-// Heal ends a Degrade: the original protocol and quantum come back,
-// and the coordinator prices one full stamp re-synchronization (every
+// Heal ends a Degrade: the original exact-order protocol and its raw
+// stamp order come back, and the coordinator prices one full stamp re-synchronization (every
 // remote shard uploads its current clock under the restored protocol's
 // routing) so the global recency timeline is consistent again. Returns
 // the re-sync's modeled seconds (the engine bills it to recovery).
@@ -246,7 +244,7 @@ func (m *Manager) Heal() float64 {
 	}
 	m.dropOverlap()
 	m.degraded = false
-	m.mode, m.quantum = m.preMode, m.preQuantum
+	m.mode, m.quantum = m.preMode, 1
 	if m.coord == nil {
 		return 0
 	}
@@ -261,7 +259,7 @@ func (m *Manager) Heal() float64 {
 // coordinator, and the aggregator mapping updates. Rounds and bytes
 // are priced like any coordination traffic (CoordStats.ReelectRounds /
 // ReelectBytes). Returns the election's modeled seconds; zero when the
-// manager has no aggregator tier (exact/batched modes, co-located
+// manager has no aggregator tier (exact mode, co-located
 // placements) or no shards on that host.
 func (m *Manager) ReelectAggregator(host int) float64 {
 	if m.coord == nil || (m.mode != CoordHier && m.mode != CoordApprox) {

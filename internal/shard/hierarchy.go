@@ -12,42 +12,42 @@
 // coordination for the entire batch can be planned in advance instead
 // of reacting one eviction at a time.
 //
-// Four protocols, selected by [CoordMode]:
+// Three protocols, selected by [CoordMode]:
 //
 //   - CoordExact: the PR 3 protocol. One poll round per fresh victim
 //     candidate, one confirm round per victim, one transfer round per
 //     cross-shard slot move. Reference semantics and reference meter.
-//   - CoordBatched: one poll round per shard per sweep gathers the
-//     shard's next k evictable candidates (k = the Plan's miss budget,
-//     so one batch always covers the sweep); victim confirmations and
-//     slot transfers are aggregated into one round per shard (or shard
-//     pair) at Plan end. Candidate selection is unchanged — parked
-//     candidates are consumed lazily from the batch and re-polled only
-//     after a sweep re-arm — so the eviction sequence is bit-identical
-//     to exact.
-//   - CoordHier: batched polling plus a per-host coordinator tier.
-//     Shards talk only to their host's aggregator (the node of the
-//     host's lowest shard) at intra-host cost; hosts exchange only
-//     host-level candidate batches, confirmations, and stamp counts
-//     with the global coordinator, cutting cross-host rounds from
-//     O(evictions x shards) to O(rounds x hosts). Also exact.
+//   - CoordHier: batched polling through a per-host coordinator tier.
+//     One poll round per shard per sweep gathers the shard's next k
+//     evictable candidates (k = the Plan's miss budget, so one batch
+//     always covers the sweep). Shards talk only to their host's
+//     aggregator (the node of the host's lowest shard) at intra-host
+//     cost; hosts exchange only host-level candidate batches,
+//     confirmations, and stamp counts with the global coordinator,
+//     cutting cross-host rounds from O(evictions x shards) to
+//     O(rounds x hosts). Confirms and slot transfers are aggregated
+//     into one round per host, shard, or shard pair at Plan end. On a
+//     single host, or with one shard per host, the host tier sends
+//     nothing and hier is flat batched polling. Candidate selection is
+//     unchanged — parked candidates are consumed lazily from the batch
+//     and re-polled only after a sweep re-arm — so the eviction
+//     sequence is bit-identical to exact.
 //   - CoordApprox: the hierarchical protocol minus touch-stamp sync
-//     entirely. Touch stamps are epoch-quantized (Config.CoordQuantum
-//     clock ticks per epoch): shards order victims by quantized epoch,
-//     which each shard derives locally from the batch stream, so no
-//     per-Plan stamp round trips exist at any tier. Stamps within one
-//     epoch tie and resolve toward the lower shard index, so the
-//     eviction sequence may diverge from exact LRU. What that costs is
-//     read from a same-seed run under an exact-order mode: the
-//     difference in the two runs' hit and fill counters is its whole
-//     cache-level cost.
-//     With quantum 1 the quantized order equals the exact order and the
-//     two runs plan identically.
+//     entirely. Touch stamps are epoch-quantized (approxQuantum clock
+//     ticks per epoch): shards order victims by quantized epoch, which
+//     each shard derives locally from the batch stream, so no per-Plan
+//     stamp round trips exist at any tier. Stamps within one epoch tie
+//     and resolve toward the lower shard index, so the eviction
+//     sequence may diverge from exact LRU. What that costs is read from
+//     a same-seed run under an exact-order mode: the difference in the
+//     two runs' hit and fill counters is its whole cache-level cost.
+//     With quantum 1 (a test-only setting) the quantized order equals
+//     the exact order and the two runs plan identically.
 //
 // The protocol changes only message accounting (and, for approx, the
-// merge key); batched and hierarchical plans, victims, and statistics
-// are identical to exact at every shard count — the equivalence tests
-// in hierarchy_test.go prove it plan by plan.
+// merge key); hierarchical plans, victims, and statistics are identical
+// to exact at every shard count — the equivalence tests in
+// hierarchy_test.go prove it plan by plan.
 
 package shard
 
@@ -60,13 +60,10 @@ const (
 	// CoordExact is the reference per-eviction protocol: one candidate
 	// poll round per fresh candidate, one confirm round per victim.
 	CoordExact CoordMode = "exact"
-	// CoordBatched gathers each shard's k next-evictable candidates in
-	// one round per sweep and batches confirms/transfers per Plan;
-	// eviction sequence identical to exact.
-	CoordBatched CoordMode = "batched"
-	// CoordHier adds a per-host coordinator tier on top of batched
-	// polling: hosts exchange only host-level winner batches; eviction
-	// sequence identical to exact.
+	// CoordHier gathers each shard's next-evictable candidates in one
+	// round per sweep through a per-host coordinator tier and batches
+	// confirms/transfers per Plan: hosts exchange only host-level
+	// winner batches; eviction sequence identical to exact.
 	CoordHier CoordMode = "hier"
 	// CoordApprox is CoordHier with epoch-quantized touch stamps and no
 	// stamp-sync traffic at all; eviction order may diverge from exact
@@ -76,29 +73,25 @@ const (
 
 // CoordModes lists every protocol in escalation order (each mode sends
 // strictly less cross-tier traffic than the one before it).
-var CoordModes = []CoordMode{CoordExact, CoordBatched, CoordHier, CoordApprox}
+var CoordModes = []CoordMode{CoordExact, CoordHier, CoordApprox}
 
 // CoordModeNames lists the parseable protocol names for usage errors.
-const CoordModeNames = "exact, batched, hier, approx"
+const CoordModeNames = "exact, hier, approx"
 
-// DefaultApproxQuantum is the approx-mode stamp quantum (global clock
-// ticks per recency epoch) when Config.CoordQuantum is unset: coarse
-// enough that quantization shows in the victim order, fine enough (well
-// under typical scratchpad populations) to keep the divergence bounded.
-const DefaultApproxQuantum = 64
+// approxQuantum is the approx-mode stamp quantum (global clock ticks per
+// recency epoch): coarse enough that quantization shows in the victim
+// order, fine enough (well under typical scratchpad populations) to keep
+// the divergence bounded.
+const approxQuantum = 64
 
 // ParseCoordMode resolves a coordination protocol name ("" selects
 // exact).
 func ParseCoordMode(s string) (CoordMode, error) {
-	switch CoordMode(s) {
-	case "", CoordExact:
+	switch m := CoordMode(s); m {
+	case "":
 		return CoordExact, nil
-	case CoordBatched:
-		return CoordBatched, nil
-	case CoordHier:
-		return CoordHier, nil
-	case CoordApprox:
-		return CoordApprox, nil
+	case CoordExact, CoordHier, CoordApprox:
+		return m, nil
 	}
 	return "", fmt.Errorf("shard: unknown coordination mode %q (want %s)", s, CoordModeNames)
 }

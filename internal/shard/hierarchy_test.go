@@ -13,7 +13,7 @@ import (
 
 // modeManager builds an S-shard manager placed on topo (stripe policy)
 // running the given coordination protocol.
-func modeManager(t *testing.T, cfg core.Config, shards int, topo *hw.Topology, mode CoordMode, quantum int) *Manager {
+func modeManager(t *testing.T, cfg core.Config, shards int, topo *hw.Topology, mode CoordMode) *Manager {
 	t.Helper()
 	var pl hw.Placement
 	if topo != nil {
@@ -24,12 +24,11 @@ func modeManager(t *testing.T, cfg core.Config, shards int, topo *hw.Topology, m
 		}
 	}
 	m, err := New(Config{
-		Scratchpad:   cfg,
-		Shards:       shards,
-		Pool:         par.New(2),
-		Placement:    pl,
-		Coord:        mode,
-		CoordQuantum: quantum,
+		Scratchpad: cfg,
+		Shards:     shards,
+		Pool:       par.New(2),
+		Placement:  pl,
+		Coord:      mode,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -77,32 +76,29 @@ func driveSlotLockstep(t *testing.T, label string, a, b *Manager, st *stream, it
 	}
 }
 
-// TestCoordModeExactness is the tentpole acceptance property: batched
-// and hierarchical coordination must produce byte-identical plans,
-// victims, slots, and statistics to the exact protocol at every shard
-// count, on both intra-host (numa) and cross-host (cluster) topologies —
-// batching changes only how the merge is *communicated*, never what it
-// decides.
+// TestCoordModeExactness is the tentpole acceptance property:
+// hierarchical coordination must produce byte-identical plans, victims,
+// slots, and statistics to the exact protocol at every shard count, on
+// both intra-host (numa) and cross-host (cluster) topologies — batching
+// changes only how the merge is *communicated*, never what it decides.
 func TestCoordModeExactness(t *testing.T) {
 	topos := map[string]func(int) *hw.Topology{
 		"numa":    func(s int) *hw.Topology { return hw.MultiSocket(s) },
 		"cluster": func(s int) *hw.Topology { return hw.Cluster(2, (s+1)/2) },
 	}
-	for _, mode := range []CoordMode{CoordBatched, CoordHier} {
-		for topoName, mk := range topos {
-			for _, shards := range []int{2, 3, 4, 7} {
-				label := string(mode) + "-" + topoName + "-S" + string(rune('0'+shards))
-				t.Run(label, func(t *testing.T) {
-					cfg := testConfig(512, 96)
-					exact := modeManager(t, cfg, shards, mk(shards), CoordExact, 0)
-					m := modeManager(t, cfg, shards, mk(shards), mode, 0)
-					st := newStream(int64(shards)*31+int64(len(topoName)), 96, 96, int64(512*4))
-					driveSlotLockstep(t, label, exact, m, st, 150, 2, 6)
-					if exact.Stats() != m.Stats() {
-						t.Fatalf("stats diverged:\nexact %+v\n%s %+v", exact.Stats(), mode, m.Stats())
-					}
-				})
-			}
+	for topoName, mk := range topos {
+		for _, shards := range []int{2, 3, 4, 7} {
+			label := "hier-" + topoName + "-S" + string(rune('0'+shards))
+			t.Run(label, func(t *testing.T) {
+				cfg := testConfig(512, 96)
+				exact := modeManager(t, cfg, shards, mk(shards), CoordExact)
+				m := modeManager(t, cfg, shards, mk(shards), CoordHier)
+				st := newStream(int64(shards)*31+int64(len(topoName)), 96, 96, int64(512*4))
+				driveSlotLockstep(t, label, exact, m, st, 150, 2, 6)
+				if exact.Stats() != m.Stats() {
+					t.Fatalf("stats diverged:\nexact %+v\nhier  %+v", exact.Stats(), m.Stats())
+				}
+			})
 		}
 	}
 }
@@ -132,34 +128,28 @@ func driveRounds(t *testing.T, m *Manager, seed int64, iters int) CoordStats {
 }
 
 // TestCoordRoundReduction encodes the headline perf claim: on the
-// two-host cluster at S=4, batched and hierarchical coordination cut
-// message rounds per Plan by at least 5x against the exact protocol at
-// identical plans, the hierarchical tier is no chattier (and strictly
-// cheaper in modeled time) than flat batching, and approx sends
-// strictly less traffic than hier.
+// two-host cluster at S=4, hierarchical coordination cuts message rounds
+// per Plan by at least 5x against the exact protocol at identical plans
+// and is strictly cheaper in modeled time, and approx sends strictly
+// less traffic than hier.
 func TestCoordRoundReduction(t *testing.T) {
 	cfg := testConfig(512, 96)
 	topo := hw.Cluster(2, 2)
 	const iters = 120
 	stats := map[CoordMode]CoordStats{}
 	for _, mode := range CoordModes {
-		m := modeManager(t, cfg, 4, topo, mode, 0)
+		m := modeManager(t, cfg, 4, topo, mode)
 		stats[mode] = driveRounds(t, m, 1234, iters)
 	}
-	exact, batched, hier, approx := stats[CoordExact], stats[CoordBatched], stats[CoordHier], stats[CoordApprox]
-	if exact.Messages == 0 || batched.Messages == 0 || hier.Messages == 0 {
-		t.Fatalf("no coordination metered: exact %d, batched %d, hier %d rounds",
-			exact.Messages, batched.Messages, hier.Messages)
-	}
-	if batched.Messages*5 > exact.Messages {
-		t.Fatalf("batched rounds %d not >=5x below exact's %d", batched.Messages, exact.Messages)
+	exact, hier, approx := stats[CoordExact], stats[CoordHier], stats[CoordApprox]
+	if exact.Messages == 0 || hier.Messages == 0 {
+		t.Fatalf("no coordination metered: exact %d, hier %d rounds", exact.Messages, hier.Messages)
 	}
 	if hier.Messages*5 > exact.Messages {
 		t.Fatalf("hier rounds %d not >=5x below exact's %d", hier.Messages, exact.Messages)
 	}
-	if hier.Seconds >= batched.Seconds {
-		t.Fatalf("hier modeled time %g not below batched %g (host tier should shift rounds to cheap links)",
-			hier.Seconds, batched.Seconds)
+	if !(exact.Seconds > hier.Seconds && hier.Seconds > 0) {
+		t.Fatalf("modeled coordination time not strictly decreasing: exact %g, hier %g", exact.Seconds, hier.Seconds)
 	}
 	if approx.Bytes() >= hier.Bytes() || approx.Messages >= hier.Messages {
 		t.Fatalf("approx traffic (%g B, %d rounds) not strictly below hier (%g B, %d rounds)",
@@ -194,8 +184,9 @@ func TestApproxQuantumOneIsExact(t *testing.T) {
 			FutureWindow: rng.Intn(3),
 		}
 		cfg.Reserve = core.WorstCaseReserve(cfg, batchLen)
-		exact := modeManager(t, cfg, shards, hw.Cluster(2, (shards+1)/2), CoordExact, 0)
-		approx := modeManager(t, cfg, shards, hw.Cluster(2, (shards+1)/2), CoordApprox, 1)
+		exact := modeManager(t, cfg, shards, hw.Cluster(2, (shards+1)/2), CoordExact)
+		approx := modeManager(t, cfg, shards, hw.Cluster(2, (shards+1)/2), CoordApprox)
+		approx.quantum = 1
 		st := newStream(rng.Int63(), 32, batchLen, idSpace)
 		driveSlotLockstep(t, "approx-q1", exact, approx, st, 60, cfg.FutureWindow, 0)
 		if exact.Stats() != approx.Stats() {
@@ -211,8 +202,9 @@ func TestApproxQuantumOneIsExact(t *testing.T) {
 // both still count the same queries.
 func TestApproxDivergenceMeasured(t *testing.T) {
 	cfg := testConfig(256, 64)
-	exact := modeManager(t, cfg, 4, hw.Cluster(2, 2), CoordExact, 0)
-	approx := modeManager(t, cfg, 4, hw.Cluster(2, 2), CoordApprox, 4096)
+	exact := modeManager(t, cfg, 4, hw.Cluster(2, 2), CoordExact)
+	approx := modeManager(t, cfg, 4, hw.Cluster(2, 2), CoordApprox)
+	approx.quantum = 4096
 	for _, m := range []*Manager{exact, approx} {
 		rng := rand.New(rand.NewSource(5))
 		m.Prewarm(func() int64 { return rng.Int63n(1024) }, nil)
@@ -252,15 +244,14 @@ func TestApproxDivergenceMeasured(t *testing.T) {
 	}
 }
 
-// TestCoordModeValidation: unknown protocols and negative quantums are
-// rejected at construction; every named mode constructs.
+// TestCoordModeValidation: unknown protocols are rejected at
+// construction; every named mode constructs.
 func TestCoordModeValidation(t *testing.T) {
 	cfg := testConfig(64, 16)
-	if _, err := New(Config{Scratchpad: cfg, Shards: 2, Coord: "gossip"}); err == nil {
-		t.Fatal("unknown coordination mode accepted")
-	}
-	if _, err := New(Config{Scratchpad: cfg, Shards: 2, CoordQuantum: -1}); err == nil {
-		t.Fatal("negative quantum accepted")
+	for _, bad := range []CoordMode{"gossip", "batched"} {
+		if _, err := New(Config{Scratchpad: cfg, Shards: 2, Coord: bad}); err == nil {
+			t.Fatalf("unknown coordination mode %q accepted", bad)
+		}
 	}
 	for _, mode := range CoordModes {
 		m, err := New(Config{Scratchpad: cfg, Shards: 2, Coord: mode})

@@ -37,8 +37,9 @@
 // wall a scale-out deployment pays. Placement changes only the modeled
 // coordination latency — never plans, victims, or statistics. How the
 // coordinator talks over those links is selected by Config.Coord
-// (hierarchy.go): exact per-eviction rounds, batched candidate polls,
-// a per-host aggregation tier, or approximate epoch-quantized LRU.
+// (hierarchy.go): exact per-eviction rounds, batched candidate polls
+// through a per-host aggregation tier, or approximate epoch-quantized
+// LRU.
 //
 // Nothing above requires the partitioning to be static: an elastic
 // manager (Config.Elastic) can change its shard count between Plans via
@@ -85,18 +86,12 @@ type Config struct {
 	// modeled coordination latency reported by LastPlanCoord.
 	Placement hw.Placement
 	// Coord selects the coordination protocol (see hierarchy.go):
-	// exact (default, per-eviction rounds), batched (one candidate
-	// batch per shard per sweep, Plan-end aggregated confirms), hier
-	// (batched plus a per-host aggregation tier), or approx (hier minus
-	// stamp sync, with epoch-quantized recency). Exact, batched, and
-	// hier produce identical plans, victims, and statistics; approx may
-	// diverge.
+	// exact (default, per-eviction rounds), hier (one candidate batch
+	// per shard per sweep through a per-host aggregation tier, Plan-end
+	// aggregated confirms), or approx (hier minus stamp sync, with
+	// epoch-quantized recency). Exact and hier produce identical plans,
+	// victims, and statistics; approx may diverge.
 	Coord CoordMode
-	// CoordQuantum is approx mode's recency quantum in global clock
-	// ticks (touches per epoch); 0 selects DefaultApproxQuantum. A
-	// quantum of 1 makes approx bit-identical to exact. Ignored outside
-	// approx mode.
-	CoordQuantum int
 	// Elastic builds a manager whose shard count can change at run time
 	// via [Manager.Reshard] (see reshard.go). It requires the LRU policy
 	// (resharding re-threads LRU recency state) and makes Shards == 1
@@ -131,9 +126,6 @@ func (c Config) Validate() error {
 	}
 	if _, err := ParseCoordMode(string(c.Coord)); err != nil {
 		return err
-	}
-	if c.CoordQuantum < 0 {
-		return fmt.Errorf("shard: CoordQuantum %d < 0", c.CoordQuantum)
 	}
 	n := c.Shards
 	if n == 0 {
@@ -186,7 +178,7 @@ type shardState struct {
 	// candQ[candHead:] holds the shard's parked evictable candidates
 	// (in recency order) gathered by the latest poll, and candDone
 	// marks the shard's eviction order exhausted for this sweep. Exact
-	// mode polls one candidate at a time; the batched modes gather the
+	// mode polls one candidate at a time; hier and approx gather the
 	// Plan's whole miss budget per poll.
 	sweepCur int32
 	candQ    []int32
@@ -272,14 +264,13 @@ type Manager struct {
 	lastReshard float64
 
 	// Failure state (see failure.go): degraded marks partition-mode
-	// approx coordination (preMode/preQuantum restore on Heal); evac
+	// approx coordination (preMode restores on Heal); evac
 	// totals host-evacuation activity and lastEvac the most recent
 	// event's modeled recovery-transfer latency.
-	degraded   bool
-	preMode    CoordMode
-	preQuantum uint64
-	evac       EvacStats
-	lastEvac   float64
+	degraded bool
+	preMode  CoordMode
+	evac     EvacStats
+	lastEvac float64
 
 	shards []shardState
 	// meta/next/prev are global per-slot arrays. A slot belongs to
@@ -435,10 +426,7 @@ func (m *Manager) Reset(cfg Config) error {
 		m.loadProbe = zeroed(old.loadProbe, LoadProbeBuckets)
 	}
 	if mode == CoordApprox {
-		m.quantum = uint64(cfg.CoordQuantum)
-		if m.quantum == 0 {
-			m.quantum = DefaultApproxQuantum
-		}
+		m.quantum = approxQuantum
 	}
 	m.pinValid = 1
 	if c.FutureWindow > 1 && c.PastWindow >= c.FutureWindow {
@@ -518,10 +506,6 @@ func (m *Manager) CoordStats() CoordStats {
 
 // CoordMode returns the coordination protocol the manager runs.
 func (m *Manager) CoordMode() CoordMode { return m.mode }
-
-// CoordQuantum returns approx mode's recency quantum in clock ticks
-// (1 in every exact-order mode).
-func (m *Manager) CoordQuantum() int { return int(m.quantum) }
 
 // Capacity returns the nominal slot count (excluding reserve).
 func (m *Manager) Capacity() int { return m.cfg.Slots }
@@ -686,7 +670,7 @@ func (m *Manager) armSweep(hide bool) {
 // consumed; nilSlot when the shard's eviction order is exhausted for
 // this sweep. One poll round gathers up to pollK candidates in recency
 // order (1 in exact mode — the PR 3 protocol — or the Plan's whole miss
-// budget in the batched modes, so a single round per shard covers the
+// budget in hier and approx, so a single round per shard covers the
 // sweep); parked candidates cost nothing to re-compare, and a batch is
 // invalidated only by a sweep re-arm.
 func (m *Manager) shardCand(j int) int32 {
@@ -1013,9 +997,9 @@ func (m *Manager) PlanUniqueWithHints(seq int, uniq []int64, counts []int32, fut
 		// Touch-stamp sync: the coordinator broadcasts the Plan's stamp
 		// base and collects each remote shard's touch count so the
 		// global recency timeline stays merge-consistent — per remote
-		// shard in exact/batched, aggregated through the host tier in
-		// hier, and not at all in approx (quantized epochs need no
-		// global clock; co-located endpoints are always free).
+		// shard in exact, aggregated through the host tier in hier, and
+		// not at all in approx (quantized epochs need no global clock;
+		// co-located endpoints are always free).
 		m.coord.meterStampSync()
 	}
 

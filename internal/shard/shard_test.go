@@ -437,7 +437,7 @@ func TestPlanWarmZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := map[string]Config{"elastic-S1": {Shards: 1, Elastic: true, LoadProbe: true}}
-	for _, mode := range []CoordMode{CoordExact, CoordBatched, CoordHier, CoordApprox} {
+	for _, mode := range CoordModes {
 		cases[string(mode)] = Config{Shards: 4, Placement: pl, Coord: mode}
 	}
 	for name, cfg := range cases {

@@ -241,7 +241,7 @@ func overlapManager(t *testing.T, cfg core.Config, shards int, mode CoordMode) *
 // oracle projected a cycle earlier, across every protocol and shard
 // count the fig12b/fig13 suites sweep.
 func TestOverlapEquivalence(t *testing.T) {
-	for _, mode := range []CoordMode{CoordExact, CoordBatched, CoordHier, CoordApprox} {
+	for _, mode := range CoordModes {
 		for _, shards := range []int{2, 4} {
 			label := string(mode) + "/S=" + string(rune('0'+shards))
 			cfg := testConfig(512, 96)

@@ -200,17 +200,31 @@ func TestDatasetsAndHistogram(t *testing.T) {
 	}
 }
 
+// TestHitRateCurveMonotone: every static hit-rate curve the Figure 6
+// tables print — the Medium class and each dataset table — rises from 0
+// at an empty cache to 1 at a full one.
 func TestHitRateCurveMonotone(t *testing.T) {
-	d := MustClassDistribution(Medium, 100000)
-	fracs := []float64{0, 0.02, 0.1, 0.5, 1}
-	curve := HitRateCurve(d, fracs)
-	for i := 1; i < len(curve); i++ {
-		if curve[i] < curve[i-1] {
-			t.Fatalf("hit rate decreasing: %v", curve)
+	dists := map[string]Distribution{"Medium": MustClassDistribution(Medium, 100000)}
+	for _, name := range DatasetNames {
+		ds, err := NewDataset(name, 10000)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, dt := range ds.Tables {
+			dists[name+"/"+dt.Name] = dt.Dist
 		}
 	}
-	if curve[0] != 0 || curve[len(curve)-1] != 1 {
-		t.Fatalf("curve endpoints: %v", curve)
+	fracs := []float64{0, 0.02, 0.1, 0.5, 1}
+	for name, d := range dists {
+		curve := HitRateCurve(d, fracs)
+		for i := 1; i < len(curve); i++ {
+			if curve[i] < curve[i-1] {
+				t.Fatalf("%s: hit rate decreasing: %v", name, curve)
+			}
+		}
+		if curve[0] != 0 || curve[len(curve)-1] != 1 {
+			t.Fatalf("%s: curve endpoints: %v", name, curve)
+		}
 	}
 }
 

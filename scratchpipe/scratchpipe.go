@@ -106,16 +106,14 @@ func ParsePlacementPolicy(s string) (PlacementPolicy, error) { return hw.ParsePl
 type CoordMode = shard.CoordMode
 
 // Coordination protocols, in traffic-escalation order: exact pays one
-// round per eviction event; batched gathers each shard's candidates in
-// one round per Plan; hier adds a per-host aggregation tier so hosts
-// exchange only host-level winners; approx quantizes recency epochs and
-// sends no stamp-sync traffic at all, so its plans may diverge from
-// exact.
+// round per eviction event; hier gathers each shard's candidates in one
+// round per Plan through a per-host aggregation tier, so hosts exchange
+// only host-level winners; approx quantizes recency epochs and sends no
+// stamp-sync traffic at all, so its plans may diverge from exact.
 const (
-	CoordExact   = shard.CoordExact
-	CoordBatched = shard.CoordBatched
-	CoordHier    = shard.CoordHier
-	CoordApprox  = shard.CoordApprox
+	CoordExact  = shard.CoordExact
+	CoordHier   = shard.CoordHier
+	CoordApprox = shard.CoordApprox
 )
 
 // ParseCoordMode resolves a coordination protocol name ("" = exact).
