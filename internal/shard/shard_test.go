@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -320,14 +321,21 @@ func TestMoreShardsThanIDs(t *testing.T) {
 	}
 }
 
-// TestFuzzStatsEquivalence is the fuzz-style satellite: random
-// configurations and random traces, S=1 against a rotating non-trivial
-// shard count (including the non-power-of-two 3 and 7), identical
-// aggregate hit/miss/eviction statistics every time.
+// TestFuzzStatsEquivalence is a three-way lockstep over random
+// configurations and random traces: core.Scratchpad, an elastic S=1
+// manager (the generic sharded machinery at one shard) and a rotating
+// non-trivial shard count (including the non-power-of-two 3 and 7).
+// Trials draw a past window from 0 to 3 (a past window narrower than
+// the future window re-stamps every pin each Plan), give half of them
+// deep look-ahead hints, and under-provision a third to a quarter of
+// the worst-case reserve, so reserve allocation, its peak and the
+// exhaustion error run too. Every trial must agree plan by plan, fail
+// on the same batch if it fails, and end with identical statistics.
 func TestFuzzStatsEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	shardCounts := []int{4, 3, 7}
-	for trial := 0; trial < 12; trial++ {
+	shardCounts := []int{4, 3, 7, 2}
+	exhausted := 0
+	for trial := 0; trial < 60; trial++ {
 		slots := 64 + rng.Intn(512)
 		batchLen := 16 + rng.Intn(96)
 		idSpace := int64(slots/2 + rng.Intn(slots*6))
@@ -335,11 +343,24 @@ func TestFuzzStatsEquivalence(t *testing.T) {
 		cfg := core.Config{
 			Slots:        slots,
 			Policy:       cache.LRU,
-			PastWindow:   3,
+			PastWindow:   rng.Intn(4),
 			FutureWindow: rng.Intn(3),
 		}
 		cfg.Reserve = core.WorstCaseReserve(cfg, batchLen)
-		m1, err := New(Config{Scratchpad: cfg, Shards: 1})
+		if trial%3 == 0 {
+			cfg.Reserve /= 4
+		}
+		lookahead := 0
+		if trial%2 == 1 {
+			lookahead = cfg.FutureWindow + 1 + rng.Intn(4)
+		}
+		label := fmt.Sprintf("trial %d (slots %d reserve %d, batch %d, ids %d, past %d, future %d, lookahead %d, S=%d)",
+			trial, slots, cfg.Reserve, batchLen, idSpace, cfg.PastWindow, cfg.FutureWindow, lookahead, shards)
+		sp, err := core.NewScratchpad(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m1, err := New(Config{Scratchpad: cfg, Shards: 1, Elastic: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -347,13 +368,48 @@ func TestFuzzStatsEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		planners := []planner{sp, m1, mS}
 		st := newStream(rng.Int63(), 32, batchLen, idSpace)
-		driveLockstep(t, "fuzz", m1, mS, st, 60, cfg.FutureWindow, 0)
-		if m1.Stats() != mS.Stats() {
-			t.Fatalf("trial %d (slots %d, batch %d, ids %d): stats diverged:\nS=1 %+v\nS=%d %+v",
-				trial, slots, batchLen, idSpace, m1.Stats(), shards, mS.Stats())
+		depth := cfg.PastWindow + 1
+		pend := make([][]*core.PlanResult, len(planners))
+		for seq := 0; seq < 60; seq++ {
+			future, hints := st.window(seq, cfg.FutureWindow, lookahead)
+			res := make([]*core.PlanResult, len(planners))
+			errs := make([]error, len(planners))
+			for p, pl := range planners {
+				res[p], errs[p] = pl.PlanWithHints(seq, st.at(seq), future, hints)
+			}
+			if (errs[0] == nil) != (errs[1] == nil) || (errs[0] == nil) != (errs[2] == nil) {
+				t.Fatalf("%s seq %d: errors diverged: core %v / elastic S=1 %v / S=%d %v",
+					label, seq, errs[0], errs[1], shards, errs[2])
+			}
+			if errs[0] != nil {
+				exhausted++
+				break
+			}
+			samePlan(t, label+" elastic S=1", seq, res[0], res[1])
+			samePlan(t, label, seq, res[0], res[2])
+			if sp.Stats() != m1.Stats() || sp.Stats() != mS.Stats() {
+				t.Fatalf("%s seq %d: stats diverged:\ncore        %+v\nelastic S=1 %+v\nS=%d         %+v",
+					label, seq, sp.Stats(), m1.Stats(), shards, mS.Stats())
+			}
+			for p := range planners {
+				pend[p] = append(pend[p], res[p])
+				if len(pend[p]) >= depth {
+					if err := planners[p].Release(seq - depth + 1); err != nil {
+						t.Fatalf("%s: planner %d: Release(%d): %v", label, p, seq-depth+1, err)
+					}
+					planners[p].Recycle(pend[p][0])
+					pend[p] = pend[p][1:]
+				}
+			}
+		}
+		if sp.Stats() != m1.Stats() || sp.Stats() != mS.Stats() {
+			t.Fatalf("%s: final stats diverged:\ncore        %+v\nelastic S=1 %+v\nS=%d         %+v",
+				label, sp.Stats(), m1.Stats(), shards, mS.Stats())
 		}
 	}
+	t.Logf("%d of 60 trials reached the exhaustion error", exhausted)
 }
 
 // TestReleaseErrors: the per-shard FIFO discipline must reject
