@@ -115,6 +115,7 @@ func TestQuickGolden(t *testing.T) {
 func TestBadInput(t *testing.T) {
 	for _, c := range []struct{ flag, args string }{
 		{"shards", "-shards -1"},
+		{"shards", "-shards 70000"},
 		{"topology", "-topology bogus"},
 		{"fail", "-fail host1@5"},
 		{"deadline", "-deadline -1"},

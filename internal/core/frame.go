@@ -1,0 +1,416 @@
+package core
+
+import (
+	"fmt"
+
+	"repro/internal/intmap"
+)
+
+// slotMeta is one slot's control metadata, packed so the hold/pin/key
+// evictability predicate reads a single 24-byte record.
+type slotMeta struct {
+	// key is the cached sparse ID (-1 when the slot is empty).
+	key int64
+	// pinStamp is the epoch of the slot's latest look-ahead pin.
+	pinStamp int64
+	// holds counts in-flight batches referencing the slot.
+	holds int32
+	// entryIdx is key's entry position inside its Hit-Map, so an eviction
+	// deletes its victim's stale key without re-probing (the victim's
+	// entry is cache-cold by eviction time). Backward-shift relocations
+	// report back through onMove; map growth triggers a full reindex.
+	entryIdx int32
+}
+
+// Frame is one table's slot discipline (§IV-C, Algorithm 1) — hold the
+// past window, pin the future window, evict only what neither protects —
+// written once for every planner. It owns the per-slot metadata and the
+// evictability predicate, the pin epoch with its hint stamps, the reserve
+// budget, the PlanResult pool, the FIFO hold release, the Prewarm draw
+// rule and the statistics. A planner supplies what it decomposes: the
+// Hit-Map(s) the frame inserts into and evicts from, the free primary
+// slots, the hold rings and the replacement order. Scratchpad embeds a
+// Frame; the sharded manager (internal/shard) embeds a *Frame, the
+// delegate Scratchpad's at S=1 and its own otherwise.
+//
+// Where the paper ages a per-slot bitmask by shifting it every cycle, the
+// frame keeps an explicit per-slot hold counter plus a FIFO of in-flight
+// batches' slot sets: a slot is protected exactly while some batch inside
+// the sliding window references it, which is the same predicate the
+// bitmask encodes ("mask != 0"), in a form that is testable and O(touched
+// slots) instead of O(cache size) per cycle.
+type Frame struct {
+	cfg Config
+	// slots holds the per-slot control metadata in one array of structs
+	// so the victim sweep's evictability check (key, pin stamp, hold
+	// count) touches one cache line per candidate instead of three.
+	slots  []slotMeta
+	onMove func(slot int32, newIdx int)
+
+	// slots[slot].pinStamp > pinEpoch-pinValid marks the slot as pinned by
+	// the current Plan's sliding window (epoch stamping avoids clearing
+	// or hashing a per-plan set; checks are O(1) array reads).
+	//
+	// pinValid is the number of consecutive Plans one stamp protects.
+	// When the hold window is at least as wide as the future window
+	// (the paper's 3 >= 2), a batch's cached rows only need stamping
+	// once — when the batch enters the look-ahead window — because any
+	// row of that batch cached *later* was filled by an in-window batch
+	// and carries that batch's hold for at least as long; steady-state
+	// Plans therefore probe one future batch instead of all of them,
+	// with bit-identical eviction decisions. With a shrunken hold
+	// window (fault injection) pinValid stays 1 and every Plan
+	// re-stamps the whole window, the original discipline.
+	pinEpoch      int64
+	pinValid      int64
+	lastPinnedSeq int
+	havePinned    bool
+	// hintStamp[slot] == pinEpoch marks the slot as merely *hinted*:
+	// a batch beyond the hazard window will reference it, so prefer not
+	// to evict it — but evicting it is safe if nothing else is
+	// available (Belady-style deep look-ahead, §III-C's "intelligently
+	// store (and evict) not just the current but also future").
+	hintStamp   []int64
+	hintRelaxed bool // victim search fell back to hinted slots this Plan
+
+	freeReserve  []int32 // unused slots in [Slots, Slots+Reserve)
+	reserveInUse int
+
+	// planPool recycles PlanResults: BeginPlan pops, Recycle pushes.
+	planPool []*PlanResult
+	// dedup/uniqScratch/cntScratch back the occurrence-list entry point
+	// (Dedup), which deduplicates into these before the unique-list
+	// planner runs.
+	dedup       *intmap.Map
+	uniqScratch []int64
+	cntScratch  []int32
+	// seen is Warm's rows-wide duplicate-draw bitmap (1.25 MB per table
+	// at 10M rows), kept across resets and cleared per use.
+	seen []uint64
+
+	stats Stats
+}
+
+// ResetFrame reinitialises f for cfg (already validated): every slot
+// empty, the reserve stack in its initial pop order, a fresh pin epoch
+// and zero statistics. It keeps every buffer's capacity and the pool of
+// recycled plans.
+func (f *Frame) ResetFrame(cfg Config) {
+	total := cfg.Slots + cfg.Reserve
+	f.cfg = cfg
+	f.slots = resized(f.slots, total)
+	for i := range f.slots {
+		f.slots[i] = slotMeta{key: -1}
+	}
+	if f.onMove == nil {
+		f.onMove = func(slot int32, newIdx int) { f.slots[slot].entryIdx = int32(newIdx) }
+	}
+	// hintStamp is sized lazily on the first hinted Plan: engines
+	// without deep look-ahead never pay for it.
+	f.hintStamp = f.hintStamp[:0]
+	f.hintRelaxed = false
+	f.pinValid = 1
+	if cfg.FutureWindow > 1 && cfg.PastWindow >= cfg.FutureWindow {
+		f.pinValid = int64(cfg.FutureWindow)
+	}
+	// Start the epoch clock at pinValid so a zeroed pinStamp can never
+	// satisfy `stamp > epoch-pinValid`.
+	f.pinEpoch = f.pinValid
+	f.lastPinnedSeq, f.havePinned = 0, false
+	f.freeReserve = resized(f.freeReserve, cfg.Reserve)
+	for i := range f.freeReserve {
+		f.freeReserve[i] = int32(total - 1 - i)
+	}
+	f.reserveInUse = 0
+	f.stats = Stats{}
+}
+
+// resized returns buf with length n, reusing its capacity when it
+// suffices; the contents are undefined (callers overwrite them).
+func resized[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// Config returns the configuration the frame was last reset for.
+func (f *Frame) Config() Config { return f.cfg }
+
+// Capacity returns the nominal slot count (excluding reserve).
+func (f *Frame) Capacity() int { return f.cfg.Slots }
+
+// TotalSlots returns nominal + reserve capacity.
+func (f *Frame) TotalSlots() int { return f.cfg.Slots + f.cfg.Reserve }
+
+// Stats returns accumulated counters.
+func (f *Frame) Stats() Stats { return f.stats }
+
+// InFlight returns the number of batches currently holding slots.
+func (f *Frame) InFlight() int { return int(f.stats.Planned - f.stats.Released) }
+
+// Held reports whether a slot is currently protected by any in-flight
+// batch (the hold-mask "!= 0" predicate); exported for invariant tests.
+func (f *Frame) Held(slot int32) bool { return f.slots[slot].holds != 0 }
+
+// Holds returns the number of in-flight batches holding slot; exported
+// for invariant tests.
+func (f *Frame) Holds(slot int32) int32 { return f.slots[slot].holds }
+
+// Key returns the sparse ID cached in slot, or -1. Exported for tests.
+func (f *Frame) Key(slot int32) int64 { return f.slots[slot].key }
+
+// PinnedAfter reports whether slot's look-ahead pin still protects it k
+// Plans from now (k = 0: the Plan in progress).
+func (f *Frame) PinnedAfter(slot int32, k int64) bool {
+	return f.slots[slot].pinStamp > f.pinEpoch+k-f.pinValid
+}
+
+// Evictable is the victim predicate: a slot is fair game when nothing
+// holds or pins it, it is occupied, and (unless the search has relaxed)
+// deep look-ahead has not hinted it for reuse.
+func (f *Frame) Evictable(slot int32) bool {
+	m := &f.slots[slot]
+	if m.holds != 0 || m.key < 0 || f.PinnedAfter(slot, 0) {
+		return false
+	}
+	return f.hintRelaxed || f.hintStamp[slot] != f.pinEpoch
+}
+
+// RelaxHints lets the current Plan's victim search fall back to hinted
+// slots, reporting whether it was still strict (the caller then sweeps
+// once more). Evicting hinted rows is safe, just suboptimal.
+func (f *Frame) RelaxHints() bool {
+	if f.hintRelaxed {
+		return false
+	}
+	f.hintRelaxed = true
+	return true
+}
+
+// Pin stamps slot as pinned for the current Plan epoch.
+func (f *Frame) Pin(slot int32) { f.slots[slot].pinStamp = f.pinEpoch }
+
+// Hint stamps slot as hinted for reuse by deep look-ahead.
+func (f *Frame) Hint(slot int32) { f.hintStamp[slot] = f.pinEpoch }
+
+// Hold registers one more in-flight batch referencing slot.
+func (f *Frame) Hold(slot int32) { f.slots[slot].holds++ }
+
+// PinStart returns how many of the n future batches of Plan seq an
+// earlier Plan's stamps still pin, so the Plan probes only future[start:].
+//
+// With multi-epoch stamps (pinValid > 1) only batches newly entering the
+// window are probed; earlier entrants' stamps are still valid, and rows
+// they cached after their stamping were filled by in-window batches
+// whose holds outlast the future window.
+func (f *Frame) PinStart(seq, n int) int {
+	if f.pinValid <= 1 || !f.havePinned {
+		return 0
+	}
+	return min(max(f.lastPinnedSeq-seq, 0), n)
+}
+
+// BeginPlan opens Plan seq: it checks the future window, advances the pin
+// epoch, arms the hint stamps, and pops a pooled PlanResult. The caller
+// then pins the cached rows of future[start:] and hints those of hints.
+//
+// Pinning the next FutureWindow batches' cached rows keeps their
+// [Collect] from racing this batch's [Insert] write-back (RAW-4). The
+// *current* batch's rows need no pin pass: every hit registers a hold
+// before victim selection starts, so "an early miss evicting a row a
+// later occurrence of this same batch still needs" is already impossible.
+// Together these are the paper's "three past, one current, and two
+// future" superset.
+func (f *Frame) BeginPlan(seq int, future, hints [][]int64) (res *PlanResult, start int, err error) {
+	if got := len(future); got > f.cfg.FutureWindow {
+		return nil, 0, fmt.Errorf("core: plan %d: %d future batches exceeds future window %d", seq, got, f.cfg.FutureWindow)
+	}
+	f.pinEpoch++
+	start = f.PinStart(seq, len(future))
+	if n := seq + len(future); len(future) > 0 && (!f.havePinned || n > f.lastPinnedSeq) {
+		f.lastPinnedSeq = n
+		f.havePinned = true
+	}
+	if len(hints) > 0 && len(f.hintStamp) == 0 {
+		f.hintStamp = resized(f.hintStamp, f.TotalSlots())
+		clear(f.hintStamp)
+	}
+	f.hintRelaxed = len(hints) == 0
+	if n := len(f.planPool); n > 0 {
+		res = f.planPool[n-1]
+		f.planPool[n-1] = nil
+		f.planPool = f.planPool[:n-1]
+	} else {
+		res = &PlanResult{slotOf: intmap.New(0)}
+	}
+	res.Seq = seq
+	return res, start, nil
+}
+
+// TakeReserve is the last resort of a miss's allocation, after the free
+// primary slots and every evictable victim: it draws a reserve slot for
+// res, failing when the reserve is exhausted too.
+func (f *Frame) TakeReserve(res *PlanResult) (int32, error) {
+	n := len(f.freeReserve)
+	if n == 0 {
+		return 0, fmt.Errorf("core: plan %d: scratchpad exhausted: %d slots + %d reserve all protected (in-flight %d batches)",
+			res.Seq, f.cfg.Slots, f.cfg.Reserve, f.InFlight())
+	}
+	slot := f.freeReserve[n-1]
+	f.freeReserve = f.freeReserve[:n-1]
+	f.reserveInUse++
+	f.stats.ReservePeak = max(f.stats.ReservePeak, f.reserveInUse)
+	res.ReserveAllocs++
+	return slot, nil
+}
+
+// ReturnReserve gives an emptied reserve slot back to the reserve budget.
+func (f *Frame) ReturnReserve(slot int32) {
+	f.freeReserve = append(f.freeReserve, slot)
+	f.reserveInUse--
+}
+
+// EndPlan folds a finished Plan into the statistics.
+func (f *Frame) EndPlan(res *PlanResult) {
+	f.stats.Planned++
+	f.stats.Queries += int64(res.OccHits + res.OccMisses)
+	f.stats.Hits += int64(res.OccHits)
+	f.stats.Misses += int64(res.OccMisses)
+	f.stats.UniqueQueries += int64(len(res.UniqueIDs))
+	f.stats.UniqueMisses += int64(len(res.Fills))
+	f.stats.UniqueHits += int64(len(res.UniqueIDs) - len(res.Fills))
+	f.stats.Fills += int64(len(res.Fills))
+	f.stats.Evictions += int64(len(res.Evictions))
+	f.stats.ReserveAllocs += int64(res.ReserveAllocs)
+}
+
+// Recycle returns a retired batch's plan buffers to the free list. Call
+// it once the plan can no longer be read (the batch has left [Train]);
+// passing nil is a no-op. Recycling is what makes the steady-state Plan
+// path allocation-free.
+func (f *Frame) Recycle(res *PlanResult) {
+	if res == nil {
+		return
+	}
+	res.reset()
+	f.planPool = append(f.planPool, res)
+}
+
+// Dedup deduplicates a batch's occurrence stream into reusable scratch:
+// its distinct IDs in first-appearance order and their multiplicities,
+// valid until the next call. It backs the occurrence-list entry points
+// (PlanWithHints); callers that already hold the batch's distinct IDs
+// and counts (the dataset records them once per batch) skip the pass.
+func (f *Frame) Dedup(ids []int64) ([]int64, []int32) {
+	if f.dedup == nil {
+		f.dedup = intmap.New(len(ids))
+	}
+	uniq, cnt := f.uniqScratch[:0], f.cntScratch[:0]
+	if cap(uniq) < len(ids) {
+		uniq = make([]int64, 0, len(ids))
+		cnt = make([]int32, 0, len(ids))
+	}
+	f.uniqScratch, f.cntScratch = intmap.Dedup(ids, f.dedup, uniq, cnt)
+	return f.uniqScratch, f.cntScratch
+}
+
+// Insert places id into slot in hm (the Hit-Map owning id), keeping the
+// slot->entry reverse index exact: PutIdx grows before inserting, so the
+// returned position is valid even when the map just grew, and a growth
+// reindexes the older entries.
+func (f *Frame) Insert(hm *intmap.Map, id int64, slot int32) {
+	cap0 := hm.Cap()
+	at := hm.PutIdx(id, slot)
+	if hm.Cap() != cap0 {
+		hm.ForEachIdx(func(idx int, _ int64, s int32) { f.slots[s].entryIdx = int32(idx) })
+	}
+	f.slots[slot].key, f.slots[slot].entryIdx = id, int32(at)
+}
+
+// Evict removes slot's row from hm (the Hit-Map owning it) through the
+// reverse index and empties the slot, returning the displaced sparse ID.
+func (f *Frame) Evict(hm *intmap.Map, slot int32) int64 {
+	old := f.slots[slot].key
+	hm.DeleteAt(int(f.slots[slot].entryIdx), f.onMove)
+	f.slots[slot].key = -1
+	return old
+}
+
+// ReleaseBatch drops the holds of r's oldest in-flight batch, which must
+// be seq (releases are FIFO), and returns its hold set to r's pool.
+// Planners with several rings release each one and then call EndRelease
+// once.
+func (f *Frame) ReleaseBatch(r *BatchRing, seq int) error {
+	if r.Len() == 0 {
+		return fmt.Errorf("core: release %d: no in-flight batches", seq)
+	}
+	if got := r.Front().Seq; got != seq {
+		return fmt.Errorf("core: release %d: oldest in-flight batch is %d (releases must be FIFO)", seq, got)
+	}
+	hb := r.pop()
+	for _, slot := range hb.Slots {
+		if f.slots[slot].holds <= 0 {
+			return fmt.Errorf("core: release %d: slot %d hold underflow", seq, slot)
+		}
+		f.slots[slot].holds--
+	}
+	r.recycle(hb.Slots)
+	return nil
+}
+
+// EndRelease counts one finished Release.
+func (f *Frame) EndRelease() { f.stats.Released++ }
+
+// Warmer is the planner side of Frame.Warm: Free reports whether a free
+// primary slot remains, Cached whether id already has a slot, and Place
+// moves id into a free primary slot — Hit-Map entry and replacement
+// order included — returning the slot.
+type Warmer interface {
+	Free() bool
+	Cached(id int64) bool
+	Place(id int64) int32
+}
+
+// Warm is the Prewarm draw rule: it fills w's free primary capacity with
+// distinct IDs drawn from sample, calling onFill (when non-nil) for every
+// inserted row, and returns the number inserted. With rows > 0 the
+// duplicate-draw check runs against a rows-wide bitmap (a few KB,
+// cache-resident) instead of probing the Hit-Map once per draw.
+//
+// Warm draws at most 8x the nominal capacity: rows that have not
+// appeared within that many draws are cold enough that their absence from
+// the warm cache has negligible effect on measured hit rates, and an
+// unbounded fill would degenerate into a coupon-collector walk over the
+// distribution's long tail.
+func (f *Frame) Warm(w Warmer, rows int64, sample func() int64, onFill func(id int64, slot int32)) int {
+	if f.InFlight() != 0 {
+		panic("core: Prewarm with batches in flight")
+	}
+	var seen []uint64
+	if rows > 0 {
+		f.seen = resized(f.seen, int((rows+63)/64))
+		clear(f.seen)
+		seen = f.seen
+	}
+	inserted := 0
+	limit := 8*f.cfg.Slots + 100
+	for draws := 0; w.Free() && draws < limit; draws++ {
+		id := sample()
+		if seen != nil {
+			word, bit := id/64, uint64(1)<<(uint64(id)%64)
+			if seen[word]&bit != 0 {
+				continue
+			}
+			seen[word] |= bit
+		} else if w.Cached(id) {
+			continue
+		}
+		slot := w.Place(id)
+		if onFill != nil {
+			onFill(id, slot)
+		}
+		inserted++
+	}
+	return inserted
+}

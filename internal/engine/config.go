@@ -24,8 +24,8 @@ func (c EnvConfig) Validate() error {
 	if err := c.System.Validate(); err != nil {
 		return err
 	}
-	if c.Shards < 0 {
-		return fmt.Errorf("-shards %d: shard count must be >= 0", c.Shards)
+	if c.Shards < 0 || c.Shards > shard.MaxShards {
+		return fmt.Errorf("-shards %d: shard count must be in 0..%d", c.Shards, shard.MaxShards)
 	}
 	if c.Topology != nil {
 		if err := c.Topology.Validate(); err != nil {
@@ -40,6 +40,9 @@ func (c EnvConfig) Validate() error {
 	}
 	if err := c.Reshard.Validate(); err != nil {
 		return fmt.Errorf("-reshard %q: %w", c.Reshard, err)
+	}
+	if n := c.Reshard.MaxShards(); n > shard.MaxShards {
+		return fmt.Errorf("-reshard %q: reaches %d shards, above the maximum %d", c.Reshard, n, shard.MaxShards)
 	}
 	if c.CkptInterval < 0 {
 		return fmt.Errorf("-ckpt-interval %d: interval must be >= 0", c.CkptInterval)

@@ -88,6 +88,8 @@ func TestValidateNamesFlags(t *testing.T) {
 		{"-fail", func(c *EnvConfig) { c.Faults = plan; c.Topology = hw.SingleNode() }},
 		{"-serve-fail", func(c *EnvConfig) { c.Serve = serve.Options{Replicas: 4, Faults: kill} }},
 		{"-shards", func(c *EnvConfig) { c.Shards = -1 }},
+		{"-shards", func(c *EnvConfig) { c.Shards = shard.MaxShards + 1 }},
+		{"-reshard", func(c *EnvConfig) { c.Reshard = ReshardSpec{LoadMax: shard.MaxShards + 1} }},
 		{"-ckpt-interval", func(c *EnvConfig) { c.CkptInterval = -1 }},
 		{"-coord", func(c *EnvConfig) { c.Coord = "bogus" }},
 	} {

@@ -128,7 +128,7 @@ func (m *Manager) Degraded() bool { return m.degraded }
 // reshard migration.
 func (m *Manager) Evacuate(place hw.Placement, hostDead func(host int) bool, restoreRowBytes float64) (EvacStats, error) {
 	var st EvacStats
-	if m.single != nil || !m.elastic {
+	if !m.elastic {
 		return st, fmt.Errorf("shard: Evacuate on a non-elastic manager (build with Config.Elastic)")
 	}
 	// A death invalidates an overlap mark: the re-homed shards' state no
@@ -165,7 +165,7 @@ func (m *Manager) Evacuate(place hw.Placement, hostDead func(host int) bool, res
 		drop = drop[:0]
 		sh.hitMap.ForEach(func(id int64, slot int32) {
 			switch {
-			case m.meta[slot].holds > 0:
+			case m.Held(slot):
 				acc.move(src, newNode, true, 1, migResidentBytes, &st.HeldKept)
 			case restoreRowBytes > 0:
 				acc.move(src, newNode, true, 1, restoreRowBytes, &st.RestoredResident)
@@ -178,17 +178,13 @@ func (m *Manager) Evacuate(place hw.Placement, hostDead func(host int) bool, res
 		// allocation direction, and a deterministic one.
 		sort.Slice(drop, func(a, b int) bool { return drop[a] > drop[b] })
 		for _, slot := range drop {
-			sh.hitMap.DeleteAt(int(m.meta[slot].entryIdx), func(s int32, newIdx int) {
-				m.meta[s].entryIdx = int32(newIdx)
-			})
+			m.Evict(sh.hitMap, slot)
 			m.unlink(j, slot)
-			m.meta[slot].key = -1
-			if int(slot) < m.cfg.Slots {
+			if int(slot) < m.Capacity() {
 				sh.freePrimary = append(sh.freePrimary, slot)
 				m.freePrimaryTotal++
 			} else {
-				m.freeReserve = append(m.freeReserve, slot)
-				m.reserveInUse--
+				m.ReturnReserve(slot)
 			}
 		}
 		st.LostResident += int64(len(drop))

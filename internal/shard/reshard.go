@@ -244,11 +244,11 @@ func holdCount(sh *shardState) int64 {
 // The old and new placements must share a topology when both are
 // distributed; a zero old placement prices as "everything on node 0".
 func (m *Manager) Reshard(newS int, place hw.Placement) error {
-	if m.single != nil || !m.elastic {
+	if !m.elastic {
 		return fmt.Errorf("shard: Reshard on a non-elastic manager (build with Config.Elastic)")
 	}
-	if newS < 1 {
-		return fmt.Errorf("shard: Reshard to %d shards", newS)
+	if newS < 1 || newS > MaxShards {
+		return fmt.Errorf("shard: Reshard to %d shards (want 1..%d)", newS, MaxShards)
 	}
 	if err := place.Validate(newS); err != nil {
 		return err
@@ -285,24 +285,24 @@ func (m *Manager) Reshard(newS int, place hw.Placement) error {
 	}
 
 	old := m.shards
-	total := m.cfg.Slots + m.cfg.Reserve
+	cfg := m.Config()
 
 	// Resident slots in global touch-stamp order: stamps are unique
 	// (one monotonic clock tick per touch), so this is the exact global
 	// recency timeline, and appending per new shard preserves each
 	// shard's increasing-stamp LRU invariant.
 	resident := make([]int32, 0, m.Len())
-	for s := 0; s < total; s++ {
-		if m.meta[s].key >= 0 {
-			resident = append(resident, int32(s))
+	for s := int32(0); s < int32(m.TotalSlots()); s++ {
+		if m.Key(s) >= 0 {
+			resident = append(resident, s)
 		}
 	}
-	sortSlotsByStamp(m.meta, resident)
+	sort.Slice(resident, func(a, b int) bool { return m.stamp[resident[a]] < m.stamp[resident[b]] })
 
 	// Record each free primary slot's current owner before the old
 	// shards are torn down (borrowing drifts slots off their stripe, so
 	// the owner is wherever the slot sits now).
-	freeShard := make([]int32, m.cfg.Slots)
+	freeShard := make([]int32, cfg.Slots)
 	for i := range freeShard {
 		freeShard[i] = -1
 	}
@@ -315,7 +315,7 @@ func (m *Manager) Reshard(newS int, place hw.Placement) error {
 	shards := make([]shardState, newS)
 	for j := range shards {
 		sh := &shards[j]
-		sh.hitMap = intmap.New((m.cfg.Slots + m.cfg.Reserve/2) / newS)
+		sh.hitMap = intmap.New((cfg.Slots + cfg.Reserve/2) / newS)
 		sh.lruHead, sh.lruTail = nilSlot, nilSlot
 	}
 	m.shards = shards
@@ -323,23 +323,20 @@ func (m *Manager) Reshard(newS int, place hw.Placement) error {
 
 	// Hit-Maps + recency lists.
 	for _, slot := range resident {
-		id := m.meta[slot].key
+		id := m.Key(slot)
 		oldJ := ShardOf(id, oldN)
 		newJ := ShardOf(id, newS)
 		m.pushMRU(newJ, slot)
-		shards[newJ].hitMap.PutIdx(id, slot)
+		m.Insert(shards[newJ].hitMap, id, slot)
 		acc.move(placeNode(oldPlace, oldJ), placeNode(place, newJ), oldJ != newJ,
 			1, migResidentBytes, &m.resharding.ResidentMoved)
-	}
-	for j := range shards {
-		m.reindex(j)
 	}
 
 	// Free primary re-striping: slot s belongs to shard s mod S',
 	// stacks filled descending so pops ascend — fresh-construction
 	// allocation order. The global budget (freePrimaryTotal) is
 	// untouched, so eviction onset cannot shift.
-	for s := m.cfg.Slots - 1; s >= 0; s-- {
+	for s := cfg.Slots - 1; s >= 0; s-- {
 		oldJ := freeShard[s]
 		if oldJ < 0 {
 			continue
@@ -370,7 +367,7 @@ func (m *Manager) Reshard(newS int, place hw.Placement) error {
 				return fmt.Errorf("shard: Reshard: in-flight ring skew (batch %d: seq %d vs %d)", k, hb.Seq, seq)
 			}
 			for _, slot := range hb.Slots {
-				nj := ShardOf(m.meta[slot].key, newS)
+				nj := ShardOf(m.Key(slot), newS)
 				newHeld[nj] = append(newHeld[nj], slot)
 				acc.move(placeNode(oldPlace, oj), placeNode(place, nj), oj != nj,
 					1, migHoldBytes, &m.resharding.HoldsMoved)
@@ -408,12 +405,4 @@ func (m *Manager) finishReshard(acc *migAccum) {
 	m.resharding.Rounds += rounds
 	m.resharding.Seconds += secs
 	m.lastReshard = secs
-}
-
-// sortSlotsByStamp orders slots by touch stamp, ascending. Stamps are
-// unique, so the order is total and deterministic.
-func sortSlotsByStamp(meta []slotMeta, slots []int32) {
-	sort.Slice(slots, func(i, j int) bool {
-		return meta[slots[i]].stamp < meta[slots[j]].stamp
-	})
 }

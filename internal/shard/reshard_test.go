@@ -63,6 +63,9 @@ func TestReshardValidation(t *testing.T) {
 	if err := m.Reshard(0, hw.Placement{}); err == nil {
 		t.Fatal("Reshard to 0 shards accepted")
 	}
+	if err := m.Reshard(MaxShards+1, hw.Placement{}); err == nil {
+		t.Fatal("Reshard above MaxShards accepted (batch routing stores owners in 16 bits)")
+	}
 	topo := hw.Cluster(2, 2)
 	short, err := hw.NewPlacement(hw.PlaceStripe, topo, 3, nil)
 	if err != nil {

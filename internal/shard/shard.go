@@ -24,11 +24,17 @@
 // core.Scratchpad at every shard count (the equivalence tests in this
 // package prove it plan by plan).
 //
-// With Shards == 1 the Manager delegates wholesale to a single
-// core.Scratchpad, making the S=1 configuration bit-identical to the
-// unsharded tree by construction (including its zero-allocation Plan
-// path). Shards > 1 requires the LRU policy: the stamp-merge coordinator
-// is the distributed form of the LRU eviction order specifically.
+// The slot discipline itself — slot metadata and the evictability
+// predicate, the pin epoch and hints, the reserve budget, the FIFO hold
+// release, the Prewarm draw rule, the plan pool and the statistics —
+// lives once, in core.Frame, which the Manager embeds; this package adds
+// only what sharding needs on top of it. With Shards == 1 the Manager
+// delegates Plan, Release and Prewarm to a single core.Scratchpad and
+// embeds that scratchpad's own frame, making the S=1 configuration
+// bit-identical to the unsharded tree by construction (including its
+// zero-allocation Plan path). Shards > 1 requires the LRU policy: the
+// stamp-merge coordinator is the distributed form of the LRU eviction
+// order specifically.
 //
 // A Config.Placement assigns shards to the nodes of an hw.Topology
 // (sockets, hosts, GPUs); the coordinator's victim-merge, touch-stamp,
@@ -63,6 +69,10 @@ import (
 // fibMult is the 64-bit Fibonacci hashing multiplier used to spread
 // sparse IDs across shards (same mixing constant as intmap).
 const fibMult = 0x9E3779B97F4A7C15
+
+// MaxShards is the largest shard count a Manager supports: the Plan's
+// routing pass records each batch position's owning shard in 16 bits.
+const MaxShards = 1 << 16
 
 // Config configures one sharded per-table manager.
 type Config struct {
@@ -110,8 +120,8 @@ type Config struct {
 
 // Validate reports a descriptive error for an unusable configuration.
 func (c Config) Validate() error {
-	if c.Shards < 0 {
-		return fmt.Errorf("shard: Shards %d < 0", c.Shards)
+	if c.Shards < 0 || c.Shards > MaxShards {
+		return fmt.Errorf("shard: Shards %d outside 0..%d", c.Shards, MaxShards)
 	}
 	if c.Shards > 1 && c.Scratchpad.Policy != cache.LRU {
 		return fmt.Errorf("shard: %d shards requires the %q policy (cross-shard eviction coordination merges LRU recency orders), got %q",
@@ -137,23 +147,6 @@ func (c Config) Validate() error {
 	return c.Scratchpad.Validate()
 }
 
-// slotMeta is one slot's control metadata. Unlike core.Scratchpad's, it
-// carries the global touch stamp that orders all shards' recency lists
-// on one timeline (the coordinator's merge key).
-type slotMeta struct {
-	// key is the cached sparse ID (-1 when the slot is empty).
-	key int64
-	// pinStamp is the epoch of the slot's latest look-ahead pin.
-	pinStamp int64
-	// stamp is the global recency stamp of the slot's last touch.
-	stamp uint64
-	// holds counts in-flight batches referencing the slot.
-	holds int32
-	// entryIdx is the key's entry position inside the owning shard's
-	// hitMap (shards never share a slot, so one field suffices).
-	entryIdx int32
-}
-
 // shardState is one socket shard's private state.
 type shardState struct {
 	// hitMap maps this shard's resident sparse IDs to global slots.
@@ -163,9 +156,9 @@ type shardState struct {
 	// borrowing — eviction reuses the victim's slot directly, exactly
 	// like the unsharded planner).
 	freePrimary []int32
-	// inFlight is this shard's FIFO of per-batch hold sets; every Plan
-	// pushes one entry (possibly empty) so Release stays FIFO-checked
-	// per shard.
+	// inFlight is this shard's FIFO of per-batch hold sets (with their
+	// pool); every Plan pushes one entry (possibly empty) so Release
+	// stays FIFO-checked per shard.
 	inFlight core.BatchRing
 	// lruHead/lruTail delimit this shard's recency list (least recent
 	// first) threaded through the Manager's shared next/prev arrays.
@@ -185,10 +178,8 @@ type shardState struct {
 	candHead int
 	candDone bool
 
-	// held is the hold set being assembled for the current Plan;
-	// heldPool recycles retired hold-set buffers.
-	held     []int32
-	heldPool [][]int32
+	// held is the hold set being assembled for the current Plan.
+	held []int32
 
 	// queries/hits are per-shard occurrence counters (shard-balance
 	// observability; the empty-shard tests read them).
@@ -204,10 +195,16 @@ const nilSlot = int32(-1)
 
 // Manager is the sharded per-table scratchpad control plane. It exposes
 // the same Plan/Release/Recycle/Prewarm lifecycle as core.Scratchpad and
-// produces identical plans and statistics at every shard count; with
-// Shards == 1 it *is* a core.Scratchpad behind a thin delegation layer.
+// produces identical plans and statistics at every shard count. The slot
+// discipline is its embedded core.Frame; the Manager adds the per-shard
+// Hit-Maps, free stripes, hold rings and recency lists, the touch
+// stamps, the k-way victim merge, the coordination meter, resharding and
+// evacuation.
 type Manager struct {
-	cfg     core.Config
+	// Frame is the delegate's own frame at S=1 (non-elastic) and the
+	// Manager's otherwise, so what it answers (Stats, Capacity,
+	// TotalSlots, InFlight, Recycle, Held, Key) needs no S=1 branch.
+	*core.Frame
 	nshards int
 	pool    *par.Pool
 
@@ -247,8 +244,9 @@ type Manager struct {
 	quantum uint64
 	pollK   int
 
-	// single is the unsharded fast path (Shards == 1): full delegation,
-	// bit-identical to the pre-sharding tree.
+	// single is the unsharded fast path (Shards == 1, not elastic): Plan,
+	// Release, Prewarm and the residency queries delegate to it, and its
+	// frame is the Manager's.
 	single *core.Scratchpad
 
 	// elastic marks the manager reshardable (see reshard.go): its shard
@@ -273,61 +271,40 @@ type Manager struct {
 	lastEvac float64
 
 	shards []shardState
-	// meta/next/prev are global per-slot arrays. A slot belongs to
+	// stamp/next/prev are global per-slot arrays. A slot belongs to
 	// exactly one shard at a time (the one whose ID occupies it), so
 	// shard-parallel writes never alias; empty slots are touched only
-	// by the serial coordinator.
-	meta       []slotMeta
+	// by the serial coordinator. stamp[slot] is the global recency stamp
+	// of the slot's last touch, the victim merge's key.
+	stamp      []uint64
 	next, prev []int32
-	// hintStamp[slot] == pinEpoch marks a deep-look-ahead eviction
-	// hint (allocated lazily like the unsharded planner's).
-	hintStamp   []int64
-	hintRelaxed bool
 
 	// stampClock is the global recency timeline: every touch gets the
 	// next stamp, assigned deterministically by batch position so the
 	// shard-parallel pass reproduces the serial touch order.
 	stampClock uint64
 
-	// Look-ahead pin epoch state (same discipline as core.Scratchpad,
-	// lifted to the coordinator).
-	pinEpoch      int64
-	pinValid      int64
-	lastPinnedSeq int
-	havePinned    bool
-
-	// The eviction-budget coordinator's global capacity accounting:
+	// The eviction-budget coordinator's primary capacity accounting:
 	// freePrimaryTotal counts unused primary slots across all shards
 	// (shards borrow from each other before anyone evicts, so eviction
-	// starts exactly when the unsharded free list would run dry);
-	// freeReserve is the global reserve stack.
+	// starts exactly when the unsharded free list would run dry). The
+	// reserve budget is the frame's.
 	freePrimaryTotal int
-	freeReserve      []int32
-	reserveInUse     int
 	sweepArmed       bool
 
-	// planPool recycles PlanResults; scratch slices back the Plan
-	// passes: shardOf routes each uniq position to its owner (read by
-	// the serial coordinator pass), uniqIdx/winIdx bucket the batch and
-	// look-ahead-window positions per shard so each shard's parallel
-	// pass walks only its own share (O(batch+window) total routing work
-	// instead of S skip-scans), winIDs is the flattened window.
-	planPool    []*core.PlanResult
-	shardOf     []uint16
-	uniqIdx     [][]int32
-	winIdx      [][]int32
-	winIDs      []int64
-	missIdx     []int32
-	dedup       *intmap.Map
-	uniqScratch []int64
-	cntScratch  []int32
+	// Scratch backing the Plan passes: shardOf routes each uniq position
+	// to its owner (read by the serial coordinator pass), uniqIdx/winIdx
+	// bucket the batch and look-ahead-window positions per shard so each
+	// shard's parallel pass walks only its own share (O(batch+window)
+	// total routing work instead of S skip-scans), winIDs is the
+	// flattened window.
+	shardOf []uint16
+	uniqIdx [][]int32
+	winIdx  [][]int32
+	winIDs  []int64
+	missIdx []int32
 	// in holds the inputs of the shard fan-out in progress (see fanIn).
 	in fanIn
-	// seen is PrewarmRows' rows-wide duplicate-draw bitmap, kept across
-	// Resets and cleared per use.
-	seen []uint64
-
-	stats core.Stats
 }
 
 // fanIn carries one call's inputs to the shard fan-out bodies, the
@@ -362,11 +339,11 @@ func New(cfg Config) (*Manager, error) {
 // manager's. Like core.Scratchpad.Reset it keeps the capacity of every
 // buffer, which is what makes a reset cheaper than a rebuild. At S=1
 // (non-elastic) that is the delegate core.Scratchpad's; at every other
-// shape it is the slot metadata, each shard's Hit-Map, free list and
-// hold-set pool, the Plan pool, the routing scratch, and the
-// coordination meter with its message plane. Batches
-// still in flight are dropped (their hold sets return to the pools). On
-// error m is unchanged.
+// shape it is the frame, the touch stamps and recency links, each
+// shard's Hit-Map, free list and hold ring, the routing scratch, and the
+// coordination meter with its message plane. Batches still in flight
+// are dropped (their hold sets return to the pools). On error m is
+// unchanged.
 func (m *Manager) Reset(cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -388,53 +365,44 @@ func (m *Manager) Reset(cfg Config) error {
 		if err := sp.Reset(c); err != nil {
 			return err
 		}
-		*m = Manager{cfg: c, nshards: 1, pool: cfg.Pool, mode: mode, quantum: 1, single: sp}
+		*m = Manager{Frame: &sp.Frame, nshards: 1, pool: cfg.Pool, mode: mode, quantum: 1, single: sp}
 		return nil
 	}
 	total := c.Slots + c.Reserve
-	// Carry the buffers over; every other field takes its zero value, as
-	// in a fresh manager.
+	// Carry the buffers over (the frame too, unless it was the dropped
+	// delegate's); every other field takes its zero value, as in a fresh
+	// manager.
 	old := *m
+	frame := old.Frame
+	if frame == nil || old.single != nil {
+		frame = &core.Frame{}
+	}
+	frame.ResetFrame(c)
 	*m = Manager{
-		cfg:         c,
-		nshards:     n,
-		pool:        cfg.Pool,
-		place:       cfg.Placement,
-		coord:       old.coord.reset(cfg.Placement, n, mode),
-		mode:        mode,
-		quantum:     1,
-		pollK:       1,
-		elastic:     cfg.Elastic,
-		shards:      slices.Grow(old.shards[:0], n)[:n],
-		meta:        slices.Grow(old.meta[:0], total)[:total],
-		next:        zeroed(old.next, total),
-		prev:        zeroed(old.prev, total),
-		hintStamp:   old.hintStamp[:0],
-		freeReserve: slices.Grow(old.freeReserve[:0], c.Reserve),
-		planPool:    old.planPool,
-		shardOf:     old.shardOf,
-		uniqIdx:     slices.Grow(old.uniqIdx[:0], n)[:n],
-		winIdx:      slices.Grow(old.winIdx[:0], n)[:n],
-		winIDs:      old.winIDs[:0],
-		missIdx:     old.missIdx[:0],
-		dedup:       old.dedup,
-		uniqScratch: old.uniqScratch[:0],
-		cntScratch:  old.cntScratch[:0],
-		seen:        old.seen,
+		Frame:   frame,
+		nshards: n,
+		pool:    cfg.Pool,
+		place:   cfg.Placement,
+		coord:   old.coord.reset(cfg.Placement, n, mode),
+		mode:    mode,
+		quantum: 1,
+		pollK:   1,
+		elastic: cfg.Elastic,
+		shards:  slices.Grow(old.shards[:0], n)[:n],
+		stamp:   zeroed(old.stamp, total),
+		next:    zeroed(old.next, total),
+		prev:    zeroed(old.prev, total),
+		shardOf: old.shardOf,
+		uniqIdx: slices.Grow(old.uniqIdx[:0], n)[:n],
+		winIdx:  slices.Grow(old.winIdx[:0], n)[:n],
+		winIDs:  old.winIDs[:0],
+		missIdx: old.missIdx[:0],
 	}
 	if cfg.LoadProbe {
 		m.loadProbe = zeroed(old.loadProbe, LoadProbeBuckets)
 	}
 	if mode == CoordApprox {
 		m.quantum = approxQuantum
-	}
-	m.pinValid = 1
-	if c.FutureWindow > 1 && c.PastWindow >= c.FutureWindow {
-		m.pinValid = int64(c.FutureWindow)
-	}
-	m.pinEpoch = m.pinValid
-	for i := range m.meta {
-		m.meta[i] = slotMeta{key: -1}
 	}
 	// Stripe the primary slots across shards (slot s starts on shard
 	// s % n); each stack is filled descending so pops ascend, matching
@@ -449,9 +417,6 @@ func (m *Manager) Reset(cfg Config) error {
 		}
 	}
 	m.freePrimaryTotal = c.Slots
-	for s := total - 1; s >= c.Slots; s-- {
-		m.freeReserve = append(m.freeReserve, int32(s))
-	}
 	return nil
 }
 
@@ -460,11 +425,7 @@ func (m *Manager) Reset(cfg Config) error {
 // in flight or parked — keeping its buffers and returning its in-flight
 // hold sets to the pool.
 func (sh *shardState) reset(hint int) {
-	for sh.inFlight.Len() > 0 {
-		if hb := sh.inFlight.Pop(); hb.Slots != nil {
-			sh.heldPool = append(sh.heldPool, hb.Slots)
-		}
-	}
+	sh.inFlight.Clear()
 	hitMap := sh.hitMap
 	if hitMap == nil {
 		hitMap = &intmap.Map{}
@@ -477,7 +438,6 @@ func (sh *shardState) reset(hint int) {
 		lruHead:     nilSlot,
 		lruTail:     nilSlot,
 		candQ:       sh.candQ[:0],
-		heldPool:    sh.heldPool,
 	}
 }
 
@@ -507,12 +467,6 @@ func (m *Manager) CoordStats() CoordStats {
 // CoordMode returns the coordination protocol the manager runs.
 func (m *Manager) CoordMode() CoordMode { return m.mode }
 
-// Capacity returns the nominal slot count (excluding reserve).
-func (m *Manager) Capacity() int { return m.cfg.Slots }
-
-// TotalSlots returns nominal + reserve capacity.
-func (m *Manager) TotalSlots() int { return m.cfg.Slots + m.cfg.Reserve }
-
 // Len returns the number of cached rows across all shards.
 func (m *Manager) Len() int {
 	if m.single != nil {
@@ -534,50 +488,25 @@ func (m *Manager) Contains(id int64) bool {
 	return ok
 }
 
-// InFlight returns the number of batches currently holding slots.
-func (m *Manager) InFlight() int {
-	if m.single != nil {
-		return m.single.InFlight()
-	}
-	return m.shards[0].inFlight.Len()
-}
-
-// Stats returns the aggregate counters (identical to the unsharded
-// planner's at every shard count).
-func (m *Manager) Stats() core.Stats {
-	if m.single != nil {
-		return m.single.Stats()
-	}
-	return m.stats
-}
-
 // ShardStats is one shard's balance snapshot.
 type ShardStats struct {
 	// Queries/Hits are occurrence-level counters over planned batches.
 	Queries, Hits int64
 	// Resident is the shard's current Hit-Map population.
 	Resident int
-	// FreePrimary counts the shard's remaining never-used primary
-	// slots (borrowing drains the best-stocked shard first).
-	FreePrimary int
 }
 
 // ShardStats returns per-shard balance counters (one entry per shard;
 // a single-shard manager reports its aggregate as shard 0).
 func (m *Manager) ShardStats() []ShardStats {
 	if m.single != nil {
-		st := m.single.Stats()
-		return []ShardStats{{Queries: st.Queries, Hits: st.Hits, Resident: m.single.Len()}}
+		st := m.Stats()
+		return []ShardStats{{Queries: st.Queries, Hits: st.Hits, Resident: m.Len()}}
 	}
 	out := make([]ShardStats, m.nshards)
 	for j := range m.shards {
 		sh := &m.shards[j]
-		out[j] = ShardStats{
-			Queries:     sh.queries,
-			Hits:        sh.hits,
-			Resident:    sh.hitMap.Len(),
-			FreePrimary: len(sh.freePrimary),
-		}
+		out[j] = ShardStats{Queries: sh.queries, Hits: sh.hits, Resident: sh.hitMap.Len()}
 	}
 	return out
 }
@@ -629,21 +558,10 @@ func (m *Manager) unlink(j int, slot int32) {
 func (m *Manager) touch(j int, slot int32, stamp uint64) {
 	m.unlink(j, slot)
 	m.pushMRU(j, slot)
-	m.meta[slot].stamp = stamp
+	m.stamp[slot] = stamp
 }
 
 // --- eviction coordination ---------------------------------------------
-
-// isEvictable is the victim predicate (same as the unsharded planner's:
-// no holds, no in-window pin, occupied, and — unless the search has
-// relaxed — not hinted for reuse by deep look-ahead).
-func (m *Manager) isEvictable(slot int32) bool {
-	sm := &m.meta[slot]
-	if sm.holds != 0 || sm.pinStamp > m.pinEpoch-m.pinValid || sm.key < 0 {
-		return false
-	}
-	return m.hintRelaxed || m.hintStamp[slot] != m.pinEpoch
-}
 
 // armSweep resets every shard's sweep cursor to its least-recent end
 // and flushes the parked candidate batches (a re-arm changes the
@@ -687,7 +605,7 @@ func (m *Manager) shardCand(j int) int32 {
 	cur := sh.sweepCur
 	for cur != nilSlot && len(sh.candQ) < m.pollK {
 		nxt := m.next[cur]
-		if m.isEvictable(cur) {
+		if m.Evictable(cur) {
 			sh.candQ = append(sh.candQ, cur)
 		}
 		cur = nxt
@@ -717,9 +635,9 @@ func (m *Manager) shardCand(j int) int32 {
 // order), which is exactly where its divergence from exact comes from.
 func (m *Manager) olderStamp(a, b int32) bool {
 	if m.quantum > 1 {
-		return m.meta[a].stamp/m.quantum < m.meta[b].stamp/m.quantum
+		return m.stamp[a]/m.quantum < m.stamp[b]/m.quantum
 	}
-	return m.meta[a].stamp < m.meta[b].stamp
+	return m.stamp[a] < m.stamp[b]
 }
 
 // victim k-way-merges the shard candidate batches by touch stamp and
@@ -793,73 +711,16 @@ func (m *Manager) borrowPrimary(j int) int32 {
 	return slot
 }
 
-// reindex rebuilds shard j's slot->entry positions after its hitMap grew.
-func (m *Manager) reindex(j int) {
-	m.shards[j].hitMap.ForEachIdx(func(idx int, _ int64, slot int32) {
-		m.meta[slot].entryIdx = int32(idx)
-	})
-}
-
-// insert places id (owned by shard j) into slot: hitMap entry, metadata,
-// recency stamp, and the current Plan's hold.
-func (m *Manager) insert(j int, id int64, slot int32) {
-	sh := &m.shards[j]
-	// PutIdx grows before inserting, so the returned position is valid
-	// even when the map just grew; reindex repairs the older entries.
-	cap0 := sh.hitMap.Cap()
-	at := sh.hitMap.PutIdx(id, slot)
-	if sh.hitMap.Cap() != cap0 {
-		m.reindex(j)
-	}
-	sm := &m.meta[slot]
-	sm.key = id
-	sm.entryIdx = int32(at)
+// put moves id (owned by shard j) into slot: Hit-Map entry, recency
+// stamp and list position.
+func (m *Manager) put(j int, id int64, slot int32) {
+	m.Insert(m.shards[j].hitMap, id, slot)
 	m.stampClock++
-	sm.stamp = m.stampClock
+	m.stamp[slot] = m.stampClock
 	m.pushMRU(j, slot)
-	sm.holds++
-	sh.held = append(sh.held, slot)
 }
 
 // --- plan lifecycle ----------------------------------------------------
-
-// getPlanResult pops a recycled PlanResult or builds a fresh one.
-func (m *Manager) getPlanResult() *core.PlanResult {
-	if n := len(m.planPool); n > 0 {
-		res := m.planPool[n-1]
-		m.planPool[n-1] = nil
-		m.planPool = m.planPool[:n-1]
-		return res
-	}
-	return core.NewPlanResult()
-}
-
-// Recycle returns a retired batch's plan buffers to the free list (see
-// core.Scratchpad.Recycle).
-func (m *Manager) Recycle(res *core.PlanResult) {
-	if m.single != nil {
-		m.single.Recycle(res)
-		return
-	}
-	if res == nil {
-		return
-	}
-	res.Reset()
-	m.planPool = append(m.planPool, res)
-}
-
-// getHeld pops a recycled hold-set buffer with room for n slots,
-// growing it (or building one when the pool is empty) only when it is
-// smaller.
-func (sh *shardState) getHeld(n int) []int32 {
-	var buf []int32
-	if k := len(sh.heldPool); k > 0 {
-		buf = sh.heldPool[k-1]
-		sh.heldPool[k-1] = nil
-		sh.heldPool = sh.heldPool[:k-1]
-	}
-	return slices.Grow(buf[:0], n)
-}
 
 // Plan runs the [Plan] stage for one mini-batch (see core.Scratchpad.Plan).
 func (m *Manager) Plan(seq int, ids []int64, future [][]int64) (*core.PlanResult, error) {
@@ -869,19 +730,7 @@ func (m *Manager) Plan(seq int, ids []int64, future [][]int64) (*core.PlanResult
 // PlanWithHints is Plan with deep look-ahead eviction hints (see
 // core.Scratchpad.PlanWithHints).
 func (m *Manager) PlanWithHints(seq int, ids []int64, future, hints [][]int64) (*core.PlanResult, error) {
-	if m.single != nil {
-		return m.single.PlanWithHints(seq, ids, future, hints)
-	}
-	if m.dedup == nil {
-		m.dedup = intmap.New(len(ids))
-	}
-	uniq, cnt := m.uniqScratch[:0], m.cntScratch[:0]
-	if cap(uniq) < len(ids) {
-		uniq = make([]int64, 0, len(ids))
-		cnt = make([]int32, 0, len(ids))
-	}
-	uniq, cnt = intmap.Dedup(ids, m.dedup, uniq, cnt)
-	m.uniqScratch, m.cntScratch = uniq, cnt
+	uniq, cnt := m.Dedup(ids)
 	return m.PlanUniqueWithHints(seq, uniq, cnt, future, hints)
 }
 
@@ -895,32 +744,10 @@ func (m *Manager) PlanUniqueWithHints(seq int, uniq []int64, counts []int32, fut
 	if m.single != nil {
 		return m.single.PlanUniqueWithHints(seq, uniq, counts, future, hints)
 	}
-	if got := len(future); got > m.cfg.FutureWindow {
-		return nil, fmt.Errorf("shard: plan %d: %d future batches exceeds future window %d", seq, got, m.cfg.FutureWindow)
+	res, futStart, err := m.BeginPlan(seq, future, hints)
+	if err != nil {
+		return nil, err
 	}
-
-	// Pin-epoch bookkeeping (identical to the unsharded planner; see
-	// core.Scratchpad for the multi-epoch stamp argument).
-	m.pinEpoch++
-	futStart := 0
-	if m.pinValid > 1 && m.havePinned {
-		if futStart = m.lastPinnedSeq - seq; futStart < 0 {
-			futStart = 0
-		} else if futStart > len(future) {
-			futStart = len(future)
-		}
-	}
-	if n := seq + len(future); len(future) > 0 && (!m.havePinned || n > m.lastPinnedSeq) {
-		m.lastPinnedSeq = n
-		m.havePinned = true
-	}
-	if len(hints) > 0 && len(m.hintStamp) == 0 {
-		m.hintStamp = zeroed(m.hintStamp, m.TotalSlots())
-	}
-
-	res := m.getPlanResult()
-	res.Seq = seq
-	m.hintRelaxed = len(hints) == 0
 
 	// Per-batch buffers regrow on append's amortized schedule (see
 	// core.Scratchpad.PlanUniqueWithHints), so the warm Plan stops
@@ -1039,20 +866,14 @@ func (m *Manager) PlanUniqueWithHints(seq int, uniq []int64, counts []int32, fut
 				m.sweepArmed = true
 			}
 			v, vsh := m.victim()
-			if v < 0 && !m.hintRelaxed {
-				// Every unprotected slot is merely hinted: relax
-				// the preference and sweep once more.
-				m.hintRelaxed = true
+			if v < 0 && m.RelaxHints() {
+				// Every unprotected slot is merely hinted: sweep once more.
 				m.armSweep(false)
 				v, vsh = m.victim()
 			}
 			if v >= 0 {
-				old := m.meta[v].key
-				m.shards[vsh].hitMap.DeleteAt(int(m.meta[v].entryIdx), func(slot int32, newIdx int) {
-					m.meta[slot].entryIdx = int32(newIdx)
-				})
 				m.unlink(vsh, v)
-				m.meta[v].key = -1
+				res.Evictions = append(res.Evictions, core.Eviction{OldID: m.Evict(m.shards[vsh].hitMap, v), Slot: v})
 				slot = v
 				if m.coord != nil && vsh != j {
 					// The victim's slot changes owners: transfer its
@@ -1061,21 +882,13 @@ func (m *Manager) PlanUniqueWithHints(seq int, uniq []int64, counts []int32, fut
 					// per shard pair at Plan end otherwise).
 					m.coord.meterSlotMove(vsh, j)
 				}
-				res.Evictions = append(res.Evictions, core.Eviction{OldID: old, Slot: slot})
-			} else if n := len(m.freeReserve); n > 0 {
-				slot = m.freeReserve[n-1]
-				m.freeReserve = m.freeReserve[:n-1]
-				m.reserveInUse++
-				if m.reserveInUse > m.stats.ReservePeak {
-					m.stats.ReservePeak = m.reserveInUse
-				}
-				res.ReserveAllocs++
-			} else {
-				return nil, fmt.Errorf("shard: plan %d: scratchpad exhausted: %d slots + %d reserve all protected across %d shards (in-flight %d batches)",
-					seq, m.cfg.Slots, m.cfg.Reserve, m.nshards, m.InFlight())
+			} else if slot, err = m.TakeReserve(res); err != nil {
+				return nil, err
 			}
 		}
-		m.insert(j, id, slot)
+		m.put(j, id, slot)
+		m.Hold(slot)
+		m.shards[j].held = append(m.shards[j].held, slot)
 		res.Slots[k] = slot
 		res.Fills = append(res.Fills, core.Fill{ID: id, Slot: slot})
 	}
@@ -1098,16 +911,7 @@ func (m *Manager) PlanUniqueWithHints(seq int, uniq []int64, counts []int32, fut
 		m.lastCoordCrit, m.lastCoordWall = 0, 0
 	}
 
-	m.stats.Planned++
-	m.stats.Queries += int64(res.OccHits + res.OccMisses)
-	m.stats.Hits += int64(res.OccHits)
-	m.stats.Misses += int64(res.OccMisses)
-	m.stats.UniqueQueries += int64(len(res.UniqueIDs))
-	m.stats.UniqueMisses += int64(len(res.Fills))
-	m.stats.UniqueHits += int64(len(res.UniqueIDs) - len(res.Fills))
-	m.stats.Fills += int64(len(res.Fills))
-	m.stats.Evictions += int64(len(res.Evictions))
-	m.stats.ReserveAllocs += int64(res.ReserveAllocs)
+	m.EndPlan(res)
 	return res, nil
 }
 
@@ -1125,16 +929,16 @@ func (m *Manager) planShard(j int) error {
 	for _, w := range m.winIdx[j] {
 		if slot, ok := sh.hitMap.Get(m.winIDs[w]); ok {
 			if int(w) < in.hintOff {
-				m.meta[slot].pinStamp = m.pinEpoch
+				m.Pin(slot)
 			} else {
-				m.hintStamp[slot] = m.pinEpoch
+				m.Hint(slot)
 			}
 		}
 	}
 	// A hold set is the shard's own hits plus the misses it owns, so
 	// its share of the batch bounds it: the coordinator's inserts never
 	// grow it.
-	held := sh.getHeld(len(m.uniqIdx[j]))
+	held := sh.inFlight.Spare(len(m.uniqIdx[j]))
 	occHits, occMisses := 0, 0
 	for _, iPos := range m.uniqIdx[j] {
 		i := int(iPos)
@@ -1147,7 +951,7 @@ func (m *Manager) planShard(j int) error {
 			occHits += c
 			in.res.Slots[i] = slot
 			m.touch(j, slot, in.stampBase+uint64(i)+1)
-			m.meta[slot].holds++
+			m.Hold(slot)
 			held = append(held, slot)
 			continue
 		}
@@ -1172,32 +976,14 @@ func (m *Manager) Release(seq int) error {
 	if err := par.Each(m.pool, m.nshards, m, (*Manager).releaseShard); err != nil {
 		return err
 	}
-	m.stats.Released++
+	m.EndRelease()
 	return nil
 }
 
 // releaseShard is Release's pass for shard j, run by par.Each: it
 // retires the shard's oldest hold set, which must be batch m.in.relSeq.
 func (m *Manager) releaseShard(j int) error {
-	seq := m.in.relSeq
-	sh := &m.shards[j]
-	if sh.inFlight.Len() == 0 {
-		return fmt.Errorf("shard: release %d: no in-flight batches", seq)
-	}
-	if got := sh.inFlight.Front().Seq; got != seq {
-		return fmt.Errorf("shard: release %d: oldest in-flight batch is %d (releases must be FIFO)", seq, got)
-	}
-	hb := sh.inFlight.Pop()
-	for _, slot := range hb.Slots {
-		if m.meta[slot].holds <= 0 {
-			return fmt.Errorf("shard: release %d: slot %d hold underflow", seq, slot)
-		}
-		m.meta[slot].holds--
-	}
-	if hb.Slots != nil {
-		sh.heldPool = append(sh.heldPool, hb.Slots)
-	}
-	return nil
+	return m.ReleaseBatch(&m.shards[j].inFlight, m.in.relSeq)
 }
 
 // Prewarm fills free capacity with IDs drawn from sample before training
@@ -1214,52 +1000,28 @@ func (m *Manager) PrewarmRows(rows int64, sample func() int64, onFill func(id in
 	if m.single != nil {
 		return m.single.PrewarmRows(rows, sample, onFill)
 	}
-	if m.InFlight() != 0 {
-		panic("shard: Prewarm with batches in flight")
-	}
 	// Prewarm inserts move recency lists and the stamp clock: an overlap
 	// mark no longer describes the next Plan.
 	m.dropOverlap()
 	m.prewarming = true
 	defer func() { m.prewarming = false }()
-	var seen []uint64
-	if rows > 0 {
-		m.seen = zeroed(m.seen, int((rows+63)/64))
-		seen = m.seen
-	}
-	inserted := 0
-	limit := 8*m.cfg.Slots + 100
-	for draws := 0; m.freePrimaryTotal > 0 && draws < limit; draws++ {
-		id := sample()
-		j := m.shardFor(id)
-		sh := &m.shards[j]
-		if seen != nil {
-			w, bit := id/64, uint64(1)<<(uint64(id)%64)
-			if seen[w]&bit != 0 {
-				continue
-			}
-			seen[w] |= bit
-		} else if _, ok := sh.hitMap.Get(id); ok {
-			continue
-		}
-		slot := m.borrowPrimary(j)
-		cap0 := sh.hitMap.Cap()
-		at := sh.hitMap.PutIdx(id, slot)
-		if sh.hitMap.Cap() != cap0 {
-			m.reindex(j)
-		}
-		sm := &m.meta[slot]
-		sm.key = id
-		sm.entryIdx = int32(at)
-		m.stampClock++
-		sm.stamp = m.stampClock
-		m.pushMRU(j, slot)
-		if onFill != nil {
-			onFill(id, slot)
-		}
-		inserted++
-	}
-	return inserted
+	return m.Warm((*warmer)(m), rows, sample, onFill)
+}
+
+// warmer is the Manager's side of core.Frame.Warm: draws route to their
+// owning shard and borrow its free primary slots.
+type warmer Manager
+
+func (w *warmer) Free() bool { return w.freePrimaryTotal > 0 }
+
+func (w *warmer) Cached(id int64) bool { return (*Manager)(w).Contains(id) }
+
+func (w *warmer) Place(id int64) int32 {
+	m := (*Manager)(w)
+	j := m.shardFor(id)
+	slot := m.borrowPrimary(j)
+	m.put(j, id, slot)
+	return slot
 }
 
 // ForEach visits every cached (sparse ID, slot) pair, shard by shard, in
@@ -1272,21 +1034,4 @@ func (m *Manager) ForEach(f func(id int64, slot int32)) {
 	for j := range m.shards {
 		m.shards[j].hitMap.ForEach(f)
 	}
-}
-
-// Held reports whether a slot is currently protected by any in-flight
-// batch; exported for invariant tests.
-func (m *Manager) Held(slot int32) bool {
-	if m.single != nil {
-		return m.single.Held(slot)
-	}
-	return m.meta[slot].holds != 0
-}
-
-// Key returns the sparse ID cached in slot, or -1. Exported for tests.
-func (m *Manager) Key(slot int32) int64 {
-	if m.single != nil {
-		return m.single.Key(slot)
-	}
-	return m.meta[slot].key
 }

@@ -149,6 +149,12 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Scratchpad: base, Shards: -1}); err == nil {
 		t.Fatal("negative shard count accepted")
 	}
+	if err := (Config{Scratchpad: base, Shards: MaxShards}).Validate(); err != nil {
+		t.Fatalf("MaxShards rejected: %v", err)
+	}
+	if _, err := New(Config{Scratchpad: base, Shards: MaxShards + 1}); err == nil {
+		t.Fatal("shard count above MaxShards accepted (batch routing stores owners in 16 bits)")
+	}
 	lfu := base
 	lfu.Policy = cache.LFU
 	if _, err := New(Config{Scratchpad: lfu, Shards: 2}); err == nil {

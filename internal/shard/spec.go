@@ -59,7 +59,7 @@ func (m *Manager) OverlapStats() OverlapStats { return m.overlap }
 // sweep, no polls to hide).
 func (m *Manager) OverlapNextPlan(uniq []int64) {
 	m.dropOverlap()
-	if m.single != nil || m.coord == nil || m.degraded {
+	if m.coord == nil || m.degraded {
 		return
 	}
 	misses := 0

@@ -40,7 +40,7 @@ func projectFirstRound(t *testing.T, m *Manager, seq int, uniq []int64, future, 
 				t.Fatalf("oracle: shard %d's oldest batch is not %d", j, releaseSeq)
 			}
 			for _, slot := range sh.inFlight.Front().Slots {
-				if m.meta[slot].holds == 1 {
+				if m.Holds(slot) == 1 {
 					marks[slot] |= projReleased
 				}
 			}
@@ -62,11 +62,7 @@ func projectFirstRound(t *testing.T, m *Manager, seq int, uniq []int64, future, 
 	}
 	// The Plan's pin-window trim: the prefix earlier Plans' deeper
 	// look-ahead already pinned.
-	futStart := 0
-	if m.pinValid > 1 && m.havePinned {
-		futStart = min(max(m.lastPinnedSeq-seq, 0), len(future))
-	}
-	for _, fids := range future[futStart:] {
+	for _, fids := range future[m.PinStart(seq, len(future)):] {
 		for _, id := range fids {
 			if slot, ok := m.shards[m.shardFor(id)].hitMap.Get(id); ok {
 				marks[slot] |= projPinned
@@ -81,16 +77,16 @@ func projectFirstRound(t *testing.T, m *Manager, seq int, uniq []int64, future, 
 			}
 		}
 	}
-	// isEvictable at the Plan's pin epoch (pinEpoch+1), where a window
+	// Evictable at the Plan's pin epoch (one Plan ahead), where a window
 	// pin always protects.
 	evictable := func(slot int32) bool {
-		sm, f := &m.meta[slot], marks[slot]
-		h := sm.holds
+		f := marks[slot]
+		h := m.Holds(slot)
 		if f&projReleased != 0 {
 			h--
 		}
 		switch {
-		case f&(projHeld|projPinned) != 0, h != 0, sm.key < 0, sm.pinStamp > m.pinEpoch+1-m.pinValid:
+		case f&(projHeld|projPinned) != 0, h != 0, m.Key(slot) < 0, m.PinnedAfter(slot, 1):
 			return false
 		}
 		return hintRelaxed || f&projHinted == 0
