@@ -173,53 +173,62 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestSingleShardBitIdentical proves the S=1 delegation is the unsharded
-// planner: identical plans including the physical slot numbers.
+// TestSingleShardBitIdentical proves a non-elastic S=1 manager is the
+// unsharded planner under every replacement policy: identical plans
+// including the physical slot numbers, and identical statistics.
 func TestSingleShardBitIdentical(t *testing.T) {
-	cfg := testConfig(256, 64)
-	sp, err := core.NewScratchpad(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := New(Config{Scratchpad: cfg, Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := newStream(11, 64, 64, int64(256*4))
-	const depth = 4
-	var pendA, pendB []*core.PlanResult
-	for seq := 0; seq < 100; seq++ {
-		future, hints := st.window(seq, 2, 6)
-		ra, err := sp.PlanWithHints(seq, st.at(seq), future, hints)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rb, err := m.PlanWithHints(seq, st.at(seq), future, hints)
-		if err != nil {
-			t.Fatal(err)
-		}
-		samePlan(t, "s1", seq, ra, rb)
-		for i := range ra.Slots {
-			if ra.Slots[i] != rb.Slots[i] {
-				t.Fatalf("seq %d: slot %d: %d vs %d (S=1 must be bit-identical)", seq, i, ra.Slots[i], rb.Slots[i])
-			}
-		}
-		pendA, pendB = append(pendA, ra), append(pendB, rb)
-		if len(pendA) >= depth {
-			old := seq - depth + 1
-			if err := sp.Release(old); err != nil {
+	for _, policy := range []cache.PolicyKind{cache.LRU, cache.LFU, cache.RandomPolicy} {
+		t.Run(string(policy), func(t *testing.T) {
+			cfg := testConfig(256, 64)
+			cfg.Policy, cfg.PolicySeed = policy, 5
+			sp, err := core.NewScratchpad(cfg)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if err := m.Release(old); err != nil {
+			m, err := New(Config{Scratchpad: cfg, Shards: 1})
+			if err != nil {
 				t.Fatal(err)
 			}
-			sp.Recycle(pendA[0])
-			m.Recycle(pendB[0])
-			pendA, pendB = pendA[1:], pendB[1:]
-		}
-	}
-	if sp.Stats() != m.Stats() {
-		t.Fatalf("stats diverged:\ncore    %+v\nmanager %+v", sp.Stats(), m.Stats())
+			st := newStream(11, 64, 64, int64(256*4))
+			const depth = 4
+			var pendA, pendB []*core.PlanResult
+			for seq := 0; seq < 100; seq++ {
+				future, hints := st.window(seq, 2, 6)
+				ra, err := sp.PlanWithHints(seq, st.at(seq), future, hints)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rb, err := m.PlanWithHints(seq, st.at(seq), future, hints)
+				if err != nil {
+					t.Fatal(err)
+				}
+				samePlan(t, "s1", seq, ra, rb)
+				for i := range ra.Slots {
+					if ra.Slots[i] != rb.Slots[i] {
+						t.Fatalf("seq %d: slot %d: %d vs %d (S=1 must be bit-identical)", seq, i, ra.Slots[i], rb.Slots[i])
+					}
+				}
+				if sp.Stats() != m.Stats() {
+					t.Fatalf("seq %d: stats diverged:\ncore    %+v\nmanager %+v", seq, sp.Stats(), m.Stats())
+				}
+				pendA, pendB = append(pendA, ra), append(pendB, rb)
+				if len(pendA) >= depth {
+					old := seq - depth + 1
+					if err := sp.Release(old); err != nil {
+						t.Fatal(err)
+					}
+					if err := m.Release(old); err != nil {
+						t.Fatal(err)
+					}
+					sp.Recycle(pendA[0])
+					m.Recycle(pendB[0])
+					pendA, pendB = pendA[1:], pendB[1:]
+				}
+			}
+			if sp.Stats().Evictions == 0 {
+				t.Fatal("stream never evicted: the replacement policy went unexercised")
+			}
+		})
 	}
 }
 
@@ -487,8 +496,8 @@ func TestShardBalance(t *testing.T) {
 // TestPlanWarmZeroAllocs is the sharded twin of core's hot-path guard:
 // once its pools and buffers have warmed up, a full Plan/Release/Recycle
 // cycle of an S=4 manager striped over cluster2x2, with a future window,
-// must not allocate under any coordination protocol, nor as an elastic
-// single shard with the load probe (the generic machinery at S=1). The
+// must not allocate under any coordination protocol, nor as a plain
+// single shard, nor as an elastic single shard with the load probe. The
 // pool is serial (nil), so every allocation counted is the planner's own;
 // a capturing closure handed to the shard fan-out would show up here as
 // one per call.
@@ -498,7 +507,10 @@ func TestPlanWarmZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := map[string]Config{"elastic-S1": {Shards: 1, Elastic: true, LoadProbe: true}}
+	cases := map[string]Config{
+		"S1":         {Shards: 1},
+		"elastic-S1": {Shards: 1, Elastic: true, LoadProbe: true},
+	}
 	for _, mode := range CoordModes {
 		cases[string(mode)] = Config{Shards: 4, Placement: pl, Coord: mode}
 	}
