@@ -69,16 +69,18 @@ type lruNode struct {
 	prev, next int32
 }
 
-// LRUPolicy is an intrusive doubly-linked list over slot indices; index n
-// is the sentinel head/tail. The concrete type is exported so the
-// scratchpad can devirtualize the hot path for the paper's default
-// policy: recency touches and the victim sweep then run through direct,
-// inlinable calls instead of interface dispatch and a callback.
+// LRUPolicy keeps slots in k recency lists: intrusive doubly-linked
+// lists in one packed node array, nodes [0, n) for the slots and node
+// n+l the sentinel of list l, next pointing toward the most recent end.
+// A slot sits on at most one list (an unlinked node points at itself).
+// As a Policy it runs list 0. Planners drive the concrete type directly:
+// the scratchpad's hot path avoids interface dispatch, and the sharded
+// manager keeps one list per shard.
 type LRUPolicy struct {
 	nodes []lruNode
 	n     int
-	// sweep is the armed-mode cursor (sentinel value n when exhausted);
-	// armed is toggled by BeginVictimSweep.
+	// sweep is the armed-mode cursor (-1 when exhausted); armed is
+	// toggled by BeginVictimSweep.
 	sweep int32
 	armed bool
 }
@@ -92,50 +94,78 @@ func NewLRUPolicy(n int) Policy {
 }
 
 // Reset reinitialises p over n slots exactly as NewLRUPolicy(n) builds
-// it (LRU order 0..n-1, sweep disarmed), reusing the node array when its
-// capacity suffices.
+// it (one list in LRU order 0..n-1, sweep disarmed), reusing the node
+// array when its capacity suffices.
 func (p *LRUPolicy) Reset(n int) {
-	if cap(p.nodes) < n+1 {
-		p.nodes = make([]lruNode, n+1)
+	p.ResetLists(n, 1)
+	for s := int32(0); s < int32(n); s++ {
+		p.pushMRU(0, s)
 	}
-	p.nodes = p.nodes[:n+1]
+}
+
+// ResetLists reinitialises p over n slots and k empty lists, every slot
+// unlinked and the sweep disarmed, reusing the node array when its
+// capacity suffices.
+func (p *LRUPolicy) ResetLists(n, k int) {
+	if cap(p.nodes) < n+k {
+		p.nodes = make([]lruNode, n+k)
+	}
+	p.nodes = p.nodes[:n+k]
 	p.n = n
-	p.sweep, p.armed = 0, false
-	// Circular list through sentinel n; next points toward MRU.
-	for i := 0; i <= n; i++ {
-		p.nodes[i].next = int32((i + 1) % (n + 1))
-		p.nodes[(i+1)%(n+1)].prev = int32(i)
+	p.sweep, p.armed = -1, false
+	for i := range p.nodes {
+		p.nodes[i] = lruNode{prev: int32(i), next: int32(i)}
 	}
 }
 
 func (p *LRUPolicy) Name() string { return string(LRU) }
 
-func (p *LRUPolicy) unlink(s int) {
+func (p *LRUPolicy) unlink(s int32) {
 	nd := p.nodes[s]
 	p.nodes[nd.prev].next = nd.next
 	p.nodes[nd.next].prev = nd.prev
 }
 
-func (p *LRUPolicy) pushMRU(s int) {
-	// MRU position is just before the sentinel.
-	sent := int32(p.n)
+func (p *LRUPolicy) pushMRU(list int, s int32) {
+	// The MRU position is just before the list's sentinel.
+	sent := int32(p.n + list)
 	last := p.nodes[sent].prev
-	p.nodes[last].next = int32(s)
+	p.nodes[last].next = s
 	p.nodes[s] = lruNode{prev: last, next: sent}
-	p.nodes[sent].prev = int32(s)
+	p.nodes[sent].prev = s
 }
 
-func (p *LRUPolicy) touch(s int) {
-	p.unlink(s)
-	p.pushMRU(s)
+// Touch moves slot to the most recent end of list, off whichever list
+// held it (unlinking an unlinked slot is a no-op).
+func (p *LRUPolicy) Touch(list int, slot int32) {
+	p.unlink(slot)
+	p.pushMRU(list, slot)
 }
 
-func (p *LRUPolicy) OnInsert(slot int) { p.touch(slot) }
-func (p *LRUPolicy) OnAccess(slot int) { p.touch(slot) }
+// Remove takes slot off its list.
+func (p *LRUPolicy) Remove(slot int32) {
+	p.unlink(slot)
+	p.nodes[slot] = lruNode{prev: slot, next: slot}
+}
+
+// Front returns list's least recent slot, or -1 when the list is empty.
+func (p *LRUPolicy) Front(list int) int32 { return p.Next(int32(p.n + list)) }
+
+// Next returns the node after slot on its list (one step toward the most
+// recent end), or -1 at the list's sentinel.
+func (p *LRUPolicy) Next(slot int32) int32 {
+	if nx := p.nodes[slot].next; int(nx) < p.n {
+		return nx
+	}
+	return -1
+}
+
+func (p *LRUPolicy) OnInsert(slot int) { p.Touch(0, int32(slot)) }
+func (p *LRUPolicy) OnAccess(slot int) { p.Touch(0, int32(slot)) }
 
 func (p *LRUPolicy) BeginVictimSweep() {
 	p.armed = true
-	p.sweep = p.nodes[p.n].next
+	p.sweep = p.Front(0)
 }
 
 // SweepNext returns the next candidate of the armed sweep (advancing the
@@ -144,17 +174,16 @@ func (p *LRUPolicy) BeginVictimSweep() {
 // Victim with a predicate evaluated caller-side.
 func (p *LRUPolicy) SweepNext() int {
 	s := p.sweep
-	if s == int32(p.n) {
-		return -1
+	if s >= 0 {
+		p.sweep = p.Next(s)
 	}
-	p.sweep = p.nodes[s].next
 	return int(s)
 }
 
 func (p *LRUPolicy) Victim(evictable func(int) bool) int {
 	if !p.armed {
 		// Standalone mode: fresh walk from the LRU end.
-		for s := p.nodes[p.n].next; s != int32(p.n); s = p.nodes[s].next {
+		for s := p.Front(0); s >= 0; s = p.Next(s) {
 			if evictable(int(s)) {
 				return int(s)
 			}
@@ -163,13 +192,10 @@ func (p *LRUPolicy) Victim(evictable func(int) bool) int {
 	}
 	// Sweep mode: continue from the cursor; skipped slots cannot become
 	// evictable within the sweep, so never revisit them.
-	for s := p.sweep; s != int32(p.n); {
-		nxt := p.nodes[s].next
-		p.sweep = nxt
-		if evictable(int(s)) {
-			return int(s)
+	for s := p.SweepNext(); s >= 0; s = p.SweepNext() {
+		if evictable(s) {
+			return s
 		}
-		s = nxt
 	}
 	return -1
 }

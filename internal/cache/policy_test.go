@@ -3,6 +3,7 @@ package cache
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -78,6 +79,126 @@ func TestLRUResetMatchesNew(t *testing.T) {
 		}
 		if got, want := order(used), order(fresh); !reflect.DeepEqual(got, want) {
 			t.Fatalf("n=%d: order after Reset %v, fresh %v", n, got, want)
+		}
+	}
+}
+
+// TestLRUOneListMatchesModel: with one list, the packed multi-list LRU
+// reproduces a slice-backed reference LRU's victim sequence — standalone
+// victims, and armed sweeps whose victims are reinserted as a planner
+// does — over random touches and random protection masks.
+func TestLRUOneListMatchesModel(t *testing.T) {
+	const n = 24
+	rng := rand.New(rand.NewSource(3))
+	p := NewLRUPolicy(n)
+	var model []int // least recent first
+	for s := 0; s < n; s++ {
+		model = append(model, s)
+	}
+	touch := func(s int) {
+		i := slices.Index(model, s)
+		model = append(slices.Delete(model, i, i+1), s)
+	}
+	for step := 0; step < 2000; step++ {
+		mask := rng.Uint32()
+		pred := func(s int) bool { return mask&(1<<uint(s)) != 0 }
+		switch rng.Intn(4) {
+		case 0:
+			s := rng.Intn(n)
+			p.OnAccess(s)
+			touch(s)
+		case 1:
+			s := rng.Intn(n)
+			p.OnInsert(s)
+			touch(s)
+		case 2:
+			want := -1
+			if i := slices.IndexFunc(model, pred); i >= 0 {
+				want = model[i]
+			}
+			// Once armed, Victim continues its sweep: ask a disarmed copy.
+			q := &LRUPolicy{nodes: slices.Clone(p.(*LRUPolicy).nodes), n: n, sweep: -1}
+			if got := q.Victim(pred); got != want {
+				t.Fatalf("step %d: standalone victim %d, model %d", step, got, want)
+			}
+		case 3:
+			var want []int
+			for _, s := range model {
+				if pred(s) {
+					want = append(want, s)
+				}
+			}
+			// A reinserted victim is held for its batch: no longer evictable.
+			var got []int
+			held := func(s int) bool { return pred(s) && !slices.Contains(got, s) }
+			p.BeginVictimSweep()
+			for v := p.Victim(held); v >= 0; v = p.Victim(held) {
+				got = append(got, v)
+				p.OnInsert(v)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("step %d: sweep victims %v, model %v", step, got, want)
+			}
+			for _, v := range got {
+				touch(v)
+			}
+		}
+	}
+}
+
+// TestLRUListsKeepTouchOrder: across k lists with random touches (which
+// move a slot between lists) and removals, each list holds exactly the
+// slots last touched onto it, in increasing touch order, and the Policy
+// sweep walks list 0 alone.
+func TestLRUListsKeepTouchOrder(t *testing.T) {
+	const n, k = 40, 4
+	rng := rand.New(rand.NewSource(8))
+	p := &LRUPolicy{}
+	p.ResetLists(n, k)
+	list := make([]int, n) // slot -> list, -1 when unlinked
+	when := make([]int, n) // slot -> step of its last touch
+	for s := range list {
+		list[s] = -1
+	}
+	for step := 0; step < 3000; step++ {
+		s := int32(rng.Intn(n))
+		if rng.Intn(5) == 0 {
+			p.Remove(s)
+			list[s] = -1
+		} else {
+			l := rng.Intn(k)
+			p.Touch(l, s)
+			list[s], when[s] = l, step
+		}
+		if step%100 != 99 {
+			continue
+		}
+		for l := 0; l < k; l++ {
+			var want []int32
+			for s := range list {
+				if list[s] == l {
+					want = append(want, int32(s))
+				}
+			}
+			slices.SortFunc(want, func(a, b int32) int { return when[a] - when[b] })
+			var got []int32
+			for s := p.Front(l); s >= 0; s = p.Next(s) {
+				got = append(got, s)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("step %d: list %d walks %v, want %v", step, l, got, want)
+			}
+			if l != 0 {
+				continue
+			}
+			var swept []int32
+			p.BeginVictimSweep()
+			for v := p.SweepNext(); v >= 0; v = p.SweepNext() {
+				swept = append(swept, int32(v))
+			}
+			if !slices.Equal(swept, want) {
+				t.Fatalf("step %d: sweep walks %v, want list 0's %v", step, swept, want)
+			}
 		}
 	}
 }

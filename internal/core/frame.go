@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
+	"repro/internal/cache"
 	"repro/internal/intmap"
 )
 
@@ -26,12 +28,13 @@ type slotMeta struct {
 // past window, pin the future window, evict only what neither protects —
 // written once for every planner. It owns the per-slot metadata and the
 // evictability predicate, the pin epoch with its hint stamps, the reserve
-// budget, the PlanResult pool, the FIFO hold release, the Prewarm draw
-// rule and the statistics. A planner supplies what it decomposes: the
-// Hit-Map(s) the frame inserts into and evicts from, the free primary
-// slots, the hold rings and the replacement order. Scratchpad embeds a
-// Frame; the sharded manager (internal/shard) embeds a *Frame, the
-// delegate Scratchpad's at S=1 and its own otherwise.
+// budget, the replacement policy, the PlanResult pool, the FIFO hold
+// release, the Prewarm draw rule and the statistics. The per-pad Plan
+// pass (PlanPad) and the unsharded Plan (PlanOne) run on it. A planner
+// supplies its Pads — Hit-Map, free primary slots, hold ring and recency
+// list each. Scratchpad embeds a Frame and one Pad; the sharded manager
+// (internal/shard) embeds a Frame too and keeps one Pad per shard, each on
+// its own list of the frame's LRU.
 //
 // Where the paper ages a per-slot bitmask by shifting it every cycle, the
 // frame keeps an explicit per-slot hold counter plus a FIFO of in-flight
@@ -76,6 +79,17 @@ type Frame struct {
 	freeReserve  []int32 // unused slots in [Slots, Slots+Reserve)
 	reserveInUse int
 
+	// policy orders the unprotected slots for eviction; lru is the same
+	// policy devirtualized when it is the default LRU (nil otherwise),
+	// whose lists the pads' recency orders are. evictableFn is the
+	// victim predicate handed to other policies, bound once so the hot
+	// path passes a reused func value instead of a fresh closure.
+	policy      cache.Policy
+	lru         *cache.LRUPolicy
+	evictableFn func(slot int) bool
+	sweepArmed  bool    // PlanOne's victim sweep armed for this Plan
+	missIdx     []int32 // Misses' scratch
+
 	// planPool recycles PlanResults: BeginPlan pops, Recycle pushes.
 	planPool []*PlanResult
 	// dedup/uniqScratch/cntScratch back the occurrence-list entry point
@@ -91,12 +105,29 @@ type Frame struct {
 	stats Stats
 }
 
-// ResetFrame reinitialises f for cfg (already validated): every slot
-// empty, the reserve stack in its initial pop order, a fresh pin epoch
+// ResetFrame reinitialises f for cfg (already validated) with lists
+// recency lists (several only under LRU): every slot empty and off every
+// list, the reserve stack in its initial pop order, a fresh pin epoch
 // and zero statistics. It keeps every buffer's capacity and the pool of
-// recycled plans.
-func (f *Frame) ResetFrame(cfg Config) {
+// recycled plans. It fails, leaving f unchanged, on an unknown policy.
+func (f *Frame) ResetFrame(cfg Config, lists int) error {
 	total := cfg.Slots + cfg.Reserve
+	if cfg.Policy == cache.LRU {
+		if f.lru == nil {
+			f.lru = &cache.LRUPolicy{}
+		}
+		f.lru.ResetLists(total, lists)
+		f.policy = f.lru
+	} else {
+		p, err := cache.NewPolicy(cfg.Policy, total, cfg.PolicySeed)
+		if err != nil {
+			return err
+		}
+		f.policy, f.lru = p, nil
+	}
+	if f.evictableFn == nil {
+		f.evictableFn = func(slot int) bool { return f.Evictable(int32(slot)) }
+	}
 	f.cfg = cfg
 	f.slots = resized(f.slots, total)
 	for i := range f.slots {
@@ -123,6 +154,7 @@ func (f *Frame) ResetFrame(cfg Config) {
 	}
 	f.reserveInUse = 0
 	f.stats = Stats{}
+	return nil
 }
 
 // resized returns buf with length n, reusing its capacity when it
@@ -142,6 +174,9 @@ func (f *Frame) Capacity() int { return f.cfg.Slots }
 
 // TotalSlots returns nominal + reserve capacity.
 func (f *Frame) TotalSlots() int { return f.cfg.Slots + f.cfg.Reserve }
+
+// LRU returns the frame's recency lists, or nil under another policy.
+func (f *Frame) LRU() *cache.LRUPolicy { return f.lru }
 
 // Stats returns accumulated counters.
 func (f *Frame) Stats() Stats { return f.stats }
@@ -211,9 +246,13 @@ func (f *Frame) PinStart(seq, n int) int {
 	return min(max(f.lastPinnedSeq-seq, 0), n)
 }
 
-// BeginPlan opens Plan seq: it checks the future window, advances the pin
-// epoch, arms the hint stamps, and pops a pooled PlanResult. The caller
-// then pins the cached rows of future[start:] and hints those of hints.
+// BeginPlan opens Plan seq over the distinct IDs uniq: it checks the
+// future window, advances the pin epoch, arms the hint stamps, and pops
+// a pooled PlanResult with uniq copied in and its slots sized for the pad
+// passes, which then pin the cached rows of future[start:] and hint
+// those of hints. Per-batch buffers regrow on append's amortized
+// schedule, so the warm Plan stops allocating once the batch sizes have
+// been sampled.
 //
 // Pinning the next FutureWindow batches' cached rows keeps their
 // [Collect] from racing this batch's [Insert] write-back (RAW-4). The
@@ -222,7 +261,7 @@ func (f *Frame) PinStart(seq, n int) int {
 // later occurrence of this same batch still needs" is already impossible.
 // Together these are the paper's "three past, one current, and two
 // future" superset.
-func (f *Frame) BeginPlan(seq int, future, hints [][]int64) (res *PlanResult, start int, err error) {
+func (f *Frame) BeginPlan(seq int, uniq []int64, future, hints [][]int64) (res *PlanResult, start int, err error) {
 	if got := len(future); got > f.cfg.FutureWindow {
 		return nil, 0, fmt.Errorf("core: plan %d: %d future batches exceeds future window %d", seq, got, f.cfg.FutureWindow)
 	}
@@ -245,6 +284,8 @@ func (f *Frame) BeginPlan(seq int, future, hints [][]int64) (res *PlanResult, st
 		res = &PlanResult{slotOf: intmap.New(0)}
 	}
 	res.Seq = seq
+	res.UniqueIDs = append(res.UniqueIDs, uniq...)
+	res.Slots = slices.Grow(res.Slots, len(uniq))[:len(uniq)]
 	return res, start, nil
 }
 
@@ -364,12 +405,12 @@ func (f *Frame) EndRelease() { f.stats.Released++ }
 
 // Warmer is the planner side of Frame.Warm: Free reports whether a free
 // primary slot remains, Cached whether id already has a slot, and Place
-// moves id into a free primary slot — Hit-Map entry and replacement
+// moves id into a free primary slot of f — Hit-Map entry and replacement
 // order included — returning the slot.
 type Warmer interface {
 	Free() bool
 	Cached(id int64) bool
-	Place(id int64) int32
+	Place(f *Frame, id int64) int32
 }
 
 // Warm is the Prewarm draw rule: it fills w's free primary capacity with
@@ -406,7 +447,7 @@ func (f *Frame) Warm(w Warmer, rows int64, sample func() int64, onFill func(id i
 		} else if w.Cached(id) {
 			continue
 		}
-		slot := w.Place(id)
+		slot := w.Place(f, id)
 		if onFill != nil {
 			onFill(id, slot)
 		}

@@ -13,7 +13,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/intmap"
@@ -167,27 +166,12 @@ type Stats struct {
 	Planned, Released int64
 }
 
-// Scratchpad is the per-table cache manager: the Hit-Map and the
-// replacement policy over the slot discipline its Frame holds.
+// Scratchpad is the per-table cache manager: one Pad — Hit-Map, free
+// primary slots, hold ring, recency list — over the slot discipline and
+// replacement policy its Frame holds.
 type Scratchpad struct {
 	Frame
-	policy cache.Policy
-	// lru is the devirtualized fast path when policy is the default
-	// LRU: recency touches and victim sweeps go through concrete,
-	// inlinable calls (nil for other policies).
-	lru *cache.LRUPolicy
-
-	hitMap      *intmap.Map // sparse ID -> slot
-	freePrimary []int32     // unused slots in [0, Slots)
-	inFlight    BatchRing   // FIFO, oldest first
-	sweepArmed  bool        // victim sweep armed for the current Plan
-
-	// evictableFn is the victim predicate handed to the policy, bound
-	// once at construction so the hot path passes a reused func value
-	// instead of allocating a fresh closure per Plan.
-	evictableFn func(slot int) bool
-	// missIdx is scratch: each miss's position in UniqueIDs/Slots.
-	missIdx []int
+	Pad
 }
 
 // NewScratchpad builds a scratchpad manager from cfg: Reset on a zero
@@ -212,50 +196,11 @@ func (s *Scratchpad) Reset(cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	total := cfg.Slots + cfg.Reserve
-	if cfg.Policy == cache.LRU {
-		if s.lru == nil {
-			s.lru = &cache.LRUPolicy{}
-		}
-		s.lru.Reset(total)
-		s.policy = s.lru
-	} else {
-		p, err := cache.NewPolicy(cfg.Policy, total, cfg.PolicySeed)
-		if err != nil {
-			return err
-		}
-		s.policy, s.lru = p, nil
+	if err := s.ResetFrame(cfg, 1); err != nil {
+		return err
 	}
-	s.ResetFrame(cfg)
-
-	if s.hitMap == nil {
-		s.hitMap = &intmap.Map{}
-	}
-	// Sized for the population the window actually reaches: the nominal
-	// slots plus half the worst-case reserve (hold pressure routinely
-	// spills into reserve, but rarely to the provisioning bound). The
-	// map grows transparently past that; Frame.Insert repairs the
-	// slot->entry reverse index a growth invalidates.
-	s.hitMap.Reset(cfg.Slots + cfg.Reserve/2)
-	if s.evictableFn == nil {
-		s.evictableFn = func(slot int) bool { return s.Evictable(int32(slot)) }
-	}
-	s.freePrimary = resized(s.freePrimary, cfg.Slots)
-	for i := range s.freePrimary {
-		s.freePrimary[i] = int32(cfg.Slots - 1 - i)
-	}
-	s.inFlight.Clear()
-	s.sweepArmed = false
+	s.Pad.Reset(cfg, 0, 1)
 	return nil
-}
-
-// Len returns the number of cached rows.
-func (s *Scratchpad) Len() int { return s.hitMap.Len() }
-
-// Contains reports whether sparse ID id currently has a slot.
-func (s *Scratchpad) Contains(id int64) bool {
-	_, ok := s.hitMap.Get(id)
-	return ok
 }
 
 // Plan runs the [Plan] stage for one mini-batch: queries the Hit-Map,
@@ -295,139 +240,7 @@ func (s *Scratchpad) PlanWithHints(seq int, ids []int64, future, hints [][]int64
 // distinct ID lists — pinning is idempotent — but distinct lists probe
 // proportionally less.
 func (s *Scratchpad) PlanUniqueWithHints(seq int, uniq []int64, counts []int32, future, hints [][]int64) (*PlanResult, error) {
-	res, start, err := s.BeginPlan(seq, future, hints)
-	if err != nil {
-		return nil, err
-	}
-	for _, fids := range future[start:] {
-		for _, id := range fids {
-			if slot, ok := s.hitMap.Get(id); ok {
-				s.Pin(slot)
-			}
-		}
-	}
-	for _, hids := range hints {
-		for _, id := range hids {
-			if slot, ok := s.hitMap.Get(id); ok {
-				s.Hint(slot)
-			}
-		}
-	}
-
-	// Presize every per-batch buffer up front: one reallocation on the
-	// first batch instead of a doubling cascade on every growth step.
-	// A batch with more distinct IDs than any before regrows on
-	// append's amortized schedule, leaving headroom, so the warm Plan
-	// stops allocating once the batch sizes have been sampled.
-	res.UniqueIDs = slices.Grow(res.UniqueIDs, len(uniq))
-	res.Slots = slices.Grow(res.Slots, len(uniq))
-	held := s.inFlight.Spare(len(uniq))
-	s.missIdx = slices.Grow(s.missIdx[:0], len(uniq))
-
-	// Pass 1: classify every distinct ID against the Hit-Map, register
-	// hits (hold + recency touch), and record misses in first-appearance
-	// order with placeholder slots. Occurrence-level counters derive
-	// from the multiplicities: a hit ID's occurrences all hit; a missed
-	// ID's first occurrence misses and the rest count as hits (the row
-	// is already scheduled for fill and resident by [Train]).
-	missIdx := s.missIdx[:0]
-	for i, id := range uniq {
-		c := 1
-		if counts != nil {
-			c = int(counts[i])
-		}
-		if slot, ok := s.hitMap.Get(id); ok {
-			res.OccHits += c
-			res.UniqueIDs = append(res.UniqueIDs, id)
-			res.Slots = append(res.Slots, slot)
-			if s.lru != nil {
-				s.lru.OnAccess(int(slot))
-			} else {
-				s.policy.OnAccess(int(slot))
-			}
-			s.Hold(slot)
-			held = append(held, slot)
-			continue
-		}
-		res.OccMisses++
-		res.OccHits += c - 1
-		res.UniqueIDs = append(res.UniqueIDs, id)
-		res.Slots = append(res.Slots, -1)
-		missIdx = append(missIdx, len(res.Slots)-1)
-	}
-	s.missIdx = missIdx
-
-	// Pass 2: allocate slots for the misses. Hits are already touched,
-	// so the policies' victim sweeps (armed lazily once the free list
-	// runs dry) walk the eviction order exactly once per Plan.
-	res.Fills = slices.Grow(res.Fills, len(missIdx))
-	res.Evictions = slices.Grow(res.Evictions, len(missIdx))
-	s.sweepArmed = false
-	for _, k := range missIdx {
-		id := res.UniqueIDs[k]
-		slot, err := s.allocate(res)
-		if err != nil {
-			return nil, err
-		}
-		s.Insert(s.hitMap, id, slot)
-		if s.lru != nil {
-			s.lru.OnInsert(int(slot))
-		} else {
-			s.policy.OnInsert(int(slot))
-		}
-		s.Hold(slot)
-		held = append(held, slot)
-		res.Slots[k] = slot
-		res.Fills = append(res.Fills, Fill{ID: id, Slot: slot})
-	}
-	s.inFlight.Push(HeldBatch{Seq: seq, Slots: held})
-	s.EndPlan(res)
-	return res, nil
-}
-
-// victim picks the next evictable slot of the armed sweep, or -1. For
-// the default LRU policy the sweep is driven inline (direct calls, the
-// evictability check inlined); other policies go through the interface.
-func (s *Scratchpad) victim() int {
-	if s.lru != nil {
-		for {
-			v := s.lru.SweepNext()
-			if v < 0 || s.Evictable(int32(v)) {
-				return v
-			}
-		}
-	}
-	return s.policy.Victim(s.evictableFn)
-}
-
-// allocate finds a slot for a missed ID of res: free primary slot first,
-// then an unprotected victim (whose eviction it schedules in res), then a
-// reserve slot.
-func (s *Scratchpad) allocate(res *PlanResult) (int32, error) {
-	if n := len(s.freePrimary); n > 0 {
-		slot := s.freePrimary[n-1]
-		s.freePrimary = s.freePrimary[:n-1]
-		return slot, nil
-	}
-	// Arm the policy's victim sweep on first eviction need of this Plan
-	// (after the free list is exhausted, so free-slot OnInserts can no
-	// longer disturb the sweep cursor).
-	if !s.sweepArmed {
-		s.policy.BeginVictimSweep()
-		s.sweepArmed = true
-	}
-	v := s.victim()
-	if v < 0 && s.RelaxHints() {
-		// Every unprotected slot is merely hinted: sweep once more.
-		s.policy.BeginVictimSweep()
-		v = s.victim()
-	}
-	if v >= 0 {
-		slot := int32(v)
-		res.Evictions = append(res.Evictions, Eviction{OldID: s.Evict(s.hitMap, slot), Slot: slot})
-		return slot, nil
-	}
-	return s.TakeReserve(res)
+	return s.PlanOne(&s.Pad, seq, uniq, counts, future, hints)
 }
 
 // Release drops the oldest in-flight batch's holds. The engine calls it
@@ -435,7 +248,7 @@ func (s *Scratchpad) allocate(res *PlanResult) (int32, error) {
 // chosen as victims again (their eviction read would happen strictly after
 // the training writes, per the pipeline's stage spacing).
 func (s *Scratchpad) Release(seq int) error {
-	if err := s.ReleaseBatch(&s.inFlight, seq); err != nil {
+	if err := s.ReleaseBatch(&s.Ring, seq); err != nil {
 		return err
 	}
 	s.EndRelease()
@@ -457,30 +270,7 @@ func (s *Scratchpad) Prewarm(sample func() int64, onFill func(id int64, slot int
 // [0, rows): the duplicate-draw check then runs against a bitmap instead
 // of the Hit-Map. rows <= 0 falls back to Hit-Map probing.
 func (s *Scratchpad) PrewarmRows(rows int64, sample func() int64, onFill func(id int64, slot int32)) int {
-	return s.Warm((*warmer)(s), rows, sample, onFill)
-}
-
-// warmer is the Scratchpad's side of Frame.Warm.
-type warmer Scratchpad
-
-func (w *warmer) Free() bool { return len(w.freePrimary) > 0 }
-
-func (w *warmer) Cached(id int64) bool { return (*Scratchpad)(w).Contains(id) }
-
-func (w *warmer) Place(id int64) int32 {
-	n := len(w.freePrimary) - 1
-	slot := w.freePrimary[n]
-	w.freePrimary = w.freePrimary[:n]
-	w.Insert(w.hitMap, id, slot)
-	w.policy.OnInsert(int(slot))
-	return slot
-}
-
-// ForEach visits every cached (sparse ID, slot) pair in unspecified order;
-// engines use it to flush dirty cached rows back to the CPU tables at the
-// end of training.
-func (s *Scratchpad) ForEach(f func(id int64, slot int32)) {
-	s.hitMap.ForEach(f)
+	return s.WarmOne(&s.Pad, rows, sample, onFill)
 }
 
 // WorstCaseReserve returns the reserve capacity that guarantees Plan can

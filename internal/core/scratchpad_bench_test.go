@@ -143,7 +143,7 @@ func TestReleaseRingReusesBuffer(t *testing.T) {
 	if got := h.sp.InFlight(); got != h.depth-1 && got != h.depth {
 		t.Fatalf("in-flight %d, want ~%d", got, h.depth)
 	}
-	if n := len(h.sp.inFlight.buf); n > 8 {
+	if n := len(h.sp.Ring.buf); n > 8 {
 		t.Fatalf("ring buffer grew to %d entries for pipeline depth %d", n, h.depth)
 	}
 }

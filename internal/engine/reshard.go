@@ -53,8 +53,8 @@ const minLoadSample = 8 * shard.LoadProbeBuckets
 // ReshardSpec is a reshard schedule for the dynamic-cache engines
 // (strawman and ScratchPipe; the static and hybrid engines have no
 // dynamic scratchpad and ignore it). The zero value disables
-// elasticity entirely — managers then keep their delegated S=1 fast
-// path and nothing changes.
+// elasticity entirely — a single-shard manager then keeps the unsharded
+// core Plan pass (no routing, stamps or coordinator) and nothing changes.
 type ReshardSpec struct {
 	// Steps is the static schedule, ascending by Iter.
 	Steps []ReshardStep

@@ -163,7 +163,7 @@ func (m *Manager) Evacuate(place hw.Placement, hostDead func(host int) bool, res
 		sh := &m.shards[j]
 
 		drop = drop[:0]
-		sh.hitMap.ForEach(func(id int64, slot int32) {
+		sh.ForEach(func(id int64, slot int32) {
 			switch {
 			case m.Held(slot):
 				acc.move(src, newNode, true, 1, migResidentBytes, &st.HeldKept)
@@ -178,10 +178,10 @@ func (m *Manager) Evacuate(place hw.Placement, hostDead func(host int) bool, res
 		// allocation direction, and a deterministic one.
 		sort.Slice(drop, func(a, b int) bool { return drop[a] > drop[b] })
 		for _, slot := range drop {
-			m.Evict(sh.hitMap, slot)
-			m.unlink(j, slot)
+			m.Evict(sh.HitMap, slot)
+			m.LRU().Remove(slot)
 			if int(slot) < m.Capacity() {
-				sh.freePrimary = append(sh.freePrimary, slot)
+				sh.FreePrimary = append(sh.FreePrimary, slot)
 				m.freePrimaryTotal++
 			} else {
 				m.ReturnReserve(slot)
@@ -191,7 +191,7 @@ func (m *Manager) Evacuate(place hw.Placement, hostDead func(host int) bool, res
 
 		// Re-announce the evacuated shard's free-slot inventory and
 		// hold ring to its new home.
-		acc.move(src, newNode, true, int64(len(sh.freePrimary)), migFreeSlotBytes, &st.FreeMoved)
+		acc.move(src, newNode, true, int64(len(sh.FreePrimary)), migFreeSlotBytes, &st.FreeMoved)
 		acc.move(src, newNode, true, holdCount(sh), migHoldBytes, &st.HoldsMoved)
 	}
 
@@ -200,24 +200,19 @@ func (m *Manager) Evacuate(place hw.Placement, hostDead func(host int) bool, res
 	}
 	m.installPlacement(place, m.nshards)
 	st.Events = 1
-	st.Seconds, st.Rounds, st.Bytes = pricedEvac(acc)
+	st.Seconds, st.Rounds, st.Bytes = acc.price()
 	m.evac.Merge(st)
 	m.lastEvac = st.Seconds
 	return st, nil
 }
 
-// pricedEvac prices an evacuation's accumulated transfers (identical
-// discipline to a reshard's migAccum.price).
-func pricedEvac(acc *migAccum) (secs float64, rounds int64, bytes float64) {
-	return acc.price()
-}
-
 // Degrade switches a live manager to the partition-mode approx
 // protocol: epoch-quantized recency and no stamp-sync traffic, because
-// none can cross the cut. No-op for the S=1 delegate, a manager already
-// degraded, and native approx mode (which runs that protocol already).
+// none can cross the cut. No-op for a manager already degraded and for
+// native approx mode (which runs that protocol already). A single shard
+// has no merge to quantize, so its plans do not change.
 func (m *Manager) Degrade() {
-	if m.single != nil || m.degraded || m.mode == CoordApprox {
+	if m.degraded || m.mode == CoordApprox {
 		return
 	}
 	m.dropOverlap()

@@ -48,7 +48,7 @@ func TestEvacuateValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := plain.Evacuate(hw.Placement{}, func(int) bool { return false }, 0); err == nil {
-		t.Fatal("Evacuate on a non-elastic (delegated) manager accepted")
+		t.Fatal("Evacuate on a non-elastic manager accepted")
 	}
 	m := elastic(t, cfg, 2)
 	if _, err := m.Evacuate(hw.Placement{}, func(int) bool { return false }, 0); err == nil {

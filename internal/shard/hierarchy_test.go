@@ -262,7 +262,7 @@ func TestCoordModeValidation(t *testing.T) {
 			t.Fatalf("mode %s reports %s", mode, m.CoordMode())
 		}
 	}
-	// The S=1 delegate accepts every mode (no coordination exists).
+	// A single shard accepts every mode (no coordination exists).
 	for _, mode := range CoordModes {
 		if _, err := New(Config{Scratchpad: cfg, Shards: 1, Coord: mode}); err != nil {
 			t.Fatalf("S=1 mode %s rejected: %v", mode, err)

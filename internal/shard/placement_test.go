@@ -208,7 +208,7 @@ func TestPrewarmNotMetered(t *testing.T) {
 }
 
 // TestPlacementConfigValidation: inconsistent placements are rejected at
-// construction.
+// construction, and a valid one is kept at every shard count.
 func TestPlacementConfigValidation(t *testing.T) {
 	cfg := testConfig(64, 16)
 	topo := hw.MultiSocket(2)
@@ -223,5 +223,16 @@ func TestPlacementConfigValidation(t *testing.T) {
 	if _, err := New(Config{Scratchpad: cfg, Shards: 2,
 		Placement: hw.Placement{Node: []int{0, 1}}}); err == nil {
 		t.Fatal("node assignment without topology accepted")
+	}
+	// A single shard keeps its placement like any other shard count.
+	for _, elastic := range []bool{false, true} {
+		m, err := New(Config{Scratchpad: cfg, Shards: 1, Elastic: elastic,
+			Placement: hw.Placement{Topo: topo, Node: []int{1}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Placement(); got.Topo != topo || len(got.Node) != 1 || got.Node[0] != 1 {
+			t.Fatalf("elastic %v: S=1 manager reports placement %+v, want node 1 of %s", elastic, got, topo.Name)
+		}
 	}
 }

@@ -41,6 +41,7 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -212,8 +213,8 @@ func (a *migAccum) price() (secs float64, rounds int64, bytes float64) {
 // holdCount sums one shard's in-flight hold-ring entries.
 func holdCount(sh *shardState) int64 {
 	var n int64
-	for k := 0; k < sh.inFlight.Len(); k++ {
-		n += int64(len(sh.inFlight.At(k).Slots))
+	for k := 0; k < sh.Ring.Len(); k++ {
+		n += int64(len(sh.Ring.At(k).Slots))
 	}
 	return n
 }
@@ -275,8 +276,8 @@ func (m *Manager) Reshard(newS int, place hw.Placement) error {
 		for j := range m.shards {
 			from, to := placeNode(oldPlace, j), placeNode(place, j)
 			sh := &m.shards[j]
-			acc.move(from, to, false, int64(sh.hitMap.Len()), migResidentBytes, &m.resharding.ResidentMoved)
-			acc.move(from, to, false, int64(len(sh.freePrimary)), migFreeSlotBytes, &m.resharding.FreeMoved)
+			acc.move(from, to, false, int64(sh.Len()), migResidentBytes, &m.resharding.ResidentMoved)
+			acc.move(from, to, false, int64(len(sh.FreePrimary)), migFreeSlotBytes, &m.resharding.FreeMoved)
 			acc.move(from, to, false, holdCount(sh), migHoldBytes, &m.resharding.HoldsMoved)
 		}
 		m.installPlacement(place, newS)
@@ -302,32 +303,29 @@ func (m *Manager) Reshard(newS int, place hw.Placement) error {
 	// Record each free primary slot's current owner before the old
 	// shards are torn down (borrowing drifts slots off their stripe, so
 	// the owner is wherever the slot sits now).
-	freeShard := make([]int32, cfg.Slots)
-	for i := range freeShard {
-		freeShard[i] = -1
-	}
+	freeShard := slices.Repeat([]int32{-1}, cfg.Slots)
 	for j := range old {
-		for _, s := range old[j].freePrimary {
+		for _, s := range old[j].FreePrimary {
 			freeShard[s] = int32(j)
 		}
 	}
 
 	shards := make([]shardState, newS)
 	for j := range shards {
-		sh := &shards[j]
-		sh.hitMap = intmap.New((cfg.Slots + cfg.Reserve/2) / newS)
-		sh.lruHead, sh.lruTail = nilSlot, nilSlot
+		shards[j].HitMap = intmap.New((cfg.Slots + cfg.Reserve/2) / newS)
+		shards[j].List = j
 	}
 	m.shards = shards
 	m.nshards = newS
 
 	// Hit-Maps + recency lists.
+	m.LRU().ResetLists(m.TotalSlots(), newS)
 	for _, slot := range resident {
 		id := m.Key(slot)
 		oldJ := ShardOf(id, oldN)
 		newJ := ShardOf(id, newS)
-		m.pushMRU(newJ, slot)
-		m.Insert(shards[newJ].hitMap, id, slot)
+		m.LRU().Touch(newJ, slot)
+		m.Insert(shards[newJ].HitMap, id, slot)
 		acc.move(placeNode(oldPlace, oldJ), placeNode(place, newJ), oldJ != newJ,
 			1, migResidentBytes, &m.resharding.ResidentMoved)
 	}
@@ -342,7 +340,7 @@ func (m *Manager) Reshard(newS int, place hw.Placement) error {
 			continue
 		}
 		j := s % newS
-		shards[j].freePrimary = append(shards[j].freePrimary, int32(s))
+		shards[j].FreePrimary = append(shards[j].FreePrimary, int32(s))
 		acc.move(placeNode(oldPlace, int(oldJ)), placeNode(place, j), int(oldJ) != j,
 			1, migFreeSlotBytes, &m.resharding.FreeMoved)
 	}
@@ -351,18 +349,15 @@ func (m *Manager) Reshard(newS int, place hw.Placement) error {
 	// (possibly empty), in the same FIFO order; re-bucket each held
 	// slot by its current key's new owner. Held slots cannot be evicted
 	// while held, so the key is stable and the re-bucketing exact.
-	depth := 0
-	if oldN > 0 {
-		depth = old[0].inFlight.Len()
-	}
+	depth := old[0].Ring.Len()
 	newHeld := make([][]int32, newS)
 	for k := 0; k < depth; k++ {
-		seq := old[0].inFlight.At(k).Seq
+		seq := old[0].Ring.At(k).Seq
 		for j := range newHeld {
 			newHeld[j] = nil
 		}
 		for oj := range old {
-			hb := old[oj].inFlight.At(k)
+			hb := old[oj].Ring.At(k)
 			if hb.Seq != seq {
 				return fmt.Errorf("shard: Reshard: in-flight ring skew (batch %d: seq %d vs %d)", k, hb.Seq, seq)
 			}
@@ -374,12 +369,10 @@ func (m *Manager) Reshard(newS int, place hw.Placement) error {
 			}
 		}
 		for j := range shards {
-			shards[j].inFlight.Push(core.HeldBatch{Seq: seq, Slots: newHeld[j]})
+			shards[j].Ring.Push(core.HeldBatch{Seq: seq, Slots: newHeld[j]})
 		}
 	}
 
-	m.uniqIdx = make([][]int32, newS)
-	m.winIdx = make([][]int32, newS)
 	m.installPlacement(place, newS)
 	m.finishReshard(acc)
 	return nil

@@ -57,7 +57,7 @@ func TestReshardValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := plain.Reshard(2, hw.Placement{}); err == nil {
-		t.Fatal("Reshard on a non-elastic (delegated) manager accepted")
+		t.Fatal("Reshard on a non-elastic manager accepted")
 	}
 	m := elastic(t, cfg, 2)
 	if err := m.Reshard(0, hw.Placement{}); err == nil {
@@ -91,9 +91,9 @@ func TestReshardValidation(t *testing.T) {
 	}
 }
 
-// TestElasticSingleShardBitIdentical proves the elastic S=1 generic
-// path (no core.Scratchpad delegation) is still bit-identical to the
-// unsharded planner, including physical slot numbers — the property
+// TestElasticSingleShardBitIdentical proves the elastic S=1 generic path
+// (routing, touch stamps, the victim merge) is still bit-identical to
+// the unsharded planner, including physical slot numbers — the property
 // that lets engines run elastic from iteration 0 without changing any
 // pre-reshard figure.
 func TestElasticSingleShardBitIdentical(t *testing.T) {

@@ -4,11 +4,11 @@
 // Training Efficiency of DLRM at Scale" identifies once look-ahead
 // planning saturates one socket's memory bandwidth.
 //
-// Each shard owns a hash partition of the sparse-ID space with its own
-// Hit-Map (intmap), its own primary free list, its own in-flight hold
-// ring, and its own recency list, so the per-occurrence work of the
-// [Plan] stage — Hit-Map probes, recency touches, pin/hint stamping,
-// hold registration — runs shard-parallel with no shared mutable state
+// Each shard is a core.Pad owning a hash partition of the sparse-ID
+// space — its own Hit-Map, primary free list, hold ring and recency list
+// — so the per-occurrence work of the [Plan] stage (Hit-Map probes,
+// recency touches, pin/hint stamping, hold registration) runs
+// shard-parallel with no shared mutable state
 // (every slot is written only by the shard whose ID currently occupies
 // it). What cannot be sharded without changing results is the eviction
 // decision: the paper's replacement policy is a *global* LRU over the
@@ -24,17 +24,15 @@
 // core.Scratchpad at every shard count (the equivalence tests in this
 // package prove it plan by plan).
 //
-// The slot discipline itself — slot metadata and the evictability
-// predicate, the pin epoch and hints, the reserve budget, the FIFO hold
-// release, the Prewarm draw rule, the plan pool and the statistics —
-// lives once, in core.Frame, which the Manager embeds; this package adds
-// only what sharding needs on top of it. With Shards == 1 the Manager
-// delegates Plan, Release and Prewarm to a single core.Scratchpad and
-// embeds that scratchpad's own frame, making the S=1 configuration
-// bit-identical to the unsharded tree by construction (including its
-// zero-allocation Plan path). Shards > 1 requires the LRU policy: the
-// stamp-merge coordinator is the distributed form of the LRU eviction
-// order specifically.
+// The slot discipline, the replacement policy (one LRU list per shard)
+// and the per-pad Plan pass live once, in the embedded core.Frame; this
+// package adds routing, touch stamps, borrowing, the k-way victim merge,
+// the coordination meter, resharding and evacuation. A non-elastic
+// single-shard Manager needs none of it and plans its one pad with
+// core.Frame.PlanOne, the function core.Scratchpad runs, so S=1 is the
+// unsharded planner by construction under every replacement policy.
+// Shards > 1 requires the LRU policy: the stamp-merge coordinator is the
+// distributed form of the LRU eviction order specifically.
 //
 // A Config.Placement assigns shards to the nodes of an hw.Topology
 // (sockets, hosts, GPUs); the coordinator's victim-merge, touch-stamp,
@@ -62,7 +60,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/hw"
-	"repro/internal/intmap"
 	"repro/internal/par"
 )
 
@@ -105,10 +102,11 @@ type Config struct {
 	// Elastic builds a manager whose shard count can change at run time
 	// via [Manager.Reshard] (see reshard.go). It requires the LRU policy
 	// (resharding re-threads LRU recency state) and makes Shards == 1
-	// run the generic sharded machinery instead of delegating to a
-	// single core.Scratchpad — plans, victims, and statistics stay
-	// identical (TestElasticSingleShardBitIdentical proves slot-level
-	// identity), and a warm Plan cycle still allocates nothing.
+	// run the generic sharded machinery — routing and touch stamps —
+	// instead of the single-pad core pass, so its state can migrate;
+	// plans, victims, and statistics stay identical
+	// (TestElasticSingleShardBitIdentical proves slot-level identity),
+	// and a warm Plan cycle still allocates nothing.
 	Elastic bool
 	// LoadProbe additionally maintains the fixed-granularity query-mass
 	// histogram behind [Manager.LoadProbe] that load-triggered reshard
@@ -147,64 +145,30 @@ func (c Config) Validate() error {
 	return c.Scratchpad.Validate()
 }
 
-// shardState is one socket shard's private state.
+// shardState is one socket shard: its pad plus the victim sweep's
+// per-shard state — the cursor on its recency list, the parked evictable
+// candidates candQ[candHead:] (in recency order) from the latest poll,
+// and whether its eviction order is exhausted for this sweep.
 type shardState struct {
-	// hitMap maps this shard's resident sparse IDs to global slots.
-	hitMap *intmap.Map
-	// freePrimary holds this shard's share of the never-yet-used
-	// primary slots (striped at construction; replenished only by
-	// borrowing — eviction reuses the victim's slot directly, exactly
-	// like the unsharded planner).
-	freePrimary []int32
-	// inFlight is this shard's FIFO of per-batch hold sets (with their
-	// pool); every Plan pushes one entry (possibly empty) so Release
-	// stays FIFO-checked per shard.
-	inFlight core.BatchRing
-	// lruHead/lruTail delimit this shard's recency list (least recent
-	// first) threaded through the Manager's shared next/prev arrays.
-	// List order equals increasing touch-stamp order, which is what
-	// lets the coordinator merge shard lists into the global LRU
-	// sequence.
-	lruHead, lruTail int32
-
-	// sweepCur is the coordinator's per-shard victim-sweep cursor;
-	// candQ[candHead:] holds the shard's parked evictable candidates
-	// (in recency order) gathered by the latest poll, and candDone
-	// marks the shard's eviction order exhausted for this sweep. Exact
-	// mode polls one candidate at a time; hier and approx gather the
-	// Plan's whole miss budget per poll.
+	core.Pad
 	sweepCur int32
 	candQ    []int32
 	candHead int
 	candDone bool
-
-	// held is the hold set being assembled for the current Plan.
-	held []int32
-
-	// queries/hits are per-shard occurrence counters (shard-balance
-	// observability; the empty-shard tests read them).
-	queries, hits int64
-	// occHits/occMisses accumulate the current Plan's per-shard
-	// occurrence counts, reduced serially after the parallel pass.
-	occHits, occMisses int
 }
 
-// nilSlot is the recency-list terminator (and the "no candidate"
-// sentinel of the victim sweep).
+// nilSlot is the "no candidate" sentinel of the victim sweep.
 const nilSlot = int32(-1)
 
 // Manager is the sharded per-table scratchpad control plane. It exposes
 // the same Plan/Release/Recycle/Prewarm lifecycle as core.Scratchpad and
 // produces identical plans and statistics at every shard count. The slot
-// discipline is its embedded core.Frame; the Manager adds the per-shard
-// Hit-Maps, free stripes, hold rings and recency lists, the touch
-// stamps, the k-way victim merge, the coordination meter, resharding and
-// evacuation.
+// discipline and the recency lists are its embedded core.Frame, and each
+// shard is a core.Pad on it; the Manager adds routing, the touch stamps,
+// borrowing, the k-way victim merge, the coordination meter, resharding
+// and evacuation.
 type Manager struct {
-	// Frame is the delegate's own frame at S=1 (non-elastic) and the
-	// Manager's otherwise, so what it answers (Stats, Capacity,
-	// TotalSlots, InFlight, Recycle, Held, Key) needs no S=1 branch.
-	*core.Frame
+	core.Frame
 	nshards int
 	pool    *par.Pool
 
@@ -218,9 +182,6 @@ type Manager struct {
 	// coordBase carries lifetime coordination traffic across reshard
 	// events (each event retires its meter; see installPlacement).
 	coordBase CoordStats
-	// prewarming suppresses coordination metering during PrewarmRows
-	// (setup-time slot shuffling is not per-iteration traffic).
-	prewarming bool
 
 	// Overlapped coordination (see spec.go): overlapNext marks the next
 	// Plan overlapped (set by OverlapNextPlan, cleared by the Plan or an
@@ -244,11 +205,6 @@ type Manager struct {
 	quantum uint64
 	pollK   int
 
-	// single is the unsharded fast path (Shards == 1, not elastic): Plan,
-	// Release, Prewarm and the residency queries delegate to it, and its
-	// frame is the Manager's.
-	single *core.Scratchpad
-
 	// elastic marks the manager reshardable (see reshard.go): its shard
 	// count may change between Plans via Reshard. loadProbe is the
 	// fixed-granularity query-mass histogram load-triggered reshard
@@ -271,58 +227,39 @@ type Manager struct {
 	lastEvac float64
 
 	shards []shardState
-	// stamp/next/prev are global per-slot arrays. A slot belongs to
-	// exactly one shard at a time (the one whose ID occupies it), so
-	// shard-parallel writes never alias; empty slots are touched only
-	// by the serial coordinator. stamp[slot] is the global recency stamp
-	// of the slot's last touch, the victim merge's key.
+	// stamp[slot] is the stamp of the slot's last touch on stampClock,
+	// the global recency timeline, and the victim merge's key (nil for a
+	// solo manager, which has no merge).
 	stamp      []uint64
-	next, prev []int32
-
-	// stampClock is the global recency timeline: every touch gets the
-	// next stamp, assigned deterministically by batch position so the
-	// shard-parallel pass reproduces the serial touch order.
 	stampClock uint64
 
-	// The eviction-budget coordinator's primary capacity accounting:
 	// freePrimaryTotal counts unused primary slots across all shards
 	// (shards borrow from each other before anyone evicts, so eviction
-	// starts exactly when the unsharded free list would run dry). The
-	// reserve budget is the frame's.
+	// starts exactly when the unsharded free list would run dry; unused
+	// by a solo manager). The reserve budget is the frame's.
 	freePrimaryTotal int
 	sweepArmed       bool
 
-	// Scratch backing the Plan passes: shardOf routes each uniq position
-	// to its owner (read by the serial coordinator pass), uniqIdx/winIdx
-	// bucket the batch and look-ahead-window positions per shard so each
-	// shard's parallel pass walks only its own share (O(batch+window)
-	// total routing work instead of S skip-scans), winIDs is the
-	// flattened window.
-	shardOf []uint16
-	uniqIdx [][]int32
-	winIdx  [][]int32
-	winIDs  []int64
-	missIdx []int32
-	// in holds the inputs of the shard fan-out in progress (see fanIn).
-	in fanIn
+	// rt is the Plan's routing scratch (see route). batch and relSeq
+	// carry one call's inputs to the shard fan-out bodies, planShard and
+	// releaseShard: the caller sets them before par.Each runs the body on
+	// every shard, and the shards only read them, so the fan-out builds
+	// no closure and a warm Plan/Release cycle allocates nothing.
+	rt     routing
+	batch  core.Batch
+	relSeq int
 }
 
-// fanIn carries one call's inputs to the shard fan-out bodies, the
-// planShard and releaseShard methods. The caller fills it before
-// par.Each runs the body on every shard, and the shards only read it, so
-// the fan-out builds no closure and a warm Plan/Release cycle allocates
-// nothing.
-type fanIn struct {
-	// The Plan pass: the batch, its occurrence counts (nil: one each),
-	// the result being filled, where hints start in winIDs, and the
-	// stamp clock before the batch's touches.
-	uniq      []int64
-	counts    []int32
-	res       *core.PlanResult
-	hintOff   int
-	stampBase uint64
-	// relSeq is the batch the Release pass retires.
-	relSeq int
+// routing is the Plan's routing scratch: each batch position's owner,
+// the batch positions and window IDs bucketed per shard, and the window
+// buckets' buffers and counting-sort scratch.
+type routing struct {
+	shardOf         []uint16
+	uniqIdx         [][]int32
+	pins, hints     [][]int64
+	pinBuf, hintBuf []int64
+	owner           []uint16
+	count           []int
 }
 
 // New builds a sharded manager from cfg: Reset on a zero Manager.
@@ -337,49 +274,24 @@ func New(cfg Config) (*Manager, error) {
 // Reset reinitialises m for cfg into exactly the state New(cfg) builds,
 // so every later Plan, Stats, CoordStats and ForEach matches a fresh
 // manager's. Like core.Scratchpad.Reset it keeps the capacity of every
-// buffer, which is what makes a reset cheaper than a rebuild. At S=1
-// (non-elastic) that is the delegate core.Scratchpad's; at every other
-// shape it is the frame, the touch stamps and recency links, each
-// shard's Hit-Map, free list and hold ring, the routing scratch, and the
-// coordination meter with its message plane. Batches still in flight
-// are dropped (their hold sets return to the pools). On error m is
-// unchanged.
+// buffer (the frame, the pads, the stamps, the routing scratch, the
+// meter and its message plane). Batches still in flight are dropped
+// (their hold sets return to the pools). On error m is unchanged.
 func (m *Manager) Reset(cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
 	n := max(cfg.Shards, 1)
-	mode, err := ParseCoordMode(string(cfg.Coord))
-	if err != nil {
+	mode, _ := ParseCoordMode(string(cfg.Coord)) // validated above
+	c := cfg.Scratchpad
+	if err := m.ResetFrame(c, n); err != nil {
 		return err
 	}
-	c := cfg.Scratchpad
-	if n == 1 && !cfg.Elastic {
-		// The S=1 delegate has no cross-shard coordination; every mode
-		// is trivially exact. (Elastic managers skip the delegation so
-		// their state lives in the migratable generic representation.)
-		sp := m.single
-		if sp == nil {
-			sp = &core.Scratchpad{}
-		}
-		if err := sp.Reset(c); err != nil {
-			return err
-		}
-		*m = Manager{Frame: &sp.Frame, nshards: 1, pool: cfg.Pool, mode: mode, quantum: 1, single: sp}
-		return nil
-	}
-	total := c.Slots + c.Reserve
-	// Carry the buffers over (the frame too, unless it was the dropped
-	// delegate's); every other field takes its zero value, as in a fresh
-	// manager.
+	// Carry the buffers over; every other field takes its zero value, as
+	// in a fresh manager.
 	old := *m
-	frame := old.Frame
-	if frame == nil || old.single != nil {
-		frame = &core.Frame{}
-	}
-	frame.ResetFrame(c)
 	*m = Manager{
-		Frame:   frame,
+		Frame:   old.Frame,
 		nshards: n,
 		pool:    cfg.Pool,
 		place:   cfg.Placement,
@@ -389,14 +301,10 @@ func (m *Manager) Reset(cfg Config) error {
 		pollK:   1,
 		elastic: cfg.Elastic,
 		shards:  slices.Grow(old.shards[:0], n)[:n],
-		stamp:   zeroed(old.stamp, total),
-		next:    zeroed(old.next, total),
-		prev:    zeroed(old.prev, total),
-		shardOf: old.shardOf,
-		uniqIdx: slices.Grow(old.uniqIdx[:0], n)[:n],
-		winIdx:  slices.Grow(old.winIdx[:0], n)[:n],
-		winIDs:  old.winIDs[:0],
-		missIdx: old.missIdx[:0],
+		rt:      old.rt,
+	}
+	if !m.solo() {
+		m.stamp = zeroed(old.stamp, c.Slots+c.Reserve)
 	}
 	if cfg.LoadProbe {
 		m.loadProbe = zeroed(old.loadProbe, LoadProbeBuckets)
@@ -405,41 +313,20 @@ func (m *Manager) Reset(cfg Config) error {
 		m.quantum = approxQuantum
 	}
 	// Stripe the primary slots across shards (slot s starts on shard
-	// s % n); each stack is filled descending so pops ascend, matching
-	// the unsharded free list's allocation direction.
+	// s % n), matching the unsharded free list's allocation direction.
 	for j := range m.shards {
 		sh := &m.shards[j]
-		sh.reset((c.Slots + c.Reserve/2) / n)
-		count := (c.Slots - j + n - 1) / n
-		sh.freePrimary = slices.Grow(sh.freePrimary, count)
-		for s := j + (count-1)*n; s >= 0; s -= n {
-			sh.freePrimary = append(sh.freePrimary, int32(s))
-		}
+		sh.Pad.Reset(c, j, n)
+		*sh = shardState{Pad: sh.Pad, candQ: sh.candQ[:0]}
 	}
 	m.freePrimaryTotal = c.Slots
 	return nil
 }
 
-// reset empties the shard into its freshly built state — an empty
-// Hit-Map sized for hint entries, empty recency and free lists, nothing
-// in flight or parked — keeping its buffers and returning its in-flight
-// hold sets to the pool.
-func (sh *shardState) reset(hint int) {
-	sh.inFlight.Clear()
-	hitMap := sh.hitMap
-	if hitMap == nil {
-		hitMap = &intmap.Map{}
-	}
-	hitMap.Reset(hint)
-	*sh = shardState{
-		hitMap:      hitMap,
-		freePrimary: sh.freePrimary[:0],
-		inFlight:    sh.inFlight,
-		lruHead:     nilSlot,
-		lruTail:     nilSlot,
-		candQ:       sh.candQ[:0],
-	}
-}
+// solo reports whether m plans its one pad with the unsharded core pass:
+// a single shard that can never reshard has no routing, no touch stamps
+// and no coordinator.
+func (m *Manager) solo() bool { return m.nshards == 1 && !m.elastic }
 
 // Shards returns the shard count.
 func (m *Manager) Shards() int { return m.nshards }
@@ -450,7 +337,7 @@ func (m *Manager) Placement() hw.Placement { return m.place }
 
 // LastPlanCoord returns the modeled cross-node coordination latency
 // (seconds) of the most recent Plan: zero for co-located placements and
-// the S=1 delegate.
+// a single shard.
 func (m *Manager) LastPlanCoord() float64 { return m.lastCoord }
 
 // CoordStats returns the lifetime cross-node coordination traffic (the
@@ -469,24 +356,15 @@ func (m *Manager) CoordMode() CoordMode { return m.mode }
 
 // Len returns the number of cached rows across all shards.
 func (m *Manager) Len() int {
-	if m.single != nil {
-		return m.single.Len()
-	}
 	n := 0
 	for j := range m.shards {
-		n += m.shards[j].hitMap.Len()
+		n += m.shards[j].Len()
 	}
 	return n
 }
 
 // Contains reports whether sparse ID id currently has a slot.
-func (m *Manager) Contains(id int64) bool {
-	if m.single != nil {
-		return m.single.Contains(id)
-	}
-	_, ok := m.shards[m.shardFor(id)].hitMap.Get(id)
-	return ok
-}
+func (m *Manager) Contains(id int64) bool { return m.shards[m.shardFor(id)].Contains(id) }
 
 // ShardStats is one shard's balance snapshot.
 type ShardStats struct {
@@ -496,17 +374,12 @@ type ShardStats struct {
 	Resident int
 }
 
-// ShardStats returns per-shard balance counters (one entry per shard;
-// a single-shard manager reports its aggregate as shard 0).
+// ShardStats returns per-shard balance counters (one entry per shard).
 func (m *Manager) ShardStats() []ShardStats {
-	if m.single != nil {
-		st := m.Stats()
-		return []ShardStats{{Queries: st.Queries, Hits: st.Hits, Resident: m.Len()}}
-	}
 	out := make([]ShardStats, m.nshards)
 	for j := range m.shards {
 		sh := &m.shards[j]
-		out[j] = ShardStats{Queries: sh.queries, Hits: sh.hits, Resident: sh.hitMap.Len()}
+		out[j] = ShardStats{Queries: sh.Queries, Hits: sh.Hits, Resident: sh.Len()}
 	}
 	return out
 }
@@ -523,44 +396,6 @@ func (m *Manager) shardFor(id int64) int {
 	return ShardOf(id, m.nshards)
 }
 
-// --- recency lists -----------------------------------------------------
-
-// pushMRU appends slot at the most-recent end of shard j's list.
-func (m *Manager) pushMRU(j int, slot int32) {
-	sh := &m.shards[j]
-	m.next[slot] = nilSlot
-	m.prev[slot] = sh.lruTail
-	if sh.lruTail != nilSlot {
-		m.next[sh.lruTail] = slot
-	} else {
-		sh.lruHead = slot
-	}
-	sh.lruTail = slot
-}
-
-// unlink removes slot from shard j's list.
-func (m *Manager) unlink(j int, slot int32) {
-	sh := &m.shards[j]
-	p, nx := m.prev[slot], m.next[slot]
-	if p != nilSlot {
-		m.next[p] = nx
-	} else {
-		sh.lruHead = nx
-	}
-	if nx != nilSlot {
-		m.prev[nx] = p
-	} else {
-		sh.lruTail = p
-	}
-}
-
-// touch moves slot to shard j's most-recent end and stamps it.
-func (m *Manager) touch(j int, slot int32, stamp uint64) {
-	m.unlink(j, slot)
-	m.pushMRU(j, slot)
-	m.stamp[slot] = stamp
-}
-
 // --- eviction coordination ---------------------------------------------
 
 // armSweep resets every shard's sweep cursor to its least-recent end
@@ -573,7 +408,7 @@ func (m *Manager) touch(j int, slot int32, stamp uint64) {
 func (m *Manager) armSweep(hide bool) {
 	for j := range m.shards {
 		sh := &m.shards[j]
-		sh.sweepCur = sh.lruHead
+		sh.sweepCur = m.LRU().Front(j)
 		sh.candQ = sh.candQ[:0]
 		sh.candHead = 0
 		sh.candDone = false
@@ -587,10 +422,10 @@ func (m *Manager) armSweep(hide bool) {
 // the shard to refill its candidate batch when the parked ones are
 // consumed; nilSlot when the shard's eviction order is exhausted for
 // this sweep. One poll round gathers up to pollK candidates in recency
-// order (1 in exact mode — the PR 3 protocol — or the Plan's whole miss
-// budget in hier and approx, so a single round per shard covers the
-// sweep); parked candidates cost nothing to re-compare, and a batch is
-// invalidated only by a sweep re-arm.
+// order (1 in exact mode, or the Plan's whole miss budget in hier and
+// approx, so a single round per shard covers the sweep); parked
+// candidates cost nothing to re-compare, and a batch is invalidated only
+// by a sweep re-arm.
 func (m *Manager) shardCand(j int) int32 {
 	sh := &m.shards[j]
 	if sh.candHead < len(sh.candQ) {
@@ -604,11 +439,10 @@ func (m *Manager) shardCand(j int) int32 {
 	sh.candHead = 0
 	cur := sh.sweepCur
 	for cur != nilSlot && len(sh.candQ) < m.pollK {
-		nxt := m.next[cur]
 		if m.Evictable(cur) {
 			sh.candQ = append(sh.candQ, cur)
 		}
-		cur = nxt
+		cur = m.LRU().Next(cur)
 	}
 	sh.sweepCur = cur
 	if m.coord != nil {
@@ -620,8 +454,8 @@ func (m *Manager) shardCand(j int) int32 {
 	}
 	if cur == nilSlot && m.mode != CoordExact {
 		// A short batch's reply already says the shard is exhausted;
-		// no follow-up empty poll is needed. (Exact mode keeps the PR 3
-		// behaviour: exhaustion is discovered by one final empty poll.)
+		// no follow-up empty poll is needed. (In exact mode exhaustion is
+		// discovered by one final empty poll.)
 		sh.candDone = true
 	}
 	return sh.candQ[0]
@@ -680,20 +514,21 @@ func (m *Manager) victim() (int32, int) {
 // from the best-stocked shard when j's own stripe has run dry. The
 // global budget (freePrimaryTotal) guarantees no shard evicts while any
 // shard still has free capacity — the coordinator property that keeps
-// eviction onset identical to the unsharded planner.
-func (m *Manager) borrowPrimary(j int) int32 {
+// eviction onset identical to the unsharded planner. meter charges a
+// borrow's round trip to the coordination meter.
+func (m *Manager) borrowPrimary(j int, meter bool) int32 {
 	sh := &m.shards[j]
-	if len(sh.freePrimary) == 0 {
+	if len(sh.FreePrimary) == 0 {
 		donor, max := -1, 0
 		for k := range m.shards {
-			if l := len(m.shards[k].freePrimary); l > max {
+			if l := len(m.shards[k].FreePrimary); l > max {
 				donor, max = k, l
 			}
 		}
 		if donor < 0 {
 			return nilSlot
 		}
-		if m.coord != nil && donor != j && !m.prewarming {
+		if m.coord != nil && donor != j && meter {
 			// Free-slot borrow: request/grant round trip between the
 			// starved shard and the donor stripe's owner. Prewarm-time
 			// borrowing is construction work before the measured run
@@ -704,20 +539,17 @@ func (m *Manager) borrowPrimary(j int) int32 {
 		}
 		sh = &m.shards[donor]
 	}
-	n := len(sh.freePrimary)
-	slot := sh.freePrimary[n-1]
-	sh.freePrimary = sh.freePrimary[:n-1]
+	n := len(sh.FreePrimary)
+	slot := sh.FreePrimary[n-1]
+	sh.FreePrimary = sh.FreePrimary[:n-1]
 	m.freePrimaryTotal--
 	return slot
 }
 
-// put moves id (owned by shard j) into slot: Hit-Map entry, recency
-// stamp and list position.
-func (m *Manager) put(j int, id int64, slot int32) {
-	m.Insert(m.shards[j].hitMap, id, slot)
+// stampNext stamps slot with the next tick of the global recency clock.
+func (m *Manager) stampNext(slot int32) {
 	m.stampClock++
 	m.stamp[slot] = m.stampClock
-	m.pushMRU(j, slot)
 }
 
 // --- plan lifecycle ----------------------------------------------------
@@ -735,90 +567,34 @@ func (m *Manager) PlanWithHints(seq int, ids []int64, future, hints [][]int64) (
 }
 
 // PlanUniqueWithHints is the planner's native form (see
-// core.Scratchpad.PlanUniqueWithHints). The per-occurrence work — Hit-Map
-// probes, recency touches, pin/hint stamping, hold registration — fans
-// out across shards; the eviction-budget coordinator then allocates the
-// misses serially in first-appearance order, reproducing the unsharded
-// planner's victim sequence through the cross-shard stamp merge.
+// core.Scratchpad.PlanUniqueWithHints). A solo manager runs the
+// unsharded core.Frame.PlanOne on its one pad. Otherwise the per-pad
+// pass — pin/hint stamping, Hit-Map probes, recency touches, hold
+// registration — fans out across shards; the eviction-budget
+// coordinator then allocates the misses serially in first-appearance
+// order, reproducing the unsharded planner's victim sequence through the
+// cross-shard stamp merge.
 func (m *Manager) PlanUniqueWithHints(seq int, uniq []int64, counts []int32, future, hints [][]int64) (*core.PlanResult, error) {
-	if m.single != nil {
-		return m.single.PlanUniqueWithHints(seq, uniq, counts, future, hints)
+	if m.solo() {
+		return m.PlanOne(&m.shards[0].Pad, seq, uniq, counts, future, hints)
 	}
-	res, futStart, err := m.BeginPlan(seq, future, hints)
+	res, futStart, err := m.BeginPlan(seq, uniq, future, hints)
 	if err != nil {
 		return nil, err
 	}
+	shardOf := m.route(uniq, counts, future[futStart:], hints)
 
-	// Per-batch buffers regrow on append's amortized schedule (see
-	// core.Scratchpad.PlanUniqueWithHints), so the warm Plan stops
-	// allocating once the batch sizes have been sampled.
-	res.UniqueIDs = append(slices.Grow(res.UniqueIDs, len(uniq)), uniq...)
-	res.Slots = slices.Grow(res.Slots, len(uniq))[:len(uniq)]
-	// Route the batch and the look-ahead window once, bucketing
-	// positions per owning shard: the parallel pass below then walks
-	// only each shard's own share (total routing work O(batch+window),
-	// not S skip-scans). shardOf keeps the per-position owner for the
-	// serial coordinator pass.
-	m.shardOf = slices.Grow(m.shardOf[:0], len(uniq))
-	shardOf := m.shardOf[:len(uniq)]
-	fut := future[futStart:]
-	nwin := 0
-	for _, ids := range fut {
-		nwin += len(ids)
-	}
-	for _, ids := range hints {
-		nwin += len(ids)
-	}
-	// Any one shard may own the whole batch and window, so each bucket
-	// grows once to those sizes and routing never reallocates.
-	for j := range m.uniqIdx {
-		m.uniqIdx[j] = slices.Grow(m.uniqIdx[j][:0], len(uniq))
-		m.winIdx[j] = slices.Grow(m.winIdx[j][:0], nwin)
-	}
-	for i, id := range uniq {
-		j := m.shardFor(id)
-		shardOf[i] = uint16(j)
-		m.uniqIdx[j] = append(m.uniqIdx[j], int32(i))
-		if m.loadProbe != nil {
-			// Elastic managers histogram the query mass at a fixed
-			// S-independent granularity so load-triggered reshard
-			// policies can observe ID-space skew even at S=1.
-			c := int64(1)
-			if counts != nil {
-				c = int64(counts[i])
-			}
-			m.loadProbe[ShardOf(id, LoadProbeBuckets)] += c
-		}
-	}
-	winIDs := slices.Grow(m.winIDs[:0], nwin)
-	for _, fids := range fut {
-		for _, id := range fids {
-			j := m.shardFor(id)
-			m.winIdx[j] = append(m.winIdx[j], int32(len(winIDs)))
-			winIDs = append(winIDs, id)
-		}
-	}
-	hintOff := len(winIDs)
-	for _, hids := range hints {
-		for _, id := range hids {
-			j := m.shardFor(id)
-			m.winIdx[j] = append(m.winIdx[j], int32(len(winIDs)))
-			winIDs = append(winIDs, id)
-		}
-	}
-	m.winIDs = winIDs
-
-	// Shard-parallel pass (planShard, which cannot fail); m.in holds no
-	// reference to the caller's batch once it returns.
+	// Shard-parallel pass (planShard, which cannot fail). Touch stamps
+	// follow batch position, reproducing the serial planner's recency
+	// order; m.batch drops the caller's batch once the pass returns.
 	stampBase := m.stampClock
-	m.in = fanIn{uniq: uniq, counts: counts, res: res, hintOff: hintOff, stampBase: stampBase}
+	m.batch = core.Batch{Uniq: uniq, Counts: counts, Res: res, Stamps: m.stamp, Base: stampBase}
 	_ = par.Each(m.pool, m.nshards, m, (*Manager).planShard)
-	m.in = fanIn{}
+	m.batch = core.Batch{}
 	m.stampClock = stampBase + uint64(len(uniq))
 	for j := range m.shards {
-		sh := &m.shards[j]
-		res.OccHits += sh.occHits
-		res.OccMisses += sh.occMisses
+		res.OccHits += m.shards[j].OccHits
+		res.OccMisses += m.shards[j].OccMisses
 	}
 	if m.coord != nil {
 		// Touch-stamp sync: the coordinator broadcasts the Plan's stamp
@@ -830,15 +606,9 @@ func (m *Manager) PlanUniqueWithHints(seq int, uniq []int64, counts []int32, fut
 		m.coord.meterStampSync()
 	}
 
-	// Collect the misses in first-appearance order (the order the
-	// coordinator must allocate them in to match the serial planner).
-	missIdx := slices.Grow(m.missIdx[:0], len(uniq))
-	for i := range res.Slots {
-		if res.Slots[i] < 0 {
-			missIdx = append(missIdx, int32(i))
-		}
-	}
-	m.missIdx = missIdx
+	// The misses in first-appearance order (the order the coordinator
+	// must allocate them in to match the serial planner).
+	missIdx := m.Misses(res)
 
 	// Size the candidate batches from the Plan's miss budget: at most
 	// len(missIdx) victims can be needed, so one batched poll round per
@@ -848,18 +618,14 @@ func (m *Manager) PlanUniqueWithHints(seq int, uniq []int64, counts []int32, fut
 		m.pollK = len(missIdx)
 	}
 
-	res.Fills = slices.Grow(res.Fills, len(missIdx))
-	res.Evictions = slices.Grow(res.Evictions, len(missIdx))
-
 	// Serial coordinator pass: allocate the misses. Free primary
 	// capacity (own stripe, then borrowed) precedes eviction; the
 	// cross-shard stamp merge picks victims in global LRU order; the
 	// reserve budget is the last resort, exactly as unsharded.
 	m.sweepArmed = false
 	for _, k := range missIdx {
-		id := uniq[k]
 		j := int(shardOf[k])
-		slot := m.borrowPrimary(j)
+		slot := m.borrowPrimary(j, true)
 		if slot < 0 {
 			if !m.sweepArmed {
 				m.armFirstSweep()
@@ -872,8 +638,7 @@ func (m *Manager) PlanUniqueWithHints(seq int, uniq []int64, counts []int32, fut
 				v, vsh = m.victim()
 			}
 			if v >= 0 {
-				m.unlink(vsh, v)
-				res.Evictions = append(res.Evictions, core.Eviction{OldID: m.Evict(m.shards[vsh].hitMap, v), Slot: v})
+				res.Evictions = append(res.Evictions, core.Eviction{OldID: m.Evict(m.shards[vsh].HitMap, v), Slot: v})
 				slot = v
 				if m.coord != nil && vsh != j {
 					// The victim's slot changes owners: transfer its
@@ -886,19 +651,12 @@ func (m *Manager) PlanUniqueWithHints(seq int, uniq []int64, counts []int32, fut
 				return nil, err
 			}
 		}
-		m.put(j, id, slot)
-		m.Hold(slot)
-		m.shards[j].held = append(m.shards[j].held, slot)
-		res.Slots[k] = slot
-		res.Fills = append(res.Fills, core.Fill{ID: id, Slot: slot})
+		// FillMiss's recency touch moves a victim onto shard j's list.
+		m.FillMiss(&m.shards[j].Pad, res, k, slot)
+		m.stampNext(slot)
 	}
-
-	// Register every shard's hold set (one ring entry per Plan, even
-	// when empty, keeping Release FIFO-checkable per shard).
 	for j := range m.shards {
-		sh := &m.shards[j]
-		sh.inFlight.Push(core.HeldBatch{Seq: seq, Slots: sh.held})
-		sh.held = nil
+		m.shards[j].Commit(seq)
 	}
 
 	// An overlapped Plan that never swept had no round to hide.
@@ -915,64 +673,85 @@ func (m *Manager) PlanUniqueWithHints(seq int, uniq []int64, counts []int32, fut
 	return res, nil
 }
 
-// planShard is the Plan's shard-parallel pass for shard j, run by
-// par.Each over the inputs in m.in: the shard pins its own future IDs,
-// stamps its own hints, and classifies its own partition of the batch.
-// Touch stamps are assigned by batch position (stampBase + i), so the
-// shard-parallel pass reproduces the exact recency order the serial
-// planner would produce; all writes go through slots owned by the
-// executing shard, so the fan-out is race-free and bit-identical at any
-// worker count.
-func (m *Manager) planShard(j int) error {
-	in := &m.in
-	sh := &m.shards[j]
-	for _, w := range m.winIdx[j] {
-		if slot, ok := sh.hitMap.Get(m.winIDs[w]); ok {
-			if int(w) < in.hintOff {
-				m.Pin(slot)
-			} else {
-				m.Hint(slot)
+// route buckets the batch positions and the window's IDs per owning
+// shard, so each shard's parallel pass walks only its own share, and
+// returns each position's owner for the serial coordinator pass. Any
+// shard may own everything, so each bucket grows once to the full size.
+func (m *Manager) route(uniq []int64, counts []int32, future, hints [][]int64) []uint16 {
+	rt, n := &m.rt, m.nshards
+	rt.uniqIdx = slices.Grow(rt.uniqIdx[:0], n)[:n]
+	rt.pins = slices.Grow(rt.pins[:0], n)[:n]
+	rt.hints = slices.Grow(rt.hints[:0], n)[:n]
+	rt.count = slices.Grow(rt.count[:0], n)[:n]
+	rt.shardOf = slices.Grow(rt.shardOf[:0], len(uniq))[:len(uniq)]
+	for j := range rt.uniqIdx {
+		rt.uniqIdx[j] = slices.Grow(rt.uniqIdx[j][:0], len(uniq))
+	}
+	for i, id := range uniq {
+		j := m.shardFor(id)
+		rt.shardOf[i] = uint16(j)
+		rt.uniqIdx[j] = append(rt.uniqIdx[j], int32(i))
+		if m.loadProbe != nil {
+			// Elastic managers histogram the query mass at a fixed
+			// S-independent granularity so load-triggered reshard
+			// policies can observe ID-space skew even at S=1.
+			c := int64(1)
+			if counts != nil {
+				c = int64(counts[i])
 			}
+			m.loadProbe[ShardOf(id, LoadProbeBuckets)] += c
 		}
 	}
-	// A hold set is the shard's own hits plus the misses it owns, so
-	// its share of the batch bounds it: the coordinator's inserts never
-	// grow it.
-	held := sh.inFlight.Spare(len(m.uniqIdx[j]))
-	occHits, occMisses := 0, 0
-	for _, iPos := range m.uniqIdx[j] {
-		i := int(iPos)
-		id := in.uniq[i]
-		c := 1
-		if in.counts != nil {
-			c = int(in.counts[i])
-		}
-		if slot, ok := sh.hitMap.Get(id); ok {
-			occHits += c
-			in.res.Slots[i] = slot
-			m.touch(j, slot, in.stampBase+uint64(i)+1)
-			m.Hold(slot)
-			held = append(held, slot)
-			continue
-		}
-		occMisses++
-		occHits += c - 1
-		in.res.Slots[i] = -1
+	m.bucket(rt.pins, &rt.pinBuf, future)
+	m.bucket(rt.hints, &rt.hintBuf, hints)
+	return rt.shardOf
+}
+
+// bucket routes every ID of batches to its owning shard: dst[j] becomes
+// shard j's IDs in window order, a slice of *buf. A counting sort, so
+// the buckets together take one window's space, each buffer grown once.
+func (m *Manager) bucket(dst [][]int64, buf *[]int64, batches [][]int64) {
+	n := 0
+	for _, ids := range batches {
+		n += len(ids)
 	}
-	sh.held = held
-	sh.occHits, sh.occMisses = occHits, occMisses
-	sh.queries += int64(occHits + occMisses)
-	sh.hits += int64(occHits)
+	rt := &m.rt
+	rt.owner = slices.Grow(rt.owner[:0], n)
+	clear(rt.count)
+	for _, ids := range batches {
+		for _, id := range ids {
+			j := m.shardFor(id)
+			rt.owner = append(rt.owner, uint16(j))
+			rt.count[j]++
+		}
+	}
+	*buf = slices.Grow((*buf)[:0], n)
+	at := 0
+	for j, c := range rt.count {
+		dst[j] = (*buf)[at : at : at+c]
+		at += c
+	}
+	k := 0
+	for _, ids := range batches {
+		for _, id := range ids {
+			dst[rt.owner[k]] = append(dst[rt.owner[k]], id)
+			k++
+		}
+	}
+}
+
+// planShard is the Plan's shard-parallel pass for shard j, run by
+// par.Each over the inputs in m.batch: core's per-pad pass over the shard's
+// share of the window and the batch.
+func (m *Manager) planShard(j int) error {
+	m.PlanPad(&m.shards[j].Pad, &m.batch, m.rt.uniqIdx[j], m.rt.pins[j:j+1], m.rt.hints[j:j+1])
 	return nil
 }
 
 // Release drops the oldest in-flight batch's holds on every shard (see
 // core.Scratchpad.Release); shards release in parallel (releaseShard).
 func (m *Manager) Release(seq int) error {
-	if m.single != nil {
-		return m.single.Release(seq)
-	}
-	m.in.relSeq = seq
+	m.relSeq = seq
 	if err := par.Each(m.pool, m.nshards, m, (*Manager).releaseShard); err != nil {
 		return err
 	}
@@ -981,9 +760,9 @@ func (m *Manager) Release(seq int) error {
 }
 
 // releaseShard is Release's pass for shard j, run by par.Each: it
-// retires the shard's oldest hold set, which must be batch m.in.relSeq.
+// retires the shard's oldest hold set, which must be batch m.relSeq.
 func (m *Manager) releaseShard(j int) error {
-	return m.ReleaseBatch(&m.shards[j].inFlight, m.in.relSeq)
+	return m.ReleaseBatch(&m.shards[j].Ring, m.relSeq)
 }
 
 // Prewarm fills free capacity with IDs drawn from sample before training
@@ -997,14 +776,12 @@ func (m *Manager) Prewarm(sample func() int64, onFill func(id int64, slot int32)
 // the set of inserted rows are identical to the unsharded planner's;
 // only the physical slot numbers differ.
 func (m *Manager) PrewarmRows(rows int64, sample func() int64, onFill func(id int64, slot int32)) int {
-	if m.single != nil {
-		return m.single.PrewarmRows(rows, sample, onFill)
+	if m.solo() {
+		return m.WarmOne(&m.shards[0].Pad, rows, sample, onFill)
 	}
 	// Prewarm inserts move recency lists and the stamp clock: an overlap
 	// mark no longer describes the next Plan.
 	m.dropOverlap()
-	m.prewarming = true
-	defer func() { m.prewarming = false }()
 	return m.Warm((*warmer)(m), rows, sample, onFill)
 }
 
@@ -1016,22 +793,19 @@ func (w *warmer) Free() bool { return w.freePrimaryTotal > 0 }
 
 func (w *warmer) Cached(id int64) bool { return (*Manager)(w).Contains(id) }
 
-func (w *warmer) Place(id int64) int32 {
+func (w *warmer) Place(_ *core.Frame, id int64) int32 {
 	m := (*Manager)(w)
 	j := m.shardFor(id)
-	slot := m.borrowPrimary(j)
-	m.put(j, id, slot)
+	slot := m.borrowPrimary(j, false) // setup-time borrowing is not metered
+	m.Put(&m.shards[j].Pad, id, slot)
+	m.stampNext(slot)
 	return slot
 }
 
 // ForEach visits every cached (sparse ID, slot) pair, shard by shard, in
 // unspecified order within each shard.
 func (m *Manager) ForEach(f func(id int64, slot int32)) {
-	if m.single != nil {
-		m.single.ForEach(f)
-		return
-	}
 	for j := range m.shards {
-		m.shards[j].hitMap.ForEach(f)
+		m.shards[j].ForEach(f)
 	}
 }

@@ -161,7 +161,7 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal("sharded non-LRU policy accepted (the eviction coordinator is LRU-specific)")
 	}
 	if m, err := New(Config{Scratchpad: lfu, Shards: 1}); err != nil || m.Shards() != 1 {
-		t.Fatalf("single-shard LFU should delegate unsharded: %v", err)
+		t.Fatalf("single-shard LFU should plan unsharded: %v", err)
 	}
 	if m, err := New(Config{Scratchpad: base}); err != nil || m.Shards() != 1 {
 		t.Fatalf("zero shard count should default to 1: %v", err)
@@ -551,7 +551,7 @@ func TestPlanWarmZeroAllocs(t *testing.T) {
 }
 
 // BenchmarkPlanSharded measures the steady-state sharded Plan cycle at
-// several shard counts (S=1 is the delegated unsharded baseline); the
+// several shard counts (S=1 is the unsharded core pass); the
 // hot-path JSON history records the same scaling on the full sweep.
 func BenchmarkPlanSharded(b *testing.B) {
 	for _, tc := range []struct {

@@ -53,10 +53,10 @@ func (m *Manager) OverlapStats() OverlapStats { return m.overlap }
 // OverlapNextPlan marks the next Plan overlapped when it will sweep for
 // victims: uniq is its batch's distinct IDs, and the call must come
 // after the previous Plan and before anything but one Release touches
-// the manager. It is a no-op (nothing marked, nothing counted) for the
-// S=1 delegate, co-located placements (nothing to meter), degraded
-// partition mode, and a batch whose misses fit the free budget (no
-// sweep, no polls to hide).
+// the manager. It is a no-op (nothing marked, nothing counted) without a
+// coordination meter (a single shard or a co-located placement: nothing
+// to meter), in degraded partition mode, and for a batch whose misses
+// fit the free budget (no sweep, no polls to hide).
 func (m *Manager) OverlapNextPlan(uniq []int64) {
 	m.dropOverlap()
 	if m.coord == nil || m.degraded {
@@ -64,7 +64,7 @@ func (m *Manager) OverlapNextPlan(uniq []int64) {
 	}
 	misses := 0
 	for _, id := range uniq {
-		if _, ok := m.shards[m.shardFor(id)].hitMap.Get(id); !ok {
+		if !m.Contains(id) {
 			misses++
 		}
 	}
@@ -106,5 +106,5 @@ func (m *Manager) LastPlanCoordCritical() float64 { return m.lastCoordCrit }
 // LastPlanCoordWall returns the message plane's measured wall clock for
 // the most recent Plan's full coordination script (critical + hidden) —
 // the measured twin of LastPlanCoord. Zero for co-located placements and
-// the S=1 delegate, like LastPlanCoord.
+// a single shard, like LastPlanCoord.
 func (m *Manager) LastPlanCoordWall() float64 { return m.lastCoordWall }

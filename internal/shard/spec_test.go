@@ -28,7 +28,7 @@ const (
 // budget (no sweep).
 func projectFirstRound(t *testing.T, m *Manager, seq int, uniq []int64, future, hints [][]int64, releaseSeq int) [][]int32 {
 	t.Helper()
-	if m.single != nil || m.coord == nil || m.degraded {
+	if m.coord == nil || m.degraded {
 		return nil
 	}
 	marks := make([]uint8, m.TotalSlots())
@@ -36,10 +36,10 @@ func projectFirstRound(t *testing.T, m *Manager, seq int, uniq []int64, future, 
 	if releaseSeq >= 0 {
 		for j := range m.shards {
 			sh := &m.shards[j]
-			if sh.inFlight.Len() == 0 || sh.inFlight.Front().Seq != releaseSeq {
+			if sh.Ring.Len() == 0 || sh.Ring.Front().Seq != releaseSeq {
 				t.Fatalf("oracle: shard %d's oldest batch is not %d", j, releaseSeq)
 			}
-			for _, slot := range sh.inFlight.Front().Slots {
+			for _, slot := range sh.Ring.Front().Slots {
 				if m.Holds(slot) == 1 {
 					marks[slot] |= projReleased
 				}
@@ -51,7 +51,7 @@ func projectFirstRound(t *testing.T, m *Manager, seq int, uniq []int64, future, 
 	// batch IDs without a slot now.
 	misses := 0
 	for _, id := range uniq {
-		if slot, ok := m.shards[m.shardFor(id)].hitMap.Get(id); ok {
+		if slot, ok := m.shards[m.shardFor(id)].HitMap.Get(id); ok {
 			marks[slot] |= projHeld
 		} else {
 			misses++
@@ -64,7 +64,7 @@ func projectFirstRound(t *testing.T, m *Manager, seq int, uniq []int64, future, 
 	// look-ahead already pinned.
 	for _, fids := range future[m.PinStart(seq, len(future)):] {
 		for _, id := range fids {
-			if slot, ok := m.shards[m.shardFor(id)].hitMap.Get(id); ok {
+			if slot, ok := m.shards[m.shardFor(id)].HitMap.Get(id); ok {
 				marks[slot] |= projPinned
 			}
 		}
@@ -72,7 +72,7 @@ func projectFirstRound(t *testing.T, m *Manager, seq int, uniq []int64, future, 
 	hintRelaxed := len(hints) == 0
 	for _, hids := range hints {
 		for _, id := range hids {
-			if slot, ok := m.shards[m.shardFor(id)].hitMap.Get(id); ok {
+			if slot, ok := m.shards[m.shardFor(id)].HitMap.Get(id); ok {
 				marks[slot] |= projHinted
 			}
 		}
@@ -97,7 +97,7 @@ func projectFirstRound(t *testing.T, m *Manager, seq int, uniq []int64, future, 
 	}
 	round := make([][]int32, len(m.shards))
 	for j := range m.shards {
-		for cur := m.shards[j].lruHead; cur != nilSlot && len(round[j]) < pollK; cur = m.next[cur] {
+		for cur := m.LRU().Front(j); cur != nilSlot && len(round[j]) < pollK; cur = m.LRU().Next(cur) {
 			if evictable(cur) {
 				round[j] = append(round[j], cur)
 			}
