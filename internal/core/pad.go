@@ -64,6 +64,14 @@ func (p *Pad) Contains(id int64) bool {
 // tables at the end of training.
 func (p *Pad) ForEach(f func(id int64, slot int32)) { p.HitMap.ForEach(f) }
 
+// PopFree takes the next free primary slot; the stack must be non-empty.
+func (p *Pad) PopFree() int32 {
+	n := len(p.FreePrimary) - 1
+	slot := p.FreePrimary[n]
+	p.FreePrimary = p.FreePrimary[:n]
+	return slot
+}
+
 // Commit registers the current Plan's hold set as batch seq's entry on
 // the pad's ring.
 func (p *Pad) Commit(seq int) {
@@ -215,10 +223,8 @@ func (f *Frame) PlanOne(p *Pad, seq int, uniq []int64, counts []int32, future, h
 // first, then an unprotected victim (whose eviction it schedules in
 // res), then a reserve slot.
 func (f *Frame) allocate(p *Pad, res *PlanResult) (int32, error) {
-	if n := len(p.FreePrimary); n > 0 {
-		slot := p.FreePrimary[n-1]
-		p.FreePrimary = p.FreePrimary[:n-1]
-		return slot, nil
+	if len(p.FreePrimary) > 0 {
+		return p.PopFree(), nil
 	}
 	// Arm the policy's victim sweep on the Plan's first eviction need
 	// (after the free list is exhausted, so free-slot inserts can no
@@ -270,9 +276,7 @@ func (w *padWarmer) Free() bool { return len(w.FreePrimary) > 0 }
 func (w *padWarmer) Cached(id int64) bool { return (*Pad)(w).Contains(id) }
 
 func (w *padWarmer) Place(f *Frame, id int64) int32 {
-	n := len(w.FreePrimary) - 1
-	slot := w.FreePrimary[n]
-	w.FreePrimary = w.FreePrimary[:n]
+	slot := (*Pad)(w).PopFree()
 	f.Put((*Pad)(w), id, slot)
 	return slot
 }

@@ -539,11 +539,8 @@ func (m *Manager) borrowPrimary(j int, meter bool) int32 {
 		}
 		sh = &m.shards[donor]
 	}
-	n := len(sh.FreePrimary)
-	slot := sh.FreePrimary[n-1]
-	sh.FreePrimary = sh.FreePrimary[:n-1]
 	m.freePrimaryTotal--
-	return slot
+	return sh.PopFree()
 }
 
 // stampNext stamps slot with the next tick of the global recency clock.
