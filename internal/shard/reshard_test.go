@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"testing"
 
@@ -194,10 +196,11 @@ func driveResharding(t *testing.T, label string, a planner, b *Manager, st *stre
 }
 
 // TestReshardEquivalence is the tentpole property: an elastic run that
-// reshards S=1 -> 4 -> 2 mid-stream — with batches in flight at every
-// boundary — must keep emitting exactly the plans, eviction victims,
-// and statistics of the unsharded planner, and every boundary must
-// preserve the full residency map (no silent row loss).
+// reshards S=1 -> 4 -> 2 -> 1 mid-stream — with batches in flight at
+// every boundary — must keep emitting exactly the plans, eviction
+// victims, and statistics of the unsharded planner, and every boundary
+// must preserve the full residency map (no silent row loss). The final
+// leg checks the one-shard pass after a reshard.
 func TestReshardEquivalence(t *testing.T) {
 	cfg := testConfig(512, 96)
 	sp, err := core.NewScratchpad(cfg)
@@ -206,22 +209,66 @@ func TestReshardEquivalence(t *testing.T) {
 	}
 	m := elastic(t, cfg, 1, func(c *Config) { c.Pool = par.New(2) })
 	st := newStream(29, 96, 96, int64(512*4))
-	driveResharding(t, "reshard-1-4-2", sp, m, st, 150, 2, map[int]int{50: 4, 100: 2}, nil)
+	driveResharding(t, "reshard-1-4-2-1", sp, m, st, 180, 2, map[int]int{50: 4, 100: 2, 130: 1}, nil)
 	if sp.Stats() != m.Stats() {
 		t.Fatalf("stats diverged:\ncore    %+v\nelastic %+v", sp.Stats(), m.Stats())
 	}
 	rs := m.ReshardStats()
-	if rs.Events != 2 {
-		t.Fatalf("reshard events %d, want 2", rs.Events)
+	if rs.Events != 3 {
+		t.Fatalf("reshard events %d, want 3", rs.Events)
 	}
 	if rs.ResidentMoved == 0 {
-		t.Fatal("no resident entries re-bucketed across S=1 -> 4 -> 2")
+		t.Fatal("no resident entries re-bucketed across S=1 -> 4 -> 2 -> 1")
 	}
 	if rs.HoldsMoved == 0 {
 		t.Fatal("no in-flight hold entries re-bucketed despite batches in flight at both boundaries")
 	}
 	if rs.Bytes != 0 || rs.Seconds != 0 || rs.Rounds != 0 {
 		t.Fatalf("co-located migration priced: %+v", rs)
+	}
+}
+
+// TestReshardApproxPin pins the approx protocol across resharding from
+// one shard: an approx manager stepped S=1 -> 4 -> 2 with batches in
+// flight must end with the recorded statistics and eviction sequence.
+// Approx compares quantized stamps, so unlike exact and hier it has no
+// unsharded reference to match; the constants are its regression anchor.
+func TestReshardApproxPin(t *testing.T) {
+	cfg := testConfig(384, 80)
+	m := elastic(t, cfg, 1, func(c *Config) { c.Coord = CoordApprox })
+	st := newStream(31, 96, 80, int64(384*4))
+	h := fnv.New64a()
+	const depth = 4
+	var pend []*core.PlanResult
+	for seq := 0; seq < 150; seq++ {
+		if newS, ok := map[int]int{40: 4, 90: 2}[seq]; ok {
+			if err := m.Reshard(newS, hw.Placement{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		future, _ := st.window(seq, 2, 0)
+		res, err := m.PlanWithHints(seq, st.at(seq), future, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range res.Evictions {
+			fmt.Fprintf(h, "%d:%d,", e.OldID, e.Slot)
+		}
+		if pend = append(pend, res); len(pend) >= depth {
+			if err := m.Release(seq - depth + 1); err != nil {
+				t.Fatal(err)
+			}
+			m.Recycle(pend[0])
+			pend = pend[1:]
+		}
+	}
+	want := core.Stats{Queries: 12000, Hits: 3919, Misses: 8081, UniqueQueries: 11719, UniqueHits: 3638,
+		UniqueMisses: 8081, Fills: 8081, Evictions: 7697, Planned: 150, Released: 147}
+	if got := m.Stats(); got != want {
+		t.Errorf("stats %+v, want %+v", got, want)
+	}
+	if got, want := h.Sum64(), uint64(0x48e5bd0477ff4180); got != want {
+		t.Errorf("victim sequence hash %#x, want %#x", got, want)
 	}
 }
 
