@@ -17,7 +17,7 @@ type slotMeta struct {
 	pinStamp int64
 	// holds counts in-flight batches referencing the slot.
 	holds int32
-	// entryIdx is key's entry position inside its Hit-Map, so an eviction
+	// entryIdx is key's entry position inside the Hit-Map, so an eviction
 	// deletes its victim's stale key without re-probing (the victim's
 	// entry is cache-cold by eviction time). Backward-shift relocations
 	// report back through onMove; map growth triggers a full reindex.
@@ -26,15 +26,19 @@ type slotMeta struct {
 
 // Frame is one table's slot discipline (§IV-C, Algorithm 1) — hold the
 // past window, pin the future window, evict only what neither protects —
-// written once for every planner. It owns the per-slot metadata and the
-// evictability predicate, the pin epoch with its hint stamps, the reserve
-// budget, the replacement policy, the PlanResult pool, the FIFO hold
-// release, the Prewarm draw rule and the statistics. The per-pad Plan
-// pass (PlanPad) and the unsharded Plan (PlanOne) run on it. A planner
-// supplies its Pads — Hit-Map, free primary slots, hold ring and recency
-// list each. Scratchpad embeds a Frame and one Pad; the sharded manager
-// (internal/shard) embeds a Frame too and keeps one Pad per shard, each on
-// its own list of the frame's LRU.
+// written once for every planner. It owns the table's one Hit-Map, the
+// per-slot metadata and the evictability predicate, the pin epoch with
+// its hint stamps, the reserve budget, the replacement policy, the
+// PlanResult pool, the FIFO hold release, the Prewarm draw rule and the
+// statistics. The per-pad Plan pass (PlanPad) and the unsharded Plan
+// (PlanOne) run on it. A planner supplies its Pads — free primary slots,
+// hold ring and recency list each. Scratchpad embeds a Frame and one Pad;
+// the sharded manager (internal/shard) embeds a Frame too and keeps one
+// Pad per shard, each on its own list of the frame's LRU.
+//
+// The pads' parallel Plan passes only read the Hit-Map, and every insert
+// and eviction runs serially (the miss loop, Warm, and the sharded
+// manager's Reshard and Evacuate), so the map needs no lock.
 //
 // Where the paper ages a per-slot bitmask by shifting it every cycle, the
 // frame keeps an explicit per-slot hold counter plus a FIFO of in-flight
@@ -44,6 +48,8 @@ type slotMeta struct {
 // slots) instead of O(cache size) per cycle.
 type Frame struct {
 	cfg Config
+	// hit is the Hit-Map: every resident sparse ID to its slot.
+	hit intmap.Map
 	// slots holds the per-slot control metadata in one array of structs
 	// so the victim sweep's evictability check (key, pin stamp, hold
 	// count) touches one cache line per candidate instead of three.
@@ -106,8 +112,8 @@ type Frame struct {
 }
 
 // ResetFrame reinitialises f for cfg (already validated) with lists
-// recency lists (several only under LRU): every slot empty and off every
-// list, the reserve stack in its initial pop order, a fresh pin epoch
+// recency lists (several only under LRU): an empty Hit-Map, every slot
+// empty and off every list, the reserve stack in its initial pop order, a fresh pin epoch
 // and zero statistics. It keeps every buffer's capacity and the pool of
 // recycled plans. It fails, leaving f unchanged, on an unknown policy.
 func (f *Frame) ResetFrame(cfg Config, lists int) error {
@@ -129,6 +135,10 @@ func (f *Frame) ResetFrame(cfg Config, lists int) error {
 		f.evictableFn = func(slot int) bool { return f.Evictable(int32(slot)) }
 	}
 	f.cfg = cfg
+	// Size the Hit-Map for the nominal slots plus half the reserve (hold
+	// pressure routinely spills into reserve, rarely to the provisioning
+	// bound; the map grows past it).
+	f.hit.Reset(cfg.Slots + cfg.Reserve/2)
 	f.slots = resized(f.slots, total)
 	for i := range f.slots {
 		f.slots[i] = slotMeta{key: -1}
@@ -174,6 +184,20 @@ func (f *Frame) Capacity() int { return f.cfg.Slots }
 
 // TotalSlots returns nominal + reserve capacity.
 func (f *Frame) TotalSlots() int { return f.cfg.Slots + f.cfg.Reserve }
+
+// Len returns the number of resident rows.
+func (f *Frame) Len() int { return f.hit.Len() }
+
+// Contains reports whether sparse ID id has a slot.
+func (f *Frame) Contains(id int64) bool {
+	_, ok := f.hit.Get(id)
+	return ok
+}
+
+// ForEach visits every resident (sparse ID, slot) pair in unspecified
+// order; engines use it to flush dirty cached rows back to the CPU
+// tables at the end of training.
+func (f *Frame) ForEach(fn func(id int64, slot int32)) { f.hit.ForEach(fn) }
 
 // LRU returns the frame's recency lists, or nil under another policy.
 func (f *Frame) LRU() *cache.LRUPolicy { return f.lru }
@@ -356,25 +380,14 @@ func (f *Frame) Dedup(ids []int64) ([]int64, []int32) {
 	return f.uniqScratch, f.cntScratch
 }
 
-// Insert places id into slot in hm (the Hit-Map owning id), keeping the
-// slot->entry reverse index exact: PutIdx grows before inserting, so the
-// returned position is valid even when the map just grew, and a growth
-// reindexes the older entries.
-func (f *Frame) Insert(hm *intmap.Map, id int64, slot int32) {
-	cap0 := hm.Cap()
-	at := hm.PutIdx(id, slot)
-	if hm.Cap() != cap0 {
-		hm.ForEachIdx(func(idx int, _ int64, s int32) { f.slots[s].entryIdx = int32(idx) })
-	}
-	f.slots[slot].key, f.slots[slot].entryIdx = id, int32(at)
-}
-
-// Evict removes slot's row from hm (the Hit-Map owning it) through the
-// reverse index and empties the slot, returning the displaced sparse ID.
-func (f *Frame) Evict(hm *intmap.Map, slot int32) int64 {
+// Evict removes slot's row, which pad p owns, from the Hit-Map through
+// the reverse index and empties the slot, returning the displaced sparse
+// ID.
+func (f *Frame) Evict(p *Pad, slot int32) int64 {
 	old := f.slots[slot].key
-	hm.DeleteAt(int(f.slots[slot].entryIdx), f.onMove)
+	f.hit.DeleteAt(int(f.slots[slot].entryIdx), f.onMove)
 	f.slots[slot].key = -1
+	p.Resident--
 	return old
 }
 
@@ -404,12 +417,10 @@ func (f *Frame) ReleaseBatch(r *BatchRing, seq int) error {
 func (f *Frame) EndRelease() { f.stats.Released++ }
 
 // Warmer is the planner side of Frame.Warm: Free reports whether a free
-// primary slot remains, Cached whether id already has a slot, and Place
-// moves id into a free primary slot of f — Hit-Map entry and replacement
-// order included — returning the slot.
+// primary slot remains, and Place moves id into a free primary slot of f
+// — Hit-Map entry and replacement order included — returning the slot.
 type Warmer interface {
 	Free() bool
-	Cached(id int64) bool
 	Place(f *Frame, id int64) int32
 }
 
@@ -444,7 +455,7 @@ func (f *Frame) Warm(w Warmer, rows int64, sample func() int64, onFill func(id i
 				continue
 			}
 			seen[word] |= bit
-		} else if w.Cached(id) {
+		} else if f.Contains(id) {
 			continue
 		}
 		slot := w.Place(f, id)

@@ -1,19 +1,14 @@
 package core
 
-import (
-	"slices"
+import "slices"
 
-	"repro/internal/intmap"
-)
-
-// Pad is one sub-scratchpad over a Frame: a Hit-Map, a stack of free
-// primary slots, a FIFO hold ring and a recency list. Scratchpad plans
-// one pad over the whole batch; the sharded manager (internal/shard)
-// keeps one per shard, each owning a hash partition of the ID space,
-// and plans each over its share of the batch.
+// Pad is one sub-scratchpad over a Frame: a stack of free primary slots,
+// a FIFO hold ring, a recency list and the count of the frame's resident
+// rows it owns. The Hit-Map is the frame's, one per table. Scratchpad
+// plans one pad over the whole batch; the sharded manager
+// (internal/shard) keeps one per shard, each owning a hash partition of
+// the ID space, and plans each over its share of the batch.
 type Pad struct {
-	// HitMap maps the pad's resident sparse IDs to slots.
-	HitMap *intmap.Map
 	// FreePrimary holds never-yet-used primary slots, popped from the
 	// end (eviction reuses the victim's slot directly).
 	FreePrimary []int32
@@ -22,6 +17,8 @@ type Pad struct {
 	Ring BatchRing
 	// List is the pad's recency list in the frame's LRU policy.
 	List int
+	// Resident counts the frame's resident rows the pad owns.
+	Resident int
 	// OccHits and OccMisses are the current Plan's occurrence counts on
 	// this pad; Queries and Hits total them over the pad's lifetime.
 	OccHits, OccMisses int
@@ -32,37 +29,17 @@ type Pad struct {
 }
 
 // Reset empties p into pad j of n over cfg, keeping its buffers: nothing
-// in flight, zero counters, the primary slots s ≡ j (mod n) stacked so
-// pops ascend, and an empty Hit-Map sized for the pad's share of the
-// nominal slots plus half the reserve (hold pressure routinely spills
-// into reserve, rarely to the provisioning bound; the map grows past it).
+// in flight or resident, zero counters, and the primary slots
+// s ≡ j (mod n) stacked so pops ascend.
 func (p *Pad) Reset(cfg Config, j, n int) {
 	p.Ring.Clear()
-	if p.HitMap == nil {
-		p.HitMap = &intmap.Map{}
-	}
-	p.HitMap.Reset((cfg.Slots + cfg.Reserve/2) / n)
 	count := (cfg.Slots - j + n - 1) / n
 	free := slices.Grow(p.FreePrimary[:0], count)
 	for s := j + (count-1)*n; s >= 0; s -= n {
 		free = append(free, int32(s))
 	}
-	*p = Pad{HitMap: p.HitMap, FreePrimary: free, Ring: p.Ring, List: j}
+	*p = Pad{FreePrimary: free, Ring: p.Ring, List: j}
 }
-
-// Len returns the number of rows resident on the pad.
-func (p *Pad) Len() int { return p.HitMap.Len() }
-
-// Contains reports whether sparse ID id has a slot on the pad.
-func (p *Pad) Contains(id int64) bool {
-	_, ok := p.HitMap.Get(id)
-	return ok
-}
-
-// ForEach visits every resident (sparse ID, slot) pair in unspecified
-// order; engines use it to flush dirty cached rows back to the CPU
-// tables at the end of training.
-func (p *Pad) ForEach(f func(id int64, slot int32)) { p.HitMap.ForEach(f) }
 
 // PopFree takes the next free primary slot; the stack must be non-empty.
 func (p *Pad) PopFree() int32 {
@@ -91,24 +68,26 @@ type Batch struct {
 }
 
 // PlanPad is one pad's share of a Plan, the pass every planner runs: it
-// pins the pad's cached rows among pins, hints those among hints, then
-// classifies the batch positions idx (nil: all) against the pad's
-// Hit-Map. A hit writes its slot to b.Res.Slots[i] and is touched and
-// held; a miss writes -1 for the planner to allocate. A hit ID's
+// pins the cached rows among pins, hints those among hints, then
+// classifies the batch positions idx (nil: all) against the Hit-Map. The
+// planner routes the pad only the IDs it owns. A hit writes its slot to
+// b.Res.Slots[i] and is touched and held; a miss writes -1 for the
+// planner to allocate. A hit ID's
 // occurrences all hit; a missed ID's first occurrence misses and the
 // rest hit (the row is scheduled for fill and resident by [Train]). The
-// pass writes only the pad's slots and list, so pads run in parallel.
+// pass only reads the Hit-Map and writes only the pad's slots and list,
+// so pads run in parallel.
 func (f *Frame) PlanPad(p *Pad, b *Batch, idx []int32, pins, hints [][]int64) {
 	for _, ids := range pins {
 		for _, id := range ids {
-			if slot, ok := p.HitMap.Get(id); ok {
+			if slot, ok := f.hit.Get(id); ok {
 				f.Pin(slot)
 			}
 		}
 	}
 	for _, ids := range hints {
 		for _, id := range ids {
-			if slot, ok := p.HitMap.Get(id); ok {
+			if slot, ok := f.hit.Get(id); ok {
 				f.Hint(slot)
 			}
 		}
@@ -130,7 +109,7 @@ func (f *Frame) PlanPad(p *Pad, b *Batch, idx []int32, pins, hints [][]int64) {
 		if b.Counts != nil {
 			c = int(b.Counts[i])
 		}
-		slot, ok := p.HitMap.Get(b.Uniq[i])
+		slot, ok := f.hit.Get(b.Uniq[i])
 		if !ok {
 			misses++
 			hits += c - 1
@@ -156,9 +135,18 @@ func (f *Frame) PlanPad(p *Pad, b *Batch, idx []int32, pins, hints [][]int64) {
 	p.Hits += int64(hits)
 }
 
-// Put moves id into slot on pad p: Hit-Map entry and recency position.
+// Put moves id into slot on pad p: Hit-Map entry, resident count and
+// recency position. The slot->entry reverse index stays exact: PutIdx
+// grows before inserting, so the returned position is valid even when
+// the map just grew, and a growth reindexes the older entries.
 func (f *Frame) Put(p *Pad, id int64, slot int32) {
-	f.Insert(p.HitMap, id, slot)
+	cap0 := f.hit.Cap()
+	at := f.hit.PutIdx(id, slot)
+	if f.hit.Cap() != cap0 {
+		f.hit.ForEachIdx(func(idx int, _ int64, s int32) { f.slots[s].entryIdx = int32(idx) })
+	}
+	f.slots[slot].key, f.slots[slot].entryIdx = id, int32(at)
+	p.Resident++
 	if f.lru != nil {
 		f.lru.Touch(p.List, slot)
 	} else {
@@ -241,7 +229,7 @@ func (f *Frame) allocate(p *Pad, res *PlanResult) (int32, error) {
 	}
 	if v >= 0 {
 		slot := int32(v)
-		res.Evictions = append(res.Evictions, Eviction{OldID: f.Evict(p.HitMap, slot), Slot: slot})
+		res.Evictions = append(res.Evictions, Eviction{OldID: f.Evict(p, slot), Slot: slot})
 		return slot, nil
 	}
 	return f.TakeReserve(res)
@@ -272,8 +260,6 @@ func (f *Frame) WarmOne(p *Pad, rows int64, sample func() int64, onFill func(id 
 type padWarmer Pad
 
 func (w *padWarmer) Free() bool { return len(w.FreePrimary) > 0 }
-
-func (w *padWarmer) Cached(id int64) bool { return (*Pad)(w).Contains(id) }
 
 func (w *padWarmer) Place(f *Frame, id int64) int32 {
 	slot := (*Pad)(w).PopFree()

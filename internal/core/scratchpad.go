@@ -166,8 +166,8 @@ type Stats struct {
 	Planned, Released int64
 }
 
-// Scratchpad is the per-table cache manager: one Pad — Hit-Map, free
-// primary slots, hold ring, recency list — over the slot discipline and
+// Scratchpad is the per-table cache manager: one Pad — free primary
+// slots, hold ring, recency list — over the Hit-Map, slot discipline and
 // replacement policy its Frame holds.
 type Scratchpad struct {
 	Frame

@@ -162,8 +162,9 @@ func (m *Manager) Evacuate(place hw.Placement, hostDead func(host int) bool, res
 		newNode := placeNode(place, j)
 		sh := &m.shards[j]
 
+		// The shard's recency list holds exactly its resident slots.
 		drop = drop[:0]
-		sh.ForEach(func(id int64, slot int32) {
+		for slot := m.LRU().Front(j); slot != nilSlot; slot = m.LRU().Next(slot) {
 			switch {
 			case m.Held(slot):
 				acc.move(src, newNode, true, 1, migResidentBytes, &st.HeldKept)
@@ -172,13 +173,13 @@ func (m *Manager) Evacuate(place hw.Placement, hostDead func(host int) bool, res
 			default:
 				drop = append(drop, slot)
 			}
-		})
+		}
 		// Drop the lost entries in descending slot order so the freed
 		// primary slots pop ascending — the fresh construction's
 		// allocation direction, and a deterministic one.
 		sort.Slice(drop, func(a, b int) bool { return drop[a] > drop[b] })
 		for _, slot := range drop {
-			m.Evict(sh.HitMap, slot)
+			m.Evict(&sh.Pad, slot)
 			m.LRU().Remove(slot)
 			if int(slot) < m.Capacity() {
 				sh.FreePrimary = append(sh.FreePrimary, slot)

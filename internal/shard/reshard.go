@@ -46,7 +46,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hw"
-	"repro/internal/intmap"
 )
 
 // LoadProbeBuckets is the fixed, shard-count-independent granularity of
@@ -276,7 +275,7 @@ func (m *Manager) Reshard(newS int, place hw.Placement) error {
 		for j := range m.shards {
 			from, to := placeNode(oldPlace, j), placeNode(place, j)
 			sh := &m.shards[j]
-			acc.move(from, to, false, int64(sh.Len()), migResidentBytes, &m.resharding.ResidentMoved)
+			acc.move(from, to, false, int64(sh.Resident), migResidentBytes, &m.resharding.ResidentMoved)
 			acc.move(from, to, false, int64(len(sh.FreePrimary)), migFreeSlotBytes, &m.resharding.FreeMoved)
 			acc.move(from, to, false, holdCount(sh), migHoldBytes, &m.resharding.HoldsMoved)
 		}
@@ -312,20 +311,20 @@ func (m *Manager) Reshard(newS int, place hw.Placement) error {
 
 	shards := make([]shardState, newS)
 	for j := range shards {
-		shards[j].HitMap = intmap.New((cfg.Slots + cfg.Reserve/2) / newS)
 		shards[j].List = j
 	}
 	m.shards = shards
 	m.nshards = newS
 
-	// Hit-Maps + recency lists.
+	// Recency lists and resident counts; the Hit-Map is the frame's and
+	// stays as it is.
 	m.LRU().ResetLists(m.TotalSlots(), newS)
 	for _, slot := range resident {
 		id := m.Key(slot)
 		oldJ := ShardOf(id, oldN)
 		newJ := ShardOf(id, newS)
 		m.LRU().Touch(newJ, slot)
-		m.Insert(shards[newJ].HitMap, id, slot)
+		shards[newJ].Resident++
 		acc.move(placeNode(oldPlace, oldJ), placeNode(place, newJ), oldJ != newJ,
 			1, migResidentBytes, &m.resharding.ResidentMoved)
 	}

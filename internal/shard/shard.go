@@ -354,23 +354,11 @@ func (m *Manager) CoordStats() CoordStats {
 // CoordMode returns the coordination protocol the manager runs.
 func (m *Manager) CoordMode() CoordMode { return m.mode }
 
-// Len returns the number of cached rows across all shards.
-func (m *Manager) Len() int {
-	n := 0
-	for j := range m.shards {
-		n += m.shards[j].Len()
-	}
-	return n
-}
-
-// Contains reports whether sparse ID id currently has a slot.
-func (m *Manager) Contains(id int64) bool { return m.shards[m.shardFor(id)].Contains(id) }
-
 // ShardStats is one shard's balance snapshot.
 type ShardStats struct {
 	// Queries/Hits are occurrence-level counters over planned batches.
 	Queries, Hits int64
-	// Resident is the shard's current Hit-Map population.
+	// Resident is the number of resident rows the shard owns.
 	Resident int
 }
 
@@ -379,7 +367,7 @@ func (m *Manager) ShardStats() []ShardStats {
 	out := make([]ShardStats, m.nshards)
 	for j := range m.shards {
 		sh := &m.shards[j]
-		out[j] = ShardStats{Queries: sh.Queries, Hits: sh.Hits, Resident: sh.Len()}
+		out[j] = ShardStats{Queries: sh.Queries, Hits: sh.Hits, Resident: sh.Resident}
 	}
 	return out
 }
@@ -635,7 +623,7 @@ func (m *Manager) PlanUniqueWithHints(seq int, uniq []int64, counts []int32, fut
 				v, vsh = m.victim()
 			}
 			if v >= 0 {
-				res.Evictions = append(res.Evictions, core.Eviction{OldID: m.Evict(m.shards[vsh].HitMap, v), Slot: v})
+				res.Evictions = append(res.Evictions, core.Eviction{OldID: m.Evict(&m.shards[vsh].Pad, v), Slot: v})
 				slot = v
 				if m.coord != nil && vsh != j {
 					// The victim's slot changes owners: transfer its
@@ -788,8 +776,6 @@ type warmer Manager
 
 func (w *warmer) Free() bool { return w.freePrimaryTotal > 0 }
 
-func (w *warmer) Cached(id int64) bool { return (*Manager)(w).Contains(id) }
-
 func (w *warmer) Place(_ *core.Frame, id int64) int32 {
 	m := (*Manager)(w)
 	j := m.shardFor(id)
@@ -797,12 +783,4 @@ func (w *warmer) Place(_ *core.Frame, id int64) int32 {
 	m.Put(&m.shards[j].Pad, id, slot)
 	m.stampNext(slot)
 	return slot
-}
-
-// ForEach visits every cached (sparse ID, slot) pair, shard by shard, in
-// unspecified order within each shard.
-func (m *Manager) ForEach(f func(id int64, slot int32)) {
-	for j := range m.shards {
-		m.shards[j].ForEach(f)
-	}
 }

@@ -49,9 +49,10 @@ func projectFirstRound(t *testing.T, m *Manager, seq int, uniq []int64, future, 
 	// The Plan's passes: batch hits hold, window hits pin, hint hits
 	// stamp. Residency cannot change before the Plan, so misses are the
 	// batch IDs without a slot now.
+	slotOf := residency(m)
 	misses := 0
 	for _, id := range uniq {
-		if slot, ok := m.shards[m.shardFor(id)].HitMap.Get(id); ok {
+		if slot, ok := slotOf[id]; ok {
 			marks[slot] |= projHeld
 		} else {
 			misses++
@@ -64,7 +65,7 @@ func projectFirstRound(t *testing.T, m *Manager, seq int, uniq []int64, future, 
 	// look-ahead already pinned.
 	for _, fids := range future[m.PinStart(seq, len(future)):] {
 		for _, id := range fids {
-			if slot, ok := m.shards[m.shardFor(id)].HitMap.Get(id); ok {
+			if slot, ok := slotOf[id]; ok {
 				marks[slot] |= projPinned
 			}
 		}
@@ -72,7 +73,7 @@ func projectFirstRound(t *testing.T, m *Manager, seq int, uniq []int64, future, 
 	hintRelaxed := len(hints) == 0
 	for _, hids := range hints {
 		for _, id := range hids {
-			if slot, ok := m.shards[m.shardFor(id)].HitMap.Get(id); ok {
+			if slot, ok := slotOf[id]; ok {
 				marks[slot] |= projHinted
 			}
 		}
