@@ -146,8 +146,8 @@ func main() {
 	if cfg.Shards > 1 && cfg.Policy != scratchpipe.LRU {
 		fail("-shards %d requires -policy lru (the cross-shard eviction coordinator merges LRU recency orders)", cfg.Shards)
 	}
-	if cfg.Reshard.MaxShards() > 1 && cfg.Policy != scratchpipe.LRU {
-		fail("-reshard reaching %d shards requires -policy lru", cfg.Reshard.MaxShards())
+	if (cfg.Reshard.Active() || cfg.Faults.Active()) && cfg.Policy != scratchpipe.LRU {
+		fail("-policy %s: -reshard and -fail require -policy lru (migration re-threads LRU recency state)", cfg.Policy)
 	}
 	if cfg.CoordOverlap && cfg.Engine != scratchpipe.KindScratchPipe {
 		fail("-coord-overlap applies to the scratchpipe engine, got -engine %s", cfg.Engine)

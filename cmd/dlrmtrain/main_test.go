@@ -118,6 +118,8 @@ func TestBadInput(t *testing.T) {
 		{"serve-fail", "-serve -serve-fail replica9@0.1"},
 		{"router", "-router random"},
 		{"coord", "-coord batched"},
+		{"policy", "-policy lfu -topology cluster2x2 -fail host1@5"},
+		{"policy", "-policy lfu -reshard 3:1"},
 	} {
 		t.Run(c.flag, func(t *testing.T) {
 			args := append([]string{"-functional=false", "-iters", "8", "-rows", "20000"}, strings.Fields(c.args)...)

@@ -51,11 +51,13 @@ type dynamicState struct {
 	// the paper expects multi-GPU ScratchPipe to underutilize GPUs.
 	gpus int
 
-	// Elastic-resharding state (reshard.go): reshardNext cursors the
-	// static schedule, loadSnap is the load policy's last probe
-	// snapshot, migrationSecs accumulates the modeled migration latency
-	// across all reshard events and tables.
+	// Resharding state (reshard.go): reshardNext cursors the static
+	// schedule; loads holds each table's query-mass histogram for the
+	// load policy (nil without one) and loadSnap the policy's last
+	// summed snapshot; migrationSecs accumulates the modeled migration
+	// latency across all reshard events and tables.
 	reshardNext   int
+	loads         [][]int64
 	loadSnap      []int64
 	migrationSecs float64
 
@@ -160,13 +162,16 @@ func newDynamicState(env *Env, cacheFrac float64, policy cache.PolicyKind, past,
 		d.pristineTopo = env.Cfg.Topology.Clone()
 		d.deadHosts = make(map[int]bool)
 	}
-	// Fault injection rides on the reshard machinery (evacuation is the
-	// same-S corner of it), so an active fault plan also builds the
-	// managers elastic.
-	elastic := env.Cfg.Reshard.Active() || env.Cfg.Faults.Active()
-	if elastic && env.Cfg.Reshard.MaxShards() > 1 && policy != cache.LRU {
-		return nil, fmt.Errorf("engine: reshard schedule reaching %d shards requires the %q policy, got %q",
-			env.Cfg.Reshard.MaxShards(), cache.LRU, policy)
+	// Resharding re-threads LRU recency state, and fault injection rides
+	// on it (evacuation is its same-S corner).
+	if (env.Cfg.Reshard.Active() || env.Cfg.Faults.Active()) && policy != cache.LRU {
+		return nil, fmt.Errorf("engine: resharding and fault injection require the %q policy, got %q", cache.LRU, policy)
+	}
+	if env.Cfg.Reshard.LoadMax > 1 {
+		d.loads = make([][]int64, cfg.NumTables)
+		for t := range d.loads {
+			d.loads[t] = make([]int64, loadBuckets)
+		}
 	}
 	maxUnique := cfg.BatchSize * cfg.Lookups
 	// The shard fan-out nests inside the per-table fan-out, so its own
@@ -193,8 +198,6 @@ func newDynamicState(env *Env, cacheFrac float64, policy cache.PolicyKind, past,
 			Pool:       shardPool,
 			Placement:  place,
 			Coord:      env.Cfg.Coord,
-			Elastic:    elastic,
-			LoadProbe:  env.Cfg.Reshard.LoadMax > 1,
 		})
 		if err != nil {
 			return nil, err
@@ -362,6 +365,9 @@ func (j *spJob) planTable(t int) error {
 		return err
 	}
 	tb.plan = plan
+	if d.loads != nil {
+		d.observeLoad(t, uniq, cnt)
+	}
 	// Hash-probe traffic: key+value per ID occurrence (the GPU probes
 	// its Hit-Map once per lookup).
 	tb.gpu = d.env.Cfg.System.GPU.RandomTime(float64(len(j.batch.Tables[t])) * 16)

@@ -133,8 +133,7 @@ type EnvConfig struct {
 	// managers then migrate their live state between Plans — plans and
 	// statistics are preserved exactly — and the migrated bytes are
 	// priced on Topology, surfacing as Report.MigrationTime. The zero
-	// spec disables elasticity. Reaching more than one shard requires
-	// the LRU policy.
+	// spec disables resharding; an active one requires the LRU policy.
 	Reshard ReshardSpec
 	// Faults is the deterministic fault-injection schedule for the
 	// dynamic-cache engines (hw.ParseFaultPlan's -fail grammar): host
@@ -142,10 +141,10 @@ type EnvConfig struct {
 	// degrade coordination to the approx protocol until heal, and
 	// aggregator losses trigger priced re-elections — all between
 	// Plans, with the pipeline never draining. An active plan requires
-	// a multi-host Topology; the zero plan is guaranteed not to perturb
-	// a run in any way (bit-identical to the fault-free tree). The
-	// recovery bill surfaces as Report.Downtime / RecoveryTime /
-	// LostResidency / Availability.
+	// a multi-host Topology and the LRU policy; the zero plan is
+	// guaranteed not to perturb a run in any way (bit-identical to the
+	// fault-free tree). The recovery bill surfaces as Report.Downtime /
+	// RecoveryTime / LostResidency / Availability.
 	Faults hw.FaultPlan
 	// CkptInterval prices a periodic scratchpad checkpoint flush every
 	// this many iterations (0 disables): resident rows stream to stable

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/dlrm"
 	"repro/internal/hw"
 	"repro/internal/shard"
@@ -76,6 +77,12 @@ func TestFaultValidationEngine(t *testing.T) {
 		Faults:   mustFaultPlan(t, "host7@5"),
 	}); err == nil {
 		t.Fatal("fault plan addressing an absent host accepted by NewEnv")
+	}
+	// Evacuation walks LRU recency lists, so faults need the LRU policy
+	// even at one shard.
+	env := faultEnv(t, smallFaultModel(), 1, hw.Cluster(2, 2), shard.CoordHier, mustFaultPlan(t, "host1@5"), 0)
+	if _, err := NewScratchPipe(env, ScratchPipeOptions{CacheFrac: 0.02, Policy: cache.LFU}); err == nil {
+		t.Fatal("fault plan with LFU accepted")
 	}
 }
 

@@ -1,11 +1,11 @@
-// Elastic-resharding schedules: when, and to how many shards, the
+// Resharding schedules: when, and to how many shards, the
 // dynamic-cache engines transition their per-table scratchpad managers
 // at run time (shard.Manager.Reshard; DESIGN.md §9). Two triggers:
 //
 //   - a static schedule ("200:4,500:8"): step to the given shard count
 //     before the batch with that sequence number is planned;
-//   - a load policy ("load:8" / "load:8:2.5"): watch the managers'
-//     fixed-granularity query-mass probes and double the shard count
+//   - a load policy ("load:8" / "load:8:2.5"): watch the tables'
+//     fixed-granularity query-mass histograms and double the shard count
 //     toward the cap whenever the observed ID-space skew exceeds the
 //     threshold — the manager reacting to traffic it can see (a
 //     locality shift concentrating mass on few hash buckets) instead
@@ -36,25 +36,35 @@ type ReshardStep struct {
 }
 
 // DefaultLoadSkewThreshold is the load policy's trigger when the spec
-// does not name one: grow when the busiest probe bucket carries more
+// does not name one: grow when the busiest histogram bucket carries more
 // than twice its fair share of the observed query mass.
 const DefaultLoadSkewThreshold = 2.0
 
 // loadCheckEvery is the load policy's sampling period in iterations.
 const loadCheckEvery = 8
 
+// loadBuckets is the fixed, shard-count-independent granularity of the
+// load policy's query-mass histograms: occurrences bucket by
+// shard.ShardOf(id, loadBuckets), so the policy observes ID-space skew
+// even while S = 1, where per-shard counters are blind. The granularity
+// bounds the hot-set size the histogram can resolve: a hot working set
+// much larger than the bucket count hashes flat and reads as balanced
+// (1024 buckets resolve the locality classes' hot sets at both quick
+// and paper scale, for 8 KB per table).
+const loadBuckets = 1024
+
 // minLoadSample is the minimum observed query mass (occurrences across
 // all tables since the last check) before the load policy trusts a
-// skew estimate: below ~8 occurrences per probe bucket the max-bucket
-// statistic is sampling noise, not traffic shape, and acting on it
-// would grow the shard count on uniform streams.
-const minLoadSample = 8 * shard.LoadProbeBuckets
+// skew estimate: below ~8 occurrences per histogram bucket the
+// max-bucket statistic is sampling noise, not traffic shape, and acting
+// on it would grow the shard count on uniform streams.
+const minLoadSample = 8 * loadBuckets
 
 // ReshardSpec is a reshard schedule for the dynamic-cache engines
 // (strawman and ScratchPipe; the static and hybrid engines have no
-// dynamic scratchpad and ignore it). The zero value disables
-// elasticity entirely — a single-shard manager then keeps the unsharded
-// core Plan pass (no routing, stamps or coordinator) and nothing changes.
+// dynamic scratchpad and ignore it). The zero value disables resharding:
+// every manager keeps its starting shard count. Any active spec requires
+// the LRU policy.
 type ReshardSpec struct {
 	// Steps is the static schedule, ascending by Iter.
 	Steps []ReshardStep
@@ -62,7 +72,7 @@ type ReshardSpec struct {
 	// count doubles toward this cap whenever the observed query-mass
 	// skew exceeds LoadThresh. Growth only; explicit Steps can shrink.
 	LoadMax int
-	// LoadThresh is the skew trigger (max probe bucket / fair share);
+	// LoadThresh is the skew trigger (max histogram bucket / fair share);
 	// 0 selects DefaultLoadSkewThreshold.
 	LoadThresh float64
 }
@@ -71,7 +81,7 @@ type ReshardSpec struct {
 func (s ReshardSpec) Active() bool { return len(s.Steps) > 0 || s.LoadMax > 1 }
 
 // MaxShards returns the largest shard count the spec can reach (0 when
-// inactive) — what the policy/LRU validation checks against.
+// inactive).
 func (s ReshardSpec) MaxShards() int {
 	max := s.LoadMax
 	for _, st := range s.Steps {
@@ -227,19 +237,34 @@ func (d *dynamicState) maybeReshard(it int) error {
 	return nil
 }
 
+// observeLoad adds table t's Plan — its distinct IDs uniq with their
+// multiplicities cnt (nil: one each) — to the table's query-mass
+// histogram. Each table has its own, so the per-table Plan fan-out
+// writes without sharing.
+func (d *dynamicState) observeLoad(t int, uniq []int64, cnt []int32) {
+	h := d.loads[t]
+	for i, id := range uniq {
+		c := int64(1)
+		if cnt != nil {
+			c = int64(cnt[i])
+		}
+		h[shard.ShardOf(id, loadBuckets)] += c
+	}
+}
+
 // probeSkew returns the observed ID-space query-mass skew since the
-// last check: the busiest probe bucket's mass relative to its fair
-// share, summed over all tables (1 = perfectly even, LoadProbeBuckets =
-// all mass in one bucket), or 0 when the window holds too little mass
-// to distinguish skew from sampling noise. The snapshot advances on
-// every call.
+// last check: the busiest histogram bucket's mass relative to its fair
+// share, summed over all tables (1 = perfectly even, loadBuckets = all
+// mass in one bucket), or 0 when the window holds too little mass to
+// distinguish skew from sampling noise. The snapshot advances on every
+// call.
 func (d *dynamicState) probeSkew() float64 {
 	if d.loadSnap == nil {
-		d.loadSnap = make([]int64, shard.LoadProbeBuckets)
+		d.loadSnap = make([]int64, loadBuckets)
 	}
-	cur := make([]int64, shard.LoadProbeBuckets)
-	for _, sp := range d.sps {
-		for i, v := range sp.LoadProbe() {
+	cur := make([]int64, loadBuckets)
+	for _, h := range d.loads {
+		for i, v := range h {
 			cur[i] += v
 		}
 	}
@@ -255,7 +280,7 @@ func (d *dynamicState) probeSkew() float64 {
 	if total < minLoadSample {
 		return 0
 	}
-	return float64(shard.LoadProbeBuckets) * float64(max) / float64(total)
+	return float64(loadBuckets) * float64(max) / float64(total)
 }
 
 // reshardTo transitions every table's manager to newS shards under the
@@ -272,9 +297,9 @@ func (d *dynamicState) reshardTo(newS int) error {
 		}
 		d.migrationSecs += sp.LastReshardTime()
 	}
-	// The load snapshot stays: the probe is bucket-keyed and
-	// shard-count-independent, so its deltas remain valid across the
-	// boundary (zeroing it would re-count already-acted-upon mass as
+	// The load snapshot stays: the histograms are bucket-keyed and
+	// shard-count-independent, so their deltas remain valid across the
+	// boundary (zeroing them would re-count already-acted-upon mass as
 	// fresh skew on the next check).
 	return nil
 }

@@ -347,4 +347,64 @@ func TestReshardValidationEngine(t *testing.T) {
 	if _, err := NewStrawMan(env, 0.05, cache.RandomPolicy); err == nil {
 		t.Fatal("reshard schedule with random policy accepted")
 	}
+	// A schedule that never leaves one shard still migrates LRU state.
+	env = reshardEnv(t, smallModel(), 1, nil, ReshardSpec{Steps: []ReshardStep{{Iter: 3, Shards: 1}}})
+	if _, err := NewScratchPipe(env, ScratchPipeOptions{CacheFrac: 0.05, Policy: cache.LFU}); err == nil {
+		t.Fatal("one-shard reshard schedule with LFU accepted")
+	}
+}
+
+// TestLoadHistogram: the load policy's per-table histograms bucket the
+// query mass at the fixed granularity whatever the shard count, and a
+// hot stream reads as skewed while a uniform one does not.
+func TestLoadHistogram(t *testing.T) {
+	// A threshold no skew reaches keeps both runs at their starting S.
+	loads := func(shards int) [][]int64 {
+		env := reshardEnv(t, smallModel(), shards, hw.MultiSocket(4), ReshardSpec{LoadMax: 8, LoadThresh: 1e9})
+		eng, err := NewScratchPipe(env, ScratchPipeOptions{CacheFrac: 0.02})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Run(24); err != nil {
+			t.Fatal(err)
+		}
+		return eng.dyn.loads
+	}
+	one, four := loads(1), loads(4)
+	for tbl, h := range one {
+		if len(h) != loadBuckets {
+			t.Fatalf("table %d histogram has %d buckets, want %d", tbl, len(h), loadBuckets)
+		}
+		var mass int64
+		for _, v := range h {
+			mass += v
+		}
+		if mass == 0 {
+			t.Fatalf("table %d histogram saw no query mass", tbl)
+		}
+	}
+	if !reflect.DeepEqual(one, four) {
+		t.Fatal("histograms differ between S=1 and S=4 (they must not depend on the shard count)")
+	}
+
+	skewOf := func(uniq []int64, cnt []int32) float64 {
+		d := &dynamicState{loads: [][]int64{make([]int64, loadBuckets)}}
+		d.observeLoad(0, uniq, cnt)
+		return d.probeSkew()
+	}
+	// Enough draws that uniform noise stays well under the default
+	// skew threshold at this granularity (~32 per bucket).
+	uniform := make([]int64, 32768)
+	rng := newSeededRand(1)
+	for i := range uniform {
+		uniform[i] = rng.Int63n(1 << 30)
+	}
+	// Three hot IDs carry all the mass.
+	u, h := skewOf(uniform, nil), skewOf([]int64{0, 1, 2}, []int32{10923, 10923, 10922})
+	if u > 2 {
+		t.Fatalf("uniform stream skew %g > 2", u)
+	}
+	if h < 8 {
+		t.Fatalf("hot stream skew %g < 8", h)
+	}
 }

@@ -244,7 +244,7 @@ func (s *ScratchPipe) Run(n int) (*Report, error) {
 	}
 
 	for it := 0; it < n; it++ {
-		// Elastic resharding fires between Plans: in-flight batches'
+		// Resharding fires between Plans: in-flight batches'
 		// hold state migrates with everything else, so the pipeline
 		// does not drain and plans stay identical across the boundary.
 		// Reshard/fault events clear the managers' overlap marks, so the

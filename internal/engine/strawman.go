@@ -48,7 +48,7 @@ func (s *StrawMan) Run(n int) (*Report, error) {
 	rep := &Report{Engine: s.Name(), Iters: n}
 	var lossSum float64
 	for it := 0; it < n; it++ {
-		// Elastic resharding fires between Plans (see scratchpipe.go;
+		// Resharding fires between Plans (see scratchpipe.go;
 		// unpipelined, so there is never more than one batch in flight
 		// here).
 		if err := s.dyn.maybeReshard(it); err != nil {

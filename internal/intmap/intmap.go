@@ -35,8 +35,10 @@ type entry struct {
 
 // Map is an int64 -> int32 hash table. Keys must be non-negative. The
 // zero value is not usable until Reset (New is Reset on a zero value).
-// Map is not safe for concurrent use, matching the per-table
-// single-writer discipline of the scratchpad.
+// Get writes nothing, so concurrent Gets with no writer are safe — the
+// sharded planner's parallel pass reads one table's map from every
+// shard. Any write must run alone, matching the per-table single-writer
+// discipline of the scratchpad.
 //
 // Clear is O(1): it bumps the map's epoch, making every existing entry
 // stale. A stale slot behaves exactly like an empty one — it terminates
@@ -168,7 +170,7 @@ func (m *Map) Put(key int64, val int32) {
 // GetOrPut returns the value stored under key if present; otherwise it
 // inserts def and returns it. A single probe walk serves both the lookup
 // and the insert (the Plan stage's classify-then-record pattern). idx is
-// the entry's position, valid for SetAt until the next growth or Clear.
+// the entry's position, valid for DeleteAt until the next growth or Clear.
 func (m *Map) GetOrPut(key int64, def int32) (val int32, idx int, existed bool) {
 	if key < 0 {
 		panic(fmt.Sprintf("intmap: negative key %d", key))
@@ -191,11 +193,6 @@ func (m *Map) GetOrPut(key int64, def int32) (val int32, idx int, existed bool) 
 		}
 	}
 }
-
-// SetAt overwrites the value at an entry position returned by GetOrPut.
-// The position must come from a GetOrPut call with no intervening growth
-// or Clear.
-func (m *Map) SetAt(idx int, val int32) { m.entries[idx].v = val }
 
 // PutIdx is Put returning the entry's final position (valid until the
 // next growth or Clear), for callers that maintain a reverse index into

@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/cache"
 	"repro/internal/hw"
 )
 
@@ -94,10 +95,6 @@ func (s *EvacStats) Merge(o EvacStats) {
 // value when no host ever died under it).
 func (m *Manager) EvacStats() EvacStats { return m.evac }
 
-// LastEvacTime returns the modeled recovery-transfer latency (seconds)
-// of the most recent Evacuate.
-func (m *Manager) LastEvacTime() float64 { return m.lastEvac }
-
 // Degraded reports whether the manager is currently running the
 // degraded (partition-mode) approx protocol.
 func (m *Manager) Degraded() bool { return m.degraded }
@@ -125,11 +122,12 @@ func (m *Manager) Degraded() bool { return m.degraded }
 //
 // Recovery transfers originate at the coordinator's new home (shard
 // 0's node under place) and are priced on the surviving links like any
-// reshard migration.
+// reshard migration. Like Reshard, Evacuate requires the LRU policy.
 func (m *Manager) Evacuate(place hw.Placement, hostDead func(host int) bool, restoreRowBytes float64) (EvacStats, error) {
 	var st EvacStats
-	if !m.elastic {
-		return st, fmt.Errorf("shard: Evacuate on a non-elastic manager (build with Config.Elastic)")
+	if m.LRU() == nil {
+		return st, fmt.Errorf("shard: Evacuate requires the %q policy (it walks the dead shards' recency lists), got %q",
+			cache.LRU, m.Config().Policy)
 	}
 	// A death invalidates an overlap mark: the re-homed shards' state no
 	// longer matches the look-ahead check.
@@ -203,7 +201,6 @@ func (m *Manager) Evacuate(place hw.Placement, hostDead func(host int) bool, res
 	st.Events = 1
 	st.Seconds, st.Rounds, st.Bytes = acc.price()
 	m.evac.Merge(st)
-	m.lastEvac = st.Seconds
 	return st, nil
 }
 

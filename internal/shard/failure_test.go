@@ -3,11 +3,12 @@ package shard
 import (
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/hw"
 )
 
-// failureManager builds an elastic manager placed stripe-wise on
+// failureManager builds a manager placed stripe-wise on
 // cluster2x2 (shards i -> node i%4; host 0 owns nodes 0-1, host 1
 // nodes 2-3) under the given protocol.
 func failureManager(t *testing.T, cfg core.Config, shards int, topo *hw.Topology, mode CoordMode) *Manager {
@@ -16,7 +17,7 @@ func failureManager(t *testing.T, cfg core.Config, shards int, topo *hw.Topology
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := New(Config{Scratchpad: cfg, Shards: shards, Placement: place, Coord: mode, Elastic: true})
+	m, err := New(Config{Scratchpad: cfg, Shards: shards, Placement: place, Coord: mode})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,14 +44,12 @@ func drive(t *testing.T, m *Manager, st *stream, from, to int) {
 // TestEvacuateValidation covers the Evacuate entry conditions.
 func TestEvacuateValidation(t *testing.T) {
 	cfg := testConfig(64, 16)
-	plain, err := New(Config{Scratchpad: cfg, Shards: 1})
-	if err != nil {
-		t.Fatal(err)
+	lfu := cfg
+	lfu.Policy = cache.LFU
+	if _, err := mustNew(t, lfu, 1).Evacuate(hw.Placement{}, func(int) bool { return false }, 0); err == nil {
+		t.Fatal("Evacuate on an LFU manager accepted (it walks LRU recency lists)")
 	}
-	if _, err := plain.Evacuate(hw.Placement{}, func(int) bool { return false }, 0); err == nil {
-		t.Fatal("Evacuate on a non-elastic manager accepted")
-	}
-	m := elastic(t, cfg, 2)
+	m := mustNew(t, cfg, 2)
 	if _, err := m.Evacuate(hw.Placement{}, func(int) bool { return false }, 0); err == nil {
 		t.Fatal("Evacuate without any topology accepted (nothing can die co-located)")
 	}
@@ -125,9 +124,6 @@ func TestEvacuateDropsResidency(t *testing.T) {
 	}
 	if stats.FreeMoved == 0 || stats.Bytes <= 0 || stats.Rounds == 0 || stats.Seconds <= 0 {
 		t.Fatalf("evacuation transfers not priced: %+v", stats)
-	}
-	if m.LastEvacTime() != stats.Seconds {
-		t.Fatalf("LastEvacTime %g != stats.Seconds %g", m.LastEvacTime(), stats.Seconds)
 	}
 	after := residency(m)
 	if len(after) != len(before)-int(stats.LostResident) {

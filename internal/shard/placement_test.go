@@ -225,14 +225,11 @@ func TestPlacementConfigValidation(t *testing.T) {
 		t.Fatal("node assignment without topology accepted")
 	}
 	// A single shard keeps its placement like any other shard count.
-	for _, elastic := range []bool{false, true} {
-		m, err := New(Config{Scratchpad: cfg, Shards: 1, Elastic: elastic,
-			Placement: hw.Placement{Topo: topo, Node: []int{1}}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := m.Placement(); got.Topo != topo || len(got.Node) != 1 || got.Node[0] != 1 {
-			t.Fatalf("elastic %v: S=1 manager reports placement %+v, want node 1 of %s", elastic, got, topo.Name)
-		}
+	m, err := New(Config{Scratchpad: cfg, Shards: 1, Placement: hw.Placement{Topo: topo, Node: []int{1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Placement(); got.Topo != topo || len(got.Node) != 1 || got.Node[0] != 1 {
+		t.Fatalf("S=1 manager reports placement %+v, want node 1 of %s", got, topo.Name)
 	}
 }

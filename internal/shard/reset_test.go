@@ -16,14 +16,16 @@ import (
 
 // resetShape is one manager configuration TestResetMatchesNew runs: S
 // shards (placed on topo when S > 1) under a policy and protocol, with
-// a capacity drawn from [minSlots, maxSlots).
+// a capacity drawn from [minSlots, maxSlots). A used manager of a shape
+// with reshard > 0 reshards to that many shards (placed on topo) after
+// its Plans.
 type resetShape struct {
 	shards             int
 	policy             cache.PolicyKind
 	mode               CoordMode
 	topo               *hw.Topology
 	minSlots, maxSlots int
-	elastic, loadProbe bool
+	reshard            int
 }
 
 // TestResetMatchesNew is the manager-level differential check behind
@@ -34,8 +36,9 @@ type resetShape struct {
 // manager reports and the ForEach order. The first cases reset a
 // manager of a random shape to S=1 under each policy and to S=4 on
 // cluster2x2; the rest reset S=4 in place: growing and shrinking
-// capacity, approx, elastic with the load probe, a move from cluster2x2
-// to numa4, and a reset with an overlap mark set. A reset onto a
+// capacity, approx, a manager resharded from one shard with batches in
+// flight, a move from cluster2x2 to numa4, and a reset with an overlap
+// mark set. A reset onto a
 // same-size placement must keep its meter and message plane.
 func TestResetMatchesNew(t *testing.T) {
 	const batchLen, idSpace = 48, 1024
@@ -44,8 +47,7 @@ func TestResetMatchesNew(t *testing.T) {
 	newCfg := func(t *testing.T, s resetShape) Config {
 		sp := testConfig(s.minSlots+rng.Intn(s.maxSlots-s.minSlots), batchLen)
 		sp.Policy, sp.PolicySeed = s.policy, rng.Int63()
-		cfg := Config{Scratchpad: sp, Shards: s.shards, Pool: par.New(2), Coord: s.mode,
-			Elastic: s.elastic, LoadProbe: s.loadProbe}
+		cfg := Config{Scratchpad: sp, Shards: s.shards, Pool: par.New(2), Coord: s.mode}
 		if s.shards > 1 {
 			pl, err := hw.NewPlacement(hw.PlaceStripe, s.topo, s.shards, nil)
 			if err != nil {
@@ -61,8 +63,7 @@ func TestResetMatchesNew(t *testing.T) {
 	s4 := func(mode CoordMode, topo *hw.Topology, minSlots, maxSlots int) resetShape {
 		return resetShape{shards: 4, policy: cache.LRU, mode: mode, topo: topo, minSlots: minSlots, maxSlots: maxSlots}
 	}
-	probe := s4(CoordHier, cluster, 16, 112)
-	probe.elastic, probe.loadProbe = true, true
+	resharded := resetShape{shards: 1, policy: cache.LRU, mode: CoordHier, topo: cluster, minSlots: 16, maxSlots: 112, reshard: 4}
 	cases := []struct {
 		name    string
 		from    func() resetShape
@@ -77,7 +78,7 @@ func TestResetMatchesNew(t *testing.T) {
 		{"S4-hier-grow", func() resetShape { return s4(CoordHier, cluster, 16, 48) }, s4(CoordHier, cluster, 64, 112), false},
 		{"S4-hier-shrink", func() resetShape { return s4(CoordHier, cluster, 64, 112) }, s4(CoordHier, cluster, 16, 48), false},
 		{"S4-approx", func() resetShape { return s4(CoordApprox, cluster, 16, 112) }, s4(CoordApprox, cluster, 16, 112), false},
-		{"S4-elastic-probe", func() resetShape { return probe }, probe, false},
+		{"S1-resharded-to-S4", func() resetShape { return resharded }, s4(CoordHier, cluster, 16, 112), false},
 		{"S4-cluster-to-numa4", func() resetShape { return s4(CoordHier, cluster, 16, 112) }, s4(CoordHier, numa, 16, 112), false},
 		{"S4-spec-parked", func() resetShape { return s4(CoordHier, cluster, 16, 112) }, s4(CoordHier, cluster, 16, 112), true},
 	}
@@ -101,6 +102,15 @@ func TestResetMatchesNew(t *testing.T) {
 						if err := used.Release(seq - 3); err != nil {
 							t.Fatal(err)
 						}
+					}
+				}
+				if from.reshard > 0 {
+					pl, err := hw.NewPlacement(hw.PlaceStripe, from.topo, from.reshard, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := used.Reshard(from.reshard, pl); err != nil {
+						t.Fatal(err)
 					}
 				}
 				if tc.overlap {
@@ -141,16 +151,16 @@ func TestResetMatchesNew(t *testing.T) {
 
 // managerView bundles everything a Manager reports about its history.
 type managerView struct {
-	Stats     core.Stats
-	Coord     CoordStats
-	Overlap   OverlapStats
-	Shards    []ShardStats
-	LoadProbe []int64
-	Walk      [][2]int64
+	Stats   core.Stats
+	Coord   CoordStats
+	Overlap OverlapStats
+	Shards  []ShardStats
+	Reshard ReshardStats
+	Walk    [][2]int64
 }
 
 func observe(m *Manager) managerView {
-	return managerView{m.Stats(), m.CoordStats(), m.OverlapStats(), m.ShardStats(), m.LoadProbe(), walk(m)}
+	return managerView{m.Stats(), m.CoordStats(), m.OverlapStats(), m.ShardStats(), m.ReshardStats(), walk(m)}
 }
 
 // walk lists a manager's resident (ID, slot) pairs in ForEach order.

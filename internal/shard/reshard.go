@@ -1,6 +1,6 @@
-// Elastic resharding: changing a live Manager's shard count between
-// Plans, with the migrated state priced on the topology links the move
-// crosses (DESIGN.md §9).
+// Resharding: changing a live Manager's shard count between Plans, with
+// the migrated state priced on the topology links the move crosses
+// (DESIGN.md §9).
 //
 // The paper's ScratchPipe fixes the scratchpad partitioning for the
 // life of a run, but a production fleet does not hold still: hosts
@@ -11,11 +11,12 @@
 // shrink — by re-partitioning every piece of per-shard control state
 // under the new hash function:
 //
-//   - Hit-Map entries: every resident (sparse ID, slot) pair re-buckets
-//     to ShardOf(id, S').
+//   - Resident entries: every resident (sparse ID, slot) pair moves to
+//     shard ShardOf(id, S'). The Hit-Map is the frame's, one per table,
+//     so no entry is re-inserted; only its owner's count changes.
 //   - Recency state: resident slots are re-threaded onto the new
-//     shards' LRU lists in global touch-stamp order, so the k-way
-//     victim merge reproduces exactly the eviction sequence the old
+//     shards' LRU lists in global recency order, so the k-way victim
+//     merge reproduces exactly the eviction sequence the old
 //     partitioning (and the unsharded planner) would have produced.
 //   - Free lists: remaining never-used primary slots re-stripe as slot
 //     s mod S', stacks refilled descending so pops ascend — the fresh
@@ -44,20 +45,10 @@ import (
 	"slices"
 	"sort"
 
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/hw"
 )
-
-// LoadProbeBuckets is the fixed, shard-count-independent granularity of
-// the elastic manager's query-mass histogram (Manager.LoadProbe):
-// occurrences bucket by ShardOf(id, LoadProbeBuckets), so a
-// load-triggered reshard policy can observe ID-space skew even while
-// S = 1, where per-shard counters are blind. The granularity bounds the
-// hot-set size the probe can resolve: a hot working set much larger
-// than the bucket count hashes flat and reads as balanced (1024 buckets
-// resolve the locality classes' hot sets at both quick and paper
-// scale, for 8 KB per table).
-const LoadProbeBuckets = 1024
 
 // Migration wire sizes (bytes). Like the coordination message sizes in
 // coord.go these are control-plane metadata, not embedding payloads:
@@ -67,8 +58,8 @@ const (
 	// migHeaderBytes heads one state-transfer message per dirty
 	// (source node, destination node) pair.
 	migHeaderBytes = 16
-	// migResidentBytes is one resident Hit-Map entry with its recency
-	// and pin metadata: id 8 + slot 4 + touch stamp 8 + pin/hint 8.
+	// migResidentBytes is one resident entry with its recency and pin
+	// metadata: id 8 + slot 4 + touch stamp 8 + pin/hint 8.
 	migResidentBytes = 28
 	// migFreeSlotBytes hands one never-used primary slot index to its
 	// new stripe owner.
@@ -77,7 +68,7 @@ const (
 	migHoldBytes = 12
 )
 
-// ReshardStats totals a Manager's elastic-resharding activity: how
+// ReshardStats totals a Manager's resharding activity: how
 // often it transitioned, how much control state re-bucketed, and what
 // the node-crossing subset cost on the topology. Moved counters are
 // partition-level (the item's owning shard or node changed); Bytes,
@@ -86,7 +77,7 @@ const (
 type ReshardStats struct {
 	// Events counts Reshard calls (including priced same-S no-ops).
 	Events int64
-	// ResidentMoved / FreeMoved / HoldsMoved count migrated Hit-Map
+	// ResidentMoved / FreeMoved / HoldsMoved count migrated resident
 	// entries, re-striped free primary slots, and re-bucketed in-flight
 	// hold-ring entries whose owning shard (or shard's node) changed.
 	ResidentMoved int64
@@ -114,9 +105,6 @@ func (s *ReshardStats) Merge(o ReshardStats) {
 	s.Seconds += o.Seconds
 }
 
-// Elastic reports whether the manager supports Reshard.
-func (m *Manager) Elastic() bool { return m.elastic }
-
 // ReshardStats returns the manager's lifetime resharding totals (the
 // zero value when no Reshard has run).
 func (m *Manager) ReshardStats() ReshardStats { return m.resharding }
@@ -124,18 +112,6 @@ func (m *Manager) ReshardStats() ReshardStats { return m.resharding }
 // LastReshardTime returns the modeled migration latency (seconds) of
 // the most recent Reshard: zero for co-located moves.
 func (m *Manager) LastReshardTime() float64 { return m.lastReshard }
-
-// LoadProbe returns a copy of the manager's fixed-granularity
-// query-mass histogram (LoadProbeBuckets buckets of occurrence counts),
-// or nil unless Config.LoadProbe opted in. The probe is keyed by ID
-// hash, not by current shard, so its skew is comparable across reshard
-// events.
-func (m *Manager) LoadProbe() []int64 {
-	if m.loadProbe == nil {
-		return nil
-	}
-	return append([]int64(nil), m.loadProbe...)
-}
 
 // placeNode returns the topology node hosting shard j under placement
 // p. A zero placement pins everything to node 0 — the coordinator's
@@ -221,7 +197,7 @@ func holdCount(sh *shardState) int64 {
 // Reshard transitions the live manager from its current shard count to
 // newS shards placed by place, between Plans (callers may have batches
 // in flight: hold state migrates with everything else, so a pipelined
-// engine does not drain). It migrates every Hit-Map entry, free list,
+// engine does not drain). It migrates every resident entry, free list,
 // hold ring, and recency list to the new hash partitioning without
 // losing a single cached row, and prices the migrated control bytes on
 // the topology links the move crosses (LastReshardTime / ReshardStats).
@@ -231,7 +207,7 @@ func holdCount(sh *shardState) int64 {
 //
 //   - Residency: the (id, slot) map is identical before and after —
 //     no row loss, no slot reassignment.
-//   - Eviction order: recency re-threads in global stamp order, so
+//   - Eviction order: recency re-threads in global recency order, so
 //     future victims are exactly what the old partitioning (and the
 //     unsharded planner) would have chosen.
 //   - Budgets: free primary / reserve totals and hold protection carry
@@ -241,11 +217,13 @@ func holdCount(sh *shardState) int64 {
 //     the boundary are bit-identical, and only a placement change makes
 //     the (still correctly priced) event cost bytes.
 //
-// The old and new placements must share a topology when both are
-// distributed; a zero old placement prices as "everything on node 0".
+// The manager must run the LRU policy, and the old and new placements
+// must share a topology when both are distributed; a zero old placement
+// prices as "everything on node 0".
 func (m *Manager) Reshard(newS int, place hw.Placement) error {
-	if !m.elastic {
-		return fmt.Errorf("shard: Reshard on a non-elastic manager (build with Config.Elastic)")
+	if m.LRU() == nil {
+		return fmt.Errorf("shard: Reshard requires the %q policy (migration re-threads LRU recency state), got %q",
+			cache.LRU, m.Config().Policy)
 	}
 	if newS < 1 || newS > MaxShards {
 		return fmt.Errorf("shard: Reshard to %d shards (want 1..%d)", newS, MaxShards)
@@ -287,17 +265,31 @@ func (m *Manager) Reshard(newS int, place hw.Placement) error {
 	old := m.shards
 	cfg := m.Config()
 
-	// Resident slots in global touch-stamp order: stamps are unique
-	// (one monotonic clock tick per touch), so this is the exact global
-	// recency timeline, and appending per new shard preserves each
-	// shard's increasing-stamp LRU invariant.
+	// Resident slots in global recency order, least recent first, so
+	// appending per new shard preserves each shard's LRU order.
 	resident := make([]int32, 0, m.Len())
-	for s := int32(0); s < int32(m.TotalSlots()); s++ {
-		if m.Key(s) >= 0 {
+	if oldN == 1 {
+		// A solo manager keeps no stamps, and its one list is that
+		// order: stamp the residents 1..N along it. The exact-order
+		// protocols compare only stamp order, so their plans cannot move.
+		for s := m.LRU().Front(0); s != nilSlot; s = m.LRU().Next(s) {
 			resident = append(resident, s)
 		}
+		m.stamp = zeroed(m.stamp, m.TotalSlots())
+		for k, s := range resident {
+			m.stamp[s] = uint64(k + 1)
+		}
+		m.stampClock = uint64(len(resident))
+	} else {
+		// Touch stamps are unique (one clock tick per touch), so they
+		// sort into the exact global recency timeline.
+		for s := int32(0); s < int32(m.TotalSlots()); s++ {
+			if m.Key(s) >= 0 {
+				resident = append(resident, s)
+			}
+		}
+		sort.Slice(resident, func(a, b int) bool { return m.stamp[resident[a]] < m.stamp[resident[b]] })
 	}
-	sort.Slice(resident, func(a, b int) bool { return m.stamp[resident[a]] < m.stamp[resident[b]] })
 
 	// Record each free primary slot's current owner before the old
 	// shards are torn down (borrowing drifts slots off their stripe, so
@@ -331,8 +323,10 @@ func (m *Manager) Reshard(newS int, place hw.Placement) error {
 
 	// Free primary re-striping: slot s belongs to shard s mod S',
 	// stacks filled descending so pops ascend — fresh-construction
-	// allocation order. The global budget (freePrimaryTotal) is
-	// untouched, so eviction onset cannot shift.
+	// allocation order. The global budget (freePrimaryTotal, which a
+	// solo manager does not keep) is recounted, not changed, so eviction
+	// onset cannot shift.
+	m.freePrimaryTotal = 0
 	for s := cfg.Slots - 1; s >= 0; s-- {
 		oldJ := freeShard[s]
 		if oldJ < 0 {
@@ -340,6 +334,7 @@ func (m *Manager) Reshard(newS int, place hw.Placement) error {
 		}
 		j := s % newS
 		shards[j].FreePrimary = append(shards[j].FreePrimary, int32(s))
+		m.freePrimaryTotal++
 		acc.move(placeNode(oldPlace, int(oldJ)), placeNode(place, j), int(oldJ) != j,
 			1, migFreeSlotBytes, &m.resharding.FreeMoved)
 	}
@@ -380,13 +375,16 @@ func (m *Manager) Reshard(newS int, place hw.Placement) error {
 // installPlacement swaps the placement and resets the coordination
 // meter for the (possibly new) shard count, folding the retired meter's
 // lifetime traffic into the carry-over so CoordStats stays a lifetime
-// total across reshard events.
+// total across reshard events. No Plan has run under the new placement,
+// so the last Plan's coordination figures start at zero (a solo or
+// co-located manager never sets them).
 func (m *Manager) installPlacement(place hw.Placement, shards int) {
 	if m.coord != nil {
 		m.coordBase.Merge(m.coord.stats)
 	}
 	m.place = place
 	m.coord = m.coord.reset(place, shards, m.mode)
+	m.lastCoord, m.lastCoordCrit, m.lastCoordWall = 0, 0, 0
 }
 
 // finishReshard prices the event and folds it into the lifetime totals.

@@ -12,10 +12,10 @@ import (
 	"repro/internal/par"
 )
 
-// elastic builds an elastic manager, failing the test on error.
-func elastic(t *testing.T, cfg core.Config, shards int, opts ...func(*Config)) *Manager {
+// mustNew builds a manager, failing the test on error.
+func mustNew(t *testing.T, cfg core.Config, shards int, opts ...func(*Config)) *Manager {
 	t.Helper()
-	c := Config{Scratchpad: cfg, Shards: shards, Elastic: true}
+	c := Config{Scratchpad: cfg, Shards: shards}
 	for _, o := range opts {
 		o(&c)
 	}
@@ -54,14 +54,7 @@ func sameResidency(t *testing.T, label string, want, got map[int64]int32) {
 // TestReshardValidation covers the Reshard entry conditions.
 func TestReshardValidation(t *testing.T) {
 	cfg := testConfig(64, 16)
-	plain, err := New(Config{Scratchpad: cfg, Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := plain.Reshard(2, hw.Placement{}); err == nil {
-		t.Fatal("Reshard on a non-elastic manager accepted")
-	}
-	m := elastic(t, cfg, 2)
+	m := mustNew(t, cfg, 2)
 	if err := m.Reshard(0, hw.Placement{}); err == nil {
 		t.Fatal("Reshard to 0 shards accepted")
 	}
@@ -78,8 +71,8 @@ func TestReshardValidation(t *testing.T) {
 	}
 	lfu := cfg
 	lfu.Policy = cache.LFU
-	if _, err := New(Config{Scratchpad: lfu, Shards: 1, Elastic: true}); err == nil {
-		t.Fatal("elastic non-LRU manager accepted (migration re-threads LRU recency state)")
+	if err := mustNew(t, lfu, 1).Reshard(2, hw.Placement{}); err == nil {
+		t.Fatal("Reshard on an LFU manager accepted (migration re-threads LRU recency state)")
 	}
 	// Placements on different topology instances must be rejected: the
 	// migration meter cannot price links between two unrelated graphs.
@@ -93,61 +86,8 @@ func TestReshardValidation(t *testing.T) {
 	}
 }
 
-// TestElasticSingleShardBitIdentical proves the elastic S=1 generic path
-// (routing, touch stamps, the victim merge) is still bit-identical to
-// the unsharded planner, including physical slot numbers — the property
-// that lets engines run elastic from iteration 0 without changing any
-// pre-reshard figure.
-func TestElasticSingleShardBitIdentical(t *testing.T) {
-	cfg := testConfig(256, 64)
-	sp, err := core.NewScratchpad(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := elastic(t, cfg, 1)
-	if m.Shards() != 1 || !m.Elastic() {
-		t.Fatalf("elastic S=1 manager misbuilt: shards %d elastic %v", m.Shards(), m.Elastic())
-	}
-	st := newStream(11, 64, 64, int64(256*4))
-	const depth = 4
-	var pendA, pendB []*core.PlanResult
-	for seq := 0; seq < 100; seq++ {
-		future, hints := st.window(seq, 2, 6)
-		ra, err := sp.PlanWithHints(seq, st.at(seq), future, hints)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rb, err := m.PlanWithHints(seq, st.at(seq), future, hints)
-		if err != nil {
-			t.Fatal(err)
-		}
-		samePlan(t, "elastic-s1", seq, ra, rb)
-		for i := range ra.Slots {
-			if ra.Slots[i] != rb.Slots[i] {
-				t.Fatalf("seq %d: slot %d: %d vs %d (elastic S=1 must be bit-identical)", seq, i, ra.Slots[i], rb.Slots[i])
-			}
-		}
-		pendA, pendB = append(pendA, ra), append(pendB, rb)
-		if len(pendA) >= depth {
-			old := seq - depth + 1
-			if err := sp.Release(old); err != nil {
-				t.Fatal(err)
-			}
-			if err := m.Release(old); err != nil {
-				t.Fatal(err)
-			}
-			sp.Recycle(pendA[0])
-			m.Recycle(pendB[0])
-			pendA, pendB = pendA[1:], pendB[1:]
-		}
-	}
-	if sp.Stats() != m.Stats() {
-		t.Fatalf("stats diverged:\ncore    %+v\nelastic %+v", sp.Stats(), m.Stats())
-	}
-}
-
-// driveResharding runs st through planner a (the reference) and elastic
-// manager b in lockstep, invoking b.Reshard per the schedule map
+// driveResharding runs st through planner a (the reference) and manager
+// b in lockstep, invoking b.Reshard per the schedule map
 // (iteration -> new shard count) between Plans, and asserting residency
 // is preserved bit-for-bit across every boundary.
 func driveResharding(t *testing.T, label string, a planner, b *Manager, st *stream, iters, futureWin int, schedule map[int]int, place func(s int) hw.Placement) {
@@ -176,7 +116,7 @@ func driveResharding(t *testing.T, label string, a planner, b *Manager, st *stre
 		}
 		rb, err := b.PlanWithHints(seq, st.at(seq), future, hints)
 		if err != nil {
-			t.Fatalf("%s seq %d: elastic Plan: %v", label, seq, err)
+			t.Fatalf("%s seq %d: resharded Plan: %v", label, seq, err)
 		}
 		samePlan(t, label, seq, ra, rb)
 		pendA, pendB = append(pendA, ra), append(pendB, rb)
@@ -186,7 +126,7 @@ func driveResharding(t *testing.T, label string, a planner, b *Manager, st *stre
 				t.Fatalf("%s: reference Release(%d): %v", label, old, err)
 			}
 			if err := b.Release(old); err != nil {
-				t.Fatalf("%s: elastic Release(%d): %v", label, old, err)
+				t.Fatalf("%s: resharded Release(%d): %v", label, old, err)
 			}
 			a.Recycle(pendA[0])
 			b.Recycle(pendB[0])
@@ -195,23 +135,23 @@ func driveResharding(t *testing.T, label string, a planner, b *Manager, st *stre
 	}
 }
 
-// TestReshardEquivalence is the tentpole property: an elastic run that
-// reshards S=1 -> 4 -> 2 -> 1 mid-stream — with batches in flight at
-// every boundary — must keep emitting exactly the plans, eviction
-// victims, and statistics of the unsharded planner, and every boundary
-// must preserve the full residency map (no silent row loss). The final
-// leg checks the one-shard pass after a reshard.
+// TestReshardEquivalence is the tentpole property: a run that reshards
+// S=1 -> 4 -> 2 -> 1 mid-stream — with batches in flight at every
+// boundary — must keep emitting exactly the plans, eviction victims,
+// and statistics of the unsharded planner, and every boundary must
+// preserve the full residency map (no silent row loss). The final leg
+// checks the one-shard pass after a reshard.
 func TestReshardEquivalence(t *testing.T) {
 	cfg := testConfig(512, 96)
 	sp, err := core.NewScratchpad(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := elastic(t, cfg, 1, func(c *Config) { c.Pool = par.New(2) })
+	m := mustNew(t, cfg, 1, func(c *Config) { c.Pool = par.New(2) })
 	st := newStream(29, 96, 96, int64(512*4))
 	driveResharding(t, "reshard-1-4-2-1", sp, m, st, 180, 2, map[int]int{50: 4, 100: 2, 130: 1}, nil)
 	if sp.Stats() != m.Stats() {
-		t.Fatalf("stats diverged:\ncore    %+v\nelastic %+v", sp.Stats(), m.Stats())
+		t.Fatalf("stats diverged:\ncore    %+v\nreshard %+v", sp.Stats(), m.Stats())
 	}
 	rs := m.ReshardStats()
 	if rs.Events != 3 {
@@ -235,7 +175,7 @@ func TestReshardEquivalence(t *testing.T) {
 // unsharded reference to match; the constants are its regression anchor.
 func TestReshardApproxPin(t *testing.T) {
 	cfg := testConfig(384, 80)
-	m := elastic(t, cfg, 1, func(c *Config) { c.Coord = CoordApprox })
+	m := mustNew(t, cfg, 1, func(c *Config) { c.Coord = CoordApprox })
 	st := newStream(31, 96, 80, int64(384*4))
 	h := fnv.New64a()
 	const depth = 4
@@ -278,8 +218,8 @@ func TestReshardApproxPin(t *testing.T) {
 // cost under an unchanged placement.
 func TestReshardSameSNoOp(t *testing.T) {
 	cfg := testConfig(256, 64)
-	ref := elastic(t, cfg, 3)
-	m := elastic(t, cfg, 3)
+	ref := mustNew(t, cfg, 3)
+	m := mustNew(t, cfg, 3)
 	st := newStream(13, 64, 64, int64(256*4))
 	const depth = 4
 	var pendA, pendB []*core.PlanResult
@@ -351,7 +291,7 @@ func TestReshardFuzz(t *testing.T) {
 			t.Fatal(err)
 		}
 		start := counts[rng.Intn(len(counts))]
-		m := elastic(t, cfg, start, func(c *Config) { c.Pool = par.New(2) })
+		m := mustNew(t, cfg, start, func(c *Config) { c.Pool = par.New(2) })
 		schedule := map[int]int{}
 		for _, at := range []int{10 + rng.Intn(15), 30 + rng.Intn(15)} {
 			schedule[at] = counts[rng.Intn(len(counts))]
@@ -359,7 +299,7 @@ func TestReshardFuzz(t *testing.T) {
 		st := newStream(rng.Int63(), 32, batchLen, idSpace)
 		driveResharding(t, "fuzz", sp, m, st, 60, cfg.FutureWindow, schedule, nil)
 		if sp.Stats() != m.Stats() {
-			t.Fatalf("trial %d (slots %d, batch %d, start S=%d, schedule %v): stats diverged:\ncore    %+v\nelastic %+v",
+			t.Fatalf("trial %d (slots %d, batch %d, start S=%d, schedule %v): stats diverged:\ncore    %+v\nreshard %+v",
 				trial, slots, batchLen, start, schedule, sp.Stats(), m.Stats())
 		}
 	}
@@ -380,7 +320,7 @@ func TestReshardMigrationCost(t *testing.T) {
 		}
 		return p
 	}
-	m := elastic(t, cfg, 1)
+	m := mustNew(t, cfg, 1)
 	st := newStream(7, 32, 64, int64(256*4))
 	var pend []*core.PlanResult
 	for seq := 0; seq < 32; seq++ {
@@ -486,7 +426,7 @@ func TestReshardCoordStatsCarry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := elastic(t, cfg, 4, func(c *Config) { c.Placement = p4 })
+	m := mustNew(t, cfg, 4, func(c *Config) { c.Placement = p4 })
 	st := newStream(3, 32, 32, 96) // small ID space: evictions guaranteed
 	var pend []*core.PlanResult
 	step := func(seq int) {
@@ -525,60 +465,5 @@ func TestReshardCoordStatsCarry(t *testing.T) {
 		// Co-located now: no new traffic, totals must still be the
 		// carried ones.
 		t.Fatalf("co-located post-reshard run changed coordination totals: %+v vs %+v", got, after)
-	}
-}
-
-// TestLoadProbe: elastic managers histogram query mass at the fixed
-// probe granularity; a heavily skewed stream must show probe skew well
-// above a uniform one.
-func TestLoadProbe(t *testing.T) {
-	skewOf := func(ids []int64) float64 {
-		cfg := testConfig(256, len(ids))
-		m := elastic(t, cfg, 1, func(c *Config) { c.LoadProbe = true })
-		if _, err := m.Plan(0, ids, nil); err != nil {
-			t.Fatal(err)
-		}
-		probe := m.LoadProbe()
-		if len(probe) != LoadProbeBuckets {
-			t.Fatalf("probe has %d buckets, want %d", len(probe), LoadProbeBuckets)
-		}
-		var total, max int64
-		for _, v := range probe {
-			total += v
-			if v > max {
-				max = v
-			}
-		}
-		if total != int64(len(ids)) {
-			t.Fatalf("probe total %d, want %d occurrences", total, len(ids))
-		}
-		return float64(LoadProbeBuckets) * float64(max) / float64(total)
-	}
-	// Enough draws that uniform noise stays well under the default
-	// skew threshold at the probe's granularity (~32 per bucket).
-	uniform := make([]int64, 32768)
-	rng := rand.New(rand.NewSource(1))
-	for i := range uniform {
-		uniform[i] = rng.Int63n(1 << 30)
-	}
-	hot := make([]int64, 32768)
-	for i := range hot {
-		hot[i] = int64(rng.Intn(3)) // 3 hot IDs carry all the mass
-	}
-	u, h := skewOf(uniform), skewOf(hot)
-	if u > 2 {
-		t.Fatalf("uniform stream probe skew %g > 2", u)
-	}
-	if h < 8 {
-		t.Fatalf("hot stream probe skew %g < 8", h)
-	}
-	// The probe is opt-in: elastic managers without it keep the Plan
-	// hot path untouched, and it cannot exist without elasticity.
-	noProbe := elastic(t, testConfig(64, 16), 2)
-	if noProbe.LoadProbe() != nil {
-		t.Fatal("probe grew without LoadProbe opt-in")
-	}
-	if _, err := New(Config{Scratchpad: testConfig(64, 16), Shards: 2, LoadProbe: true}); err == nil {
-		t.Fatal("LoadProbe without Elastic accepted")
 	}
 }

@@ -5,12 +5,12 @@
 // planning saturates one socket's memory bandwidth.
 //
 // Each shard is a core.Pad owning a hash partition of the sparse-ID
-// space — its own Hit-Map, primary free list, hold ring and recency list
-// — so the per-occurrence work of the [Plan] stage (Hit-Map probes,
-// recency touches, pin/hint stamping, hold registration) runs
-// shard-parallel with no shared mutable state
-// (every slot is written only by the shard whose ID currently occupies
-// it). What cannot be sharded without changing results is the eviction
+// space — its own primary free list, hold ring and recency list — over
+// the table's one Hit-Map in the embedded core.Frame. The per-occurrence
+// work of the [Plan] stage (Hit-Map probes, recency touches, pin/hint
+// stamping, hold registration) runs shard-parallel: the pass only reads
+// the Hit-Map, and every slot is written only by the shard whose ID
+// currently occupies it. What cannot be sharded without changing results is the eviction
 // decision: the paper's replacement policy is a *global* LRU over the
 // whole scratchpad, and splitting it into independent per-shard LRUs
 // would change which rows stay resident. The Manager therefore runs a
@@ -24,15 +24,16 @@
 // core.Scratchpad at every shard count (the equivalence tests in this
 // package prove it plan by plan).
 //
-// The slot discipline, the replacement policy (one LRU list per shard)
-// and the per-pad Plan pass live once, in the embedded core.Frame; this
-// package adds routing, touch stamps, borrowing, the k-way victim merge,
-// the coordination meter, resharding and evacuation. A non-elastic
-// single-shard Manager needs none of it and plans its one pad with
-// core.Frame.PlanOne, the function core.Scratchpad runs, so S=1 is the
-// unsharded planner by construction under every replacement policy.
-// Shards > 1 requires the LRU policy: the stamp-merge coordinator is the
-// distributed form of the LRU eviction order specifically.
+// The Hit-Map, the slot discipline, the replacement policy (one LRU list
+// per shard) and the per-pad Plan pass live once, in the embedded
+// core.Frame; this package adds routing, touch stamps, borrowing, the
+// k-way victim merge, the coordination meter, resharding and evacuation.
+// A single-shard Manager needs none of the first five and plans its one
+// pad with core.Frame.PlanOne, the function core.Scratchpad runs, so S=1
+// is the unsharded planner by construction under every replacement
+// policy. Shards > 1 requires the LRU policy: the stamp-merge
+// coordinator is the distributed form of the LRU eviction order
+// specifically.
 //
 // A Config.Placement assigns shards to the nodes of an hw.Topology
 // (sockets, hosts, GPUs); the coordinator's victim-merge, touch-stamp,
@@ -45,10 +46,10 @@
 // through a per-host aggregation tier, or approximate epoch-quantized
 // LRU.
 //
-// Nothing above requires the partitioning to be static: an elastic
-// manager (Config.Elastic) can change its shard count between Plans via
-// [Manager.Reshard] — growing or shrinking a live run, migrating every
-// Hit-Map entry, free list, hold ring, and recency list to the new hash
+// Nothing above requires the partitioning to be static: any LRU manager
+// can change its shard count between Plans via [Manager.Reshard] —
+// growing or shrinking a live run, moving every resident entry's
+// ownership, free list, hold ring, and recency list to the new hash
 // partitioning without losing a cached row, and pricing the migrated
 // control bytes on the same topology links (reshard.go; DESIGN.md §9).
 package shard
@@ -99,21 +100,6 @@ type Config struct {
 	// epoch-quantized recency). Exact and hier produce identical plans,
 	// victims, and statistics; approx may diverge.
 	Coord CoordMode
-	// Elastic builds a manager whose shard count can change at run time
-	// via [Manager.Reshard] (see reshard.go). It requires the LRU policy
-	// (resharding re-threads LRU recency state) and makes Shards == 1
-	// run the generic sharded machinery — routing and touch stamps —
-	// instead of the single-pad core pass, so its state can migrate;
-	// plans, victims, and statistics stay identical
-	// (TestElasticSingleShardBitIdentical proves slot-level identity),
-	// and a warm Plan cycle still allocates nothing.
-	Elastic bool
-	// LoadProbe additionally maintains the fixed-granularity query-mass
-	// histogram behind [Manager.LoadProbe] that load-triggered reshard
-	// policies read. It costs one extra hash + write per unique ID per
-	// Plan, so it is opt-in: schedules without a load policy (static
-	// steps only) leave the Plan hot path untouched. Requires Elastic.
-	LoadProbe bool
 }
 
 // Validate reports a descriptive error for an unusable configuration.
@@ -124,13 +110,6 @@ func (c Config) Validate() error {
 	if c.Shards > 1 && c.Scratchpad.Policy != cache.LRU {
 		return fmt.Errorf("shard: %d shards requires the %q policy (cross-shard eviction coordination merges LRU recency orders), got %q",
 			c.Shards, cache.LRU, c.Scratchpad.Policy)
-	}
-	if c.Elastic && c.Scratchpad.Policy != cache.LRU {
-		return fmt.Errorf("shard: elastic resharding requires the %q policy (migration re-threads LRU recency state), got %q",
-			cache.LRU, c.Scratchpad.Policy)
-	}
-	if c.LoadProbe && !c.Elastic {
-		return fmt.Errorf("shard: LoadProbe without Elastic (the probe only feeds reshard policies)")
 	}
 	if _, err := ParseCoordMode(string(c.Coord)); err != nil {
 		return err
@@ -205,38 +184,32 @@ type Manager struct {
 	quantum uint64
 	pollK   int
 
-	// elastic marks the manager reshardable (see reshard.go): its shard
-	// count may change between Plans via Reshard. loadProbe is the
-	// fixed-granularity query-mass histogram load-triggered reshard
-	// policies read (occurrences bucketed by ShardOf(id,
-	// LoadProbeBuckets); nil unless Config.LoadProbe opted in);
-	// resharding tracks the lifetime migration totals and lastReshard
-	// the most recent event's modeled latency.
-	elastic     bool
-	loadProbe   []int64
+	// Resharding state (see reshard.go): resharding tracks the lifetime
+	// migration totals and lastReshard the most recent event's modeled
+	// latency.
 	resharding  ReshardStats
 	lastReshard float64
 
 	// Failure state (see failure.go): degraded marks partition-mode
-	// approx coordination (preMode restores on Heal); evac
-	// totals host-evacuation activity and lastEvac the most recent
-	// event's modeled recovery-transfer latency.
+	// approx coordination (preMode restores on Heal); evac totals
+	// host-evacuation activity.
 	degraded bool
 	preMode  CoordMode
 	evac     EvacStats
-	lastEvac float64
 
 	shards []shardState
 	// stamp[slot] is the stamp of the slot's last touch on stampClock,
-	// the global recency timeline, and the victim merge's key (nil for a
-	// solo manager, which has no merge).
+	// the global recency timeline, and the victim merge's key (unused by
+	// a solo manager, which has no merge; a reshard up from one shard
+	// stamps the residents in recency order).
 	stamp      []uint64
 	stampClock uint64
 
 	// freePrimaryTotal counts unused primary slots across all shards
 	// (shards borrow from each other before anyone evicts, so eviction
 	// starts exactly when the unsharded free list would run dry; unused
-	// by a solo manager). The reserve budget is the frame's.
+	// by a solo manager, and recounted by a reshard). The reserve budget
+	// is the frame's.
 	freePrimaryTotal int
 	sweepArmed       bool
 
@@ -299,15 +272,11 @@ func (m *Manager) Reset(cfg Config) error {
 		mode:    mode,
 		quantum: 1,
 		pollK:   1,
-		elastic: cfg.Elastic,
 		shards:  slices.Grow(old.shards[:0], n)[:n],
 		rt:      old.rt,
 	}
 	if !m.solo() {
 		m.stamp = zeroed(old.stamp, c.Slots+c.Reserve)
-	}
-	if cfg.LoadProbe {
-		m.loadProbe = zeroed(old.loadProbe, LoadProbeBuckets)
 	}
 	if mode == CoordApprox {
 		m.quantum = approxQuantum
@@ -324,9 +293,8 @@ func (m *Manager) Reset(cfg Config) error {
 }
 
 // solo reports whether m plans its one pad with the unsharded core pass:
-// a single shard that can never reshard has no routing, no touch stamps
-// and no coordinator.
-func (m *Manager) solo() bool { return m.nshards == 1 && !m.elastic }
+// a single shard has no routing, no touch stamps and no coordinator.
+func (m *Manager) solo() bool { return m.nshards == 1 }
 
 // Shards returns the shard count.
 func (m *Manager) Shards() int { return m.nshards }
@@ -567,7 +535,7 @@ func (m *Manager) PlanUniqueWithHints(seq int, uniq []int64, counts []int32, fut
 	if err != nil {
 		return nil, err
 	}
-	shardOf := m.route(uniq, counts, future[futStart:], hints)
+	shardOf := m.route(uniq, future[futStart:], hints)
 
 	// Shard-parallel pass (planShard, which cannot fail). Touch stamps
 	// follow batch position, reproducing the serial planner's recency
@@ -650,8 +618,6 @@ func (m *Manager) PlanUniqueWithHints(seq int, uniq []int64, counts []int32, fut
 		m.lastCoord = m.coord.finishPlan()
 		m.lastCoordCrit = m.coord.lastCrit
 		m.lastCoordWall = m.coord.lastWall
-	} else {
-		m.lastCoordCrit, m.lastCoordWall = 0, 0
 	}
 
 	m.EndPlan(res)
@@ -662,7 +628,7 @@ func (m *Manager) PlanUniqueWithHints(seq int, uniq []int64, counts []int32, fut
 // shard, so each shard's parallel pass walks only its own share, and
 // returns each position's owner for the serial coordinator pass. Any
 // shard may own everything, so each bucket grows once to the full size.
-func (m *Manager) route(uniq []int64, counts []int32, future, hints [][]int64) []uint16 {
+func (m *Manager) route(uniq []int64, future, hints [][]int64) []uint16 {
 	rt, n := &m.rt, m.nshards
 	rt.uniqIdx = slices.Grow(rt.uniqIdx[:0], n)[:n]
 	rt.pins = slices.Grow(rt.pins[:0], n)[:n]
@@ -676,16 +642,6 @@ func (m *Manager) route(uniq []int64, counts []int32, future, hints [][]int64) [
 		j := m.shardFor(id)
 		rt.shardOf[i] = uint16(j)
 		rt.uniqIdx[j] = append(rt.uniqIdx[j], int32(i))
-		if m.loadProbe != nil {
-			// Elastic managers histogram the query mass at a fixed
-			// S-independent granularity so load-triggered reshard
-			// policies can observe ID-space skew even at S=1.
-			c := int64(1)
-			if counts != nil {
-				c = int64(counts[i])
-			}
-			m.loadProbe[ShardOf(id, LoadProbeBuckets)] += c
-		}
 	}
 	m.bucket(rt.pins, &rt.pinBuf, future)
 	m.bucket(rt.hints, &rt.hintBuf, hints)

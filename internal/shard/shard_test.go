@@ -173,7 +173,7 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestSingleShardBitIdentical proves a non-elastic S=1 manager is the
+// TestSingleShardBitIdentical proves an S=1 manager is the
 // unsharded planner under every replacement policy: identical plans
 // including the physical slot numbers, and identical statistics.
 func TestSingleShardBitIdentical(t *testing.T) {
@@ -336,9 +336,8 @@ func TestMoreShardsThanIDs(t *testing.T) {
 	}
 }
 
-// TestFuzzStatsEquivalence is a three-way lockstep over random
-// configurations and random traces: core.Scratchpad, an elastic S=1
-// manager (the generic sharded machinery at one shard) and a rotating
+// TestFuzzStatsEquivalence is a lockstep over random configurations and
+// random traces: core.Scratchpad against a manager at a rotating
 // non-trivial shard count (including the non-power-of-two 3 and 7).
 // Trials draw a past window from 0 to 3 (a past window narrower than
 // the future window re-stamps every pin each Plan), give half of them
@@ -375,15 +374,11 @@ func TestFuzzStatsEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m1, err := New(Config{Scratchpad: cfg, Shards: 1, Elastic: true})
-		if err != nil {
-			t.Fatal(err)
-		}
 		mS, err := New(Config{Scratchpad: cfg, Shards: shards, Pool: par.New(2)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		planners := []planner{sp, m1, mS}
+		planners := []planner{sp, mS}
 		st := newStream(rng.Int63(), 32, batchLen, idSpace)
 		depth := cfg.PastWindow + 1
 		pend := make([][]*core.PlanResult, len(planners))
@@ -394,19 +389,16 @@ func TestFuzzStatsEquivalence(t *testing.T) {
 			for p, pl := range planners {
 				res[p], errs[p] = pl.PlanWithHints(seq, st.at(seq), future, hints)
 			}
-			if (errs[0] == nil) != (errs[1] == nil) || (errs[0] == nil) != (errs[2] == nil) {
-				t.Fatalf("%s seq %d: errors diverged: core %v / elastic S=1 %v / S=%d %v",
-					label, seq, errs[0], errs[1], shards, errs[2])
+			if (errs[0] == nil) != (errs[1] == nil) {
+				t.Fatalf("%s seq %d: errors diverged: core %v / S=%d %v", label, seq, errs[0], shards, errs[1])
 			}
 			if errs[0] != nil {
 				exhausted++
 				break
 			}
-			samePlan(t, label+" elastic S=1", seq, res[0], res[1])
-			samePlan(t, label, seq, res[0], res[2])
-			if sp.Stats() != m1.Stats() || sp.Stats() != mS.Stats() {
-				t.Fatalf("%s seq %d: stats diverged:\ncore        %+v\nelastic S=1 %+v\nS=%d         %+v",
-					label, seq, sp.Stats(), m1.Stats(), shards, mS.Stats())
+			samePlan(t, label, seq, res[0], res[1])
+			if sp.Stats() != mS.Stats() {
+				t.Fatalf("%s seq %d: stats diverged:\ncore %+v\nS=%d  %+v", label, seq, sp.Stats(), shards, mS.Stats())
 			}
 			for p := range planners {
 				pend[p] = append(pend[p], res[p])
@@ -419,9 +411,8 @@ func TestFuzzStatsEquivalence(t *testing.T) {
 				}
 			}
 		}
-		if sp.Stats() != m1.Stats() || sp.Stats() != mS.Stats() {
-			t.Fatalf("%s: final stats diverged:\ncore        %+v\nelastic S=1 %+v\nS=%d         %+v",
-				label, sp.Stats(), m1.Stats(), shards, mS.Stats())
+		if sp.Stats() != mS.Stats() {
+			t.Fatalf("%s: final stats diverged:\ncore %+v\nS=%d  %+v", label, sp.Stats(), shards, mS.Stats())
 		}
 	}
 	t.Logf("%d of 60 trials reached the exhaustion error", exhausted)
@@ -496,8 +487,8 @@ func TestShardBalance(t *testing.T) {
 // TestPlanWarmZeroAllocs is the sharded twin of core's hot-path guard:
 // once its pools and buffers have warmed up, a full Plan/Release/Recycle
 // cycle of an S=4 manager striped over cluster2x2, with a future window,
-// must not allocate under any coordination protocol, nor as a plain
-// single shard, nor as an elastic single shard with the load probe. The
+// must not allocate under any coordination protocol, nor as a single
+// shard, nor as one resharded from 4 to 1 with batches in flight. The
 // pool is serial (nil), so every allocation counted is the planner's own;
 // a capturing closure handed to the shard fan-out would show up here as
 // one per call.
@@ -507,15 +498,21 @@ func TestPlanWarmZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := map[string]Config{
-		"S1":         {Shards: 1},
-		"elastic-S1": {Shards: 1, Elastic: true, LoadProbe: true},
+	// reshardAt steps a case to one shard before that Plan (0: never).
+	type allocCase struct {
+		cfg       Config
+		reshardAt int
+	}
+	cases := map[string]allocCase{
+		"S1":       {Config{Shards: 1}, 0},
+		"S4-to-S1": {Config{Shards: 4, Placement: pl, Coord: CoordHier}, 100},
 	}
 	for _, mode := range CoordModes {
-		cases[string(mode)] = Config{Shards: 4, Placement: pl, Coord: mode}
+		cases[string(mode)] = allocCase{Config{Shards: 4, Placement: pl, Coord: mode}, 0}
 	}
-	for name, cfg := range cases {
+	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
+			cfg := tc.cfg
 			cfg.Scratchpad = testConfig(slots, batchLen)
 			m, err := New(cfg)
 			if err != nil {
@@ -525,6 +522,11 @@ func TestPlanWarmZeroAllocs(t *testing.T) {
 			pending := make([]*core.PlanResult, 0, depth)
 			seq := 0
 			step := func() {
+				if tc.reshardAt > 0 && seq == tc.reshardAt {
+					if err := m.Reshard(1, hw.Placement{}); err != nil {
+						t.Fatal(err)
+					}
+				}
 				future, _ := st.window(seq, 2, 0)
 				res, err := m.Plan(seq, st.at(seq), future)
 				if err != nil {
