@@ -460,6 +460,12 @@ func TestReshardCoordStatsCarry(t *testing.T) {
 	}
 	for seq := 24; seq < 32; seq++ {
 		step(seq)
+		// Co-located Plans pay nothing; the last distributed Plan's
+		// figures must not linger.
+		if m.LastPlanCoord() != 0 || m.LastPlanCoordCritical() != 0 || m.LastPlanCoordWall() != 0 {
+			t.Fatalf("seq %d: co-located Plan reports coordination %g (critical %g, wall %g)",
+				seq, m.LastPlanCoord(), m.LastPlanCoordCritical(), m.LastPlanCoordWall())
+		}
 	}
 	if got := m.CoordStats(); got != after {
 		// Co-located now: no new traffic, totals must still be the
