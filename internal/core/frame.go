@@ -113,9 +113,10 @@ type Frame struct {
 
 // ResetFrame reinitialises f for cfg (already validated) with lists
 // recency lists (several only under LRU): an empty Hit-Map, every slot
-// empty and off every list, the reserve stack in its initial pop order, a fresh pin epoch
-// and zero statistics. It keeps every buffer's capacity and the pool of
-// recycled plans. It fails, leaving f unchanged, on an unknown policy.
+// empty and off every list, the reserve stack in its initial pop order,
+// a fresh pin epoch and zero statistics. It keeps every buffer's
+// capacity and the pool of recycled plans. It fails, leaving f
+// unchanged, on an unknown policy.
 func (f *Frame) ResetFrame(cfg Config, lists int) error {
 	total := cfg.Slots + cfg.Reserve
 	if cfg.Policy == cache.LRU {

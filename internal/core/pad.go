@@ -72,11 +72,10 @@ type Batch struct {
 // classifies the batch positions idx (nil: all) against the Hit-Map. The
 // planner routes the pad only the IDs it owns. A hit writes its slot to
 // b.Res.Slots[i] and is touched and held; a miss writes -1 for the
-// planner to allocate. A hit ID's
-// occurrences all hit; a missed ID's first occurrence misses and the
-// rest hit (the row is scheduled for fill and resident by [Train]). The
-// pass only reads the Hit-Map and writes only the pad's slots and list,
-// so pads run in parallel.
+// planner to allocate. A hit ID's occurrences all hit; a missed ID's
+// first occurrence misses and the rest hit (the row is scheduled for
+// fill and resident by [Train]). The pass only reads the Hit-Map and
+// writes only the pad's slots and list, so pads run in parallel.
 func (f *Frame) PlanPad(p *Pad, b *Batch, idx []int32, pins, hints [][]int64) {
 	for _, ids := range pins {
 		for _, id := range ids {

@@ -10,16 +10,16 @@
 // work of the [Plan] stage (Hit-Map probes, recency touches, pin/hint
 // stamping, hold registration) runs shard-parallel: the pass only reads
 // the Hit-Map, and every slot is written only by the shard whose ID
-// currently occupies it. What cannot be sharded without changing results is the eviction
-// decision: the paper's replacement policy is a *global* LRU over the
-// whole scratchpad, and splitting it into independent per-shard LRUs
-// would change which rows stay resident. The Manager therefore runs a
-// cross-shard eviction-budget coordinator: a global monotonic touch-stamp
-// clock orders every shard's recency list on one timeline, primary and
-// reserve capacity are global budgets (shards borrow free slots from each
-// other before anyone evicts), and victim selection k-way-merges the
-// shard cursors by stamp — which reproduces the unsharded planner's
-// eviction sequence exactly. Sharding is thus a pure decomposition:
+// currently occupies it. What cannot be sharded without changing results
+// is the eviction decision: the paper's replacement policy is a *global*
+// LRU over the whole scratchpad, and splitting it into independent
+// per-shard LRUs would change which rows stay resident. The Manager
+// therefore runs a cross-shard eviction-budget coordinator: a global
+// monotonic touch-stamp clock orders every shard's recency list on one
+// timeline, primary and reserve capacity are global budgets (shards
+// borrow free slots from each other before anyone evicts), and victim
+// selection k-way-merges the shard cursors by stamp — which reproduces
+// the unsharded planner's eviction sequence exactly. Sharding is thus a pure decomposition:
 // plans, eviction victims, and aggregate statistics are identical to
 // core.Scratchpad at every shard count (the equivalence tests in this
 // package prove it plan by plan).
