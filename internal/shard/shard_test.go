@@ -2,6 +2,8 @@ package shard
 
 import (
 	"fmt"
+	"hash/fnv"
+	"io"
 	"math/rand"
 	"testing"
 
@@ -173,12 +175,33 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// hashPlan folds a plan's unique IDs, physical slots, fills and victims
+// into h.
+func hashPlan(h io.Writer, r *core.PlanResult) {
+	fmt.Fprintf(h, "%d %v %v %v %v;", r.Seq, r.UniqueIDs, r.Slots, r.Fills, r.Evictions)
+}
+
+// singleShardPins are the LFU and random legs' recorded plan hashes
+// (hashPlan over every plan) and final statistics.
+var singleShardPins = map[cache.PolicyKind]struct {
+	plans uint64
+	stats core.Stats
+}{
+	cache.LFU: {0x60e47506586e3d1e, core.Stats{Queries: 6400, Hits: 2552, Misses: 3848, UniqueQueries: 6192,
+		UniqueHits: 2344, UniqueMisses: 3848, Fills: 3848, Evictions: 3592, Planned: 100, Released: 97}},
+	cache.RandomPolicy: {0xe669b985d769ca6c, core.Stats{Queries: 6400, Hits: 2539, Misses: 3861, UniqueQueries: 6192,
+		UniqueHits: 2331, UniqueMisses: 3861, Fills: 3861, Evictions: 3605, Planned: 100, Released: 97}},
+}
+
 // TestSingleShardBitIdentical proves an S=1 manager is the
 // unsharded planner under every replacement policy: identical plans
-// including the physical slot numbers, and identical statistics.
+// including the physical slot numbers, and identical statistics. The
+// LFU and random legs also match their recorded plan hash and
+// statistics.
 func TestSingleShardBitIdentical(t *testing.T) {
 	for _, policy := range []cache.PolicyKind{cache.LRU, cache.LFU, cache.RandomPolicy} {
 		t.Run(string(policy), func(t *testing.T) {
+			h := fnv.New64a()
 			cfg := testConfig(256, 64)
 			cfg.Policy, cfg.PolicySeed = policy, 5
 			sp, err := core.NewScratchpad(cfg)
@@ -203,6 +226,7 @@ func TestSingleShardBitIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				samePlan(t, "s1", seq, ra, rb)
+				hashPlan(h, rb)
 				for i := range ra.Slots {
 					if ra.Slots[i] != rb.Slots[i] {
 						t.Fatalf("seq %d: slot %d: %d vs %d (S=1 must be bit-identical)", seq, i, ra.Slots[i], rb.Slots[i])
@@ -227,6 +251,14 @@ func TestSingleShardBitIdentical(t *testing.T) {
 			}
 			if sp.Stats().Evictions == 0 {
 				t.Fatal("stream never evicted: the replacement policy went unexercised")
+			}
+			if pin, ok := singleShardPins[policy]; ok {
+				if got := m.Stats(); got != pin.stats {
+					t.Errorf("stats %#v, want %#v", got, pin.stats)
+				}
+				if got := h.Sum64(); got != pin.plans {
+					t.Errorf("plan hash %#x, want %#x", got, pin.plans)
+				}
 			}
 		})
 	}
