@@ -86,73 +86,39 @@ func TestReshardValidation(t *testing.T) {
 	}
 }
 
-// driveResharding runs st through planner a (the reference) and manager
-// b in lockstep, invoking b.Reshard per the schedule map
-// (iteration -> new shard count) between Plans, and asserting residency
-// is preserved bit-for-bit across every boundary.
-func driveResharding(t *testing.T, label string, a planner, b *Manager, st *stream, iters, futureWin int, schedule map[int]int, place func(s int) hw.Placement) {
+// driveResharding runs st through the reference and manager m in
+// lockstep, calling m.Reshard per the schedule (iteration -> new shard
+// count, co-located) before that iteration's Plan and asserting that
+// every boundary preserves the residency map bit for bit.
+func driveResharding(t *testing.T, label string, ref *reference, m *Manager, st *stream, iters, futureWin int, schedule map[int]int) {
 	t.Helper()
-	const depth = 4
-	var pendA, pendB []*core.PlanResult
-	for seq := 0; seq < iters; seq++ {
-		if newS, ok := schedule[seq]; ok {
-			before := residency(b)
-			var p hw.Placement
-			if place != nil {
-				p = place(newS)
-			}
-			if err := b.Reshard(newS, p); err != nil {
-				t.Fatalf("%s seq %d: Reshard(%d): %v", label, seq, newS, err)
-			}
-			if got := b.Shards(); got != newS {
-				t.Fatalf("%s seq %d: shards %d after Reshard(%d)", label, seq, got, newS)
-			}
-			sameResidency(t, label, before, residency(b))
+	lockstep(t, label, ref, []*Manager{m}, st, iters, futureWin, 0, 4, func(seq int) {
+		newS, ok := schedule[seq]
+		if !ok {
+			return
 		}
-		future, hints := st.window(seq, futureWin, 0)
-		ra, err := a.PlanWithHints(seq, st.at(seq), future, hints)
-		if err != nil {
-			t.Fatalf("%s seq %d: reference Plan: %v", label, seq, err)
+		before := residency(m)
+		if err := m.Reshard(newS, hw.Placement{}); err != nil {
+			t.Fatalf("%s seq %d: Reshard(%d): %v", label, seq, newS, err)
 		}
-		rb, err := b.PlanWithHints(seq, st.at(seq), future, hints)
-		if err != nil {
-			t.Fatalf("%s seq %d: resharded Plan: %v", label, seq, err)
+		if got := m.Shards(); got != newS {
+			t.Fatalf("%s seq %d: shards %d after Reshard(%d)", label, seq, got, newS)
 		}
-		samePlan(t, label, seq, ra, rb)
-		pendA, pendB = append(pendA, ra), append(pendB, rb)
-		if len(pendA) >= depth {
-			old := seq - depth + 1
-			if err := a.Release(old); err != nil {
-				t.Fatalf("%s: reference Release(%d): %v", label, old, err)
-			}
-			if err := b.Release(old); err != nil {
-				t.Fatalf("%s: resharded Release(%d): %v", label, old, err)
-			}
-			a.Recycle(pendA[0])
-			b.Recycle(pendB[0])
-			pendA, pendB = pendA[1:], pendB[1:]
-		}
-	}
+		sameResidency(t, label, before, residency(m))
+	})
 }
 
 // TestReshardEquivalence is the tentpole property: a run that reshards
 // S=1 -> 4 -> 2 -> 1 mid-stream — with batches in flight at every
-// boundary — must keep emitting exactly the plans, eviction victims,
-// and statistics of the unsharded planner, and every boundary must
+// boundary — must keep emitting exactly the reference's plans, eviction
+// victims, and statistics, and every boundary must
 // preserve the full residency map (no silent row loss). The final leg
 // checks the one-shard pass after a reshard.
 func TestReshardEquivalence(t *testing.T) {
 	cfg := testConfig(512, 96)
-	sp, err := core.NewScratchpad(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	m := mustNew(t, cfg, 1, func(c *Config) { c.Pool = par.New(2) })
 	st := newStream(29, 96, 96, int64(512*4))
-	driveResharding(t, "reshard-1-4-2-1", sp, m, st, 180, 2, map[int]int{50: 4, 100: 2, 130: 1}, nil)
-	if sp.Stats() != m.Stats() {
-		t.Fatalf("stats diverged:\ncore    %+v\nreshard %+v", sp.Stats(), m.Stats())
-	}
+	driveResharding(t, "reshard-1-4-2-1", newReference(cfg), m, st, 180, 2, map[int]int{50: 4, 100: 2, 130: 1})
 	rs := m.ReshardStats()
 	if rs.Events != 3 {
 		t.Fatalf("reshard events %d, want 3", rs.Events)
@@ -270,8 +236,8 @@ func TestReshardSameSNoOp(t *testing.T) {
 }
 
 // TestReshardFuzz drives random streams through random grow/shrink
-// schedules (always with batches in flight) against a fresh unsharded
-// reference, checking plans and final statistics every trial.
+// schedules (always with batches in flight) against a fresh reference,
+// checking plans and statistics after every batch of every trial.
 func TestReshardFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	counts := []int{1, 2, 3, 4, 5, 7, 8}
@@ -286,10 +252,6 @@ func TestReshardFuzz(t *testing.T) {
 			FutureWindow: rng.Intn(3),
 		}
 		cfg.Reserve = core.WorstCaseReserve(cfg, batchLen)
-		sp, err := core.NewScratchpad(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
 		start := counts[rng.Intn(len(counts))]
 		m := mustNew(t, cfg, start, func(c *Config) { c.Pool = par.New(2) })
 		schedule := map[int]int{}
@@ -297,11 +259,8 @@ func TestReshardFuzz(t *testing.T) {
 			schedule[at] = counts[rng.Intn(len(counts))]
 		}
 		st := newStream(rng.Int63(), 32, batchLen, idSpace)
-		driveResharding(t, "fuzz", sp, m, st, 60, cfg.FutureWindow, schedule, nil)
-		if sp.Stats() != m.Stats() {
-			t.Fatalf("trial %d (slots %d, batch %d, start S=%d, schedule %v): stats diverged:\ncore    %+v\nreshard %+v",
-				trial, slots, batchLen, start, schedule, sp.Stats(), m.Stats())
-		}
+		label := fmt.Sprintf("trial %d (slots %d, batch %d, start S=%d, schedule %v)", trial, slots, batchLen, start, schedule)
+		driveResharding(t, label, newReference(cfg), m, st, 60, cfg.FutureWindow, schedule)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"io"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/cache"
@@ -48,20 +49,6 @@ func (s *stream) window(seq, futureWin, lookahead int) (future, hints [][]int64)
 	}
 	return s.future, s.hints
 }
-
-// planner abstracts core.Scratchpad and Manager behind the subset of the
-// lifecycle the equivalence tests drive.
-type planner interface {
-	PlanWithHints(seq int, ids []int64, future, hints [][]int64) (*core.PlanResult, error)
-	Release(seq int) error
-	Recycle(res *core.PlanResult)
-	Prewarm(sample func() int64, onFill func(id int64, slot int32)) int
-	Contains(id int64) bool
-	Len() int
-}
-
-var _ planner = (*core.Scratchpad)(nil)
-var _ planner = (*Manager)(nil)
 
 func testConfig(slots, batchLen int) core.Config {
 	cfg := core.Config{Slots: slots, Policy: cache.LRU, PastWindow: 3, FutureWindow: 2}
@@ -107,41 +94,66 @@ func samePlan(t *testing.T, label string, seq int, a, b *core.PlanResult) {
 	}
 }
 
-// driveLockstep runs the same stream through two planners, comparing every
-// plan, with a pipeline-shaped Release/Recycle pattern (depth 4 = the
-// paper's release-at-Train distance).
-func driveLockstep(t *testing.T, label string, a, b planner, st *stream, iters, futureWin, lookahead int) {
+// lockstep drives st through the reference and every manager in ms with
+// the pipeline's release pattern: after Plan seq, batch seq-depth+1 is
+// released (and a manager recycles its plan). Every Plan must agree with
+// the reference on the plan, on whether it fails and on the statistics
+// after it; a manager that has had one shard all along must also place
+// every row in the reference's slot. before, when non-nil, runs ahead of
+// each Plan. At the end every manager must hold exactly the reference's
+// rows. lockstep reports whether the run stopped at a failed Plan.
+func lockstep(t *testing.T, label string, ref *reference, ms []*Manager, st *stream, iters, futureWin, lookahead, depth int, before func(seq int)) bool {
 	t.Helper()
-	const depth = 4
-	var pendA, pendB []*core.PlanResult
-	for seq := 0; seq < iters; seq++ {
+	pend := make([][]*core.PlanResult, len(ms))
+	failed := false
+	for seq := 0; seq < iters && !failed; seq++ {
+		if before != nil {
+			before(seq)
+		}
 		future, hints := st.window(seq, futureWin, lookahead)
-		ra, err := a.PlanWithHints(seq, st.at(seq), future, hints)
-		if err != nil {
-			t.Fatalf("%s seq %d: a.Plan: %v", label, seq, err)
-		}
-		rb, err := b.PlanWithHints(seq, st.at(seq), future, hints)
-		if err != nil {
-			t.Fatalf("%s seq %d: b.Plan: %v", label, seq, err)
-		}
-		samePlan(t, label, seq, ra, rb)
-		pendA, pendB = append(pendA, ra), append(pendB, rb)
-		if len(pendA) >= depth {
-			old := seq - depth + 1
-			if err := a.Release(old); err != nil {
-				t.Fatalf("%s: a.Release(%d): %v", label, old, err)
+		want, wantErr := ref.PlanWithHints(seq, st.at(seq), future, hints)
+		failed = wantErr != nil
+		for i, m := range ms {
+			at := fmt.Sprintf("%s S=%d", label, m.Shards())
+			got, err := m.PlanWithHints(seq, st.at(seq), future, hints)
+			if (err != nil) != failed {
+				t.Fatalf("%s seq %d: error %v, reference %v", at, seq, err, wantErr)
 			}
-			if err := b.Release(old); err != nil {
-				t.Fatalf("%s: b.Release(%d): %v", label, old, err)
+			if m.Stats() != ref.stats {
+				t.Fatalf("%s seq %d: stats diverged:\nreference %+v\nmanager   %+v", at, seq, ref.stats, m.Stats())
 			}
-			a.Recycle(pendA[0])
-			b.Recycle(pendB[0])
-			pendA, pendB = pendA[1:], pendB[1:]
+			if failed {
+				continue
+			}
+			samePlan(t, at, seq, want, got)
+			if m.Shards() == 1 && m.ReshardStats().Events == 0 && !slices.Equal(want.Slots, got.Slots) {
+				t.Fatalf("%s seq %d: slots %v, reference %v", at, seq, got.Slots, want.Slots)
+			}
+			if pend[i] = append(pend[i], got); len(pend[i]) >= depth {
+				if err := m.Release(seq - depth + 1); err != nil {
+					t.Fatalf("%s: Release(%d): %v", at, seq-depth+1, err)
+				}
+				m.Recycle(pend[i][0])
+				pend[i] = pend[i][1:]
+			}
+		}
+		if !failed && seq >= depth-1 {
+			if err := ref.Release(seq - depth + 1); err != nil {
+				t.Fatalf("%s: reference Release(%d): %v", label, seq-depth+1, err)
+			}
 		}
 	}
-	if a.Len() != b.Len() {
-		t.Fatalf("%s: resident rows %d vs %d", label, a.Len(), b.Len())
+	for _, m := range ms {
+		if m.Len() != len(ref.slotOf) {
+			t.Fatalf("%s S=%d: resident rows %d, reference %d", label, m.Shards(), m.Len(), len(ref.slotOf))
+		}
+		m.ForEach(func(id int64, _ int32) {
+			if _, ok := ref.slotOf[id]; !ok {
+				t.Fatalf("%s S=%d: row %d resident, not in the reference", label, m.Shards(), id)
+			}
+		})
 	}
+	return failed
 }
 
 // TestConfigValidation covers the constructor edge cases, including the
@@ -193,66 +205,38 @@ var singleShardPins = map[cache.PolicyKind]struct {
 		UniqueHits: 2331, UniqueMisses: 3861, Fills: 3861, Evictions: 3605, Planned: 100, Released: 97}},
 }
 
-// TestSingleShardBitIdentical proves an S=1 manager is the
-// unsharded planner under every replacement policy: identical plans
-// including the physical slot numbers, and identical statistics. The
-// LFU and random legs also match their recorded plan hash and
-// statistics.
+// TestSingleShardBitIdentical holds an S=1 manager to Algorithm 1 under
+// LRU: the reference's plans, physical slots included, and statistics.
+// The reference implements LRU only, so the LFU and random legs hold
+// the manager to its recorded plans instead: a hash of every plan and
+// the final statistics.
 func TestSingleShardBitIdentical(t *testing.T) {
 	for _, policy := range []cache.PolicyKind{cache.LRU, cache.LFU, cache.RandomPolicy} {
 		t.Run(string(policy), func(t *testing.T) {
-			h := fnv.New64a()
 			cfg := testConfig(256, 64)
 			cfg.Policy, cfg.PolicySeed = policy, 5
-			sp, err := core.NewScratchpad(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m, err := New(Config{Scratchpad: cfg, Shards: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
+			m := mustNew(t, cfg, 1)
 			st := newStream(11, 64, 64, int64(256*4))
-			const depth = 4
-			var pendA, pendB []*core.PlanResult
-			for seq := 0; seq < 100; seq++ {
-				future, hints := st.window(seq, 2, 6)
-				ra, err := sp.PlanWithHints(seq, st.at(seq), future, hints)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rb, err := m.PlanWithHints(seq, st.at(seq), future, hints)
-				if err != nil {
-					t.Fatal(err)
-				}
-				samePlan(t, "s1", seq, ra, rb)
-				hashPlan(h, rb)
-				for i := range ra.Slots {
-					if ra.Slots[i] != rb.Slots[i] {
-						t.Fatalf("seq %d: slot %d: %d vs %d (S=1 must be bit-identical)", seq, i, ra.Slots[i], rb.Slots[i])
-					}
-				}
-				if sp.Stats() != m.Stats() {
-					t.Fatalf("seq %d: stats diverged:\ncore    %+v\nmanager %+v", seq, sp.Stats(), m.Stats())
-				}
-				pendA, pendB = append(pendA, ra), append(pendB, rb)
-				if len(pendA) >= depth {
-					old := seq - depth + 1
-					if err := sp.Release(old); err != nil {
+			if pin, ok := singleShardPins[policy]; !ok {
+				lockstep(t, "s1", newReference(cfg), []*Manager{m}, st, 100, 2, 6, 4, nil)
+			} else {
+				h := fnv.New64a()
+				var pend []*core.PlanResult
+				for seq := 0; seq < 100; seq++ {
+					future, hints := st.window(seq, 2, 6)
+					res, err := m.PlanWithHints(seq, st.at(seq), future, hints)
+					if err != nil {
 						t.Fatal(err)
 					}
-					if err := m.Release(old); err != nil {
-						t.Fatal(err)
+					hashPlan(h, res)
+					if pend = append(pend, res); len(pend) >= 4 {
+						if err := m.Release(seq - 3); err != nil {
+							t.Fatal(err)
+						}
+						m.Recycle(pend[0])
+						pend = pend[1:]
 					}
-					sp.Recycle(pendA[0])
-					m.Recycle(pendB[0])
-					pendA, pendB = pendA[1:], pendB[1:]
 				}
-			}
-			if sp.Stats().Evictions == 0 {
-				t.Fatal("stream never evicted: the replacement policy went unexercised")
-			}
-			if pin, ok := singleShardPins[policy]; ok {
 				if got := m.Stats(); got != pin.stats {
 					t.Errorf("stats %#v, want %#v", got, pin.stats)
 				}
@@ -260,14 +244,17 @@ func TestSingleShardBitIdentical(t *testing.T) {
 					t.Errorf("plan hash %#x, want %#x", got, pin.plans)
 				}
 			}
+			if m.Stats().Evictions == 0 {
+				t.Fatal("stream never evicted: the replacement policy went unexercised")
+			}
 		})
 	}
 }
 
 // TestShardedEquivalence is the tentpole property: at every shard count,
-// with and without a worker pool, the sharded manager must emit the same
-// plans, the same eviction victims in the same order, and the same
-// aggregate statistics as the unsharded planner.
+// with and without a worker pool, the sharded manager must emit the
+// reference's plans, the same eviction victims in the same order, and
+// the same aggregate statistics.
 func TestShardedEquivalence(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
@@ -285,73 +272,45 @@ func TestShardedEquivalence(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := testConfig(512, 96)
-			sp, err := core.NewScratchpad(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m, err := New(Config{Scratchpad: cfg, Shards: tc.shards, Pool: par.New(tc.workers)})
-			if err != nil {
-				t.Fatal(err)
-			}
+			m := mustNew(t, cfg, tc.shards, func(c *Config) { c.Pool = par.New(tc.workers) })
 			st := newStream(int64(tc.shards)*100+7, 96, 96, int64(512*4))
-			driveLockstep(t, tc.name, sp, m, st, 150, 2, tc.lookahead)
-			if sp.Stats() != m.Stats() {
-				t.Fatalf("stats diverged:\ncore    %+v\nsharded %+v", sp.Stats(), m.Stats())
-			}
+			lockstep(t, tc.name, newReference(cfg), []*Manager{m}, st, 150, 2, tc.lookahead, 4, nil)
 		})
 	}
 }
 
-// TestPrewarmEquivalence: a prewarmed sharded manager must hold exactly
-// the rows the unsharded planner would hold from the same draw stream.
+// TestPrewarmEquivalence: a prewarmed manager must hold exactly the rows
+// the reference holds from the same draw stream (at one shard in the
+// same slots), and the warm content must then evolve identically.
 func TestPrewarmEquivalence(t *testing.T) {
 	cfg := testConfig(512, 64)
-	sp, err := core.NewScratchpad(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := New(Config{Scratchpad: cfg, Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rngA := rand.New(rand.NewSource(3))
-	rngB := rand.New(rand.NewSource(3))
 	const idSpace = 2048
-	na := sp.Prewarm(func() int64 { return rngA.Int63n(idSpace) }, nil)
-	nb := m.Prewarm(func() int64 { return rngB.Int63n(idSpace) }, nil)
-	if na != nb {
-		t.Fatalf("prewarm inserted %d vs %d rows", na, nb)
-	}
-	if sp.Len() != m.Len() {
-		t.Fatalf("resident %d vs %d", sp.Len(), m.Len())
-	}
-	for id := int64(0); id < idSpace; id++ {
-		if sp.Contains(id) != m.Contains(id) {
-			t.Fatalf("id %d: residency %v vs %v", id, sp.Contains(id), m.Contains(id))
+	ref := newReference(cfg)
+	draw := rand.New(rand.NewSource(3))
+	n := ref.Prewarm(func() int64 { return draw.Int63n(idSpace) })
+	ms := []*Manager{mustNew(t, cfg, 1), mustNew(t, cfg, 4)}
+	for _, m := range ms {
+		draw := rand.New(rand.NewSource(3))
+		if got := m.Prewarm(func() int64 { return draw.Int63n(idSpace) }, nil); got != n {
+			t.Fatalf("S=%d: prewarm inserted %d rows, reference %d", m.Shards(), got, n)
+		}
+		for id, slot := range ref.slotOf {
+			if !m.Contains(id) {
+				t.Fatalf("S=%d: prewarmed row %d (reference slot %d) missing", m.Shards(), id, slot)
+			}
 		}
 	}
-	// The warm content must then evolve identically under planning.
 	st := newStream(17, 48, 64, idSpace)
-	driveLockstep(t, "prewarmed", sp, m, st, 80, 2, 0)
+	lockstep(t, "prewarmed", ref, ms, st, 80, 2, 0, 4, nil)
 }
 
 // TestMoreShardsThanIDs: S far above the distinct-ID population must
 // still work — most shards stay empty, aggregate behaviour is unchanged.
 func TestMoreShardsThanIDs(t *testing.T) {
 	cfg := testConfig(64, 16)
-	sp, err := core.NewScratchpad(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := New(Config{Scratchpad: cfg, Shards: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := mustNew(t, cfg, 32)
 	st := newStream(23, 16, 16, 10) // only 10 distinct IDs in the universe
-	driveLockstep(t, "tiny", sp, m, st, 40, 2, 0)
-	if sp.Stats() != m.Stats() {
-		t.Fatalf("stats diverged:\ncore    %+v\nsharded %+v", sp.Stats(), m.Stats())
-	}
+	lockstep(t, "tiny", newReference(cfg), []*Manager{m}, st, 40, 2, 0, 4, nil)
 	if got := m.Len(); got > 10 {
 		t.Fatalf("resident %d rows, universe has 10", got)
 	}
@@ -369,23 +328,24 @@ func TestMoreShardsThanIDs(t *testing.T) {
 }
 
 // TestFuzzStatsEquivalence is a lockstep over random configurations and
-// random traces: core.Scratchpad against a manager at a rotating
-// non-trivial shard count (including the non-power-of-two 3 and 7).
-// Trials draw a past window from 0 to 3 (a past window narrower than
-// the future window re-stamps every pin each Plan), give half of them
-// deep look-ahead hints, and under-provision a third to a quarter of
-// the worst-case reserve, so reserve allocation, its peak and the
-// exhaustion error run too. Every trial must agree plan by plan, fail
-// on the same batch if it fails, and end with identical statistics.
+// random traces: the reference against managers at one shard and at the
+// non-trivial shard counts 2, 3, 4 and 7, all on one stream. Trials draw
+// a past window from 0 to 3 (a past window narrower than the future
+// window re-stamps every pin each Plan), give half of them deep
+// look-ahead hints, prewarm a quarter, and under-provision a third to a
+// quarter of the worst-case reserve, so reserve allocation, its peak and
+// the exhaustion error run too. Every manager must agree with the
+// reference plan by plan (at one shard in physical slots too), fail on
+// the same batch if it fails, and match its statistics after every
+// batch.
 func TestFuzzStatsEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	shardCounts := []int{4, 3, 7, 2}
+	const trials = 100
 	exhausted := 0
-	for trial := 0; trial < 60; trial++ {
+	for trial := 0; trial < trials; trial++ {
 		slots := 64 + rng.Intn(512)
 		batchLen := 16 + rng.Intn(96)
 		idSpace := int64(slots/2 + rng.Intn(slots*6))
-		shards := shardCounts[trial%len(shardCounts)]
 		cfg := core.Config{
 			Slots:        slots,
 			Policy:       cache.LRU,
@@ -400,54 +360,30 @@ func TestFuzzStatsEquivalence(t *testing.T) {
 		if trial%2 == 1 {
 			lookahead = cfg.FutureWindow + 1 + rng.Intn(4)
 		}
-		label := fmt.Sprintf("trial %d (slots %d reserve %d, batch %d, ids %d, past %d, future %d, lookahead %d, S=%d)",
-			trial, slots, cfg.Reserve, batchLen, idSpace, cfg.PastWindow, cfg.FutureWindow, lookahead, shards)
-		sp, err := core.NewScratchpad(cfg)
-		if err != nil {
-			t.Fatal(err)
+		prewarm := trial%4 == 2
+		label := fmt.Sprintf("trial %d (slots %d reserve %d, batch %d, ids %d, past %d, future %d, lookahead %d, prewarm %v)",
+			trial, slots, cfg.Reserve, batchLen, idSpace, cfg.PastWindow, cfg.FutureWindow, lookahead, prewarm)
+		ref := newReference(cfg)
+		var ms []*Manager
+		for _, s := range []int{1, 2, 3, 4, 7} {
+			ms = append(ms, mustNew(t, cfg, s, func(c *Config) { c.Pool = par.New(2) }))
 		}
-		mS, err := New(Config{Scratchpad: cfg, Shards: shards, Pool: par.New(2)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		planners := []planner{sp, mS}
-		st := newStream(rng.Int63(), 32, batchLen, idSpace)
-		depth := cfg.PastWindow + 1
-		pend := make([][]*core.PlanResult, len(planners))
-		for seq := 0; seq < 60; seq++ {
-			future, hints := st.window(seq, cfg.FutureWindow, lookahead)
-			res := make([]*core.PlanResult, len(planners))
-			errs := make([]error, len(planners))
-			for p, pl := range planners {
-				res[p], errs[p] = pl.PlanWithHints(seq, st.at(seq), future, hints)
-			}
-			if (errs[0] == nil) != (errs[1] == nil) {
-				t.Fatalf("%s seq %d: errors diverged: core %v / S=%d %v", label, seq, errs[0], shards, errs[1])
-			}
-			if errs[0] != nil {
-				exhausted++
-				break
-			}
-			samePlan(t, label, seq, res[0], res[1])
-			if sp.Stats() != mS.Stats() {
-				t.Fatalf("%s seq %d: stats diverged:\ncore %+v\nS=%d  %+v", label, seq, sp.Stats(), shards, mS.Stats())
-			}
-			for p := range planners {
-				pend[p] = append(pend[p], res[p])
-				if len(pend[p]) >= depth {
-					if err := planners[p].Release(seq - depth + 1); err != nil {
-						t.Fatalf("%s: planner %d: Release(%d): %v", label, p, seq-depth+1, err)
-					}
-					planners[p].Recycle(pend[p][0])
-					pend[p] = pend[p][1:]
+		if seed := rng.Int63(); prewarm {
+			draw := rand.New(rand.NewSource(seed))
+			n := ref.Prewarm(func() int64 { return draw.Int63n(idSpace) })
+			for _, m := range ms {
+				draw := rand.New(rand.NewSource(seed))
+				if got := m.Prewarm(func() int64 { return draw.Int63n(idSpace) }, nil); got != n {
+					t.Fatalf("%s S=%d: prewarm inserted %d rows, reference %d", label, m.Shards(), got, n)
 				}
 			}
 		}
-		if sp.Stats() != mS.Stats() {
-			t.Fatalf("%s: final stats diverged:\ncore %+v\nS=%d  %+v", label, sp.Stats(), shards, mS.Stats())
+		st := newStream(rng.Int63(), 32, batchLen, idSpace)
+		if lockstep(t, label, ref, ms, st, 60, cfg.FutureWindow, lookahead, cfg.PastWindow+1, nil) {
+			exhausted++
 		}
 	}
-	t.Logf("%d of 60 trials reached the exhaustion error", exhausted)
+	t.Logf("%d of %d trials reached the exhaustion error", exhausted, trials)
 }
 
 // TestReleaseErrors: the per-shard FIFO discipline must reject
