@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -146,6 +147,38 @@ func TestResetMatchesNew(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestResetRejectsBadConfig checks that a failed Reset leaves a manager
+// as it was: at one shard and at four, Resets to zero slots, to a bogus
+// policy and to a bogus coordination protocol fail, and the manager then
+// plans, slot for slot, and reports exactly as a fresh one.
+func TestResetRejectsBadConfig(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		cfg := Config{Scratchpad: testConfig(128, 32), Shards: shards, Coord: CoordHier}
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		zero, policy, coord := cfg, cfg, cfg
+		zero.Scratchpad.Slots = 0
+		policy.Scratchpad.Policy = "bogus"
+		coord.Coord = "bogus"
+		for _, bad := range []Config{zero, policy, coord} {
+			if err := m.Reset(bad); err == nil {
+				t.Fatalf("S=%d: Reset accepted %+v", shards, bad)
+			}
+		}
+		fresh, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("S=%d after failed Resets", shards)
+		driveSlotLockstep(t, label, m, fresh, newStream(3, 16, 32, 512), 40, 2, 4)
+		if got, want := observe(m), observe(fresh); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s:\n%+v\nfresh manager\n%+v", label, got, want)
+		}
 	}
 }
 
