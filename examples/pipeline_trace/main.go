@@ -9,17 +9,19 @@ import (
 	"log"
 
 	"repro/internal/core"
+	"repro/internal/shard"
 )
 
 func main() {
-	// A 5-slot scratchpad, exactly like Figure 11's Storage array.
-	sp, err := core.NewScratchpad(core.Config{
+	// A 5-slot scratchpad, exactly like Figure 11's Storage array, on
+	// one shard.
+	sp, err := shard.New(shard.Config{Scratchpad: core.Config{
 		Slots:        5,
 		Reserve:      8,
 		Policy:       "lru",
 		PastWindow:   3,
 		FutureWindow: 0, // Figure 11's example shows the past window only
-	})
+	}})
 	if err != nil {
 		log.Fatal(err)
 	}

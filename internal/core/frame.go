@@ -31,10 +31,10 @@ type slotMeta struct {
 // its hint stamps, the reserve budget, the replacement policy, the
 // PlanResult pool, the FIFO hold release, the Prewarm draw rule and the
 // statistics. The per-pad Plan pass (PlanPad) and the unsharded Plan
-// (PlanOne) run on it. A planner supplies its Pads — free primary slots,
-// hold ring and recency list each. Scratchpad embeds a Frame and one Pad;
-// the sharded manager (internal/shard) embeds a Frame too and keeps one
-// Pad per shard, each on its own list of the frame's LRU.
+// (PlanOne) run on it. The planner supplies the Pads — free primary
+// slots, hold ring and recency list each: internal/shard's Manager
+// embeds a Frame and keeps one Pad per shard, each on its own list of
+// the frame's LRU.
 //
 // The pads' parallel Plan passes only read the Hit-Map, and every insert
 // and eviction runs serially (the miss loop, Warm, and the sharded

@@ -4,10 +4,10 @@ import "slices"
 
 // Pad is one sub-scratchpad over a Frame: a stack of free primary slots,
 // a FIFO hold ring, a recency list and the count of the frame's resident
-// rows it owns. The Hit-Map is the frame's, one per table. Scratchpad
-// plans one pad over the whole batch; the sharded manager
-// (internal/shard) keeps one per shard, each owning a hash partition of
-// the ID space, and plans each over its share of the batch.
+// rows it owns. The Hit-Map is the frame's, one per table. The manager
+// in internal/shard keeps one pad per shard, each owning a hash
+// partition of the ID space, and plans each over its share of the batch
+// (with one shard, PlanOne plans the one pad over the whole batch).
 type Pad struct {
 	// FreePrimary holds never-yet-used primary slots, popped from the
 	// end (eviction reuses the victim's slot directly).

@@ -65,14 +65,14 @@ type padRun struct {
 	Walk    [][2]int64
 }
 
-func drivePad(sp *Scratchpad, seed int64, plans, batchLen int, idSpace int64) padRun {
+func drivePad(sp *onePad, seed int64, plans, batchLen int, idSpace int64) padRun {
 	rng := rand.New(rand.NewSource(seed))
 	var run padRun
 	switch rng.Intn(3) {
 	case 1:
-		run.Prewarm = sp.PrewarmRows(idSpace, func() int64 { return rng.Int63n(idSpace) }, nil)
+		run.Prewarm = sp.WarmOne(&sp.Pad, idSpace, func() int64 { return rng.Int63n(idSpace) }, nil)
 	case 2:
-		run.Prewarm = sp.Prewarm(func() int64 { return rng.Int63n(idSpace) }, nil)
+		run.Prewarm = sp.WarmOne(&sp.Pad, 0, func() int64 { return rng.Int63n(idSpace) }, nil)
 	}
 	batches := make([][]int64, plans+8)
 	for i := range batches {
@@ -94,7 +94,7 @@ func drivePad(sp *Scratchpad, seed int64, plans, batchLen int, idSpace int64) pa
 				hints = append(hints, batches[seq+k])
 			}
 		}
-		res, err := sp.PlanWithHints(seq, batches[seq], future, hints)
+		res, err := sp.Plan(seq, batches[seq], future, hints...)
 		if err != nil {
 			run.Err = err.Error()
 			break
@@ -119,7 +119,7 @@ func drivePad(sp *Scratchpad, seed int64, plans, batchLen int, idSpace int64) pa
 // TestResetMatchesNew is the differential check behind scratchpad reuse:
 // a scratchpad that ran one random configuration, left batches in flight
 // and was then Reset to a second configuration must behave exactly like
-// NewScratchpad of the second — every PlanResult, the Stats after every
+// a fresh one of the second — every PlanResult, the Stats after every
 // Plan, and the ForEach order — under each replacement policy.
 func TestResetMatchesNew(t *testing.T) {
 	const batchLen, idSpace = 24, 400

@@ -10,11 +10,10 @@ type HeldBatch struct {
 }
 
 // BatchRing is a growable FIFO of HeldBatch with a pool of retired hold
-// sets, shared by the unsharded scratchpad (one ring) and the sharded
-// manager (one ring per shard). A naive slice-header FIFO (`q = q[1:]`)
-// pins the whole backing array and leaks one slot per release for the
-// lifetime of the run; the ring reuses its buffer in place, and
-// Frame.ReleaseBatch hands retired hold sets back to Spare.
+// sets, one per Pad. A naive slice-header FIFO (`q = q[1:]`) pins the
+// whole backing array and leaks one slot per release for the lifetime of
+// the run; the ring reuses its buffer in place, and Frame.ReleaseBatch
+// hands retired hold sets back to Spare.
 type BatchRing struct {
 	buf  []HeldBatch
 	head int

@@ -4,11 +4,16 @@
 // with the 6-stage software pipeline and the hold-mask hazard discipline of
 // §IV (Algorithm 1, Figures 8-11).
 //
-// The Scratchpad here is the control plane only: it maps sparse feature IDs
+// The scratchpad here is the control plane only: it maps sparse feature IDs
 // to cache slots and decides what to prefetch, evict, and protect. Moving
 // the actual embedding vectors (and accounting for the bytes moved) is the
 // training engine's job, which lets the same control logic drive both the
 // functional float32 simulation and the paper-scale metadata simulation.
+//
+// The Plan rule lives once, in Frame (the table's slot discipline) and
+// Pad (one sub-scratchpad's free slots, hold ring and recency list). The
+// planner that runs them is internal/shard's Manager: one Pad per shard,
+// and the unsharded Frame.PlanOne when it has one shard.
 package core
 
 import (
@@ -164,113 +169,6 @@ type Stats struct {
 	ReservePeak int
 	// Planned counts Plan calls; Released counts Release calls.
 	Planned, Released int64
-}
-
-// Scratchpad is the per-table cache manager: one Pad — free primary
-// slots, hold ring, recency list — over the Hit-Map, slot discipline and
-// replacement policy its Frame holds.
-type Scratchpad struct {
-	Frame
-	Pad
-}
-
-// NewScratchpad builds a scratchpad manager from cfg: Reset on a zero
-// Scratchpad.
-func NewScratchpad(cfg Config) (*Scratchpad, error) {
-	s := &Scratchpad{}
-	if err := s.Reset(cfg); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// Reset reinitialises s for cfg into exactly the state NewScratchpad(cfg)
-// builds — an empty Hit-Map of the same capacity, every slot empty, the
-// policy's initial order, the free lists in their initial pop order and
-// zero statistics — so every later Plan, Stats and ForEach matches a
-// fresh scratchpad's. It keeps the capacity of every buffer and the pools
-// of recycled plans and hold sets, which is what makes a reset cheaper
-// than a rebuild. Batches still in flight are dropped (their hold sets
-// return to the pool). On error s is unchanged.
-func (s *Scratchpad) Reset(cfg Config) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	if err := s.ResetFrame(cfg, 1); err != nil {
-		return err
-	}
-	s.Pad.Reset(cfg, 0, 1)
-	return nil
-}
-
-// Plan runs the [Plan] stage for one mini-batch: queries the Hit-Map,
-// assigns slots to missed IDs by evicting unprotected victims (or drawing
-// on free/reserve slots), and registers the batch's holds. future holds the
-// sparse IDs of the next FutureWindow mini-batches (outer index: distance
-// ahead); their currently-cached slots are pinned against eviction for the
-// duration of this call, which removes RAW-4 exactly as §IV-C prescribes.
-//
-// Plan fails only when slots+reserve cannot accommodate the window's
-// worst-case working set; size Reserve with WorstCaseReserve to make that
-// impossible.
-func (s *Scratchpad) Plan(seq int, ids []int64, future [][]int64) (*PlanResult, error) {
-	return s.PlanWithHints(seq, ids, future, nil)
-}
-
-// PlanWithHints is Plan with deep look-ahead: hints carries the sparse IDs
-// of batches *beyond* the hazard window (distance > FutureWindow). Hinted
-// rows are demoted, not protected: victim selection prefers unhinted slots
-// and falls back to hinted ones only when nothing else is evictable, so
-// safety is unchanged while soon-to-be-reused rows tend to stay resident.
-//
-// ids is the batch's occurrence stream; it is deduplicated into reusable
-// scratch and handed to PlanUniqueWithHints, which produces an identical
-// result. Callers that already hold the batch's distinct IDs and counts
-// (the dataset records them once per batch) should call
-// PlanUniqueWithHints directly and skip the extra pass.
-func (s *Scratchpad) PlanWithHints(seq int, ids []int64, future, hints [][]int64) (*PlanResult, error) {
-	uniq, cnt := s.Dedup(ids)
-	return s.PlanUniqueWithHints(seq, uniq, cnt, future, hints)
-}
-
-// PlanUniqueWithHints is the planner's native form: uniq lists the
-// batch's distinct sparse IDs in first-appearance order and counts their
-// per-ID occurrence multiplicities (counts may be nil, meaning one
-// occurrence each). future and hints may carry either occurrence or
-// distinct ID lists — pinning is idempotent — but distinct lists probe
-// proportionally less.
-func (s *Scratchpad) PlanUniqueWithHints(seq int, uniq []int64, counts []int32, future, hints [][]int64) (*PlanResult, error) {
-	return s.PlanOne(&s.Pad, seq, uniq, counts, future, hints)
-}
-
-// Release drops the oldest in-flight batch's holds. The engine calls it
-// when that batch enters [Train]: from that point the batch's slots may be
-// chosen as victims again (their eviction read would happen strictly after
-// the training writes, per the pipeline's stage spacing).
-func (s *Scratchpad) Release(seq int) error {
-	if err := s.ReleaseBatch(&s.Ring, seq); err != nil {
-		return err
-	}
-	s.EndRelease()
-	return nil
-}
-
-// Prewarm fills the scratchpad's free capacity with IDs drawn from sample
-// before training starts, approximating the steady-state content of an LRU
-// cache under the trace's access distribution (the most recent distinct
-// draws). onFill, when non-nil, is invoked for every inserted row so
-// functional engines can copy the corresponding embedding values into the
-// storage array. It returns the number of rows inserted (see Frame.Warm
-// for the draw rule).
-func (s *Scratchpad) Prewarm(sample func() int64, onFill func(id int64, slot int32)) int {
-	return s.PrewarmRows(0, sample, onFill)
-}
-
-// PrewarmRows is Prewarm for callers that know the sparse ID domain
-// [0, rows): the duplicate-draw check then runs against a bitmap instead
-// of the Hit-Map. rows <= 0 falls back to Hit-Map probing.
-func (s *Scratchpad) PrewarmRows(rows int64, sample func() int64, onFill func(id int64, slot int32)) int {
-	return s.WarmOne(&s.Pad, rows, sample, onFill)
 }
 
 // WorstCaseReserve returns the reserve capacity that guarantees Plan can

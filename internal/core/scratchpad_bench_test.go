@@ -11,7 +11,7 @@ import (
 // steady state: `depth` batches in flight, pre-generated ID streams, and
 // the future window wired exactly as the engine wires it.
 type planHarness struct {
-	sp      *Scratchpad
+	sp      *onePad
 	batches [][]int64
 	future  [][]int64 // reused projection buffer
 	pending []*PlanResult
@@ -28,8 +28,8 @@ func newPlanHarness(tb testing.TB, slots, batchLen, depth, futureWin int) *planH
 		FutureWindow: futureWin,
 	}
 	cfg.Reserve = WorstCaseReserve(cfg, batchLen)
-	sp, err := NewScratchpad(cfg)
-	if err != nil {
+	sp := &onePad{}
+	if err := sp.Reset(cfg); err != nil {
 		tb.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(99))
@@ -155,14 +155,10 @@ func TestReleaseRingReusesBuffer(t *testing.T) {
 // — must emit bit-identical plans (slots, fills, evictions) and stats.
 func TestPinStampEquivalence(t *testing.T) {
 	for _, policy := range []cache.PolicyKind{cache.LRU, cache.LFU} {
-		mk := func() *Scratchpad {
+		mk := func() *onePad {
 			cfg := Config{Slots: 512, Policy: policy, PolicySeed: 9, PastWindow: 3, FutureWindow: 2}
 			cfg.Reserve = WorstCaseReserve(cfg, 96)
-			sp, err := NewScratchpad(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return sp
+			return mustPad(t, cfg)
 		}
 		fast := mk()
 		slow := mk()
@@ -246,8 +242,8 @@ func BenchmarkPlan(b *testing.B) {
 func BenchmarkPlanHighLocality(b *testing.B) {
 	cfg := Config{Slots: 8192, Policy: cache.LRU, PastWindow: 2, FutureWindow: 2}
 	cfg.Reserve = WorstCaseReserve(cfg, 2048)
-	sp, err := NewScratchpad(cfg)
-	if err != nil {
+	sp := &onePad{}
+	if err := sp.Reset(cfg); err != nil {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(5))

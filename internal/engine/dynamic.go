@@ -38,7 +38,7 @@ type dynamicState struct {
 	// at [Insert] exactly like the embedding rows.
 	stateStorage []*tensor.Matrix
 	hazard       *core.HazardChecker
-	// jobPool recycles spJobs (and, through Scratchpad.Recycle, their
+	// jobPool recycles spJobs (and, through shard.Manager.Recycle, their
 	// plans) once batches retire, keeping the steady-state cycle free
 	// of per-batch allocations. It is sized for a full pipeline (at
 	// most one job per stage is ever outstanding), so it never grows.
@@ -618,7 +618,7 @@ func (j *spJob) trainTable(t int) error {
 }
 
 // release drops the job's hold protection on every table; the engine calls
-// it exactly when the job enters [Train] (see Scratchpad.Release).
+// it exactly when the job enters [Train] (see shard.Manager.Release).
 func (d *dynamicState) release(job *spJob) error {
 	return par.Each(d.pool, len(d.sps), job, (*spJob).releaseTable)
 }

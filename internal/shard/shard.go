@@ -19,18 +19,18 @@
 // timeline, primary and reserve capacity are global budgets (shards
 // borrow free slots from each other before anyone evicts), and victim
 // selection k-way-merges the shard cursors by stamp — which reproduces
-// the unsharded planner's eviction sequence exactly. Sharding is thus a pure decomposition:
-// plans, eviction victims, and aggregate statistics are identical to
-// core.Scratchpad at every shard count (the equivalence tests in this
-// package prove it plan by plan).
+// the unsharded eviction sequence exactly. Sharding is thus a pure
+// decomposition: plans, eviction victims, and aggregate statistics are
+// the same at every shard count (the equivalence tests in this package
+// hold every shard count, plan by plan, to an independent reference of
+// the paper's Plan rule).
 //
 // The Hit-Map, the slot discipline, the replacement policy (one LRU list
 // per shard) and the per-pad Plan pass live once, in the embedded
 // core.Frame; this package adds routing, touch stamps, borrowing, the
 // k-way victim merge, the coordination meter, resharding and evacuation.
 // A single-shard Manager needs none of the first five and plans its one
-// pad with core.Frame.PlanOne, the function core.Scratchpad runs, so S=1
-// is the unsharded planner by construction under every replacement
+// pad with the unsharded core.Frame.PlanOne under every replacement
 // policy. Shards > 1 requires the LRU policy: the stamp-merge
 // coordinator is the distributed form of the LRU eviction order
 // specifically.
@@ -139,9 +139,9 @@ type shardState struct {
 // nilSlot is the "no candidate" sentinel of the victim sweep.
 const nilSlot = int32(-1)
 
-// Manager is the sharded per-table scratchpad control plane. It exposes
-// the same Plan/Release/Recycle/Prewarm lifecycle as core.Scratchpad and
-// produces identical plans and statistics at every shard count. The slot
+// Manager is the per-table scratchpad control plane, the one planner
+// type: the Plan/Release/Recycle/Prewarm lifecycle, with identical plans
+// and statistics at every shard count. The slot
 // discipline and the recency lists are its embedded core.Frame, and each
 // shard is a core.Pad on it; the Manager adds routing, the touch stamps,
 // borrowing, the k-way victim merge, the coordination meter, resharding
@@ -246,10 +246,11 @@ func New(cfg Config) (*Manager, error) {
 
 // Reset reinitialises m for cfg into exactly the state New(cfg) builds,
 // so every later Plan, Stats, CoordStats and ForEach matches a fresh
-// manager's. Like core.Scratchpad.Reset it keeps the capacity of every
-// buffer (the frame, the pads, the stamps, the routing scratch, the
-// meter and its message plane). Batches still in flight are dropped
-// (their hold sets return to the pools). On error m is unchanged.
+// manager's. It keeps the capacity of every buffer (the frame, the pads,
+// the stamps, the routing scratch, the meter and its message plane) and
+// the pools of recycled plans and hold sets, which is what makes a reset
+// cheaper than a rebuild. Batches still in flight are dropped (their
+// hold sets return to the pools). On error m is unchanged.
 func (m *Manager) Reset(cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -507,21 +508,45 @@ func (m *Manager) stampNext(slot int32) {
 
 // --- plan lifecycle ----------------------------------------------------
 
-// Plan runs the [Plan] stage for one mini-batch (see core.Scratchpad.Plan).
+// Plan runs the [Plan] stage for one mini-batch: queries the Hit-Map,
+// assigns slots to missed IDs by evicting unprotected victims (or drawing
+// on free/reserve slots), and registers the batch's holds. future holds
+// the sparse IDs of the next FutureWindow mini-batches (outer index:
+// distance ahead); their currently-cached slots are pinned against
+// eviction for the duration of this call, which removes RAW-4 exactly as
+// §IV-C prescribes.
+//
+// Plan fails only when slots+reserve cannot accommodate the window's
+// worst-case working set; size Reserve with core.WorstCaseReserve to make
+// that impossible.
 func (m *Manager) Plan(seq int, ids []int64, future [][]int64) (*core.PlanResult, error) {
 	return m.PlanWithHints(seq, ids, future, nil)
 }
 
-// PlanWithHints is Plan with deep look-ahead eviction hints (see
-// core.Scratchpad.PlanWithHints).
+// PlanWithHints is Plan with deep look-ahead: hints carries the sparse
+// IDs of batches *beyond* the hazard window (distance > FutureWindow).
+// Hinted rows are demoted, not protected: victim selection prefers
+// unhinted slots and falls back to hinted ones only when nothing else is
+// evictable, so safety is unchanged while soon-to-be-reused rows tend to
+// stay resident.
+//
+// ids is the batch's occurrence stream; it is deduplicated into reusable
+// scratch and handed to PlanUniqueWithHints, which produces an identical
+// result. Callers that already hold the batch's distinct IDs and counts
+// (the dataset records them once per batch) should call
+// PlanUniqueWithHints directly and skip the extra pass.
 func (m *Manager) PlanWithHints(seq int, ids []int64, future, hints [][]int64) (*core.PlanResult, error) {
 	uniq, cnt := m.Dedup(ids)
 	return m.PlanUniqueWithHints(seq, uniq, cnt, future, hints)
 }
 
-// PlanUniqueWithHints is the planner's native form (see
-// core.Scratchpad.PlanUniqueWithHints). A solo manager runs the
-// unsharded core.Frame.PlanOne on its one pad. Otherwise the per-pad
+// PlanUniqueWithHints is the planner's native form: uniq lists the
+// batch's distinct sparse IDs in first-appearance order and counts their
+// per-ID occurrence multiplicities (counts may be nil, meaning one
+// occurrence each). future and hints may carry either occurrence or
+// distinct ID lists — pinning is idempotent — but distinct lists probe
+// proportionally less. A solo manager runs the unsharded
+// core.Frame.PlanOne on its one pad. Otherwise the per-pad
 // pass — pin/hint stamping, Hit-Map probes, recency touches, hold
 // registration — fans out across shards; the eviction-budget
 // coordinator then allocates the misses serially in first-appearance
@@ -689,8 +714,11 @@ func (m *Manager) planShard(j int) error {
 	return nil
 }
 
-// Release drops the oldest in-flight batch's holds on every shard (see
-// core.Scratchpad.Release); shards release in parallel (releaseShard).
+// Release drops the oldest in-flight batch's holds on every shard. The
+// engine calls it when that batch enters [Train]: from that point the
+// batch's slots may be chosen as victims again (their eviction read
+// would happen strictly after the training writes, per the pipeline's
+// stage spacing). Shards release in parallel (releaseShard).
 func (m *Manager) Release(seq int) error {
 	m.relSeq = seq
 	if err := par.Each(m.pool, m.nshards, m, (*Manager).releaseShard); err != nil {
@@ -706,16 +734,22 @@ func (m *Manager) releaseShard(j int) error {
 	return m.ReleaseBatch(&m.shards[j].Ring, m.relSeq)
 }
 
-// Prewarm fills free capacity with IDs drawn from sample before training
-// starts (see core.Scratchpad.Prewarm).
+// Prewarm fills the free capacity with IDs drawn from sample before
+// training starts, approximating the steady-state content of an LRU
+// cache under the trace's access distribution (the most recent distinct
+// draws). onFill, when non-nil, is invoked for every inserted row so
+// functional engines can copy the corresponding embedding values into
+// the storage array. It returns the number of rows inserted (see
+// core.Frame.Warm for the draw rule).
 func (m *Manager) Prewarm(sample func() int64, onFill func(id int64, slot int32)) int {
 	return m.PrewarmRows(0, sample, onFill)
 }
 
-// PrewarmRows is Prewarm with a known sparse-ID domain (see
-// core.Scratchpad.PrewarmRows). Draw sequence, duplicate decisions, and
-// the set of inserted rows are identical to the unsharded planner's;
-// only the physical slot numbers differ.
+// PrewarmRows is Prewarm for callers that know the sparse ID domain
+// [0, rows): the duplicate-draw check then runs against a bitmap instead
+// of the Hit-Map (rows <= 0 falls back to Hit-Map probing). Draw
+// sequence, duplicate decisions, and the set of inserted rows are the
+// same at every shard count; only the physical slot numbers differ.
 func (m *Manager) PrewarmRows(rows int64, sample func() int64, onFill func(id int64, slot int32)) int {
 	if m.solo() {
 		return m.WarmOne(&m.shards[0].Pad, rows, sample, onFill)
