@@ -18,10 +18,9 @@ import (
 // misses sit on the training critical path, which is the limitation
 // ScratchPipe removes.
 type StaticCache struct {
-	env     *Env
-	cost    costModel
-	topFrac float64
-	caches  []*cache.Static
+	env    *Env
+	cost   costModel
+	caches []*cache.Static
 	// stateCaches shadow caches for per-row optimizer state (nil for
 	// stateless optimizers): hot-row state lives in GPU memory too.
 	stateCaches []*cache.Static
@@ -66,7 +65,7 @@ func NewStaticCache(env *Env, topFrac float64) (*StaticCache, error) {
 	}
 	cfg := env.Cfg.Model
 	topN := int64(topFrac * float64(cfg.RowsPerTable))
-	s := &StaticCache{env: env, cost: costModel{env: env}, topFrac: topFrac}
+	s := &StaticCache{env: env, cost: costModel{env: env}}
 	for t := 0; t < cfg.NumTables; t++ {
 		var cpu *embed.Table
 		if env.Cfg.Functional {
@@ -103,9 +102,6 @@ func NewStaticCache(env *Env, topFrac float64) (*StaticCache, error) {
 
 // Name implements Engine.
 func (s *StaticCache) Name() string { return "static" }
-
-// TopFrac returns the configured cache fraction.
-func (s *StaticCache) TopFrac() float64 { return s.topFrac }
 
 // Run implements Engine.
 func (s *StaticCache) Run(n int) (*Report, error) {

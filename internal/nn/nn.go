@@ -39,9 +39,6 @@ type Param struct {
 // Weights exposes the parameter values (for checkpoint comparison in tests).
 func (p Param) Weights() []float32 { return p.W }
 
-// Grad exposes the accumulated gradient.
-func (p Param) Grad() []float32 { return p.dW }
-
 // Linear is a fully connected layer: y = x*W + b, W is in x out.
 type Linear struct {
 	In, Out int
