@@ -85,8 +85,7 @@ func samePlan(t *testing.T, label string, seq int, a, b *core.PlanResult) {
 	}
 	for i := range a.Evictions {
 		if a.Evictions[i].OldID != b.Evictions[i].OldID {
-			t.Fatalf("%s seq %d: eviction %d: victim %d vs %d (cross-shard LRU merge diverged from the global order)",
-				label, seq, i, a.Evictions[i].OldID, b.Evictions[i].OldID)
+			t.Fatalf("%s seq %d: eviction %d: victim %d vs %d", label, seq, i, a.Evictions[i].OldID, b.Evictions[i].OldID)
 		}
 	}
 	if a.ReserveAllocs != b.ReserveAllocs {
