@@ -216,9 +216,10 @@ func TestSingleShardBitIdentical(t *testing.T) {
 			cfg.Policy, cfg.PolicySeed = policy, 5
 			m := mustNew(t, cfg, 1)
 			st := newStream(11, 64, 64, int64(256*4))
-			if pin, ok := singleShardPins[policy]; !ok {
+			if policy == cache.LRU {
 				lockstep(t, "s1", newReference(cfg), []*Manager{m}, st, 100, 2, 6, 4, nil)
 			} else {
+				pin := singleShardPins[policy]
 				h := fnv.New64a()
 				var pend []*core.PlanResult
 				for seq := 0; seq < 100; seq++ {
