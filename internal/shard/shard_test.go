@@ -193,61 +193,90 @@ func hashPlan(h io.Writer, r *core.PlanResult) {
 }
 
 // singleShardPins are the LFU and random legs' recorded plan hashes
-// (hashPlan over every plan) and final statistics.
+// (hashPlan over every plan) and final statistics, cold and prewarmed.
 var singleShardPins = map[cache.PolicyKind]struct {
-	plans uint64
-	stats core.Stats
+	plans, warmPlans uint64
+	stats, warmStats core.Stats
 }{
-	cache.LFU: {0x60e47506586e3d1e, core.Stats{Queries: 6400, Hits: 2552, Misses: 3848, UniqueQueries: 6192,
-		UniqueHits: 2344, UniqueMisses: 3848, Fills: 3848, Evictions: 3592, Planned: 100, Released: 97}},
-	cache.RandomPolicy: {0xe669b985d769ca6c, core.Stats{Queries: 6400, Hits: 2539, Misses: 3861, UniqueQueries: 6192,
-		UniqueHits: 2331, UniqueMisses: 3861, Fills: 3861, Evictions: 3605, Planned: 100, Released: 97}},
+	cache.LFU: {
+		0x60e47506586e3d1e, 0x2a643b09a38dea1,
+		core.Stats{Queries: 6400, Hits: 2552, Misses: 3848, UniqueQueries: 6192,
+			UniqueHits: 2344, UniqueMisses: 3848, Fills: 3848, Evictions: 3592, Planned: 100, Released: 97},
+		core.Stats{Queries: 6400, Hits: 2630, Misses: 3770, UniqueQueries: 6192,
+			UniqueHits: 2422, UniqueMisses: 3770, Fills: 3770, Evictions: 3770, Planned: 100, Released: 97},
+	},
+	cache.RandomPolicy: {
+		0xe669b985d769ca6c, 0x111875900fe30e5f,
+		core.Stats{Queries: 6400, Hits: 2539, Misses: 3861, UniqueQueries: 6192,
+			UniqueHits: 2331, UniqueMisses: 3861, Fills: 3861, Evictions: 3605, Planned: 100, Released: 97},
+		core.Stats{Queries: 6400, Hits: 2612, Misses: 3788, UniqueQueries: 6192,
+			UniqueHits: 2404, UniqueMisses: 3788, Fills: 3788, Evictions: 3788, Planned: 100, Released: 97},
+	},
 }
 
 // TestSingleShardBitIdentical holds an S=1 manager to Algorithm 1 under
 // LRU: the reference's plans, physical slots included, and statistics.
 // The reference implements LRU only, so the LFU and random legs hold
 // the manager to its recorded plans instead: a hash of every plan and
-// the final statistics.
+// the final statistics, cold and after a Prewarm (which must not depend
+// on whether the duplicate-draw check uses the row bitmap).
 func TestSingleShardBitIdentical(t *testing.T) {
 	for _, policy := range []cache.PolicyKind{cache.LRU, cache.LFU, cache.RandomPolicy} {
 		t.Run(string(policy), func(t *testing.T) {
+			const idSpace = 256 * 4
 			cfg := testConfig(256, 64)
 			cfg.Policy, cfg.PolicySeed = policy, 5
 			m := mustNew(t, cfg, 1)
-			st := newStream(11, 64, 64, int64(256*4))
+			st := newStream(11, 64, 64, idSpace)
 			if policy == cache.LRU {
 				lockstep(t, "s1", newReference(cfg), []*Manager{m}, st, 100, 2, 6, 4, nil)
 			} else {
 				pin := singleShardPins[policy]
-				h := fnv.New64a()
-				var pend []*core.PlanResult
-				for seq := 0; seq < 100; seq++ {
-					future, hints := st.window(seq, 2, 6)
-					res, err := m.PlanWithHints(seq, st.at(seq), future, hints)
-					if err != nil {
-						t.Fatal(err)
+				checkPinned(t, "cold", m, st, pin.plans, pin.stats)
+				for _, rows := range []int64{0, idSpace} {
+					warm := mustNew(t, cfg, 1)
+					draw := rand.New(rand.NewSource(3))
+					n := warm.PrewarmRows(rows, func() int64 { return draw.Int63n(idSpace) }, nil)
+					if n != cfg.Slots {
+						t.Fatalf("rows %d: prewarm inserted %d rows, want %d", rows, n, cfg.Slots)
 					}
-					hashPlan(h, res)
-					if pend = append(pend, res); len(pend) >= 4 {
-						if err := m.Release(seq - 3); err != nil {
-							t.Fatal(err)
-						}
-						m.Recycle(pend[0])
-						pend = pend[1:]
-					}
-				}
-				if got := m.Stats(); got != pin.stats {
-					t.Errorf("stats %#v, want %#v", got, pin.stats)
-				}
-				if got := h.Sum64(); got != pin.plans {
-					t.Errorf("plan hash %#x, want %#x", got, pin.plans)
+					checkPinned(t, fmt.Sprintf("prewarmed rows %d", rows), warm, st, pin.warmPlans, pin.warmStats)
 				}
 			}
 			if m.Stats().Evictions == 0 {
 				t.Fatal("stream never evicted: the replacement policy went unexercised")
 			}
 		})
+	}
+}
+
+// checkPinned plans 100 batches of st on m, releasing at depth 4, and
+// requires the hash of every plan and the final statistics to equal the
+// recorded ones.
+func checkPinned(t *testing.T, label string, m *Manager, st *stream, plans uint64, stats core.Stats) {
+	t.Helper()
+	h := fnv.New64a()
+	var pend []*core.PlanResult
+	for seq := 0; seq < 100; seq++ {
+		future, hints := st.window(seq, 2, 6)
+		res, err := m.PlanWithHints(seq, st.at(seq), future, hints)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hashPlan(h, res)
+		if pend = append(pend, res); len(pend) >= 4 {
+			if err := m.Release(seq - 3); err != nil {
+				t.Fatal(err)
+			}
+			m.Recycle(pend[0])
+			pend = pend[1:]
+		}
+	}
+	if got := m.Stats(); got != stats {
+		t.Errorf("%s: stats %#v, want %#v", label, got, stats)
+	}
+	if got := h.Sum64(); got != plans {
+		t.Errorf("%s: plan hash %#x, want %#x", label, got, plans)
 	}
 }
 
@@ -456,7 +485,8 @@ func TestShardBalance(t *testing.T) {
 // once its pools and buffers have warmed up, a full Plan/Release/Recycle
 // cycle of an S=4 manager striped over cluster2x2, with a future window,
 // must not allocate under any coordination protocol, nor as a single
-// shard, nor as one resharded from 4 to 1 with batches in flight. The
+// shard under each replacement policy, nor as one resharded from 4 to 1
+// with batches in flight. The
 // pool is serial (nil), so every allocation counted is the planner's own;
 // a capturing closure handed to the shard fan-out would show up here as
 // one per call.
@@ -466,22 +496,29 @@ func TestPlanWarmZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// reshardAt steps a case to one shard before that Plan (0: never).
+	// reshardAt steps a case to one shard before that Plan (0: never);
+	// policy overrides LRU.
 	type allocCase struct {
 		cfg       Config
 		reshardAt int
+		policy    cache.PolicyKind
 	}
 	cases := map[string]allocCase{
-		"S1":       {Config{Shards: 1}, 0},
-		"S4-to-S1": {Config{Shards: 4, Placement: pl, Coord: CoordHier}, 100},
+		"S1":        {Config{Shards: 1}, 0, ""},
+		"S1-lfu":    {Config{Shards: 1}, 0, cache.LFU},
+		"S1-random": {Config{Shards: 1}, 0, cache.RandomPolicy},
+		"S4-to-S1":  {Config{Shards: 4, Placement: pl, Coord: CoordHier}, 100, ""},
 	}
 	for _, mode := range CoordModes {
-		cases[string(mode)] = allocCase{Config{Shards: 4, Placement: pl, Coord: mode}, 0}
+		cases[string(mode)] = allocCase{Config{Shards: 4, Placement: pl, Coord: mode}, 0, ""}
 	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
 			cfg := tc.cfg
 			cfg.Scratchpad = testConfig(slots, batchLen)
+			if tc.policy != "" {
+				cfg.Scratchpad.Policy = tc.policy
+			}
 			m, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
