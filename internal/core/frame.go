@@ -28,17 +28,17 @@ type slotMeta struct {
 // past window, pin the future window, evict only what neither protects —
 // written once for every planner. It owns the table's one Hit-Map, the
 // per-slot metadata and the evictability predicate, the pin epoch with
-// its hint stamps, the reserve budget, the replacement policy, the
-// PlanResult pool, the FIFO hold release, the Prewarm draw rule and the
-// statistics. The per-pad Plan pass (PlanPad) and the unsharded Plan
-// (PlanOne) run on it. The planner supplies the Pads — free primary
-// slots, hold ring and recency list each: internal/shard's Manager
-// embeds a Frame and keeps one Pad per shard, each on its own list of
-// the frame's LRU.
+// its hint stamps, the reserve budget, the replacement policy and its
+// victim sweep, the PlanResult pool, the FIFO hold release and the
+// statistics. The per-pad Plan pass (PlanPad) runs on it. The planner
+// supplies the Pads — free primary slots, hold ring and recency list
+// each — and the miss loop and Prewarm: internal/shard's Manager embeds
+// a Frame and keeps one Pad per shard, each on its own list of the
+// frame's LRU.
 //
 // The pads' parallel Plan passes only read the Hit-Map, and every insert
-// and eviction runs serially (the miss loop, Warm, and the sharded
-// manager's Reshard and Evacuate), so the map needs no lock.
+// and eviction runs serially (the manager's miss loop, Prewarm, Reshard
+// and Evacuate), so the map needs no lock.
 //
 // Where the paper ages a per-slot bitmask by shifting it every cycle, the
 // frame keeps an explicit per-slot hold counter plus a FIFO of in-flight
@@ -93,7 +93,6 @@ type Frame struct {
 	policy      cache.Policy
 	lru         *cache.LRUPolicy
 	evictableFn func(slot int) bool
-	sweepArmed  bool    // PlanOne's victim sweep armed for this Plan
 	missIdx     []int32 // Misses' scratch
 
 	// planPool recycles PlanResults: BeginPlan pops, Recycle pushes.
@@ -104,9 +103,6 @@ type Frame struct {
 	dedup       *intmap.Map
 	uniqScratch []int64
 	cntScratch  []int32
-	// seen is Warm's rows-wide duplicate-draw bitmap (1.25 MB per table
-	// at 10M rows), kept across resets and cleared per use.
-	seen []uint64
 
 	stats Stats
 }
@@ -416,54 +412,3 @@ func (f *Frame) ReleaseBatch(r *BatchRing, seq int) error {
 
 // EndRelease counts one finished Release.
 func (f *Frame) EndRelease() { f.stats.Released++ }
-
-// Warmer is the planner side of Frame.Warm: Free reports whether a free
-// primary slot remains, and Place moves id into a free primary slot of f
-// — Hit-Map entry and replacement order included — returning the slot.
-type Warmer interface {
-	Free() bool
-	Place(f *Frame, id int64) int32
-}
-
-// Warm is the Prewarm draw rule: it fills w's free primary capacity with
-// distinct IDs drawn from sample, calling onFill (when non-nil) for every
-// inserted row, and returns the number inserted. With rows > 0 the
-// duplicate-draw check runs against a rows-wide bitmap (a few KB,
-// cache-resident) instead of probing the Hit-Map once per draw.
-//
-// Warm draws at most 8x the nominal capacity: rows that have not
-// appeared within that many draws are cold enough that their absence from
-// the warm cache has negligible effect on measured hit rates, and an
-// unbounded fill would degenerate into a coupon-collector walk over the
-// distribution's long tail.
-func (f *Frame) Warm(w Warmer, rows int64, sample func() int64, onFill func(id int64, slot int32)) int {
-	if f.InFlight() != 0 {
-		panic("core: Prewarm with batches in flight")
-	}
-	var seen []uint64
-	if rows > 0 {
-		f.seen = resized(f.seen, int((rows+63)/64))
-		clear(f.seen)
-		seen = f.seen
-	}
-	inserted := 0
-	limit := 8*f.cfg.Slots + 100
-	for draws := 0; w.Free() && draws < limit; draws++ {
-		id := sample()
-		if seen != nil {
-			word, bit := id/64, uint64(1)<<(uint64(id)%64)
-			if seen[word]&bit != 0 {
-				continue
-			}
-			seen[word] |= bit
-		} else if f.Contains(id) {
-			continue
-		}
-		slot := w.Place(f, id)
-		if onFill != nil {
-			onFill(id, slot)
-		}
-		inserted++
-	}
-	return inserted
-}

@@ -7,7 +7,7 @@ import "slices"
 // rows it owns. The Hit-Map is the frame's, one per table. The manager
 // in internal/shard keeps one pad per shard, each owning a hash
 // partition of the ID space, and plans each over its share of the batch
-// (with one shard, PlanOne plans the one pad over the whole batch).
+// (with one shard, the one pad over the whole batch).
 type Pad struct {
 	// FreePrimary holds never-yet-used primary slots, popped from the
 	// end (eviction reuses the victim's slot directly).
@@ -181,87 +181,23 @@ func (f *Frame) Misses(res *PlanResult) []int32 {
 	return miss
 }
 
-// PlanOne is the unsharded Plan: pad p over the whole batch, its misses
-// allocated from the free primary slots, then the replacement policy's
-// victims, then the reserve. Hits are touched before any victim search,
-// so the policy's sweep (armed lazily once the free list runs dry) walks
-// the eviction order exactly once per Plan.
-func (f *Frame) PlanOne(p *Pad, seq int, uniq []int64, counts []int32, future, hints [][]int64) (*PlanResult, error) {
-	res, start, err := f.BeginPlan(seq, uniq, future, hints)
-	if err != nil {
-		return nil, err
-	}
-	f.PlanPad(p, &Batch{Uniq: uniq, Counts: counts, Res: res}, nil, future[start:], hints)
-	res.OccHits, res.OccMisses = p.OccHits, p.OccMisses
-	f.sweepArmed = false
-	for _, k := range f.Misses(res) {
-		slot, err := f.allocate(p, res)
-		if err != nil {
-			return nil, err
-		}
-		f.FillMiss(p, res, k, slot)
-	}
-	p.Commit(seq)
-	f.EndPlan(res)
-	return res, nil
-}
+// ArmSweep starts the replacement policy's victim sweep at its least
+// preferred end. Arm it once the free primary slots are exhausted, after
+// the Plan's hits are touched, so the sweep walks the eviction order once
+// per Plan (re-arming only when the hints relax).
+func (f *Frame) ArmSweep() { f.policy.BeginVictimSweep() }
 
-// allocate finds a slot for a miss of res on pad p: free primary slot
-// first, then an unprotected victim (whose eviction it schedules in
-// res), then a reserve slot.
-func (f *Frame) allocate(p *Pad, res *PlanResult) (int32, error) {
-	if len(p.FreePrimary) > 0 {
-		return p.PopFree(), nil
-	}
-	// Arm the policy's victim sweep on the Plan's first eviction need
-	// (after the free list is exhausted, so free-slot inserts can no
-	// longer disturb the sweep cursor).
-	if !f.sweepArmed {
-		f.policy.BeginVictimSweep()
-		f.sweepArmed = true
-	}
-	v := f.victim()
-	if v < 0 && f.RelaxHints() {
-		// Every unprotected slot is merely hinted: sweep once more.
-		f.policy.BeginVictimSweep()
-		v = f.victim()
-	}
-	if v >= 0 {
-		slot := int32(v)
-		res.Evictions = append(res.Evictions, Eviction{OldID: f.Evict(p, slot), Slot: slot})
-		return slot, nil
-	}
-	return f.TakeReserve(res)
-}
-
-// victim picks the next evictable slot of the armed sweep, or -1. For
-// the default LRU policy the sweep is driven inline (direct calls, the
+// Victim consumes the armed sweep's next evictable slot, or -1. For the
+// default LRU policy the sweep is driven inline (direct calls, the
 // evictability check inlined); other policies go through the interface.
-func (f *Frame) victim() int {
+func (f *Frame) Victim() int32 {
 	if f.lru != nil {
 		for {
 			v := f.lru.SweepNext()
 			if v < 0 || f.Evictable(int32(v)) {
-				return v
+				return int32(v)
 			}
 		}
 	}
-	return f.policy.Victim(f.evictableFn)
-}
-
-// WarmOne is the unsharded Prewarm (see Warm): draws fill pad p's free
-// primary slots.
-func (f *Frame) WarmOne(p *Pad, rows int64, sample func() int64, onFill func(id int64, slot int32)) int {
-	return f.Warm((*padWarmer)(p), rows, sample, onFill)
-}
-
-// padWarmer is one pad's side of Frame.Warm.
-type padWarmer Pad
-
-func (w *padWarmer) Free() bool { return len(w.FreePrimary) > 0 }
-
-func (w *padWarmer) Place(f *Frame, id int64) int32 {
-	slot := (*Pad)(w).PopFree()
-	f.Put((*Pad)(w), id, slot)
-	return slot
+	return int32(f.policy.Victim(f.evictableFn))
 }

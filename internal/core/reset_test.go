@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"fmt"
@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	. "repro/internal/core"
+	"repro/internal/shard"
 )
 
 // planView is a PlanResult's observable content, copied out so it can be
@@ -65,14 +67,14 @@ type padRun struct {
 	Walk    [][2]int64
 }
 
-func drivePad(sp *onePad, seed int64, plans, batchLen int, idSpace int64) padRun {
+func drivePad(sp *shard.Manager, seed int64, plans, batchLen int, idSpace int64) padRun {
 	rng := rand.New(rand.NewSource(seed))
 	var run padRun
 	switch rng.Intn(3) {
 	case 1:
-		run.Prewarm = sp.WarmOne(&sp.Pad, idSpace, func() int64 { return rng.Int63n(idSpace) }, nil)
+		run.Prewarm = sp.PrewarmRows(idSpace, func() int64 { return rng.Int63n(idSpace) }, nil)
 	case 2:
-		run.Prewarm = sp.WarmOne(&sp.Pad, 0, func() int64 { return rng.Int63n(idSpace) }, nil)
+		run.Prewarm = sp.Prewarm(func() int64 { return rng.Int63n(idSpace) }, nil)
 	}
 	batches := make([][]int64, plans+8)
 	for i := range batches {
@@ -83,25 +85,26 @@ func drivePad(sp *onePad, seed int64, plans, batchLen int, idSpace int64) padRun
 		}
 		batches[i] = b
 	}
-	lookahead := sp.cfg.FutureWindow + rng.Intn(3)
+	cfg := sp.Config()
+	lookahead := cfg.FutureWindow + rng.Intn(3)
 	var inFlight []*PlanResult
 	for seq := 0; seq < plans; seq++ {
 		var future, hints [][]int64
 		for k := 1; k <= lookahead; k++ {
-			if k <= sp.cfg.FutureWindow {
+			if k <= cfg.FutureWindow {
 				future = append(future, batches[seq+k])
 			} else {
 				hints = append(hints, batches[seq+k])
 			}
 		}
-		res, err := sp.Plan(seq, batches[seq], future, hints...)
+		res, err := sp.PlanWithHints(seq, batches[seq], future, hints)
 		if err != nil {
 			run.Err = err.Error()
 			break
 		}
 		run.Plans = append(run.Plans, viewOf(res))
 		inFlight = append(inFlight, res)
-		if len(inFlight) > sp.cfg.PastWindow {
+		if len(inFlight) > cfg.PastWindow {
 			old := inFlight[0]
 			if err := sp.Release(old.Seq); err != nil {
 				run.Err = err.Error()
@@ -138,7 +141,7 @@ func TestResetMatchesNew(t *testing.T) {
 					cfg = usedCfg
 					cfg.Policy = policy
 				}
-				if err := used.Reset(cfg); err != nil {
+				if err := used.Reset(shard.Config{Scratchpad: cfg}); err != nil {
 					t.Fatal(err)
 				}
 				seed, plans := rng.Int63(), 4+rng.Intn(20)
@@ -175,7 +178,7 @@ func TestResetRejectsBadConfig(t *testing.T) {
 	cfg := testConfig(8, 4)
 	sp := mustPad(t, cfg)
 	for _, bad := range []Config{{Slots: 0, Policy: cache.LRU}, {Slots: 4, Policy: "bogus"}} {
-		if err := sp.Reset(bad); err == nil {
+		if err := sp.Reset(shard.Config{Scratchpad: bad}); err == nil {
 			t.Fatalf("Reset accepted %+v", bad)
 		}
 	}

@@ -12,8 +12,8 @@
 //
 // The Plan rule lives once, in Frame (the table's slot discipline) and
 // Pad (one sub-scratchpad's free slots, hold ring and recency list). The
-// planner that runs them is internal/shard's Manager: one Pad per shard,
-// and the unsharded Frame.PlanOne when it has one shard.
+// planner that runs them is internal/shard's Manager, one Pad per shard,
+// with one miss loop and one Prewarm at every shard count.
 package core
 
 import (

@@ -1,17 +1,19 @@
-package core
+package core_test
 
 import (
 	"math/rand"
 	"testing"
 
 	"repro/internal/cache"
+	. "repro/internal/core"
+	"repro/internal/shard"
 )
 
 // planHarness drives a scratchpad through a pipelined Plan/Release/Recycle
 // steady state: `depth` batches in flight, pre-generated ID streams, and
 // the future window wired exactly as the engine wires it.
 type planHarness struct {
-	sp      *onePad
+	sp      *shard.Manager
 	batches [][]int64
 	future  [][]int64 // reused projection buffer
 	pending []*PlanResult
@@ -28,10 +30,7 @@ func newPlanHarness(tb testing.TB, slots, batchLen, depth, futureWin int) *planH
 		FutureWindow: futureWin,
 	}
 	cfg.Reserve = WorstCaseReserve(cfg, batchLen)
-	sp := &onePad{}
-	if err := sp.Reset(cfg); err != nil {
-		tb.Fatal(err)
-	}
+	sp := mustPad(tb, cfg)
 	rng := rand.New(rand.NewSource(99))
 	const distinct = 64
 	h := &planHarness{
@@ -96,14 +95,14 @@ func TestPlanWarmZeroAllocs(t *testing.T) {
 func TestPlanRecycleReuse(t *testing.T) {
 	h := newPlanHarness(t, 256, 64, 2, 0)
 	h.step(t) // first plan: pool empty, result pending
-	if len(h.sp.planPool) != 0 {
-		t.Fatalf("pool should be empty while plans are pending, has %d", len(h.sp.planPool))
+	if n := len(h.sp.PlanPool()); n != 0 {
+		t.Fatalf("pool should be empty while plans are pending, has %d", n)
 	}
 	h.step(t) // second plan: depth reached, oldest recycled into the pool
-	if len(h.sp.planPool) != 1 {
-		t.Fatalf("pool should hold the recycled plan, has %d", len(h.sp.planPool))
+	if n := len(h.sp.PlanPool()); n != 1 {
+		t.Fatalf("pool should hold the recycled plan, has %d", n)
 	}
-	pooled := h.sp.planPool[0]
+	pooled := h.sp.PlanPool()[0]
 	h.step(t) // third plan must reuse the pooled result
 	if h.pending[len(h.pending)-1] != pooled {
 		t.Fatal("Plan did not reuse the recycled PlanResult")
@@ -133,8 +132,9 @@ func TestPlanRecycleReuse(t *testing.T) {
 }
 
 // TestReleaseRingReusesBuffer guards the FIFO slice-leak fix: a long
-// Plan/Release stream must not grow the in-flight ring beyond the
-// pipeline depth.
+// Plan/Release stream keeps the pipeline depth in flight, and once warm
+// a cycle allocates nothing, so the in-flight ring is not growing (its
+// buffer bound is TestBatchRingReusesBuffer's).
 func TestReleaseRingReusesBuffer(t *testing.T) {
 	h := newPlanHarness(t, 256, 64, 3, 0)
 	for i := 0; i < 1000; i++ {
@@ -143,8 +143,8 @@ func TestReleaseRingReusesBuffer(t *testing.T) {
 	if got := h.sp.InFlight(); got != h.depth-1 && got != h.depth {
 		t.Fatalf("in-flight %d, want ~%d", got, h.depth)
 	}
-	if n := len(h.sp.Ring.buf); n > 8 {
-		t.Fatalf("ring buffer grew to %d entries for pipeline depth %d", n, h.depth)
+	if allocs := testing.AllocsPerRun(100, func() { h.step(t) }); allocs != 0 {
+		t.Fatalf("a cycle after %d Plans allocates %.1f times, want 0", h.seq, allocs)
 	}
 }
 
@@ -155,17 +155,17 @@ func TestReleaseRingReusesBuffer(t *testing.T) {
 // — must emit bit-identical plans (slots, fills, evictions) and stats.
 func TestPinStampEquivalence(t *testing.T) {
 	for _, policy := range []cache.PolicyKind{cache.LRU, cache.LFU} {
-		mk := func() *onePad {
+		mk := func() *shard.Manager {
 			cfg := Config{Slots: 512, Policy: policy, PolicySeed: 9, PastWindow: 3, FutureWindow: 2}
 			cfg.Reserve = WorstCaseReserve(cfg, 96)
 			return mustPad(t, cfg)
 		}
 		fast := mk()
 		slow := mk()
-		if fast.pinValid != 2 {
-			t.Fatalf("pinValid = %d, want 2 (past 3 >= future 2)", fast.pinValid)
+		if got := fast.PinValid(); got != 2 {
+			t.Fatalf("pinValid = %d, want 2 (past 3 >= future 2)", got)
 		}
-		slow.pinValid = 1 // force the original per-plan pin discipline
+		slow.SetPinValid(1) // force the original per-plan pin discipline
 
 		rng := rand.New(rand.NewSource(31))
 		batches := make([][]int64, 128)
@@ -242,10 +242,7 @@ func BenchmarkPlan(b *testing.B) {
 func BenchmarkPlanHighLocality(b *testing.B) {
 	cfg := Config{Slots: 8192, Policy: cache.LRU, PastWindow: 2, FutureWindow: 2}
 	cfg.Reserve = WorstCaseReserve(cfg, 2048)
-	sp := &onePad{}
-	if err := sp.Reset(cfg); err != nil {
-		b.Fatal(err)
-	}
+	sp := mustPad(b, cfg)
 	rng := rand.New(rand.NewSource(5))
 	batches := make([][]int64, 16)
 	for i := range batches {

@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"math/rand"
@@ -6,6 +6,8 @@ import (
 	"testing/quick"
 
 	"repro/internal/cache"
+	. "repro/internal/core"
+	"repro/internal/shard"
 )
 
 func testConfig(slots, reserve int) Config {
@@ -18,42 +20,17 @@ func testConfig(slots, reserve int) Config {
 	}
 }
 
-// onePad is the unsharded planner the core tests drive: one Pad over the
-// whole Frame, planned by PlanOne as a one-shard shard.Manager plans it.
-type onePad struct {
-	Frame
-	Pad
+// newPad builds the planner core's tests drive: the product planner,
+// a one-shard shard.Manager, which plans one Pad over the whole Frame.
+func newPad(cfg Config) (*shard.Manager, error) {
+	return shard.New(shard.Config{Scratchpad: cfg})
 }
 
-func (s *onePad) Reset(cfg Config) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	if err := s.ResetFrame(cfg, 1); err != nil {
-		return err
-	}
-	s.Pad.Reset(cfg, 0, 1)
-	return nil
-}
-
-func (s *onePad) Plan(seq int, ids []int64, future [][]int64, hints ...[]int64) (*PlanResult, error) {
-	uniq, cnt := s.Dedup(ids)
-	return s.PlanOne(&s.Pad, seq, uniq, cnt, future, hints)
-}
-
-func (s *onePad) Release(seq int) error {
-	if err := s.ReleaseBatch(&s.Ring, seq); err != nil {
-		return err
-	}
-	s.EndRelease()
-	return nil
-}
-
-func mustPad(t *testing.T, cfg Config) *onePad {
-	t.Helper()
-	sp := &onePad{}
-	if err := sp.Reset(cfg); err != nil {
-		t.Fatal(err)
+func mustPad(tb testing.TB, cfg Config) *shard.Manager {
+	tb.Helper()
+	sp, err := newPad(cfg)
+	if err != nil {
+		tb.Fatal(err)
 	}
 	return sp
 }
@@ -68,7 +45,7 @@ func TestConfigValidation(t *testing.T) {
 		{Slots: 4, Policy: "bogus"},
 	}
 	for i, cfg := range bad {
-		if err := new(onePad).Reset(cfg); err == nil {
+		if _, err := newPad(cfg); err == nil {
 			t.Errorf("case %d: invalid config accepted: %+v", i, cfg)
 		}
 	}
@@ -268,11 +245,11 @@ func TestFutureWindowBound(t *testing.T) {
 func TestHitMapStorageBijectionProperty(t *testing.T) {
 	f := func(opsRaw []uint8, seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		sp := &onePad{}
-		if err := sp.Reset(Config{
+		sp, err := newPad(Config{
 			Slots: 6, Reserve: 40, Policy: cache.LRU,
 			PastWindow: 3, FutureWindow: 2,
-		}); err != nil {
+		})
+		if err != nil {
 			return false
 		}
 		seq := 0
@@ -319,11 +296,11 @@ func TestHitMapStorageBijectionProperty(t *testing.T) {
 func TestHeldNeverEvictedProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		sp := &onePad{}
-		if err := sp.Reset(Config{
+		sp, err := newPad(Config{
 			Slots: 5, Reserve: 60, Policy: cache.LRU,
 			PastWindow: 3, FutureWindow: 2,
-		}); err != nil {
+		})
+		if err != nil {
 			return false
 		}
 		// Keep 3 batches in flight; track which slots each holds.
@@ -382,7 +359,7 @@ func TestPrewarm(t *testing.T) {
 	sp := mustPad(t, testConfig(10, 0))
 	rng := rand.New(rand.NewSource(11))
 	var filled []int64
-	n := sp.WarmOne(&sp.Pad, 0, func() int64 { return int64(rng.Intn(100)) },
+	n := sp.Prewarm(func() int64 { return int64(rng.Intn(100)) },
 		func(id int64, slot int32) { filled = append(filled, id) })
 	if n != 10 || sp.Len() != 10 || len(filled) != 10 {
 		t.Fatalf("prewarm inserted %d, len %d, callbacks %d", n, sp.Len(), len(filled))
@@ -395,7 +372,7 @@ func TestPrewarm(t *testing.T) {
 	// Prewarm terminates even when the support is smaller than the
 	// cache.
 	sp2 := mustPad(t, testConfig(10, 0))
-	n2 := sp2.WarmOne(&sp2.Pad, 0, func() int64 { return 3 }, nil)
+	n2 := sp2.Prewarm(func() int64 { return 3 }, nil)
 	if n2 != 1 {
 		t.Fatalf("tiny-support prewarm inserted %d", n2)
 	}

@@ -17,7 +17,7 @@
 //   - Recency state: resident slots are re-threaded onto the new
 //     shards' LRU lists in global recency order, so the k-way victim
 //     merge reproduces exactly the eviction sequence the old
-//     partitioning (and the unsharded planner) would have produced.
+//     partitioning (and a single shard) would have produced.
 //   - Free lists: remaining never-used primary slots re-stripe as slot
 //     s mod S', stacks refilled descending so pops ascend — the fresh
 //     construction's allocation direction.
@@ -208,8 +208,8 @@ func holdCount(sh *shardState) int64 {
 //   - Residency: the (id, slot) map is identical before and after —
 //     no row loss, no slot reassignment.
 //   - Eviction order: recency re-threads in global recency order, so
-//     future victims are exactly what the old partitioning (and the
-//     unsharded planner) would have chosen.
+//     future victims are exactly what the old partitioning (and a
+//     single shard) would have chosen.
 //   - Budgets: free primary / reserve totals and hold protection carry
 //     over unchanged, so eviction onset and release behaviour do not
 //     shift.
@@ -323,9 +323,8 @@ func (m *Manager) Reshard(newS int, place hw.Placement) error {
 
 	// Free primary re-striping: slot s belongs to shard s mod S',
 	// stacks filled descending so pops ascend — fresh-construction
-	// allocation order. The global budget (freePrimaryTotal, which a
-	// solo manager does not keep) is recounted, not changed, so eviction
-	// onset cannot shift.
+	// allocation order. The global budget (freePrimaryTotal) is
+	// recounted, not changed, so eviction onset cannot shift.
 	m.freePrimaryTotal = 0
 	for s := cfg.Slots - 1; s >= 0; s-- {
 		oldJ := freeShard[s]

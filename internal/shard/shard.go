@@ -19,7 +19,7 @@
 // timeline, primary and reserve capacity are global budgets (shards
 // borrow free slots from each other before anyone evicts), and victim
 // selection k-way-merges the shard cursors by stamp — which reproduces
-// the unsharded eviction sequence exactly. Sharding is thus a pure
+// a single shard's eviction sequence exactly. Sharding is thus a pure
 // decomposition: plans, eviction victims, and aggregate statistics are
 // the same at every shard count (the equivalence tests in this package
 // hold every shard count, plan by plan, to an independent reference of
@@ -28,9 +28,10 @@
 // The Hit-Map, the slot discipline, the replacement policy (one LRU list
 // per shard) and the per-pad Plan pass live once, in the embedded
 // core.Frame; this package adds routing, touch stamps, borrowing, the
-// k-way victim merge, the coordination meter, resharding and evacuation.
-// A single-shard Manager needs none of the first five and plans its one
-// pad with the unsharded core.Frame.PlanOne under every replacement
+// k-way victim merge, the coordination meter, resharding and evacuation,
+// and runs the one miss loop and the one Prewarm at every shard count.
+// A single-shard Manager skips routing, stamps and the merge: its victims
+// come straight from the frame's policy sweep, under every replacement
 // policy. Shards > 1 requires the LRU policy: the stamp-merge
 // coordinator is the distributed form of the LRU eviction order
 // specifically.
@@ -207,11 +208,14 @@ type Manager struct {
 
 	// freePrimaryTotal counts unused primary slots across all shards
 	// (shards borrow from each other before anyone evicts, so eviction
-	// starts exactly when the unsharded free list would run dry; unused
-	// by a solo manager, and recounted by a reshard). The reserve budget
-	// is the frame's.
+	// starts exactly when a single free list would run dry; a reshard
+	// recounts it). The reserve budget is the frame's. sweepArmed marks
+	// the Plan's victim sweep armed.
 	freePrimaryTotal int
 	sweepArmed       bool
+	// seen is Prewarm's rows-wide duplicate-draw bitmap (1.25 MB per
+	// table at 10M rows), kept across resets and cleared per use.
+	seen []uint64
 
 	// rt is the Plan's routing scratch (see route). batch and relSeq
 	// carry one call's inputs to the shard fan-out bodies, planShard and
@@ -275,6 +279,7 @@ func (m *Manager) Reset(cfg Config) error {
 		pollK:   1,
 		shards:  slices.Grow(old.shards[:0], n)[:n],
 		rt:      old.rt,
+		seen:    old.seen,
 	}
 	if !m.solo() {
 		m.stamp = zeroed(old.stamp, c.Slots+c.Reserve)
@@ -293,8 +298,8 @@ func (m *Manager) Reset(cfg Config) error {
 	return nil
 }
 
-// solo reports whether m plans its one pad with the unsharded core pass:
-// a single shard has no routing, no touch stamps and no coordinator.
+// solo reports whether m has a single shard: no routing, no touch stamps,
+// no coordinator, and victims from the frame's policy sweep.
 func (m *Manager) solo() bool { return m.nshards == 1 }
 
 // Shards returns the shard count.
@@ -358,11 +363,15 @@ func (m *Manager) shardFor(id int64) int {
 // armSweep resets every shard's sweep cursor to its least-recent end
 // and flushes the parked candidate batches (a re-arm changes the
 // evictability predicate, so gathered candidates are stale and the next
-// consultation re-polls). Mirrors BeginVictimSweep: within one Plan no
-// slot can *become* evictable, so skipped slots are never revisited
-// until a re-arm. hide makes the sweep's first poll round hidden (see
-// armFirstSweep).
+// consultation re-polls). Mirrors BeginVictimSweep, which is what a solo
+// manager arms: within one Plan no slot can *become* evictable, so
+// skipped slots are never revisited until a re-arm. hide makes the
+// sweep's first poll round hidden (see armFirstSweep).
 func (m *Manager) armSweep(hide bool) {
+	if m.solo() {
+		m.ArmSweep()
+		return
+	}
 	for j := range m.shards {
 		sh := &m.shards[j]
 		sh.sweepCur = m.LRU().Front(j)
@@ -433,10 +442,14 @@ func (m *Manager) olderStamp(a, b int32) bool {
 
 // victim k-way-merges the shard candidate batches by touch stamp and
 // consumes the globally least-recently-used evictable slot — exactly the
-// slot the unsharded planner's single LRU sweep would pick (up to
+// slot one LRU sweep over the whole scratchpad would pick (up to
 // quantization in approx mode). Returns the slot and its owning shard,
-// or (-1, -1) when every shard is exhausted.
+// or (-1, -1) when every shard is exhausted. A solo manager takes the
+// frame's policy sweep instead.
 func (m *Manager) victim() (int32, int) {
+	if m.solo() {
+		return m.Victim(), 0
+	}
 	best, bestShard := nilSlot, -1
 	for j := 0; j < m.nshards; j++ {
 		c := m.shardCand(j)
@@ -471,7 +484,7 @@ func (m *Manager) victim() (int32, int) {
 // from the best-stocked shard when j's own stripe has run dry. The
 // global budget (freePrimaryTotal) guarantees no shard evicts while any
 // shard still has free capacity — the coordinator property that keeps
-// eviction onset identical to the unsharded planner. meter charges a
+// eviction onset identical to a single shard's. meter charges a
 // borrow's round trip to the coordination meter.
 func (m *Manager) borrowPrimary(j int, meter bool) int32 {
 	sh := &m.shards[j]
@@ -500,8 +513,12 @@ func (m *Manager) borrowPrimary(j int, meter bool) int32 {
 	return sh.PopFree()
 }
 
-// stampNext stamps slot with the next tick of the global recency clock.
+// stampNext stamps slot with the next tick of the global recency clock
+// (a no-op in a solo manager, which keeps no stamps).
 func (m *Manager) stampNext(slot int32) {
+	if m.solo() {
+		return
+	}
 	m.stampClock++
 	m.stamp[slot] = m.stampClock
 }
@@ -545,31 +562,31 @@ func (m *Manager) PlanWithHints(seq int, ids []int64, future, hints [][]int64) (
 // per-ID occurrence multiplicities (counts may be nil, meaning one
 // occurrence each). future and hints may carry either occurrence or
 // distinct ID lists — pinning is idempotent — but distinct lists probe
-// proportionally less. A solo manager runs the unsharded
-// core.Frame.PlanOne on its one pad. Otherwise the per-pad
-// pass — pin/hint stamping, Hit-Map probes, recency touches, hold
-// registration — fans out across shards; the eviction-budget
-// coordinator then allocates the misses serially in first-appearance
-// order, reproducing the unsharded planner's victim sequence through the
-// cross-shard stamp merge.
+// proportionally less. The per-pad pass — pin/hint stamping, Hit-Map
+// probes, recency touches, hold registration — fans out across shards
+// (a solo manager runs it once over the whole batch, unrouted and
+// unstamped); the miss loop then allocates the misses serially in
+// first-appearance order, the same loop at every shard count.
 func (m *Manager) PlanUniqueWithHints(seq int, uniq []int64, counts []int32, future, hints [][]int64) (*core.PlanResult, error) {
-	if m.solo() {
-		return m.PlanOne(&m.shards[0].Pad, seq, uniq, counts, future, hints)
-	}
 	res, futStart, err := m.BeginPlan(seq, uniq, future, hints)
 	if err != nil {
 		return nil, err
 	}
-	shardOf := m.route(uniq, future[futStart:], hints)
-
-	// Shard-parallel pass (planShard, which cannot fail). Touch stamps
-	// follow batch position, reproducing the serial planner's recency
-	// order; m.batch drops the caller's batch once the pass returns.
-	stampBase := m.stampClock
-	m.batch = core.Batch{Uniq: uniq, Counts: counts, Res: res, Stamps: m.stamp, Base: stampBase}
-	_ = par.Each(m.pool, m.nshards, m, (*Manager).planShard)
-	m.batch = core.Batch{}
-	m.stampClock = stampBase + uint64(len(uniq))
+	var shardOf []uint16
+	if m.solo() {
+		m.batch = core.Batch{Uniq: uniq, Counts: counts, Res: res}
+		m.PlanPad(&m.shards[0].Pad, &m.batch, nil, future[futStart:], hints)
+	} else {
+		shardOf = m.route(uniq, future[futStart:], hints)
+		// Shard-parallel pass (planShard, which cannot fail). Touch
+		// stamps follow batch position, reproducing one recency list's
+		// order.
+		stampBase := m.stampClock
+		m.batch = core.Batch{Uniq: uniq, Counts: counts, Res: res, Stamps: m.stamp, Base: stampBase}
+		_ = par.Each(m.pool, m.nshards, m, (*Manager).planShard)
+		m.stampClock = stampBase + uint64(len(uniq))
+	}
+	m.batch = core.Batch{} // drop the caller's batch
 	for j := range m.shards {
 		res.OccHits += m.shards[j].OccHits
 		res.OccMisses += m.shards[j].OccMisses
@@ -584,8 +601,8 @@ func (m *Manager) PlanUniqueWithHints(seq int, uniq []int64, counts []int32, fut
 		m.coord.meterStampSync()
 	}
 
-	// The misses in first-appearance order (the order the coordinator
-	// must allocate them in to match the serial planner).
+	// The misses in first-appearance order (the order Algorithm 1
+	// allocates them in).
 	missIdx := m.Misses(res)
 
 	// Size the candidate batches from the Plan's miss budget: at most
@@ -596,14 +613,20 @@ func (m *Manager) PlanUniqueWithHints(seq int, uniq []int64, counts []int32, fut
 		m.pollK = len(missIdx)
 	}
 
-	// Serial coordinator pass: allocate the misses. Free primary
-	// capacity (own stripe, then borrowed) precedes eviction; the
-	// cross-shard stamp merge picks victims in global LRU order; the
-	// reserve budget is the last resort, exactly as unsharded.
+	// The miss loop: free primary capacity (own stripe, then borrowed)
+	// precedes eviction; victims come in global LRU order (the policy
+	// sweep, or the cross-shard stamp merge); the reserve budget is the
+	// last resort.
 	m.sweepArmed = false
 	for _, k := range missIdx {
-		j := int(shardOf[k])
-		slot := m.borrowPrimary(j, true)
+		j := 0
+		if shardOf != nil {
+			j = int(shardOf[k])
+		}
+		slot := nilSlot
+		if m.freePrimaryTotal > 0 {
+			slot = m.borrowPrimary(j, true)
+		}
 		if slot < 0 {
 			if !m.sweepArmed {
 				m.armFirstSweep()
@@ -739,38 +762,58 @@ func (m *Manager) releaseShard(j int) error {
 // cache under the trace's access distribution (the most recent distinct
 // draws). onFill, when non-nil, is invoked for every inserted row so
 // functional engines can copy the corresponding embedding values into
-// the storage array. It returns the number of rows inserted (see
-// core.Frame.Warm for the draw rule).
+// the storage array. It returns the number of rows inserted.
+//
+// Prewarm draws at most 8x the nominal capacity: rows that have not
+// appeared within that many draws are cold enough that their absence
+// from the warm cache has negligible effect on measured hit rates, and
+// an unbounded fill would degenerate into a coupon-collector walk over
+// the distribution's long tail.
 func (m *Manager) Prewarm(sample func() int64, onFill func(id int64, slot int32)) int {
 	return m.PrewarmRows(0, sample, onFill)
 }
 
 // PrewarmRows is Prewarm for callers that know the sparse ID domain
-// [0, rows): the duplicate-draw check then runs against a bitmap instead
-// of the Hit-Map (rows <= 0 falls back to Hit-Map probing). Draw
-// sequence, duplicate decisions, and the set of inserted rows are the
-// same at every shard count; only the physical slot numbers differ.
+// [0, rows): the duplicate-draw check then runs against a rows-wide
+// bitmap (a few KB, cache-resident) instead of probing the Hit-Map once
+// per draw (rows <= 0 falls back to Hit-Map probing). Draw sequence,
+// duplicate decisions, and the set of inserted rows are the same at
+// every shard count; only the physical slot numbers differ. Each draw
+// fills a free primary slot of its owning shard, borrowed when that
+// shard's stripe has run dry.
 func (m *Manager) PrewarmRows(rows int64, sample func() int64, onFill func(id int64, slot int32)) int {
-	if m.solo() {
-		return m.WarmOne(&m.shards[0].Pad, rows, sample, onFill)
+	if m.InFlight() != 0 {
+		panic("shard: Prewarm with batches in flight")
 	}
 	// Prewarm inserts move recency lists and the stamp clock: an overlap
 	// mark no longer describes the next Plan.
 	m.dropOverlap()
-	return m.Warm((*warmer)(m), rows, sample, onFill)
-}
-
-// warmer is the Manager's side of core.Frame.Warm: draws route to their
-// owning shard and borrow its free primary slots.
-type warmer Manager
-
-func (w *warmer) Free() bool { return w.freePrimaryTotal > 0 }
-
-func (w *warmer) Place(_ *core.Frame, id int64) int32 {
-	m := (*Manager)(w)
-	j := m.shardFor(id)
-	slot := m.borrowPrimary(j, false) // setup-time borrowing is not metered
-	m.Put(&m.shards[j].Pad, id, slot)
-	m.stampNext(slot)
-	return slot
+	var seen []uint64
+	if rows > 0 {
+		m.seen = zeroed(m.seen, int((rows+63)/64))
+		seen = m.seen
+	}
+	inserted := 0
+	limit := 8*m.Capacity() + 100
+	for draws := 0; m.freePrimaryTotal > 0 && draws < limit; draws++ {
+		id := sample()
+		if seen != nil {
+			word, bit := id/64, uint64(1)<<(uint64(id)%64)
+			if seen[word]&bit != 0 {
+				continue
+			}
+			seen[word] |= bit
+		} else if m.Contains(id) {
+			continue
+		}
+		j := m.shardFor(id)
+		slot := m.borrowPrimary(j, false) // setup-time borrowing is not metered
+		m.Put(&m.shards[j].Pad, id, slot)
+		m.stampNext(slot)
+		if onFill != nil {
+			onFill(id, slot)
+		}
+		inserted++
+	}
+	return inserted
 }

@@ -558,8 +558,9 @@ func TestPlanWarmZeroAllocs(t *testing.T) {
 }
 
 // BenchmarkPlanSharded measures the steady-state sharded Plan cycle at
-// several shard counts (S=1 is the unsharded core pass); the
-// hot-path JSON history records the same scaling on the full sweep.
+// several shard counts (S=1 runs the miss loop without routing, stamps
+// or the victim merge); the hot-path JSON history records the same
+// scaling on the full sweep.
 func BenchmarkPlanSharded(b *testing.B) {
 	for _, tc := range []struct {
 		name    string
