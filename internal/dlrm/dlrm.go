@@ -235,14 +235,6 @@ func (m *Model) TrainStep(dense *tensor.Matrix, pooled []*tensor.Matrix, labels 
 	return StepResult{Loss: loss, PooledGrads: dvecs[1:]}
 }
 
-// MLPFlopsPerIteration estimates the dense FLOPs of one training iteration
-// (forward + backward ~= 3x forward) for the timing model.
-func (m *Model) MLPFlopsPerIteration(batch int) float64 {
-	fwd := m.Bottom.FlopsForward(batch) + m.Top.FlopsForward(batch)
-	interaction := 2 * float64(batch) * float64(m.cfg.NumInteractionPairs()) * float64(m.cfg.EmbeddingDim)
-	return 3 * (fwd + interaction)
-}
-
 // Params returns all dense trainable parameters (for checkpoint comparison
 // in the equivalence tests).
 func (m *Model) Params() []nn.Param {

@@ -229,18 +229,6 @@ func TestDeterministicConstruction(t *testing.T) {
 	}
 }
 
-func TestMLPFlopsPositive(t *testing.T) {
-	m := newTinyModel(t)
-	if m.MLPFlopsPerIteration(6) <= 0 {
-		t.Fatal("non-positive flops")
-	}
-	big := m.MLPFlopsPerIteration(12)
-	small := m.MLPFlopsPerIteration(6)
-	if big <= small {
-		t.Fatal("flops not monotone in batch")
-	}
-}
-
 func TestForwardShapeMismatchPanics(t *testing.T) {
 	m := newTinyModel(t)
 	dense, pooled, _ := randInputs(t, m)
