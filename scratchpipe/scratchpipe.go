@@ -24,7 +24,6 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/dlrm"
-	"repro/internal/energy"
 	"repro/internal/engine"
 	"repro/internal/hw"
 	"repro/internal/opt"
@@ -190,9 +189,6 @@ const (
 	RouterHitAware   = serve.PolicyHitAware
 	RouterTelemetry  = serve.PolicyTelemetry
 )
-
-// ParseRouterPolicy resolves a routing policy name ("" = hitaware).
-func ParseRouterPolicy(s string) (RouterPolicy, error) { return serve.ParsePolicy(s) }
 
 // ArrivalSpec describes a serving arrival process (see serve.ArrivalSpec).
 type ArrivalSpec = serve.ArrivalSpec
@@ -398,16 +394,6 @@ func (t *Trainer) SaveCheckpoint(w io.Writer) error {
 // trainer's environment; the model configuration and optimizer must match.
 func (t *Trainer) LoadCheckpoint(r io.Reader) error {
 	return checkpoint.Load(r, t.env)
-}
-
-// IterationEnergy estimates the energy (joules) of one training iteration
-// from a report, using the paper's §VI-C power methodology.
-func IterationEnergy(rep *Report, sys SystemConfig, eng Kind) float64 {
-	gpus := 1
-	if eng == KindMultiGPU {
-		gpus = sys.NumGPUs
-	}
-	return energy.Default().IterationEnergy(rep.IterTime, rep.CPUBusy, rep.GPUBusy, gpus)
 }
 
 // PipelineStages re-exports the stage names for reports.

@@ -59,23 +59,6 @@ func TestUnknownKindRejected(t *testing.T) {
 	}
 }
 
-func TestIterationEnergyPositive(t *testing.T) {
-	tr, err := NewTrainer(Config{EnvConfig: EnvConfig{Model: smallModel(), Class: High}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := tr.Train(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e := IterationEnergy(rep, DefaultSystem(), KindScratchPipe); e <= 0 {
-		t.Fatalf("energy = %v", e)
-	}
-	if e := IterationEnergy(rep, DefaultSystem(), KindMultiGPU); e <= 0 {
-		t.Fatalf("multi-gpu energy = %v", e)
-	}
-}
-
 // TestTraceUtilities checks the facade's locality-class parser and its
 // pipeline stage list.
 func TestTraceUtilities(t *testing.T) {
