@@ -19,8 +19,8 @@ import (
 // their timing formulas. The straw-man executes the stages back-to-back;
 // ScratchPipe runs them through the pipeline.
 //
-// Each table's control plane is a shard.Manager: with Shards == 1 it is
-// the unsharded core scratchpad; with Shards > 1 its ID space is
+// Each table's control plane is a shard.Manager: with Shards == 1 it
+// plans one pad over the whole ID space; with Shards > 1 its ID space is
 // hash-partitioned across socket shards that plan concurrently (within a
 // table) while the per-table fan-out parallelizes across tables, with
 // plans and statistics identical at every shard/worker count.
