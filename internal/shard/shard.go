@@ -572,19 +572,18 @@ func (m *Manager) PlanUniqueWithHints(seq int, uniq []int64, counts []int32, fut
 	if err != nil {
 		return nil, err
 	}
+	m.batch = core.Batch{Uniq: uniq, Counts: counts, Res: res}
 	var shardOf []uint16
 	if m.solo() {
-		m.batch = core.Batch{Uniq: uniq, Counts: counts, Res: res}
 		m.PlanPad(&m.shards[0].Pad, &m.batch, nil, future[futStart:], hints)
 	} else {
 		shardOf = m.route(uniq, future[futStart:], hints)
 		// Shard-parallel pass (planShard, which cannot fail). Touch
 		// stamps follow batch position, reproducing one recency list's
 		// order.
-		stampBase := m.stampClock
-		m.batch = core.Batch{Uniq: uniq, Counts: counts, Res: res, Stamps: m.stamp, Base: stampBase}
+		m.batch.Stamps, m.batch.Base = m.stamp, m.stampClock
 		_ = par.Each(m.pool, m.nshards, m, (*Manager).planShard)
-		m.stampClock = stampBase + uint64(len(uniq))
+		m.stampClock += uint64(len(uniq))
 	}
 	m.batch = core.Batch{} // drop the caller's batch
 	for j := range m.shards {
