@@ -11,17 +11,13 @@ import (
 // slotMeta is one slot's control metadata, packed so the hold/pin/key
 // evictability predicate reads a single 24-byte record.
 type slotMeta struct {
-	// key is the cached sparse ID (-1 when the slot is empty).
+	// key is the cached sparse ID (-1 when the slot is empty); an
+	// eviction clears the victim's Hit-Map entry through it.
 	key int64
 	// pinStamp is the epoch of the slot's latest look-ahead pin.
 	pinStamp int64
 	// holds counts in-flight batches referencing the slot.
 	holds int32
-	// entryIdx is key's entry position inside the Hit-Map, so an eviction
-	// deletes its victim's stale key without re-probing (the victim's
-	// entry is cache-cold by eviction time). Backward-shift relocations
-	// report back through onMove; map growth triggers a full reindex.
-	entryIdx int32
 }
 
 // Frame is one table's slot discipline (§IV-C, Algorithm 1) — hold the
@@ -48,13 +44,17 @@ type slotMeta struct {
 // slots) instead of O(cache size) per cycle.
 type Frame struct {
 	cfg Config
-	// hit is the Hit-Map: every resident sparse ID to its slot.
-	hit intmap.Map
+	// hit is the Hit-Map, indexed by sparse ID (IDs are table rows):
+	// hit[id] is id's slot+1, 0 when id is not resident. It is sized
+	// once from cfg.Rows (grown by doubling when the rows are unknown),
+	// and every entry outside the resident rows is zero, including the
+	// capacity past its length. resident counts the resident rows.
+	hit      []int32
+	resident int
 	// slots holds the per-slot control metadata in one array of structs
 	// so the victim sweep's evictability check (key, pin stamp, hold
 	// count) touches one cache line per candidate instead of three.
-	slots  []slotMeta
-	onMove func(slot int32, newIdx int)
+	slots []slotMeta
 
 	// slots[slot].pinStamp > pinEpoch-pinValid marks the slot as pinned by
 	// the current Plan's sliding window (epoch stamping avoids clearing
@@ -132,16 +132,19 @@ func (f *Frame) ResetFrame(cfg Config, lists int) error {
 		f.evictableFn = func(slot int) bool { return f.Evictable(int32(slot)) }
 	}
 	f.cfg = cfg
-	// Size the Hit-Map for the nominal slots plus half the reserve (hold
-	// pressure routinely spills into reserve, rarely to the provisioning
-	// bound; the map grows past it).
-	f.hit.Reset(cfg.Slots + cfg.Reserve/2)
+	// Empty the Hit-Map by clearing the old residents' entries, O(slots)
+	// rather than O(rows): the whole array is then zero, and it is
+	// resized over that zeroed memory.
+	for i := range f.slots {
+		if k := f.slots[i].key; k >= 0 {
+			f.hit[k] = 0
+		}
+	}
+	f.hit, f.resident = f.hit[:0], 0
+	f.GrowRows(cfg.Rows)
 	f.slots = resized(f.slots, total)
 	for i := range f.slots {
 		f.slots[i] = slotMeta{key: -1}
-	}
-	if f.onMove == nil {
-		f.onMove = func(slot int32, newIdx int) { f.slots[slot].entryIdx = int32(newIdx) }
 	}
 	// hintStamp is sized lazily on the first hinted Plan: engines
 	// without deep look-ahead never pay for it.
@@ -182,19 +185,49 @@ func (f *Frame) Capacity() int { return f.cfg.Slots }
 // TotalSlots returns nominal + reserve capacity.
 func (f *Frame) TotalSlots() int { return f.cfg.Slots + f.cfg.Reserve }
 
+// GrowRows extends the Hit-Map to cover sparse IDs [0, rows), so no
+// insert below rows reallocates it. It never shrinks the map.
+func (f *Frame) GrowRows(rows int64) {
+	if n := int(rows); n > len(f.hit) {
+		f.hit = slices.Grow(f.hit, n-len(f.hit))[:n]
+	}
+}
+
+// InRange reports whether id is a row of the table: non-negative and,
+// when the configuration names the row count, below it. The miss loop
+// and Prewarm reject an ID out of range; a lookup of one misses.
+func (f *Frame) InRange(id int64) bool {
+	return id >= 0 && (f.cfg.Rows == 0 || id < f.cfg.Rows)
+}
+
+// lookup returns id's slot, reporting whether it is resident.
+func (f *Frame) lookup(id int64) (int32, bool) {
+	if uint64(id) >= uint64(len(f.hit)) {
+		return 0, false
+	}
+	s := f.hit[id]
+	return s - 1, s != 0
+}
+
 // Len returns the number of resident rows.
-func (f *Frame) Len() int { return f.hit.Len() }
+func (f *Frame) Len() int { return f.resident }
 
 // Contains reports whether sparse ID id has a slot.
 func (f *Frame) Contains(id int64) bool {
-	_, ok := f.hit.Get(id)
+	_, ok := f.lookup(id)
 	return ok
 }
 
-// ForEach visits every resident (sparse ID, slot) pair in unspecified
-// order; engines use it to flush dirty cached rows back to the CPU
-// tables at the end of training.
-func (f *Frame) ForEach(fn func(id int64, slot int32)) { f.hit.ForEach(fn) }
+// ForEach visits every resident (sparse ID, slot) pair in slot order;
+// engines use it to flush dirty cached rows back to the CPU tables at
+// the end of training.
+func (f *Frame) ForEach(fn func(id int64, slot int32)) {
+	for s := range f.slots {
+		if k := f.slots[s].key; k >= 0 {
+			fn(k, int32(s))
+		}
+	}
+}
 
 // LRU returns the frame's recency lists, or nil under another policy.
 func (f *Frame) LRU() *cache.LRUPolicy { return f.lru }
@@ -377,13 +410,13 @@ func (f *Frame) Dedup(ids []int64) ([]int64, []int32) {
 	return f.uniqScratch, f.cntScratch
 }
 
-// Evict removes slot's row, which pad p owns, from the Hit-Map through
-// the reverse index and empties the slot, returning the displaced sparse
-// ID.
+// Evict removes slot's row, which pad p owns, from the Hit-Map and
+// empties the slot, returning the displaced sparse ID.
 func (f *Frame) Evict(p *Pad, slot int32) int64 {
 	old := f.slots[slot].key
-	f.hit.DeleteAt(int(f.slots[slot].entryIdx), f.onMove)
+	f.hit[old] = 0
 	f.slots[slot].key = -1
+	f.resident--
 	p.Resident--
 	return old
 }

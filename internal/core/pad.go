@@ -79,14 +79,14 @@ type Batch struct {
 func (f *Frame) PlanPad(p *Pad, b *Batch, idx []int32, pins, hints [][]int64) {
 	for _, ids := range pins {
 		for _, id := range ids {
-			if slot, ok := f.hit.Get(id); ok {
+			if slot, ok := f.lookup(id); ok {
 				f.Pin(slot)
 			}
 		}
 	}
 	for _, ids := range hints {
 		for _, id := range ids {
-			if slot, ok := f.hit.Get(id); ok {
+			if slot, ok := f.lookup(id); ok {
 				f.Hint(slot)
 			}
 		}
@@ -108,7 +108,7 @@ func (f *Frame) PlanPad(p *Pad, b *Batch, idx []int32, pins, hints [][]int64) {
 		if b.Counts != nil {
 			c = int(b.Counts[i])
 		}
-		slot, ok := f.hit.Get(b.Uniq[i])
+		slot, ok := f.lookup(b.Uniq[i])
 		if !ok {
 			misses++
 			hits += c - 1
@@ -134,17 +134,16 @@ func (f *Frame) PlanPad(p *Pad, b *Batch, idx []int32, pins, hints [][]int64) {
 	p.Hits += int64(hits)
 }
 
-// Put moves id into slot on pad p: Hit-Map entry, resident count and
-// recency position. The slot->entry reverse index stays exact: PutIdx
-// grows before inserting, so the returned position is valid even when
-// the map just grew, and a growth reindexes the older entries.
+// Put moves id, which must be in range and not resident, into slot on
+// pad p: Hit-Map entry, resident counts and recency position. Without a
+// configured row count the Hit-Map doubles to cover id.
 func (f *Frame) Put(p *Pad, id int64, slot int32) {
-	cap0 := f.hit.Cap()
-	at := f.hit.PutIdx(id, slot)
-	if f.hit.Cap() != cap0 {
-		f.hit.ForEachIdx(func(idx int, _ int64, s int32) { f.slots[s].entryIdx = int32(idx) })
+	if id >= int64(len(f.hit)) {
+		f.GrowRows(max(2*int64(len(f.hit)), id+1))
 	}
-	f.slots[slot].key, f.slots[slot].entryIdx = id, int32(at)
+	f.hit[id] = slot + 1
+	f.slots[slot].key = id
+	f.resident++
 	p.Resident++
 	if f.lru != nil {
 		f.lru.Touch(p.List, slot)

@@ -47,6 +47,10 @@ type Config struct {
 	// currently-cached rows may not be evicted (2 in the paper: the
 	// Collect->Insert distance, removing RAW-4).
 	FutureWindow int
+	// Rows is the table's sparse-ID space [0, Rows), which sizes the
+	// row-indexed Hit-Map once. 0 leaves it unknown: the map then grows
+	// with the largest ID inserted, and only negative IDs are rejected.
+	Rows int64
 }
 
 // DefaultWindows returns the paper's pipeline window shape.
@@ -59,6 +63,9 @@ func (c Config) Validate() error {
 	}
 	if c.Reserve < 0 {
 		return fmt.Errorf("core: scratchpad: Reserve %d < 0", c.Reserve)
+	}
+	if c.Rows < 0 {
+		return fmt.Errorf("core: scratchpad: Rows %d < 0", c.Rows)
 	}
 	if c.PastWindow < 0 || c.FutureWindow < 0 {
 		return fmt.Errorf("core: scratchpad: negative window (past %d, future %d)", c.PastWindow, c.FutureWindow)

@@ -41,6 +41,7 @@ func TestConfigValidation(t *testing.T) {
 		{Slots: 4, Reserve: -1, Policy: cache.LRU},
 		{Slots: 4, PastWindow: -1, Policy: cache.LRU},
 		{Slots: 4, FutureWindow: -1, Policy: cache.LRU},
+		{Slots: 4, Rows: -1, Policy: cache.LRU},
 		{Slots: 4},
 		{Slots: 4, Policy: "bogus"},
 	}

@@ -186,6 +186,7 @@ func newDynamicState(env *Env, cacheFrac float64, policy cache.PolicyKind, past,
 			PolicySeed:   env.Cfg.Seed + int64(2000+t),
 			PastWindow:   past,
 			FutureWindow: future,
+			Rows:         cfg.RowsPerTable,
 		}
 		spCfg.Reserve = core.WorstCaseReserve(spCfg, maxUnique)
 		place, err := placementFor(env, t, env.Cfg.Shards)

@@ -457,6 +457,7 @@ func (f *Fleet) buildScratchpads(wk *worker) error {
 			Policy:     cache.LRU,
 			PolicySeed: cfg.Seed + int64(7000+wk.id*cfg.NumTables+t),
 			PastWindow: 1,
+			Rows:       cfg.RowsPerTable,
 		}
 		spCfg.Reserve = core.WorstCaseReserve(spCfg, maxPlanIDs)
 		mgr, err := shard.New(shard.Config{

@@ -213,9 +213,6 @@ type Manager struct {
 	// the Plan's victim sweep armed.
 	freePrimaryTotal int
 	sweepArmed       bool
-	// seen is Prewarm's rows-wide duplicate-draw bitmap (1.25 MB per
-	// table at 10M rows), kept across resets and cleared per use.
-	seen []uint64
 
 	// rt is the Plan's routing scratch (see route). batch and relSeq
 	// carry one call's inputs to the shard fan-out bodies, planShard and
@@ -279,7 +276,6 @@ func (m *Manager) Reset(cfg Config) error {
 		pollK:   1,
 		shards:  slices.Grow(old.shards[:0], n)[:n],
 		rt:      old.rt,
-		seen:    old.seen,
 	}
 	if !m.solo() {
 		m.stamp = zeroed(old.stamp, c.Slots+c.Reserve)
@@ -618,6 +614,9 @@ func (m *Manager) PlanUniqueWithHints(seq int, uniq []int64, counts []int32, fut
 	// last resort.
 	m.sweepArmed = false
 	for _, k := range missIdx {
+		if id := res.UniqueIDs[k]; !m.InRange(id) {
+			return nil, fmt.Errorf("shard: plan %d: %s", seq, m.outOfRange(id))
+		}
 		j := 0
 		if shardOf != nil {
 			j = int(shardOf[k])
@@ -773,13 +772,13 @@ func (m *Manager) Prewarm(sample func() int64, onFill func(id int64, slot int32)
 }
 
 // PrewarmRows is Prewarm for callers that know the sparse ID domain
-// [0, rows): the duplicate-draw check then runs against a rows-wide
-// bitmap (a few KB, cache-resident) instead of probing the Hit-Map once
-// per draw (rows <= 0 falls back to Hit-Map probing). Draw sequence,
-// duplicate decisions, and the set of inserted rows are the same at
-// every shard count; only the physical slot numbers differ. Each draw
-// fills a free primary slot of its owning shard, borrowed when that
-// shard's stripe has run dry.
+// [0, rows): the Hit-Map is sized for it up front, so no insert grows it
+// (rows <= 0 leaves it to grow). A draw already resident is skipped.
+// Draw sequence, duplicate decisions, and the set of inserted rows are
+// the same at every shard count; only the physical slot numbers differ.
+// Each draw fills a free primary slot of its owning shard, borrowed when
+// that shard's stripe has run dry. A draw outside the table's rows
+// panics.
 func (m *Manager) PrewarmRows(rows int64, sample func() int64, onFill func(id int64, slot int32)) int {
 	if m.InFlight() != 0 {
 		panic("shard: Prewarm with batches in flight")
@@ -787,22 +786,15 @@ func (m *Manager) PrewarmRows(rows int64, sample func() int64, onFill func(id in
 	// Prewarm inserts move recency lists and the stamp clock: an overlap
 	// mark no longer describes the next Plan.
 	m.dropOverlap()
-	var seen []uint64
-	if rows > 0 {
-		m.seen = zeroed(m.seen, int((rows+63)/64))
-		seen = m.seen
-	}
+	m.GrowRows(rows)
 	inserted := 0
 	limit := 8*m.Capacity() + 100
 	for draws := 0; m.freePrimaryTotal > 0 && draws < limit; draws++ {
 		id := sample()
-		if seen != nil {
-			word, bit := id/64, uint64(1)<<(uint64(id)%64)
-			if seen[word]&bit != 0 {
-				continue
-			}
-			seen[word] |= bit
-		} else if m.Contains(id) {
+		if !m.InRange(id) {
+			panic("shard: prewarm: " + m.outOfRange(id))
+		}
+		if m.Contains(id) {
 			continue
 		}
 		j := m.shardFor(id)
@@ -815,4 +807,12 @@ func (m *Manager) PrewarmRows(rows int64, sample func() int64, onFill func(id in
 		inserted++
 	}
 	return inserted
+}
+
+// outOfRange describes a sparse ID the frame's InRange rejects.
+func (m *Manager) outOfRange(id int64) string {
+	if rows := m.Config().Rows; rows > 0 {
+		return fmt.Sprintf("sparse ID %d outside the table's rows [0, %d)", id, rows)
+	}
+	return fmt.Sprintf("negative sparse ID %d", id)
 }

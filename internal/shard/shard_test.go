@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/cache"
@@ -183,6 +184,64 @@ func TestConfigValidation(t *testing.T) {
 	bad.Slots = 0
 	if _, err := New(Config{Scratchpad: bad, Shards: 2}); err == nil {
 		t.Fatal("invalid scratchpad config accepted")
+	}
+}
+
+// TestOutOfRangeID checks that an ID outside the table's rows fails the
+// Plan with an error naming the batch and the ID, at one shard and at
+// four, while a window ID out of range is merely absent; that without a
+// row count only negative IDs are rejected and the Hit-Map grows; and
+// that Prewarm panics on such a draw. The batches go in as distinct-ID
+// lists, the engines' form (the occurrence form's intmap.Dedup panics on
+// a negative ID before the Plan starts).
+func TestOutOfRangeID(t *testing.T) {
+	const rows = 100
+	for _, s := range []int{1, 4} {
+		t.Run(fmt.Sprintf("S=%d", s), func(t *testing.T) {
+			cfg := testConfig(16, 8)
+			cfg.Rows = rows
+			newMgr := func(cfg core.Config) *Manager {
+				m, err := New(Config{Scratchpad: cfg, Shards: s})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return m
+			}
+			m := newMgr(cfg)
+			plan := func(seq int, uniq []int64, future [][]int64) (*core.PlanResult, error) {
+				return m.PlanUniqueWithHints(seq, uniq, nil, future, nil)
+			}
+			if _, err := plan(0, []int64{1, 2}, [][]int64{{rows, -5, 1 << 40}}); err != nil {
+				t.Fatalf("window IDs out of range should be absent: %v", err)
+			}
+			for seq, id := range []int64{rows, -1, 1 << 40} {
+				_, err := plan(seq+1, []int64{3, id}, nil)
+				want := fmt.Sprintf("plan %d: ", seq+1)
+				if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), fmt.Sprintf("sparse ID %d ", id)) {
+					t.Fatalf("id %d: got %v, want an error naming %q and the ID", id, err, want)
+				}
+			}
+
+			cfg.Rows = 0
+			m = newMgr(cfg)
+			if _, err := plan(0, []int64{-2}, nil); err == nil || !strings.Contains(err.Error(), "plan 0: negative sparse ID -2") {
+				t.Fatalf("negative id without rows: got %v", err)
+			}
+			m = newMgr(cfg)
+			res, err := plan(0, []int64{5, 1 << 20}, nil)
+			if err != nil || len(res.Fills) != 2 || !m.Contains(1<<20) || m.Contains(1<<21) {
+				t.Fatalf("unbounded rows: err %v, fills %v", err, res)
+			}
+
+			cfg.Rows = rows
+			m = newMgr(cfg)
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "prewarm: sparse ID 100 outside the table's rows [0, 100)") {
+					t.Fatalf("prewarm of an out-of-range draw: recovered %v", r)
+				}
+			}()
+			m.PrewarmRows(rows, func() int64 { return rows }, nil)
+		})
 	}
 }
 
