@@ -696,7 +696,7 @@ func (s *resilientSim) kill(w int, t float64) {
 		wk.accRounds += cs.Messages
 		wk.accWall += cs.WallSeconds + cs.WallHiddenSeconds
 	}
-	wk.mgrs = nil
+	wk.parked, wk.mgrs = wk.mgrs, nil
 	f.router.invalidate(w)
 	for _, q := range wk.doomed {
 		s.attemptFailed(q, t)

@@ -280,7 +280,10 @@ type worker struct {
 	node int
 	host int
 	mgrs []*shard.Manager
-	seq  int
+	// parked holds a killed replica's managers, which heal resets in
+	// place instead of allocating new ones.
+	parked []*shard.Manager
+	seq    int
 
 	comp      []float64
 	head      int
@@ -435,7 +438,9 @@ func NewFleet(cfg Config) (*Fleet, error) {
 // buildScratchpads (re)builds wk's per-table shard managers cold. Used
 // at fleet construction and at replica recovery: a recovered replica
 // starts from an empty scratchpad and re-warms through ordinary misses
-// (the priced re-warm of DESIGN.md §13). The manager seeds are
+// (the priced re-warm of DESIGN.md §13). Recovery resets the managers
+// the kill parked, which behave exactly as new ones (shard.Manager.Reset)
+// without reallocating their Hit-Maps. The manager seeds are
 // deterministic in (worker, table), so a rebuilt replica replays the
 // same policy decisions a fresh one would.
 func (f *Fleet) buildScratchpads(wk *worker) error {
@@ -450,6 +455,8 @@ func (f *Fleet) buildScratchpads(wk *worker) error {
 	if cfg.Batch.Enabled() {
 		maxPlanIDs *= cfg.Batch.Cap
 	}
+	spare := wk.parked
+	wk.parked = nil
 	wk.mgrs = wk.mgrs[:0]
 	for t := 0; t < cfg.NumTables; t++ {
 		spCfg := core.Config{
@@ -460,14 +467,17 @@ func (f *Fleet) buildScratchpads(wk *worker) error {
 			Rows:       cfg.RowsPerTable,
 		}
 		spCfg.Reserve = core.WorstCaseReserve(spCfg, maxPlanIDs)
-		mgr, err := shard.New(shard.Config{
+		mgr := &shard.Manager{}
+		if t < len(spare) {
+			mgr = spare[t]
+		}
+		if err := mgr.Reset(shard.Config{
 			Scratchpad: spCfg,
 			Shards:     f.shards,
 			Pool:       cfg.Pool,
 			Placement:  place,
 			Coord:      cfg.Coord,
-		})
-		if err != nil {
+		}); err != nil {
 			return err
 		}
 		wk.mgrs = append(wk.mgrs, mgr)
