@@ -1,14 +1,12 @@
 // Package intmap provides an open-addressing hash table from int64 keys
-// to int32 values, tuned for the scratchpad control plane's access
-// pattern: power-of-two capacity, linear probing, tombstone-free
-// (backward-shift) deletion, and an O(capacity) Clear that compiles to a
-// memclr.
+// to int32 values, tuned for per-batch deduplication (Dedup) and a
+// plan's ID->slot index: power-of-two capacity, linear probing,
+// tombstone-free (backward-shift) deletion, and an O(1) epoch Clear.
 //
 // The Go built-in map dominated the Plan stage's profile (hashing,
 // bucket-group probing, and incremental growth on every batch); this
-// table removes that overhead because the scratchpad knows its maximum
-// population up front (the slot count), keys are small non-negative
-// integers, and lookups vastly outnumber insertions. Keys are stored
+// table removes that overhead because its callers know the population
+// up front (a batch's length) and keys are small non-negative integers. Keys are stored
 // internally as key+1 so the zero word means "empty slot" and Clear can
 // use the runtime's bulk memory clear. Key and value live in one 16-byte
 // entry, so a probe touches a single cache line and a linear-probe run
@@ -35,10 +33,8 @@ type entry struct {
 
 // Map is an int64 -> int32 hash table. Keys must be non-negative. The
 // zero value is not usable until Reset (New is Reset on a zero value).
-// Get writes nothing, so concurrent Gets with no writer are safe — the
-// sharded planner's parallel pass reads one table's map from every
-// shard. Any write must run alone, matching the per-table single-writer
-// discipline of the scratchpad.
+// Get writes nothing, so concurrent Gets with no writer are safe; any
+// write must run alone.
 //
 // Clear is O(1): it bumps the map's epoch, making every existing entry
 // stale. A stale slot behaves exactly like an empty one — it terminates
@@ -314,16 +310,6 @@ func (m *Map) ForEach(f func(key int64, val int32)) {
 	for i := range m.entries {
 		if e := &m.entries[i]; e.k != 0 && e.e == m.epoch {
 			f(int64(e.k-1), e.v)
-		}
-	}
-}
-
-// ForEachIdx is ForEach that also reports each entry's position, letting
-// reverse indices rebuild after a growth.
-func (m *Map) ForEachIdx(f func(idx int, key int64, val int32)) {
-	for i := range m.entries {
-		if e := &m.entries[i]; e.k != 0 && e.e == m.epoch {
-			f(i, int64(e.k-1), e.v)
 		}
 	}
 }

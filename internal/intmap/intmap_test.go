@@ -188,11 +188,11 @@ func TestResetMatchesNew(t *testing.T) {
 				t.Fatalf("trial %d: Len/Cap %d/%d, fresh map %d/%d", trial, used.Len(), used.Cap(), fresh.Len(), fresh.Cap())
 			}
 		}
-		var got, want [][3]int64
-		used.ForEachIdx(func(i int, k int64, v int32) { got = append(got, [3]int64{int64(i), k, int64(v)}) })
-		fresh.ForEachIdx(func(i int, k int64, v int32) { want = append(want, [3]int64{int64(i), k, int64(v)}) })
+		var got, want [][2]int64
+		used.ForEach(func(k int64, v int32) { got = append(got, [2]int64{k, int64(v)}) })
+		fresh.ForEach(func(k int64, v int32) { want = append(want, [2]int64{k, int64(v)}) })
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: ForEachIdx after Reset differs from a fresh map", trial)
+			t.Fatalf("trial %d: ForEach after Reset differs from a fresh map", trial)
 		}
 	}
 }
