@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -130,15 +131,24 @@ func TestRouterExcludesDownReplica(t *testing.T) {
 	}
 }
 
-// TestHealRewarm: a replica that recovers starts cold and re-warms
-// through priced fills; the report carries the re-warm bill.
+// TestHealRewarm: a replica that recovers starts cold, on the managers
+// its kill parked, and re-warms through priced fills; the report carries
+// the re-warm bill.
 func TestHealRewarm(t *testing.T) {
 	cfg := testConfig(PolicyRoundRobin, trace.High)
 	cfg.Faults = mustServeFaults(t, "replica1@0.05-0.1")
 	cfg.Retry = RetrySpec{Max: 2}
-	rep, err := Run(cfg)
+	f, err := NewFleet(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	before := slices.Clone(f.workers[1].mgrs)
+	rep, err := f.Simulate(f.cfg.Arrival.Times(cfg.Requests, cfg.Seed+8200))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(f.workers[1].mgrs, before) {
+		t.Error("heal built new managers instead of resetting the killed replica's")
 	}
 	checkConserved(t, rep)
 	if rep.RewarmFills == 0 || rep.RewarmTime <= 0 {
