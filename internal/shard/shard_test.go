@@ -278,7 +278,7 @@ var singleShardPins = map[cache.PolicyKind]struct {
 // The reference implements LRU only, so the LFU and random legs hold
 // the manager to its recorded plans instead: a hash of every plan and
 // the final statistics, cold and after a Prewarm (which must not depend
-// on whether the duplicate-draw check uses the row bitmap).
+// on whether it presizes the Hit-Map from the row count).
 func TestSingleShardBitIdentical(t *testing.T) {
 	for _, policy := range []cache.PolicyKind{cache.LRU, cache.LFU, cache.RandomPolicy} {
 		t.Run(string(policy), func(t *testing.T) {
