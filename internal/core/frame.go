@@ -193,11 +193,22 @@ func (f *Frame) GrowRows(rows int64) {
 	}
 }
 
-// InRange reports whether id is a row of the table: non-negative and,
-// when the configuration names the row count, below it. The miss loop
-// and Prewarm reject an ID out of range; a lookup of one misses.
-func (f *Frame) InRange(id int64) bool {
-	return id >= 0 && (f.cfg.Rows == 0 || id < f.cfg.Rows)
+// CheckID returns an error unless id is a row of the table: non-negative
+// and, when the configuration names the row count, below it. The miss
+// loop and Prewarm reject an ID out of range; a lookup of one misses.
+func (f *Frame) CheckID(id int64) error {
+	if id >= 0 && (f.cfg.Rows == 0 || id < f.cfg.Rows) {
+		return nil
+	}
+	return f.idError(id)
+}
+
+// idError describes an ID CheckID rejects.
+func (f *Frame) idError(id int64) error {
+	if f.cfg.Rows > 0 {
+		return fmt.Errorf("sparse ID %d outside the table's rows [0, %d)", id, f.cfg.Rows)
+	}
+	return fmt.Errorf("negative sparse ID %d", id)
 }
 
 // lookup returns id's slot, reporting whether it is resident.

@@ -614,8 +614,8 @@ func (m *Manager) PlanUniqueWithHints(seq int, uniq []int64, counts []int32, fut
 	// last resort.
 	m.sweepArmed = false
 	for _, k := range missIdx {
-		if id := res.UniqueIDs[k]; !m.InRange(id) {
-			return nil, fmt.Errorf("shard: plan %d: %s", seq, m.outOfRange(id))
+		if err := m.CheckID(res.UniqueIDs[k]); err != nil {
+			return nil, fmt.Errorf("shard: plan %d: %w", seq, err)
 		}
 		j := 0
 		if shardOf != nil {
@@ -791,8 +791,8 @@ func (m *Manager) PrewarmRows(rows int64, sample func() int64, onFill func(id in
 	limit := 8*m.Capacity() + 100
 	for draws := 0; m.freePrimaryTotal > 0 && draws < limit; draws++ {
 		id := sample()
-		if !m.InRange(id) {
-			panic("shard: prewarm: " + m.outOfRange(id))
+		if err := m.CheckID(id); err != nil {
+			panic("shard: prewarm: " + err.Error())
 		}
 		if m.Contains(id) {
 			continue
@@ -807,12 +807,4 @@ func (m *Manager) PrewarmRows(rows int64, sample func() int64, onFill func(id in
 		inserted++
 	}
 	return inserted
-}
-
-// outOfRange describes a sparse ID the frame's InRange rejects.
-func (m *Manager) outOfRange(id int64) string {
-	if rows := m.Config().Rows; rows > 0 {
-		return fmt.Sprintf("sparse ID %d outside the table's rows [0, %d)", id, rows)
-	}
-	return fmt.Sprintf("negative sparse ID %d", id)
 }
