@@ -6,11 +6,11 @@
 // The Go built-in map dominated the Plan stage's profile (hashing,
 // bucket-group probing, and incremental growth on every batch); this
 // table removes that overhead because its callers know the population
-// up front (a batch's length) and keys are small non-negative integers. Keys are stored
-// internally as key+1 so the zero word means "empty slot" and Clear can
-// use the runtime's bulk memory clear. Key and value live in one 16-byte
-// entry, so a probe touches a single cache line and a linear-probe run
-// covers four entries per line.
+// up front (a batch's length) and keys are small non-negative integers.
+// Keys are stored internally as key+1 so the zero word means "empty
+// slot" and Clear can use the runtime's bulk memory clear. Key and value
+// live in one 16-byte entry, so a probe touches a single cache line and
+// a linear-probe run covers four entries per line.
 package intmap
 
 import "fmt"
