@@ -66,17 +66,13 @@ type StageFunc func(cycle int, job Job) error
 // every in-flight job by one stage; with Parallel set, the six stage
 // executions of a cycle run in separate goroutines — the configuration
 // under which any violation of the hold-mask discipline becomes a data
-// race that `go test -race` (and the HazardChecker) will catch.
+// race that `go test -race` will catch.
 type Pipeline struct {
 	stages   [NumStages]StageFunc
 	inFlight [NumStages]Job // inFlight[s] is the job executing stage s next cycle
 	lastExec [NumStages]Job // stage occupancy during the most recent cycle
 	cycle    int
 	parallel bool
-	// onCycleStart, if set, is invoked before each cycle's stage
-	// executions with the cycle number (used to rotate the hazard
-	// checker's window).
-	onCycleStart func(cycle int)
 }
 
 // NewPipeline builds a pipeline with one function per stage; nil stage
@@ -84,9 +80,6 @@ type Pipeline struct {
 func NewPipeline(stages [NumStages]StageFunc, parallel bool) *Pipeline {
 	return &Pipeline{stages: stages, parallel: parallel}
 }
-
-// SetCycleStartHook registers a function called at the start of each cycle.
-func (p *Pipeline) SetCycleStartHook(f func(cycle int)) { p.onCycleStart = f }
 
 // Cycle returns the number of completed cycles.
 func (p *Pipeline) Cycle() int { return p.cycle }
@@ -122,10 +115,6 @@ func (p *Pipeline) RunCycle(newJob Job) (completed Job, err error) {
 	}
 	p.inFlight[0] = newJob
 	p.lastExec = p.inFlight
-
-	if p.onCycleStart != nil {
-		p.onCycleStart(p.cycle)
-	}
 
 	if p.parallel {
 		var wg sync.WaitGroup

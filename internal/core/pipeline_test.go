@@ -142,16 +142,11 @@ func TestPipelineNilStagesAreNoOps(t *testing.T) {
 }
 
 func TestPipelineCycleHookAndAccessors(t *testing.T) {
-	var hooks []int
 	stages, _, _ := recordingStages(t)
 	p := NewPipeline(stages, false)
-	p.SetCycleStartHook(func(c int) { hooks = append(hooks, c) })
 	j0 := &testJob{seq: 0}
 	if _, err := p.RunCycle(j0); err != nil {
 		t.Fatal(err)
-	}
-	if len(hooks) != 1 || hooks[0] != 0 {
-		t.Fatalf("hooks %v", hooks)
 	}
 	if p.AtStage(StageLoad) != Job(j0) {
 		t.Fatal("AtStage(Load) mismatch")
@@ -174,69 +169,5 @@ func TestStageString(t *testing.T) {
 	}
 	if Stage(99).String() == "" {
 		t.Error("unknown stage string empty")
-	}
-}
-
-func TestHazardCheckerOrdering(t *testing.T) {
-	h := NewHazardChecker(0)
-	h.BeginCycle(0)
-	// Batch 0 writes a CPU row at cycle 0; batch 2 reads it at cycle 1:
-	// physically and logically ordered -> no violation.
-	h.Access(StageInsert, ResCPURow, 0, 42, true, 0)
-	h.BeginCycle(1)
-	h.Access(StageCollect, ResCPURow, 0, 42, false, 2)
-	if h.Count() != 0 {
-		t.Fatalf("ordered accesses flagged: %v", h.Violations())
-	}
-	// Batch 1 (logically earlier than 2) writes the same row at cycle 2
-	// AFTER batch 2's read: stale-read hazard.
-	h.BeginCycle(2)
-	h.Access(StageInsert, ResCPURow, 0, 42, true, 1)
-	if h.Count() != 1 {
-		t.Fatalf("stale write not flagged: count=%d", h.Count())
-	}
-}
-
-func TestHazardCheckerSameCycleConflict(t *testing.T) {
-	h := NewHazardChecker(0)
-	h.BeginCycle(5)
-	h.Access(StageTrain, ResGPUSlot, 1, 7, true, 3)
-	h.Access(StageCollect, ResGPUSlot, 1, 7, false, 6)
-	if h.Count() != 1 {
-		t.Fatalf("same-cycle write/read not flagged")
-	}
-	// Reads alone never conflict.
-	h2 := NewHazardChecker(0)
-	h2.BeginCycle(0)
-	h2.Access(StageCollect, ResCPURow, 0, 1, false, 0)
-	h2.Access(StageCollect, ResCPURow, 0, 1, false, 5)
-	if h2.Count() != 0 {
-		t.Fatal("read/read flagged")
-	}
-	// Same batch touching its own resource across stages is fine.
-	h3 := NewHazardChecker(0)
-	h3.BeginCycle(0)
-	h3.Access(StageInsert, ResGPUSlot, 0, 2, true, 4)
-	h3.Access(StageTrain, ResGPUSlot, 0, 2, true, 4)
-	if h3.Count() != 0 {
-		t.Fatal("same-batch accesses flagged")
-	}
-}
-
-func TestHazardCheckerRetentionLimit(t *testing.T) {
-	h := NewHazardChecker(2)
-	h.BeginCycle(0)
-	for i := 0; i < 5; i++ {
-		h.Access(StageTrain, ResGPUSlot, 0, int64(i), true, 1)
-		h.Access(StageCollect, ResGPUSlot, 0, int64(i), true, 2)
-	}
-	if h.Count() != 5 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	if len(h.Violations()) != 2 {
-		t.Fatalf("retained = %d", len(h.Violations()))
-	}
-	if h.Violations()[0].String() == "" {
-		t.Error("violation string empty")
 	}
 }

@@ -37,7 +37,6 @@ type dynamicState struct {
 	// assignment, prefetching them at [Collect] and writing them back
 	// at [Insert] exactly like the embedding rows.
 	stateStorage []*tensor.Matrix
-	hazard       *core.HazardChecker
 	// jobPool recycles spJobs (and, through shard.Manager.Recycle, their
 	// plans) once batches retire, keeping the steady-state cycle free
 	// of per-batch allocations. It is sized for a full pipeline (at
@@ -145,7 +144,7 @@ type jobTable struct {
 // Seq implements core.Job.
 func (j *spJob) Seq() int { return j.batch.Seq }
 
-func newDynamicState(env *Env, cacheFrac float64, policy cache.PolicyKind, past, future int, hazard *core.HazardChecker) (*dynamicState, error) {
+func newDynamicState(env *Env, cacheFrac float64, policy cache.PolicyKind, past, future int) (*dynamicState, error) {
 	if cacheFrac <= 0 || cacheFrac > 1 {
 		return nil, fmt.Errorf("engine: dynamic cache: cacheFrac %g out of (0,1]", cacheFrac)
 	}
@@ -155,7 +154,7 @@ func newDynamicState(env *Env, cacheFrac float64, policy cache.PolicyKind, past,
 		slots = 1
 	}
 	d := &dynamicState{
-		env: env, cost: costModel{env: env}, pool: env.Pool, hazard: hazard, gpus: 1, lastCkpt: -1,
+		env: env, cost: costModel{env: env}, pool: env.Pool, gpus: 1, lastCkpt: -1,
 		jobPool: make([]*spJob, 0, core.NumStages),
 	}
 	if env.Cfg.Faults.Active() {
@@ -408,14 +407,6 @@ func (j *spJob) collectTable(t int) error {
 		d.cost.stateMoveCPU(len(plan.Fills))
 	tb.gpu = d.cost.gatherGPU(len(plan.Evictions)) +
 		d.cost.stateMoveGPU(len(plan.Evictions))
-	if d.hazard != nil {
-		for _, f := range plan.Fills {
-			d.hazard.Access(core.StageCollect, core.ResCPURow, t, f.ID, false, j.batch.Seq)
-		}
-		for _, e := range plan.Evictions {
-			d.hazard.Access(core.StageCollect, core.ResGPUSlot, t, int64(e.Slot), false, j.batch.Seq)
-		}
-	}
 	if !d.env.Cfg.Functional {
 		return nil
 	}
@@ -501,14 +492,6 @@ func (j *spJob) insertTable(t int) error {
 		d.cost.stateMoveGPU(len(plan.Fills))
 	tb.cpu = d.cost.scatterWriteCPU(len(plan.Evictions)) +
 		d.cost.stateMoveCPU(len(plan.Evictions))
-	if d.hazard != nil {
-		for _, f := range plan.Fills {
-			d.hazard.Access(core.StageInsert, core.ResGPUSlot, t, int64(f.Slot), true, j.batch.Seq)
-		}
-		for _, e := range plan.Evictions {
-			d.hazard.Access(core.StageInsert, core.ResCPURow, t, e.OldID, true, j.batch.Seq)
-		}
-	}
 	if !d.env.Cfg.Functional {
 		return nil
 	}
@@ -599,7 +582,7 @@ func (d *dynamicState) stageTrain(job *spJob) error {
 	return nil
 }
 
-// trainTable is the timing (and hazard) body of stageTrain for table t.
+// trainTable is the timing body of stageTrain for table t.
 func (j *spJob) trainTable(t int) error {
 	d, tb := j.d, &j.tabs[t]
 	cfg := d.env.Cfg.Model
@@ -610,11 +593,6 @@ func (j *spJob) trainTable(t int) error {
 		d.cost.dupCoalesceGPU(cfg.BatchSize, ids, uniq) +
 		d.cost.scatterUpdateGPU(uniq) +
 		d.cost.stateUpdateGPU(uniq)
-	if d.hazard != nil {
-		for _, slot := range tb.plan.Slots {
-			d.hazard.Access(core.StageTrain, core.ResGPUSlot, t, int64(slot), true, j.batch.Seq)
-		}
-	}
 	return nil
 }
 

@@ -3,7 +3,6 @@ package engine
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/hw"
 	"repro/internal/trace"
 )
@@ -81,24 +80,12 @@ func TestWorkersEquivalence(t *testing.T) {
 }
 
 // TestWorkersHazardFree runs the parallel pipeline AND the per-table
-// fan-out together under the hazard checker: stage-level and table-level
-// parallelism must compose without conflicts (this is also the
-// configuration `go test -race ./internal/engine/` exercises).
+// fan-out together: stage-level and table-level parallelism must compose
+// without conflicts, so the weights still match hybrid's bitwise (this
+// is also the configuration `go test -race ./internal/engine/`
+// exercises).
 func TestWorkersHazardFree(t *testing.T) {
-	hz := core.NewHazardChecker(16)
-	env := newWorkersEnv(t, trace.Random, 19, 4)
-	eng, err := NewScratchPipe(env, ScratchPipeOptions{
-		CacheFrac: 0.05,
-		Parallel:  true,
-		Hazard:    hz,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Run(40); err != nil {
-		t.Fatal(err)
-	}
-	if n := hz.Count(); n != 0 {
-		t.Fatalf("%d hazard violations with workers=4: %v", n, hz.Violations()[0])
+	if diff := againstHybrid(t, 19, 4, 40, ScratchPipeOptions{CacheFrac: 0.05, Parallel: true}); diff != "" {
+		t.Fatalf("workers=4: %s", diff)
 	}
 }

@@ -217,6 +217,20 @@ func TestStaticCacheFracBounds(t *testing.T) {
 	}
 }
 
+// TestScratchPipeOptionBounds: negative windows and counts are errors,
+// not sentinels.
+func TestScratchPipeOptionBounds(t *testing.T) {
+	for _, opts := range []ScratchPipeOptions{
+		{CacheFrac: 0.05, FutureWindow: -1},
+		{CacheFrac: 0.05, EvictionLookahead: -1},
+		{CacheFrac: 0.05, NumGPUs: -1},
+	} {
+		if _, err := NewScratchPipe(newTestEnv(t, trace.Low, 83), opts); err == nil {
+			t.Errorf("%+v accepted", opts)
+		}
+	}
+}
+
 // TestMultiGPUCapacityCheck: the multi-GPU engine refuses models that do
 // not fit the pooled HBM (the feasibility requirement §VI-F states).
 func TestMultiGPUCapacityCheck(t *testing.T) {

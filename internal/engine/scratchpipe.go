@@ -18,9 +18,7 @@ type ScratchPipeOptions struct {
 	// (default LRU).
 	Policy cache.PolicyKind
 	// FutureWindow is the number of upcoming batches whose cached rows
-	// the Plan stage pins (look-ahead). 0 selects the paper's 2; -1
-	// disables the future window entirely (fault injection: this
-	// reintroduces RAW-4).
+	// the Plan stage pins (look-ahead). 0 selects the paper's 2.
 	FutureWindow int
 	// EvictionLookahead extends the dataset look-ahead beyond the
 	// hazard window: the Plan stage additionally reads the IDs of
@@ -32,15 +30,6 @@ type ScratchPipeOptions struct {
 	// Parallel executes each cycle's six stages in separate goroutines;
 	// any hold-discipline bug then becomes a data race.
 	Parallel bool
-	// Hazard, when non-nil, records every row/slot access for conflict
-	// checking (tests only: it is O(accesses) per cycle).
-	Hazard *core.HazardChecker
-	// UnsafeReleaseAt releases a batch's hold protection when it enters
-	// the given stage instead of [Train]. It exists purely for fault
-	// injection: releasing early shrinks the effective past-window and
-	// reintroduces the RAW-2/3 hazards, which the tests then observe
-	// through the HazardChecker. The zero value selects [Train].
-	UnsafeReleaseAt core.Stage
 	// ColdStart skips the steady-state cache prewarm (measurements then
 	// include the compulsory-miss ramp).
 	ColdStart bool
@@ -61,19 +50,27 @@ type ScratchPipeOptions struct {
 	// (table-wise parallelism reorders no float operation). Zero
 	// selects the paper's single-GPU design.
 	NumGPUs int
+
+	// The two hazard plants, set only by this package's tests, which
+	// must then see the model state diverge from hybrid's. releaseAt
+	// releases a batch's holds when it enters the given stage instead
+	// of [Train], shrinking the past window (RAW-2/3); the zero value
+	// selects [Train]. noFuture disables the future window (RAW-4).
+	releaseAt core.Stage
+	noFuture  bool
 }
 
 func (o *ScratchPipeOptions) applyDefaults() {
 	if o.Policy == "" {
 		o.Policy = cache.LRU
 	}
-	if o.FutureWindow == 0 {
-		_, o.FutureWindow = core.DefaultWindows()
-	} else if o.FutureWindow < 0 {
+	if o.noFuture {
 		o.FutureWindow = 0
+	} else if o.FutureWindow == 0 {
+		_, o.FutureWindow = core.DefaultWindows()
 	}
-	if o.UnsafeReleaseAt == core.StageLoad {
-		o.UnsafeReleaseAt = core.StageTrain
+	if o.releaseAt == core.StageLoad {
+		o.releaseAt = core.StageTrain
 	}
 }
 
@@ -82,7 +79,7 @@ func (o *ScratchPipeOptions) applyDefaults() {
 // width is the pipeline distance between the two (3 for the paper's
 // release-at-[Train]).
 func (o ScratchPipeOptions) pastWindow() int {
-	return int(o.UnsafeReleaseAt-core.StagePlan) - 1
+	return int(o.releaseAt-core.StagePlan) - 1
 }
 
 // ScratchPipe is the paper's proposed engine (§IV-C, Figure 10): the
@@ -102,8 +99,8 @@ type ScratchPipe struct {
 // NewScratchPipe builds the pipelined engine.
 func NewScratchPipe(env *Env, opts ScratchPipeOptions) (*ScratchPipe, error) {
 	opts.applyDefaults()
-	if opts.UnsafeReleaseAt <= core.StagePlan || opts.UnsafeReleaseAt > core.StageTrain {
-		return nil, fmt.Errorf("engine: scratchpipe: release stage %s out of (Plan, Train]", opts.UnsafeReleaseAt)
+	if opts.FutureWindow < 0 {
+		return nil, fmt.Errorf("engine: scratchpipe: negative future window")
 	}
 	if opts.EvictionLookahead < 0 {
 		return nil, fmt.Errorf("engine: scratchpipe: negative eviction look-ahead")
@@ -114,7 +111,7 @@ func NewScratchPipe(env *Env, opts ScratchPipeOptions) (*ScratchPipe, error) {
 	if opts.NumGPUs == 0 {
 		opts.NumGPUs = 1
 	}
-	dyn, err := newDynamicState(env, opts.CacheFrac, opts.Policy, opts.pastWindow(), opts.FutureWindow, opts.Hazard)
+	dyn, err := newDynamicState(env, opts.CacheFrac, opts.Policy, opts.pastWindow(), opts.FutureWindow)
 	if err != nil {
 		return nil, err
 	}
@@ -143,17 +140,11 @@ func NewScratchPipe(env *Env, opts ScratchPipeOptions) (*ScratchPipe, error) {
 	stages[core.StageInsert] = wrap(dyn.stageInsert)
 	stages[core.StageTrain] = wrap(dyn.stageTrain)
 	s.pipe = core.NewPipeline(stages, opts.Parallel)
-	if opts.Hazard != nil {
-		s.pipe.SetCycleStartHook(opts.Hazard.BeginCycle)
-	}
 	return s, nil
 }
 
 // Name implements Engine.
 func (s *ScratchPipe) Name() string { return "scratchpipe" }
-
-// Options returns the engine options (after defaulting).
-func (s *ScratchPipe) Options() ScratchPipeOptions { return s.opts }
 
 // Run implements Engine: injects n mini-batches, pipelines them to
 // completion, and reports steady-state per-iteration latency.
@@ -173,10 +164,8 @@ func (s *ScratchPipe) Run(n int) (*Report, error) {
 	runCycle := func(job *spJob) error {
 		// The job about to enter [Train] stops holding its slots:
 		// from this cycle's [Plan] onward they are fair eviction
-		// game, exactly the paper's past-window arithmetic. (Fault
-		// injection may move the release earlier; see
-		// UnsafeReleaseAt.)
-		if entering := s.pipe.AtStage(s.opts.UnsafeReleaseAt - 1); entering != nil {
+		// game, exactly the paper's past-window arithmetic.
+		if entering := s.pipe.AtStage(s.opts.releaseAt - 1); entering != nil {
 			if err := s.dyn.release(entering.(*spJob)); err != nil {
 				return err
 			}

@@ -25,7 +25,7 @@ type StrawMan struct {
 // cacheFrac x RowsPerTable slots and the given replacement policy. The
 // cache is prewarmed to steady state like ScratchPipe's.
 func NewStrawMan(env *Env, cacheFrac float64, policy cache.PolicyKind) (*StrawMan, error) {
-	dyn, err := newDynamicState(env, cacheFrac, policy, 0, 0, nil)
+	dyn, err := newDynamicState(env, cacheFrac, policy, 0, 0)
 	if err != nil {
 		return nil, err
 	}
