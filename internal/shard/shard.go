@@ -549,6 +549,12 @@ func (m *Manager) Plan(seq int, ids []int64, future [][]int64) (*core.PlanResult
 // (the dataset records them once per batch) should call
 // PlanUniqueWithHints directly and skip the extra pass.
 func (m *Manager) PlanWithHints(seq int, ids []int64, future, hints [][]int64) (*core.PlanResult, error) {
+	// Reject a bad ID before deduplication, which cannot key a negative.
+	for _, id := range ids {
+		if err := m.CheckID(id); err != nil {
+			return nil, fmt.Errorf("shard: plan %d: %w", seq, err)
+		}
+	}
 	uniq, cnt := m.Dedup(ids)
 	return m.PlanUniqueWithHints(seq, uniq, cnt, future, hints)
 }

@@ -211,21 +211,36 @@ func TestOutOfRangeID(t *testing.T) {
 			plan := func(seq int, uniq []int64, future [][]int64) (*core.PlanResult, error) {
 				return m.PlanUniqueWithHints(seq, uniq, nil, future, nil)
 			}
+			// The batch's IDs reach the planner deduplicated (the
+			// native form) or as an occurrence stream through Plan.
+			planners := []struct {
+				name string
+				plan func(seq int, ids []int64) (*core.PlanResult, error)
+			}{
+				{"PlanUniqueWithHints", func(seq int, ids []int64) (*core.PlanResult, error) { return plan(seq, ids, nil) }},
+				{"Plan", func(seq int, ids []int64) (*core.PlanResult, error) { return m.Plan(seq, ids, nil) }},
+			}
 			if _, err := plan(0, []int64{1, 2}, [][]int64{{rows, -5, 1 << 40}}); err != nil {
 				t.Fatalf("window IDs out of range should be absent: %v", err)
 			}
-			for seq, id := range []int64{rows, -1, 1 << 40} {
-				_, err := plan(seq+1, []int64{3, id}, nil)
-				want := fmt.Sprintf("plan %d: ", seq+1)
-				if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), fmt.Sprintf("sparse ID %d ", id)) {
-					t.Fatalf("id %d: got %v, want an error naming %q and the ID", id, err, want)
+			seq := 1
+			for _, p := range planners {
+				for _, id := range []int64{rows, -1, 1 << 40} {
+					_, err := p.plan(seq, []int64{3, id})
+					want := fmt.Sprintf("plan %d: ", seq)
+					if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), fmt.Sprintf("sparse ID %d ", id)) {
+						t.Fatalf("%s: id %d: got %v, want an error naming %q and the ID", p.name, id, err, want)
+					}
+					seq++
 				}
 			}
 
 			cfg.Rows = 0
-			m = newMgr(cfg)
-			if _, err := plan(0, []int64{-2}, nil); err == nil || !strings.Contains(err.Error(), "plan 0: negative sparse ID -2") {
-				t.Fatalf("negative id without rows: got %v", err)
+			for _, p := range planners {
+				m = newMgr(cfg)
+				if _, err := p.plan(0, []int64{-2}); err == nil || !strings.Contains(err.Error(), "plan 0: negative sparse ID -2") {
+					t.Fatalf("%s: negative id without rows: got %v", p.name, err)
+				}
 			}
 			m = newMgr(cfg)
 			res, err := plan(0, []int64{5, 1 << 20}, nil)
