@@ -28,9 +28,6 @@ func (s *Series) Add(v float64) {
 // reallocate.
 func (s *Series) Grow(n int) { s.samples = slices.Grow(s.samples, n) }
 
-// Len returns the number of samples.
-func (s *Series) Len() int { return len(s.samples) }
-
 // Summary is the digest of a Series.
 type Summary struct {
 	Count         int

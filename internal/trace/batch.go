@@ -235,9 +235,6 @@ func (g *Generator) Fork() *Generator {
 	return &Generator{cfg: g.cfg, dists: g.dists, rec: g.rec, replay: true}
 }
 
-// Config returns the generator's configuration.
-func (g *Generator) Config() GeneratorConfig { return g.cfg }
-
 // Dists returns the per-table access distributions (shared, read-only).
 func (g *Generator) Dists() []Distribution {
 	out := make([]Distribution, len(g.dists))

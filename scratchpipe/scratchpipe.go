@@ -96,9 +96,6 @@ const (
 	PlaceLoadAware = hw.PlaceLoadAware
 )
 
-// ParsePlacementPolicy resolves a placement policy name ("" = stripe).
-func ParsePlacementPolicy(s string) (PlacementPolicy, error) { return hw.ParsePlacementPolicy(s) }
-
 // CoordMode selects the cross-shard coordination protocol (see
 // internal/shard): how the eviction-budget coordinator talks once
 // shards are placed on different topology nodes.
@@ -114,9 +111,6 @@ const (
 	CoordHier   = shard.CoordHier
 	CoordApprox = shard.CoordApprox
 )
-
-// ParseCoordMode resolves a coordination protocol name ("" = exact).
-func ParseCoordMode(s string) (CoordMode, error) { return shard.ParseCoordMode(s) }
 
 // CoordStats aggregates cross-node coordination traffic (see
 // shard.CoordStats for field docs); Report.Coord carries the run's
@@ -208,10 +202,6 @@ type ServeReport = serve.Report
 // retries.
 type RetrySpec = serve.RetrySpec
 
-// ParseRetry parses the -retry flag grammar: "<max>[:<backoff-ms>]",
-// e.g. "2" or "3:0.25". "" parses to the inactive zero spec.
-func ParseRetry(s string) (RetrySpec, error) { return serve.ParseRetry(s) }
-
 // AdmissionSpec configures the serving frontend's admission controller
 // (see serve.AdmissionSpec): shed by policy past a queue-depth
 // threshold, optionally degrading rejections onto the CPU fallback
@@ -234,20 +224,11 @@ const (
 	AdmitCheapest = serve.AdmitCheapest
 )
 
-// ParseAdmission parses the -admission flag grammar:
-// "newest|cheapest[:<threshold>][:degrade]", or the bare "degrade".
-// "" parses to the inactive zero spec.
-func ParseAdmission(s string) (AdmissionSpec, error) { return serve.ParseAdmission(s) }
-
 // BatchSpec configures replica-side request batching (see
 // serve.BatchSpec): each worker services up to Cap queued queries as
 // one deduplicated batch, holding an undersized batch open at most
 // Delay seconds. The zero spec (and Cap <= 1) disables batching.
 type BatchSpec = serve.BatchSpec
-
-// ParseBatch parses the -serve-batch flag grammar: "<cap>[:<delay-ms>]",
-// e.g. "8" or "8:0.25". "" and "1" parse to the disabled zero spec.
-func ParseBatch(s string) (BatchSpec, error) { return serve.ParseBatch(s) }
 
 // PolicyKind selects the scratchpad replacement policy.
 type PolicyKind = cache.PolicyKind
