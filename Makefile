@@ -1,13 +1,14 @@
 # Developer entry points. `make check` is the CI gate (run on every
 # push/PR by .github/workflows/ci.yml): everything it runs must stay
-# green, including the race detector over every package that spawns or
-# drives goroutines.
+# green, from gofmt cleanliness to the race detector over every package
+# that spawns or drives goroutines, so a local green `make check` is a
+# green CI check job.
 
 GO ?= go
 
 .PHONY: check vet build test race examples benchmodule bench hotpath benchgate fmtcheck doccheck fuzzsmoke
 
-check: vet build test race examples benchmodule doccheck
+check: fmtcheck vet build test race examples benchmodule doccheck
 
 vet:
 	$(GO) vet ./...
@@ -69,7 +70,7 @@ fuzzsmoke:
 doccheck:
 	$(GO) run ./cmd/doccheck
 
-# Fails if any file is not gofmt-clean (CI runs this before make check).
+# Fails if any file is not gofmt-clean (`make check` runs it first).
 fmtcheck:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
