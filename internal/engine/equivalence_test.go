@@ -211,6 +211,17 @@ func TestScratchPipeHazardFree(t *testing.T) {
 	}
 }
 
+// plantModes lists the Parallel settings a hazard plant runs under. A
+// plant's same-cycle conflicts are data races by construction, which the
+// race detector reports as the failure it is, so a -race build runs the
+// plants on the serial pipeline only.
+func plantModes() []bool {
+	if raceEnabled {
+		return []bool{false}
+	}
+	return []bool{false, true}
+}
+
 // TestHazardInjectionFutureWindow shows the converse: removing the future
 // window reintroduces RAW-4 (eviction write-backs racing future batches'
 // CPU-side collects), and the weights drift from hybrid's.
@@ -324,15 +335,4 @@ func TestStrawManSlowerThanScratchPipe(t *testing.T) {
 	if repB.IterTime >= repA.IterTime {
 		t.Fatalf("scratchpipe iter %.3gs not faster than strawman %.3gs", repB.IterTime, repA.IterTime)
 	}
-}
-
-// plantModes lists the Parallel settings a hazard plant runs under. A
-// plant's same-cycle conflicts are data races by construction, which the
-// race detector reports as the failure it is, so a -race build runs the
-// plants on the serial pipeline only.
-func plantModes() []bool {
-	if raceEnabled {
-		return []bool{false}
-	}
-	return []bool{false, true}
 }
