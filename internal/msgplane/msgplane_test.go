@@ -1,10 +1,14 @@
 package msgplane
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math"
-	"runtime"
+	"math/rand"
+	"path/filepath"
+	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/hw"
 )
@@ -40,9 +44,9 @@ func TestSingleRound(t *testing.T) {
 }
 
 func TestSerializesThroughOneExec(t *testing.T) {
-	// Three peers funneling through exec node 0: the host goroutine
-	// drains its inbox in order, so the makespan is the sum of the
-	// crossing costs — the exact-protocol serialization property.
+	// Three peers funneling through exec node 0: the exec queue serves
+	// them in script order, so the makespan is the sum of the crossing
+	// costs — the exact-protocol serialization property.
 	topo := hw.Cluster(4, 1)
 	p := New(topo)
 	var ops []Op
@@ -90,6 +94,25 @@ func TestPhaseBarrier(t *testing.T) {
 	}
 }
 
+func TestPhaseEntryClock(t *testing.T) {
+	// Phase 0 lifts peer 3's clock to d0. In phase 1 peer 3 sends to two
+	// different exec hosts: both requests are issued at 3's phase-entry
+	// clock and overlap, so the makespan is d0 + max(d1, d2). Had the
+	// first completion lifted 3's clock inside the phase, the second
+	// request would queue behind it and the makespan would be
+	// d0 + d1 + d2.
+	topo := hw.Cluster(4, 1)
+	p := New(topo)
+	l := topo.Link(0, 3)
+	cost := func(b float64) float64 { return l.Latency + b/l.Bandwidth }
+	ops := []Op{round(0, 3, 64, 0), round(1, 3, 512, 1), round(2, 3, 256, 1)}
+	want := cost(64) + cost(512)
+	total, _ := p.Execute(nil, ops)
+	if !approx(total, want) {
+		t.Fatalf("total = %g, want %g (both phase-1 requests start at the peer's entry clock)", total, want)
+	}
+}
+
 func TestOverlapSplit(t *testing.T) {
 	// The overlapped script's makespan is reported as overlapEnd, and
 	// critical ops start no earlier than that barrier even on idle
@@ -134,6 +157,9 @@ func TestNilPlane(t *testing.T) {
 	if total != 0 || oend != 0 {
 		t.Fatalf("nil plane Execute = (%g, %g), want (0, 0)", total, oend)
 	}
+	if s := p.Serial([]Op{round(0, 1, 64, 0)}); s != 0 {
+		t.Fatalf("nil plane Serial = %g, want 0", s)
+	}
 	if New(nil) != nil {
 		t.Fatal("New(nil topology) should return nil")
 	}
@@ -168,14 +194,93 @@ func phasedScript(n int32) []Op {
 	return ops
 }
 
-// TestExecuteZeroAllocs pins the launch path: per-phase host goroutines
-// start through closures built at construction, so a warm Execute
-// allocates nothing.
+// TestExecuteZeroAllocs pins the per-Plan pricing path: a warm Execute
+// and a warm Serial run on the plane's preallocated scratch alone.
 func TestExecuteZeroAllocs(t *testing.T) {
 	p := New(hw.Cluster(2, 2))
 	ops := phasedScript(4)
 	if got := testing.AllocsPerRun(20, func() { p.Execute(ops[:16], ops[16:]) }); got != 0 {
 		t.Fatalf("Execute allocated %v times per run, want 0", got)
+	}
+	if got := testing.AllocsPerRun(20, func() { p.Serial(ops) }); got != 0 {
+		t.Fatalf("Serial allocated %v times per run, want 0", got)
+	}
+}
+
+func TestSerialMatchesLinkSum(t *testing.T) {
+	topo := hw.Cluster(2, 2) // nodes 0,1 on host 0; 2,3 on host 1
+	topo.SetLink(0, 1, hw.DefaultLink(hw.TierLocal))
+	down := topo.Link(1, 3)
+	down.Down = true
+	topo.SetLink(1, 3, down)
+	p := New(topo)
+	ops := []Op{
+		round(0, 2, 64, 0),
+		{Exec: 0, Peer: 2, Bytes: 12, Phase: 0}, // rider: bytes, no round
+		round(2, 3, 16, 0),
+		round(0, 0, 4096, 1), // co-located endpoints: free
+		round(1, 0, 4096, 1), // TierLocal link: free
+		round(1, 3, 4096, 1), // down link: free
+		round(2, 0, 32, 2),   // the (0,2) pair again, reversed
+	}
+	l02, l23 := topo.Link(0, 2), topo.Link(2, 3)
+	want := 2*l02.Latency + 108/l02.Bandwidth
+	want += 1*l23.Latency + 16/l23.Bandwidth
+	if got := p.Serial(ops); got != want {
+		t.Fatalf("Serial = %v, want %v", got, want)
+	}
+	if got := p.Serial(ops); got != want {
+		t.Fatalf("second Serial = %v, want %v (tallies must reset)", got, want)
+	}
+}
+
+// TestExecuteBoundedBySerial checks the queueing model against the
+// serial price on random scripts: queueing can overlap links but never
+// costs more than crossing them one after another, and a single
+// exec-peer queue within one phase is exactly the serial sum.
+func TestExecuteBoundedBySerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	leq := func(a, b float64) bool { return a <= b || approx(a, b) }
+	for trial := 0; trial < 240; trial++ {
+		topo := hw.Cluster(2, 2)
+		if trial%2 == 1 {
+			topo = hw.MultiSocket(4)
+		}
+		n := int32(topo.NumNodes())
+		pair := func() (int32, int32) { a := rng.Int31n(n); return a, (a + 1 + rng.Int31n(n-1)) % n }
+		if trial%3 == 0 {
+			a, b := pair()
+			l := topo.Link(int(a), int(b))
+			l.Down = true
+			topo.SetLink(int(a), int(b), l)
+		}
+		p := New(topo)
+		// script draws k ops: random endpoints and phases, or one
+		// exec-peer queue in phase 0.
+		script := func(k int, exec, peer int32, random bool) []Op {
+			var ops []Op
+			phase := int32(0)
+			for ; k > 0; k-- {
+				if random {
+					exec, peer = rng.Int31n(n), rng.Int31n(n)
+					phase += int32(rng.Intn(2))
+				}
+				ops = append(ops, Op{Exec: exec, Peer: peer, Bytes: float64(8 + rng.Intn(512)), Latency: rng.Intn(4) != 0, Phase: phase})
+			}
+			return ops
+		}
+		over, crit := script(rng.Intn(40), 0, 0, true), script(rng.Intn(40), 0, 0, true)
+		total, oend := p.Execute(over, crit)
+		so, sc := p.Serial(over), p.Serial(crit)
+		if !leq(oend, so) || !leq(total, so+sc) {
+			t.Fatalf("trial %d on %s: Execute (%g, %g) exceeds Serial (%g, %g)", trial, topo.Name, total, oend, so+sc, so)
+		}
+		exec, peer := pair()
+		queue := script(1+rng.Intn(20), exec, peer, false)
+		total, _ = p.Execute(nil, queue)
+		if s := p.Serial(queue); !approx(total, s) {
+			t.Fatalf("trial %d on %s: one-queue Execute %g != Serial %g", trial, topo.Name, total, s)
+		}
 	}
 }
 
@@ -196,20 +301,31 @@ func TestResetMatchesNew(t *testing.T) {
 	}
 }
 
-func TestNoGoroutineLeak(t *testing.T) {
-	topo := hw.Cluster(2, 2)
-	p := New(topo)
-	before := runtime.NumGoroutine()
-	ops := []Op{round(0, 1, 64, 0), round(2, 3, 64, 0)}
-	for i := 0; i < 100; i++ {
-		p.Execute(ops, ops)
+// TestSequentialSource pins the plane as plain sequential code: the
+// queueing model is a max-plus recurrence, so nothing in the package may
+// start a goroutine or declare a channel.
+func TestSequentialSource(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		runtime.Gosched()
-		time.Sleep(time.Millisecond)
-	}
-	if g := runtime.NumGoroutine(); g > before {
-		t.Fatalf("goroutines leaked: %d before, %d after", before, g)
+	fset := token.NewFileSet()
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n.(type) {
+			case *ast.GoStmt:
+				t.Errorf("%s: go statement", fset.Position(n.Pos()))
+			case *ast.ChanType:
+				t.Errorf("%s: channel type", fset.Position(n.Pos()))
+			}
+			return true
+		})
 	}
 }

@@ -32,31 +32,27 @@ import (
 //     every mode (the starved shard needs the grant before it can
 //     continue).
 //
-// The meter counts those messages and their payload bytes per link pair
-// within one Plan, then prices the Plan's coordination latency as the
-// sum over links of rounds x latency + bytes / bandwidth (the
-// coordinator pass is serial, so link times add). Message sizes are
+// The meter only records: it counts those messages and their payload
+// bytes into the lifetime CoordStats and appends each one to the Plan's
+// message script (a []msgplane.Op). At Plan end internal/msgplane
+// prices that one script twice (DESIGN.md §12): Serial as the sum over
+// links of rounds x latency + bytes / bandwidth (the coordinator pass
+// is serial, so link times add), reported as Seconds / CoordTime, and
+// Execute as a per-host FIFO queueing model of the same script,
+// reported as WallSeconds / CoordWallTime. The script's phase
+// boundaries mark the protocol's real barriers: stamp sync before the
+// sweep, the sweep before the Plan-end flush. Message sizes are
 // control-plane metadata (slot + stamp + ID sized), not embedding
-// payloads — row data still moves through the pipeline's Exchange stage.
-// Co-located shards (same node, or any TierLocal link) contribute
-// nothing, so a single-node placement reproduces the shared-memory
-// coordinator bit-for-bit at zero cost.
+// payloads — row data still moves through the pipeline's Exchange
+// stage. Co-located shards (same node, or any TierLocal link)
+// contribute nothing, so a single-node placement reproduces the
+// shared-memory coordinator bit-for-bit at zero cost.
 //
-// Since PR 8 the meter does two more things (DESIGN.md §12):
-//
-//   - Every recorded round is also appended to a message script and
-//     replayed through internal/msgplane's goroutine hosts at Plan end,
-//     yielding a *measured* wall-clock twin (CoordStats.WallSeconds /
-//     WallHiddenSeconds) of the modeled Seconds. The script's phase
-//     boundaries mark the protocol's real barriers: stamp sync before
-//     the sweep, the sweep before the Plan-end flush.
-//   - An overlapped Plan (spec.go) records its first poll round on a
-//     second ledger (hidden == true): the same addRound paths write into
-//     that ledger's arrays and script instead of the critical ones, the
-//     finished Plan prices it separately as OverlapSeconds (hidden under
-//     the previous Collect), and the message plane replays it as the
-//     overlapped script. The lifetime counters are shared, so traffic
-//     is identical with overlap on or off.
+// An overlapped Plan (spec.go) records its first poll round on a second
+// script (hidden == true), priced separately as OverlapSeconds (hidden
+// under the previous Collect) and queued as Execute's overlapped
+// prefix. The lifetime counters are shared, so traffic is identical
+// with overlap on or off.
 const (
 	// stampSyncBytes is one touch-stamp round trip: stamp base out,
 	// touch count back.
@@ -126,10 +122,11 @@ type CoordStats struct {
 	// is off). The critical share Plans actually waited for is
 	// Seconds - OverlapSeconds.
 	OverlapSeconds float64
-	// WallSeconds / WallHiddenSeconds are the measured twins: the
-	// message plane's virtual makespan for the critical and overlapped
-	// scripts respectively (msgplane; DESIGN.md §12). The modeled-vs-
-	// measured skew benchgate gates is
+	// WallSeconds / WallHiddenSeconds price the same scripts with the
+	// message plane's per-host FIFO queueing model: its virtual
+	// makespan for the critical and overlapped scripts respectively
+	// (msgplane; DESIGN.md §12). The serial-vs-queueing skew benchgate
+	// gates is
 	// |Seconds - (WallSeconds+WallHiddenSeconds)| / Seconds.
 	WallSeconds       float64
 	WallHiddenSeconds float64
@@ -160,9 +157,9 @@ func (s *CoordStats) Merge(o CoordStats) {
 	s.WallHiddenSeconds += o.WallHiddenSeconds
 }
 
-// coordMeter accumulates one Plan's coordination traffic per link pair
-// and prices it against the placement's topology, speaking the protocol
-// selected by its CoordMode. nil meter (co-located placement) costs
+// coordMeter records one Plan's coordination traffic as message scripts
+// for the placement's topology, speaking the protocol selected by its
+// CoordMode. nil meter (co-located placement) costs
 // nothing and is never consulted.
 type coordMeter struct {
 	place  hw.Placement
@@ -195,20 +192,21 @@ type coordMeter struct {
 	moveCount   []int64
 	moveDirty   []int32
 
-	// plane replays the recorded message scripts on goroutine hosts at
-	// Plan end. crit is the Plan's critical ledger, phase its current
-	// barrier index: incrementing it closes a barrier, so later ops may
-	// not start on the plane before every earlier op completed. over is
-	// the overlapped ledger: while hidden is set (an overlapped Plan's
-	// first poll round, spec.go) rounds record there, all in phase 0.
+	// plane prices the recorded scripts at Plan end, serially and
+	// through its queueing model. crit is the Plan's critical script,
+	// phase its current barrier index: incrementing it closes a
+	// barrier, so later ops queue only after every earlier op
+	// completed. over is the overlapped script: while hidden is set (an
+	// overlapped Plan's first poll round, spec.go) rounds record there,
+	// all in phase 0.
 	plane  *msgplane.Plane
-	crit   ledger
-	over   ledger
+	crit   []msgplane.Op
+	over   []msgplane.Op
 	phase  int32
 	hidden bool
 
 	// Most recent finishPlan split, read back by the Manager: lastCrit
-	// is the modeled critical share, lastWall the measured makespan of
+	// is the serial critical share, lastWall the queueing makespan of
 	// both scripts.
 	lastCrit float64
 	lastWall float64
@@ -216,45 +214,9 @@ type coordMeter struct {
 	stats CoordStats
 }
 
-// ledger is one message script's traffic within a Plan: payload bytes
-// and rounds per link pair, indexed by hw.Topology.PairIndex (the link
-// matrix's own layout), the dirty pairs (so the per-Plan reset and
-// pricing walk is proportional to traffic, not topology size), and the
-// script itself.
-type ledger struct {
-	bytes   []float64
-	rounds  []int64
-	touched []linkUse
-	ops     []msgplane.Op
-}
-
-// linkUse records one dirty link of the current Plan: the flattened
-// pair index plus the node pair itself (so pricing needs no reverse
-// lookup).
-type linkUse struct {
-	idx  int32
-	a, b int32
-}
-
-// reuse returns l emptied for a topology with pairs link pairs, keeping
-// its buffers.
-func (l ledger) reuse(pairs int) ledger {
-	return ledger{bytes: zeroed(l.bytes, pairs), rounds: zeroed(l.rounds, pairs), touched: l.touched[:0], ops: l.ops[:0]}
-}
-
-// dirty returns the flattened pair index for (a, b), registering the
-// pair in the touched list on first use.
-func (l *ledger) dirty(topo *hw.Topology, a, b int32) int32 {
-	idx := int32(topo.PairIndex(int(a), int(b)))
-	if l.rounds[idx] == 0 && l.bytes[idx] == 0 {
-		l.touched = append(l.touched, linkUse{idx: idx, a: a, b: b})
-	}
-	return idx
-}
-
-// reset builds the meter for (p, shards, mode) — empty ledgers, empty
-// scripts, zero statistics — in place of c, reusing c's per-link,
-// per-shard and per-host arrays and its message plane when they are
+// reset builds the meter for (p, shards, mode) — empty scripts, zero
+// statistics — in place of c, reusing c's scripts, per-shard and
+// per-host arrays and its message plane when they are
 // large enough. A nil c builds a fresh meter, so this is the only
 // constructor. Returns nil, dropping c, when the placement cannot
 // generate cross-node traffic.
@@ -266,7 +228,6 @@ func (c *coordMeter) reset(p hw.Placement, shards int, mode CoordMode) *coordMet
 		c = &coordMeter{}
 	}
 	old := *c
-	pairs := p.Topo.NumLinkPairs()
 	*c = coordMeter{
 		place:       p,
 		mode:        mode,
@@ -278,8 +239,8 @@ func (c *coordMeter) reset(p hw.Placement, shards int, mode CoordMode) *coordMet
 		moveCount:   zeroed(old.moveCount, shards*shards),
 		moveDirty:   old.moveDirty[:0],
 		plane:       old.plane,
-		crit:        old.crit.reuse(pairs),
-		over:        old.over.reuse(pairs),
+		crit:        old.crit[:0],
+		over:        old.over[:0],
 	}
 	if c.plane == nil {
 		c.plane = msgplane.New(p.Topo)
@@ -318,31 +279,30 @@ func zeroed[T any](buf []T, n int) []T {
 	return buf
 }
 
-// active returns the ledger rounds record on and their phase: the
-// overlapped ledger during a hidden round, the critical one otherwise.
-func (c *coordMeter) active() (*ledger, int32) {
+// record appends one message between two nodes to the active script:
+// the overlapped one, all in phase 0, during a hidden round, the
+// critical one at the current phase otherwise.
+func (c *coordMeter) record(a, b int32, payload float64, round bool) {
+	op := msgplane.Op{Exec: a, Peer: b, Bytes: payload, Latency: round}
 	if c.hidden {
-		return &c.over, 0
+		c.over = append(c.over, op)
+		return
 	}
-	return &c.crit, c.phase
+	op.Phase = c.phase
+	c.crit = append(c.crit, op)
 }
 
 // addRound records one message round of the given payload between two
 // nodes, adding the payload to *bytes and the round to *rounds (fields
-// of c.stats) and appending the round to the active script; same-node
-// traffic is free.
+// of c.stats); same-node traffic is free.
 func (c *coordMeter) addRound(a, b int32, payload float64, bytes *float64, rounds *int64) {
 	if a == b {
 		return
 	}
-	l, phase := c.active()
-	idx := l.dirty(c.place.Topo, a, b)
-	l.bytes[idx] += payload
-	l.rounds[idx]++
+	c.record(a, b, payload, true)
 	c.stats.Messages++
 	*rounds++
 	*bytes += payload
-	l.ops = append(l.ops, msgplane.Op{Exec: a, Peer: b, Bytes: payload, Latency: true, Phase: phase})
 }
 
 // addPayload merges extra payload onto the link between two nodes
@@ -352,17 +312,14 @@ func (c *coordMeter) addPayload(a, b int32, payload float64, bytes *float64) {
 	if a == b {
 		return
 	}
-	l, phase := c.active()
-	idx := l.dirty(c.place.Topo, a, b)
-	l.bytes[idx] += payload
+	c.record(a, b, payload, false)
 	*bytes += payload
-	l.ops = append(l.ops, msgplane.Op{Exec: a, Peer: b, Bytes: payload, Latency: false, Phase: phase})
 }
 
 // beginSweep resets the per-sweep host-batch state; the Manager calls it
 // whenever the victim sweep (re-)arms. A critical arm closes the
 // script's barrier. A hidden arm opens an overlapped Plan's first poll
-// round on the overlapped ledger and leaves the critical phase where it
+// round on the overlapped script and leaves the critical phase where it
 // is, as if the round had run before the Plan (spec.go); the Manager
 // clears hidden once the round's polls are made.
 func (c *coordMeter) beginSweep(hide bool) {
@@ -499,49 +456,28 @@ func (c *coordMeter) flushBatched() {
 	c.moveDirty = c.moveDirty[:0]
 }
 
-// price sums a ledger's link times and empties its per-pair arrays and
-// touched list (not its script). The coordinator pass is serial, so the
-// per-link times add.
-func (c *coordMeter) price(l *ledger) float64 {
-	var t float64
-	for _, u := range l.touched {
-		lk := c.place.Topo.Link(int(u.a), int(u.b))
-		// A down link prices at zero like a local one: no message
-		// crosses a partition — the rounds stay counted (the protocol
-		// sent them; they queue), and the stale state they failed to
-		// deliver is why the degraded protocol runs approx.
-		if lk.Tier != hw.TierLocal && !lk.Down {
-			t += float64(l.rounds[u.idx])*lk.Latency + l.bytes[u.idx]/lk.Bandwidth
-		}
-		l.bytes[u.idx] = 0
-		l.rounds[u.idx] = 0
-	}
-	l.touched = l.touched[:0]
-	return t
-}
-
-// finishPlan prices the Plan's two ledgers, replays their scripts on the
-// plane, folds everything into the lifetime stats, resets the per-Plan
+// finishPlan prices the Plan's two scripts on the plane, serially and
+// through the queueing model, folds everything into the lifetime stats, resets the per-Plan
 // state, and returns the Plan's total coordination latency in seconds
 // (critical + overlapped share — the same quantity the pre-overlap meter
 // returned, so reported CoordTime semantics are unchanged). The critical
-// share and the measured makespan are parked in lastCrit / lastWall for
+// share and the queueing makespan are parked in lastCrit / lastWall for
 // the Manager.
 func (c *coordMeter) finishPlan() float64 {
 	if c.mode != CoordExact {
 		c.flushBatched()
 	}
-	tCrit := c.price(&c.crit)
-	tOver := c.price(&c.over)
-	total, oend := c.plane.Execute(c.over.ops, c.crit.ops)
+	tCrit := c.plane.Serial(c.crit)
+	tOver := c.plane.Serial(c.over)
+	total, oend := c.plane.Execute(c.over, c.crit)
 	c.lastCrit = tCrit
 	c.lastWall = total
 	c.stats.Seconds += tCrit + tOver
 	c.stats.OverlapSeconds += tOver
 	c.stats.WallSeconds += total - oend
 	c.stats.WallHiddenSeconds += oend
-	c.crit.ops = c.crit.ops[:0]
-	c.over.ops = c.over.ops[:0]
+	c.crit = c.crit[:0]
+	c.over = c.over[:0]
 	c.phase = 0
 	return tCrit + tOver
 }

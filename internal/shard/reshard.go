@@ -125,9 +125,17 @@ func placeNode(p hw.Placement, j int) int32 {
 	return int32(p.Node[j])
 }
 
+// linkUse records one dirty link of a reshard event: the flattened
+// pair index plus the node pair itself (so pricing needs no reverse
+// lookup).
+type linkUse struct {
+	idx  int32
+	a, b int32
+}
+
 // migAccum accumulates one reshard event's state-transfer payload per
 // dirty node pair (insertion-ordered so pricing sums floats
-// deterministically, like the coordination meter's touched list).
+// deterministically, like msgplane.Plane.Serial's first-use order).
 type migAccum struct {
 	topo    *hw.Topology
 	bytes   []float64
