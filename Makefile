@@ -8,7 +8,7 @@ GO ?= go
 
 .PHONY: check vet build test race examples benchmodule bench hotpath benchgate fmtcheck doccheck fuzzsmoke
 
-check: fmtcheck vet build test race examples benchmodule doccheck
+check: fmtcheck doccheck vet build test race examples benchmodule
 
 vet:
 	$(GO) vet ./...
@@ -42,14 +42,16 @@ test:
 # checkpoint (restore staging), plus the shard evacuation and engine
 # fault-orchestration tests already inside the shard/engine runs. The
 # serving fleet (serve) drives the sharded planner per replica and
-# inherits its fan-out machinery. The message plane (msgplane) runs
-# every host as a goroutine, so it rides along. Any hold-discipline,
-# shard-partition, or fan-out bug must surface as a race here.
+# inherits its fan-out machinery. The message plane (msgplane) is left
+# out: it is sequential code (a max-plus recurrence, no goroutines or
+# channels, which its TestSequentialSource enforces), and the shard run
+# already drives it. Any hold-discipline, shard-partition, or fan-out
+# bug must surface as a race here.
 race:
 	$(GO) test -race ./internal/par/ ./internal/core/ ./internal/shard/ \
 		./internal/engine/ ./internal/trace/ ./internal/bench/ \
 		./internal/hw/ ./internal/checkpoint/ ./internal/serve/ \
-		./internal/msgplane/ ./scratchpipe/
+		./scratchpipe/
 
 # Short fuzzing pass over every flag-grammar parser (the checked-in
 # corpora under */testdata/fuzz/ run as plain tests in `make test`;
@@ -70,7 +72,8 @@ fuzzsmoke:
 doccheck:
 	$(GO) run ./cmd/doccheck
 
-# Fails if any file is not gofmt-clean (`make check` runs it first).
+# Fails if any file is not gofmt-clean (`make check` runs it first,
+# then doccheck, so both cheap checks fail early and by name).
 fmtcheck:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
