@@ -52,10 +52,10 @@
 // the baseline exactly — batch formation is deterministic in the
 // seed, so any drift means the batcher's scheduling changed.
 //
-// Entries that recorded a measured coordination wall additionally gate
-// the modeled-vs-measured skew |coord_seconds - coord_wall_seconds| /
+// Entries that recorded a coordination wall additionally gate the
+// serial-vs-queued skew |coord_seconds - coord_wall_seconds| /
 // coord_seconds against -skew-tolerance (DESIGN.md §12 documents why
-// the plane legitimately undershoots the serial pricing model).
+// the queueing model legitimately undershoots the serial sum).
 // Passing -coord-overlap gates the overlapped-coordination family: the
 // overlap counters must match the baseline exactly (they are
 // deterministic — a regression that silently stops hiding rounds is a
@@ -88,7 +88,7 @@ func main() {
 	wallFactor := flag.Float64("wall-factor", 1.25, "fail if wall time exceeds baseline by this factor")
 	allocFactor := flag.Float64("alloc-factor", 1.25, "fail if allocation count exceeds baseline by this factor")
 	coordFactor := flag.Float64("coord-factor", 1.25, "fail if coordination rounds exceed baseline by this factor (entries with recorded rounds only)")
-	skewTol := flag.Float64("skew-tolerance", 0.75, "fail if the modeled-vs-measured coordination skew exceeds this fraction (entries with a recorded coordination wall only)")
+	skewTol := flag.Float64("skew-tolerance", 0.75, "fail if the serial-vs-queued coordination skew exceeds this fraction (entries with a recorded coordination wall only)")
 	runs := flag.Int("runs", 2, "measurement repetitions (best wall time wins)")
 	gateFlags := map[string]bool{}
 	flag.VisitAll(func(f *flag.Flag) { gateFlags[f.Name] = true })
@@ -262,14 +262,14 @@ func main() {
 			failed = true
 		}
 	}
-	// The modeled-vs-measured skew: the message plane's makespan must
-	// track the serial pricing model within the documented tolerance
-	// (DESIGN.md §12 — the plane legitimately undershoots because it
-	// executes rounds the model prices serially).
+	// The serial-vs-queued skew: the message plane's queueing makespan
+	// must track the serial sum within the documented tolerance
+	// (DESIGN.md §12 — the queueing model legitimately undershoots
+	// because it overlaps rounds the sum prices serially).
 	if best.CoordSeconds > 0 && best.CoordWallSeconds > 0 {
 		skew := math.Abs(best.CoordSeconds-best.CoordWallSeconds) / best.CoordSeconds
 		if skew > *skewTol {
-			fmt.Printf("benchgate: FAIL modeled-vs-measured coordination skew %.3f exceeds %.2f (modeled %.4fs, measured %.4fs)\n",
+			fmt.Printf("benchgate: FAIL serial-vs-queued coordination skew %.3f exceeds %.2f (serial %.4fs, queued %.4fs)\n",
 				skew, *skewTol, best.CoordSeconds, best.CoordWallSeconds)
 			failed = true
 		}

@@ -45,10 +45,10 @@ type HotPathResult struct {
 	// gates protocol regressions on them exactly).
 	CoordRounds  int64   `json:"coord_rounds,omitempty"`
 	CoordSeconds float64 `json:"coord_seconds,omitempty"`
-	// CoordWallSeconds is the MEASURED coordination wall: the message
-	// plane's makespan (internal/msgplane), recorded beside the modeled
-	// CoordSeconds so benchgate can gate the modeled-vs-measured skew
-	// |modeled - measured| / modeled within the documented tolerance
+	// CoordWallSeconds is the coordination wall under the message
+	// plane's per-host FIFO queueing model (internal/msgplane),
+	// recorded beside the serial CoordSeconds so benchgate can gate the
+	// skew |serial - queued| / serial within the documented tolerance
 	// (DESIGN.md §12).
 	CoordWallSeconds float64 `json:"coord_wall_seconds,omitempty"`
 	// CoordOverlap records whether the sweep ran with overlapped

@@ -84,10 +84,10 @@ type SpeedupPoint struct {
 	// time at this point (zero under co-located placements).
 	CoordRounds  int64
 	CoordSeconds float64
-	// CoordWallSeconds totals the same engines' MEASURED coordination
-	// wall — the message plane's makespan (internal/msgplane) rather
-	// than the meter's serialized arithmetic; the modeled-vs-measured
-	// skew is defined over the two (DESIGN.md §12).
+	// CoordWallSeconds totals the same engines' coordination wall
+	// under the message plane's per-host FIFO queueing model
+	// (internal/msgplane) rather than the serial sum; the skew is
+	// defined over the two prices of one script (DESIGN.md §12).
 	CoordWallSeconds float64
 	// Overlap totals the ScratchPipe run's overlapped-coordination
 	// outcomes at this point (all zero unless cfg.CoordOverlap).

@@ -375,7 +375,7 @@ func (j *spJob) planTable(t int) error {
 	// (zero when its shards are co-located). The critical share is what
 	// this Plan actually waited for — the rest (its first poll round,
 	// under overlap) was hidden under the previous cycle; the wall
-	// figure is the message plane's measured twin.
+	// figure is the message plane's queueing price of the same script.
 	tb.coord = sp.LastPlanCoord()
 	tb.coordCrit = sp.LastPlanCoordCritical()
 	tb.coordWall = sp.LastPlanCoordWall()

@@ -375,13 +375,13 @@ type Report struct {
 	// borrowing on the placement's links; included in the Plan stage's
 	// time). Zero unless shards are placed across topology nodes.
 	CoordTime float64
-	// CoordWallTime is CoordTime's measured twin: the average
-	// per-iteration wall-clock makespan of the same coordination
-	// messages replayed through internal/msgplane's goroutine hosts
-	// (critical and hidden shares together). It differs
-	// from the modeled CoordTime exactly where the serial pricing model
-	// ignores cross-host parallelism; benchgate gates the skew
-	// (DESIGN.md §12). Zero under co-located placements.
+	// CoordWallTime prices the same recorded coordination messages
+	// with internal/msgplane's per-host FIFO queueing model: the
+	// average per-iteration makespan of the script (critical and
+	// hidden shares together). It differs from the serial CoordTime
+	// exactly where the serial sum ignores rounds that overlap on
+	// different hosts; benchgate gates the skew (DESIGN.md §12). Zero
+	// under co-located placements.
 	CoordWallTime float64
 	// Overlap counts overlapped-coordination outcomes across tables
 	// (shard.OverlapStats); the zero value unless the run enabled

@@ -113,12 +113,12 @@ func TestOverlapReportEquivalence(t *testing.T) {
 			// skew tolerance of the modeled total (DESIGN.md §12).
 			for name, rep := range map[string]*Report{"off": base, "on": over} {
 				if rep.CoordWallTime <= 0 {
-					t.Fatalf("%s: no measured coordination wall", name)
+					t.Fatalf("%s: no queued coordination wall", name)
 				}
 				skew := math.Abs(rep.CoordTime-rep.CoordWallTime) / rep.CoordTime
-				t.Logf("%s: modeled %g, measured %g, skew %.3f", name, rep.CoordTime, rep.CoordWallTime, skew)
+				t.Logf("%s: serial %g, queued %g, skew %.3f", name, rep.CoordTime, rep.CoordWallTime, skew)
 				if skew > 0.75 {
-					t.Fatalf("%s: modeled-vs-measured skew %.3f above tolerance 0.75", name, skew)
+					t.Fatalf("%s: serial-vs-queued skew %.3f above tolerance 0.75", name, skew)
 				}
 			}
 		})

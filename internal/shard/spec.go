@@ -14,8 +14,8 @@
 // recency lists under that projection returns exactly the candidates
 // the round polls (spec_test.go keeps the walk as a test oracle). So
 // that round sits off the critical path: the Plan records it on the
-// coordination meter's overlapped ledger (coord.go), priced as
-// OverlapSeconds and replayed as the message plane's hidden script,
+// coordination meter's overlapped script (coord.go), priced as
+// OverlapSeconds and queued as the message plane's hidden prefix,
 // and every later round stays critical.
 //
 // Any event outside that closed set — reshard, evacuation, degrade,
@@ -103,8 +103,8 @@ func (m *Manager) armFirstSweep() {
 // unconditionally.
 func (m *Manager) LastPlanCoordCritical() float64 { return m.lastCoordCrit }
 
-// LastPlanCoordWall returns the message plane's measured wall clock for
+// LastPlanCoordWall returns the message plane's queueing makespan for
 // the most recent Plan's full coordination script (critical + hidden) —
-// the measured twin of LastPlanCoord. Zero for co-located placements and
+// the second price of the script LastPlanCoord sums serially. Zero for co-located placements and
 // a single shard, like LastPlanCoord.
 func (m *Manager) LastPlanCoordWall() float64 { return m.lastCoordWall }

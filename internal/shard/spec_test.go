@@ -265,7 +265,7 @@ func TestOverlapEquivalence(t *testing.T) {
 			if base.CoordStats().OverlapSeconds != 0 {
 				t.Fatalf("%s: baseline priced an overlapped share", label)
 			}
-			// The measured twin must cover both scripts: hidden wall only
+			// The queueing wall must cover both scripts: hidden wall only
 			// on the overlapped run, critical wall on both.
 			if cs.WallHiddenSeconds <= 0 || cs.WallSeconds <= 0 {
 				t.Fatalf("%s: measured wall missing a share: %+v", label, cs)
