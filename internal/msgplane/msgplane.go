@@ -109,12 +109,10 @@ func (p *Plane) Reset(topo *hw.Topology) {
 	p.touched = p.touched[:0]
 }
 
-// link returns the priced link an op crosses and whether it costs
-// anything: co-located endpoints and partitioned links are free.
+// link returns the link an op crosses and whether it costs anything:
+// co-located endpoints (a TierLocal link) and partitioned links are
+// free.
 func (p *Plane) link(op Op) (hw.Link, bool) {
-	if op.Exec == op.Peer {
-		return hw.Link{}, false
-	}
 	l := p.topo.Link(int(op.Exec), int(op.Peer))
 	return l, l.Tier != hw.TierLocal && !l.Down
 }

@@ -125,9 +125,8 @@ type CoordStats struct {
 	// WallSeconds / WallHiddenSeconds price the same scripts with the
 	// message plane's per-host FIFO queueing model: its virtual
 	// makespan for the critical and overlapped scripts respectively
-	// (msgplane; DESIGN.md §12). The serial-vs-queueing skew benchgate
-	// gates is
-	// |Seconds - (WallSeconds+WallHiddenSeconds)| / Seconds.
+	// (msgplane; DESIGN.md §12). The serial-vs-queued skew benchgate
+	// gates is |Seconds - (WallSeconds+WallHiddenSeconds)| / Seconds.
 	WallSeconds       float64
 	WallHiddenSeconds float64
 }
@@ -159,8 +158,8 @@ func (s *CoordStats) Merge(o CoordStats) {
 
 // coordMeter records one Plan's coordination traffic as message scripts
 // for the placement's topology, speaking the protocol selected by its
-// CoordMode. nil meter (co-located placement) costs
-// nothing and is never consulted.
+// CoordMode. nil meter (co-located placement) costs nothing and is
+// never consulted.
 type coordMeter struct {
 	place  hw.Placement
 	mode   CoordMode
