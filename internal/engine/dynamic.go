@@ -15,8 +15,8 @@ import (
 
 // dynamicState is the machinery shared by the two dynamic-cache engines
 // (straw-man and ScratchPipe): per-table scratchpad managers, the
-// functional GPU storage arrays, and the five stage implementations with
-// their timing formulas. The straw-man executes the stages back-to-back;
+// functional row planes, and the five stage implementations with their
+// timing formulas. The straw-man executes the stages back-to-back;
 // ScratchPipe runs them through the pipeline.
 //
 // Each table's control plane is a shard.Manager: with Shards == 1 it
@@ -29,14 +29,9 @@ type dynamicState struct {
 	cost costModel
 	// pool fans per-table work across workers; tables are fully
 	// independent (separate scratchpads, storage, CPU tables).
-	pool    *par.Pool
-	sps     []*shard.Manager
-	storage []*tensor.Matrix // per table: TotalSlots x dim (functional mode)
-	// stateStorage shadows storage for per-row optimizer state: the
-	// scratchpad caches optimizer accumulators with the same slot
-	// assignment, prefetching them at [Collect] and writing them back
-	// at [Insert] exactly like the embedding rows.
-	stateStorage []*tensor.Matrix
+	pool   *par.Pool
+	sps    []*shard.Manager
+	planes []rowPlane
 	// jobPool recycles spJobs (and, through shard.Manager.Recycle, their
 	// plans) once batches retire, keeping the steady-state cycle free
 	// of per-batch allocations. It is sized for a full pipeline (at
@@ -78,6 +73,22 @@ type dynamicState struct {
 	ckptSecs     float64
 	lastCkpt     int
 }
+
+// rowPlane is one per-row payload the scratchpad caches: cpu[t] holds it
+// for every row of table t and gpu[t] (TotalSlots rows) for the resident
+// ones. planes[0] carries the embeddings; a stateful optimizer adds the
+// second and last plane for its per-row state, which shares the embedding plane's
+// slot assignment and so moves with it — drawn at prewarm, prefetched at
+// [Collect], written back at [Insert] and flushed. Metadata mode has no
+// planes, so every payload loop is empty there.
+type rowPlane struct {
+	cpu []*embed.Table
+	gpu []*tensor.Matrix
+}
+
+// stagedRows holds one plane's payloads between Collect and Insert (the
+// data "crossing PCIe" at Exchange), concatenated row-major.
+type stagedRows struct{ fills, evicts []float32 }
 
 // spJob is the per-mini-batch pipeline state (core.Job). Everything a
 // job holds per table lives in one block, tabs, so a job is built from
@@ -121,14 +132,9 @@ type jobTable struct {
 	// the job's one backing array, so newJob's appends never grow them.
 	fut, hint [][]int64
 	plan      *core.PlanResult
-	// fillVals/evictVals stage the embedding payloads between Collect
-	// and Insert (the data "crossing PCIe" at Exchange), concatenated
-	// row-major. fillState/evictState carry the optimizer-state rows of
-	// the same schedule.
-	fillVals   []float32
-	evictVals  []float32
-	fillState  []float32
-	evictState []float32
+	// staged[p] carries plane p's rows of the plan's schedule (there
+	// are at most two planes: embeddings and optimizer state).
+	staged [2]stagedRows
 	// cpu/gpu are scratch accumulators for the parallel fan-outs. Stage
 	// bodies write them; the reduction runs serially in table order
 	// afterward, so a parallel run sums floats in exactly the order
@@ -172,6 +178,12 @@ func newDynamicState(env *Env, cacheFrac float64, policy cache.PolicyKind, past,
 			d.loads[t] = make([]int64, loadBuckets)
 		}
 	}
+	if env.Cfg.Functional {
+		d.planes = append(d.planes, rowPlane{cpu: env.Tables})
+		if env.StateTables != nil {
+			d.planes = append(d.planes, rowPlane{cpu: env.StateTables})
+		}
+	}
 	maxUnique := cfg.BatchSize * cfg.Lookups
 	// The shard fan-out nests inside the per-table fan-out, so its own
 	// pool gets the per-table share of the Workers budget (total
@@ -203,11 +215,9 @@ func newDynamicState(env *Env, cacheFrac float64, policy cache.PolicyKind, past,
 			return nil, err
 		}
 		d.sps = append(d.sps, sp)
-		if env.Cfg.Functional {
-			d.storage = append(d.storage, tensor.New(sp.TotalSlots(), cfg.EmbeddingDim))
-			if env.StateDim > 0 {
-				d.stateStorage = append(d.stateStorage, tensor.New(sp.TotalSlots(), env.StateDim))
-			}
+		for p := range d.planes {
+			pl := &d.planes[p]
+			pl.gpu = append(pl.gpu, tensor.New(sp.TotalSlots(), pl.cpu[t].Dim()))
 		}
 	}
 	return d, nil
@@ -215,9 +225,9 @@ func newDynamicState(env *Env, cacheFrac float64, policy cache.PolicyKind, past,
 
 // prewarm fills every table's scratchpad to capacity with draws from the
 // trace distribution, approximating LRU steady-state content so measured
-// iterations reflect warm-cache behaviour rather than a cold start. In
-// functional mode the drawn rows' values are copied into GPU storage, so
-// training results are unchanged.
+// iterations reflect warm-cache behaviour rather than a cold start. Every
+// plane copies the drawn rows into its GPU slots, so training results
+// are unchanged.
 func (d *dynamicState) prewarm() {
 	dists := d.env.Gen.Dists()
 	d.pool.ForEach(len(d.sps), func(t int) {
@@ -225,19 +235,10 @@ func (d *dynamicState) prewarm() {
 		rng := newSeededRand(d.env.Cfg.Seed + int64(3000+t))
 		dist := dists[t]
 		var onFill func(id int64, slot int32)
-		if d.env.Cfg.Functional {
-			tbl := d.env.Tables[t]
-			storage := d.storage[t]
-			var stateTbl *embed.Table
-			var stateStorage *tensor.Matrix
-			if d.stateStorage != nil {
-				stateTbl = d.env.StateTables[t]
-				stateStorage = d.stateStorage[t]
-			}
+		if len(d.planes) > 0 {
 			onFill = func(id int64, slot int32) {
-				copy(storage.Row(int(slot)), tbl.Row(id))
-				if stateStorage != nil {
-					copy(stateStorage.Row(int(slot)), stateTbl.Row(id))
+				for _, pl := range d.planes {
+					copy(pl.gpu[t].Row(int(slot)), pl.cpu[t].Row(id))
 				}
 			}
 		}
@@ -407,31 +408,16 @@ func (j *spJob) collectTable(t int) error {
 		d.cost.stateMoveCPU(len(plan.Fills))
 	tb.gpu = d.cost.gatherGPU(len(plan.Evictions)) +
 		d.cost.stateMoveGPU(len(plan.Evictions))
-	if !d.env.Cfg.Functional {
-		return nil
-	}
-	dim, sdim := d.env.Cfg.Model.EmbeddingDim, d.env.StateDim
-	fv := resizeF32(tb.fillVals, len(plan.Fills)*dim)
-	for i, f := range plan.Fills {
-		copy(fv[i*dim:(i+1)*dim], d.env.Tables[t].Row(f.ID))
-	}
-	tb.fillVals = fv
-	ev := resizeF32(tb.evictVals, len(plan.Evictions)*dim)
-	for i, e := range plan.Evictions {
-		copy(ev[i*dim:(i+1)*dim], d.storage[t].Row(int(e.Slot)))
-	}
-	tb.evictVals = ev
-	if d.stateStorage != nil {
-		fs := resizeF32(tb.fillState, len(plan.Fills)*sdim)
+	for p, pl := range d.planes {
+		st, dim := &tb.staged[p], pl.gpu[t].Cols
+		st.fills = resizeF32(st.fills, len(plan.Fills)*dim)
 		for i, f := range plan.Fills {
-			copy(fs[i*sdim:(i+1)*sdim], d.env.StateTables[t].Row(f.ID))
+			copy(st.fills[i*dim:(i+1)*dim], pl.cpu[t].Row(f.ID))
 		}
-		tb.fillState = fs
-		es := resizeF32(tb.evictState, len(plan.Evictions)*sdim)
+		st.evicts = resizeF32(st.evicts, len(plan.Evictions)*dim)
 		for i, e := range plan.Evictions {
-			copy(es[i*sdim:(i+1)*sdim], d.stateStorage[t].Row(int(e.Slot)))
+			copy(st.evicts[i*dim:(i+1)*dim], pl.gpu[t].Row(int(e.Slot)))
 		}
-		tb.evictState = es
 	}
 	return nil
 }
@@ -492,37 +478,27 @@ func (j *spJob) insertTable(t int) error {
 		d.cost.stateMoveGPU(len(plan.Fills))
 	tb.cpu = d.cost.scatterWriteCPU(len(plan.Evictions)) +
 		d.cost.stateMoveCPU(len(plan.Evictions))
-	if !d.env.Cfg.Functional {
-		return nil
-	}
-	dim, sdim := d.env.Cfg.Model.EmbeddingDim, d.env.StateDim
-	for i, f := range plan.Fills {
-		copy(d.storage[t].Row(int(f.Slot)), tb.fillVals[i*dim:(i+1)*dim])
-	}
-	for i, e := range plan.Evictions {
-		copy(d.env.Tables[t].Row(e.OldID), tb.evictVals[i*dim:(i+1)*dim])
-	}
-	if d.stateStorage != nil {
+	for p, pl := range d.planes {
+		st, dim := &tb.staged[p], pl.gpu[t].Cols
 		for i, f := range plan.Fills {
-			copy(d.stateStorage[t].Row(int(f.Slot)), tb.fillState[i*sdim:(i+1)*sdim])
+			copy(pl.gpu[t].Row(int(f.Slot)), st.fills[i*dim:(i+1)*dim])
 		}
 		for i, e := range plan.Evictions {
-			copy(d.env.StateTables[t].Row(e.OldID), tb.evictState[i*sdim:(i+1)*sdim])
+			copy(pl.cpu[t].Row(e.OldID), st.evicts[i*dim:(i+1)*dim])
 		}
 	}
 	return nil
 }
 
-// cacheView adapts one table's scratchpad storage + a batch's plan into an
-// embed.RowStore, so [Train] runs the canonical primitives unchanged but
-// at "GPU memory speed".
+// cacheView adapts one plane's GPU slots for a table + a batch's plan into
+// an embed.RowStore, so [Train] runs the canonical primitives unchanged
+// but at "GPU memory speed".
 type cacheView struct {
-	dim     int
 	storage *tensor.Matrix
 	plan    *core.PlanResult
 }
 
-func (v cacheView) Dim() int { return v.dim }
+func (v cacheView) Dim() int { return v.storage.Cols }
 
 func (v cacheView) Row(id int64) []float32 {
 	return v.storage.Row(int(v.plan.Slot(id)))
@@ -560,24 +536,17 @@ func (d *dynamicState) stageTrain(job *spJob) error {
 	job.stageTime[core.StageTrain] = gpuT
 	job.gpuBusy += gpuT
 
-	if d.env.Cfg.Functional {
-		b := job.batch
-		pooled := make([]*tensor.Matrix, cfg.NumTables)
-		views := make([]cacheView, cfg.NumTables)
-		d.pool.ForEach(cfg.NumTables, func(t int) {
-			views[t] = cacheView{dim: cfg.EmbeddingDim, storage: d.storage[t], plan: job.tabs[t].plan}
-			pooled[t] = embed.ForwardPooled(views[t], b.Tables[t], b.BatchSize, b.Lookups)
-		})
-		res := d.env.Model.TrainStep(d.env.DenseMatrix(b), pooled, b.Labels)
-		d.pool.ForEach(cfg.NumTables, func(t int) {
-			g := embed.DuplicateCoalesce(b.Tables[t], res.PooledGrads[t], b.Lookups)
-			var state embed.RowStore
-			if d.stateStorage != nil {
-				state = cacheView{dim: d.env.StateDim, storage: d.stateStorage[t], plan: job.tabs[t].plan}
+	if len(d.planes) > 0 {
+		// views[p] views plane p through the job's plans; views[1] stays
+		// nil for a stateless optimizer.
+		var views [2][]embed.RowStore
+		for p, pl := range d.planes {
+			views[p] = make([]embed.RowStore, len(pl.gpu))
+			for t, g := range pl.gpu {
+				views[p][t] = cacheView{storage: g, plan: job.tabs[t].plan}
 			}
-			d.env.Opt.Apply(views[t], state, g)
-		})
-		job.loss = res.Loss
+		}
+		job.loss = d.env.trainStep(job.batch, views[0], views[1])
 	}
 	return nil
 }
@@ -607,30 +576,52 @@ func (j *spJob) releaseTable(t int) error {
 	return j.d.sps[t].Release(j.batch.Seq)
 }
 
-// flush writes every dirty cached row (and its optimizer state) back to
-// the CPU tables.
+// flush writes every resident row of every plane back to the CPU tables.
 func (d *dynamicState) flush() error {
-	if !d.env.Cfg.Functional {
+	if len(d.planes) == 0 {
 		return nil
 	}
 	d.pool.ForEach(len(d.sps), func(t int) {
-		sp := d.sps[t]
-		tbl := d.env.Tables[t]
-		storage := d.storage[t]
-		var stateTbl *embed.Table
-		var stateStorage *tensor.Matrix
-		if d.stateStorage != nil {
-			stateTbl = d.env.StateTables[t]
-			stateStorage = d.stateStorage[t]
-		}
-		sp.ForEach(func(id int64, slot int32) {
-			copy(tbl.Row(id), storage.Row(int(slot)))
-			if stateStorage != nil {
-				copy(stateTbl.Row(id), stateStorage.Row(int(slot)))
+		d.sps[t].ForEach(func(id int64, slot int32) {
+			for _, pl := range d.planes {
+				copy(pl.cpu[t].Row(id), pl.gpu[t].Row(int(slot)))
 			}
 		})
 	})
 	return nil
+}
+
+// retire books a finished job into rep — its stage times, coordination
+// (serial and queued), device busy times, and its loss, summed in AvgLoss
+// until finish averages it — and recycles the job.
+func (d *dynamicState) retire(rep *Report, job *spJob) {
+	for st, t := range job.stageTime {
+		rep.StageAvg[st] += t
+	}
+	rep.CoordTime += job.coord
+	rep.CoordWallTime += job.coordWall
+	rep.CPUBusy += job.cpuBusy
+	rep.GPUBusy += job.gpuBusy
+	rep.AvgLoss += float64(job.loss)
+	d.recycleJob(job)
+}
+
+// finish closes a run whose batches have all retired: it folds in the
+// managers' statistics and averages the per-iteration sums. Migration,
+// fault and checkpoint stalls are episodic, so they extend Wall but stay
+// out of the per-iteration averages. The Figure 5 buckets attribute the
+// cache-management stages to the CPU (they touch CPU memory) and [Train]
+// to the GPU.
+func (d *dynamicState) finish(rep *Report) {
+	d.aggregateCacheStats(rep)
+	finalizeAverages(rep, rep.Iters, rep.AvgLoss)
+	rep.Wall += rep.MigrationTime + rep.Downtime + rep.RecoveryTime + rep.CheckpointTime
+	if rep.Wall > 0 {
+		rep.Availability = 1 - (rep.Downtime+rep.RecoveryTime)/rep.Wall
+	}
+	rep.CPUEmbFwd = rep.StageAvg[core.StagePlan] + rep.StageAvg[core.StageCollect] + rep.StageAvg[core.StageExchange]
+	rep.CPUEmbBwd = rep.StageAvg[core.StageInsert]
+	rep.GPUTime = rep.StageAvg[core.StageTrain]
 }
 
 // aggregateCacheStats folds per-table scratchpad statistics — cache

@@ -32,11 +32,16 @@
 //     [EnvConfig.RegisterFlags] declares the flags spbench, dlrmtrain
 //     and benchgate share, and [EnvConfig.Validate] is the one check
 //     behind both NewEnv and those flags.
+//   - Every engine's functional math is one method, Env.trainStep; an
+//     engine only hands it each table's row and optimizer-state stores
+//     (CPU tables, static caches, or scratchpad views).
 //   - The two dynamic-cache engines (StrawMan, ScratchPipe) share
-//     dynamicState: per-table shard.Manager control planes, the five
-//     stage implementations with their timing formulas, and the
-//     elastic-resharding hooks. ScratchPipe runs the stages through
-//     core.Pipeline; the straw-man runs them back-to-back.
+//     dynamicState: per-table shard.Manager control planes, the row
+//     planes that cache embeddings and optimizer state, the five stage
+//     implementations with their timing formulas, the elastic-resharding
+//     hooks, and the booking of retired batches (retire, finish).
+//     ScratchPipe runs the stages through core.Pipeline; the straw-man
+//     runs them back-to-back.
 //   - [Report] is the output contract: simulated times (Wall, IterTime,
 //     per-stage averages, CoordTime, MigrationTime), cache statistics,
 //     coordination traffic (Coord, Overlap), and resharding
@@ -338,13 +343,43 @@ func (e *Env) newManager(cfg shard.Config) (*shard.Manager, error) {
 	return m, nil
 }
 
-// stateTable returns table t's optimizer-state store, or nil when the
-// optimizer is stateless.
-func (e *Env) stateTable(t int) embed.RowStore {
-	if e.StateTables == nil {
+// trainStep runs one functional training iteration on batch b and returns
+// its loss. It is the one float program every engine executes: per table
+// embed.ForwardPooled, then Model.TrainStep, then per table
+// embed.DuplicateCoalesce and Opt.Apply. Engines differ only in the
+// stores they hand over: rows[t] is table t's embedding rows and state[t]
+// its optimizer state (state is nil for stateless optimizers) — the CPU
+// tables, a static cache, or a scratchpad view. Table-wise placement
+// reorders no float operation, so every engine trains bit-identically.
+func (e *Env) trainStep(b *trace.Batch, rows, state []embed.RowStore) float32 {
+	n := e.Cfg.Model.NumTables
+	pooled := make([]*tensor.Matrix, n)
+	e.Pool.ForEach(n, func(t int) {
+		pooled[t] = embed.ForwardPooled(rows[t], b.Tables[t], b.BatchSize, b.Lookups)
+	})
+	res := e.Model.TrainStep(e.DenseMatrix(b), pooled, b.Labels)
+	e.Pool.ForEach(n, func(t int) {
+		g := embed.DuplicateCoalesce(b.Tables[t], res.PooledGrads[t], b.Lookups)
+		var st embed.RowStore
+		if state != nil {
+			st = state[t]
+		}
+		e.Opt.Apply(rows[t], st, g)
+	})
+	return res.Loss
+}
+
+// rowStores views per-table stores as the embed.RowStore slice trainStep
+// takes (nil for none, the stateless optimizer's state).
+func rowStores[S embed.RowStore](s []S) []embed.RowStore {
+	if len(s) == 0 {
 		return nil
 	}
-	return e.StateTables[t]
+	out := make([]embed.RowStore, len(s))
+	for t, x := range s {
+		out[t] = x
+	}
+	return out
 }
 
 // DenseMatrix views the batch's dense features as a matrix.

@@ -182,6 +182,7 @@ func TestEquivalenceAdagrad(t *testing.T) {
 			return NewScratchPipe(e, ScratchPipeOptions{CacheFrac: 0.05})
 		},
 		"strawman": func(e *Env) (Engine, error) { return NewStrawMan(e, 0.05, cache.LRU) },
+		"multigpu": func(e *Env) (Engine, error) { return NewMultiGPU(e) },
 	} {
 		env := newAdaEnv()
 		eng, err := build(env)

@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"repro/internal/embed"
-	"repro/internal/tensor"
-	"repro/internal/trace"
-)
+import "repro/internal/embed"
 
 // Hybrid is the baseline hybrid CPU-GPU system of Figure 4a: the CPU
 // memory stores the embedding tables and executes every embedding-layer
@@ -15,11 +11,14 @@ import (
 type Hybrid struct {
 	env  *Env
 	cost costModel
+	// rows/state are the CPU tables trainStep updates in place.
+	rows, state []embed.RowStore
 }
 
 // NewHybrid builds the baseline engine over env.
 func NewHybrid(env *Env) *Hybrid {
-	return &Hybrid{env: env, cost: costModel{env: env}}
+	return &Hybrid{env: env, cost: costModel{env: env},
+		rows: rowStores(env.Tables), state: rowStores(env.StateTables)}
 }
 
 // Name implements Engine.
@@ -65,28 +64,12 @@ func (h *Hybrid) Run(n int) (*Report, error) {
 
 		// --- functional training ---
 		if h.env.Cfg.Functional {
-			lossSum += float64(h.trainStep(b))
+			lossSum += float64(h.env.trainStep(b, h.rows, h.state))
 		}
 		h.env.Gen.Recycle(b)
 	}
 	finalizeAverages(rep, n, lossSum)
 	return rep, nil
-}
-
-// trainStep executes one real training iteration directly against the CPU
-// tables using the canonical embedding primitives.
-func (h *Hybrid) trainStep(b *trace.Batch) float32 {
-	cfg := h.env.Cfg.Model
-	pooled := make([]*tensor.Matrix, cfg.NumTables)
-	h.env.Pool.ForEach(cfg.NumTables, func(t int) {
-		pooled[t] = embed.ForwardPooled(h.env.Tables[t], b.Tables[t], b.BatchSize, b.Lookups)
-	})
-	res := h.env.Model.TrainStep(h.env.DenseMatrix(b), pooled, b.Labels)
-	h.env.Pool.ForEach(cfg.NumTables, func(t int) {
-		g := embed.DuplicateCoalesce(b.Tables[t], res.PooledGrads[t], b.Lookups)
-		h.env.Opt.Apply(h.env.Tables[t], h.env.stateTable(t), g)
-	})
-	return res.Loss
 }
 
 // Flush implements FlushTables (no GPU-resident state).

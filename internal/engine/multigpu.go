@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/embed"
-	"repro/internal/tensor"
-	"repro/internal/trace"
 )
 
 // MultiGPU models the §VI-F comparison system: NumGPUs GPUs whose pooled
@@ -16,6 +14,11 @@ import (
 type MultiGPU struct {
 	env  *Env
 	cost costModel
+	// rows/state are the CPU tables trainStep updates in place: table-wise
+	// model parallelism runs each table's gather/reduce/scatter on its
+	// owner GPU exactly as hybrid does on the CPU, reordering no float
+	// operation.
+	rows, state []embed.RowStore
 }
 
 // NewMultiGPU builds the model-parallel engine; the GPU count comes from
@@ -33,7 +36,8 @@ func NewMultiGPU(env *Env) (*MultiGPU, error) {
 		return nil, fmt.Errorf("engine: multigpu: model %.1f GB exceeds %d GPUs' pooled HBM (%.1f GB)",
 			cfg.ModelBytes()/1e9, g, hbmBytes/1e9)
 	}
-	return &MultiGPU{env: env, cost: costModel{env: env}}, nil
+	return &MultiGPU{env: env, cost: costModel{env: env},
+		rows: rowStores(env.Tables), state: rowStores(env.StateTables)}, nil
 }
 
 // Name implements Engine.
@@ -83,30 +87,12 @@ func (m *MultiGPU) Run(n int) (*Report, error) {
 		rep.Hits += int64(cfg.NumTables * ids) // all HBM-resident
 
 		if m.env.Cfg.Functional {
-			lossSum += float64(m.trainStep(b))
+			lossSum += float64(m.env.trainStep(b, m.rows, m.state))
 		}
 		m.env.Gen.Recycle(b)
 	}
 	finalizeAverages(rep, n, lossSum)
 	return rep, nil
-}
-
-// trainStep: table-wise model parallelism does not reorder any float
-// operation (each table's gather/reduce/scatter happens on its owner GPU
-// exactly as the baseline does on the CPU), so the functional math is the
-// canonical program against the tables.
-func (m *MultiGPU) trainStep(b *trace.Batch) float32 {
-	cfg := m.env.Cfg.Model
-	pooled := make([]*tensor.Matrix, cfg.NumTables)
-	m.env.Pool.ForEach(cfg.NumTables, func(t int) {
-		pooled[t] = embed.ForwardPooled(m.env.Tables[t], b.Tables[t], b.BatchSize, b.Lookups)
-	})
-	res := m.env.Model.TrainStep(m.env.DenseMatrix(b), pooled, b.Labels)
-	m.env.Pool.ForEach(cfg.NumTables, func(t int) {
-		g := embed.DuplicateCoalesce(b.Tables[t], res.PooledGrads[t], b.Lookups)
-		m.env.Opt.Apply(m.env.Tables[t], m.env.stateTable(t), g)
-	})
-	return res.Loss
 }
 
 // Flush implements FlushTables (tables are authoritative already in the

@@ -153,7 +153,6 @@ func (s *ScratchPipe) Run(n int) (*Report, error) {
 		return nil, err
 	}
 	rep := &Report{Engine: s.Name(), Iters: n}
-	var lossSum float64
 	var steadyTime float64
 	var steadyCycles int
 	// At most one steady cycle per iteration: sized up front, the
@@ -216,18 +215,7 @@ func (s *ScratchPipe) Run(n int) (*Report, error) {
 			rep.FillCycles++
 		}
 		if done != nil {
-			j := done.(*spJob)
-			lossSum += float64(j.loss)
-			for st, t := range j.stageTime {
-				rep.StageAvg[st] += t
-			}
-			rep.CoordTime += j.coord
-			rep.CoordWallTime += j.coordWall
-			rep.CPUBusy += j.cpuBusy
-			rep.GPUBusy += j.gpuBusy
-			// The batch has fully retired: recycle its plans and
-			// buffers for an upcoming batch.
-			s.dyn.recycleJob(j)
+			s.dyn.retire(rep, done.(*spJob))
 		}
 		return nil
 	}
@@ -258,26 +246,12 @@ func (s *ScratchPipe) Run(n int) (*Report, error) {
 		}
 	}
 
-	s.dyn.aggregateCacheStats(rep)
-	finalizeAverages(rep, n, lossSum)
-	// Migration, fault and checkpoint stalls are episodic: they extend
-	// the run's wall time but are kept out of the steady-state
-	// iteration average.
-	rep.Wall += rep.MigrationTime + rep.Downtime + rep.RecoveryTime + rep.CheckpointTime
-	if rep.Wall > 0 {
-		rep.Availability = 1 - (rep.Downtime+rep.RecoveryTime)/rep.Wall
-	}
+	s.dyn.finish(rep)
+	// Steady state excludes the pipeline's fill and drain cycles.
 	if steadyCycles > 0 {
 		rep.IterTime = steadyTime / float64(steadyCycles)
 		rep.CycleStats = cycleSeries.Summarize()
 	}
-	// Figure 5-style buckets for cross-engine tables: at steady state
-	// the CPU-side stages overlap training, so attribute the pipeline's
-	// exposed latency to the GPU bucket and the cache-management stages
-	// to the CPU buckets for breakdown reporting.
-	rep.CPUEmbFwd = rep.StageAvg[core.StagePlan] + rep.StageAvg[core.StageCollect] + rep.StageAvg[core.StageExchange]
-	rep.CPUEmbBwd = rep.StageAvg[core.StageInsert]
-	rep.GPUTime = rep.StageAvg[core.StageTrain]
 	return rep, nil
 }
 

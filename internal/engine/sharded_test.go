@@ -305,3 +305,34 @@ func TestCoordValidationEngine(t *testing.T) {
 		t.Fatal("unknown coordination mode accepted by NewEnv")
 	}
 }
+
+// TestDynamicEnginesReportCoordWall: both dynamic-cache engines book a
+// retired batch the same way, so whenever one prices serial coordination
+// (CoordTime) it also reports the message plane's queued wall
+// (CoordWallTime) for the same rounds.
+func TestDynamicEnginesReportCoordWall(t *testing.T) {
+	model := dlrm.DefaultConfig()
+	model.RowsPerTable = 20_000
+	model.BatchSize = 128
+	for name, build := range map[string]func(*Env) (Engine, error){
+		"strawman": func(e *Env) (Engine, error) { return NewStrawMan(e, 0.02, cache.LRU) },
+		"scratchpipe": func(e *Env) (Engine, error) {
+			return NewScratchPipe(e, ScratchPipeOptions{CacheFrac: 0.02})
+		},
+	} {
+		eng, err := build(coordEnv(t, model, 4, shard.CoordHier))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		rep, err := eng.Run(8)
+		if err != nil {
+			t.Fatalf("%s: Run: %v", name, err)
+		}
+		if rep.CoordTime <= 0 {
+			t.Fatalf("%s: priced no coordination on cluster2x2", name)
+		}
+		if rep.CoordWallTime <= 0 {
+			t.Errorf("%s: CoordTime %g but CoordWallTime %g", name, rep.CoordTime, rep.CoordWallTime)
+		}
+	}
+}

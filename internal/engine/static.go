@@ -6,7 +6,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/embed"
 	"repro/internal/par"
-	"repro/internal/tensor"
 	"repro/internal/trace"
 )
 
@@ -24,6 +23,10 @@ type StaticCache struct {
 	// stateCaches shadow caches for per-row optimizer state (nil for
 	// stateless optimizers): hot-row state lives in GPU memory too.
 	stateCaches []*cache.Static
+	// rows/state view caches/stateCaches as trainStep's stores: each
+	// routes hot rows to the GPU copy and cold rows to the CPU table, so
+	// the step runs the identical float program as the baseline.
+	rows, state []embed.RowStore
 	// tabs is per-table scratch for the parallel fan-out; reduced
 	// serially in table order each iteration.
 	tabs []staticTable
@@ -88,6 +91,7 @@ func NewStaticCache(env *Env, topFrac float64) (*StaticCache, error) {
 			s.stateCaches = append(s.stateCaches, sc)
 		}
 	}
+	s.rows, s.state = rowStores(s.caches), rowStores(s.stateCaches)
 	s.shards = max(env.Cfg.Shards, 1)
 	if s.shards > 1 {
 		s.shardPool = par.New((env.Pool.Workers() + cfg.NumTables - 1) / cfg.NumTables)
@@ -150,7 +154,7 @@ func (s *StaticCache) Run(n int) (*Report, error) {
 		rep.GPUBusy += gpu
 
 		if s.env.Cfg.Functional {
-			lossSum += float64(s.trainStep(b))
+			lossSum += float64(s.env.trainStep(b, s.rows, s.state))
 		}
 		s.env.Gen.Recycle(b)
 	}
@@ -214,28 +218,6 @@ func (a *staticTable) classifyChunk(c int) error {
 	}
 	a.chunks[c] = ch
 	return nil
-}
-
-// trainStep runs the real math. The static cache is an embed.RowStore that
-// routes hot rows to the GPU copy and cold rows to the CPU table, so the
-// canonical primitives execute the identical float program as the
-// baseline.
-func (s *StaticCache) trainStep(b *trace.Batch) float32 {
-	cfg := s.env.Cfg.Model
-	pooled := make([]*tensor.Matrix, cfg.NumTables)
-	s.env.Pool.ForEach(cfg.NumTables, func(t int) {
-		pooled[t] = embed.ForwardPooled(s.caches[t], b.Tables[t], b.BatchSize, b.Lookups)
-	})
-	res := s.env.Model.TrainStep(s.env.DenseMatrix(b), pooled, b.Labels)
-	s.env.Pool.ForEach(cfg.NumTables, func(t int) {
-		g := embed.DuplicateCoalesce(b.Tables[t], res.PooledGrads[t], b.Lookups)
-		var state embed.RowStore
-		if s.stateCaches != nil {
-			state = s.stateCaches[t]
-		}
-		s.env.Opt.Apply(s.caches[t], state, g)
-	})
-	return res.Loss
 }
 
 // Flush implements FlushTables: write dirty hot rows (and their optimizer

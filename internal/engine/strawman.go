@@ -2,7 +2,6 @@ package engine
 
 import (
 	"repro/internal/cache"
-	"repro/internal/core"
 	"repro/internal/trace"
 )
 
@@ -46,7 +45,6 @@ func (s *StrawMan) Run(n int) (*Report, error) {
 		return nil, err
 	}
 	rep := &Report{Engine: s.Name(), Iters: n}
-	var lossSum float64
 	for it := 0; it < n; it++ {
 		// Resharding fires between Plans (see scratchpipe.go;
 		// unpipelined, so there is never more than one batch in flight
@@ -79,32 +77,15 @@ func (s *StrawMan) Run(n int) (*Report, error) {
 			return nil, err
 		}
 
+		// Unpipelined: the iteration takes the sum of its stages.
 		var iter float64
-		for st, t := range job.stageTime {
+		for _, t := range job.stageTime {
 			iter += t
-			rep.StageAvg[st] += t
 		}
 		rep.Wall += iter
-		rep.CoordTime += job.coord
-		rep.CPUBusy += job.cpuBusy
-		rep.GPUBusy += job.gpuBusy
-		lossSum += float64(job.loss)
-		s.dyn.recycleJob(job)
+		s.dyn.retire(rep, job)
 	}
-	s.dyn.aggregateCacheStats(rep)
-	finalizeAverages(rep, n, lossSum)
-	// Migration, fault and checkpoint stalls are episodic: they extend
-	// wall time but stay out of the per-iteration average
-	// (finalizeAverages already divided).
-	rep.Wall += rep.MigrationTime + rep.Downtime + rep.RecoveryTime + rep.CheckpointTime
-	if rep.Wall > 0 {
-		rep.Availability = 1 - (rep.Downtime+rep.RecoveryTime)/rep.Wall
-	}
-	// Attribute the Figure 5-style buckets: cache management touching
-	// CPU memory counts as CPU embedding time.
-	rep.CPUEmbFwd = rep.StageAvg[core.StagePlan] + rep.StageAvg[core.StageCollect] + rep.StageAvg[core.StageExchange]
-	rep.CPUEmbBwd = rep.StageAvg[core.StageInsert]
-	rep.GPUTime = rep.StageAvg[core.StageTrain]
+	s.dyn.finish(rep)
 	return rep, nil
 }
 
