@@ -91,7 +91,9 @@ func NewStaticCache(env *Env, topFrac float64) (*StaticCache, error) {
 			s.stateCaches = append(s.stateCaches, sc)
 		}
 	}
-	s.rows, s.state = rowStores(s.caches), rowStores(s.stateCaches)
+	if env.Cfg.Functional {
+		s.rows, s.state = rowStores(s.caches), rowStores(s.stateCaches)
+	}
 	s.shards = max(env.Cfg.Shards, 1)
 	if s.shards > 1 {
 		s.shardPool = par.New((env.Pool.Workers() + cfg.NumTables - 1) / cfg.NumTables)
