@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race examples benchmodule bench hotpath benchgate fmtcheck doccheck fuzzsmoke
+.PHONY: check vet build test race examples benchmodule bench hotpath benchgate fmtcheck doccheck fuzzsmoke paperscale
 
 check: fmtcheck doccheck vet build test race examples benchmodule
 
@@ -77,6 +77,15 @@ doccheck:
 fmtcheck:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
+# Paper-scale pin: runs Figure 13 at the paper's table and batch sizes
+# (10M rows, batch 2048; about a minute and 1.6 GB of RSS) and fails on
+# any byte that differs from the recorded output. CI runs it as its own
+# job after `check`; it is not part of `make check` or `go test`.
+paperscale:
+	@out="$$(mktemp)"; trap 'rm -f "$$out"' EXIT; \
+	$(GO) run ./cmd/spbench -experiment fig13 > "$$out" && \
+	diff -u cmd/spbench/testdata/paper_fig13.golden "$$out"
 
 bench:
 	$(GO) test -run='^$$' -bench=Figure13 -benchmem .
