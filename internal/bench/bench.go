@@ -119,17 +119,41 @@ func x2(x float64) string { return fmt.Sprintf("%.2fx", x) }
 // newEnv builds the metadata-mode environment of one (config, model,
 // class) point of a sweep. The sweep runs every engine of the point on
 // its own fork of it (runEngine), so all of them see the same batch
-// stream from batch 0, generated once, and the dynamic engines reset the
-// scratchpads the previous fork retired instead of rebuilding them.
+// stream from batch 0, generated once, and replay one prewarm record per
+// table; a sweep's envs come from one sweep value, so the dynamic
+// engines of every env reset the scratchpads an earlier fork retired
+// instead of rebuilding them.
 func newEnv(cfg Config, model dlrm.Config, class trace.Class) (*engine.Env, error) {
 	env := cfg.EnvConfig
 	env.Model, env.Class, env.Functional = model, class, false
 	return engine.NewEnv(env)
 }
 
+// A sweep builds the envs of one bench sweep over one spare pool of
+// retired managers, so the sweep allocates each table's planner once;
+// a sweep over cache fractions runs its largest first, which sizes every
+// buffer the smaller points reuse, and prints its points in ascending
+// order.
+type sweep struct{ last *engine.Env }
+
+// env is newEnv for the sweep's next env, which shares the pool of the
+// env before it.
+func (s *sweep) env(cfg Config, model dlrm.Config, class trace.Class) (*engine.Env, error) {
+	env, err := newEnv(cfg, model, class)
+	if err != nil {
+		return nil, err
+	}
+	if s.last != nil {
+		env.ShareSpares(s.last)
+	}
+	s.last = env
+	return env, nil
+}
+
 // runEngine runs n iterations of an engine built over a new fork of env,
-// then closes the fork. The report equals that of the same engine over a
-// fresh newEnv (TestForkedSweepMatchesFreshEnvs).
+// then closes the fork, retiring its managers to the sweep's spare pool.
+// The report equals that of the same engine over a fresh newEnv
+// (TestForkedSweepMatchesFreshEnvs).
 func runEngine(env *engine.Env, n int, build func(*engine.Env) (engine.Engine, error)) (*engine.Report, error) {
 	child, err := env.Fork()
 	if err != nil {

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/dlrm"
@@ -51,24 +52,27 @@ func Figure12b(cfg Config) (*Table, error) {
 		Title:   "Figure 12b: ScratchPipe per-stage pipeline latency (ms)",
 		Columns: []string{"class", "cache", "plan", "collect", "exchange", "insert", "train", "iter(max)"},
 	}
+	var sw sweep
 	for _, class := range trace.Classes {
-		env, err := newEnv(cfg, cfg.Model, class)
+		env, err := sw.env(cfg, cfg.Model, class)
 		if err != nil {
 			return nil, err
 		}
-		for _, frac := range CacheFracs {
+		rows := make([][]string, len(CacheFracs))
+		for i, frac := range slices.Backward(CacheFracs) {
 			rep, err := runEngine(env, cfg.Iters, buildScratchPipe(frac))
 			if err != nil {
 				return nil, err
 			}
-			tab.AddRow(class.String(), fmt.Sprintf("%g%%", frac*100),
+			rows[i] = []string{class.String(), fmt.Sprintf("%g%%", frac*100),
 				ms(rep.StageAvg[core.StagePlan]),
 				ms(rep.StageAvg[core.StageCollect]),
 				ms(rep.StageAvg[core.StageExchange]),
 				ms(rep.StageAvg[core.StageInsert]),
 				ms(rep.StageAvg[core.StageTrain]),
-				ms(rep.IterTime))
+				ms(rep.IterTime)}
 		}
+		tab.Rows = append(tab.Rows, rows...)
 	}
 	return tab, nil
 }
@@ -116,11 +120,15 @@ func (p SpeedupPoint) SpeedupVsStatic() (hybrid, strawman, scratchpipe float64) 
 
 // CollectFigure13 gathers the raw data behind Figure 13 so both the table
 // renderer and the hot-path measurement can use it (EXPERIMENTS.md
-// documents how to reproduce and diff-verify the sweep).
+// documents how to reproduce and diff-verify the sweep). The points are
+// class-major, cache fractions ascending; each class runs its largest
+// fraction first.
 func CollectFigure13(cfg Config) ([]SpeedupPoint, error) {
-	var pts []SpeedupPoint
-	for _, class := range trace.Classes {
-		env, err := newEnv(cfg, cfg.Model, class)
+	n := len(CacheFracs)
+	pts := make([]SpeedupPoint, len(trace.Classes)*n)
+	var sw sweep
+	for c, class := range trace.Classes {
+		env, err := sw.env(cfg, cfg.Model, class)
 		if err != nil {
 			return nil, err
 		}
@@ -128,7 +136,7 @@ func CollectFigure13(cfg Config) ([]SpeedupPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, frac := range CacheFracs {
+		for i, frac := range slices.Backward(CacheFracs) {
 			static, err := runEngine(env, cfg.Iters, buildStatic(frac))
 			if err != nil {
 				return nil, err
@@ -141,7 +149,7 @@ func CollectFigure13(cfg Config) ([]SpeedupPoint, error) {
 			if err != nil {
 				return nil, err
 			}
-			pts = append(pts, speedupPoint(class, frac, hybrid, static, sm, sp))
+			pts[c*n+i] = speedupPoint(class, frac, hybrid, static, sm, sp)
 		}
 	}
 	return pts, nil
@@ -206,8 +214,9 @@ func Figure14(cfg Config) (*Table, error) {
 		Columns: []string{"class", "static (J)", "scratchpipe (J)", "savings"},
 	}
 	pm := energy.Default()
+	var sw sweep
 	for _, class := range trace.Classes {
-		env, err := newEnv(cfg, cfg.Model, class)
+		env, err := sw.env(cfg, cfg.Model, class)
 		if err != nil {
 			return nil, err
 		}
@@ -235,11 +244,12 @@ func Figure15a(cfg Config) (*Table, error) {
 		Title:   "Figure 15a: sensitivity to embedding dimension (speedup vs static, cache 2%)",
 		Columns: []string{"class", "dim", "hybrid", "strawman", "scratchpipe"},
 	}
+	var sw sweep
 	for _, class := range trace.Classes {
 		for _, dim := range []int{64, 128, 256} {
 			model := cfg.Model
 			model.EmbeddingDim = dim
-			if err := addSweepRow(tab, cfg, model, class, fmt.Sprintf("%d", dim)); err != nil {
+			if err := addSweepRow(tab, &sw, cfg, model, class, fmt.Sprintf("%d", dim)); err != nil {
 				return nil, err
 			}
 		}
@@ -253,11 +263,12 @@ func Figure15b(cfg Config) (*Table, error) {
 		Title:   "Figure 15b: sensitivity to lookups per table (speedup vs static, cache 2%)",
 		Columns: []string{"class", "lookups", "hybrid", "strawman", "scratchpipe"},
 	}
+	var sw sweep
 	for _, class := range trace.Classes {
 		for _, lk := range []int{1, 20, 50} {
 			model := cfg.Model
 			model.Lookups = lk
-			if err := addSweepRow(tab, cfg, model, class, fmt.Sprintf("%d", lk)); err != nil {
+			if err := addSweepRow(tab, &sw, cfg, model, class, fmt.Sprintf("%d", lk)); err != nil {
 				return nil, err
 			}
 		}
@@ -265,9 +276,9 @@ func Figure15b(cfg Config) (*Table, error) {
 	return tab, nil
 }
 
-func addSweepRow(tab *Table, cfg Config, model dlrm.Config, class trace.Class, label string) error {
+func addSweepRow(tab *Table, sw *sweep, cfg Config, model dlrm.Config, class trace.Class, label string) error {
 	const frac = 0.02
-	env, err := newEnv(cfg, model, class)
+	env, err := sw.env(cfg, model, class)
 	if err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/cost"
@@ -17,8 +18,9 @@ func TableI(cfg Config) (*Table, error) {
 		Title:   "Table I: training cost -- ScratchPipe vs 8-GPU multi-GPU",
 		Columns: []string{"dataset", "system", "instance", "price/hr", "iter time (ms)", "1M-iter cost", "cost ratio"},
 	}
+	var sw sweep
 	for _, class := range trace.Classes {
-		env, err := newEnv(cfg, cfg.Model, class)
+		env, err := sw.env(cfg, cfg.Model, class)
 		if err != nil {
 			return nil, err
 		}
@@ -55,12 +57,15 @@ func OverheadStudy(cfg Config) (*Table, error) {
 	perBatch := model.BatchSize * model.Lookups // per table
 	window := 6
 	worstRows := float64(window * perBatch * model.NumTables)
+	var sw sweep
+	fracs := []float64{0.02, 0.10}
 	for _, class := range trace.Classes {
-		env, err := newEnv(cfg, model, class)
+		env, err := sw.env(cfg, model, class)
 		if err != nil {
 			return nil, err
 		}
-		for _, frac := range []float64{0.02, 0.10} {
+		rows := make([][]string, len(fracs))
+		for i, frac := range slices.Backward(fracs) {
 			rep, err := runEngine(env, cfg.Iters, buildScratchPipe(frac))
 			if err != nil {
 				return nil, err
@@ -69,12 +74,13 @@ func OverheadStudy(cfg Config) (*Table, error) {
 			// Hit-Map: ~24 B per cached entry (key, value, bucket
 			// overhead), one entry per nominal slot.
 			hitMap := frac * float64(model.RowsPerTable) * float64(model.NumTables) * 24
-			tab.AddRow(class.String(), fmt.Sprintf("%g%%", frac*100),
+			rows[i] = []string{class.String(), fmt.Sprintf("%g%%", frac*100),
 				fmt.Sprintf("%.0f", nominal/1e6),
 				fmt.Sprintf("%.0f", worstRows*rowBytes/1e6),
 				fmt.Sprintf("%.1f", float64(rep.ReservePeak)*rowBytes/1e6),
-				fmt.Sprintf("%.0f", hitMap/1e6))
+				fmt.Sprintf("%.0f", hitMap/1e6)}
 		}
+		tab.Rows = append(tab.Rows, rows...)
 	}
 	return tab, nil
 }
@@ -87,6 +93,7 @@ func SensitivityExtra(cfg Config) (*Table, error) {
 		Title:   "SecVI-E: replacement policy, batch size, MLP-intensive sensitivity",
 		Columns: []string{"study", "variant", "class", "iter (ms)", "hit rate"},
 	}
+	var sw sweep
 	// Replacement policy. The sharded control plane is LRU-specific (the
 	// cross-shard eviction coordinator merges LRU recency orders), so
 	// the non-LRU sensitivity points run unsharded at any -shards
@@ -97,7 +104,7 @@ func SensitivityExtra(cfg Config) (*Table, error) {
 			polCfg.Shards = 1
 		}
 		for _, class := range []trace.Class{trace.Low, trace.High} {
-			env, err := newEnv(polCfg, cfg.Model, class)
+			env, err := sw.env(polCfg, cfg.Model, class)
 			if err != nil {
 				return nil, err
 			}
@@ -114,7 +121,7 @@ func SensitivityExtra(cfg Config) (*Table, error) {
 	for _, bs := range []int{512, 2048, 8192} {
 		model := cfg.Model
 		model.BatchSize = bs
-		env, err := newEnv(cfg, model, trace.Medium)
+		env, err := sw.env(cfg, model, trace.Medium)
 		if err != nil {
 			return nil, err
 		}
@@ -129,7 +136,7 @@ func SensitivityExtra(cfg Config) (*Table, error) {
 	model.TopHidden = []int{4096, 4096, 2048, 1024}
 	model.Lookups = 2
 	for _, class := range []trace.Class{trace.Low, trace.High} {
-		env, err := newEnv(cfg, model, class)
+		env, err := sw.env(cfg, model, class)
 		if err != nil {
 			return nil, err
 		}
@@ -155,8 +162,9 @@ func AblationWindows(cfg Config) (*Table, error) {
 		Title:   "Ablation: pipelining and window sizing",
 		Columns: []string{"variant", "class", "iter (ms)", "reserve peak (rows)", "notes"},
 	}
+	var sw sweep
 	for _, class := range []trace.Class{trace.Random, trace.High} {
-		env, err := newEnv(cfg, cfg.Model, class)
+		env, err := sw.env(cfg, cfg.Model, class)
 		if err != nil {
 			return nil, err
 		}

@@ -225,15 +225,13 @@ func newDynamicState(env *Env, cacheFrac float64, policy cache.PolicyKind, past,
 
 // prewarm fills every table's scratchpad to capacity with draws from the
 // trace distribution, approximating LRU steady-state content so measured
-// iterations reflect warm-cache behaviour rather than a cold start. Every
-// plane copies the drawn rows into its GPU slots, so training results
-// are unchanged.
+// iterations reflect warm-cache behaviour rather than a cold start. A
+// fork replays its env's prewarm record of the draws instead of drawing
+// them. Every plane copies the inserted rows into its GPU slots, so
+// training results are unchanged.
 func (d *dynamicState) prewarm() {
 	dists := d.env.Gen.Dists()
 	d.pool.ForEach(len(d.sps), func(t int) {
-		sp := d.sps[t]
-		rng := newSeededRand(d.env.Cfg.Seed + int64(3000+t))
-		dist := dists[t]
 		var onFill func(id int64, slot int32)
 		if len(d.planes) > 0 {
 			onFill = func(id int64, slot int32) {
@@ -242,7 +240,11 @@ func (d *dynamicState) prewarm() {
 				}
 			}
 		}
-		sp.PrewarmRows(d.env.Cfg.Model.RowsPerTable, func() int64 { return dist.Sample(rng) }, onFill)
+		if d.env.warm != nil {
+			d.sps[t].PrewarmFrom(d.env.warm[t], onFill)
+			return
+		}
+		d.sps[t].PrewarmRows(d.env.Cfg.Model.RowsPerTable, prewarmSample(d.env.Cfg.Seed, t, dists[t]), onFill)
 	})
 }
 

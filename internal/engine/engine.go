@@ -192,14 +192,19 @@ type Env struct {
 	// clone: each fork clones it afresh, exactly as a new NewEnv would.
 	srcTopo *hw.Topology
 	// spares pools the per-table managers that closed forks retired,
-	// shared by an env and all its forks (nil until the first Fork).
-	// Only forks draw from it and return to it, so an env that is never
-	// forked keeps nothing alive. forked marks a child built by Fork;
-	// live lists the managers its dynamic engines built, which Close
-	// retires into spares.
+	// shared by an env and all its forks, and by every env that
+	// ShareSpares joined to them (nil until the first Fork or
+	// ShareSpares). Only forks draw from it and return to it, so an env
+	// that is never forked keeps nothing alive. forked marks a child
+	// built by Fork; live lists the managers its dynamic engines built,
+	// which Close retires into spares.
 	spares *managerPool
 	forked bool
 	live   []*shard.Manager
+	// warm holds one prewarm record per table, shared by an env and all
+	// its forks (nil until the first Fork, and for tables too large to
+	// record): every fork's dynamic engines prewarm by replaying it.
+	warm []*shard.PrewarmRecord
 }
 
 // managerPool is the spare list of retired per-table managers a forked
@@ -280,19 +285,26 @@ func (e *Env) buildModel() error {
 
 // Fork returns a child environment that trains exactly as a fresh
 // NewEnv(e.Cfg) would: its batch stream replays e's from batch 0 (all
-// forks of e read one recording, generated once, on demand), under
-// faults it gets its own clone of the caller's topology, and in
-// functional mode its own tables and model. The worker pool and the
-// stateless optimizer are shared. Build one engine over the child and
-// Close it once the run is done. Fork from one goroutine; the forks may
-// then run concurrently. An env that is never forked records nothing.
+// forks of e read one recording, generated once, on demand), its
+// dynamic engines prewarm by replaying e's per-table prewarm records
+// (each drawn once, as far as the largest capacity asks), under faults
+// it gets its own clone of the caller's topology, and in functional
+// mode its own tables and model. The worker pool, the stateless
+// optimizer and the spare pool of retired managers (which ShareSpares
+// may extend across envs) are shared. Build one engine over the child
+// and Close it once the run is done. Fork from one goroutine; the forks
+// may then run concurrently. An env that is never forked records
+// nothing.
 func (e *Env) Fork() (*Env, error) {
 	if e.spares == nil {
 		e.spares = &managerPool{}
 	}
+	if e.warm == nil {
+		e.warm = e.newPrewarmRecords()
+	}
 	child := &Env{
 		Cfg: e.Cfg, Gen: e.Gen.Fork(), Opt: e.Opt, StateDim: e.StateDim, Pool: e.Pool,
-		mlpIterTime: e.mlpIterTime, srcTopo: e.srcTopo, spares: e.spares, forked: true,
+		mlpIterTime: e.mlpIterTime, srcTopo: e.srcTopo, spares: e.spares, forked: true, warm: e.warm,
 	}
 	if e.Cfg.Faults.Active() {
 		child.Cfg.Topology = e.srcTopo.Clone()
@@ -301,6 +313,38 @@ func (e *Env) Fork() (*Env, error) {
 		return nil, err
 	}
 	return child, nil
+}
+
+// ShareSpares makes e and its forks recycle per-table managers through
+// o's spare pool, so the envs of one sweep (one per class, say) reset
+// the planners each other's forks retired instead of building their
+// own. Call it before e's first Fork.
+func (e *Env) ShareSpares(o *Env) {
+	if o.spares == nil {
+		o.spares = &managerPool{}
+	}
+	e.spares = o.spares
+}
+
+// newPrewarmRecords returns one empty prewarm record per table, or nil
+// (prewarms then draw) when the tables are too large to record.
+func (e *Env) newPrewarmRecords() []*shard.PrewarmRecord {
+	recs := make([]*shard.PrewarmRecord, e.Cfg.Model.NumTables)
+	dists := e.Gen.Dists()
+	for t := range recs {
+		var err error
+		if recs[t], err = shard.NewPrewarmRecord(e.Cfg.Model.RowsPerTable, prewarmSample(e.Cfg.Seed, t, dists[t])); err != nil {
+			return nil
+		}
+	}
+	return recs
+}
+
+// prewarmSample returns table t's prewarm draw stream: dist sampled from
+// a generator seeded seed+3000+t.
+func prewarmSample(seed int64, t int, dist trace.Distribution) func() int64 {
+	rng := newSeededRand(seed + int64(3000+t))
+	return func() int64 { return dist.Sample(rng) }
 }
 
 // Close retires a fork: the per-table scratchpad managers its dynamic
@@ -319,9 +363,11 @@ func (e *Env) Close() {
 }
 
 // newManager builds one table's control plane for cfg. A fork resets a
-// spare that a closed fork retired, when there is one — keeping its slot
-// metadata, Hit-Maps, Plan and hold-set pools and coordination meter
-// (shard.Manager.Reset) — and remembers the manager for its own Close.
+// spare that a closed fork of any env sharing its pool retired, when
+// there is one — keeping its slot metadata, Hit-Map, recency lists, Plan
+// and hold-set pools and coordination meter (shard.Manager.Reset), which
+// a sweep that runs its largest point first never has to grow — and
+// remembers the manager for its own Close.
 func (e *Env) newManager(cfg shard.Config) (*shard.Manager, error) {
 	if !e.forked {
 		return shard.New(cfg)

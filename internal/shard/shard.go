@@ -786,22 +786,38 @@ func (m *Manager) Prewarm(sample func() int64, onFill func(id int64, slot int32)
 // that shard's stripe has run dry. A draw outside the table's rows
 // panics.
 func (m *Manager) PrewarmRows(rows int64, sample func() int64, onFill func(id int64, slot int32)) int {
+	m.GrowRows(rows)
+	limit, draws := 8*m.Capacity()+100, 0
+	return m.prewarm(func() (int64, bool) {
+		for draws < limit {
+			draws++
+			id := sample()
+			if err := m.CheckID(id); err != nil {
+				panic("shard: prewarm: " + err.Error())
+			}
+			if !m.Contains(id) {
+				return id, true
+			}
+		}
+		return 0, false
+	}, onFill)
+}
+
+// prewarm is the one Prewarm insertion loop: while a primary slot is
+// free it inserts next's IDs, which must be in range and not resident,
+// until next reports the stream spent.
+func (m *Manager) prewarm(next func() (int64, bool), onFill func(id int64, slot int32)) int {
 	if m.InFlight() != 0 {
 		panic("shard: Prewarm with batches in flight")
 	}
 	// Prewarm inserts move recency lists and the stamp clock: an overlap
 	// mark no longer describes the next Plan.
 	m.dropOverlap()
-	m.GrowRows(rows)
 	inserted := 0
-	limit := 8*m.Capacity() + 100
-	for draws := 0; m.freePrimaryTotal > 0 && draws < limit; draws++ {
-		id := sample()
-		if err := m.CheckID(id); err != nil {
-			panic("shard: prewarm: " + err.Error())
-		}
-		if m.Contains(id) {
-			continue
+	for m.freePrimaryTotal > 0 {
+		id, ok := next()
+		if !ok {
+			break
 		}
 		j := m.shardFor(id)
 		slot := m.borrowPrimary(j, false) // setup-time borrowing is not metered
