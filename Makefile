@@ -79,7 +79,7 @@ fmtcheck:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # Paper-scale pin: runs Figure 13 at the paper's table and batch sizes
-# (10M rows, batch 2048; about a minute and 1.6 GB of RSS) and fails on
+# (10M rows, batch 2048; under a minute, 1.4 GB of RSS) and fails on
 # any byte that differs from the recorded output. CI runs it as its own
 # job after `check`; it is not part of `make check` or `go test`.
 paperscale:

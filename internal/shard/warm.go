@@ -38,7 +38,8 @@ type lateDraw struct{ i, at int32 }
 
 // NewPrewarmRecord returns an empty record of the stream sample draws
 // from a table of rows rows, which must be in [1, MaxRecordRows]. The
-// record owns sample: it calls it under its lock, never concurrently.
+// record owns sample: it calls it under its lock, so never concurrently,
+// and sample must not call the record.
 func NewPrewarmRecord(rows int64, sample func() int64) (*PrewarmRecord, error) {
 	if rows < 1 || rows > MaxRecordRows {
 		return nil, fmt.Errorf("shard: prewarm record of %d rows outside [1, %d]", rows, MaxRecordRows)
