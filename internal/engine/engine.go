@@ -348,8 +348,9 @@ func prewarmSample(seed int64, t int, dist trace.Distribution) func() int64 {
 }
 
 // Close retires a fork: the per-table scratchpad managers its dynamic
-// engines built go to a spare list that the next fork's engines reset
-// in place, at any shard count, instead of rebuilding. Neither the fork
+// engines built go to the spare pool, whose next fork (of this env or of
+// any env sharing the pool) resets them in place, at any shard count,
+// instead of rebuilding. Neither the fork
 // nor any engine built over it may be used afterwards. On an env that
 // is not a fork Close does nothing.
 func (e *Env) Close() {
