@@ -47,13 +47,17 @@ func TestProfileFlags(t *testing.T) {
 // parsing, the simulation, the report rendering — runs in a child
 // process and its stdout is compared with the checked-in file. A change
 // that means to move an output re-records with `go test -update` and
-// accounts for every moved line in CHANGES.md.
+// accounts for every moved line in CHANGES.md. serve_batch_fail covers
+// batching together with a replica kill, retries, hedging and shedding.
 func TestServeGolden(t *testing.T) {
 	testGolden(t, []struct{ golden, args string }{
 		{"serve_default.golden", "-serve"},
 		{"serve_cluster2x2.golden", "-serve -topology cluster2x2"},
 		{"serve_flash.golden", "-serve -arrival flash:20000:10 -class High"},
 		{"serve_batch1.golden", "-serve -serve-batch 1"},
+		{"serve_batch_fail.golden", "-serve -router hitaware-telemetry -replicas 4 -topology cluster2x2 " +
+			"-arrival flash:20000:10:0.3:0.2 -serve-batch 8 -serve-fail replica1@0.07 -retry 3:2 -hedge 5 " +
+			"-admission newest:0.75 -deadline 50"},
 	})
 }
 
