@@ -9,7 +9,8 @@ import (
 // one pass (no backward), operands read and written once. The training
 // IterOverhead is deliberately excluded — that models the framework's
 // per-training-iteration bookkeeping, while serving's launch overheads
-// are already charged per-kernel inside serve.ServiceTime.
+// are already charged per-kernel, once per launch of one or more
+// queries, inside serve.ServiceTime.
 func inferenceDenseTime(env *Env) float64 {
 	return inferenceDenseBatchTime(env, 1)
 }

@@ -8,13 +8,14 @@
 // pair, and the dense forward runs once at the batch size with the
 // engine roofline's per-query marginal cost. Hits and misses amortize
 // exactly the way training's mini-batches amortize them — which is the
-// whole point: PR 7-9 paid kernel launch and PCIe latency per query,
-// the overhead real inference servers remove first.
+// whole point: an unbatched fleet pays kernel launch and PCIe latency
+// per query, the overhead real inference servers remove first.
 //
-// BatchCap <= 1 disables batching entirely: every query is serviced
-// alone the moment it is admitted, no batch event is ever scheduled,
-// and the report is deep-equal to the flag-absent run's (the
-// -serve-batch 1 acceptance gate).
+// BatchCap <= 1 disables batching entirely: every query launches alone,
+// a batch of one, the moment it is admitted, no batch event is ever
+// scheduled, and the report is deep-equal to the flag-absent run's (the
+// -serve-batch 1 acceptance gate). Both go through the one launch path
+// and the one price, Fleet.ServiceTime.
 
 package serve
 
@@ -105,31 +106,6 @@ func ParseBatch(s string) (BatchSpec, error) {
 		return BatchSpec{}, nil
 	}
 	return spec, nil
-}
-
-// BatchServiceTime prices one deduplicated batch of `batch` queries on
-// a worker. Relative to `batch` runs of ServiceTime, the batch pays the
-// PCIe latency and each kernel's launch overhead once, probes only the
-// uniqueIDs distinct composite keys (shared keys once, not per member),
-// takes one aggregated fill detour, and runs one dense forward at the
-// batch size — the roofline amortizes the weight-read bytes across
-// members, leaving the per-query marginal FLOPs/activation cost.
-// totalIDs is the occurrence count summed over members (gather and pool
-// still touch every occurrence); coord is the batch's cross-shard Plan
-// coordination latency.
-func (f *Fleet) BatchServiceTime(fills, uniqueIDs, totalIDs, batch int, coord float64) float64 {
-	sys := f.cfg.System
-	dim := f.cfg.EmbeddingDim
-	// The whole batch's sparse IDs cross PCIe in one transfer; the GPU
-	// probes key+value once per distinct key.
-	t := sys.PCIe.TransferTime(idBytes(totalIDs)) +
-		sys.GPU.RandomTime(float64(uniqueIDs)*16)
-	if fills > 0 {
-		t += f.fillDetour(fills)
-	}
-	t += sys.GPU.GatherTime(totalIDs, dim) +
-		sys.GPU.ReduceTime(totalIDs, batch*f.cfg.NumTables, dim)
-	return t + f.denseBatchTime(batch) + coord
 }
 
 // denseBatchTime prices the dense MLP forward at batch size n: the

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -174,5 +175,61 @@ func TestDegradedLatencySplit(t *testing.T) {
 	if rep.DegradedLatency.P50 <= rep.Latency.P99 {
 		t.Errorf("degraded p50 %.6f not above GPU-path p99 %.6f — split not separating the populations",
 			rep.DegradedLatency.P50, rep.Latency.P99)
+	}
+}
+
+// TestPlanUniqueMatchesKeySet holds worker.plan's distinct-key count —
+// the per-table Plans' unique IDs, summed — to a plain set of composite
+// keys (id·T + t) over random multi-query batches, at one and three
+// shards. That count is what a batched launch probes.
+func TestPlanUniqueMatchesKeySet(t *testing.T) {
+	const maxBatch, trials = 8, 200
+	for _, shards := range []int{1, 3} {
+		cfg := testConfig(PolicyHitAware, trace.High)
+		cfg.Shards = shards
+		cfg.Batch = BatchSpec{Cap: maxBatch}
+		f, err := NewFleet(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wk := f.workers[0]
+		rng := rand.New(rand.NewSource(int64(shards)))
+		queries := make([]*query, maxBatch)
+		for i := range queries {
+			queries[i] = f.newQuery()
+		}
+		ids := make([][]int64, cfg.NumTables)
+		seen := make(map[int64]struct{})
+		shared := 0
+		for trial := 0; trial < trials; trial++ {
+			n := 1 + rng.Intn(maxBatch)
+			clear(seen)
+			for tbl := range ids {
+				ids[tbl] = ids[tbl][:0]
+			}
+			for _, q := range queries[:n] {
+				f.nextRequest(q)
+				for tbl, qids := range q.ids {
+					ids[tbl] = append(ids[tbl], qids...)
+					for _, id := range qids {
+						seen[id*int64(cfg.NumTables)+int64(tbl)] = struct{}{}
+					}
+				}
+			}
+			_, _, unique, _, err := wk.plan(ids)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if unique != len(seen) {
+				t.Fatalf("shards %d trial %d (batch %d): plan counted %d distinct keys, the key set %d",
+					shards, trial, n, unique, len(seen))
+			}
+			if len(seen) < n*cfg.NumTables*cfg.Lookups {
+				shared++
+			}
+		}
+		if shared == 0 {
+			t.Errorf("shards %d: no batch repeated a key, so deduplication went unexercised", shards)
+		}
 	}
 }

@@ -104,8 +104,8 @@ func eventLess(a, b event) bool {
 	return a.seq < b.seq
 }
 
-// resilientSim is the per-run state of the simulator.
-type resilientSim struct {
+// sim is the per-run state of the simulator.
+type sim struct {
 	f      *Fleet
 	rep    *Report
 	lat    metrics.Series
@@ -118,17 +118,14 @@ type resilientSim struct {
 	shedDepth int
 	good      int64
 	maxDone   float64
-	// batchIDs is the reusable per-table concatenation buffer the
-	// batched path plans through (nil when batching is off).
+	// batchIDs is the reusable per-table concatenation buffer a launch
+	// of several members plans through (nil when batching is off).
 	batchIDs [][]int64
-	// batchSeen is the reusable composite-key set that counts a batch's
-	// distinct keys (shared keys are probed once).
-	batchSeen map[int64]struct{}
 }
 
 // push schedules e; an event carrying a query holds a reference to it
 // until the event has fired.
-func (s *resilientSim) push(e event) {
+func (s *sim) push(e event) {
 	e.seq = s.seq
 	s.seq++
 	if e.q != nil {
@@ -146,7 +143,7 @@ func (s *resilientSim) push(e event) {
 	}
 }
 
-func (s *resilientSim) pop() event {
+func (s *sim) pop() event {
 	top := s.events[0]
 	last := len(s.events) - 1
 	s.events[0] = s.events[last]
@@ -227,8 +224,8 @@ func (f *Fleet) Simulate(arrivals []float64) (*Report, error) {
 // newSim builds the run state for a vector of offered arrivals: the
 // report shell, the batch planning buffers, the admission threshold in
 // queue slots, and the outage schedule's kill and heal events.
-func (f *Fleet) newSim(offered int) *resilientSim {
-	s := &resilientSim{
+func (f *Fleet) newSim(offered int) *sim {
+	s := &sim{
 		f: f,
 		rep: &Report{
 			Router:   Policy(f.cfg.Router),
@@ -243,7 +240,6 @@ func (f *Fleet) newSim(offered int) *resilientSim {
 		for t := range s.batchIDs {
 			s.batchIDs[t] = make([]int64, 0, f.cfg.Lookups*f.cfg.Batch.Cap)
 		}
-		s.batchSeen = make(map[int64]struct{}, s.totalIDs*f.cfg.Batch.Cap)
 	}
 	if f.cfg.Admission.Policy != AdmitAll {
 		s.shedDepth = int(math.Ceil(f.cfg.Admission.Threshold * float64(f.cfg.QueueCap)))
@@ -269,7 +265,7 @@ func (f *Fleet) newSim(offered int) *resilientSim {
 // recycled (or, while the pool is still growing, new) query with the
 // next request of the stream drawn into its buffers, referenced once by
 // the arrival being handled.
-func (s *resilientSim) acquire(at float64) *query {
+func (s *sim) acquire(at float64) *query {
 	var q *query
 	if n := len(s.free); n > 0 {
 		q, s.free = s.free[n-1], s.free[:n-1]
@@ -288,7 +284,7 @@ func (s *resilientSim) acquire(at float64) *query {
 // exactly once) and its buffers return to the pool. Latency samples are
 // sorted before they are digested, so the order queries retire in moves
 // no reported number.
-func (s *resilientSim) release(q *query) {
+func (s *sim) release(q *query) {
 	if q.refs--; q.refs > 0 {
 		return
 	}
@@ -319,7 +315,7 @@ func (s *resilientSim) release(q *query) {
 // linkHop prices the frontend-to-worker hop — queries routed off node 0
 // pay the crossed link both ways (IDs up, score back) — and books the
 // routing-link counters.
-func (s *resilientSim) linkHop(wk *worker) (linkUp, linkDown float64) {
+func (s *sim) linkHop(wk *worker) (linkUp, linkDown float64) {
 	f := s.f
 	if f.cfg.Topology != nil && wk.node != 0 {
 		link := f.cfg.Topology.Link(0, wk.node)
@@ -339,7 +335,7 @@ func (s *resilientSim) linkHop(wk *worker) (linkUp, linkDown float64) {
 // wins), otherwise the attempt is doomed and fails when the kill
 // flushes the queue. degraded marks a CPU-fallback attempt, so a win
 // reports its latency in the degraded percentile block.
-func (s *resilientSim) settle(q *query, wk *worker, t, done, linkDown float64, degraded bool) {
+func (s *sim) settle(q *query, wk *worker, t, done, linkDown float64, degraded bool) {
 	if done <= wk.nextKill(t) {
 		resp := done + linkDown
 		if resp < q.bestDone {
@@ -357,7 +353,7 @@ func (s *resilientSim) settle(q *query, wk *worker, t, done, linkDown float64, d
 // admission controller and finalizes drops; modeRetry treats a full
 // queue or an empty fleet as another failed attempt; modeHedge gives up
 // silently (the primary is still in flight).
-func (s *resilientSim) dispatch(q *query, t float64, mode dispatchMode) error {
+func (s *sim) dispatch(q *query, t float64, mode dispatchMode) error {
 	f := s.f
 	w := f.router.choose(q.keys, f.workers, t, q.tried)
 	if w < 0 && mode == modeRetry && len(q.tried) > 0 {
@@ -411,41 +407,13 @@ func (s *resilientSim) dispatch(q *query, t float64, mode dispatchMode) error {
 		}
 		return nil
 	}
-	if f.cfg.Batch.Enabled() {
-		s.enqueueBatch(q, wk, t)
-		return nil
-	}
-	linkUp, linkDown := s.linkHop(wk)
-	fills, evicts, coord, err := wk.plan(q.ids)
-	if err != nil {
-		return err
-	}
-	f.maybePublish(wk, t)
-	svc := f.ServiceTime(fills, s.totalIDs, coord)
-	enq := t + linkUp
-	start := enq
-	if wk.busyUntil > start {
-		start = wk.busyUntil
-	}
-	done := start + svc
-	wk.busyUntil = done
-	wk.comp = append(wk.comp, done)
-	if dd := len(wk.comp) - wk.head; dd > wk.peakDepth {
-		wk.peakDepth = dd
-	}
-	s.bookPlan(wk, fills, evicts, coord)
-	// The router's view learns the keys only now that the replica took
-	// the query: a bounced or shed query never reached its scratchpad.
-	f.router.note(w, q.keys)
-	q.tried = append(q.tried, w)
-	s.settle(q, wk, t, done, linkDown, false)
-	return nil
+	return s.enqueue(q, wk, t, d)
 }
 
 // bookPlan adds one plan's row movements and coordination latency to
 // the report and, while wk is re-warming after a heal, to its re-warm
 // bill.
-func (s *resilientSim) bookPlan(wk *worker, fills, evicts int, coord float64) {
+func (s *sim) bookPlan(wk *worker, fills, evicts int, coord float64) {
 	s.rep.Fills += int64(fills)
 	s.rep.Evictions += int64(evicts)
 	s.rep.CoordTime += coord
@@ -458,27 +426,31 @@ func (s *resilientSim) bookPlan(wk *worker, fills, evicts int, coord float64) {
 	}
 }
 
-// enqueueBatch parks one attempt of q in wk's batch queue: the routing
-// link is paid now (the IDs travel to the replica at dispatch), the
-// scratchpad is planned at launch. The router's view learns the keys at
-// dispatch, exactly as the unbatched path does.
-func (s *resilientSim) enqueueBatch(q *query, wk *worker, t float64) {
+// enqueue parks one attempt of q in wk's queue, whose depth was d: the
+// routing link is paid now (the IDs travel to the replica at dispatch),
+// and the router's view learns the keys now that the replica took the
+// query (a bounced or shed query never reached its scratchpad). The
+// scratchpad is planned at launch: at once when batching is off, where
+// every query is a batch of one, or when the batch launch event fires.
+func (s *sim) enqueue(q *query, wk *worker, t float64, d int) error {
 	linkUp, linkDown := s.linkHop(wk)
 	s.f.router.note(wk.id, q.keys)
 	q.tried = append(q.tried, wk.id)
 	wk.pending = append(wk.pending, pendingReq{q: q, enq: t + linkUp, linkDown: linkDown})
 	q.refs++
-	if d := len(wk.comp) - wk.head + len(wk.pending); d > wk.peakDepth {
-		wk.peakDepth = d
+	wk.peakDepth = max(wk.peakDepth, d+1)
+	if !s.f.cfg.Batch.Enabled() {
+		return s.launchBatch(wk, t)
 	}
 	s.scheduleBatch(wk, t)
+	return nil
 }
 
 // batchReady returns the earliest time wk's head batch may launch,
 // ignoring the busy horizon: the moment the cap-th member is aboard, or
 // the first member's enqueue plus the hold delay for an undersized
 // batch.
-func (s *resilientSim) batchReady(wk *worker, now float64) float64 {
+func (s *sim) batchReady(wk *worker, now float64) float64 {
 	capN := s.f.cfg.Batch.Cap
 	if len(wk.pending) >= capN {
 		ready := now
@@ -496,27 +468,21 @@ func (s *resilientSim) batchReady(wk *worker, now float64) float64 {
 // time consistent with the batching rule and the busy horizon. Events
 // are never retracted: a stale earlier event re-evaluates and re-arms,
 // a later one is subsumed by the earlier arming.
-func (s *resilientSim) scheduleBatch(wk *worker, now float64) {
+func (s *sim) scheduleBatch(wk *worker, now float64) {
 	if wk.down || len(wk.pending) == 0 {
 		return
 	}
-	at := s.batchReady(wk, now)
-	if wk.busyUntil > at {
-		at = wk.busyUntil
-	}
-	if at < now {
-		at = now
-	}
-	if at < wk.batchPlanned {
+	if at := max(s.batchReady(wk, now), wk.busyUntil, now); at < wk.batchPlanned {
 		wk.batchPlanned = at
 		s.push(event{t: at, kind: evBatch, w: wk.id})
 	}
 }
 
 // fireBatch handles a batch-launch event on worker w: launch if the
-// batch is ready and the worker free, otherwise re-arm for the earliest
-// time it will be.
-func (s *resilientSim) fireBatch(w int, t float64) error {
+// batch is ready and the worker free, then re-arm for whatever is still
+// pending — an unready batch, members beyond the cap, or members
+// enqueued mid-decision — behind the busy horizon.
+func (s *sim) fireBatch(w int, t float64) error {
 	wk := s.f.workers[w]
 	if t >= wk.batchPlanned {
 		wk.batchPlanned = math.Inf(1)
@@ -524,78 +490,63 @@ func (s *resilientSim) fireBatch(w int, t float64) error {
 	if wk.down || len(wk.pending) == 0 {
 		return nil
 	}
-	at := s.batchReady(wk, t)
-	if wk.busyUntil > at {
-		at = wk.busyUntil
-	}
-	if at > t {
-		if at < wk.batchPlanned {
-			wk.batchPlanned = at
-			s.push(event{t: at, kind: evBatch, w: w})
+	if max(s.batchReady(wk, t), wk.busyUntil) <= t {
+		if err := s.launchBatch(wk, t); err != nil {
+			return err
 		}
-		return nil
 	}
-	if err := s.launchBatch(wk, t); err != nil {
-		return err
-	}
-	// Leftover members (beyond the cap, or enqueued mid-decision) re-arm
-	// behind the new busy horizon.
 	s.scheduleBatch(wk, t)
 	return nil
 }
 
-// launchBatch services wk's head batch at time t: up to Cap members
-// whose IDs have arrived are planned through the scratchpad as one
-// deduplicated batch (one Plan per table over the concatenated IDs) and
-// priced by BatchServiceTime; every member completes at the batch's
-// end and settles against the kill schedule — a kill mid-batch dooms
-// the whole batch to client-visible failures.
-func (s *resilientSim) launchBatch(wk *worker, t float64) error {
+// launchBatch services wk's head batch at time t: up to max(Cap, 1)
+// members whose IDs have arrived are planned through the scratchpad as
+// one deduplicated batch (one Plan per table over the concatenated IDs;
+// a lone member plans its own) and priced by ServiceTime; every member
+// completes at the batch's end and settles against the kill schedule —
+// a kill mid-batch dooms the whole batch to client-visible failures.
+// The launch starts no earlier than its head member's enqueue, which a
+// fired batch event has already passed.
+func (s *sim) launchBatch(wk *worker, t float64) error {
 	f := s.f
-	start := t
-	if wk.busyUntil > start {
-		start = wk.busyUntil
-	}
+	start := max(t, wk.busyUntil, wk.pending[0].enq)
+	capN := max(f.cfg.Batch.Cap, 1)
 	n := 0
-	for n < len(wk.pending) && n < f.cfg.Batch.Cap && wk.pending[n].enq <= start {
+	for n < len(wk.pending) && n < capN && wk.pending[n].enq <= start {
 		n++
 	}
-	if n == 0 {
-		return nil
-	}
 	members := wk.pending[:n]
-	for t := range s.batchIDs {
-		s.batchIDs[t] = s.batchIDs[t][:0]
-	}
-	clear(s.batchSeen)
-	unique := 0
-	for _, p := range members {
-		for t := range p.q.ids {
-			s.batchIDs[t] = append(s.batchIDs[t], p.q.ids[t]...)
-		}
-		for _, k := range p.q.keys {
-			if _, ok := s.batchSeen[k]; !ok {
-				s.batchSeen[k] = struct{}{}
-				unique++
+	ids := members[0].q.ids
+	if n > 1 {
+		for tbl := range s.batchIDs {
+			s.batchIDs[tbl] = s.batchIDs[tbl][:0]
+			for _, p := range members {
+				s.batchIDs[tbl] = append(s.batchIDs[tbl], p.q.ids[tbl]...)
 			}
 		}
+		ids = s.batchIDs
 	}
-	fills, evicts, coord, err := wk.plan(s.batchIDs)
+	fills, evicts, unique, coord, err := wk.plan(ids)
 	if err != nil {
 		return err
 	}
 	f.maybePublish(wk, t)
-	svc := f.BatchServiceTime(fills, unique, n*s.totalIDs, n, coord)
-	done := start + svc
+	total := n * s.totalIDs
+	probes := unique
+	if !f.cfg.Batch.Enabled() {
+		// A solo query probes every occurrence (DESIGN.md §14).
+		probes = total
+	}
+	done := start + f.ServiceTime(fills, probes, total, n, coord)
 	wk.busyUntil = done
 	for range members {
 		wk.comp = append(wk.comp, done)
 	}
 	s.bookPlan(wk, fills, evicts, coord)
-	wk.batches++
-	wk.batchedQueries += int64(n)
-	if n > wk.maxBatch {
-		wk.maxBatch = n
+	if f.cfg.Batch.Enabled() {
+		wk.batches++
+		wk.batchedQueries += int64(n)
+		wk.maxBatch = max(wk.maxBatch, n)
 	}
 	for _, p := range members {
 		s.settle(p.q, wk, t, done, p.linkDown, false)
@@ -611,7 +562,7 @@ func (s *resilientSim) launchBatch(wk *worker, t float64) error {
 // rides out a full GPU queue instead of dropping. The scratchpad is
 // untouched: no plan, no fills, no hit/miss accounting, and the
 // router's view learns nothing.
-func (s *resilientSim) degradedDispatch(q *query, wk *worker, t float64) {
+func (s *sim) degradedDispatch(q *query, wk *worker, t float64) {
 	linkUp, linkDown := s.linkHop(wk)
 	svc := s.f.DegradedServiceTime(s.totalIDs)
 	enq := t + linkUp
@@ -632,7 +583,7 @@ func (s *resilientSim) degradedDispatch(q *query, wk *worker, t float64) {
 // and retry budget remains inside the deadline, the next retry is
 // scheduled with exponential backoff. Queries that exhaust the budget
 // finalize as TimedOut.
-func (s *resilientSim) attemptFailed(q *query, t float64) {
+func (s *sim) attemptFailed(q *query, t float64) {
 	if q.resolved || !math.IsInf(q.bestDone, 1) {
 		return
 	}
@@ -650,7 +601,7 @@ func (s *resilientSim) attemptFailed(q *query, t float64) {
 }
 
 // fireRetry redispatches q unless a response already arrived.
-func (s *resilientSim) fireRetry(q *query, t float64) error {
+func (s *sim) fireRetry(q *query, t float64) error {
 	if q.resolved || q.bestDone <= t {
 		return nil
 	}
@@ -661,7 +612,7 @@ func (s *resilientSim) fireRetry(q *query, t float64) error {
 // fireHedge duplicates q to the next-best untried replica unless a
 // response already arrived. First response wins; the loser's work stays
 // billed on whichever queue it occupies.
-func (s *resilientSim) fireHedge(q *query, t float64) error {
+func (s *sim) fireHedge(q *query, t float64) error {
 	if q.resolved || q.bestDone <= t {
 		return nil
 	}
@@ -677,7 +628,7 @@ func (s *resilientSim) fireHedge(q *query, t float64) error {
 // flushed, every in-flight attempt fails back to the client, the
 // scratchpad generation's statistics are banked and its state
 // discarded, and the router's view of the replica is invalidated.
-func (s *resilientSim) kill(w int, t float64) {
+func (s *sim) kill(w int, t float64) {
 	f := s.f
 	wk := f.workers[w]
 	wk.down = true
@@ -718,7 +669,7 @@ func (s *resilientSim) kill(w int, t float64) {
 // heal brings worker w back with a cold scratchpad: the rebuilt cache
 // re-warms through ordinary misses, tracked (and priced) as
 // RewarmFills/RewarmTime until residency is back to its pre-kill level.
-func (s *resilientSim) heal(w int) error {
+func (s *sim) heal(w int) error {
 	wk := s.f.workers[w]
 	wk.down = false
 	if err := s.f.buildScratchpads(wk); err != nil {
@@ -731,7 +682,7 @@ func (s *resilientSim) heal(w int) error {
 // finish assembles the report once every query has retired: the
 // throughput, goodput and latency digests, the per-worker breakdown, and
 // the availability figure.
-func (s *resilientSim) finish(arrivals []float64) (*Report, error) {
+func (s *sim) finish(arrivals []float64) (*Report, error) {
 	f, rep := s.f, s.rep
 	rep.Duration = s.maxDone
 	if rep.Duration > 0 {

@@ -9,9 +9,11 @@ import "repro/internal/metrics"
 // chooses, a full queue bounces it, otherwise it plans, is priced, and
 // completes behind the replica's busy horizon — so one arrival-ordered
 // pass with no event heap prices the run. It shares the fleet's
-// building blocks (request stream, router.choose/note, worker.plan,
-// ServiceTime) but none of the simulator's control flow or report
-// assembly, which is what TestEventPathMatchesClosedForm checks. The
+// building blocks (request stream, router.choose/note, worker.plan, and
+// the one ServiceTime price at batch size 1, probing every occurrence)
+// but none of the simulator's control flow — the pending queue and the
+// launch of one — or report assembly, which is what
+// TestEventPathMatchesClosedForm checks. The
 // router learns a query's keys only once the replica admitted it: a
 // bounced query never reached the scratchpad.
 func referenceSimulate(f *Fleet, arrivals []float64) (*Report, error) {
@@ -45,12 +47,12 @@ func referenceSimulate(f *Fleet, arrivals []float64) (*Report, error) {
 			}
 			rep.LinkTime += linkUp + linkDown
 		}
-		fills, evicts, coord, err := wk.plan(q.ids)
+		fills, evicts, _, coord, err := wk.plan(q.ids)
 		if err != nil {
 			return nil, err
 		}
 		f.maybePublish(wk, at)
-		svc := f.ServiceTime(fills, totalIDs, coord)
+		svc := f.ServiceTime(fills, totalIDs, totalIDs, 1, coord)
 		start := at + linkUp
 		if wk.busyUntil > start {
 			start = wk.busyUntil

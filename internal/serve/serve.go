@@ -30,12 +30,13 @@
 //     coordination and cross-host routing pays network links.
 //   - [Fleet.Simulate] (failure.go) plays an arrival vector through the
 //     router and the per-worker queues on one event-driven loop: each
-//     admitted query Plans against the worker's scratchpads (hits,
-//     misses, fills), is priced by the hw Table I arithmetic
-//     (ServiceTime), and retires; queries arriving to a full queue
-//     drop. Replica faults, client retries/hedging/deadlines, admission
-//     control (resilience.go) and request batching (batch.go) are
-//     events on the same loop, not a second simulator. [Report] digests
+//     admitted query launches alone or in a batch (batch.go), Plans
+//     against the worker's scratchpads (hits, misses, fills), is priced
+//     by the one hw Table I price for a launch of n queries
+//     (ServiceTime; a solo query is n = 1), and retires; queries
+//     arriving to a full queue drop. Replica faults, client
+//     retries/hedging/deadlines and admission control (resilience.go)
+//     are events on the same loop, not a second simulator. [Report] digests
 //     throughput, aggregate and per-worker hit rates, latency
 //     percentiles, and drops.
 //
@@ -573,25 +574,31 @@ func idBytes(n int) float64 { return float64(n) * 8 }
 // plus framing).
 const respBytes = 8
 
-// ServiceTime prices one query on a worker with the hw Table I
-// arithmetic: the GPU probes its Hit-Map once per ID occurrence, the
-// fills (missed rows) take the CPU-gather -> PCIe -> scratchpad-fill
-// detour, the now-resident rows are gathered and pooled on the GPU, and
-// the dense MLP forward runs. Victim rows are clean in inference (no
-// gradient ever dirties them), so evictions are metadata-only and free.
-// coord is the query's cross-shard Plan coordination latency.
-func (f *Fleet) ServiceTime(fills, totalIDs int, coord float64) float64 {
+// ServiceTime prices one launch of batch queries on a worker with the
+// hw Table I arithmetic, a solo query being a launch of one. The
+// launch's totalIDs sparse IDs (occurrences summed over its members)
+// cross PCIe in one transfer; the GPU probes its Hit-Map key+value
+// probes times (each distinct composite key once in a batched launch,
+// every occurrence for a solo query); the fills (missed rows) take one
+// CPU-gather -> PCIe -> scratchpad-fill detour; the now-resident rows
+// are gathered and pooled on the GPU, every occurrence; and the dense
+// MLP forward runs once at the batch size, whose roofline amortizes the
+// weight-read bytes across members. PCIe latency and each kernel's
+// launch overhead are paid once per launch. Victim rows are clean in
+// inference (no gradient ever dirties them), so evictions are
+// metadata-only and free. coord is the launch's cross-shard Plan
+// coordination latency.
+func (f *Fleet) ServiceTime(fills, probes, totalIDs, batch int, coord float64) float64 {
 	sys := f.cfg.System
 	dim := f.cfg.EmbeddingDim
-	// Sparse IDs cross PCIe; the GPU probes key+value per occurrence.
 	t := sys.PCIe.TransferTime(idBytes(totalIDs)) +
-		sys.GPU.RandomTime(float64(totalIDs)*16)
+		sys.GPU.RandomTime(float64(probes)*16)
 	if fills > 0 {
 		t += f.fillDetour(fills)
 	}
 	t += sys.GPU.GatherTime(totalIDs, dim) +
-		sys.GPU.ReduceTime(totalIDs, f.cfg.NumTables, dim)
-	return t + f.cfg.DenseTime + coord
+		sys.GPU.ReduceTime(totalIDs, batch*f.cfg.NumTables, dim)
+	return t + f.denseBatchTime(batch) + coord
 }
 
 // fillDetour prices the CPU-gather -> PCIe -> scratchpad-fill detour
@@ -665,11 +672,13 @@ func (f *Fleet) nextRequest(q *query) {
 
 // plan runs one query's (or one batch's — ids[t] carries every member's
 // IDs for table t) Plan/Release/Recycle cycle on every table of the
-// worker and returns the fill and eviction counts plus the modeled
-// cross-shard coordination latency. When the telemetry policy is on,
-// each plan also folds its per-table hit rate into the worker's decayed
-// estimate.
-func (w *worker) plan(ids [][]int64) (fills, evicts int, coord float64, err error) {
+// worker and returns the fill and eviction counts, the distinct
+// composite-key count, and the modeled cross-shard coordination
+// latency. Each table's Plan deduplicates its IDs, and a composite key
+// is a (table, ID) pair, so the per-table unique counts sum to it. When
+// the telemetry policy is on, each plan also folds its per-table hit
+// rate into the worker's decayed estimate.
+func (w *worker) plan(ids [][]int64) (fills, evicts, unique int, coord float64, err error) {
 	for t, mgr := range w.mgrs {
 		var prevHits, prevMisses int64
 		if w.telem != nil {
@@ -678,13 +687,14 @@ func (w *worker) plan(ids [][]int64) (fills, evicts int, coord float64, err erro
 		}
 		res, perr := mgr.Plan(w.seq, ids[t], nil)
 		if perr != nil {
-			return 0, 0, 0, perr
+			return 0, 0, 0, 0, perr
 		}
 		fills += len(res.Fills)
 		evicts += len(res.Evictions)
+		unique += len(res.UniqueIDs)
 		coord += mgr.LastPlanCoord()
 		if rerr := mgr.Release(w.seq); rerr != nil {
-			return 0, 0, 0, rerr
+			return 0, 0, 0, 0, rerr
 		}
 		mgr.Recycle(res)
 		if w.telem != nil {
@@ -696,7 +706,7 @@ func (w *worker) plan(ids [][]int64) (fills, evicts int, coord float64, err erro
 		}
 	}
 	w.seq++
-	return fills, evicts, coord, nil
+	return fills, evicts, unique, coord, nil
 }
 
 // maybePublish pushes the worker's decayed hit rates to the router as a

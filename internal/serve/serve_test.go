@@ -138,8 +138,8 @@ func TestLatencyPercentiles(t *testing.T) {
 	if rep.Served != n || rep.Drops != 0 {
 		t.Fatalf("served %d drops %d, want %d/0", rep.Served, rep.Drops, n)
 	}
-	svcMiss := f.ServiceTime(1, 1, 0)
-	svcHit := f.ServiceTime(0, 1, 0)
+	svcMiss := f.ServiceTime(1, 1, 1, 1, 0)
+	svcHit := f.ServiceTime(0, 1, 1, 1, 0)
 	lats := make([]float64, n)
 	for i := range lats {
 		lats[i] = svcMiss + float64(i)*svcHit
