@@ -505,8 +505,9 @@ func (s *sim) fireBatch(w int, t float64) error {
 // a lone member plans its own) and priced by ServiceTime; every member
 // completes at the batch's end and settles against the kill schedule —
 // a kill mid-batch dooms the whole batch to client-visible failures.
-// The launch starts no earlier than its head member's enqueue, which a
-// fired batch event has already passed.
+// A launch starts at the latest of t, the busy horizon and the head
+// member's enqueue; the last matters only for a solo launch, since a
+// batch event never fires before its head member's enqueue.
 func (s *sim) launchBatch(wk *worker, t float64) error {
 	f := s.f
 	start := max(t, wk.busyUntil, wk.pending[0].enq)

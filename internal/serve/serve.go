@@ -293,10 +293,11 @@ type worker struct {
 	served, drops int64
 	peakDepth     int
 
-	// Batching state (empty unless Batch.Enabled).
-	// pending holds queries routed here but not yet launched in a
-	// batch; batchPlanned is the earliest scheduled batch-launch event
-	// (+Inf when none is outstanding); the counters feed the report.
+	// Launch state. pending holds queries routed here but not yet
+	// launched (empty between events unless Batch.Enabled, since an
+	// unbatched query launches as it enqueues); batchPlanned is the
+	// earliest scheduled batch-launch event (+Inf when none is
+	// outstanding); the batch counters feed the report.
 	pending        []pendingReq
 	batchPlanned   float64
 	batches        int64
@@ -330,7 +331,7 @@ type worker struct {
 	accWall      float64
 }
 
-// pendingReq is one query waiting in a worker's batch: the query, its
+// pendingReq is one query waiting for its launch: the query, its
 // enqueue time (arrival plus the frontend link hop), and the response
 // hop it will pay on delivery.
 type pendingReq struct {
@@ -417,7 +418,10 @@ func NewFleet(cfg Config) (*Fleet, error) {
 	f := &Fleet{cfg: cfg, slots: slots, shards: shards,
 		reqRng: rand.New(rand.NewSource(cfg.Seed + 8000))}
 	for w := 0; w < cfg.Replicas; w++ {
-		wk := &worker{id: w, node: w % nodes, batchPlanned: math.Inf(1)}
+		// The pending queue never outgrows the queue cap, so it is
+		// sized once here.
+		wk := &worker{id: w, node: w % nodes, batchPlanned: math.Inf(1),
+			pending: make([]pendingReq, 0, cfg.QueueCap)}
 		if cfg.Topology != nil {
 			wk.host = cfg.Topology.Nodes[wk.node].Host
 		}
