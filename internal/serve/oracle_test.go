@@ -13,9 +13,9 @@ import "repro/internal/metrics"
 // the one ServiceTime price at batch size 1, probing every occurrence)
 // but none of the simulator's control flow — the pending queue and the
 // launch of one — or report assembly, which is what
-// TestEventPathMatchesClosedForm checks. The
-// router learns a query's keys only once the replica admitted it: a
-// bounced query never reached the scratchpad.
+// TestEventPathMatchesClosedForm checks. The router learns a query's
+// keys only once the replica admitted it: a bounced query never reached
+// the scratchpad.
 func referenceSimulate(f *Fleet, arrivals []float64) (*Report, error) {
 	var lat metrics.Series
 	rep := &Report{

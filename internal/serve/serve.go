@@ -36,8 +36,8 @@
 //     (ServiceTime; a solo query is n = 1), and retires; queries
 //     arriving to a full queue drop. Replica faults, client
 //     retries/hedging/deadlines and admission control (resilience.go)
-//     are events on the same loop, not a second simulator. [Report] digests
-//     throughput, aggregate and per-worker hit rates, latency
+//     are events on the same loop, not a second simulator. [Report]
+//     digests throughput, aggregate and per-worker hit rates, latency
 //     percentiles, and drops.
 //
 // Everything is deterministic in Config.Seed: same config, same report.
@@ -581,9 +581,9 @@ const respBytes = 8
 // ServiceTime prices one launch of batch queries on a worker with the
 // hw Table I arithmetic, a solo query being a launch of one. The
 // launch's totalIDs sparse IDs (occurrences summed over its members)
-// cross PCIe in one transfer; the GPU probes its Hit-Map key+value
-// probes times (each distinct composite key once in a batched launch,
-// every occurrence for a solo query); the fills (missed rows) take one
+// cross PCIe in one transfer; the GPU makes probes key+value Hit-Map
+// probes (each distinct composite key once in a batched launch, every
+// occurrence for a solo query); the fills (missed rows) take one
 // CPU-gather -> PCIe -> scratchpad-fill detour; the now-resident rows
 // are gathered and pooled on the GPU, every occurrence; and the dense
 // MLP forward runs once at the batch size, whose roofline amortizes the
