@@ -59,31 +59,12 @@ func NewStatic(cpu *embed.Table, rows int64, dim int, topN int64) (*Static, erro
 	return s, nil
 }
 
-// TopN returns the number of pinned rows.
-func (s *Static) TopN() int64 { return s.topN }
-
 // Hit reports whether sparse ID id is serviced by the GPU cache.
 func (s *Static) Hit(id int64) bool { return id < s.topN }
 
-// Query classifies the batch's IDs, updating statistics, and returns the
-// hit and miss counts (the "Evaluate hit IDs & missed IDs" stage of
-// Figure 4b).
-func (s *Static) Query(ids []int64) (hits, misses int) {
-	for _, id := range ids {
-		if s.Hit(id) {
-			hits++
-		} else {
-			misses++
-		}
-	}
-	s.stats.Queries += int64(len(ids))
-	s.stats.Hits += int64(hits)
-	s.stats.Misses += int64(misses)
-	return hits, misses
-}
-
-// RecordQuery folds an externally computed hit/miss classification into
-// the statistics; callers that already hold the batch's distinct IDs and
+// RecordQuery folds a batch's hit/miss classification (through Hit, the
+// "Evaluate hit IDs & missed IDs" stage of Figure 4b) into the
+// statistics; callers that already hold the batch's distinct IDs and
 // counts classify without rescanning the occurrence stream.
 func (s *Static) RecordQuery(hits, misses int) {
 	s.stats.Queries += int64(hits + misses)

@@ -12,17 +12,27 @@ func TestStaticMetadataMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits, misses := s.Query([]int64{0, 99, 100, 500})
+	hits, misses := classify(s, 0, 99, 100, 500)
 	if hits != 2 || misses != 2 {
 		t.Fatalf("hits %d misses %d", hits, misses)
 	}
-	st := s.Stats()
-	if st.Queries != 4 || st.Hits != 2 || st.Misses != 2 {
+	s.RecordQuery(hits, misses)
+	s.RecordQuery(classify(s, 1))
+	if st := s.Stats(); st != (StaticStats{Queries: 5, Hits: 3, Misses: 2}) {
 		t.Fatalf("stats %+v", st)
 	}
-	if s.TopN() != 100 {
-		t.Fatalf("TopN = %d", s.TopN())
+}
+
+// classify counts ids' hits and misses in s.
+func classify(s *Static, ids ...int64) (hits, misses int) {
+	for _, id := range ids {
+		if s.Hit(id) {
+			hits++
+		} else {
+			misses++
+		}
 	}
+	return hits, misses
 }
 
 func TestStaticBounds(t *testing.T) {
@@ -92,8 +102,7 @@ func TestStaticZeroTopN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits, misses := s.Query([]int64{0, 1, 2})
-	if hits != 0 || misses != 3 {
+	if hits, misses := classify(s, 0, 1, 2); hits != 0 || misses != 3 {
 		t.Fatalf("hits %d misses %d", hits, misses)
 	}
 	s.Flush() // no-op, must not panic
