@@ -2,20 +2,33 @@
 // blocks: the static top-N cache the paper uses as its stronger baseline
 // (Figure 4b, after Yin et al.), and the replacement policies (LRU, LFU,
 // Random) that the dynamic scratchpad of ScratchPipe selects eviction
-// victims with (§VI-E studies all three).
+// victims with (§VI-E studies all three). Every policy picks victims
+// under one contract: a victim sweep, started by BeginVictimSweep,
+// examines each slot at most once.
 package cache
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
 // Policy orders cache slots for eviction. Slots are dense indices
 // [0, n). The scratchpad manager calls OnInsert when a new key fills a
-// slot, OnAccess when a cached key is referenced again, and Victim to pick
-// an eviction candidate among slots for which evictable returns true
-// (the hold-mask discipline is enforced by the caller through that
-// predicate, not by the policy).
+// slot and OnAccess when a cached key is referenced again.
+//
+// Victims come only from a sweep. BeginVictimSweep starts one over the
+// eviction order as it stands, and each Victim call continues it,
+// passing slots to evictable (the caller's hold/pin discipline) and
+// returning the first that passes. Within one sweep no slot reaches
+// evictable twice, so a whole batch's victim selection costs at most n
+// predicate calls; a rejected slot is never offered again, nor is a
+// returned victim the caller reinserts. That is sound because within
+// one Plan the caller's protected set only grows. Victim returns -1
+// once the sweep has no unexamined slot left, and before any sweep has
+// begun. The caller must not call OnAccess during a sweep (OnInsert of
+// returned victims is fine) and starts a new sweep whenever slots may
+// have become evictable again.
 type Policy interface {
 	// Name identifies the policy in reports ("lru", "lfu", "random").
 	Name() string
@@ -23,17 +36,10 @@ type Policy interface {
 	OnInsert(slot int)
 	// OnAccess records a reference to the key cached in slot.
 	OnAccess(slot int)
-	// Victim returns an evictable slot to reuse, or -1 if every slot is
-	// currently protected.
+	// Victim returns the sweep's next evictable slot, or -1.
 	Victim(evictable func(slot int) bool) int
-	// BeginVictimSweep arms sweep mode for a burst of Victim calls
-	// during which no slot can *become* evictable (the scratchpad's
-	// hold/pin sets only grow within one Plan). In sweep mode the
-	// policy walks its eviction order exactly once, never re-examining
-	// skipped slots, making a whole batch's victim selection
-	// O(cache size) instead of O(misses x protected). The caller must
-	// not call OnAccess between BeginVictimSweep and the final Victim
-	// of the sweep (OnInsert of returned victims is fine).
+	// BeginVictimSweep starts a sweep at the least preferred end of the
+	// eviction order.
 	BeginVictimSweep()
 }
 
@@ -79,10 +85,10 @@ type lruNode struct {
 type LRUPolicy struct {
 	nodes []lruNode
 	n     int
-	// sweep is the armed-mode cursor (-1 when exhausted); armed is
-	// toggled by BeginVictimSweep.
-	sweep int32
-	armed bool
+	// sweep is the sweep's next slot (-1 when exhausted or before the
+	// first sweep), and last the list's most recent slot when the sweep
+	// began: victims reinserted behind it are not examined again.
+	sweep, last int32
 }
 
 // NewLRUPolicy returns an LRU policy over n slots, all initially in LRU
@@ -94,7 +100,7 @@ func NewLRUPolicy(n int) Policy {
 }
 
 // Reset reinitialises p over n slots exactly as NewLRUPolicy(n) builds
-// it (one list in LRU order 0..n-1, sweep disarmed), reusing the node
+// it (one list in LRU order 0..n-1, no sweep), reusing the node
 // array when its capacity suffices.
 func (p *LRUPolicy) Reset(n int) {
 	p.ResetLists(n, 1)
@@ -104,7 +110,7 @@ func (p *LRUPolicy) Reset(n int) {
 }
 
 // ResetLists reinitialises p over n slots and k empty lists, every slot
-// unlinked and the sweep disarmed, reusing the node array when its
+// unlinked and no sweep, reusing the node array when its
 // capacity suffices.
 func (p *LRUPolicy) ResetLists(n, k int) {
 	if cap(p.nodes) < n+k {
@@ -112,7 +118,7 @@ func (p *LRUPolicy) ResetLists(n, k int) {
 	}
 	p.nodes = p.nodes[:n+k]
 	p.n = n
-	p.sweep, p.armed = -1, false
+	p.sweep, p.last = -1, -1
 	for i := range p.nodes {
 		p.nodes[i] = lruNode{prev: int32(i), next: int32(i)}
 	}
@@ -164,34 +170,25 @@ func (p *LRUPolicy) OnInsert(slot int) { p.Touch(0, int32(slot)) }
 func (p *LRUPolicy) OnAccess(slot int) { p.Touch(0, int32(slot)) }
 
 func (p *LRUPolicy) BeginVictimSweep() {
-	p.armed = true
-	p.sweep = p.Front(0)
+	p.sweep, p.last = p.Front(0), p.nodes[p.n].prev
 }
 
-// SweepNext returns the next candidate of the armed sweep (advancing the
-// cursor) or -1 when the eviction order is exhausted. It lets callers
-// drive the sweep with an inlined evictability check; equivalent to
-// Victim with a predicate evaluated caller-side.
+// SweepNext returns the sweep's next candidate (advancing the cursor),
+// or -1 when the sweep is exhausted. It lets callers drive the sweep
+// with an inlined evictability check; equivalent to Victim with a
+// predicate evaluated caller-side.
 func (p *LRUPolicy) SweepNext() int {
 	s := p.sweep
-	if s >= 0 {
+	switch {
+	case s == p.last:
+		p.sweep = -1
+	case s >= 0:
 		p.sweep = p.Next(s)
 	}
 	return int(s)
 }
 
 func (p *LRUPolicy) Victim(evictable func(int) bool) int {
-	if !p.armed {
-		// Standalone mode: fresh walk from the LRU end.
-		for s := p.Front(0); s >= 0; s = p.Next(s) {
-			if evictable(int(s)) {
-				return int(s)
-			}
-		}
-		return -1
-	}
-	// Sweep mode: continue from the cursor; skipped slots cannot become
-	// evictable within the sweep, so never revisit them.
 	for s := p.SweepNext(); s >= 0; s = p.SweepNext() {
 		if evictable(s) {
 			return s
@@ -210,11 +207,12 @@ type lfuPolicy struct {
 	bucketHead       map[int64]int32 // freq -> first slot; chains via next
 	minFreq, maxFreq int64
 	n                int
-	// Armed-sweep cursor: frequency level and chain position
-	// (sweepSlot == -2 means "start of bucket sweepF").
-	armed     bool
-	sweepF    int64
-	sweepSlot int32
+	// The sweep's cursor: frequency level and chain position
+	// (sweepSlot == -2 means "start of bucket sweepF"); before the first
+	// sweep it sits past every level. head1 is bucket 1's head when the
+	// sweep began (-1 if empty): inserts land in front of it.
+	sweepF           int64
+	sweepSlot, head1 int32
 }
 
 // NewLFUPolicy returns an LFU policy over n slots, all starting at
@@ -226,6 +224,7 @@ func NewLFUPolicy(n int) Policy {
 		next:       make([]int32, n),
 		bucketHead: make(map[int64]int32),
 		n:          n,
+		sweepF:     math.MaxInt64,
 	}
 	for i := n - 1; i >= 0; i-- {
 		p.pushBucket(i, 0)
@@ -288,17 +287,16 @@ func (p *lfuPolicy) OnInsert(slot int) {
 }
 
 func (p *lfuPolicy) BeginVictimSweep() {
-	p.armed = true
-	p.sweepF = p.minFreq
-	p.sweepSlot = -2
+	p.sweepF, p.sweepSlot = p.minFreq, -2
+	p.head1 = -1
+	if h, ok := p.bucketHead[1]; ok {
+		p.head1 = h
+	}
 }
 
 func (p *lfuPolicy) Victim(evictable func(int) bool) int {
-	if !p.armed {
-		return p.victimFresh(evictable)
-	}
 	f, s := p.sweepF, p.sweepSlot
-	for f <= p.maxFreq {
+	for ; f <= p.maxFreq; f, s = f+1, -2 {
 		if s == -2 {
 			head, ok := p.bucketHead[f]
 			if !ok {
@@ -309,71 +307,56 @@ func (p *lfuPolicy) Victim(evictable func(int) bool) int {
 				if f == p.minFreq {
 					p.minFreq++
 				}
-				f++
 				continue
 			}
-			s = head
+			if s = head; f == 1 {
+				// Skip the slots inserted since the sweep began.
+				s = p.head1
+			}
 		}
-		for s >= 0 {
-			nxt := p.next[s]
+		for ; s >= 0; s = p.next[s] {
 			if evictable(int(s)) {
-				p.sweepF, p.sweepSlot = f, nxt
+				p.sweepF, p.sweepSlot = f, p.next[s]
 				return int(s)
 			}
-			s = nxt
 		}
-		f++
-		s = -2
 	}
 	p.sweepF, p.sweepSlot = f, -2
 	return -1
 }
 
-func (p *lfuPolicy) victimFresh(evictable func(int) bool) int {
-	for f := p.minFreq; f <= p.maxFreq; f++ {
-		head, ok := p.bucketHead[f]
-		if !ok {
-			if f == p.minFreq {
-				p.minFreq++
-			}
-			continue
-		}
-		for s := head; s >= 0; s = p.next[s] {
-			if evictable(int(s)) {
-				return int(s)
-			}
-		}
-	}
-	return -1
-}
-
-// randomPolicy probes uniformly random slots.
+// randomPolicy draws victims uniformly without replacement: perm holds
+// every slot, and a sweep's unexamined slots are its prefix perm[:left].
+// Each draw picks from that prefix and swaps the pick out of it (a
+// partial Fisher–Yates shuffle), so a sweep costs at most n draws.
 type randomPolicy struct {
-	rng *rand.Rand
-	n   int
+	rng  *rand.Rand
+	perm []int32
+	left int
 }
 
 // NewRandomPolicy returns a random-eviction policy over n slots.
 func NewRandomPolicy(n int, seed int64) Policy {
-	return &randomPolicy{rng: rand.New(rand.NewSource(seed)), n: n}
+	p := &randomPolicy{rng: rand.New(rand.NewSource(seed)), perm: make([]int32, n)}
+	for s := range p.perm {
+		p.perm[s] = int32(s)
+	}
+	return p
 }
 
 func (p *randomPolicy) Name() string      { return string(RandomPolicy) }
 func (p *randomPolicy) OnInsert(int)      {}
 func (p *randomPolicy) OnAccess(int)      {}
-func (p *randomPolicy) BeginVictimSweep() {}
+func (p *randomPolicy) BeginVictimSweep() { p.left = len(p.perm) }
 
 func (p *randomPolicy) Victim(evictable func(int) bool) int {
-	for tries := 0; tries < 4*p.n; tries++ {
-		s := p.rng.Intn(p.n)
-		if evictable(s) {
-			return s
-		}
-	}
-	// Extremely contended: fall back to a deterministic sweep.
-	for s := 0; s < p.n; s++ {
-		if evictable(s) {
-			return s
+	for p.left > 0 {
+		i := p.rng.Intn(p.left)
+		p.left--
+		s := p.perm[i]
+		p.perm[i], p.perm[p.left] = p.perm[p.left], s
+		if evictable(int(s)) {
+			return int(s)
 		}
 	}
 	return -1
