@@ -280,11 +280,11 @@ var singleShardPins = map[cache.PolicyKind]struct {
 			UniqueHits: 2422, UniqueMisses: 3770, Fills: 3770, Evictions: 3770, Planned: 100, Released: 97},
 	},
 	cache.RandomPolicy: {
-		0xe669b985d769ca6c, 0x111875900fe30e5f,
-		core.Stats{Queries: 6400, Hits: 2539, Misses: 3861, UniqueQueries: 6192,
-			UniqueHits: 2331, UniqueMisses: 3861, Fills: 3861, Evictions: 3605, Planned: 100, Released: 97},
-		core.Stats{Queries: 6400, Hits: 2612, Misses: 3788, UniqueQueries: 6192,
-			UniqueHits: 2404, UniqueMisses: 3788, Fills: 3788, Evictions: 3788, Planned: 100, Released: 97},
+		0xea486ed99ec2990e, 0xbff3533c66069f58,
+		core.Stats{Queries: 6400, Hits: 2534, Misses: 3866, UniqueQueries: 6192,
+			UniqueHits: 2326, UniqueMisses: 3866, Fills: 3866, Evictions: 3610, Planned: 100, Released: 97},
+		core.Stats{Queries: 6400, Hits: 2620, Misses: 3780, UniqueQueries: 6192,
+			UniqueHits: 2412, UniqueMisses: 3780, Fills: 3780, Evictions: 3780, Planned: 100, Released: 97},
 	},
 }
 
