@@ -56,19 +56,19 @@ func TestProfileFlags(t *testing.T) {
 	}
 }
 
-// TestQuickGolden pins the quick Figure 12b, Figure 13 and serving
-// tables byte for byte, plus Figure 13 at four shards on the two-host
-// cluster under hier coordination, with and without a mid-sweep host
-// death (the forked sweep that resets sharded managers), and Figure
-// 12b's per-stage table in that configuration with overlapped
-// coordination (whose plan column is the critical share), with and
-// without the host death, and Figure 12b at that shape under approx
-// coordination and under hier with a host-link partition (the
-// degraded protocol): every simulated number they print is a
-// function of the seed, so a refactor or optimisation of the simulator
-// must leave them untouched. A change
-// that means to move an output re-records with `go test -update` and
-// accounts for every moved line in CHANGES.md.
+// TestQuickGolden pins the quick Figure 12b, Figure 13, serving and
+// §VI-E sensitivity tables byte for byte, plus Figure 13 at four shards
+// on the two-host cluster under hier coordination, with and without a
+// mid-sweep host death (the forked sweep that resets sharded managers),
+// and Figure 12b's per-stage table in that configuration with
+// overlapped coordination (whose plan column is the critical share),
+// with and without the host death, and Figure 12b at that shape under
+// approx coordination and under hier with a host-link partition (the
+// degraded protocol): every simulated number they print is a function
+// of the seed, so a refactor or optimisation of the simulator must
+// leave them untouched. A change that means to move an output
+// re-records with `go test -update` and accounts for every moved line
+// in CHANGES.md.
 func TestQuickGolden(t *testing.T) {
 	cases := []struct {
 		name string
@@ -77,6 +77,7 @@ func TestQuickGolden(t *testing.T) {
 		{"fig12b", []string{"-experiment", "fig12b"}},
 		{"fig13", []string{"-experiment", "fig13"}},
 		{"serving", []string{"-experiment", "serving"}},
+		{"sensitivity", []string{"-experiment", "sensitivity"}},
 		{"fig13_s4_hier", []string{"-experiment", "fig13", "-shards", "4", "-topology", "cluster2x2", "-coord", "hier"}},
 		{"fig13_s4_hier_fail", []string{"-experiment", "fig13", "-shards", "4", "-topology", "cluster2x2", "-coord", "hier",
 			"-fail", "host1@5", "-ckpt-interval", "4"}},
