@@ -6,9 +6,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test race examples benchmodule bench hotpath benchgate fmtcheck doccheck fuzzsmoke paperscale
+.PHONY: check vet build test race examples benchmodule quick bench hotpath benchgate fmtcheck doccheck fuzzsmoke paperscale
 
-check: fmtcheck doccheck vet build test race examples benchmodule
+check: fmtcheck doccheck vet build test race examples benchmodule quick
 
 vet:
 	$(GO) vet ./...
@@ -31,6 +31,12 @@ benchmodule:
 
 test:
 	$(GO) test ./...
+
+# Runs every spbench experiment once at quick scale (the goldens pin only
+# some of them): a sweep that panics, or one that relapses to minutes,
+# shows here.
+quick:
+	$(GO) run ./cmd/spbench -quick > /dev/null
 
 # Every package that spawns goroutines or drives goroutine-spawning code
 # runs under the race detector: the worker pool itself (par), the
